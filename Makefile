@@ -1,5 +1,6 @@
 # Standard entry points; CI (.github/workflows/ci.yml) runs the same gates
-# as separate jobs: lint -> test matrix, fuzz-smoke, coverage, bench-smoke.
+# as separate jobs: lint -> test matrix, fuzz-smoke, coverage, bench-module,
+# bench-smoke.
 GO ?= go
 
 # FUZZTIME bounds each fuzz target's budget in `make fuzz` (and the CI
@@ -8,7 +9,7 @@ GO ?= go
 FUZZTIME ?= 30s
 FUZZMINIMIZE ?= 5x
 
-.PHONY: all build test race vet lint fuzz diff cover bench bench-json bench-search bench-serve bench-shard bench-smoke check serve loadgen loadgen-tenants
+.PHONY: all build test race vet lint fuzz diff cover bench bench-module bench-json bench-search bench-serve bench-shard bench-smoke check serve loadgen loadgen-tenants
 
 all: check
 
@@ -74,6 +75,11 @@ loadgen:
 # reload of one tenant leaked into another.
 loadgen-tenants:
 	$(GO) run ./cmd/cirank-loadgen -arms tenants -out -
+
+# bench-module vets and tests the nested cirank/bench module — the
+# BENCHMARK.json harness — which the ./... targets above do not reach.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the paper-figure benchmarks plus the parallel/caching grid.
 bench:

@@ -29,6 +29,14 @@ const arenaChunkIDs = 4096
 // arenaChunkTrees is how many Tree headers are allocated per slab.
 const arenaChunkTrees = 512
 
+// arenaKeepChunks and arenaKeepSlabs bound what Reset retains (4 MiB of node
+// storage, 64 Ki headers): arenas live in pooled query scratch, and one hub
+// query's working set must not stay pinned there forever.
+const (
+	arenaKeepChunks = 256
+	arenaKeepSlabs  = 128
+)
+
 // slots hands out n NodeIDs of zeroed-by-owner storage.
 func (a *Arena) slots(n int) []graph.NodeID {
 	for {
@@ -70,32 +78,55 @@ func (a *Arena) tree(n int) *Tree {
 	}
 }
 
-// Reset rewinds the arena, invalidating every tree allocated from it. Both
-// the node-storage chunks and the tree-header slabs are retained and reused
-// by subsequent allocations.
+// Reset rewinds the arena, invalidating every tree allocated from it. The
+// node-storage chunks and the tree-header slabs are retained, up to
+// arenaKeepChunks and arenaKeepSlabs, and reused by subsequent allocations.
 func (a *Arena) Reset() {
 	a.ci, a.off = 0, 0
 	a.si, a.used = 0, 0
+	if len(a.chunks) > arenaKeepChunks {
+		a.chunks = append([][]graph.NodeID(nil), a.chunks[:arenaKeepChunks]...)
+	}
+	if len(a.slabs) > arenaKeepSlabs {
+		a.slabs = append([][]Tree(nil), a.slabs[:arenaKeepSlabs]...)
+	}
 }
+
+// Trees reports how many trees the arena has handed out since the last
+// Reset.
+func (a *Arena) Trees() int { return a.si*arenaChunkTrees + a.used }
 
 // NewSingle returns the single-node tree {v}, allocated from the arena.
 func (a *Arena) NewSingle(v graph.NodeID) *Tree {
 	t := a.tree(1)
-	t.root = v
-	t.nodes[0] = v
-	t.par[0] = v
+	t.initSingle(v)
 	return t
 }
 
 // Grow is Tree.Grow drawing the new tree from the arena. Validation happens
 // before any storage is taken, so failed grows cost nothing.
 func (a *Arena) Grow(t *Tree, g *graph.Graph, newRoot graph.NodeID) (*Tree, error) {
-	if err := t.checkGrow(g, newRoot); err != nil {
+	pos, err := t.checkGrow(g, newRoot)
+	if err != nil {
 		return nil, err
 	}
 	nt := a.tree(len(t.nodes) + 1)
-	t.growInto(nt, newRoot)
+	t.growInto(nt, newRoot, pos)
 	return nt, nil
+}
+
+// GrowEdge is Grow for a caller that enumerated newRoot from the out-edges
+// of t's root: the edge exists by construction, so only the overlap check
+// remains, and the binary search that makes it also yields the insertion
+// position. It returns nil, taking no storage, when newRoot is already in t.
+func (a *Arena) GrowEdge(t *Tree, newRoot graph.NodeID) *Tree {
+	pos, present := t.search(newRoot)
+	if present {
+		return nil
+	}
+	nt := a.tree(len(t.nodes) + 1)
+	t.growInto(nt, newRoot, pos)
+	return nt
 }
 
 // Merge is Tree.Merge drawing the new tree from the arena. Validation

@@ -29,8 +29,15 @@ import (
 // pointing to itself (the sentinel that marks it). Both slices share one
 // backing array, so a tree costs one storage allocation — or none, from an
 // Arena.
+//
+// depth caches the maximum root-to-node distance. Every constructor sets it
+// before the tree is handed out — arena headers are reused, so none may
+// inherit a predecessor's value — and trees are immutable afterwards, which
+// makes Depth a field read that is safe from any goroutine. It shares the
+// word that root leaves half empty, so the header stays 56 bytes.
 type Tree struct {
 	root  graph.NodeID
+	depth int32
 	nodes []graph.NodeID // sorted ascending, includes root
 	par   []graph.NodeID // par[i] is nodes[i]'s parent; root points to itself
 }
@@ -44,10 +51,16 @@ func newTreeHeap(n int) *Tree {
 // NewSingle returns the single-node tree {v}.
 func NewSingle(v graph.NodeID) *Tree {
 	t := newTreeHeap(1)
+	t.initSingle(v)
+	return t
+}
+
+// initSingle fills one-node storage with the tree {v}.
+func (t *Tree) initSingle(v graph.NodeID) {
 	t.root = v
+	t.depth = 0
 	t.nodes[0] = v
 	t.par[0] = v
-	return t
 }
 
 // Root returns the tree's root node.
@@ -56,8 +69,9 @@ func (t *Tree) Root() graph.NodeID { return t.root }
 // Size reports the number of nodes in the tree.
 func (t *Tree) Size() int { return len(t.nodes) }
 
-// idx returns v's position in the sorted node list, or -1 when absent.
-func (t *Tree) idx(v graph.NodeID) int {
+// search returns the position at which v sits in the sorted node list, or
+// would be inserted, and whether it is present.
+func (t *Tree) search(v graph.NodeID) (int, bool) {
 	lo, hi := 0, len(t.nodes)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -67,8 +81,13 @@ func (t *Tree) idx(v graph.NodeID) int {
 			hi = mid
 		}
 	}
-	if lo < len(t.nodes) && t.nodes[lo] == v {
-		return lo
+	return lo, lo < len(t.nodes) && t.nodes[lo] == v
+}
+
+// idx returns v's position in the sorted node list, or -1 when absent.
+func (t *Tree) idx(v graph.NodeID) int {
+	if i, ok := t.search(v); ok {
+		return i
 	}
 	return -1
 }
@@ -181,15 +200,16 @@ func (t *Tree) Leaves() []graph.NodeID {
 func (t *Tree) Clone() *Tree {
 	nt := newTreeHeap(len(t.nodes))
 	nt.root = t.root
+	nt.depth = t.depth
 	copy(nt.nodes, t.nodes)
 	copy(nt.par, t.par)
 	return nt
 }
 
-// growInto fills dst with t extended by newRoot; storage must already be
-// sized for Size+1 nodes. The caller has validated the grow.
-func (t *Tree) growInto(dst *Tree, newRoot graph.NodeID) {
-	pos := sort.Search(len(t.nodes), func(i int) bool { return t.nodes[i] >= newRoot })
+// growInto fills dst with t extended by newRoot, which belongs at position
+// pos of t's sorted node list; storage must already be sized for Size+1
+// nodes. The caller has validated the grow.
+func (t *Tree) growInto(dst *Tree, newRoot graph.NodeID, pos int) {
 	copy(dst.nodes, t.nodes[:pos])
 	copy(dst.par, t.par[:pos])
 	dst.nodes[pos] = newRoot
@@ -197,32 +217,36 @@ func (t *Tree) growInto(dst *Tree, newRoot graph.NodeID) {
 	copy(dst.par[pos+1:], t.par[pos:])
 	dst.par[pos] = newRoot // self-sentinel: newRoot is the root
 	dst.root = newRoot
-	// The old root now hangs off newRoot.
-	oldIdx := dst.idx(t.root)
-	dst.par[oldIdx] = newRoot
+	// The old root now hangs off newRoot, one level below it like the rest
+	// of t.
+	dst.par[dst.idx(t.root)] = newRoot
+	dst.depth = t.depth + 1
 }
 
 // Grow returns a new tree whose root is newRoot and whose single child
 // subtree is t — the tree-growing step of §IV-B. It fails if newRoot is
 // already in t or the data graph lacks an edge between newRoot and t's root.
 func (t *Tree) Grow(g *graph.Graph, newRoot graph.NodeID) (*Tree, error) {
-	if err := t.checkGrow(g, newRoot); err != nil {
+	pos, err := t.checkGrow(g, newRoot)
+	if err != nil {
 		return nil, err
 	}
 	nt := newTreeHeap(len(t.nodes) + 1)
-	t.growInto(nt, newRoot)
+	t.growInto(nt, newRoot, pos)
 	return nt, nil
 }
 
-// checkGrow validates a grow without allocating.
-func (t *Tree) checkGrow(g *graph.Graph, newRoot graph.NodeID) error {
-	if t.Contains(newRoot) {
-		return fmt.Errorf("jtt: grow: node %d already in tree", newRoot)
+// checkGrow validates a grow without allocating and returns newRoot's
+// position in the grown node list.
+func (t *Tree) checkGrow(g *graph.Graph, newRoot graph.NodeID) (int, error) {
+	pos, present := t.search(newRoot)
+	if present {
+		return 0, fmt.Errorf("jtt: grow: node %d already in tree", newRoot)
 	}
 	if !g.HasEdge(newRoot, t.root) && !g.HasEdge(t.root, newRoot) {
-		return fmt.Errorf("jtt: grow: no edge between %d and root %d", newRoot, t.root)
+		return 0, fmt.Errorf("jtt: grow: no edge between %d and root %d", newRoot, t.root)
 	}
-	return nil
+	return pos, nil
 }
 
 // Attach returns a new tree with child added as a leaf under parent. The
@@ -232,11 +256,11 @@ func (t *Tree) Attach(child, parent graph.NodeID) (*Tree, error) {
 	if !t.Contains(parent) {
 		return nil, fmt.Errorf("jtt: attach: parent %d not in tree", parent)
 	}
-	if t.Contains(child) {
+	pos, present := t.search(child)
+	if present {
 		return nil, fmt.Errorf("jtt: attach: child %d already in tree", child)
 	}
 	nt := newTreeHeap(len(t.nodes) + 1)
-	pos := sort.Search(len(t.nodes), func(i int) bool { return t.nodes[i] >= child })
 	copy(nt.nodes, t.nodes[:pos])
 	copy(nt.par, t.par[:pos])
 	nt.nodes[pos] = child
@@ -244,6 +268,7 @@ func (t *Tree) Attach(child, parent graph.NodeID) (*Tree, error) {
 	copy(nt.nodes[pos+1:], t.nodes[pos:])
 	copy(nt.par[pos+1:], t.par[pos:])
 	nt.root = t.root
+	nt.depth = max(t.depth, int32(t.depthOf(parent))+1)
 	return nt, nil
 }
 
@@ -310,6 +335,7 @@ func (t *Tree) mergeInto(dst *Tree, other *Tree) {
 		dst.nodes[k], dst.par[k] = other.nodes[j], other.par[j]
 	}
 	dst.root = t.root
+	dst.depth = max(t.depth, other.depth)
 }
 
 // Merge returns the union of t and other — the tree-merging step of §IV-B.
@@ -384,18 +410,16 @@ func (t *Tree) depthOf(v graph.NodeID) int {
 	return d
 }
 
-// Depth reports the maximum distance from the root to any node.
-func (t *Tree) Depth() int {
-	max := 0
-	for _, v := range t.nodes {
-		if v == t.root {
-			continue
-		}
-		if d := t.depthOf(v); d > max {
-			max = d
-		}
-	}
-	return max
+// Depth reports the maximum distance from the root to any node. It reads
+// the field every constructor maintains (see Tree), so it costs nothing in
+// the branch-and-bound loops that consult it per candidate.
+func (t *Tree) Depth() int { return int(t.depth) }
+
+// setDepth recomputes the depth field from the parent pointers, for the
+// constructors that rearrange them (Reroot, Reduce).
+func (t *Tree) setDepth() {
+	h, _ := t.heightDiam(t.root)
+	t.depth = int32(h)
 }
 
 // Diameter reports the longest path length (in edges) between any two nodes.
@@ -506,6 +530,7 @@ func (t *Tree) Reroot(newRoot graph.NodeID) *Tree {
 	}
 	nt.par[nt.idx(newRoot)] = newRoot
 	nt.root = newRoot
+	nt.setDepth()
 	return nt
 }
 
@@ -661,5 +686,6 @@ func (t *Tree) Reduce(keep func(graph.NodeID) bool) *Tree {
 		k++
 	}
 	nt.root = root
+	nt.setDepth()
 	return nt
 }

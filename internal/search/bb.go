@@ -78,6 +78,10 @@ type bbState struct {
 	fillFn func(w, i int) // hoisted fill closure, one per query
 	stats  Stats
 	seq    int
+	// built counts the trees handed to process: seeds, kept grows and
+	// successful merges. The arena hands out exactly these — the accounting
+	// test holds it to that, so a tree built only to be discarded shows.
+	built int
 	// lost latches when candidate trees were dropped before evaluation (the
 	// Generated-cap backstop discards whole merge cascades), so the frontier
 	// no longer bounds the unexplored answer space and FrontierBound must
@@ -167,16 +171,28 @@ func (s *Searcher) TopKContext(ctx context.Context, terms []string, opts Options
 	}
 	sc := s.getScratch()
 	defer s.putScratch(sc)
-	qc, ok, err := s.prepareInto(sc, terms)
-	if err != nil {
+	st, err := s.run(ctx, sc, terms, opts)
+	if err != nil || st == nil {
 		return nil, Stats{}, err
 	}
-	if !ok {
-		return nil, Stats{}, nil // some keyword has no match: AND semantics
+	// Detach before the deferred putScratch invalidates the arena the
+	// answer trees live in.
+	return st.top.resultsDetached(), st.stats, nil
+}
+
+// run is the branch-and-bound loop of TopKContext over a caller-provided
+// scratch, which it leaves unreleased: the answers in the returned state's
+// top-k still live in the scratch's arena. A nil state with a nil error
+// means some keyword has no match (AND semantics: no answers).
+func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, opts Options) (*bbState, error) {
+	qc, ok, err := s.prepareInto(sc, terms)
+	if err != nil || !ok {
+		return nil, err
 	}
+	g := s.m.Graph()
 	nw := opts.workers()
 	if !opts.NoDynamicBounds {
-		qc.computeTermDistances(s.m.Graph(), opts.Diameter, nw, sc)
+		qc.computeTermDistances(g, opts.Diameter, nw, sc)
 	}
 	qc.maxDamp = s.m.MaxDamp()
 	st := newBBState(s, sc, opts, nw)
@@ -215,31 +231,37 @@ func (s *Searcher) TopKContext(ctx context.Context, terms []string, opts Options
 			break
 		}
 		// Grow every batch candidate through its root, in deterministic
-		// (batch, edge) order. Growing is cheap; evaluating the grown trees
-		// is the expensive part, which process fans out.
+		// (batch, edge) order. Every check that can reject a grow runs
+		// before the arena hands out storage, cheapest first, so no tree is
+		// built only to be thrown away; evaluating the survivors is the
+		// expensive part, which process fans out.
 		grown := sc.grown[:0]
 		for _, c := range batch {
-			root := c.tree.Root()
-			for _, e := range s.m.Graph().OutEdges(root) {
+			// Half-diameter depth limit (§IV-A): a grown tree is one level
+			// deeper than c whichever neighbour it grows to, so a candidate
+			// already at ⌈D/2⌉ has nothing to enumerate. It was still popped
+			// and counted above.
+			depth := c.tree.Depth() + 1
+			if depth > halfD {
+				continue
+			}
+			for _, e := range g.OutEdges(c.tree.Root()) {
 				nb := e.To
-				if c.tree.Contains(nb) {
+				// Frontier prune, fused with the depth limit: the grown
+				// tree is rooted at nb, so its budget for growing into an
+				// owned-centered answer is its depth plus nb's distance to
+				// the owned set (0 with pruning off, where the check above
+				// already decided). Merges need no counterpart — they keep
+				// both roots and take the max depth, so the invariant
+				// carries over.
+				if d := ownedDistAt(opts.OwnedDist, nb); d < 0 || depth+int(d) > halfD {
 					continue
 				}
-				g, err := sc.arena.Grow(c.tree, s.m.Graph(), nb)
-				if err != nil {
-					continue
+				// nb came from the root's out-edges, so the data-graph edge
+				// needs no second proof; only the overlap check remains.
+				if t := sc.arena.GrowEdge(c.tree, nb); t != nil {
+					grown = append(grown, t)
 				}
-				// Half-diameter depth limit, fused with the frontier prune:
-				// the grown tree is re-rooted at nb, so its budget for
-				// growing into an owned-centered answer is depth plus nb's
-				// distance to the owned set. With pruning off the distance
-				// reads as 0 and this is the plain depth ≤ ⌈D/2⌉ check.
-				// Merges need no counterpart — they keep both roots and take
-				// the max depth, so the invariant carries over.
-				if d := ownedDistAt(opts.OwnedDist, nb); d < 0 || g.Depth()+int(d) > halfD {
-					continue
-				}
-				grown = append(grown, g)
 			}
 		}
 		sc.grown = grown
@@ -256,9 +278,7 @@ func (s *Searcher) TopKContext(ctx context.Context, terms []string, opts Options
 	case st.pq.Len() > 0:
 		st.stats.FrontierBound = (*st.pq)[0].ub
 	}
-	// Detach before the deferred putScratch invalidates the arena the
-	// answer trees live in.
-	return st.top.resultsDetached(), st.stats, nil
+	return st, nil
 }
 
 // process drives newly built trees through the evaluate/commit pipeline
@@ -294,6 +314,7 @@ func (st *bbState) process(trees []*jtt.Tree) {
 	useA := true
 	defer func() { sc.procA, sc.procB = outA, outB }()
 	for len(trees) > 0 && !st.interrupted() {
+		st.built += len(trees)
 		level := sc.level[:0]
 		for _, tree := range trees {
 			// The Generated cap backstops the merge closure: MaxExpansions

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"cirank/internal/graph"
+	"cirank/internal/jtt"
 )
 
 // This file implements the upper-bound machinery of §IV-B. A candidate tree
@@ -44,6 +45,18 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 	qc := st.qc
 	root := c.tree.Root()
 	missing := qc.full &^ c.cover
+	lone := missing == 0 && len(c.sources) == 1
+
+	// The supplement bounds below are asked for each missing term, or for
+	// every term when a lone source looks for its best addable node; one
+	// pass over the root's neighbourhood serves them all.
+	want := missing
+	if lone {
+		want = qc.full
+	}
+	if want != 0 {
+		st.scanRootNeighbors(c, want, bs)
+	}
 
 	// Best possible delivery, at the root, from a supplement covering each
 	// missing term.
@@ -52,7 +65,7 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 		if missing&(uint64(1)<<ti) == 0 {
 			continue
 		}
-		best := st.bestSupply(ti, c)
+		best := st.bestSupply(ti, c, bs)
 		if best <= 0 {
 			return 0 // no feasible node can cover this keyword
 		}
@@ -65,7 +78,7 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 	}
 	flowAtRoot := bs.flowAtRoot[:len(c.sources)]
 	for i, src := range c.sources {
-		flowAtRoot[i] = m.Delivered(c.tree, src, root, qc.terms)
+		flowAtRoot[i] = st.delivered(c.tree, src, root)
 	}
 	dampRoot := m.Damp(root)
 
@@ -86,7 +99,7 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 	// Per-source score bounds (the complete-estimate side).
 	flowSum := 0.0
 	switch {
-	case missing == 0 && len(c.sources) == 1:
+	case lone:
 		// A lone source scores its own generation under Eq. 3's singleton
 		// rule, but a completion that adds a second source switches it to
 		// the min-inflow regime, which can EXCEED the generation when the
@@ -96,10 +109,10 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 		// generation alone loses optimal branching answers: the pruned
 		// candidate can be the merge partner a high-generation route needs.)
 		v := c.sources[0]
-		bound := m.Generation(v, qc.terms)
+		bound := qc.gen[v]
 		bestAdd := 0.0
 		for ti := range qc.terms {
-			if sup := st.bestSupply(ti, c); sup > bestAdd {
+			if sup := st.bestSupply(ti, c, bs); sup > bestAdd {
 				bestAdd = sup
 			}
 		}
@@ -130,7 +143,7 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 				if src == v {
 					continue
 				}
-				if f := m.Delivered(c.tree, src, v, qc.terms); f < ub {
+				if f := st.delivered(c.tree, src, v); f < ub {
 					ub = f
 				}
 			}
@@ -168,6 +181,17 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 	return atMin
 }
 
+// delivered is rwmp.Model.Delivered with the source's generation count read
+// from the query context, which holds the identical value for every non-free
+// node, instead of recounted from the text index.
+func (st *bbState) delivered(t *jtt.Tree, src, dst graph.NodeID) float64 {
+	count := st.qc.gen[src]
+	if count == 0 || src == dst {
+		return count
+	}
+	return count * st.s.m.PathFactor(t, src, dst)
+}
+
 // bestSupply bounds the message count any node covering term ti could
 // deliver to the candidate's root: max over feasible nodes v of
 // generation(v) · retentionUB(v → root).
@@ -179,8 +203,9 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 // neighbours' generations count) or it connects through some neighbour,
 // where its messages are dampened once (scenario 2 — the global best
 // generation is discounted by the best neighbour dampening rate). The
-// greater of the two scenarios is the bound.
-func (st *bbState) bestSupply(ti int, c *candidate) float64 {
+// greater of the two scenarios is the bound. bs carries the candidate's
+// scanRootNeighbors products.
+func (st *bbState) bestSupply(ti int, c *candidate, bs *boundScratch) float64 {
 	nodes := st.qc.byGen[ti]
 	root := c.tree.Root()
 	idx := st.opts.Index
@@ -192,13 +217,13 @@ func (st *bbState) bestSupply(ti int, c *candidate) float64 {
 	if dmin > budget {
 		return 0
 	}
-	refined := st.neighborRefinedSupply(ti, c, nodes, root, dmin)
+	refined := st.neighborRefinedSupply(ti, c, nodes, root, dmin, budget, bs)
 	if idx == nil {
 		return refined
 	}
 	best := 0.0
 	scanned := 0
-	for _, v := range nodes {
+	for i, v := range nodes {
 		if c.tree.Contains(v) {
 			continue
 		}
@@ -215,7 +240,7 @@ func (st *bbState) bestSupply(ti int, c *candidate) float64 {
 		scanned++
 		if scanned >= supplyScanCap {
 			// The unscanned tail is bounded by its best generation.
-			if tail := tailGen(nodes, st.qc.gen, v); tail > best {
+			if tail := tailGen(nodes, st.qc.gen, i); tail > best {
 				best = tail
 			}
 			break
@@ -229,25 +254,69 @@ func (st *bbState) bestSupply(ti int, c *candidate) float64 {
 	return best
 }
 
+// scanRootNeighbors makes the one pass over the root's out-edges that the
+// candidate's supplement bounds share, leaving in bs:
+//
+//   - nbrDamp, the best dampening rate among out-of-tree root neighbours —
+//     scenario 2's entry discount. The rate is tested first and the tree
+//     consulted only for a neighbour that would raise the maximum.
+//   - adjGen[ti], for each term of want with a matcher adjacent to the root
+//     (nearest-matcher distance ≤ 1), the best generation among out-of-tree
+//     neighbours matching it — scenario 1.
+//
+// Both are maxima over floats, so visiting the neighbours once instead of
+// once per term changes no result.
+func (st *bbState) scanRootNeighbors(c *candidate, want uint64, bs *boundScratch) {
+	m := st.s.m
+	qc := st.qc
+	root := c.tree.Root()
+	if cap(bs.adjGen) < len(qc.terms) {
+		bs.adjGen = make([]float64, len(qc.terms))
+	}
+	adjGen := bs.adjGen[:len(qc.terms)]
+	var adjacent uint64
+	for ti := range qc.terms {
+		adjGen[ti] = 0
+		if want&(uint64(1)<<ti) != 0 && qc.distToTerm(ti, root, st.opts.Diameter) <= 1 {
+			adjacent |= uint64(1) << ti
+		}
+	}
+	nbrDamp := 0.0
+	for _, e := range m.Graph().OutEdges(root) {
+		v := e.To
+		d := m.Damp(v)
+		var match uint64
+		if adjacent != 0 {
+			match = qc.masks[v] & adjacent
+		}
+		if (d <= nbrDamp && match == 0) || c.tree.Contains(v) {
+			continue
+		}
+		if d > nbrDamp {
+			nbrDamp = d
+		}
+		if match != 0 {
+			g := qc.gen[v]
+			for ti := range adjGen {
+				if match&(uint64(1)<<ti) != 0 && g > adjGen[ti] {
+					adjGen[ti] = g
+				}
+			}
+		}
+	}
+	bs.nbrDamp = nbrDamp
+}
+
 // neighborRefinedSupply is the index-free supplement bound with the
 // direct-neighbour refinement. dmin is the exact distance from the root to
-// the nearest node matching the term.
-func (st *bbState) neighborRefinedSupply(ti int, c *candidate, nodes []graph.NodeID, root graph.NodeID, dmin int) float64 {
-	m := st.s.m
+// the nearest node matching the term, budget the diameter left after the
+// candidate's depth.
+func (st *bbState) neighborRefinedSupply(ti int, c *candidate, nodes []graph.NodeID, root graph.NodeID, dmin, budget int, bs *boundScratch) float64 {
 	// Scenario 2: a non-adjacent supplement enters through some
 	// out-of-tree root neighbour n, crossing at least max(dmin, 2) hops and
 	// therefore at least max(dmin, 2) − 1 dampening intermediates, the
 	// first of which is n itself.
-	nbrDamp := 0.0
-	for _, e := range m.Graph().OutEdges(root) {
-		if c.tree.Contains(e.To) {
-			continue
-		}
-		if d := m.Damp(e.To); d > nbrDamp {
-			nbrDamp = d
-		}
-	}
-	budget := st.opts.Diameter - c.tree.Depth()
+	nbrDamp := bs.nbrDamp
 	best := 0.0
 	// Heavy hitters with exact distances (absent when dynamic bounds are
 	// disabled — the pooled context then carries an empty topSup, so guard
@@ -280,20 +349,9 @@ func (st *bbState) neighborRefinedSupply(ti int, c *candidate, nodes []graph.Nod
 		break // byGen is sorted descending
 	}
 	// Scenario 1: the supplement is itself a direct neighbour of the root
-	// (no intermediate, no dampening).
-	if dmin <= 1 {
-		for _, e := range m.Graph().OutEdges(root) {
-			v := e.To
-			if c.tree.Contains(v) {
-				continue
-			}
-			if st.qc.masks[v]&(uint64(1)<<ti) == 0 {
-				continue
-			}
-			if g := st.qc.gen[v]; g > best {
-				best = g
-			}
-		}
+	// (no intermediate, no dampening). adjGen is 0 unless dmin ≤ 1.
+	if g := bs.adjGen[ti]; g > best {
+		best = g
 	}
 	return best
 }
@@ -324,13 +382,11 @@ func supListed(topSup []supplierInfo, v graph.NodeID) bool {
 	return false
 }
 
-// tailGen returns the highest generation strictly after node v in the
-// descending-generation list (0 if v is last).
-func tailGen(nodes []graph.NodeID, gen map[graph.NodeID]float64, v graph.NodeID) float64 {
-	for i, n := range nodes {
-		if n == v && i+1 < len(nodes) {
-			return gen[nodes[i+1]]
-		}
+// tailGen returns the highest generation strictly after position i of the
+// descending-generation list (0 if i is last).
+func tailGen(nodes []graph.NodeID, gen map[graph.NodeID]float64, i int) float64 {
+	if i+1 < len(nodes) {
+		return gen[nodes[i+1]]
 	}
 	return 0
 }

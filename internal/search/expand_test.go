@@ -1,0 +1,113 @@
+package search
+
+import (
+	"context"
+	"fmt"
+	"testing"
+)
+
+// hubFixture builds a free hub with n spokes, each a free connector ending in
+// a keyword leaf ("alpha" on even spokes, "beta" on odd ones), all equally
+// important. Every alpha–beta answer at diameter 4 is centered on the hub, so
+// the merge closure at the hub is quadratic in n and nothing prunes it; and
+// every spoke reaches the hub as a depth-⌈D/2⌉ candidate, the shape whose
+// expansion used to build one doomed tree per hub neighbour.
+func hubFixture(t testing.TB, n int) *fixture {
+	texts := []string{"hub"}
+	var edges [][2]int
+	for i := 0; i < n; i++ {
+		mid, leaf := 1+2*i, 2+2*i
+		word := "alpha"
+		if i%2 == 1 {
+			word = "beta"
+		}
+		texts = append(texts, fmt.Sprintf("free%d", i), word)
+		edges = append(edges, [2]int{0, mid}, [2]int{mid, leaf})
+	}
+	imp := make([]float64, len(texts))
+	for i := range imp {
+		imp[i] = 1
+	}
+	return build(t, texts, imp, edges)
+}
+
+var hubTerms = []string{"alpha", "beta"}
+
+// TestArenaHandsOutOnlyKeptTrees is the "pruned earlier, not differently"
+// accounting: over a whole hub query the arena hands out exactly the trees
+// that reach evaluation — seeds, grows that passed every check, successful
+// merges — so none is built to be discarded for depth.
+func TestArenaHandsOutOnlyKeptTrees(t *testing.T) {
+	fx := hubFixture(t, 40)
+	for _, workers := range []int{1, 4} {
+		sc := newQueryScratch()
+		st, err := fx.s.run(context.Background(), sc, hubTerms, Options{K: 5, Diameter: 4, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every spoke reaches the hub as a depth-2 candidate and is popped.
+		if st.stats.Answers == 0 || st.stats.Expanded < 40 || st.stats.Partial() {
+			t.Fatalf("workers=%d: unexpected stats %+v", workers, st.stats)
+		}
+		if got := sc.arena.Trees(); got != st.built {
+			t.Errorf("workers=%d: arena handed out %d trees, %d reached evaluation", workers, got, st.built)
+		}
+	}
+}
+
+// TestReleasedScratchIsCapped runs a hub query whose working set exceeds
+// every retention cap and checks that the released scratch — what the pool
+// would hold — keeps no more than the caps, and still answers correctly.
+func TestReleasedScratchIsCapped(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine retention check; the 40k-candidate query is slow under the race detector")
+	}
+	fx := hubFixture(t, 400)
+	opts := Options{K: 5, Diameter: 4, Workers: 1}
+	sc := newQueryScratch()
+	if _, err := fx.s.run(context.Background(), sc, hubTerms, opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.seen) <= seenMapCap || len(sc.cands.slabs) <= candSlabKeep || len(sc.ids.chunks) <= idSlabKeep || cap(sc.pq) <= ptrBufCap {
+		t.Fatalf("fixture too small to exceed the caps: seen %d, cand slabs %d, id chunks %d, pq %d",
+			len(sc.seen), len(sc.cands.slabs), len(sc.ids.chunks), cap(sc.pq))
+	}
+	sc.release()
+	if len(sc.seen) != 0 || len(sc.byRoot) != 0 || sc.arena.Trees() != 0 {
+		t.Errorf("released scratch not empty: seen %d, byRoot %d, arena trees %d", len(sc.seen), len(sc.byRoot), sc.arena.Trees())
+	}
+	if n := len(sc.cands.slabs); n > candSlabKeep {
+		t.Errorf("retained %d candidate slabs, cap %d", n, candSlabKeep)
+	}
+	if n := len(sc.ids.chunks); n > idSlabKeep {
+		t.Errorf("retained %d id chunks, cap %d", n, idSlabKeep)
+	}
+	for name, c := range map[string]int{
+		"pq": cap(sc.pq), "level": cap(sc.level), "grown": cap(sc.grown), "procA": cap(sc.procA), "procB": cap(sc.procB),
+	} {
+		if c > ptrBufCap {
+			t.Errorf("retained %s with capacity %d, cap %d", name, c, ptrBufCap)
+		}
+	}
+	for _, lst := range sc.rootLists {
+		if cap(lst) > rootListCap {
+			t.Errorf("retained a root list with capacity %d, cap %d", cap(lst), rootListCap)
+		}
+	}
+	// The trimmed scratch must serve the next query like a fresh one (a
+	// single-keyword query, so the check stays cheap).
+	ranking := func(sc *queryScratch) string {
+		st, err := fx.s.run(context.Background(), sc, hubTerms[:1], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, a := range st.top.resultsDetached() {
+			out = append(out, fmt.Sprintf("%s=%v", a.Tree.CanonicalKey(), a.Score))
+		}
+		return fmt.Sprint(out)
+	}
+	if got, want := ranking(sc), ranking(newQueryScratch()); got != want || got == "[]" {
+		t.Errorf("query on the trimmed scratch diverged:\n got %s\nwant %s", got, want)
+	}
+}

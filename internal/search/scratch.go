@@ -43,8 +43,14 @@ func (cs *candSlab) get() *candidate {
 	return c
 }
 
-// reset rewinds the slab; every candidate handed out becomes reusable.
-func (cs *candSlab) reset() { cs.si, cs.used = 0, 0 }
+// reset rewinds the slab; every candidate handed out becomes reusable. At
+// most candSlabKeep slabs are retained.
+func (cs *candSlab) reset() {
+	cs.si, cs.used = 0, 0
+	if len(cs.slabs) > candSlabKeep {
+		cs.slabs = append([][]candidate(nil), cs.slabs[:candSlabKeep]...)
+	}
+}
 
 // idSlab bump-allocates NodeID buffers (candidate source sets) in reusable
 // chunks.
@@ -78,14 +84,23 @@ func (s *idSlab) alloc(n int) []graph.NodeID {
 	}
 }
 
-// reset rewinds the slab for the next query.
-func (s *idSlab) reset() { s.ci, s.off = 0, 0 }
+// reset rewinds the slab for the next query, retaining at most idSlabKeep
+// chunks.
+func (s *idSlab) reset() {
+	s.ci, s.off = 0, 0
+	if len(s.chunks) > idSlabKeep {
+		s.chunks = append([][]graph.NodeID(nil), s.chunks[:idSlabKeep]...)
+	}
+}
 
 // boundScratch is the per-worker scratch of the upper-bound evaluation:
 // fill runs on worker goroutines, so each worker gets its own copy.
 type boundScratch struct {
 	supplies   []float64
 	flowAtRoot []float64
+	// The candidate's scanRootNeighbors products (see bounds.go).
+	nbrDamp float64
+	adjGen  []float64
 }
 
 // termScratch holds the per-term BFS buffers of computeTermDistances. The
@@ -125,13 +140,28 @@ func (ts *termScratch) distInto(j, n int) []int32 {
 	return buf
 }
 
-// seenMapCap and byRootMapCap bound how large the reusable maps may grow
-// before release drops them: a pathological query must not pin its peak
-// working set in the pool forever.
+// These constants bound what a released scratch retains: a pathological
+// query must not pin its peak working set in the pool forever. Maps past
+// their cap are dropped, slabs keep their first few chunks, and pointer
+// buffers past theirs are dropped — each sized for a query of about
+// seenMapCap candidates, a few megabytes in all (jtt.Arena caps itself the
+// same way on Reset).
 const (
 	seenMapCap   = 1 << 15
 	byRootMapCap = 1 << 13
+	candSlabKeep = seenMapCap / candSlabSize
+	idSlabKeep   = 4 * seenMapCap / idSlabChunk
+	ptrBufCap    = seenMapCap
+	rootListCap  = 256 // per freelisted byRoot list; a hub root's is dropped
 )
+
+// trimmed empties a reusable buffer, dropping it when it grew past max.
+func trimmed[T any](buf []T, max int) []T {
+	if cap(buf) > max {
+		return nil
+	}
+	return buf[:0]
+}
 
 // queryScratch is the pooled per-query state. Fields are grouped by phase:
 // prepare (the query context and its buffers), the branch-and-bound state
@@ -184,9 +214,15 @@ func (s *Searcher) getScratch() *queryScratch {
 	return newQueryScratch()
 }
 
-// putScratch rewinds the scratch and returns it to the pool. Oversized maps
-// are replaced rather than retained, bounding the pool's memory.
+// putScratch rewinds the scratch and returns it to the pool.
 func (s *Searcher) putScratch(sc *queryScratch) {
+	sc.release()
+	s.scratch.Put(sc)
+}
+
+// release rewinds the scratch for the next query. Oversized maps, slabs and
+// buffers are dropped rather than retained, bounding the pool's memory.
+func (sc *queryScratch) release() {
 	if len(sc.seen) > seenMapCap {
 		sc.seen = make(map[string]bool)
 	} else {
@@ -194,20 +230,28 @@ func (s *Searcher) putScratch(sc *queryScratch) {
 	}
 	if len(sc.byRoot) > byRootMapCap {
 		sc.byRoot = make(map[graph.NodeID][]*candidate)
-		sc.rootLists = sc.rootLists[:0]
+		sc.rootLists = nil
 	} else {
 		for root, lst := range sc.byRoot {
-			sc.rootLists = append(sc.rootLists, lst[:0])
+			if cap(lst) <= rootListCap {
+				sc.rootLists = append(sc.rootLists, lst[:0])
+			}
 			delete(sc.byRoot, root)
 		}
 	}
-	sc.pq = sc.pq[:0]
+	// Every candidate pointer below dies with the slab rewind; the buffers
+	// are emptied so none outlives it.
+	sc.pq = trimmed(sc.pq, ptrBufCap)
+	sc.batch = sc.batch[:0]
+	sc.level = trimmed(sc.level, ptrBufCap)
+	sc.grown = trimmed(sc.grown, ptrBufCap)
+	sc.procA = trimmed(sc.procA, ptrBufCap)
+	sc.procB = trimmed(sc.procB, ptrBufCap)
 	sc.top.release()
 	sc.arena.Reset()
 	sc.cands.reset()
 	sc.ids.reset()
 	sc.qc.release()
-	s.scratch.Put(sc)
 }
 
 // grabRootList returns an empty candidate list, reusing a freed one when

@@ -1,0 +1,156 @@
+package searchbench
+
+import (
+	"context"
+	"encoding/json"
+	"flag"
+	"os"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"cirank/internal/search"
+	"cirank/internal/shard"
+)
+
+// updatePins rewrites testdata/stats_pins.json from the running engine. The
+// committed file was recorded on the commit before the expansion step
+// learned to reject grows ahead of building them, so it certifies that
+// trees are pruned earlier, not differently; re-record only for a change
+// that is meant to alter what the search explores.
+var updatePins = flag.Bool("update-pins", false, "rewrite testdata/stats_pins.json")
+
+const pinsPath = "testdata/stats_pins.json"
+
+// pinnedWork is the deterministic part of search.Stats: what the search popped,
+// generated and found, and whether a cap stopped it.
+type pinnedWork struct {
+	Query     string `json:"query"`
+	Expanded  int    `json:"expanded"`
+	Generated int    `json:"generated"`
+	Answers   int    `json:"answers"`
+	Truncated bool   `json:"truncated"`
+}
+
+// pinnedWorkload holds one workload's rows: Single for the whole-graph
+// engine (identical at every worker count), Sharded per shard count for the
+// scatter-gather sum with the frontier prune on — the OwnedDist branch of
+// the expansion step.
+type pinnedWorkload struct {
+	Dataset string                  `json:"dataset"`
+	Scale   float64                 `json:"scale"`
+	Single  []pinnedWork            `json:"single"`
+	Sharded map[string][]pinnedWork `json:"sharded"`
+}
+
+const (
+	pinK        = 10
+	pinDiameter = 4
+)
+
+var (
+	pinWorkers = []int{1, 4}
+	pinShards  = []int{2, 4}
+)
+
+func workOf(terms []string, st search.Stats) pinnedWork {
+	return pinnedWork{
+		Query:    strings.Join(terms, " "),
+		Expanded: st.Expanded, Generated: st.Generated, Answers: st.Answers, Truncated: st.Truncated,
+	}
+}
+
+// TestStatsPinned replays every query of the tracked workloads and demands
+// the recorded Expanded/Generated/Answers/Truncated, at workers 1 and 4 and
+// through 2- and 4-shard scatter-gather.
+func TestStatsPinned(t *testing.T) {
+	var pins []pinnedWorkload
+	if *updatePins {
+		pins = []pinnedWorkload{{Dataset: "dblp", Scale: 0.25}, {Dataset: "imdb", Scale: 0.25}}
+	} else {
+		raw, err := os.ReadFile(pinsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &pins); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pi := range pins {
+		pin := &pins[pi]
+		dataSeed, querySeed := DefaultSeeds(pin.Dataset)
+		w, err := Load(pin.Dataset, pin.Scale, dataSeed, querySeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := search.Options{K: pinK, Diameter: pinDiameter}
+
+		s := search.New(w.M)
+		for _, workers := range pinWorkers {
+			opts.Workers = workers
+			var got []pinnedWork
+			for _, terms := range w.Queries {
+				_, st, err := s.TopK(terms, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, workOf(terms, st))
+			}
+			if *updatePins && workers == pinWorkers[0] {
+				pin.Single = got
+			}
+			comparePins(t, pin.Dataset, "workers", workers, pin.Single, got)
+		}
+
+		opts.Workers = 1
+		if *updatePins {
+			pin.Sharded = map[string][]pinnedWork{}
+		}
+		for _, count := range pinShards {
+			name := strconv.Itoa(count)
+			_, shards, err := shard.Build(context.Background(), w.G, shard.Config{
+				Count: count, Radius: (pinDiameter + 1) / 2,
+				Importance: w.M.ImportanceVector(), Damp: w.M.DampVector(), Params: w.M.Params(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := shard.NewSet(shards)
+			var got []pinnedWork
+			for _, terms := range w.Queries {
+				_, st, err := set.TopK(terms, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, workOf(terms, st))
+			}
+			if *updatePins {
+				pin.Sharded[name] = got
+			}
+			comparePins(t, pin.Dataset, "shards", count, pin.Sharded[name], got)
+		}
+	}
+	if *updatePins {
+		raw, err := json.MarshalIndent(pins, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(pinsPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func comparePins(t *testing.T, dataset, axis string, n int, want, got []pinnedWork) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Errorf("%s %s=%d: %d pinned queries, workload has %d", dataset, axis, n, len(want), len(got))
+		return
+	}
+	for i := range want {
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Errorf("%s %s=%d query %d:\n got %+v\nwant %+v", dataset, axis, n, i, got[i], want[i])
+		}
+	}
+}
