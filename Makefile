@@ -9,7 +9,7 @@ GO ?= go
 FUZZTIME ?= 30s
 FUZZMINIMIZE ?= 5x
 
-.PHONY: all build test race vet lint fuzz diff cover bench bench-module bench-json bench-search bench-serve bench-shard bench-smoke check serve loadgen loadgen-tenants
+.PHONY: all build test race vet lint fuzz diff cover bench bench-module bench-pairs bench-json bench-search bench-serve bench-shard bench-smoke check serve loadgen loadgen-tenants
 
 all: check
 
@@ -81,7 +81,15 @@ loadgen-tenants:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench runs the paper-figure benchmarks plus the parallel/caching grid.
+# bench-pairs is the evidence a performance claim needs: PAIRS interleaved
+# parent/change runs of one bench/ workload, with medians, quartiles and the
+# win count (see scripts/bench-pairs.sh for what counts as the parent).
+WORKLOAD ?= search-large
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(WORKLOAD) $(PAIRS)
+
+# bench runs the paper-figure benchmarks plus the worker-count grid.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 

@@ -339,13 +339,11 @@ func BenchmarkEngineSearch(b *testing.B) {
 }
 
 // BenchmarkParallelSearch measures branch-and-bound throughput across the
-// two knobs this package exposes for the online path: worker count (1, 2, 4,
-// 8) and the RWMP score cache (off vs on). The workload replays the same
-// synthetic IMDB query mix each iteration, so the cached variants report
-// steady-state (warm-cache) serving throughput; the workers=1/cache=off cell
-// is the sequential baseline every other cell is compared against. Results
-// are byte-identical across all cells (see TestParallelDeterminism) — only
-// the wall clock moves.
+// online path's worker count (1, 2, 4, 8). The workload replays the same
+// synthetic IMDB query mix each iteration; the workers=1 cell is the
+// sequential baseline every other cell is compared against. Results are
+// byte-identical across all cells (see TestParallelDeterminism) — only the
+// wall clock moves.
 func BenchmarkParallelSearch(b *testing.B) {
 	imdb, _ := benchBundles(b)
 	m, err := imdb.DefaultModel()
@@ -357,28 +355,17 @@ func BenchmarkParallelSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, cached := range []bool{false, true} {
-		var scores *rwmp.ScoreCache
-		cacheName := "cache=off"
-		if cached {
-			scores = rwmp.NewScoreCache(m, 0)
-			cacheName = "cache=on"
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("workers=%d/%s", workers, cacheName), func(b *testing.B) {
-				opts := search.Options{
-					K: 5, Diameter: 4, MaxExpansions: 20000,
-					Workers: workers, Scores: scores,
-				}
-				for i := 0; i < b.N; i++ {
-					for _, q := range queries {
-						if _, _, err := s.TopK(q.Terms, opts); err != nil {
-							b.Fatal(err)
-						}
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opts := search.Options{K: 5, Diameter: 4, MaxExpansions: 20000, Workers: workers}
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					if _, _, err := s.TopK(q.Terms, opts); err != nil {
+						b.Fatal(err)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

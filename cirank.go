@@ -51,7 +51,7 @@ import (
 // The remaining fields keep documented zero sentinels: Group 0 means the
 // paper's 20, IndexDepth 0 disables indexing, FeedbackMix 0 disables
 // feedback biasing, Workers 0 means one worker per CPU, and CacheSize 0
-// means the default cache capacities.
+// means the default bound-memo capacity.
 type Config struct {
 	// Alpha is the message-keeping probability of the dampening function,
 	// in (0, 1]. DefaultConfig sets the paper's operating point, 0.15.
@@ -83,12 +83,11 @@ type Config struct {
 	// count (certified by the determinism suites); only throughput
 	// changes.
 	Workers int
-	// CacheSize bounds the engine's two query-path memo caches: the RWMP
-	// score cache (entries keyed by canonical tree + query, shared across
-	// queries) and the path-index bound cache (entries keyed by node
-	// pair). 0 means the defaults (rwmp.DefaultScoreCacheSize and
-	// pathindex.DefaultBoundCacheSize); a negative value disables both
-	// caches. Cache hits are provably equivalent to recomputation, so
+	// CacheSize bounds the engine's query-path memo cache: the path-index
+	// bound cache (entries keyed by node pair), which exists only when a
+	// star index was built. 0 means the default
+	// (pathindex.DefaultBoundCacheSize); a negative value disables the
+	// cache. Cache hits are provably equivalent to recomputation, so
 	// results never depend on this knob.
 	CacheSize int
 }
@@ -204,9 +203,8 @@ type Engine struct {
 	// every merged-away role key. Snapshots persist it so Importance keeps
 	// resolving merged keys after a reload.
 	mapEntries []relational.MappingEntry
-	// scores and cachedIdx are the engine-lifetime memo caches (nil when
-	// Config.CacheSize < 0).
-	scores    *rwmp.ScoreCache
+	// cachedIdx is the engine-lifetime bound memo over starIdx (nil without
+	// a star index or when Config.CacheSize < 0).
 	cachedIdx *pathindex.CachedIndex
 	// buildStats records what the offline build pipeline did. Engines
 	// loaded from a snapshot report zero stage timings with Source set to
@@ -250,19 +248,16 @@ func (e *Engine) Close() error {
 func (e *Engine) BuildStats() BuildStats { return e.buildStats }
 
 // CacheStats reports cumulative hit/miss counts of the engine's query-path
-// caches, for capacity tuning and observability.
+// bound memo, for capacity tuning and observability.
 type CacheStats struct {
-	ScoreHits, ScoreMisses int64
 	BoundHits, BoundMisses int64
 }
 
 // CacheStats returns the engine's cache counters since construction. All
-// zeros when caching is disabled (Config.CacheSize < 0).
+// zeros without a star index or when caching is disabled
+// (Config.CacheSize < 0).
 func (e *Engine) CacheStats() CacheStats {
 	var cs CacheStats
-	if e.scores != nil {
-		cs.ScoreHits, cs.ScoreMisses = e.scores.Stats()
-	}
 	if e.cachedIdx != nil {
 		cs.BoundHits, cs.BoundMisses = e.cachedIdx.Stats()
 	}
@@ -345,8 +340,8 @@ func (e *Engine) SearchTerms(terms []string, k int, opts SearchOptions) ([]Resul
 }
 
 // searchOptions validates k and opts and resolves them into internal search
-// options: documented defaults filled, the engine's score cache attached, and
-// the star index selected when it exists and covers the diameter. Shared by
+// options: documented defaults filled and the star index selected when it
+// exists and covers the diameter. Shared by
 // the single-engine query path and the per-shard scatter legs of
 // ShardedEngine, so both resolve a request identically.
 func (e *Engine) searchOptions(k int, opts SearchOptions) (search.Options, error) {
@@ -369,7 +364,6 @@ func (e *Engine) searchOptions(k int, opts SearchOptions) (search.Options, error
 		MaxExpansions: opts.MaxExpansions,
 		Workers:       workers,
 		ExtendedMerge: opts.ExtendedMerge,
-		Scores:        e.scores,
 	}
 	if sopts.Diameter == 0 {
 		sopts.Diameter = 4
@@ -605,11 +599,8 @@ func buildEngine(ctx context.Context, g *graph.Graph, mp *relational.Mapping, is
 		mapEntries: mp.Entries(),
 	}
 	stats.Source = SourceBuild
-	if cfg.CacheSize >= 0 {
-		e.scores = rwmp.NewScoreCache(model, cfg.CacheSize)
-		if starIdx != nil {
-			e.cachedIdx = pathindex.NewCached(starIdx, cfg.CacheSize)
-		}
+	if cfg.CacheSize >= 0 && starIdx != nil {
+		e.cachedIdx = pathindex.NewCached(starIdx, cfg.CacheSize)
 	}
 	return e, nil
 }

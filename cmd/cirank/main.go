@@ -21,7 +21,6 @@ import (
 	"cirank/internal/datagen"
 	"cirank/internal/experiments"
 	"cirank/internal/graph"
-	"cirank/internal/rwmp"
 	"cirank/internal/search"
 	"cirank/internal/textindex"
 )
@@ -38,7 +37,6 @@ func main() {
 		suggest = flag.Int("suggest", 3, "print this many example queries on startup")
 		dotFile = flag.String("dot", "", "write the top answer of each query to this Graphviz file")
 		workers = flag.Int("workers", 0, "goroutines per query (0 = GOMAXPROCS, 1 = sequential)")
-		noCache = flag.Bool("nocache", false, "disable the RWMP score cache")
 		qTime   = flag.Duration("timeout", 0, "per-query deadline (0 = none); an expired query prints its best answers so far")
 		save    = flag.String("save", "", "build the engine through the public API, write a v2 snapshot to this file, and exit")
 	)
@@ -71,9 +69,6 @@ func main() {
 	}
 	s := search.New(m)
 	opts := search.Options{K: *k, Diameter: *diam, MaxExpansions: 200000, Workers: *workers}
-	if !*noCache {
-		opts.Scores = rwmp.NewScoreCache(m, 0)
-	}
 	if !*noIndex {
 		idx, err := bundle.StarIndex(m, *diam)
 		if err != nil {

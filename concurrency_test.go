@@ -32,7 +32,7 @@ func concurrencyEngine(t testing.TB, cfg Config) *Engine {
 
 // TestEngineSearchConcurrent exercises the documented Engine contract —
 // Search is safe for concurrent use — under the parallel evaluator and the
-// shared score/bound caches. Run with -race (the CI workflow and `make
+// shared bound memo. Run with -race (the CI workflow and `make
 // race` do) this is the synchronization certificate; in any mode it also
 // checks all goroutines observe identical rankings.
 func TestEngineSearchConcurrent(t *testing.T) {
@@ -85,8 +85,8 @@ func TestEngineSearchConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 	cs := eng.CacheStats()
-	if cs.ScoreHits == 0 {
-		t.Errorf("repeated identical queries produced no score-cache hits: %+v", cs)
+	if cs.BoundHits == 0 {
+		t.Errorf("repeated identical queries produced no bound-memo hits: %+v", cs)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"cirank/internal/graph"
 	"cirank/internal/jtt"
 	"cirank/internal/pathindex"
-	"cirank/internal/rwmp"
 	"cirank/internal/search"
 )
 
@@ -313,9 +312,7 @@ func checkQuery(w *Workload, q Query) error {
 
 	// Engine variants that must be *bit-identical* to the sequential run:
 	// parallel workers, either path index (bounds only steer pruning, never
-	// scores), the cached star index, and a memoising score cache (cold and
-	// warm).
-	cache := rwmp.NewScoreCache(w.Model, 0)
+	// scores) and the cached star index.
 	variants := []struct {
 		name string
 		opts func() search.Options
@@ -324,8 +321,6 @@ func checkQuery(w *Workload, q Query) error {
 		{"naive-index", func() search.Options { o := base; o.Index = w.NaiveIdx; return o }},
 		{"star-index", func() search.Options { o := base; o.Index = w.StarIdx; return o }},
 		{"cached-star-index", func() search.Options { o := base; o.Index = pathindex.NewCached(w.StarIdx, 0); return o }},
-		{"score-cache-cold", func() search.Options { o := base; o.Scores = cache; return o }},
-		{"score-cache-warm", func() search.Options { o := base; o.Scores = cache; return o }},
 		{"no-dynamic-bounds", func() search.Options { o := base; o.NoDynamicBounds = true; return o }},
 		{"parallel-star-index", func() search.Options { o := base; o.Workers = 4; o.Index = w.StarIdx; return o }},
 	}

@@ -89,9 +89,19 @@ func (g *Graph) OutWeightSum(id NodeID) float64 { return g.outSum[id] }
 // edge exists.
 func (g *Graph) Weight(from, to NodeID) (float64, bool) {
 	edges := g.OutEdges(from)
-	i := sort.Search(len(edges), func(i int) bool { return edges[i].To >= to })
-	if i < len(edges) && edges[i].To == to {
-		return edges[i].Weight, true
+	// Hand-rolled rather than sort.Search: scoring probes two weights per
+	// tree edge, and the closure call per step showed in its profile.
+	lo, hi := 0, len(edges)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if edges[mid].To < to {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(edges) && edges[lo].To == to {
+		return edges[lo].Weight, true
 	}
 	return 0, false
 }

@@ -84,8 +84,9 @@ func (t *Tree) search(v graph.NodeID) (int, bool) {
 	return lo, lo < len(t.nodes) && t.nodes[lo] == v
 }
 
-// idx returns v's position in the sorted node list, or -1 when absent.
-func (t *Tree) idx(v graph.NodeID) int {
+// Slot returns v's position in the sorted node list (its index in NodeView
+// and ParentView), or -1 when absent.
+func (t *Tree) Slot(v graph.NodeID) int {
 	if i, ok := t.search(v); ok {
 		return i
 	}
@@ -93,7 +94,7 @@ func (t *Tree) idx(v graph.NodeID) int {
 }
 
 // Contains reports whether v is a node of the tree.
-func (t *Tree) Contains(v graph.NodeID) bool { return t.idx(v) >= 0 }
+func (t *Tree) Contains(v graph.NodeID) bool { return t.Slot(v) >= 0 }
 
 // Nodes returns the tree's nodes in ascending order. The slice is freshly
 // allocated; use NodeView on hot paths that only read.
@@ -137,7 +138,7 @@ func (t *Tree) Edges() []Edge {
 
 // Parent returns v's parent and false for the root (or for absent nodes).
 func (t *Tree) Parent(v graph.NodeID) (graph.NodeID, bool) {
-	i := t.idx(v)
+	i := t.Slot(v)
 	if i < 0 || v == t.root {
 		return 0, false
 	}
@@ -146,7 +147,7 @@ func (t *Tree) Parent(v graph.NodeID) (graph.NodeID, bool) {
 
 // parentOf returns v's parent; the caller guarantees v is present and not
 // the root.
-func (t *Tree) parentOf(v graph.NodeID) graph.NodeID { return t.par[t.idx(v)] }
+func (t *Tree) parentOf(v graph.NodeID) graph.NodeID { return t.par[t.Slot(v)] }
 
 // Children returns the children of v in ascending order.
 func (t *Tree) Children(v graph.NodeID) []graph.NodeID {
@@ -195,6 +196,38 @@ func (t *Tree) Leaves() []graph.NodeID {
 	return out
 }
 
+// Hash returns a 64-bit hash of the rooted tree: its node list and parent
+// list, which together fix the root (the one node that is its own parent).
+// Trees for which Equal holds hash alike; the converse is what Equal decides.
+func (t *Tree) Hash() uint64 {
+	// FNV-1a over the 32-bit IDs, one multiply per ID, with a final avalanche
+	// so the low bits an open-addressing table masks by depend on every ID.
+	h := uint64(14695981039346656037)
+	for _, v := range t.nodes {
+		h = (h ^ uint64(uint32(v))) * 1099511628211
+	}
+	for _, p := range t.par {
+		h = (h ^ uint64(uint32(p))) * 1099511628211
+	}
+	h ^= h >> 32
+	h *= 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
+// Equal reports whether t and other are the same rooted tree: the same
+// nodes, each with the same parent, and therefore the same root.
+func (t *Tree) Equal(other *Tree) bool {
+	if len(t.nodes) != len(other.nodes) {
+		return false
+	}
+	for i, v := range t.nodes {
+		if v != other.nodes[i] || t.par[i] != other.par[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns a heap-allocated deep copy of the tree. Use it to detach a
 // tree from an Arena before the arena resets.
 func (t *Tree) Clone() *Tree {
@@ -219,7 +252,7 @@ func (t *Tree) growInto(dst *Tree, newRoot graph.NodeID, pos int) {
 	dst.root = newRoot
 	// The old root now hangs off newRoot, one level below it like the rest
 	// of t.
-	dst.par[dst.idx(t.root)] = newRoot
+	dst.par[dst.Slot(t.root)] = newRoot
 	dst.depth = t.depth + 1
 }
 
@@ -357,14 +390,7 @@ func (t *Tree) Path(a, b graph.NodeID) []graph.NodeID {
 	if !t.Contains(a) || !t.Contains(b) {
 		panic(fmt.Sprintf("jtt: Path(%d, %d) with absent node", a, b))
 	}
-	return t.PathInto(nil, a, b)
-}
-
-// PathInto appends the unique tree path from a to b (both endpoints
-// included) to dst and returns the extended slice. Both nodes must be
-// present; with a caller-provided buffer the walk does not allocate unless
-// the path outgrows it.
-func (t *Tree) PathInto(dst []graph.NodeID, a, b graph.NodeID) []graph.NodeID {
+	var dst []graph.NodeID
 	// Depth-aligned walk to the lowest common ancestor.
 	da, db := t.depthOf(a), t.depthOf(b)
 	x, y := a, b
@@ -526,9 +552,9 @@ func (t *Tree) Reroot(newRoot graph.NodeID) *Tree {
 		chain = append(chain, v)
 	}
 	for i := 0; i+1 < len(chain); i++ {
-		nt.par[nt.idx(chain[i+1])] = chain[i]
+		nt.par[nt.Slot(chain[i+1])] = chain[i]
 	}
-	nt.par[nt.idx(newRoot)] = newRoot
+	nt.par[nt.Slot(newRoot)] = newRoot
 	nt.root = newRoot
 	nt.setDepth()
 	return nt
@@ -621,7 +647,7 @@ func (t *Tree) Reduce(keep func(graph.NodeID) bool) *Tree {
 		if t.nodes[i] == root {
 			return 0, false
 		}
-		return t.idx(t.par[i]), true
+		return t.Slot(t.par[i]), true
 	}
 	childCount := func(v graph.NodeID) (int, graph.NodeID) {
 		count := 0
@@ -659,7 +685,7 @@ func (t *Tree) Reduce(keep func(graph.NodeID) bool) *Tree {
 		for {
 			c, only := childCount(root)
 			if c == 1 && !keep(root) {
-				removed[t.idx(root)] = true
+				removed[t.Slot(root)] = true
 				alive--
 				root = only
 				changed = true

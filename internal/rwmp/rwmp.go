@@ -70,6 +70,8 @@ type Model struct {
 	pmin   float64
 	t      float64   // total surfers, 1/p_min
 	damp   []float64 // precomputed dampening rate per node
+	// maxDamp is the largest entry of damp; every query reads it.
+	maxDamp float64
 }
 
 // New builds a model over g with the given importance vector (one entry per
@@ -85,15 +87,7 @@ func New(g *graph.Graph, ix *textindex.Index, importance []float64, params Param
 	if err != nil {
 		return nil, err
 	}
-	return &Model{
-		g:      g,
-		ix:     ix,
-		params: params,
-		imp:    importance,
-		pmin:   pmin,
-		t:      1 / pmin,
-		damp:   damp,
-	}, nil
+	return newModel(g, ix, params, importance, pmin, damp), nil
 }
 
 // NewFromParts builds a model from importance and dampening vectors that
@@ -127,15 +121,16 @@ func NewFromParts(g *graph.Graph, ix *textindex.Index, importance, damp []float6
 			return nil, fmt.Errorf("rwmp: damp rate %g of node %d outside (0, 1)", d, i)
 		}
 	}
-	return &Model{
-		g:      g,
-		ix:     ix,
-		params: params,
-		imp:    importance,
-		pmin:   pmin,
-		t:      1 / pmin,
-		damp:   damp,
-	}, nil
+	return newModel(g, ix, params, importance, pmin, damp), nil
+}
+
+// newModel assembles a model from validated parts.
+func newModel(g *graph.Graph, ix *textindex.Index, params Params, importance []float64, pmin float64, damp []float64) *Model {
+	m := &Model{g: g, ix: ix, params: params, imp: importance, pmin: pmin, t: 1 / pmin, damp: damp}
+	for _, d := range damp {
+		m.maxDamp = max(m.maxDamp, d)
+	}
+	return m
 }
 
 // DampRates evaluates Eq. 2 for every node of an importance vector,
@@ -219,15 +214,7 @@ func (m *Model) ImportanceVector() []float64 { return m.imp }
 // MaxDamp returns the largest dampening rate in the graph: any path of h
 // hops retains at most MaxDamp^(h−1) of its messages, a bound the search
 // uses to discount far-away supplement nodes.
-func (m *Model) MaxDamp() float64 {
-	max := 0.0
-	for _, d := range m.damp {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
+func (m *Model) MaxDamp() float64 { return m.maxDamp }
 
 // Generation returns r_vv = t · p_v · |v ∩ Q| / |v|, the number of messages
 // node v generates for the query; zero for free nodes or empty nodes.
@@ -243,28 +230,28 @@ func (m *Model) Generation(v graph.NodeID, queryTerms []string) float64 {
 	return m.t * m.imp[v] * float64(match) / float64(words)
 }
 
-// splitDenominator sums the directed weights from u to all of its tree
-// neighbours. One pass over the tree's edge view (each non-root node with
-// its parent) covers u's parent and children without materializing the
-// neighbour set.
-func (m *Model) splitDenominator(t *jtt.Tree, u graph.NodeID) float64 {
-	sum := 0.0
-	root := t.Root()
-	nodes, par := t.NodeView(), t.ParentView()
-	pu, hasPar := t.Parent(u)
-	// The node view is ascending, so visiting each neighbour at its own
-	// position sums the weights in ascending-neighbour order — the exact
-	// floating-point summation order the materialized-Neighbors code used,
-	// which the frozen-baseline equivalence demands.
-	for i, v := range nodes {
-		if (v == root || par[i] != u) && !(hasPar && v == pu) {
-			continue
-		}
-		if w, ok := m.g.Weight(u, v); ok {
-			sum += w
-		}
+// flowBuf sizes the stack buffers the tree-scoring wrappers below hand their
+// Flow, so scoring a tree of the usual size (a diameter-4 answer has at most
+// a handful of nodes) allocates nothing.
+const flowBuf = 8
+
+// slotOf returns v's slot in t, panicking when v is not a tree node.
+func slotOf(t *jtt.Tree, v graph.NodeID) int {
+	i := t.Slot(v)
+	if i < 0 {
+		panic(fmt.Sprintf("rwmp: node %d absent from tree", v))
 	}
-	return sum
+	return i
+}
+
+// sourceRows appends each source's tree slot and generation count to the two
+// parallel buffers.
+func (m *Model) sourceRows(slots []int, gens []float64, t *jtt.Tree, sources []graph.NodeID, queryTerms []string) ([]int, []float64) {
+	for _, s := range sources {
+		slots = append(slots, slotOf(t, s))
+		gens = append(gens, m.Generation(s, queryTerms))
+	}
+	return slots, gens
 }
 
 // Delivered returns f_{src→dst}: the number of src-type messages arriving at
@@ -286,51 +273,23 @@ func (m *Model) PathFactor(t *jtt.Tree, src, dst graph.NodeID) float64 {
 	if src == dst {
 		return 1
 	}
-	if !t.Contains(src) || !t.Contains(dst) {
-		panic(fmt.Sprintf("rwmp: PathFactor(%d, %d) with node absent from tree", src, dst))
-	}
-	var pathBuf [16]graph.NodeID
-	path := t.PathInto(pathBuf[:0], src, dst)
-	factor := 1.0
-	for i := 0; i+1 < len(path); i++ {
-		u, next := path[i], path[i+1]
-		w, ok := m.g.Weight(u, next)
-		if !ok {
-			return 0
-		}
-		denom := m.splitDenominator(t, u)
-		if denom <= 0 {
-			return 0
-		}
-		factor *= w / denom
-		if i > 0 {
-			factor *= m.damp[u]
-		}
-	}
-	return factor
+	var hb [flowBuf]hop
+	f := m.flowInto(hb[:0], t)
+	return f.Factor(slotOf(t, src), slotOf(t, dst))
 }
 
 // NodeScore evaluates Eq. 3 for a non-free node v of tree t: the minimum
-// delivered count over the other non-free nodes (sources). When v is the
-// only source, its score is its own generation count — this is what makes a
-// single relevant node beat the free-node-dominated alternative in the
-// paper's Fig. 4 example.
+// delivered count over the other non-free nodes (sources), or v's own
+// generation count when it is the only source (see Flow.NodeScore).
 func (m *Model) NodeScore(t *jtt.Tree, v graph.NodeID, sources []graph.NodeID, queryTerms []string) float64 {
-	minFlow := math.Inf(1)
-	others := 0
-	for _, s := range sources {
-		if s == v {
-			continue
-		}
-		others++
-		if f := m.Delivered(t, s, v, queryTerms); f < minFlow {
-			minFlow = f
-		}
-	}
-	if others == 0 {
-		return m.Generation(v, queryTerms)
-	}
-	return minFlow
+	var (
+		hb [flowBuf]hop
+		sb [flowBuf]int
+		gb [flowBuf]float64
+	)
+	f := m.flowInto(hb[:0], t)
+	slots, gens := m.sourceRows(sb[:0], gb[:0], t, sources, queryTerms)
+	return f.NodeScore(slotOf(t, v), m.Generation(v, queryTerms), slots, gens)
 }
 
 // ScoreTree evaluates Eq. 4: the mean node score over the tree's non-free
@@ -341,11 +300,14 @@ func (m *Model) ScoreTree(t *jtt.Tree, sources []graph.NodeID, queryTerms []stri
 	if len(sources) == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, v := range sources {
-		sum += m.NodeScore(t, v, sources, queryTerms)
-	}
-	return sum / float64(len(sources))
+	var (
+		hb [flowBuf]hop
+		sb [flowBuf]int
+		gb [flowBuf]float64
+	)
+	f := m.flowInto(hb[:0], t)
+	slots, gens := m.sourceRows(sb[:0], gb[:0], t, sources, queryTerms)
+	return f.ScoreSum(slots, gens) / float64(len(sources))
 }
 
 // SourcesIn returns the non-free nodes of t for the query, in ascending

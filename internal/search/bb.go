@@ -5,26 +5,24 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
+	"math/bits"
 
 	"cirank/internal/graph"
 	"cirank/internal/jtt"
 )
 
 // candidate is a tree in the branch-and-bound frontier, together with the
-// evaluation products (cover, sources, bound, score) the engine computes for
-// it. Evaluation (fill) is pure and may run on any worker goroutine; the seq
+// evaluation products (cover, bound, score) the engine computes for it.
+// Evaluation (fill) is pure and may run on any worker goroutine; the seq
 // field is assigned later, at commit time, on the coordinating goroutine.
 // Candidates are slab-allocated per query (see scratch.go) and invalid once
 // the query's scratch returns to the pool.
 type candidate struct {
-	tree     *jtt.Tree
-	key      string // canonical key + root tag, the dedup identity
-	canonLen int    // length of the canonical-key prefix of key (before the root tag)
-	cover    uint64
-	sources  []graph.NodeID // slab-backed; capacity preallocated by the coordinator
-	ub       float64
-	seq      int // commit order, for deterministic queue tie-breaking
+	tree  *jtt.Tree
+	root  int32 // index of the tree root's record in queryScratch.roots
+	cover uint64
+	ub    float64
+	seq   int // commit order, for deterministic queue tie-breaking
 
 	// score and complete are set when the tree is a valid complete answer.
 	score    float64
@@ -58,10 +56,11 @@ func (q *candidateQueue) Pop() interface{} {
 // structure and produces identical Stats, not just identical rankings.
 const expandBatch = 32
 
-// bbState carries the state of one branch-and-bound run. The maps, queue,
-// top-k and stats are touched only by the coordinating goroutine; workers
-// see the state read-only through fill (see parallel.go for the contract).
-// All reusable storage lives in the query scratch the state points into.
+// bbState carries the state of one branch-and-bound run. The dedup set, root
+// records, queue, top-k and stats are touched only by the coordinating
+// goroutine; workers see the state read-only through fill (see parallel.go
+// for the contract). All reusable storage lives in the query scratch the
+// state points into.
 type bbState struct {
 	s      *Searcher
 	qc     *queryContext
@@ -70,8 +69,6 @@ type bbState struct {
 	done   <-chan struct{} // the context's Done channel; nil = uncancellable
 	nw     int             // resolved worker count
 	pq     *candidateQueue
-	seen   map[string]bool // canonical keys of generated candidates
-	byRoot map[graph.NodeID][]*candidate
 	top    *topK
 	ws     []boundScratch // per-worker bound-evaluation scratch
 	chunk  []*candidate   // the fill chunk currently fanned out
@@ -90,21 +87,19 @@ type bbState struct {
 }
 
 // newBBState wires a branch-and-bound state over a prepared scratch. The
-// queue, dedup map, merge registry and top-k all live in the scratch; the
+// queue, dedup set, root records and top-k all live in the scratch; the
 // state only points at them.
 func newBBState(s *Searcher, sc *queryScratch, opts Options, nw int) *bbState {
 	sc.top.k = opts.K
 	st := &bbState{
-		s:      s,
-		qc:     &sc.qc,
-		sc:     sc,
-		opts:   opts,
-		nw:     nw,
-		pq:     &sc.pq,
-		seen:   sc.seen,
-		byRoot: sc.byRoot,
-		top:    &sc.top,
-		ws:     sc.boundScratches(nw),
+		s:    s,
+		qc:   &sc.qc,
+		sc:   sc,
+		opts: opts,
+		nw:   nw,
+		pq:   &sc.pq,
+		top:  &sc.top,
+		ws:   sc.boundScratches(nw),
 	}
 	st.fillFn = func(w, i int) { st.fill(st.chunk[i], &st.ws[w]) }
 	return st
@@ -140,8 +135,7 @@ func (st *bbState) interrupted() bool {
 // found before the cap", and because batching changes which candidates are
 // in flight when the cap fires, truncated runs may differ across worker
 // counts. TopK is safe for concurrent use: searches share only immutable
-// state (and the optional score cache, which is itself concurrency-safe)
-// plus the scratch pool, which hands each query its own scratch.
+// state plus the scratch pool, which hands each query its own scratch.
 //
 // TopK is uncancellable; use TopKContext to bound a query by a deadline.
 func (s *Searcher) TopK(terms []string, opts Options) ([]Answer, Stats, error) {
@@ -160,9 +154,6 @@ func (s *Searcher) TopKContext(ctx context.Context, terms []string, opts Options
 		return nil, Stats{}, fmt.Errorf("%w: %w", ErrDeadline, err)
 	}
 	if err := opts.Validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := s.checkScores(opts); err != nil {
 		return nil, Stats{}, err
 	}
 	if opts.OwnedDist != nil && len(opts.OwnedDist) != s.m.Graph().NumNodes() {
@@ -282,10 +273,11 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 }
 
 // process drives newly built trees through the evaluate/commit pipeline
-// until the merge closure is exhausted: dedupe the level, evaluate it on the
-// worker pool, commit each candidate in order (recording answers, enqueuing
-// survivors, and collecting the trees its merges produce), then recurse on
-// the collected level. Committing level-by-level instead of depth-first
+// until the merge closure is exhausted: dedupe the level against the set of
+// rooted trees already generated, evaluate it on the worker pool, commit
+// each candidate in order (recording answers, enqueuing survivors, and
+// collecting the trees its merges produce), then recurse on the collected
+// level. Committing level-by-level instead of depth-first
 // (the pre-parallel implementation recursed) visits the same closure — every
 // candidate still merges against every earlier same-root candidate — in a
 // breadth-first order that exposes whole levels to the workers.
@@ -325,30 +317,13 @@ func (st *bbState) process(trees []*jtt.Tree) {
 				st.lost = true
 				break
 			}
-			// Build the dedup key (canonical key + root tag) in the reused
-			// buffer; the seen lookup on the []byte is allocation-free, and
-			// the key string materializes only for candidates that survive
-			// dedup (it must outlive the buffer: the maps and the top-k
-			// retain it).
-			kb := tree.AppendCanonicalKey(sc.keyBuf[:0])
-			canonLen := len(kb)
-			kb = append(kb, '@')
-			kb = strconv.AppendInt(kb, int64(tree.Root()), 10)
-			sc.keyBuf = kb
-			if st.seen[string(kb)] {
+			if !sc.seen.add(tree, tree.Hash()) {
 				continue
 			}
-			key := string(kb)
-			st.seen[key] = true
 			st.stats.Generated++
 			c := sc.cands.get()
 			c.tree = tree
-			c.key = key
-			c.canonLen = canonLen
-			// The source buffer is sized here, on the coordinator, and
-			// filled on a worker: a tree can never hold more non-free nodes
-			// than nodes, so fill's appends stay within capacity.
-			c.sources = sc.ids.alloc(tree.Size())
+			c.root = st.rootOf(tree.Root())
 			level = append(level, c)
 		}
 		sc.level = level
@@ -386,18 +361,88 @@ func (st *bbState) process(trees []*jtt.Tree) {
 	}
 }
 
-// fill computes the evaluation products of a candidate: keyword cover,
-// source set, the RWMP score when the tree is a valid complete answer, and
-// the §IV-B upper bound. fill only reads state that is immutable during the
-// search (model, query context, options, path index) plus the
-// concurrency-safe caches, and writes only the candidate and the calling
-// worker's own bound scratch, so any number of fills may run concurrently.
+// rootOf returns the index of root's record in the scratch, creating it —
+// and with it the root's neighbour summary — at the root's first candidate.
+// It runs on the coordinator only; workers read the records through fill.
+func (st *bbState) rootOf(root graph.NodeID) int32 {
+	sc := st.sc
+	if i := sc.rootAt[root]; i != 0 {
+		return i - 1
+	}
+	n := len(sc.roots)
+	if n < cap(sc.roots) {
+		sc.roots = sc.roots[:n+1] // re-use a released record's registry storage
+	} else {
+		sc.roots = append(sc.roots, rootState{})
+	}
+	rs := &sc.roots[n]
+	rs.node, rs.cands = root, rs.cands[:0]
+	sc.rootAt[root] = int32(n + 1)
+	st.summarize(root)
+	return int32(n)
+}
+
+// summarize appends root's neighbour summary to the scratch's slab, where
+// summary finds it by the root record's index: the top rootTop
+// out-neighbours by dampening rate, then per term with a matcher adjacent to
+// the root (nearest-matcher distance ≤ 1) the top rootTop matching
+// out-neighbours by generation. This is the one pass over a root's
+// out-edges a query pays, however many candidate trees it roots there;
+// rootNeighbors answers each of them from the lists.
+func (st *bbState) summarize(root graph.NodeID) {
+	sc, qc, m := st.sc, st.qc, st.s.m
+	off := len(sc.tops)
+	for i := 0; i <= len(qc.terms); i++ {
+		sc.tops = append(sc.tops, topList{})
+	}
+	lists := sc.tops[off:]
+	var adjacent uint64
+	for ti := range qc.terms {
+		if qc.distToTerm(ti, root, st.opts.Diameter) <= 1 {
+			adjacent |= uint64(1) << ti
+		}
+	}
+	damp := m.DampVector()
+	for _, e := range m.Graph().OutEdges(root) {
+		lists[0].offer(e.To, damp)
+		for match := qc.masks[e.To] & adjacent; match != 0; match &= match - 1 {
+			lists[1+bits.TrailingZeros64(match)].offer(e.To, qc.gen)
+		}
+	}
+}
+
+// summary returns the neighbour summary of the root whose record has index
+// i: every root gets 1+len(terms) lists, appended in record order.
+func (st *bbState) summary(i int32) []topList {
+	n := 1 + len(st.qc.terms)
+	return st.sc.tops[int(i)*n:][:n]
+}
+
+// fill computes the evaluation products of a candidate: keyword cover, the
+// RWMP score when the tree is a valid complete answer, and the §IV-B upper
+// bound. The tree's flow table is filled once and both the score and the
+// bound read it. fill only reads state that is immutable during the fan-out
+// (model, query context, root records, options, path index) and writes only
+// the candidate and the calling worker's own bound scratch, so any number of
+// fills may run concurrently.
 func (st *bbState) fill(c *candidate, bs *boundScratch) {
-	c.cover = st.qc.cover(c.tree)
-	c.sources = st.qc.sourcesInto(c.sources, c.tree)
-	if c.cover == st.qc.full && st.qc.validAnswer(c.tree, st.opts.Diameter) {
-		c.complete = true
-		c.score = st.s.score(st.opts, c.tree, c.sources, st.qc.terms)
+	qc := st.qc
+	slots, gens := bs.slots[:0], bs.gens[:0]
+	for i, v := range c.tree.NodeView() {
+		if mask := qc.masks[v]; mask != 0 {
+			c.cover |= mask
+			slots = append(slots, i)
+			gens = append(gens, qc.gen[v])
+		}
+	}
+	bs.slots, bs.gens = slots, gens
+	bs.flow.SetTree(st.s.m, c.tree)
+	if c.cover == qc.full {
+		bs.scoreSum = bs.flow.ScoreSum(slots, gens)
+		if c.tree.IsReduced(qc.isNonFreeFn) && c.tree.Diameter() <= st.opts.Diameter {
+			c.complete = true
+			c.score = bs.scoreSum / float64(len(slots))
+		}
 	}
 	c.ub = st.upperBound(c, bs)
 }
@@ -411,8 +456,12 @@ func (st *bbState) fill(c *candidate, bs *boundScratch) {
 // set is transitively closed — a root with any number of child subtrees is
 // reachable, which Theorem 1's optimality needs.
 func (st *bbState) commit(c *candidate, out []*jtt.Tree) []*jtt.Tree {
-	if c.complete {
-		if st.top.addKeyed(c.tree, c.key[:c.canonLen], c.score) {
+	// The canonical key — the top-k's identity and tie-break — is built only
+	// for an answer that can enter or tie the list; one scoring below a full
+	// list's k-th changes nothing whatever its key.
+	if c.complete && !(st.top.full() && c.score < st.top.min()) {
+		st.sc.keyBuf = c.tree.AppendCanonicalKey(st.sc.keyBuf[:0])
+		if st.top.addKeyed(c.tree, st.sc.keyBuf, c.score) {
 			st.stats.Answers++
 		}
 	}
@@ -432,16 +481,12 @@ func (st *bbState) commit(c *candidate, out []*jtt.Tree) []*jtt.Tree {
 	c.seq = st.seq
 	st.seq++
 	heap.Push(st.pq, c)
-	root := c.tree.Root()
 	// Snapshot: trees merged from c will themselves merge against everything
 	// committed at their own commit time, including c, so iterating the
 	// pre-existing set suffices for closure.
-	others := st.byRoot[root]
-	lst := others
-	if lst == nil {
-		lst = st.sc.grabRootList()
-	}
-	st.byRoot[root] = append(lst, c)
+	rs := &st.sc.roots[c.root]
+	others := rs.cands
+	rs.cands = append(others, c)
 	for _, other := range others {
 		if !st.mergeAllowed(c, other) {
 			continue

@@ -2,9 +2,9 @@ package search
 
 import (
 	"math"
+	"math/bits"
 
 	"cirank/internal/graph"
-	"cirank/internal/jtt"
 )
 
 // This file implements the upper-bound machinery of §IV-B. A candidate tree
@@ -41,21 +41,21 @@ const supplyScanCap = 256
 // supplement) and must be pruned. bs is the calling worker's own scratch;
 // the two float buffers below live in it instead of on the heap.
 func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
-	m := st.s.m
 	qc := st.qc
-	root := c.tree.Root()
+	flow, slots, gens := &bs.flow, bs.slots, bs.gens
+	root := flow.Root()
 	missing := qc.full &^ c.cover
-	lone := missing == 0 && len(c.sources) == 1
+	lone := missing == 0 && len(slots) == 1
 
 	// The supplement bounds below are asked for each missing term, or for
-	// every term when a lone source looks for its best addable node; one
-	// pass over the root's neighbourhood serves them all.
+	// every term when a lone source looks for its best addable node; the
+	// root's neighbour summary serves them all.
 	want := missing
 	if lone {
 		want = qc.full
 	}
 	if want != 0 {
-		st.scanRootNeighbors(c, want, bs)
+		st.rootNeighbors(c, want, bs)
 	}
 
 	// Best possible delivery, at the root, from a supplement covering each
@@ -73,20 +73,20 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 	}
 	bs.supplies = supplies
 
-	if cap(bs.flowAtRoot) < len(c.sources) {
-		bs.flowAtRoot = make([]float64, len(c.sources))
+	if cap(bs.flowAtRoot) < len(slots) {
+		bs.flowAtRoot = make([]float64, len(slots))
 	}
-	flowAtRoot := bs.flowAtRoot[:len(c.sources)]
-	for i, src := range c.sources {
-		flowAtRoot[i] = st.delivered(c.tree, src, root)
+	flowAtRoot := bs.flowAtRoot[:len(slots)]
+	for i, src := range slots {
+		flowAtRoot[i] = flow.Delivered(gens[i], src, root)
 	}
-	dampRoot := m.Damp(root)
+	dampRoot := st.s.m.Damp(c.tree.Root())
 
 	// pe: bound on the score of any node added outside C. Its messages
 	// from C's sources cross the root (dampened there unless the root is
 	// the source itself), then attenuate by at most 1.
 	ubNew := math.Inf(1)
-	for i, src := range c.sources {
+	for i, src := range slots {
 		f := flowAtRoot[i]
 		if src != root {
 			f *= dampRoot
@@ -108,8 +108,8 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 		// as the bound for completions that add no source. (Pruning on the
 		// generation alone loses optimal branching answers: the pruned
 		// candidate can be the merge partner a high-generation route needs.)
-		v := c.sources[0]
-		bound := qc.gen[v]
+		v := slots[0]
+		bound := gens[0]
 		bestAdd := 0.0
 		for ti := range qc.terms {
 			if sup := st.bestSupply(ti, c, bs); sup > bestAdd {
@@ -117,7 +117,7 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 			}
 		}
 		if bestAdd > 0 {
-			factor := m.PathFactor(c.tree, root, v)
+			factor := flow.Factor(root, v)
 			if v != root {
 				factor *= dampRoot
 			}
@@ -129,25 +129,24 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 	case missing == 0:
 		// With two or more sources every node score is already a min over
 		// other-source inflows; adding sources only shrinks each node's
-		// min, so the current exact node scores are the bounds.
-		for _, v := range c.sources {
-			flowSum += m.NodeScore(c.tree, v, c.sources, qc.terms)
-		}
+		// min, so the current exact node scores — which fill summed for
+		// Eq. 4 — are the bounds.
+		flowSum = bs.scoreSum
 	default:
 		// Each in-tree source's score is capped by flows from existing
 		// sources (exact within C) and by the best supplement flow
 		// entering at the root and descending to v.
-		for _, v := range c.sources {
+		for _, v := range slots {
 			ub := math.Inf(1)
-			for _, src := range c.sources {
+			for i, src := range slots {
 				if src == v {
 					continue
 				}
-				if f := st.delivered(c.tree, src, v); f < ub {
+				if f := flow.Delivered(gens[i], src, v); f < ub {
 					ub = f
 				}
 			}
-			factor := m.PathFactor(c.tree, root, v)
+			factor := flow.Factor(root, v)
 			if v != root {
 				factor *= dampRoot
 			}
@@ -173,23 +172,12 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 	if missing != 0 {
 		aMin = 1
 	}
-	n := float64(len(c.sources))
+	n := float64(len(slots))
 	atMin := (flowSum + aMin*ubNew) / (n + aMin)
 	if ubNew > atMin {
 		return ubNew
 	}
 	return atMin
-}
-
-// delivered is rwmp.Model.Delivered with the source's generation count read
-// from the query context, which holds the identical value for every non-free
-// node, instead of recounted from the text index.
-func (st *bbState) delivered(t *jtt.Tree, src, dst graph.NodeID) float64 {
-	count := st.qc.gen[src]
-	if count == 0 || src == dst {
-		return count
-	}
-	return count * st.s.m.PathFactor(t, src, dst)
 }
 
 // bestSupply bounds the message count any node covering term ti could
@@ -204,7 +192,7 @@ func (st *bbState) delivered(t *jtt.Tree, src, dst graph.NodeID) float64 {
 // where its messages are dampened once (scenario 2 — the global best
 // generation is discounted by the best neighbour dampening rate). The
 // greater of the two scenarios is the bound. bs carries the candidate's
-// scanRootNeighbors products.
+// rootNeighbors products.
 func (st *bbState) bestSupply(ti int, c *candidate, bs *boundScratch) float64 {
 	nodes := st.qc.byGen[ti]
 	root := c.tree.Root()
@@ -254,25 +242,51 @@ func (st *bbState) bestSupply(ti int, c *candidate, bs *boundScratch) float64 {
 	return best
 }
 
-// scanRootNeighbors makes the one pass over the root's out-edges that the
-// candidate's supplement bounds share, leaving in bs:
+// rootNeighbors leaves in bs what the candidate's supplement bounds need to
+// know about its root's neighbourhood:
 //
 //   - nbrDamp, the best dampening rate among out-of-tree root neighbours —
-//     scenario 2's entry discount. The rate is tested first and the tree
-//     consulted only for a neighbour that would raise the maximum.
-//   - adjGen[ti], for each term of want with a matcher adjacent to the root
-//     (nearest-matcher distance ≤ 1), the best generation among out-of-tree
-//     neighbours matching it — scenario 1.
+//     scenario 2's entry discount;
+//   - adjGen[ti], for each term of want with a matcher adjacent to the root,
+//     the best generation among out-of-tree neighbours matching it —
+//     scenario 1 (0 for the other terms).
 //
-// Both are maxima over floats, so visiting the neighbours once instead of
-// once per term changes no result.
+// Each is the first entry of the root's summary list that the tree does not
+// contain. A tree holding every listed node of a truncated list leaves that
+// list undecided, and only then are the root's out-edges scanned.
+func (st *bbState) rootNeighbors(c *candidate, want uint64, bs *boundScratch) {
+	qc := st.qc
+	if cap(bs.adjGen) < len(qc.terms) {
+		bs.adjGen = make([]float64, len(qc.terms))
+	}
+	adjGen := bs.adjGen[:len(qc.terms)]
+	clear(adjGen)
+	bs.nbrDamp = 0
+	lists := st.summary(c.root)
+	v, decided := lists[0].bestOutside(c.tree)
+	if v != graph.InvalidNode {
+		bs.nbrDamp = st.s.m.Damp(v)
+	}
+	for w := want; w != 0 && decided; w &= w - 1 {
+		ti := bits.TrailingZeros64(w)
+		if v, decided = lists[1+ti].bestOutside(c.tree); v != graph.InvalidNode {
+			adjGen[ti] = qc.gen[v]
+		}
+	}
+	if !decided {
+		st.scanRootNeighbors(c, want, bs)
+	}
+}
+
+// scanRootNeighbors computes rootNeighbors' products by a full pass over the
+// root's out-edges: the fallback for a candidate that exhausts a truncated
+// summary list, and the definition the summary is tested against. The
+// dampening rate is tested first and the tree consulted only for a
+// neighbour that would raise a maximum.
 func (st *bbState) scanRootNeighbors(c *candidate, want uint64, bs *boundScratch) {
 	m := st.s.m
 	qc := st.qc
 	root := c.tree.Root()
-	if cap(bs.adjGen) < len(qc.terms) {
-		bs.adjGen = make([]float64, len(qc.terms))
-	}
 	adjGen := bs.adjGen[:len(qc.terms)]
 	var adjacent uint64
 	for ti := range qc.terms {
@@ -384,7 +398,7 @@ func supListed(topSup []supplierInfo, v graph.NodeID) bool {
 
 // tailGen returns the highest generation strictly after position i of the
 // descending-generation list (0 if i is last).
-func tailGen(nodes []graph.NodeID, gen map[graph.NodeID]float64, i int) float64 {
+func tailGen(nodes []graph.NodeID, gen []float64, i int) float64 {
 	if i+1 < len(nodes) {
 		return gen[nodes[i+1]]
 	}

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"cirank/internal/rwmp"
 )
 
 // denseFixture builds a layered graph: 3 "alpha" nodes, three complete-
@@ -204,10 +202,5 @@ func TestTypedErrors(t *testing.T) {
 		if _, _, err := fx.s.TopK([]string{"ullman"}, opts); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("opts %+v: err = %v, want ErrBadOptions", opts, err)
 		}
-	}
-	other := fig2Fixture(t)
-	cache := rwmp.NewScoreCache(other.m, 0)
-	if _, _, err := fx.s.TopK([]string{"ullman"}, Options{K: 1, Diameter: 4, Scores: cache}); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("foreign cache: err = %v, want ErrBadOptions", err)
 	}
 }

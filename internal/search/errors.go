@@ -14,8 +14,7 @@ var (
 	// normalization (empty strings and duplicates are dropped).
 	ErrEmptyQuery = errors.New("search: empty query")
 	// ErrBadOptions reports an invalid Options field (negative diameter,
-	// negative MaxExpansions, negative Workers, an oversized query, or a
-	// score cache built over a different model).
+	// negative MaxExpansions, negative Workers, or an oversized query).
 	ErrBadOptions = errors.New("search: invalid options")
 	// ErrDeadline reports that the context was already cancelled or past
 	// its deadline when the search was asked to start, so no work was done.

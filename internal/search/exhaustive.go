@@ -19,9 +19,6 @@ func (s *Searcher) ExhaustiveTopK(terms []string, opts Options, maxNodes int) ([
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if err := s.checkScores(opts); err != nil {
-		return nil, err
-	}
 	if s.m.Graph().NumNodes() > 64 {
 		return nil, fmt.Errorf("search: ExhaustiveTopK limited to 64 nodes, graph has %d", s.m.Graph().NumNodes())
 	}
@@ -44,7 +41,7 @@ func (s *Searcher) ExhaustiveTopK(terms []string, opts Options, maxNodes int) ([
 		seen[key] = true
 		queue = append(queue, t)
 		if qc.validAnswer(t, opts.Diameter) {
-			top.add(t, s.score(opts, t, qc.sourcesIn(t), qc.terms))
+			top.add(t, s.m.ScoreTree(t, qc.sourcesIn(t), qc.terms))
 		}
 	}
 	for v := 0; v < g.NumNodes(); v++ {

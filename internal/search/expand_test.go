@@ -68,19 +68,35 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 	if _, err := fx.s.run(context.Background(), sc, hubTerms, opts); err != nil {
 		t.Fatal(err)
 	}
-	if len(sc.seen) <= seenMapCap || len(sc.cands.slabs) <= candSlabKeep || len(sc.ids.chunks) <= idSlabKeep || cap(sc.pq) <= ptrBufCap {
-		t.Fatalf("fixture too small to exceed the caps: seen %d, cand slabs %d, id chunks %d, pq %d",
-			len(sc.seen), len(sc.cands.slabs), len(sc.ids.chunks), cap(sc.pq))
+	if sc.seen.n <= seenMapCap || len(sc.cands.slabs) <= candSlabKeep || cap(sc.pq) <= ptrBufCap {
+		t.Fatalf("fixture too small to exceed the caps: seen %d, cand slabs %d, pq %d",
+			sc.seen.n, len(sc.cands.slabs), cap(sc.pq))
+	}
+	// The hub roots the 40k-candidate merge closure, and every node of the
+	// fixture roots something, each with a three-list summary.
+	hub := &sc.roots[sc.rootAt[0]-1]
+	if cap(hub.cands) <= rootListCap || len(sc.roots) != len(sc.rootAt) || len(sc.tops) != 3*len(sc.roots) {
+		t.Fatalf("unexpected root records: hub registry %d, %d roots, %d summary lists over %d nodes",
+			cap(hub.cands), len(sc.roots), len(sc.tops), len(sc.rootAt))
 	}
 	sc.release()
-	if len(sc.seen) != 0 || len(sc.byRoot) != 0 || sc.arena.Trees() != 0 {
-		t.Errorf("released scratch not empty: seen %d, byRoot %d, arena trees %d", len(sc.seen), len(sc.byRoot), sc.arena.Trees())
+	if sc.seen.n != 0 || len(sc.seen.slots) != 0 || len(sc.roots) != 0 || len(sc.tops) != 0 || sc.arena.Trees() != 0 {
+		t.Errorf("released scratch not empty: seen %d in %d slots, roots %d, summary lists %d, arena trees %d",
+			sc.seen.n, len(sc.seen.slots), len(sc.roots), len(sc.tops), sc.arena.Trees())
+	}
+	// The dense tables are sized by the graph, whatever the query did, and
+	// come back all zero.
+	n := fx.m.Graph().NumNodes()
+	if len(sc.qc.masks) != n || len(sc.qc.gen) != n || len(sc.rootAt) != n {
+		t.Errorf("dense tables sized %d/%d/%d for %d nodes", len(sc.qc.masks), len(sc.qc.gen), len(sc.rootAt), n)
+	}
+	for v := range sc.rootAt {
+		if sc.qc.masks[v] != 0 || sc.qc.gen[v] != 0 || sc.rootAt[v] != 0 {
+			t.Fatalf("node %d left dirty: mask %b, gen %g, root record %d", v, sc.qc.masks[v], sc.qc.gen[v], sc.rootAt[v])
+		}
 	}
 	if n := len(sc.cands.slabs); n > candSlabKeep {
 		t.Errorf("retained %d candidate slabs, cap %d", n, candSlabKeep)
-	}
-	if n := len(sc.ids.chunks); n > idSlabKeep {
-		t.Errorf("retained %d id chunks, cap %d", n, idSlabKeep)
 	}
 	for name, c := range map[string]int{
 		"pq": cap(sc.pq), "level": cap(sc.level), "grown": cap(sc.grown), "procA": cap(sc.procA), "procB": cap(sc.procB),
@@ -89,9 +105,9 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 			t.Errorf("retained %s with capacity %d, cap %d", name, c, ptrBufCap)
 		}
 	}
-	for _, lst := range sc.rootLists {
-		if cap(lst) > rootListCap {
-			t.Errorf("retained a root list with capacity %d, cap %d", cap(lst), rootListCap)
+	for _, rs := range sc.roots[:cap(sc.roots)] {
+		if cap(rs.cands) > rootListCap {
+			t.Errorf("retained a merge registry with capacity %d, cap %d", cap(rs.cands), rootListCap)
 		}
 	}
 	// The trimmed scratch must serve the next query like a fresh one (a

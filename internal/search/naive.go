@@ -50,9 +50,6 @@ func (s *Searcher) NaiveTopKContext(ctx context.Context, terms []string, opts Op
 	if err := opts.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	if err := s.checkScores(opts); err != nil {
-		return nil, Stats{}, err
-	}
 	qc, ok, err := s.prepare(terms)
 	if err != nil {
 		return nil, Stats{}, err
@@ -64,7 +61,7 @@ func (s *Searcher) NaiveTopKContext(ctx context.Context, terms []string, opts Op
 	var stats Stats
 	done := ctx.Done()
 	if nw := opts.workers(); nw > 1 {
-		pipe := newNaiveScorePipeline(s, opts, qc, top, nw)
+		pipe := newNaiveScorePipeline(s, qc, top, nw)
 		stats.Expanded, stats.Interrupted = s.enumerateNaive(qc, opts.Diameter, done, func(t *jtt.Tree) {
 			stats.Generated++
 			pipe.submit(t)
@@ -73,7 +70,7 @@ func (s *Searcher) NaiveTopKContext(ctx context.Context, terms []string, opts Op
 	} else {
 		stats.Expanded, stats.Interrupted = s.enumerateNaive(qc, opts.Diameter, done, func(t *jtt.Tree) {
 			stats.Generated++
-			score := s.score(opts, t, qc.sourcesIn(t), qc.terms)
+			score := s.m.ScoreTree(t, qc.sourcesIn(t), qc.terms)
 			if top.add(t, score) {
 				stats.Answers++
 			}

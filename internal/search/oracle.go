@@ -27,9 +27,6 @@ func (s *Searcher) NewBoundOracle(terms []string, opts Options) (*BoundOracle, b
 	if err := opts.Validate(); err != nil {
 		return nil, false, err
 	}
-	if err := s.checkScores(opts); err != nil {
-		return nil, false, err
-	}
 	// The oracle owns an unpooled scratch for its lifetime: Evaluate reuses
 	// the same bound buffers the search's fill would, so the computed bounds
 	// are byte-identical, but nothing returns to the searcher's pool.
@@ -55,7 +52,9 @@ func (s *Searcher) NewBoundOracle(terms []string, opts Options) (*BoundOracle, b
 // true — fill skips scoring incomplete candidates, exactly as the search
 // does.
 func (o *BoundOracle) Evaluate(tree *jtt.Tree) (ub, score float64, complete bool) {
-	c := &candidate{tree: tree}
+	// fill reads the root's neighbour summary, which the search builds when
+	// process creates the root's first candidate.
+	c := &candidate{tree: tree, root: o.st.rootOf(tree.Root())}
 	o.st.fill(c, &o.st.ws[0])
 	return c.ub, c.score, c.complete
 }

@@ -1,7 +1,6 @@
 // This file holds the concurrency layer of the search package: the bounded
 // parallel-for the branch-and-bound engine evaluates candidate batches with,
-// the scoring worker pool of the parallel naive path, and the score-cache
-// hook shared by both.
+// and the scoring worker pool of the parallel naive path.
 //
 // # Why parallel results are byte-identical to sequential ones
 //
@@ -10,8 +9,8 @@
 // goroutine that called TopK/NaiveTopK, in an order fixed by the data, never
 // by worker scheduling. Workers compute only pure functions of state that is
 // immutable for the duration of the search: the RWMP model, the query
-// context, the options, and the path index (plus the optional caches, whose
-// hits are provably equivalent to recomputation — see rwmp.ScoreCache and
+// context, the options, and the path index (plus the optional bound memo,
+// whose hits are provably equivalent to recomputation — see
 // pathindex.CachedIndex). The top-k additionally holds its entries in a
 // total order (score desc, canonical key asc), so even where the naive
 // pipeline commits scores in scheduling order, the retained list is the k
@@ -21,11 +20,9 @@
 package search
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"cirank/internal/graph"
 	"cirank/internal/jtt"
 )
 
@@ -94,27 +91,6 @@ func parallelForWorkers(n, workers int, f func(w, i int)) {
 	wg.Wait()
 }
 
-// score evaluates Eq. 4 for a candidate answer, through the query's score
-// cache when one is configured.
-func (s *Searcher) score(opts Options, t *jtt.Tree, sources []graph.NodeID, terms []string) float64 {
-	if opts.Scores != nil {
-		return opts.Scores.ScoreTree(t, sources, terms)
-	}
-	return s.m.ScoreTree(t, sources, terms)
-}
-
-// checkScores rejects a score cache built over a different model: its
-// memoised values would be meaningless here.
-func (s *Searcher) checkScores(opts Options) error {
-	if opts.Scores != nil && opts.Scores.Model() != s.m {
-		return errForeignCache
-	}
-	return nil
-}
-
-// errForeignCache is returned when Options.Scores belongs to another model.
-var errForeignCache = fmt.Errorf("%w: Options.Scores was built over a different rwmp.Model", ErrBadOptions)
-
 // naiveScorePipeline scores enumerated answer trees on a worker pool and
 // folds them into a shared top-k. The enumeration goroutine feeds trees into
 // a bounded channel; workers score (the expensive part — Eq. 4 walks every
@@ -124,7 +100,6 @@ var errForeignCache = fmt.Errorf("%w: Options.Scores was built over a different 
 // is scheduling-dependent in parallel naive runs.
 type naiveScorePipeline struct {
 	s     *Searcher
-	opts  Options
 	qc    *queryContext
 	trees chan *jtt.Tree
 	wg    sync.WaitGroup
@@ -135,10 +110,9 @@ type naiveScorePipeline struct {
 }
 
 // newNaiveScorePipeline starts workers goroutines draining the tree channel.
-func newNaiveScorePipeline(s *Searcher, opts Options, qc *queryContext, top *topK, workers int) *naiveScorePipeline {
+func newNaiveScorePipeline(s *Searcher, qc *queryContext, top *topK, workers int) *naiveScorePipeline {
 	p := &naiveScorePipeline{
 		s:     s,
-		opts:  opts,
 		qc:    qc,
 		top:   top,
 		trees: make(chan *jtt.Tree, 4*workers),
@@ -148,7 +122,7 @@ func newNaiveScorePipeline(s *Searcher, opts Options, qc *queryContext, top *top
 		go func() {
 			defer p.wg.Done()
 			for t := range p.trees {
-				score := p.s.score(p.opts, t, p.qc.sourcesIn(t), p.qc.terms)
+				score := p.s.m.ScoreTree(t, p.qc.sourcesIn(t), p.qc.terms)
 				p.mu.Lock()
 				if p.top.add(t, score) {
 					p.answers++

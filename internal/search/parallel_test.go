@@ -75,9 +75,8 @@ func answersEqual(t *testing.T, label string, want, got []Answer) {
 // path: across randomized datagen workloads (two datasets × many generated
 // queries ≥ 20 workloads total), branch-and-bound search with Workers: 8
 // must return a ranked list byte-identical to the sequential Workers: 1 run
-// — same trees, same exact scores, same order — with and without the score
-// cache, and with identical Stats (the batch structure is worker-count
-// independent by design).
+// — same trees, same exact scores, same order — and with identical Stats
+// (the batch structure is worker-count independent by design).
 func TestParallelDeterminism(t *testing.T) {
 	fixtures := []*datagenFixture{
 		prepareDatagen(t, "imdb", 0.12, 1, 11, 12),
@@ -85,7 +84,6 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	total := 0
 	for fi, fx := range fixtures {
-		cache := rwmp.NewScoreCache(fx.s.Model(), 0)
 		for qi, q := range fx.queries {
 			total++
 			base := Options{K: 5, Diameter: 4, MaxExpansions: 200000}
@@ -109,13 +107,6 @@ func TestParallelDeterminism(t *testing.T) {
 			if seqStats != parStats {
 				t.Errorf("%s: stats diverged: seq %+v, par %+v", label, seqStats, parStats)
 			}
-			cachedOpts := parOpts
-			cachedOpts.Scores = cache
-			cached, _, err := fx.s.TopK(q.Terms, cachedOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			answersEqual(t, label+" cached", seq, cached)
 		}
 	}
 	if total < 20 {
@@ -175,14 +166,13 @@ func TestNaiveParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestConcurrentCachedSearches drives one Searcher from many goroutines sharing a
-// score cache — the contract Engine.Search relies on. Run under -race this
-// exercises the synchronization of the caches and the isolation of per-query
-// state; each goroutine must also observe the same ranked lists.
+// TestConcurrentCachedSearches drives one Searcher — one scratch pool — from
+// many goroutines, the contract Engine.Search relies on. Run under -race this
+// exercises the isolation of pooled per-query state (dense tables, tree set,
+// root records); each goroutine must also observe the same ranked lists.
 func TestConcurrentCachedSearches(t *testing.T) {
 	fx := prepareDatagen(t, "imdb", 0.1, 5, 23, 4)
-	cache := rwmp.NewScoreCache(fx.s.Model(), 0)
-	opts := Options{K: 5, Diameter: 4, MaxExpansions: 200000, Workers: 2, Scores: cache}
+	opts := Options{K: 5, Diameter: 4, MaxExpansions: 200000, Workers: 2}
 	type outcome struct {
 		qi  int
 		res []Answer
@@ -212,24 +202,6 @@ func TestConcurrentCachedSearches(t *testing.T) {
 			continue
 		}
 		answersEqual(t, fmt.Sprintf("concurrent query %d", out.qi), reference[out.qi], out.res)
-	}
-}
-
-// TestForeignScoreCacheRejected ensures a cache bound to another model
-// cannot poison results.
-func TestForeignScoreCacheRejected(t *testing.T) {
-	fx := fig2Fixture(t)
-	other := fig2Fixture(t)
-	cache := rwmp.NewScoreCache(other.m, 0)
-	opts := Options{K: 2, Diameter: 4, Scores: cache}
-	if _, _, err := fx.s.TopK([]string{"ullman"}, opts); err == nil {
-		t.Error("TopK accepted a foreign score cache")
-	}
-	if _, _, err := fx.s.NaiveTopK([]string{"ullman"}, opts); err == nil {
-		t.Error("NaiveTopK accepted a foreign score cache")
-	}
-	if _, err := fx.s.ExhaustiveTopK([]string{"ullman"}, opts, 3); err == nil {
-		t.Error("ExhaustiveTopK accepted a foreign score cache")
 	}
 }
 

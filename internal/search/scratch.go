@@ -3,18 +3,19 @@ package search
 import (
 	"cirank/internal/graph"
 	"cirank/internal/jtt"
+	"cirank/internal/rwmp"
 )
 
 // This file holds the query-scoped scratch machinery of the allocation-lean
 // hot path. One queryScratch carries every reusable structure a
-// branch-and-bound run touches — candidate slabs, source-ID slabs, the tree
-// arena, the dedup and merge maps, the priority queue and top-k backings,
-// and the per-term BFS buffers — so a steady-state query allocates only what
-// it must retain past its own lifetime (the canonical-key strings interned
-// in the dedup map and the cloned answer trees). The scratch is recycled
-// through a sync.Pool on the Searcher, following the epoch/slab idiom of
-// internal/pathindex/scratch.go; the poisoning test in alloc_test.go
-// certifies that no state leaks from one query into the next.
+// branch-and-bound run touches — candidate slabs, the tree arena, the dedup
+// set and per-root records, the dense per-node tables, the priority queue
+// and top-k backings, and the per-term BFS buffers — so a steady-state query
+// allocates only what it must retain past its own lifetime (the canonical
+// keys of top-k entrants and the cloned answer trees). The scratch is
+// recycled through a sync.Pool on the Searcher, following the epoch/slab
+// idiom of internal/pathindex/scratch.go; the poisoning test in
+// alloc_test.go certifies that no state leaks from one query into the next.
 
 // candSlab hands out candidate structs from reusable slabs, replacing the
 // per-expansion heap allocation of the pre-rewrite engine.
@@ -52,55 +53,142 @@ func (cs *candSlab) reset() {
 	}
 }
 
-// idSlab bump-allocates NodeID buffers (candidate source sets) in reusable
-// chunks.
-type idSlab struct {
-	chunks  [][]graph.NodeID
-	ci, off int
-}
-
-// idSlabChunk is the chunk size; oversized requests get a dedicated chunk.
-const idSlabChunk = 4096
-
-// alloc returns an empty slice with capacity n whose storage comes from the
-// slab.
-func (s *idSlab) alloc(n int) []graph.NodeID {
-	for {
-		if s.ci == len(s.chunks) {
-			size := idSlabChunk
-			if n > size {
-				size = n
-			}
-			s.chunks = append(s.chunks, make([]graph.NodeID, size))
-		}
-		c := s.chunks[s.ci]
-		if s.off+n <= len(c) {
-			out := c[s.off : s.off : s.off+n]
-			s.off += n
-			return out
-		}
-		s.ci++
-		s.off = 0
-	}
-}
-
-// reset rewinds the slab for the next query, retaining at most idSlabKeep
-// chunks.
-func (s *idSlab) reset() {
-	s.ci, s.off = 0, 0
-	if len(s.chunks) > idSlabKeep {
-		s.chunks = append([][]graph.NodeID(nil), s.chunks[:idSlabKeep]...)
-	}
-}
-
-// boundScratch is the per-worker scratch of the upper-bound evaluation:
-// fill runs on worker goroutines, so each worker gets its own copy.
+// boundScratch is the per-worker scratch of candidate evaluation: fill runs
+// on worker goroutines, so each worker gets its own copy. Everything in it
+// describes the candidate being filled.
 type boundScratch struct {
+	// flow is the candidate tree's message-flow table; slots and gens are
+	// its sources' table slots and generation counts, ascending. scoreSum is Σ node scores (Eq. 4's numerator),
+	// computed once for a candidate covering every term: the exact score
+	// and the complete-estimate bound both read it.
+	flow     rwmp.Flow
+	slots    []int
+	gens     []float64
+	scoreSum float64
+
 	supplies   []float64
 	flowAtRoot []float64
-	// The candidate's scanRootNeighbors products (see bounds.go).
+	// The candidate's rootNeighbors products (see bounds.go).
 	nbrDamp float64
 	adjGen  []float64
+}
+
+// treeSet is the dedup set of generated candidates: an open-addressing table
+// of rooted trees, probed by a 64-bit hash and decided by structural
+// equality, so it is exact — a hash collision costs a comparison, never a
+// lost candidate. The trees live in the query's arena; reset forgets them
+// before the arena rewinds.
+type treeSet struct {
+	slots []treeSlot // length a power of two, at most half full
+	n     int
+}
+
+type treeSlot struct {
+	tree *jtt.Tree // nil marks an empty slot
+	hash uint64
+}
+
+// treeSetMin is the table's initial size.
+const treeSetMin = 1 << 10
+
+// add inserts t under hash h — jtt.Tree.Hash in the search; a parameter so
+// the tests can force collisions — and reports whether t was absent.
+func (s *treeSet) add(t *jtt.Tree, h uint64) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.tree == nil {
+			*sl = treeSlot{t, h}
+			s.n++
+			return true
+		}
+		if sl.hash == h && sl.tree.Equal(t) {
+			return false
+		}
+	}
+}
+
+// grow doubles the table and reinserts every tree by its stored hash.
+func (s *treeSet) grow() {
+	old := s.slots
+	s.slots = make([]treeSlot, max(treeSetMin, 2*len(old)))
+	mask := uint64(len(s.slots) - 1)
+	for _, sl := range old {
+		if sl.tree == nil {
+			continue
+		}
+		i := sl.hash & mask
+		for s.slots[i].tree != nil {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = sl
+	}
+}
+
+// reset empties the set, dropping a table grown past 2·seenMapCap slots
+// (what seenMapCap trees need at half load).
+func (s *treeSet) reset() {
+	if len(s.slots) > 2*seenMapCap {
+		s.slots = nil
+	}
+	clear(s.slots)
+	s.n = 0
+}
+
+// rootState is what the search keeps per candidate root besides its
+// neighbour summary: the merge registry. Records are created by
+// bbState.rootOf when a root's first candidate appears and found again
+// through the dense queryScratch.rootAt table.
+type rootState struct {
+	node  graph.NodeID
+	cands []*candidate // committed candidates rooted here, in commit order
+}
+
+// rootTop is how many out-neighbours a root's summary lists per ranking.
+const rootTop = 4
+
+// topList names a root's best out-neighbours under one ranking — dampening
+// rate, or generation among the neighbours matching one term — best first.
+// truncated records that the root has further neighbours in the ranking, so
+// a tree containing every listed node leaves the list undecided.
+type topList struct {
+	nodes     [rootTop]graph.NodeID
+	n         uint8
+	truncated bool
+}
+
+// offer ranks v into the list by vals[v], keeping earlier nodes ahead on
+// ties.
+func (l *topList) offer(v graph.NodeID, vals []float64) {
+	i := int(l.n)
+	if i == rootTop {
+		l.truncated = true
+		if vals[v] <= vals[l.nodes[rootTop-1]] {
+			return
+		}
+		i--
+	} else {
+		l.n++
+	}
+	for ; i > 0 && vals[l.nodes[i-1]] < vals[v]; i-- {
+		l.nodes[i] = l.nodes[i-1]
+	}
+	l.nodes[i] = v
+}
+
+// bestOutside returns the ranking's best neighbour outside t, or
+// graph.InvalidNode when there is none. decided is false when the list
+// cannot tell: every listed node is in t and the list was truncated.
+func (l *topList) bestOutside(t *jtt.Tree) (v graph.NodeID, decided bool) {
+	for _, v := range l.nodes[:l.n] {
+		if !t.Contains(v) {
+			return v, true
+		}
+	}
+	return graph.InvalidNode, !l.truncated
 }
 
 // termScratch holds the per-term BFS buffers of computeTermDistances. The
@@ -141,18 +229,17 @@ func (ts *termScratch) distInto(j, n int) []int32 {
 }
 
 // These constants bound what a released scratch retains: a pathological
-// query must not pin its peak working set in the pool forever. Maps past
-// their cap are dropped, slabs keep their first few chunks, and pointer
-// buffers past theirs are dropped — each sized for a query of about
-// seenMapCap candidates, a few megabytes in all (jtt.Arena caps itself the
-// same way on Reset).
+// query must not pin its peak working set in the pool forever. Tables and
+// buffers past their cap are dropped and slabs keep their first few chunks —
+// each sized for a query of about seenMapCap candidates, a few megabytes in
+// all (jtt.Arena caps itself the same way on Reset). The dense per-node
+// tables are sized by the graph, not the query, and always kept.
 const (
 	seenMapCap   = 1 << 15
-	byRootMapCap = 1 << 13
+	rootsCap     = 1 << 13
 	candSlabKeep = seenMapCap / candSlabSize
-	idSlabKeep   = 4 * seenMapCap / idSlabChunk
 	ptrBufCap    = seenMapCap
-	rootListCap  = 256 // per freelisted byRoot list; a hub root's is dropped
+	rootListCap  = 256 // per retained merge registry; a hub root's is dropped
 )
 
 // trimmed empties a reusable buffer, dropping it when it grew past max.
@@ -165,27 +252,32 @@ func trimmed[T any](buf []T, max int) []T {
 
 // queryScratch is the pooled per-query state. Fields are grouped by phase:
 // prepare (the query context and its buffers), the branch-and-bound state
-// (maps, queue, top-k), and the evaluation scratch (slabs, arena, per-worker
-// bound buffers).
+// (dedup set, per-root records, queue, top-k), and the evaluation scratch
+// (slabs, arena, per-worker bound buffers).
 type queryScratch struct {
 	qc queryContext
 
-	seen   map[string]bool
-	byRoot map[graph.NodeID][]*candidate
+	seen treeSet
+	// roots holds one record per candidate root of this query; rootAt is
+	// the dense node → 1+index table into it (0 = no record yet), cleared
+	// on release by walking roots. tops holds the roots' neighbour
+	// summaries in the same order: 1+len(terms) lists each, dampening
+	// first.
+	roots  []rootState
+	rootAt []int32
+	tops   []topList
 	pq     candidateQueue
 	top    topK
 
 	arena  jtt.Arena
 	cands  candSlab
-	ids    idSlab
-	keyBuf []byte
+	keyBuf []byte // canonical key of the top-k entrant being committed
 
 	batch     []*candidate
 	level     []*candidate
 	grown     []*jtt.Tree
 	procA     []*jtt.Tree
 	procB     []*jtt.Tree
-	rootLists [][]*candidate // freelist for byRoot value slices
 	ws        []boundScratch
 	termBufs  []termScratch
 	matchBufs [][]graph.NodeID // per-term matching-node buffers (perTerm)
@@ -196,14 +288,19 @@ type queryScratch struct {
 // for the naive and exhaustive algorithms, the bound oracle) use one directly
 // and let the garbage collector take it.
 func newQueryScratch() *queryScratch {
-	sc := &queryScratch{
-		seen:   make(map[string]bool),
-		byRoot: make(map[graph.NodeID][]*candidate),
-	}
+	sc := &queryScratch{}
 	sc.top.keys = make(map[string]bool)
-	sc.qc.masks = make(map[graph.NodeID]uint64)
-	sc.qc.gen = make(map[graph.NodeID]float64)
 	return sc
+}
+
+// sizeTables makes the dense per-node tables cover an n-node graph. A pooled
+// scratch serves one searcher, hence one graph, so this allocates once.
+func (sc *queryScratch) sizeTables(n int) {
+	if len(sc.rootAt) != n {
+		sc.qc.masks = make([]uint64, n)
+		sc.qc.gen = make([]float64, n)
+		sc.rootAt = make([]int32, n)
+	}
 }
 
 // getScratch fetches (or creates) a queryScratch.
@@ -220,25 +317,19 @@ func (s *Searcher) putScratch(sc *queryScratch) {
 	s.scratch.Put(sc)
 }
 
-// release rewinds the scratch for the next query. Oversized maps, slabs and
-// buffers are dropped rather than retained, bounding the pool's memory.
+// release rewinds the scratch for the next query. Oversized tables, slabs
+// and buffers are dropped rather than retained, bounding the pool's memory.
 func (sc *queryScratch) release() {
-	if len(sc.seen) > seenMapCap {
-		sc.seen = make(map[string]bool)
-	} else {
-		clear(sc.seen)
+	sc.seen.reset()
+	// The root records keep their merge registries' storage for the next
+	// query's roots (found again by position, not by node).
+	for i := range sc.roots {
+		rs := &sc.roots[i]
+		sc.rootAt[rs.node] = 0
+		rs.cands = trimmed(rs.cands, rootListCap)
 	}
-	if len(sc.byRoot) > byRootMapCap {
-		sc.byRoot = make(map[graph.NodeID][]*candidate)
-		sc.rootLists = nil
-	} else {
-		for root, lst := range sc.byRoot {
-			if cap(lst) <= rootListCap {
-				sc.rootLists = append(sc.rootLists, lst[:0])
-			}
-			delete(sc.byRoot, root)
-		}
-	}
+	sc.roots = trimmed(sc.roots, rootsCap)
+	sc.tops = trimmed(sc.tops, ptrBufCap)
 	// Every candidate pointer below dies with the slab rewind; the buffers
 	// are emptied so none outlives it.
 	sc.pq = trimmed(sc.pq, ptrBufCap)
@@ -250,19 +341,7 @@ func (sc *queryScratch) release() {
 	sc.top.release()
 	sc.arena.Reset()
 	sc.cands.reset()
-	sc.ids.reset()
 	sc.qc.release()
-}
-
-// grabRootList returns an empty candidate list, reusing a freed one when
-// available.
-func (sc *queryScratch) grabRootList() []*candidate {
-	if n := len(sc.rootLists); n > 0 {
-		lst := sc.rootLists[n-1]
-		sc.rootLists = sc.rootLists[:n-1]
-		return lst
-	}
-	return nil
 }
 
 // boundScratches sizes the per-worker bound scratch for nw workers.
@@ -293,12 +372,12 @@ func nodeBuf(bufs *[][]graph.NodeID, i int) []graph.NodeID {
 // release rewinds the query context's reusable state.
 func (qc *queryContext) release() {
 	qc.terms = qc.terms[:0]
-	clear(qc.masks)
-	clear(qc.gen)
+	for _, v := range qc.nonFree {
+		qc.masks[v], qc.gen[v] = 0, 0
+	}
 	qc.perTerm = qc.perTerm[:0]
 	qc.byGen = qc.byGen[:0]
 	qc.nonFree = qc.nonFree[:0]
-	qc.maxGen = 0
 	qc.termDist = nil
 	qc.maxDamp = 0
 	qc.topSup = qc.topSup[:0]

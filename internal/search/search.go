@@ -6,8 +6,10 @@
 package search
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -58,11 +60,6 @@ type Options struct {
 	// worker count (see parallel.go for the argument; the determinism
 	// tests certify it).
 	Workers int
-	// Scores optionally memoises Eq. 4 tree scores across candidates and
-	// queries. It must have been created from this searcher's model. A
-	// cache hit is provably equivalent to recomputation (see
-	// rwmp.ScoreCache), so results are unaffected.
-	Scores *rwmp.ScoreCache
 	// OwnedDist enables the scatter-gather frontier prune when non-nil:
 	// entry v is the undirected hop distance from node v to the searching
 	// shard's owned node set, -1 meaning beyond the horizon. The search
@@ -169,14 +166,17 @@ const maxQueryTerms = 64
 // queryContext precomputes per-query matching structures shared by all
 // algorithms.
 type queryContext struct {
-	terms   []string
-	full    uint64
-	masks   map[graph.NodeID]uint64 // node → bitmask of matched terms
-	perTerm [][]graph.NodeID        // term → matching nodes (ascending)
-	gen     map[graph.NodeID]float64
+	terms []string
+	full  uint64
+	// masks and gen are dense per-node tables, one entry per graph node:
+	// the bitmask of matched terms (0 for a free node) and the generation
+	// count r_vv. Only the nonFree entries are ever non-zero, so release
+	// clears them by walking that list.
+	masks   []uint64
+	gen     []float64
+	perTerm [][]graph.NodeID // term → matching nodes (ascending)
 	byGen   [][]graph.NodeID // term → matching nodes, generation descending
-	maxGen  float64
-	nonFree []graph.NodeID // all matching nodes, ascending
+	nonFree []graph.NodeID   // all matching nodes, ascending
 	// termDist[t][v] is the exact hop distance from node v to the nearest
 	// node matching term t, computed by one depth-bounded multi-source BFS
 	// per term; -1 means beyond the horizon. The branch-and-bound bounds
@@ -300,8 +300,7 @@ func (s *Searcher) prepare(rawTerms []string) (*queryContext, bool, error) {
 
 // prepareInto is prepare writing into the scratch's pooled query context:
 // term lists, masks, generation counts and the sorted node sets all reuse
-// the scratch's buffers, so a steady-state prepare allocates only sort
-// bookkeeping.
+// the scratch's buffers, so a steady-state prepare allocates nothing.
 func (s *Searcher) prepareInto(sc *queryScratch, rawTerms []string) (*queryContext, bool, error) {
 	qc := &sc.qc
 	qc.terms = qc.terms[:0]
@@ -338,28 +337,30 @@ func (s *Searcher) prepareInto(sc *queryScratch, rawTerms []string) (*queryConte
 			return qc, false, nil
 		}
 		qc.perTerm = append(qc.perTerm, nodes)
+	}
+	// The dense tables are written only once every term has matched, so the
+	// early return above leaves them clean.
+	sc.sizeTables(s.m.Graph().NumNodes())
+	for i, nodes := range qc.perTerm {
 		for _, v := range nodes {
+			if qc.masks[v] == 0 {
+				qc.nonFree = append(qc.nonFree, v)
+			}
 			qc.masks[v] |= uint64(1) << i
 		}
 	}
-	for v := range qc.masks {
-		qc.nonFree = append(qc.nonFree, v)
-		g := s.m.Generation(v, qc.terms)
-		qc.gen[v] = g
-		if g > qc.maxGen {
-			qc.maxGen = g
-		}
+	slices.Sort(qc.nonFree)
+	for _, v := range qc.nonFree {
+		qc.gen[v] = s.m.Generation(v, qc.terms)
 	}
-	sort.Slice(qc.nonFree, func(i, j int) bool { return qc.nonFree[i] < qc.nonFree[j] })
 	qc.byGen = qc.byGen[:0]
 	for i := range qc.terms {
 		nodes := append(nodeBuf(&sc.genBufs, i), qc.perTerm[i]...)
-		sort.Slice(nodes, func(a, b int) bool {
-			ga, gb := qc.gen[nodes[a]], qc.gen[nodes[b]]
-			if ga != gb {
-				return ga > gb
+		slices.SortFunc(nodes, func(a, b graph.NodeID) int {
+			if ga, gb := qc.gen[a], qc.gen[b]; ga != gb {
+				return cmp.Compare(gb, ga) // generation descending
 			}
-			return nodes[a] < nodes[b]
+			return cmp.Compare(a, b)
 		})
 		sc.genBufs[i] = nodes
 		qc.byGen = append(qc.byGen, nodes)
@@ -372,18 +373,13 @@ func (qc *queryContext) isNonFree(v graph.NodeID) bool { return qc.masks[v] != 0
 
 // sourcesIn lists the non-free nodes of t, ascending.
 func (qc *queryContext) sourcesIn(t *jtt.Tree) []graph.NodeID {
-	return qc.sourcesInto(nil, t)
-}
-
-// sourcesInto appends the non-free nodes of t to dst, ascending, and returns
-// the extended slice. The hot path passes slab-backed buffers here.
-func (qc *queryContext) sourcesInto(dst []graph.NodeID, t *jtt.Tree) []graph.NodeID {
+	var out []graph.NodeID
 	for _, v := range t.NodeView() {
 		if qc.masks[v] != 0 {
-			dst = append(dst, v)
+			out = append(out, v)
 		}
 	}
-	return dst
+	return out
 }
 
 // cover returns the union of term masks over t's nodes.
@@ -445,16 +441,17 @@ func (t *topK) beats(score float64, key string, i int) bool {
 // the current k-th answer while the list is full. It reports whether the
 // list changed.
 func (t *topK) add(tree *jtt.Tree, score float64) bool {
-	return t.addKeyed(tree, tree.CanonicalKey(), score)
+	return t.addKeyed(tree, tree.AppendCanonicalKey(nil), score)
 }
 
 // addKeyed is add for callers that already hold the tree's canonical key —
-// the branch-and-bound loop builds it once per candidate in a reused buffer
-// and must not pay for a second string.
-func (t *topK) addKeyed(tree *jtt.Tree, key string, score float64) bool {
-	if t.keys[key] {
+// the branch-and-bound loop builds it in a reused buffer, so the key becomes
+// a string only once the tree is known not to be in the list already.
+func (t *topK) addKeyed(tree *jtt.Tree, keyBytes []byte, score float64) bool {
+	if t.keys[string(keyBytes)] {
 		return false
 	}
+	key := string(keyBytes)
 	if len(t.items) == t.k && !t.beats(score, key, len(t.items)-1) {
 		// Orders at or after the last slot; remember nothing (key may
 		// reappear — dedup by key only matters inside the list).

@@ -1,0 +1,228 @@
+package search
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"cirank/internal/graph"
+	"cirank/internal/jtt"
+)
+
+// summaryFixture builds a hub (node 0) with n out-neighbours of pairwise
+// distinct importance, so the dampening ranking is strict. Neighbour i < n
+// matches "alpha" when i%2 == 0 and "beta" when i%3 == 0, with a word count
+// that varies the generation counts. Neighbour n, the only "gamma" node, is
+// joined by the one-way edge hub→n: an out-neighbour matching a term whose
+// nearest matcher is nevertheless not within one hop of the hub, which the
+// bound must not count as adjacent.
+func summaryFixture(t testing.TB, n int) *fixture {
+	texts := []string{"hub"}
+	imp := []float64{1}
+	var edges [][2]int
+	for i := 1; i < n; i++ {
+		text := fmt.Sprintf("free%d", i)
+		if i%2 == 0 {
+			text += " alpha"
+		}
+		if i%3 == 0 {
+			text += " beta"
+		}
+		for pad := 0; pad < i%4; pad++ {
+			text += fmt.Sprintf(" pad%d", pad)
+		}
+		texts = append(texts, text)
+		imp = append(imp, float64(1+(i*7)%n))
+		edges = append(edges, [2]int{0, i})
+	}
+	texts = append(texts, "gamma")
+	imp = append(imp, float64(1+(n*7)%n))
+	return build(t, texts, imp, edges, [2]int{0, n})
+}
+
+// TestRootSummaryMatchesFullScan holds rootNeighbors to scanRootNeighbors —
+// the definition — for trees rooted at the hub that contain none, some and
+// all of the neighbours the summary lists, so both the listed answer and the
+// exhausted-truncated-list fallback are exercised; and on a low-degree root,
+// whose untruncated lists must decide every tree themselves.
+func TestRootSummaryMatchesFullScan(t *testing.T) {
+	terms := []string{"alpha", "beta", "gamma"}
+	for _, degree := range []int{rootTop, 3 * rootTop} {
+		fx := summaryFixture(t, degree)
+		for _, noBFS := range []bool{false, true} {
+			sc := newQueryScratch()
+			st, err := fx.s.run(context.Background(), sc, terms, Options{K: 3, Diameter: 4, Workers: 1, NoDynamicBounds: noBFS})
+			if err != nil || st == nil {
+				t.Fatalf("degree %d: run: %v", degree, err)
+			}
+			lists := st.summary(st.rootOf(0))
+			if got, want := lists[0].truncated, degree > rootTop; got != want {
+				t.Fatalf("degree %d: dampening list truncated = %v", degree, got)
+			}
+			// Rankings to peel prefixes off: the hub's neighbours by
+			// dampening rate and by generation, best first.
+			byDamp := make([]graph.NodeID, degree)
+			for i := range byDamp {
+				byDamp[i] = graph.NodeID(i + 1)
+			}
+			byGen := append([]graph.NodeID(nil), byDamp...)
+			sortDesc(byDamp, fx.m.DampVector())
+			sortDesc(byGen, st.qc.gen)
+			var trees []*jtt.Tree
+			for _, order := range [][]graph.NodeID{byDamp, byGen} {
+				tree := jtt.NewSingle(0)
+				trees = append(trees, tree)
+				for _, v := range order {
+					tree = tree.MustAttach(v, 0)
+					trees = append(trees, tree)
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(degree)))
+			for i := 0; i < 50; i++ {
+				tree := jtt.NewSingle(0)
+				for _, v := range byDamp {
+					if rng.Intn(2) == 0 {
+						tree = tree.MustAttach(v, 0)
+					}
+				}
+				trees = append(trees, tree)
+			}
+			var listed, fellBack int
+			for _, tree := range trees {
+				c := &candidate{tree: tree, root: st.rootOf(0)}
+				if _, decided := lists[0].bestOutside(tree); decided {
+					listed++
+				} else {
+					fellBack++
+				}
+				for want := uint64(1); want <= st.qc.full; want++ {
+					var got, ref boundScratch
+					st.rootNeighbors(c, want, &got)
+					ref.adjGen = make([]float64, len(terms))
+					st.scanRootNeighbors(c, want, &ref)
+					if got.nbrDamp != ref.nbrDamp {
+						t.Fatalf("degree %d tree %s want %b: nbrDamp %v, full scan %v", degree, tree.CanonicalKey(), want, got.nbrDamp, ref.nbrDamp)
+					}
+					for ti := range terms {
+						if want&(1<<ti) != 0 && got.adjGen[ti] != ref.adjGen[ti] {
+							t.Fatalf("degree %d tree %s want %b: adjGen[%d] %v, full scan %v", degree, tree.CanonicalKey(), want, ti, got.adjGen[ti], ref.adjGen[ti])
+						}
+					}
+				}
+			}
+			if listed == 0 || (fellBack > 0) != (degree > rootTop) {
+				t.Fatalf("degree %d: %d trees answered from the lists, %d by the fallback", degree, listed, fellBack)
+			}
+		}
+	}
+}
+
+// sortDesc orders nodes by vals descending, ties by node ascending — the
+// order topList.offer maintains.
+func sortDesc(nodes []graph.NodeID, vals []float64) {
+	for i := 1; i < len(nodes); i++ {
+		for j := i; j > 0 && vals[nodes[j-1]] < vals[nodes[j]]; j-- {
+			nodes[j-1], nodes[j] = nodes[j], nodes[j-1]
+		}
+	}
+}
+
+// TestTopListKeepsBestFour checks offer against a sort of everything offered.
+func TestTopListKeepsBestFour(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 200; round++ {
+		n := rng.Intn(3 * rootTop)
+		vals := make([]float64, n)
+		all := make([]graph.NodeID, n)
+		var l topList
+		for i := range vals {
+			vals[i] = float64(rng.Intn(6)) // few values, so ties occur
+			all[i] = graph.NodeID(i)
+			l.offer(all[i], vals)
+		}
+		sortDesc(all, vals)
+		want := all[:min(n, rootTop)]
+		if fmt.Sprint(l.nodes[:l.n]) != fmt.Sprint(want) || l.truncated != (n > rootTop) {
+			t.Fatalf("round %d: listed %v truncated %v, want %v of %d offered (vals %v)", round, l.nodes[:l.n], l.truncated, want, n, vals)
+		}
+	}
+}
+
+// TestTreeSetIsExactUnderCollisions forces every insert onto one hash value,
+// so membership rests on structural equality alone: trees over one node set
+// that differ in a single parent or only in the root stay apart, and one
+// rooted tree stays one entry however it was built.
+func TestTreeSetIsExactUnderCollisions(t *testing.T) {
+	var set treeSet
+	add := func(tree *jtt.Tree) bool { return set.add(tree, 42) }
+
+	star := jtt.NewSingle(1).MustAttach(2, 1).MustAttach(3, 1)  // 2→1, 3→1
+	chain := jtt.NewSingle(1).MustAttach(2, 1).MustAttach(3, 2) // 2→1, 3→2: one parent differs
+	rerooted := chain.Reroot(2)                                 // same edges as chain, root 2
+	for i, tree := range []*jtt.Tree{star, chain, rerooted} {
+		if !add(tree) {
+			t.Errorf("tree %d (%s rooted at %d) taken for an earlier one", i, tree.CanonicalKey(), tree.Root())
+		}
+	}
+	if chain.CanonicalKey() != rerooted.CanonicalKey() || chain.Hash() == rerooted.Hash() {
+		t.Errorf("rerooting must keep the canonical key and change the hash")
+	}
+
+	// Root 1 over child 2 with leaves 3 and 4, plus leaf 5 under the root:
+	// grow-merge-grow-merge from an arena, the same with every merge's
+	// operands swapped and the chains built in the other order, and leaf by
+	// leaf on the heap.
+	var arena jtt.Arena
+	leaf := func(v, parent graph.NodeID) *jtt.Tree { return arena.GrowEdge(arena.NewSingle(v), parent) }
+	merge := func(a, b *jtt.Tree) *jtt.Tree {
+		m, err := arena.Merge(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	built := []*jtt.Tree{
+		merge(arena.GrowEdge(merge(leaf(3, 2), leaf(4, 2)), 1), leaf(5, 1)),
+		merge(leaf(5, 1), arena.GrowEdge(merge(leaf(4, 2), leaf(3, 2)), 1)),
+		jtt.NewSingle(1).MustAttach(5, 1).MustAttach(2, 1).MustAttach(4, 2).MustAttach(3, 2),
+	}
+	if !add(built[0]) {
+		t.Fatal("first build of the five-node tree reported present")
+	}
+	for i, tree := range built[1:] {
+		if !tree.Equal(built[0]) || tree.Hash() != built[0].Hash() || add(tree) {
+			t.Errorf("build %d of the same rooted tree is a second entry", i+1)
+		}
+	}
+
+	// Growth keeps every entry findable: colliding inserts past the initial
+	// table, then well-spread ones by their real hashes.
+	before := set.n
+	var singles []*jtt.Tree
+	for v := graph.NodeID(100); v < 100+treeSetMin; v++ {
+		singles = append(singles, jtt.NewSingle(v))
+	}
+	for _, tree := range singles {
+		if !add(tree) {
+			t.Fatalf("single %d reported present", tree.Root())
+		}
+	}
+	for _, tree := range singles {
+		if !set.add(tree.MustAttach(1, tree.Root()), tree.Hash()) {
+			t.Fatalf("two-node tree over %d reported present", tree.Root())
+		}
+	}
+	if set.n != before+2*len(singles) || len(set.slots) < 2*set.n {
+		t.Fatalf("set holds %d trees in %d slots after %d inserts", set.n, len(set.slots), before+2*len(singles))
+	}
+	for _, tree := range append(singles, star, chain, rerooted, built[0]) {
+		if add(tree) {
+			t.Fatalf("tree %s rooted at %d lost in growth", tree.CanonicalKey(), tree.Root())
+		}
+	}
+	set.reset()
+	if set.n != 0 || !add(star) {
+		t.Error("reset set still holds trees")
+	}
+}

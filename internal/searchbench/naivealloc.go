@@ -37,7 +37,7 @@ type Result struct {
 // NaiveAllocTopK runs the frozen pre-rewrite branch-and-bound search over the
 // model and returns the ranked top-k answers. It honors the K, Diameter,
 // Index, MaxExpansions, NoDynamicBounds and ExtendedMerge options; Workers
-// and Scores are ignored (the frozen path is sequential and uncached).
+// is ignored (the frozen path is sequential).
 func NaiveAllocTopK(m *rwmp.Model, terms []string, opts search.Options) ([]Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

@@ -73,7 +73,7 @@ type Workload struct {
 	// Stream indexes Queries in benchmark execution order. Real query logs
 	// are highly repetitive, so the stream draws from Queries under a Zipf
 	// skew: a handful of popular queries dominate, the tail appears once or
-	// twice. Engines with per-query caches (score cache, scratch pools)
+	// twice. Engines with cross-query state (scratch pools, the bound memo)
 	// meet the access pattern they would see in production.
 	Stream []int
 }

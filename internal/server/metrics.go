@@ -184,11 +184,9 @@ func (m *metrics) writeTo(w io.Writer, v scrapeView) {
 		`{result="rejected"}`, v.admRejected,
 	)
 	counter("cirank_cache_hits_total", "Engine memo-cache hits by cache.",
-		`{cache="score"}`, v.engineCache.ScoreHits,
 		`{cache="bound"}`, v.engineCache.BoundHits,
 	)
 	counter("cirank_cache_misses_total", "Engine memo-cache misses by cache.",
-		`{cache="score"}`, v.engineCache.ScoreMisses,
 		`{cache="bound"}`, v.engineCache.BoundMisses,
 	)
 	counter("cirank_reloads_total", "Hot-reload attempts by outcome.",

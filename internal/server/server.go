@@ -792,8 +792,6 @@ func (s *Server) handleMetricsExposition(w http.ResponseWriter, r *http.Request)
 			if lease := p.Acquire(); lease != nil {
 				c := lease.Engine().CacheStats()
 				lease.Release()
-				cache.ScoreHits += c.ScoreHits
-				cache.ScoreMisses += c.ScoreMisses
 				cache.BoundHits += c.BoundHits
 				cache.BoundMisses += c.BoundMisses
 			}

@@ -338,8 +338,8 @@ func TestMetrics(t *testing.T) {
 		`cirank_queries_total{status="ok"} 1`,
 		`cirank_queries_total{status="bad_request"} 1`,
 		`cirank_queries_total{status="rejected"} 0`,
-		`cirank_cache_hits_total{cache="score"}`,
-		`cirank_cache_misses_total{cache="score"}`,
+		`cirank_cache_hits_total{cache="bound"}`,
+		`cirank_cache_misses_total{cache="bound"}`,
 		"cirank_inflight_queries 0",
 		`cirank_query_duration_seconds_bucket{le="+Inf"} 1`,
 		"cirank_query_duration_seconds_count 1",

@@ -11,7 +11,6 @@ import (
 	"cirank/internal/graph"
 	"cirank/internal/pathindex"
 	"cirank/internal/relational"
-	"cirank/internal/rwmp"
 	"cirank/internal/search"
 	"cirank/internal/shard"
 	"cirank/internal/textindex"
@@ -205,7 +204,6 @@ func ShardEnginesWithStrategy(ctx context.Context, e *Engine, count, radius int,
 		}
 		se.buildStats.Source = SourceBuild
 		se.buildStats.Workers = e.workers
-		se.scores = rwmp.NewScoreCache(sh.Model, 0)
 		if sh.Star != nil {
 			se.cachedIdx = pathindex.NewCached(sh.Star, 0)
 		}
@@ -348,8 +346,6 @@ func (s *ShardedEngine) CacheStats() CacheStats {
 	var cs CacheStats
 	for _, e := range s.shards {
 		c := e.CacheStats()
-		cs.ScoreHits += c.ScoreHits
-		cs.ScoreMisses += c.ScoreMisses
 		cs.BoundHits += c.BoundHits
 		cs.BoundMisses += c.BoundMisses
 	}

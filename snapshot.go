@@ -447,7 +447,6 @@ func assembleLoaded(g *graph.Graph, ix *textindex.Index, model *rwmp.Model, imp 
 		},
 	}
 	e.buildStats.Source = SourceStream
-	e.scores = rwmp.NewScoreCache(model, 0)
 	if starIdx != nil {
 		e.cachedIdx = pathindex.NewCached(starIdx, 0)
 	}
