@@ -2,17 +2,10 @@ package cirank_test
 
 // The online-search benchmark grid: dataset size × worker count × answer
 // count k, over the skewed AOL-style query stream internal/searchbench
-// derives. The same workload feeds cmd/cirank-bench -mode search, so `go
-// test -bench BenchmarkSearch` and the tracked BENCH_search.json measure the
-// same queries against the same model.
-//
-// Alongside the live engine the grid runs the frozen "naive-alloc" baseline
-// (the engine as it was before the pooled-scratch rewrite, preserved in
-// internal/searchbench) at workers=1, making the allocation win visible in
-// plain benchstat output on any machine.
-//
-// Run with `make bench-json` (or `make bench-search` for an ad-hoc pass) to
-// regenerate BENCH_search.json.
+// derives, against an index-free search.Searcher. It is an ad-hoc view for
+// benchstat while working on the hot path; the numbers a change is judged on
+// come from the bench/ harness (BENCHMARK.json), and the allocation gate is
+// internal/search/alloc_test.go's absolute ceilings.
 
 import (
 	"fmt"
@@ -24,8 +17,8 @@ import (
 
 // searchBenchScales are the benchmarked dataset sizes (multipliers on the
 // default DBLP table counts). Online search visits a bounded neighbourhood
-// per query, so the scales sit below the build grid's: latency growth comes
-// from denser term postings, not raw graph size.
+// per query, so the scales are small: latency growth comes from denser term
+// postings, not raw graph size.
 var searchBenchScales = []struct {
 	name  string
 	scale float64
@@ -57,9 +50,6 @@ func BenchmarkSearch(b *testing.B) {
 					})
 				}
 			})
-			b.Run(fmt.Sprintf("stage=naive-alloc/data=dblp-%s/k=%d/workers=1", sc.name, k), func(b *testing.B) {
-				benchNaiveAllocStream(b, w, k)
-			})
 		}
 	}
 }
@@ -78,16 +68,6 @@ func benchSearchStream(b *testing.B, w *searchbench.Workload, k, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := s.TopK(w.Terms(i), opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchNaiveAllocStream(b *testing.B, w *searchbench.Workload, k int) {
-	b.ReportAllocs()
-	opts := search.Options{K: k, Diameter: searchBenchDiameter, Workers: 1}
-	for i := 0; i < b.N; i++ {
-		if _, err := searchbench.NaiveAllocTopK(w.M, w.Terms(i), opts); err != nil {
 			b.Fatal(err)
 		}
 	}

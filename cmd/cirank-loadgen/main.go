@@ -2,15 +2,15 @@
 // with the same Zipf-skewed AOL-style query stream the engine benchmarks
 // replay, and reports what the serving layer — singleflight coalescing, the
 // generation-keyed result cache, cost-based admission — adds on top of raw
-// engine throughput. It is the measurement harness behind the tracked
-// BENCH_serve.json trajectory; internal/servebench does the work, this
-// command is the flag front end.
+// engine throughput. internal/servebench does the work, this command is the
+// flag front end. It is an ad-hoc and open-loop tool; the serving numbers a
+// change is judged on come from the bench/ harness (BENCHMARK.json).
 //
 // Usage:
 //
-//	cirank-loadgen -out BENCH_serve.json
-//	cirank-loadgen -clients 16 -duration 5s -out -
-//	cirank-loadgen -arms custom -qps 500 -warm -reload-every 1s -out -
+//	cirank-loadgen
+//	cirank-loadgen -clients 16 -duration 5s -out arms.jsonl
+//	cirank-loadgen -arms custom -qps 500 -warm -reload-every 1s
 //
 // The default run measures the four tracked arms against one generated
 // fixture (dataset → public build → snapshot → fresh server per arm):
@@ -19,14 +19,14 @@
 //	serve-cached   full serving stack, cache warmed by one unmeasured
 //	               stream pass — the steady state of a long-running server.
 //	serve-reload   full stack with snapshot hot reloads landing during the
-//	               measured window; its stale and failed columns must be
+//	               measured window; its Stale and Failed counts must be
 //	               zero (the serving stack's correctness-under-churn
 //	               guarantee, also enforced under -race by the servebench
 //	               and server package tests).
 //	serve-tenants  the snapshot served as three named tenants with the
 //	               stream spread across them, hot reloads hitting only
-//	               tenant t0 — stale/failed must stay zero on every tenant
-//	               (stale_other/failed_other isolate the non-reloaded ones).
+//	               tenant t0 — Stale/Failed must stay zero on every tenant
+//	               (StaleOther/FailedOther isolate the non-reloaded ones).
 //
 // -arms tenants runs just the mixed-tenant arm, sized by -tenants and
 // -reload-tenant. -arms custom instead runs a single arm shaped by the
@@ -37,12 +37,14 @@
 // latency), -reload-every hot-reloads the snapshot at that period, and
 // -tenants/-reload-tenant shape the multi-tenant split.
 //
-// The report format is documented in the internal/servebench package
-// comment; cirank-bench -mode serve emits the same document and its
-// -compare flag diffs runs cell by cell.
+// -out receives one JSON object per arm, one per line: the arm's stage name
+// followed by the fields of servebench.Result (latencies and Elapsed in
+// nanoseconds).
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -52,9 +54,24 @@ import (
 	"cirank/internal/servebench"
 )
 
+// armResult is one line of -out.
+type armResult struct {
+	Stage string
+	servebench.Result
+}
+
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "cirank-loadgen: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run holds the whole command so the temp-dir defer fires on every error
+// path; main only maps the error to the exit status.
+func run() error {
 	var (
-		out       = flag.String("out", "BENCH_serve.json", "output path ('-' for stdout)")
+		out       = flag.String("out", "-", "output path for the per-arm JSON lines ('-' for stdout)")
 		dataset   = flag.String("dataset", "dblp", "dataset to generate: imdb or dblp")
 		scale     = flag.Float64("scale", 0.25, "dataset scale multiplier")
 		seed      = flag.Int64("seed", -1, "generation seed (-1 picks the dataset's proven pair)")
@@ -62,9 +79,9 @@ func main() {
 		k         = flag.Int("k", 10, "answer count per query")
 		clients   = flag.Int("clients", 8, "closed-loop client count (also sizes the transport in open loop)")
 		duration  = flag.Duration("duration", 2*time.Second, "measured window per arm")
-		arms      = flag.String("arms", "tracked", "tracked (the four BENCH_serve.json arms), tenants (the mixed-tenant arm alone) or custom (one arm from the flags below)")
+		arms      = flag.String("arms", "tracked", "tracked (the four standard arms), tenants (the mixed-tenant arm alone) or custom (one arm from the flags below)")
 
-		stage       = flag.String("stage", "serve-custom", "custom arm: stage name in the report")
+		stage       = flag.String("stage", "serve-custom", "custom arm: stage name in the output")
 		cacheOff    = flag.Bool("cache-off", false, "custom arm: disable the result cache")
 		coalesceOff = flag.Bool("coalesce-off", false, "custom arm: disable singleflight coalescing")
 		warm        = flag.Bool("warm", false, "custom arm: replay the stream once, unmeasured, before the window")
@@ -76,7 +93,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
-		fail(fmt.Errorf("unexpected arguments %q", flag.Args()))
+		return fmt.Errorf("unexpected arguments %q", flag.Args())
 	}
 
 	defData, defQuery := searchbench.DefaultSeeds(*dataset)
@@ -116,38 +133,40 @@ func main() {
 			ReloadTenant: *reloadT,
 		}}
 	default:
-		fail(fmt.Errorf("bad -arms %q: want tracked, tenants or custom", *arms))
+		return fmt.Errorf("bad -arms %q: want tracked, tenants or custom", *arms)
 	}
 
 	dir, err := os.MkdirTemp("", "cirank-loadgen-")
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 
-	progress := func(line string) { fmt.Fprintf(os.Stderr, "cirank-loadgen: %s\n", line) }
 	f, err := servebench.NewFixture(dir, *dataset, *scale, *seed, *querySeed, *k)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	progress(fmt.Sprintf("%s scale %g: %d nodes, %d edges, %d distinct queries, stream of %d",
-		*dataset, *scale, f.Nodes, f.Edges, len(f.Queries), len(f.Stream)))
+	fmt.Fprintf(os.Stderr, "cirank-loadgen: %s scale %g: %d nodes, %d edges, %d distinct queries, stream of %d\n",
+		*dataset, *scale, f.Nodes, f.Edges, len(f.Queries), len(f.Stream))
 
-	cells, err := f.RunArms(armList, *k, progress)
-	if err != nil {
-		fail(err)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, arm := range armList {
+		fmt.Fprintf(os.Stderr, "cirank-loadgen: arm %s (%d clients, %s)\n", arm.Stage, arm.Clients, arm.Duration)
+		res, err := f.Run(arm)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "cirank-loadgen:   %.0f q/s, p50 %v, p99 %v, %d ok (%d cache, %d coalesced), %d rejected, %d failed, %d stale, %d reloads\n",
+			res.QPS, time.Duration(res.P50Ns), time.Duration(res.P99Ns), res.OK, res.CacheHits, res.Coalesced,
+			res.Rejected, res.Failed, res.Stale, res.Reloads)
+		if err := enc.Encode(armResult{arm.Stage, res}); err != nil {
+			return err
+		}
 	}
-	rep := servebench.NewReport(*dataset, *seed, *querySeed)
-	rep.Results = cells
-	if err := rep.Write(*out); err != nil {
-		fail(err)
+	if *out == "-" {
+		_, err = os.Stdout.Write(buf.Bytes())
+		return err
 	}
-	if *out != "-" {
-		fmt.Fprintf(os.Stderr, "cirank-loadgen: wrote %s (%d results)\n", *out, len(rep.Results))
-	}
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "cirank-loadgen: %v\n", err)
-	os.Exit(1)
+	return os.WriteFile(*out, buf.Bytes(), 0o644)
 }

@@ -74,9 +74,8 @@ func (s *bfsScratch) nextLayer() uint32 {
 // boundedStatsInto computes, from one source, the hop distance and maximal
 // retention to every node reachable within maxDepth hops, by dynamic
 // programming over hop layers — the same fixed point as the historical
-// map-based implementation (kept as refBoundedStats in this package's tests
-// and, complete, as internal/buildbench's frozen naive-maps benchmark
-// baseline), but allocation-free after the first traversal and with a
+// map-based implementation (kept as refBoundedStats in this package's
+// tests), but allocation-free after the first traversal and with a
 // deterministic frontier order (insertion order; edge lists are sorted), so
 // repeated builds agree bit for bit. damp[v] is the dampening rate applied
 // when a message passes through v. Results are read out of s.dist / s.ret

@@ -9,9 +9,8 @@ import (
 // hot path. The ceilings are deliberately loose (about 1.5× the measured
 // steady state) so they survive compiler churn while still catching a
 // reintroduced per-candidate or per-expansion allocation, which multiplies
-// the count by orders of magnitude — the frozen pre-rewrite engine spends
-// over a thousand allocations on the same fig2 query (see
-// internal/searchbench for the tracked comparison).
+// the count by orders of magnitude — the pre-rewrite engine spent over a
+// thousand allocations on the same fig2 query.
 
 // warmPool runs the query a few times so the searcher's scratch pool holds a
 // fully grown scratch and AllocsPerRun measures the steady state.

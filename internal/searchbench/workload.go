@@ -1,44 +1,10 @@
-// Package searchbench prepares query workloads for the online-search
-// benchmarks and preserves the frozen pre-rewrite search engine they are
-// measured against. The root package's BenchmarkSearch and the
-// cmd/cirank-bench JSON emitter (-mode search) share this code, so `go test
-// -bench` and the tracked BENCH_search.json measure the same thing: a
-// generated dataset, a skewed AOL-style query stream over it, and the live
-// branch-and-bound engine next to the naive-alloc baseline.
-//
-// The frozen baseline (NaiveAllocTopK, over map-backed trees) is the online
-// counterpart of internal/buildbench's naive-maps: a wholesale copy of the
-// engine as it was before the pooled-scratch rewrite, kept so the rewrite's
-// allocation and latency win stays measurable release after release. Its
-// rankings are byte-identical to the live engine's, which
-// TestNaiveAllocMatchesLiveEngine certifies — same answers, different
-// allocators.
-//
-// # BENCH_search.json
-//
-// cmd/cirank-bench -mode search writes the tracked trajectory under schema
-// "cirank/bench-search/v1". The document carries the shared report header
-// (schema, go_version, gomaxprocs, num_cpu, dataset, seed — the data seed —
-// query_seed, and a human-oriented note) plus one results entry per grid
-// cell with these fields:
-//
-//   - stage: "search" for the live engine, "naive-alloc" for the frozen
-//     pre-rewrite baseline (always sequential).
-//   - scale: dataset scale multiplier; nodes, edges: resulting graph size.
-//   - workers: Options.Workers for the cell (1 on naive-alloc cells).
-//   - k: Options.K, the requested answer count.
-//   - n: number of measured query executions (passes × stream length).
-//   - ns_per_op: mean wall-clock nanoseconds per query.
-//   - p50_ns, p99_ns: the 50th and 99th percentile per-query latency; p99
-//     is what an interactive caller experiences on the hub-heavy tail.
-//   - queries_per_sec: measured throughput of the whole stream.
-//   - allocs_per_query: mean heap allocations per query (exact, from the
-//     runtime's allocation counter).
-//   - speedup_vs_w1: this stage's workers=1 mean latency over this cell's
-//     (1 on the workers=1 cells; needs a multi-core machine to exceed 1).
-//   - speedup_vs_naive_alloc: the frozen baseline's mean latency at the
-//     same scale and k over this cell's — the allocation-lean rewrite's
-//     headline axis, visible on any machine.
+// Package searchbench prepares the query workload the search benchmarks and
+// the exploration pin share: a generated dataset, the RWMP scoring model over
+// it, and a skewed AOL-style query stream. The root package's BenchmarkSearch
+// and BenchmarkShardedSearch, the halo gate, internal/servebench and this
+// package's own TestStatsPinned (testdata/stats_pins.json: the exact
+// per-query Expanded/Generated/Answers counts of the live engine) all load
+// their queries through it, so they measure and pin the same stream.
 package searchbench
 
 import (
@@ -128,11 +94,11 @@ func (w *Workload) Terms(i int) []string {
 	return w.Queries[w.Stream[i%len(w.Stream)]]
 }
 
-// StreamPlan returns the standard workload sizing of the tracked
-// benchmarks — the number of distinct queries to generate and the skewed
-// replay order over them — deterministic in seed. internal/servebench uses
-// it to drive the serving benchmarks with exactly the stream the engine
-// benchmarks measure, without building a second scoring model.
+// StreamPlan returns the standard workload sizing — the number of distinct
+// queries to generate and the skewed replay order over them — deterministic
+// in seed. internal/servebench uses it to drive the serving stack with
+// exactly the stream the engine benchmarks measure, without building a second
+// scoring model.
 func StreamPlan(seed int64) (queries int, stream []int) {
 	return workloadQueries, zipfStream(workloadQueries, streamLength, seed)
 }
@@ -172,7 +138,7 @@ func generateDatasetByKind(kind string, scale float64, seed int64) (*datagen.Dat
 	return nil, fmt.Errorf("searchbench: unknown dataset kind %q (want dblp or imdb)", kind)
 }
 
-// DefaultSeeds returns the workload seeds the tracked benchmarks use for the
+// DefaultSeeds returns the workload seeds the benchmarks and pins use for the
 // dataset: generation seeds proven to yield a full AOL-style workload at the
 // benchmarked scales.
 func DefaultSeeds(dataset string) (dataSeed, querySeed int64) {

@@ -18,8 +18,8 @@ import (
 
 // Arm is one measured server configuration under one load shape.
 type Arm struct {
-	// Stage names the arm in the report ("serve-nocache", "serve-cached",
-	// "serve-reload", ...).
+	// Stage names the arm in cirank-loadgen's output ("serve-nocache",
+	// "serve-cached", "serve-reload", ...).
 	Stage string
 	// CacheOff disables the result cache; CoalesceOff disables
 	// singleflight. Both off is the baseline arm: every request evaluates.
@@ -52,6 +52,19 @@ type Arm struct {
 	// ever moves, so a stale or failed answer from any other tenant is a
 	// reload-isolation violation, counted in Result.StaleOther/FailedOther.
 	ReloadTenant string
+}
+
+// TrackedArms returns the standard arm set cirank-loadgen runs by default:
+// baseline without the serving stack's caches, the full stack warmed, the
+// full stack with reloads landing mid-load, and the mixed-tenant stream with
+// reloads hot-swapping exactly one tenant.
+func TrackedArms(clients int, duration time.Duration) []Arm {
+	return []Arm{
+		{Stage: "serve-nocache", CacheOff: true, CoalesceOff: true, Clients: clients, Duration: duration},
+		{Stage: "serve-cached", Warm: true, Clients: clients, Duration: duration},
+		{Stage: "serve-reload", Warm: true, Clients: clients, Duration: duration, ReloadEvery: duration / 4},
+		{Stage: "serve-tenants", Warm: true, Clients: clients, Duration: duration, ReloadEvery: duration / 4, Tenants: 3, ReloadTenant: "t0"},
+	}
 }
 
 // Result is one arm's measurement.

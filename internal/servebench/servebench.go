@@ -1,9 +1,9 @@
-// Package servebench is the load harness behind cmd/cirank-loadgen and
-// cirank-bench -mode serve: it drives the HTTP serving stack
-// (internal/server) with the same Zipf-skewed AOL-style query stream the
-// engine benchmarks replay (internal/searchbench), and measures what the
-// serving layer — singleflight coalescing, the generation-keyed result
-// cache, cost-based admission — adds on top of raw engine throughput.
+// Package servebench is the load harness behind cmd/cirank-loadgen: it
+// drives the HTTP serving stack (internal/server) with the same Zipf-skewed
+// AOL-style query stream the engine benchmarks replay
+// (internal/searchbench), and measures what the serving layer — singleflight
+// coalescing, the generation-keyed result cache, cost-based admission — adds
+// on top of raw engine throughput.
 //
 // A Fixture is built once per dataset × scale: the dataset is generated,
 // replayed through the public builder (the same path cmd/cirank-server
@@ -20,31 +20,11 @@
 // request started is counted in Result.Stale. The tracked reload arm must
 // report zero stale and zero failed requests — the serving stack's
 // correctness-under-churn guarantee, enforced by this package's tests
-// under the race detector and recorded in BENCH_serve.json.
+// under the race detector.
 //
-// # BENCH_serve.json
-//
-// Reports are written under schema "cirank/bench-serve/v1" with the same
-// header and cell-key fields as the other tracked trajectories, so
-// cirank-bench -compare diffs serve cells like any other grid (matched on
-// stage, scale, workers, k; workers is the client count here):
-//
-//   - stage: the arm — "serve-nocache" (result cache and coalescing off;
-//     the baseline), "serve-cached" (full serving stack, cache warmed),
-//     "serve-reload" (full stack with hot reloads landing during load).
-//   - n: completed requests; ns_per_op / p50_ns / p99_ns: per-request
-//     wall-clock latency through HTTP; queries_per_sec: sustained
-//     throughput over the measured window.
-//   - cache_hit_rate, coalesce_rate: fraction of OK responses served by
-//     the result cache / by riding another request's flight (from the
-//     envelope's stats.source, so the client observes what the server
-//     claims).
-//   - rejected: 429 load-shed responses (not failures); failed: transport
-//     errors or any other non-200; stale: generation-floor violations;
-//     reloads: hot reloads completed during the measured window.
-//   - speedup_vs_nocache: this cell's queries_per_sec over the
-//     serve-nocache arm's at the same scale, workers and k — the headline
-//     number for what the serving stack buys.
+// The numbers a change is judged on come from the bench/ harness
+// (BENCHMARK.json: serve-zipf, serve-refresh); this package exists for the
+// tier-1, race-gated serving invariants above and as the open-loop tool.
 package servebench
 
 import (

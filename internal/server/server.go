@@ -443,8 +443,8 @@ type ReloadResponse struct {
 	Nodes int `json:"nodes"`
 	// Edges is the new engine's directed edge count.
 	Edges int `json:"edges"`
-	// Source is how the new engine's data arrived ("mmap" for v2
-	// snapshots, "stream" for legacy v1 files).
+	// Source is how the new engine's data arrived ("mmap": reloads open
+	// the snapshot file zero-copy).
 	Source string `json:"source"`
 	// Drained reports whether every query started against the previous
 	// engine finished (and the previous engine was closed) within the

@@ -10,9 +10,15 @@
 # even pairs the change first. Each side is built and run by its own
 # bench/run.sh, for the run length BENCHMARK.json fixes. For every end-to-end
 # metric the script prints each side's median and quartiles, how many pairs
-# the change won (ties count for neither), and whether the rule holds: at
-# least ten pairs, wins in at least nine tenths of them and a median gap
-# wider than the distance between the parent's own quartiles.
+# the change won (ties count for neither), and two verdicts. The gain rule:
+# at least ten pairs, wins in at least nine tenths of them and a median gap
+# wider than the distance between the parent's own quartiles. The
+# no-regression rule, which a PR that claims no gain needs, against the
+# metric's bound in BENCHMARK.json (a fraction of the parent's median): "ok"
+# when the change's median is no worse than the parent's by more than the
+# bound, "worse" when it is, and "unresolved" when the parent's own min-max
+# spread is wider than the bound, unless every change run beats every parent
+# run.
 #
 # The parent is checked out with `git worktree` under .bench_pairs/parent
 # (git-ignored; an existing checkout there is moved to the wanted commit and
@@ -70,10 +76,11 @@ for i in $(seq 1 "$pairs"); do
 done
 
 echo "$workload: $pairs pairs, parent $(git rev-parse --short "$commit"), seeds 101..$((100 + pairs)), ${seconds}s runs"
-# BENCHMARK.json lists one end-to-end metric per line: take name and direction.
-sed -n 's/.*{"name": "\([a-z0-9_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound".*/\1 \2/p' BENCHMARK.json |
-	while read -r metric better; do
-		awk -F'\t' -v metric="$metric" -v better="$better" -v pairs="$pairs" '
+# BENCHMARK.json lists one end-to-end metric per line: take name, direction
+# and bound.
+sed -n 's/.*{"name": "\([a-z0-9_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound": *\([0-9.]*\).*/\1 \2 \3/p' BENCHMARK.json |
+	while read -r metric better bound; do
+		awk -F'\t' -v metric="$metric" -v better="$better" -v bound="$bound" -v pairs="$pairs" '
 			function quantile(v, n, q,    pos, lo, frac) {
 				pos = 1 + (n - 1) * q; lo = int(pos); frac = pos - lo
 				return lo >= n ? v[n] : v[lo] + frac * (v[lo + 1] - v[lo])
@@ -93,9 +100,15 @@ sed -n 's/.*{"name": "\([a-z0-9_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", 
 				iqr = quantile(ps, pairs, .75) - quantile(ps, pairs, .25)
 				gap = better == "higher" ? cm - pm : pm - cm
 				verdict = pairs < 10 ? "under ten pairs" : (wins * 10 >= pairs * 9 && gap > iqr) ? "gain" : "no claim"
-				printf "%-14s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  wins %d/%d  gap %+.4g vs parent IQR %.4g  -> %s\n",
+				# Every change run beats every parent run when the sorted
+				# ranges do not touch.
+				clear = better == "higher" ? cs[1] > ps[pairs] : cs[pairs] < ps[1]
+				if (ps[pairs] - ps[1] > bound * pm && !clear) regress = "unresolved"
+				else regress = -gap > bound * pm ? "worse" : "ok"
+				printf "%-14s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  wins %d/%d  gap %+.4g vs parent IQR %.4g  -> %s; parent range %.4g..%.4g vs bound %.4g -> %s\n",
 					metric, pm, quantile(ps, pairs, .25), quantile(ps, pairs, .75),
-					cm, quantile(cs, pairs, .25), quantile(cs, pairs, .75), wins, pairs, gap, iqr, verdict
+					cm, quantile(cs, pairs, .25), quantile(cs, pairs, .75), wins, pairs, gap, iqr, verdict,
+					ps[1], ps[pairs], bound * pm, regress
 			}' "$out"
 	done
 echo "per-run values: $out"

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
 
 	"cirank/internal/datagen"
 	"cirank/internal/graph"
+	"cirank/internal/searchbench"
 )
 
 // shardFixture builds a generated DBLP engine plus a query workload through
@@ -393,5 +395,51 @@ func TestShardedValidation(t *testing.T) {
 	sameResults(t, "radius-1 set", res, want)
 	if _, err := se.SearchTerms([]string{"x"}, 0, SearchOptions{Diameter: 2}); !errors.Is(err, ErrBadK) {
 		t.Errorf("k=0: err = %v", err)
+	}
+}
+
+// BenchmarkShardedSearch is the ad-hoc way to re-measure scatter-gather:
+// searchbench's dblp×2 stream (k=5, D=4, one worker per shard) through the
+// coordinator at 1, 2 and 4 shards over one DefaultConfig engine, radius 2
+// (the smallest halo that certifies D=4). shards=1 takes the same
+// coordinator path, so it is the reference the other two compare to. Run
+// with `go test -run '^$' -bench ShardedSearch .`; nothing gates on it — the
+// structural gate is halo_test.go's ceilings.
+func BenchmarkShardedSearch(b *testing.B) {
+	dataSeed, querySeed := searchbench.DefaultSeeds("dblp")
+	w, err := searchbench.Load("dblp", 2, dataSeed, querySeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := datagen.GenerateDBLP(datagen.DefaultDBLPConfig(dataSeed).Scale(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bld := NewDBLPBuilder()
+	if err := ds.Replay(bld.InsertEntity, bld.Relate); err != nil {
+		b.Fatal(err)
+	}
+	eng, err := bld.Build(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := SearchOptions{Diameter: 4, Workers: 1}
+	for _, count := range []int{1, 2, 4} {
+		engines, err := ShardEngines(eng, count, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		se, err := NewSharded(engines)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("shards=%d", count), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := se.SearchTerms(w.Terms(i), 5, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
+		})
 	}
 }

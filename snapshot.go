@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 
 	"cirank/internal/graph"
 	"cirank/internal/mmapio"
@@ -67,14 +66,11 @@ import (
 // [ownedLo, ownedHi). The encoding is deterministic: the same engine always
 // serializes to the same bytes.
 //
-// LoadEngine also still reads the legacy v1 stream format (which rebuilt the
-// text index and tuple lookup on load, losing merged-away role keys); the
-// version word after the magic selects the decoder. Every decode error wraps
-// ErrBadSnapshot.
+// v2 is the only format: any other version word (including the retired v1
+// stream format) is rejected. Every decode error wraps ErrBadSnapshot.
 
 const (
 	engineMagic     = "CIEN"
-	engineVersionV1 = 1
 	engineVersionV2 = 2
 
 	// snapHeaderSize is the fixed v2 preamble: magic, version, section
@@ -316,121 +312,22 @@ func appendSnapString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// LoadEngine reconstructs an engine from a snapshot written by Save. Both
-// the current v2 sectioned format and the legacy v1 stream format are
-// accepted — the version word after the magic selects the decoder — so
-// snapshots written before the format change keep loading. The returned
-// engine copies everything off the stream (BuildStats.Source reports
-// SourceStream); use Open for the zero-copy path. Corrupt input is rejected
-// with an error wrapping ErrBadSnapshot.
+// LoadEngine reconstructs an engine from a snapshot written by Save. The
+// returned engine copies everything off the stream (BuildStats.Source reports
+// SourceStream); use Open for the zero-copy path. Corrupt input, including
+// any format version other than 2, is rejected with an error wrapping
+// ErrBadSnapshot.
 func LoadEngine(r io.Reader) (*Engine, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, badSnap("reading snapshot header: %v", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("cirank: reading snapshot: %w", err)
 	}
-	if string(hdr[:4]) != engineMagic {
-		return nil, badSnap("bad snapshot magic %q", hdr[:4])
-	}
-	switch v := binary.LittleEndian.Uint32(hdr[4:]); v {
-	case engineVersionV1:
-		return loadV1(r)
-	case engineVersionV2:
-		rest, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("cirank: reading snapshot: %w", err)
-		}
-		data := make([]byte, 0, len(hdr)+len(rest))
-		data = append(data, hdr[:]...)
-		data = append(data, rest...)
-		return decodeV2(data, false)
-	default:
-		return nil, badSnap("unsupported snapshot version %d", v)
-	}
+	return decodeV2(data, false)
 }
 
-// loadV1 decodes the legacy stream format (the 8-byte magic+version preamble
-// is already consumed). v1 snapshots carried neither the text index nor the
-// entity map: the index is rebuilt from the node records and the tuple
-// lookup is derived from them, which loses merged-away role keys — the
-// documented v1 limitation the v2 format exists to fix.
-func loadV1(r io.Reader) (*Engine, error) {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, badSnap("reading v1 header: %v", err)
-	}
-	alpha := math.Float64frombits(binary.LittleEndian.Uint64(hdr[0:]))
-	group := math.Float64frombits(binary.LittleEndian.Uint64(hdr[8:]))
-	g, err := graph.Read(br)
-	if err != nil {
-		return nil, badSnap("reading snapshot graph: %v", err)
-	}
-	var count [8]byte
-	if _, err := io.ReadFull(br, count[:]); err != nil {
-		return nil, badSnap("reading importance count: %v", err)
-	}
-	n := binary.LittleEndian.Uint64(count[:])
-	if int(n) != g.NumNodes() {
-		return nil, badSnap("snapshot has %d importance values for %d nodes", n, g.NumNodes())
-	}
-	imp := make([]float64, n)
-	buf := make([]byte, 8)
-	for i := range imp {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, badSnap("reading importance: %v", err)
-		}
-		imp[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	}
-	hasIdx, err := br.ReadByte()
-	if err != nil {
-		return nil, badSnap("reading index flag: %v", err)
-	}
-	var starIdx *pathindex.StarIndex
-	switch hasIdx {
-	case 0:
-		// no index in the snapshot
-	case 1:
-		starIdx, err = pathindex.ReadStar(br, g)
-		if err != nil {
-			return nil, badSnap("reading star index: %v", err)
-		}
-	default:
-		// Any other value is corruption; treating it as "no index" would
-		// silently drop the remainder of the stream.
-		return nil, badSnap("invalid index flag %d in snapshot", hasIdx)
-	}
-	ix := textindex.Build(g)
-	model, err := rwmp.New(g, ix, imp, rwmp.Params{Alpha: alpha, Group: group})
-	if err != nil {
-		return nil, badSnap("%v", err)
-	}
-	// Derive the tuple mapping from the node records — all v1 carries.
-	// Duplicate (relation, key) pairs keep the last node, matching map
-	// semantics, so a later re-save stays canonical.
-	byKey := make(map[string]graph.NodeID, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		node := g.Node(graph.NodeID(v))
-		byKey[node.Relation+"\x00"+node.Key] = graph.NodeID(v)
-	}
-	entries := make([]relational.MappingEntry, 0, len(byKey))
-	for v := 0; v < g.NumNodes(); v++ {
-		node := g.Node(graph.NodeID(v))
-		if byKey[node.Relation+"\x00"+node.Key] == graph.NodeID(v) {
-			entries = append(entries, relational.MappingEntry{Table: node.Relation, Key: node.Key, Node: graph.NodeID(v)})
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Table != entries[j].Table {
-			return entries[i].Table < entries[j].Table
-		}
-		return entries[i].Key < entries[j].Key
-	})
-	return assembleLoaded(g, ix, model, imp, starIdx, entries, byKey), nil
-}
-
-// assembleLoaded builds the engine shell every load path shares. Snapshots
-// predate the parallel/caching knobs and carry no Config, so loaded engines
-// get the auto defaults (Workers 0, default cache sizes).
+// assembleLoaded builds the engine shell around a decoded snapshot's parts.
+// Snapshots carry no Config, so loaded engines get the auto defaults
+// (Workers 0, default cache sizes).
 func assembleLoaded(g *graph.Graph, ix *textindex.Index, model *rwmp.Model, imp []float64,
 	starIdx *pathindex.StarIndex, entries []relational.MappingEntry, byKey map[string]graph.NodeID) *Engine {
 	e := &Engine{

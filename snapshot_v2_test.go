@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -162,50 +163,6 @@ func TestOpenDeterministicResave(t *testing.T) {
 	}
 }
 
-// TestOpenAcceptsV1 checks the ops convenience path: pointing Open at a
-// legacy v1 file falls back to the stream decoder instead of failing.
-func TestOpenAcceptsV1(t *testing.T) {
-	loaded, err := Open(filepath.Join("testdata", "snapshots", "fig2_v1.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
-	if got := loaded.BuildStats().Source; got != SourceStream {
-		t.Errorf("v1 file opened with Source %q, want %q", got, SourceStream)
-	}
-	if _, err := loaded.Search("ullman", 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGoldenV1Snapshot loads the committed v1-format snapshot and checks it
-// still produces the same answers as a fresh build of the same fixture —
-// the backward-compatibility contract for snapshots written before the
-// sectioned format.
-func TestGoldenV1Snapshot(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "snapshots", "fig2_v1.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadEngine(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("committed v1 snapshot no longer loads: %v", err)
-	}
-	fresh := fig2Engine(t, DefaultConfig())
-	if loaded.NumNodes() != fresh.NumNodes() || loaded.NumEdges() != fresh.NumEdges() {
-		t.Fatalf("golden graph shape %d/%d, want %d/%d",
-			loaded.NumNodes(), loaded.NumEdges(), fresh.NumNodes(), fresh.NumEdges())
-	}
-	requireSameResults(t, fresh, loaded, "papakonstantinou ullman", 3)
-	requireSameResults(t, fresh, loaded, "tsimmis ullman", 2)
-	// A v1 engine re-saves in v2 and keeps answering identically.
-	resaved, err := LoadEngine(bytes.NewReader(saveV2(t, loaded)))
-	if err != nil {
-		t.Fatalf("v1 engine fails to round-trip through v2: %v", err)
-	}
-	requireSameResults(t, fresh, resaved, "papakonstantinou ullman", 3)
-}
-
 // mergedEngine builds an IMDB engine where one person appears in two role
 // tables (Actor nm1, Director nm9) merged via a shared entity key (§VI-A).
 func mergedEngine(t testing.TB) *Engine {
@@ -297,6 +254,7 @@ func TestSnapshotV2Corruptions(t *testing.T) {
 		"truncated payloads":   snap[:len(snap)-8],
 		"bad magic":            mutated(snap, func(d []byte) { d[0] = 'X' }),
 		"future version":       mutated(snap, func(d []byte) { binary.LittleEndian.PutUint32(d[4:], 3) }),
+		"retired v1 version":   mutated(snap, func(d []byte) { binary.LittleEndian.PutUint32(d[4:], 1) }),
 		"zero section count":   mutated(snap, func(d []byte) { binary.LittleEndian.PutUint32(d[8:], 0) }),
 		"huge section count":   mutated(snap, func(d []byte) { binary.LittleEndian.PutUint32(d[8:], maxSections+1) }),
 		"table CRC mismatch":   mutated(snap, func(d []byte) { d[snapHeaderSize] ^= 0xff }),
@@ -346,6 +304,9 @@ func TestSnapshotV2Corruptions(t *testing.T) {
 			}
 			if !errors.Is(err, ErrBadSnapshot) {
 				t.Fatalf("error is not ErrBadSnapshot: %v", err)
+			}
+			if name == "retired v1 version" && !strings.Contains(err.Error(), "version 1") {
+				t.Errorf("v1 rejection does not name the version: %v", err)
 			}
 			// The mmap path shares the decoder and must agree.
 			if _, err := Open(writeSnapFile(t, data)); !errors.Is(err, ErrBadSnapshot) {
