@@ -65,8 +65,9 @@ type Config struct {
 	// explicit 0 is rejected at Build.
 	Teleport float64
 	// IndexDepth, when positive, builds the §V-B star index with the given
-	// horizon, which speeds up searches whose diameter limit is at most
-	// this depth. 0 disables indexing.
+	// horizon. The index is saved in snapshots and handed to shard engines
+	// but searches no longer consult it (see SearchOptions.DisableIndex).
+	// 0 disables indexing.
 	IndexDepth int
 	// FeedbackMix routes this fraction of teleport mass through recorded
 	// feedback (Builder.AddFeedback), biasing importance toward nodes
@@ -83,12 +84,11 @@ type Config struct {
 	// count (certified by the determinism suites); only throughput
 	// changes.
 	Workers int
-	// CacheSize bounds the engine's query-path memo cache: the path-index
-	// bound cache (entries keyed by node pair), which exists only when a
-	// star index was built. 0 means the default
-	// (pathindex.DefaultBoundCacheSize); a negative value disables the
-	// cache. Cache hits are provably equivalent to recomputation, so
-	// results never depend on this knob.
+	// CacheSize bounds the path-index bound memo (entries keyed by node
+	// pair), which exists only when a star index was built. 0 means the
+	// default (pathindex.DefaultBoundCacheSize); a negative value disables
+	// the memo. Searches no longer consult the index, so the memo stays
+	// idle and results never depend on this knob.
 	CacheSize int
 }
 
@@ -134,9 +134,9 @@ type SearchOptions struct {
 	// MaxExpansions caps branch-and-bound work (default 200000; 0 keeps
 	// the default, -1 removes the cap).
 	MaxExpansions int
-	// DisableIndex stops the engine's star index (if built) from assisting
-	// this search; by default an index is used whenever it exists and its
-	// horizon covers the diameter.
+	// DisableIndex is a no-op kept for compatibility: searches no longer
+	// consult the engine's star index. The per-query supply fields
+	// (internal/search/field.go) bound supplements at least as tightly.
 	DisableIndex bool
 	// Workers overrides the engine's Config.Workers for this query:
 	// 0 keeps the engine setting, 1 forces the sequential path, higher
@@ -188,8 +188,8 @@ type Result struct {
 
 // Engine is an immutable, query-ready CI-Rank instance. It is safe for
 // concurrent use: any number of goroutines may call Search and the other
-// query methods simultaneously (the shared score and bound caches are
-// internally synchronized).
+// query methods simultaneously (searches share only immutable state and a
+// scratch pool).
 type Engine struct {
 	g        *graph.Graph
 	ix       *textindex.Index
@@ -247,8 +247,8 @@ func (e *Engine) Close() error {
 // entirely — with Source recording how the data arrived.
 func (e *Engine) BuildStats() BuildStats { return e.buildStats }
 
-// CacheStats reports cumulative hit/miss counts of the engine's query-path
-// bound memo, for capacity tuning and observability.
+// CacheStats reports cumulative hit/miss counts of the engine's path-index
+// bound memo. Searches no longer consult the index, so both stay 0.
 type CacheStats struct {
 	BoundHits, BoundMisses int64
 }
@@ -340,8 +340,7 @@ func (e *Engine) SearchTerms(terms []string, k int, opts SearchOptions) ([]Resul
 }
 
 // searchOptions validates k and opts and resolves them into internal search
-// options: documented defaults filled and the star index selected when it
-// exists and covers the diameter. Shared by
+// options with the documented defaults filled. Shared by
 // the single-engine query path and the per-shard scatter legs of
 // ShardedEngine, so both resolve a request identically.
 func (e *Engine) searchOptions(k int, opts SearchOptions) (search.Options, error) {
@@ -373,13 +372,6 @@ func (e *Engine) searchOptions(k int, opts SearchOptions) (search.Options, error
 		sopts.MaxExpansions = 200000
 	case sopts.MaxExpansions < 0:
 		sopts.MaxExpansions = 0
-	}
-	if e.starIdx != nil && !opts.DisableIndex && sopts.Diameter <= e.starIdx.MaxDepth() {
-		if e.cachedIdx != nil {
-			sopts.Index = e.cachedIdx
-		} else {
-			sopts.Index = e.starIdx
-		}
 	}
 	// A shard engine defaults to the frontier prune, but only while the
 	// diameter stays inside the exactness horizon its ownedDist table was

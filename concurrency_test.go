@@ -1,6 +1,7 @@
 package cirank
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -32,9 +33,10 @@ func concurrencyEngine(t testing.TB, cfg Config) *Engine {
 
 // TestEngineSearchConcurrent exercises the documented Engine contract —
 // Search is safe for concurrent use — under the parallel evaluator and the
-// shared bound memo. Run with -race (the CI workflow and `make
+// shared scratch pool. Run with -race (the CI workflow and `make
 // race` do) this is the synchronization certificate; in any mode it also
-// checks all goroutines observe identical rankings.
+// checks all goroutines observe identical rankings and identical work
+// counters.
 func TestEngineSearchConcurrent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 4
@@ -45,9 +47,9 @@ func TestEngineSearchConcurrent(t *testing.T) {
 		"author paper",
 		"number5",
 	}
-	reference := make([][]Result, len(queries))
+	reference := make([]SearchResult, len(queries))
 	for i, q := range queries {
-		res, err := eng.Search(q, 5)
+		res, err := eng.SearchContext(context.Background(), q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,19 +62,24 @@ func TestEngineSearchConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, q := range queries {
-				res, err := eng.Search(q, 5)
+				res, err := eng.SearchContext(context.Background(), q, 5)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if len(res) != len(reference[i]) {
-					errs <- fmt.Errorf("query %q: %d results, want %d", q, len(res), len(reference[i]))
+				res.Stats.Elapsed = reference[i].Stats.Elapsed // wall time, the one field that may differ
+				if res.Stats != reference[i].Stats {
+					errs <- fmt.Errorf("query %q: stats %+v, want %+v", q, res.Stats, reference[i].Stats)
 					return
 				}
-				for j := range res {
-					if res[j].Score != reference[i][j].Score {
-						errs <- fmt.Errorf("query %q rank %d: score %v, want %v",
-							q, j, res[j].Score, reference[i][j].Score)
+				if len(res.Results) != len(reference[i].Results) {
+					errs <- fmt.Errorf("query %q: %d results, want %d", q, len(res.Results), len(reference[i].Results))
+					return
+				}
+				for j, r := range res.Results {
+					if want := reference[i].Results[j]; r.Score != want.Score || fmt.Sprint(r.Rows) != fmt.Sprint(want.Rows) {
+						errs <- fmt.Errorf("query %q rank %d: %v scoring %v, want %v scoring %v",
+							q, j, r.Rows, r.Score, want.Rows, want.Score)
 						return
 					}
 				}
@@ -83,10 +90,6 @@ func TestEngineSearchConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-	cs := eng.CacheStats()
-	if cs.BoundHits == 0 {
-		t.Errorf("repeated identical queries produced no bound-memo hits: %+v", cs)
 	}
 }
 

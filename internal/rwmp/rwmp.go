@@ -70,7 +70,7 @@ type Model struct {
 	pmin   float64
 	t      float64   // total surfers, 1/p_min
 	damp   []float64 // precomputed dampening rate per node
-	// maxDamp is the largest entry of damp; every query reads it.
+	// maxDamp is the largest entry of damp.
 	maxDamp float64
 }
 
@@ -212,8 +212,7 @@ func (m *Model) DampVector() []float64 { return m.damp }
 func (m *Model) ImportanceVector() []float64 { return m.imp }
 
 // MaxDamp returns the largest dampening rate in the graph: any path of h
-// hops retains at most MaxDamp^(h−1) of its messages, a bound the search
-// uses to discount far-away supplement nodes.
+// hops retains at most MaxDamp^(h−1) of its messages.
 func (m *Model) MaxDamp() float64 { return m.maxDamp }
 
 // Generation returns r_vv = t · p_v · |v ∩ Q| / |v|, the number of messages

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"cirank/internal/graph"
 	"cirank/internal/jtt"
@@ -86,10 +85,15 @@ type bbState struct {
 	lost bool
 }
 
-// newBBState wires a branch-and-bound state over a prepared scratch. The
-// queue, dedup set, root records and top-k all live in the scratch; the
-// state only points at them.
-func newBBState(s *Searcher, sc *queryScratch, opts Options, nw int) *bbState {
+// newBBState wires a branch-and-bound state over a prepared scratch and,
+// unless the options disable dynamic bounds, computes the query's supply
+// fields. The queue, dedup set, root records and top-k all live in the
+// scratch; the state only points at them.
+func newBBState(s *Searcher, sc *queryScratch, opts Options) *bbState {
+	nw := opts.workers()
+	if !opts.NoDynamicBounds {
+		sc.qc.supplyFields(s.m.Graph(), s.m.DampVector(), opts.Diameter, nw, sc)
+	}
 	sc.top.k = opts.K
 	st := &bbState{
 		s:    s,
@@ -181,12 +185,7 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 		return nil, err
 	}
 	g := s.m.Graph()
-	nw := opts.workers()
-	if !opts.NoDynamicBounds {
-		qc.computeTermDistances(g, opts.Diameter, nw, sc)
-	}
-	qc.maxDamp = s.m.MaxDamp()
-	st := newBBState(s, sc, opts, nw)
+	st := newBBState(s, sc, opts)
 	st.done = ctx.Done()
 	halfD := halfDiameter(opts.Diameter)
 	seeds := sc.grown[:0]
@@ -324,6 +323,7 @@ func (st *bbState) process(trees []*jtt.Tree) {
 			c := sc.cands.get()
 			c.tree = tree
 			c.root = st.rootOf(tree.Root())
+			st.supplyLists(c)
 			level = append(level, c)
 		}
 		sc.level = level
@@ -361,9 +361,9 @@ func (st *bbState) process(trees []*jtt.Tree) {
 	}
 }
 
-// rootOf returns the index of root's record in the scratch, creating it —
-// and with it the root's neighbour summary — at the root's first candidate.
-// It runs on the coordinator only; workers read the records through fill.
+// rootOf returns the index of root's record in the scratch, creating it at
+// the root's first candidate. It runs on the coordinator only; workers read
+// the records through fill.
 func (st *bbState) rootOf(root graph.NodeID) int32 {
 	sc := st.sc
 	if i := sc.rootAt[root]; i != 0 {
@@ -378,44 +378,9 @@ func (st *bbState) rootOf(root graph.NodeID) int32 {
 	rs := &sc.roots[n]
 	rs.node, rs.cands = root, rs.cands[:0]
 	sc.rootAt[root] = int32(n + 1)
-	st.summarize(root)
+	var unbuilt [maxSupplyLevels]int32
+	sc.listAt = append(sc.listAt, unbuilt[:st.qc.levels]...)
 	return int32(n)
-}
-
-// summarize appends root's neighbour summary to the scratch's slab, where
-// summary finds it by the root record's index: the top rootTop
-// out-neighbours by dampening rate, then per term with a matcher adjacent to
-// the root (nearest-matcher distance ≤ 1) the top rootTop matching
-// out-neighbours by generation. This is the one pass over a root's
-// out-edges a query pays, however many candidate trees it roots there;
-// rootNeighbors answers each of them from the lists.
-func (st *bbState) summarize(root graph.NodeID) {
-	sc, qc, m := st.sc, st.qc, st.s.m
-	off := len(sc.tops)
-	for i := 0; i <= len(qc.terms); i++ {
-		sc.tops = append(sc.tops, topList{})
-	}
-	lists := sc.tops[off:]
-	var adjacent uint64
-	for ti := range qc.terms {
-		if qc.distToTerm(ti, root, st.opts.Diameter) <= 1 {
-			adjacent |= uint64(1) << ti
-		}
-	}
-	damp := m.DampVector()
-	for _, e := range m.Graph().OutEdges(root) {
-		lists[0].offer(e.To, damp)
-		for match := qc.masks[e.To] & adjacent; match != 0; match &= match - 1 {
-			lists[1+bits.TrailingZeros64(match)].offer(e.To, qc.gen)
-		}
-	}
-}
-
-// summary returns the neighbour summary of the root whose record has index
-// i: every root gets 1+len(terms) lists, appended in record order.
-func (st *bbState) summary(i int32) []topList {
-	n := 1 + len(st.qc.terms)
-	return st.sc.tops[int(i)*n:][:n]
 }
 
 // fill computes the evaluation products of a candidate: keyword cover, the

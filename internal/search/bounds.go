@@ -2,7 +2,6 @@ package search
 
 import (
 	"math"
-	"math/bits"
 
 	"cirank/internal/graph"
 )
@@ -24,11 +23,13 @@ import (
 // our exact message-passing semantics (the tests certify optimality against
 // exhaustive enumeration).
 //
-// The path index tightens the supplement bounds in two ways, exactly the
-// §V motivation: distance lower bounds discard supplement nodes that cannot
-// attach within the diameter limit (killing the paper's "noisy node"
-// problem), and retention upper bounds scale a supplement's generation by
-// the best dampening product any connecting path could keep.
+// The supplement bounds rest on §V's two observations — a supplement that
+// cannot attach within the diameter limit does not count (the paper's "noisy
+// node" problem), and one that can loses messages at every node on its way —
+// computed exactly, per query, by the supply fields of field.go. A path index
+// passed in Options.Index answers the same two questions from its
+// precomputed DS/LS tables, and is the only source of them when dynamic
+// bounds are off.
 
 // supplyScanCap bounds the per-term scan when evaluating index-assisted
 // supplement bounds; past the cap the remaining nodes (sorted by descending
@@ -47,17 +48,6 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 	missing := qc.full &^ c.cover
 	lone := missing == 0 && len(slots) == 1
 
-	// The supplement bounds below are asked for each missing term, or for
-	// every term when a lone source looks for its best addable node; the
-	// root's neighbour summary serves them all.
-	want := missing
-	if lone {
-		want = qc.full
-	}
-	if want != 0 {
-		st.rootNeighbors(c, want, bs)
-	}
-
 	// Best possible delivery, at the root, from a supplement covering each
 	// missing term.
 	supplies := bs.supplies[:0]
@@ -65,7 +55,7 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 		if missing&(uint64(1)<<ti) == 0 {
 			continue
 		}
-		best := st.bestSupply(ti, c, bs)
+		best := st.bestSupply(ti, c)
 		if best <= 0 {
 			return 0 // no feasible node can cover this keyword
 		}
@@ -108,11 +98,16 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 		// as the bound for completions that add no source. (Pruning on the
 		// generation alone loses optimal branching answers: the pruned
 		// candidate can be the merge partner a high-generation route needs.)
+		//
+		// The supply fields cannot leave the lone source s out of its own
+		// supply, and need not: what s carries back through any neighbour
+		// is at most gen(s), so its share of alt below is at most gens[0] —
+		// the floor bound already stands on.
 		v := slots[0]
 		bound := gens[0]
 		bestAdd := 0.0
 		for ti := range qc.terms {
-			if sup := st.bestSupply(ti, c, bs); sup > bestAdd {
+			if sup := st.bestSupply(ti, c); sup > bestAdd {
 				bestAdd = sup
 			}
 		}
@@ -181,219 +176,72 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 }
 
 // bestSupply bounds the message count any node covering term ti could
-// deliver to the candidate's root: max over feasible nodes v of
-// generation(v) · retentionUB(v → root).
+// deliver to the candidate's root, 0 when none can attach.
 //
-// With an index, nodes that cannot attach within the diameter budget are
-// discarded and the indexed retention discounts the rest. Without an index
-// the paper's direct-neighbour refinement applies (§IV-B): a supplement is
-// either a direct neighbour of the root (scenario 1 — only actual
-// neighbours' generations count) or it connects through some neighbour,
-// where its messages are dampened once (scenario 2 — the global best
-// generation is discounted by the best neighbour dampening rate). The
-// greater of the two scenarios is the bound. bs carries the candidate's
-// rootNeighbors products.
-func (st *bbState) bestSupply(ti int, c *candidate, bs *boundScratch) float64 {
-	nodes := st.qc.byGen[ti]
-	root := c.tree.Root()
-	idx := st.opts.Index
-	budget := st.opts.Diameter - c.tree.Depth()
-	// Exact nearest-supplement distance from the per-term BFS: if even the
-	// closest node matching the term lies beyond the budget, no completion
-	// exists through this root.
-	dmin := st.qc.distToTerm(ti, root, st.opts.Diameter)
-	if dmin > budget {
-		return 0
-	}
-	refined := st.neighborRefinedSupply(ti, c, nodes, root, dmin, budget, bs)
-	if idx == nil {
-		return refined
-	}
+// A supplement reaches the root over its last edge from some out-neighbour n
+// of the root outside the tree, having crossed at most budget−1 edges to get
+// to n, so the bound is the best supply-field value at that level among
+// those neighbours: n's own generation when n is the supplement, otherwise
+// what the best matcher in range retains after every node up to and
+// including n has dampened it. The root's supply list answers from its top
+// few neighbours; a tree that swallowed all of them falls back to the
+// out-edges. Without dynamic bounds the estimate is the best generation of
+// the term outside the tree.
+//
+// With an index, the feasible nodes are also scanned by descending
+// generation — those the index places beyond the budget discarded, the rest
+// discounted by the indexed retention — and the lower estimate wins, so
+// passing an index never weakens a bound.
+func (st *bbState) bestSupply(ti int, c *candidate) float64 {
+	qc := st.qc
+	nodes := qc.byGen[ti]
 	best := 0.0
+	if lv, ok := st.supplyLevel(c.tree.Depth()); ok {
+		if n, decided := st.supplyList(c.root, lv, ti).bestOutside(c.tree); !decided {
+			best = st.scanSupply(ti, lv, c.tree)
+		} else if n != graph.InvalidNode {
+			best = st.sc.fields[ti].row(n)[lv]
+		}
+	} else if st.opts.NoDynamicBounds {
+		for _, v := range nodes {
+			if !c.tree.Contains(v) {
+				best = qc.gen[v]
+				break // byGen is sorted descending
+			}
+		}
+	}
+	idx := st.opts.Index
+	if idx == nil || best <= 0 {
+		return best
+	}
+	root := c.tree.Root()
+	budget := st.opts.Diameter - c.tree.Depth()
+	indexed := 0.0
 	scanned := 0
 	for i, v := range nodes {
 		if c.tree.Contains(v) {
 			continue
 		}
-		g := st.qc.gen[v]
-		if g <= best {
+		g := qc.gen[v]
+		if g <= indexed {
 			break // sorted by descending generation; retention ≤ 1
 		}
 		if idx.DistanceLB(v, root) > budget {
 			continue
 		}
-		if r := g * idx.RetentionUB(v, root); r > best {
-			best = r
+		if r := g * idx.RetentionUB(v, root); r > indexed {
+			indexed = r
 		}
 		scanned++
 		if scanned >= supplyScanCap {
 			// The unscanned tail is bounded by its best generation.
-			if tail := tailGen(nodes, st.qc.gen, i); tail > best {
-				best = tail
+			if tail := tailGen(nodes, qc.gen, i); tail > indexed {
+				indexed = tail
 			}
 			break
 		}
 	}
-	// Both estimates are valid upper bounds; the indexed search gets the
-	// tighter of the two, so adding an index never weakens the bounds.
-	if refined < best {
-		return refined
-	}
-	return best
-}
-
-// rootNeighbors leaves in bs what the candidate's supplement bounds need to
-// know about its root's neighbourhood:
-//
-//   - nbrDamp, the best dampening rate among out-of-tree root neighbours —
-//     scenario 2's entry discount;
-//   - adjGen[ti], for each term of want with a matcher adjacent to the root,
-//     the best generation among out-of-tree neighbours matching it —
-//     scenario 1 (0 for the other terms).
-//
-// Each is the first entry of the root's summary list that the tree does not
-// contain. A tree holding every listed node of a truncated list leaves that
-// list undecided, and only then are the root's out-edges scanned.
-func (st *bbState) rootNeighbors(c *candidate, want uint64, bs *boundScratch) {
-	qc := st.qc
-	if cap(bs.adjGen) < len(qc.terms) {
-		bs.adjGen = make([]float64, len(qc.terms))
-	}
-	adjGen := bs.adjGen[:len(qc.terms)]
-	clear(adjGen)
-	bs.nbrDamp = 0
-	lists := st.summary(c.root)
-	v, decided := lists[0].bestOutside(c.tree)
-	if v != graph.InvalidNode {
-		bs.nbrDamp = st.s.m.Damp(v)
-	}
-	for w := want; w != 0 && decided; w &= w - 1 {
-		ti := bits.TrailingZeros64(w)
-		if v, decided = lists[1+ti].bestOutside(c.tree); v != graph.InvalidNode {
-			adjGen[ti] = qc.gen[v]
-		}
-	}
-	if !decided {
-		st.scanRootNeighbors(c, want, bs)
-	}
-}
-
-// scanRootNeighbors computes rootNeighbors' products by a full pass over the
-// root's out-edges: the fallback for a candidate that exhausts a truncated
-// summary list, and the definition the summary is tested against. The
-// dampening rate is tested first and the tree consulted only for a
-// neighbour that would raise a maximum.
-func (st *bbState) scanRootNeighbors(c *candidate, want uint64, bs *boundScratch) {
-	m := st.s.m
-	qc := st.qc
-	root := c.tree.Root()
-	adjGen := bs.adjGen[:len(qc.terms)]
-	var adjacent uint64
-	for ti := range qc.terms {
-		adjGen[ti] = 0
-		if want&(uint64(1)<<ti) != 0 && qc.distToTerm(ti, root, st.opts.Diameter) <= 1 {
-			adjacent |= uint64(1) << ti
-		}
-	}
-	nbrDamp := 0.0
-	for _, e := range m.Graph().OutEdges(root) {
-		v := e.To
-		d := m.Damp(v)
-		var match uint64
-		if adjacent != 0 {
-			match = qc.masks[v] & adjacent
-		}
-		if (d <= nbrDamp && match == 0) || c.tree.Contains(v) {
-			continue
-		}
-		if d > nbrDamp {
-			nbrDamp = d
-		}
-		if match != 0 {
-			g := qc.gen[v]
-			for ti := range adjGen {
-				if match&(uint64(1)<<ti) != 0 && g > adjGen[ti] {
-					adjGen[ti] = g
-				}
-			}
-		}
-	}
-	bs.nbrDamp = nbrDamp
-}
-
-// neighborRefinedSupply is the index-free supplement bound with the
-// direct-neighbour refinement. dmin is the exact distance from the root to
-// the nearest node matching the term, budget the diameter left after the
-// candidate's depth.
-func (st *bbState) neighborRefinedSupply(ti int, c *candidate, nodes []graph.NodeID, root graph.NodeID, dmin, budget int, bs *boundScratch) float64 {
-	// Scenario 2: a non-adjacent supplement enters through some
-	// out-of-tree root neighbour n, crossing at least max(dmin, 2) hops and
-	// therefore at least max(dmin, 2) − 1 dampening intermediates, the
-	// first of which is n itself.
-	nbrDamp := bs.nbrDamp
-	best := 0.0
-	// Heavy hitters with exact distances (absent when dynamic bounds are
-	// disabled — the pooled context then carries an empty topSup, so guard
-	// by length, not nilness).
-	var topSup []supplierInfo
-	if ti < len(st.qc.topSup) {
-		topSup = st.qc.topSup[ti]
-	}
-	for _, sup := range topSup {
-		if c.tree.Contains(sup.node) {
-			continue
-		}
-		d := int(sup.dist[root])
-		if d < 0 || d > budget {
-			continue // unreachable within the diameter budget
-		}
-		if cand := sup.gen * retention(nbrDamp, st.qc.maxDamp, d); cand > best {
-			best = cand
-		}
-	}
-	// Tail: the best generation outside the heavy hitters, discounted by
-	// the nearest-matcher distance (a lower bound for every supplement).
-	for _, v := range nodes {
-		if c.tree.Contains(v) || supListed(topSup, v) {
-			continue
-		}
-		if cand := st.qc.gen[v] * retention(nbrDamp, st.qc.maxDamp, dmin); cand > best {
-			best = cand
-		}
-		break // byGen is sorted descending
-	}
-	// Scenario 1: the supplement is itself a direct neighbour of the root
-	// (no intermediate, no dampening). adjGen is 0 unless dmin ≤ 1.
-	if g := bs.adjGen[ti]; g > best {
-		best = g
-	}
-	return best
-}
-
-// retention bounds what a supplement d hops away retains: no intermediate
-// for an adjacent one, otherwise the entry neighbour (nbrDamp) plus d−2
-// further intermediates, each at most maxDamp. A plain function rather than
-// a closure — it runs once per heavy hitter on the hottest bound path.
-func retention(nbrDamp, maxDamp float64, d int) float64 {
-	if d <= 1 {
-		return 1
-	}
-	r := nbrDamp
-	for i := 2; i < d; i++ {
-		r *= maxDamp
-	}
-	return r
-}
-
-// supListed reports whether v is one of the heavy hitters; the list holds at
-// most topSuppliersPerTerm entries, so the scan beats a map.
-func supListed(topSup []supplierInfo, v graph.NodeID) bool {
-	for i := range topSup {
-		if topSup[i].node == v {
-			return true
-		}
-	}
-	return false
+	return min(best, indexed)
 }
 
 // tailGen returns the highest generation strictly after position i of the

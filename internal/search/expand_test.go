@@ -73,16 +73,20 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 			sc.seen.n, len(sc.cands.slabs), cap(sc.pq))
 	}
 	// The hub roots the 40k-candidate merge closure, and every node of the
-	// fixture roots something, each with a three-list summary.
+	// fixture roots something. A root has one row of supply lists — a list
+	// per term — for each field level its candidates asked about: at least
+	// one, at most as many as the growth depths 0…⌈D/2⌉.
 	hub := &sc.roots[sc.rootAt[0]-1]
-	if cap(hub.cands) <= rootListCap || len(sc.roots) != len(sc.rootAt) || len(sc.tops) != 3*len(sc.roots) {
-		t.Fatalf("unexpected root records: hub registry %d, %d roots, %d summary lists over %d nodes",
-			cap(hub.cands), len(sc.roots), len(sc.tops), len(sc.rootAt))
+	rows := len(sc.tops) / len(hubTerms)
+	if cap(hub.cands) <= rootListCap || len(sc.roots) != len(sc.rootAt) || len(sc.listAt) != opts.Diameter*len(sc.roots) ||
+		rows < len(sc.roots) || rows > (halfDiameter(opts.Diameter)+1)*len(sc.roots) {
+		t.Fatalf("unexpected root records: hub registry %d, %d roots, %d supply lists (%d level slots) over %d nodes",
+			cap(hub.cands), len(sc.roots), len(sc.tops), len(sc.listAt), len(sc.rootAt))
 	}
 	sc.release()
-	if sc.seen.n != 0 || len(sc.seen.slots) != 0 || len(sc.roots) != 0 || len(sc.tops) != 0 || sc.arena.Trees() != 0 {
-		t.Errorf("released scratch not empty: seen %d in %d slots, roots %d, summary lists %d, arena trees %d",
-			sc.seen.n, len(sc.seen.slots), len(sc.roots), len(sc.tops), sc.arena.Trees())
+	if sc.seen.n != 0 || len(sc.seen.slots) != 0 || len(sc.roots) != 0 || len(sc.tops) != 0 || len(sc.listAt) != 0 || sc.arena.Trees() != 0 {
+		t.Errorf("released scratch not empty: seen %d in %d slots, roots %d, supply lists %d (%d level slots), arena trees %d",
+			sc.seen.n, len(sc.seen.slots), len(sc.roots), len(sc.tops), len(sc.listAt), sc.arena.Trees())
 	}
 	// The dense tables are sized by the graph, whatever the query did, and
 	// come back all zero.
@@ -110,6 +114,15 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 			t.Errorf("retained a merge registry with capacity %d, cap %d", cap(rs.cands), rootListCap)
 		}
 	}
+	// The field table of a two-term query is kept, all zero.
+	if len(sc.field) == 0 || len(sc.fields) != len(hubTerms) {
+		t.Errorf("released scratch kept a %d-entry field table and %d term buffers, want the two-term table", len(sc.field), len(sc.fields))
+	}
+	for i, v := range sc.field[:cap(sc.field)] {
+		if v != 0 {
+			t.Fatalf("released field table holds %v at %d", v, i)
+		}
+	}
 	// The trimmed scratch must serve the next query like a fresh one (a
 	// single-keyword query, so the check stays cheap).
 	ranking := func(sc *queryScratch) string {
@@ -125,5 +138,40 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 	}
 	if got, want := ranking(sc), ranking(newQueryScratch()); got != want || got == "[]" {
 		t.Errorf("query on the trimmed scratch diverged:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestReleasedScratchDropsManyTermFields runs a query with the most terms a
+// query may have and checks the pool would not keep its field table, nor 64
+// terms' worth of relaxation buffers.
+func TestReleasedScratchDropsManyTermFields(t *testing.T) {
+	texts := make([]string, maxQueryTerms)
+	terms := make([]string, maxQueryTerms)
+	imp := make([]float64, maxQueryTerms)
+	var edges [][2]int
+	for i := range texts {
+		terms[i] = fmt.Sprintf("w%d", i)
+		texts[i] = terms[i]
+		imp[i] = 1
+		if i > 0 {
+			edges = append(edges, [2]int{i - 1, i})
+		}
+	}
+	fx := build(t, texts, imp, edges)
+	sc := newQueryScratch()
+	if _, err := fx.s.run(context.Background(), sc, terms, Options{K: 1, Diameter: 2 * maxSupplyLevels, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if want := maxQueryTerms * maxQueryTerms * maxSupplyLevels; len(sc.field) != want || len(sc.fields) != maxQueryTerms {
+		t.Fatalf("a %d-term query used a %d-entry table and %d term buffers, want %d", maxQueryTerms, len(sc.field), len(sc.fields), want)
+	}
+	sc.release()
+	if sc.field != nil || len(sc.fields) != fieldKeepTerms {
+		t.Errorf("released scratch kept a %d-entry field table and %d term buffers, want none and %d", cap(sc.field), len(sc.fields), fieldKeepTerms)
+	}
+	for i, fs := range sc.fields[:cap(sc.fields)] {
+		if fs.out != nil || (i >= fieldKeepTerms && cap(fs.touched) != 0) {
+			t.Errorf("term buffer %d still pins the table or its lists", i)
+		}
 	}
 }

@@ -1,0 +1,206 @@
+package search
+
+import (
+	"cirank/internal/graph"
+	"cirank/internal/jtt"
+)
+
+// This file computes the per-term supply field behind the dynamic supplement
+// bound of §IV-B — how many messages a node covering a missing keyword could
+// still deliver at a candidate's root — and holds everything that reads its
+// table: the per-root supply lists and their full-scan fallback
+// (bounds.go's bestSupply asks them). The field answers that for every node
+// and every hop budget at once, per query, for the query's own matchers — a
+// hub's degree is paid once per query here rather than once per lookup in a
+// prebuilt index.
+//
+// For a term t with matchers M_t, the field's entry for node w and level h
+// is the most a matcher within h hops of w can still carry when it leaves w:
+//
+//	max over paths u→…→w of at most h edges, u ∈ M_t, of
+//	gen(u) · Π damp(x) over every node x after u up to and including w
+//
+// so a matcher's own level 0 is its generation, and 0 means no matcher is in
+// range. Levels are cumulative (level h ≥ level h−1). Every rate lies in
+// (0, 1), so a walk never beats the simple path inside it and float rounding
+// keeps that order: the field equals the best path-order product exactly,
+// which is what the tests enumerate.
+//
+// All terms share one table, node-major, then term, then level — a root's
+// supply lists read every term of a neighbour at one level, and that is one
+// cache line for a typical query.
+
+// maxSupplyLevels caps the levels a field stores per node, whatever the
+// diameter: a table of NumNodes × Diameter floats per term would let a
+// hostile Diameter exhaust memory. Up to the cap every level is exact; past
+// it the last level holds the unbounded-hop fixpoint, which bounds every
+// longer budget from above.
+const maxSupplyLevels = 8
+
+// fieldKeepTerms bounds what a released scratch retains of the fields: the
+// table when it is no larger than this many terms at maxSupplyLevels need,
+// and this many terms' relaxation buffers.
+const fieldKeepTerms = 4
+
+// fieldScratch is one term's view of the shared table — node w's row is
+// out[w·stride+off:][:levels] — and the buffers its relaxation reuses. The
+// terms fan out across workers, each owning its entry and its rows.
+type fieldScratch struct {
+	out                     []float64
+	stride, off, levels     int
+	touched, frontier, next []graph.NodeID // touched: the nodes with a non-zero row
+}
+
+// row returns node w's levels.
+func (fs *fieldScratch) row(w graph.NodeID) []float64 {
+	return fs.out[int(w)*fs.stride+fs.off:][:fs.levels]
+}
+
+// relax fills the term's rows from its matchers by levels−1 rounds of
+// frontier max-product relaxation along out-edges (the direction a message
+// travels towards a root that lists the reached node among its
+// out-neighbours). Round h reads level h−1 of the nodes that improved in
+// round h−1 and writes levels h and up, so a value set once is carried to
+// every later level without a copy pass. With fixpoint set the last level
+// keeps relaxing until nothing improves. The rows must be all zero on entry.
+func (fs *fieldScratch) relax(g *graph.Graph, damp, gen []float64, matchers []graph.NodeID, fixpoint bool) {
+	L := fs.levels
+	touched, frontier, next := fs.touched[:0], fs.frontier[:0], fs.next[:0]
+	for _, u := range matchers {
+		row := fs.row(u)
+		for h := range row {
+			row[h] = gen[u]
+		}
+		touched = append(touched, u)
+		frontier = append(frontier, u)
+	}
+	out, stride, off := fs.out, fs.stride, fs.off // locals: this loop is the query's set-up cost
+	for h := 1; h < L && len(frontier) > 0; h++ {
+		next = next[:0]
+		for _, u := range frontier {
+			val := out[int(u)*stride+off+h-1]
+			for _, e := range g.OutEdges(u) {
+				at := int(e.To)*stride + off
+				cand := val * damp[e.To]
+				if cand <= out[at+h] {
+					continue
+				}
+				row := out[at:][:L]
+				if row[L-1] == 0 {
+					touched = append(touched, e.To)
+				}
+				if row[h] == row[h-1] { // first improvement of this round
+					next = append(next, e.To)
+				}
+				for i := h; i < L; i++ {
+					row[i] = cand
+				}
+			}
+		}
+		frontier, next = next, frontier
+	}
+	for changed := fixpoint; changed; {
+		changed = false
+		for i := 0; i < len(touched); i++ { // touched grows as the sweep reaches new nodes
+			val := fs.row(touched[i])[L-1]
+			for _, e := range g.OutEdges(touched[i]) {
+				at := &fs.row(e.To)[L-1]
+				if cand := val * damp[e.To]; cand > *at {
+					if *at == 0 {
+						touched = append(touched, e.To)
+					}
+					*at, changed = cand, true
+				}
+			}
+		}
+	}
+	fs.touched, fs.frontier, fs.next = touched, frontier[:0], next[:0]
+}
+
+// supplyFields computes the query's fields into the scratch's table, one
+// term per goroutine on up to workers of them. Diameter 0 leaves no budget
+// to supply across and no field.
+func (qc *queryContext) supplyFields(g *graph.Graph, damp []float64, diameter, workers int, sc *queryScratch) {
+	qc.levels = min(diameter, maxSupplyLevels)
+	if qc.levels == 0 {
+		return
+	}
+	stride := len(qc.terms) * qc.levels
+	if need := g.NumNodes() * stride; cap(sc.field) < need {
+		sc.field = make([]float64, need)
+	} else {
+		sc.field = sc.field[:need]
+	}
+	for len(sc.fields) < len(qc.terms) {
+		sc.fields = append(sc.fields, fieldScratch{})
+	}
+	parallelFor(len(qc.terms), workers, func(ti int) {
+		fs := &sc.fields[ti]
+		fs.out, fs.stride, fs.off, fs.levels = sc.field, stride, ti*qc.levels, qc.levels
+		fs.relax(g, damp, qc.gen, qc.perTerm[ti], diameter > maxSupplyLevels)
+	})
+}
+
+// supplyLevel maps the hop budget a candidate of the given depth leaves a
+// supplement — Diameter minus depth, of which the last hop is the edge into
+// the root — to the field level that bounds it: budget−1, or the last level
+// where the fields store fewer. ok is false when there is no field to read:
+// dynamic bounds are off, or the budget admits no supplement at all.
+func (st *bbState) supplyLevel(depth int) (lv int, ok bool) {
+	budget := st.opts.Diameter - depth
+	return min(budget, st.qc.levels) - 1, st.qc.levels > 0 && budget >= 1
+}
+
+// supplyLists makes sure the supply lists c's bound will read exist: one
+// topList per term for (c's root, c's field level), ranking the root's
+// out-neighbours by field value. This is the one pass over a root's
+// out-edges the query pays per level, however many candidate trees it roots
+// there. It runs on the coordinator, before c is handed to fill, in batch
+// order — so the lists, like everything else Stats depends on, are the same
+// for every worker count.
+func (st *bbState) supplyLists(c *candidate) {
+	lv, ok := st.supplyLevel(c.tree.Depth())
+	if !ok {
+		return
+	}
+	sc, L := st.sc, st.qc.levels
+	at := &sc.listAt[int(c.root)*L+lv]
+	if *at != 0 {
+		return
+	}
+	off := len(sc.tops)
+	*at = int32(off + 1)
+	for range st.qc.terms {
+		sc.tops = append(sc.tops, topList{})
+	}
+	lists := sc.tops[off:]
+	stride := len(lists) * L
+	for _, e := range st.s.m.Graph().OutEdges(c.tree.Root()) {
+		at := int(e.To)*stride + lv // the neighbour's terms at this level sit L apart
+		for ti := range lists {
+			if sc.field[at+ti*L] > 0 {
+				lists[ti].offer(e.To, sc.field[ti*L+lv:], stride)
+			}
+		}
+	}
+}
+
+// supplyList returns the supply list of term ti at (root record, field
+// level), which supplyLists built before any fill could ask for it.
+func (st *bbState) supplyList(root int32, lv, ti int) *topList {
+	return &st.sc.tops[int(st.sc.listAt[int(root)*st.qc.levels+lv])-1+ti]
+}
+
+// scanSupply is bestSupply's field estimate by a full pass over the root's
+// out-edges: the fallback for a tree that contains every node of a truncated
+// supply list, and the definition the lists are tested against.
+func (st *bbState) scanSupply(ti, lv int, t *jtt.Tree) float64 {
+	fs := &st.sc.fields[ti]
+	best := 0.0
+	for _, e := range st.s.m.Graph().OutEdges(t.Root()) {
+		if val := fs.row(e.To)[lv]; val > best && !t.Contains(e.To) {
+			best = val
+		}
+	}
+	return best
+}

@@ -1,0 +1,187 @@
+package search
+
+import (
+	"math/rand"
+	"testing"
+
+	"cirank/internal/graph"
+)
+
+// fieldCase is one input of the supply-field oracle: a small graph,
+// dampening rates, generation counts and one matcher set per term.
+type fieldCase struct {
+	g         *graph.Graph
+	damp, gen []float64
+	matchers  [][]graph.NodeID
+	levels    int
+	fixpoint  bool
+}
+
+// fieldCaseTerms is how many matcher sets a decoded case carries.
+const fieldCaseTerms = 2
+
+// decodeFieldCase reads a case off raw bytes, the fuzz target's input: a
+// header byte (node count 2–8, levels 1–4, the fixpoint flag), three bytes
+// per node (dampening rate in (0, 1), generation count, term mask) and then
+// one byte pair per edge, the high bit of the first making it one-way. Every
+// byte string decodes to something; ok is false only when it is too short to
+// hold the nodes.
+func decodeFieldCase(data []byte) (fc fieldCase, ok bool) {
+	if len(data) < 1 {
+		return fc, false
+	}
+	n := 2 + int(data[0]&7)%7
+	fc.levels = 1 + int(data[0]>>3&3)
+	fc.fixpoint = data[0]&0x20 != 0
+	data = data[1:]
+	if len(data) < 3*n {
+		return fc, false
+	}
+	b := graph.NewBuilder(n)
+	fc.damp, fc.gen = make([]float64, n), make([]float64, n)
+	fc.matchers = make([][]graph.NodeID, fieldCaseTerms)
+	for v := 0; v < n; v++ {
+		b.AddNode(graph.Node{Relation: "R"})
+		fc.damp[v] = (float64(data[3*v]) + 1) / 258
+		fc.gen[v] = 1 + float64(data[3*v+1])
+		for ti := range fc.matchers {
+			if data[3*v+2]&(1<<ti) != 0 {
+				fc.matchers[ti] = append(fc.matchers[ti], graph.NodeID(v))
+			}
+		}
+	}
+	for data = data[3*n:]; len(data) >= 2; data = data[2:] {
+		from, to := graph.NodeID(int(data[0]&0x7f)%n), graph.NodeID(int(data[1])%n)
+		if from == to {
+			continue
+		}
+		if data[0]&0x80 != 0 {
+			b.AddEdge(from, to, 1)
+		} else {
+			b.AddBiEdge(from, to, 1, 1)
+		}
+	}
+	fc.g = b.Build()
+	return fc, true
+}
+
+// bruteField is the definition the field is held to: for one term, walk
+// every simple path out of every matcher, multiplying in path order, and
+// keep per (node, level) the best product over the paths short enough for
+// the level. With fixpoint the last level takes paths of any length. The
+// layout is relax's with one term: levels entries per node.
+func bruteField(fc fieldCase, matchers []graph.NodeID) []float64 {
+	L := fc.levels
+	out := make([]float64, fc.g.NumNodes()*L)
+	onPath := make([]bool, fc.g.NumNodes())
+	var walk func(w graph.NodeID, val float64, edges int)
+	walk = func(w graph.NodeID, val float64, edges int) {
+		for h := min(edges, L-1); h < L; h++ {
+			if edges <= h || (fc.fixpoint && h == L-1) {
+				out[int(w)*L+h] = max(out[int(w)*L+h], val)
+			}
+		}
+		if edges >= L-1 && !fc.fixpoint {
+			return
+		}
+		onPath[w] = true
+		for _, e := range fc.g.OutEdges(w) {
+			if !onPath[e.To] {
+				walk(e.To, val*fc.damp[e.To], edges+1)
+			}
+		}
+		onPath[w] = false
+	}
+	for _, u := range matchers {
+		walk(u, fc.gen[u], 0)
+	}
+	return out
+}
+
+// checkFieldCase relaxes every term of the case into one shared table, as a
+// query does, and compares each entry with the enumeration, exactly.
+func checkFieldCase(t testing.TB, fc fieldCase) {
+	t.Helper()
+	T, L := len(fc.matchers), fc.levels
+	table := make([]float64, fc.g.NumNodes()*T*L)
+	for ti, matchers := range fc.matchers {
+		fs := fieldScratch{out: table, stride: T * L, off: ti * L, levels: L}
+		fs.relax(fc.g, fc.damp, fc.gen, matchers, fc.fixpoint)
+		want := bruteField(fc, matchers)
+		touched := make(map[graph.NodeID]bool)
+		for _, w := range fs.touched {
+			touched[w] = true
+		}
+		for w := 0; w < fc.g.NumNodes(); w++ {
+			for h, got := range fs.row(graph.NodeID(w)) {
+				if got != want[w*L+h] {
+					t.Fatalf("term %d node %d level %d (of %d, fixpoint %v): field %v, best enumerated path %v",
+						ti, w, h, L, fc.fixpoint, got, want[w*L+h])
+				}
+				if got != 0 && !touched[graph.NodeID(w)] {
+					t.Fatalf("term %d node %d holds %v but is not listed as touched, so release would leave it dirty", ti, w, got)
+				}
+			}
+		}
+	}
+}
+
+// TestSupplyFieldMatchesPathEnumeration is the field's soundness argument as
+// a property: on seeded small graphs — random rates, dense enough to hold
+// hubs, one-way edges, nodes matching both terms — every entry equals the
+// best enumerated path product; and the fields a real query computes (the
+// model's rates and generation counts, the text index's matchers, the pooled
+// table) equal it too.
+func TestSupplyFieldMatchesPathEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 400; round++ {
+		data := make([]byte, 1+3*8+2*rng.Intn(24))
+		rng.Read(data)
+		fc, ok := decodeFieldCase(data)
+		if !ok {
+			t.Fatalf("round %d: %d bytes did not decode", round, len(data))
+		}
+		checkFieldCase(t, fc)
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fx := randomFixture(t, rng)
+		for _, diameter := range []int{1, 3, 4, maxSupplyLevels + 2} {
+			sc := newQueryScratch()
+			qc, ok, err := fx.s.prepareInto(sc, []string{"alpha", "beta", "spoke"})
+			if err != nil || !ok {
+				continue // some term has no matcher in this graph
+			}
+			qc.supplyFields(fx.g, fx.m.DampVector(), diameter, 2, sc)
+			fc := fieldCase{g: fx.g, damp: fx.m.DampVector(), gen: qc.gen, levels: qc.levels, fixpoint: diameter > maxSupplyLevels}
+			for ti := range qc.terms {
+				want := bruteField(fc, qc.perTerm[ti])
+				for w := 0; w < fx.g.NumNodes(); w++ {
+					for h, got := range sc.fields[ti].row(graph.NodeID(w)) {
+						if got != want[w*qc.levels+h] {
+							t.Fatalf("seed %d D=%d term %q node %d level %d: query field %v, enumerated %v",
+								seed, diameter, qc.terms[ti], w, h, got, want[w*qc.levels+h])
+						}
+					}
+				}
+			}
+			sc.release()
+			for i, v := range sc.field[:cap(sc.field)] {
+				if v != 0 {
+					t.Fatalf("seed %d D=%d: released table holds %v at %d", seed, diameter, v, i)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSupplyField holds the relaxation to the path enumeration on whatever
+// graph, rates and matcher sets the bytes decode to. The seeds are the
+// committed corpus under testdata/fuzz/FuzzSupplyField.
+func FuzzSupplyField(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if fc, ok := decodeFieldCase(data); ok {
+			checkFieldCase(t, fc)
+		}
+	})
+}

@@ -12,7 +12,7 @@ import (
 // Theorem 1's guarantee would be void.
 //
 // The oracle performs the same per-query setup as TopKContext (term
-// matching, per-term distance BFS unless disabled, maxDamp) once, then
+// matching, supply fields unless disabled) once, then
 // evaluates candidate trees on demand through the identical fill path the
 // search itself uses. It is not safe for concurrent use.
 type BoundOracle struct {
@@ -31,19 +31,10 @@ func (s *Searcher) NewBoundOracle(terms []string, opts Options) (*BoundOracle, b
 	// the same bound buffers the search's fill would, so the computed bounds
 	// are byte-identical, but nothing returns to the searcher's pool.
 	sc := newQueryScratch()
-	qc, ok, err := s.prepareInto(sc, terms)
-	if err != nil {
+	if _, ok, err := s.prepareInto(sc, terms); err != nil || !ok {
 		return nil, false, err
 	}
-	if !ok {
-		return nil, false, nil
-	}
-	nw := opts.workers()
-	if !opts.NoDynamicBounds {
-		qc.computeTermDistances(s.m.Graph(), opts.Diameter, nw, sc)
-	}
-	qc.maxDamp = s.m.MaxDamp()
-	return &BoundOracle{st: newBBState(s, sc, opts, nw)}, true, nil
+	return &BoundOracle{st: newBBState(s, sc, opts)}, true, nil
 }
 
 // Evaluate runs the search's candidate evaluation (fill) on tree and returns
@@ -52,9 +43,10 @@ func (s *Searcher) NewBoundOracle(terms []string, opts Options) (*BoundOracle, b
 // true — fill skips scoring incomplete candidates, exactly as the search
 // does.
 func (o *BoundOracle) Evaluate(tree *jtt.Tree) (ub, score float64, complete bool) {
-	// fill reads the root's neighbour summary, which the search builds when
-	// process creates the root's first candidate.
+	// fill reads the supply lists, which the search builds when process
+	// creates the first candidate of a (root, depth).
 	c := &candidate{tree: tree, root: o.st.rootOf(tree.Root())}
+	o.st.supplyLists(c)
 	o.st.fill(c, &o.st.ws[0])
 	return c.ub, c.score, c.complete
 }

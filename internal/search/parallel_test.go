@@ -166,13 +166,20 @@ func TestNaiveParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestConcurrentCachedSearches drives one Searcher — one scratch pool — from
-// many goroutines, the contract Engine.Search relies on. Run under -race this
-// exercises the isolation of pooled per-query state (dense tables, tree set,
-// root records); each goroutine must also observe the same ranked lists.
+// TestConcurrentCachedSearches drives one Searcher — one scratch pool — and
+// one bound memo, passed explicitly as Options.Index, from many goroutines.
+// Run under -race this exercises the isolation of pooled per-query state
+// (dense tables, field table, tree set, root records) and the memo's own
+// synchronization; each goroutine must also observe the same ranked lists,
+// and the repeated queries must hit the memo.
 func TestConcurrentCachedSearches(t *testing.T) {
 	fx := prepareDatagen(t, "imdb", 0.1, 5, 23, 4)
-	opts := Options{K: 5, Diameter: 4, MaxExpansions: 200000, Workers: 2}
+	idx, err := pathindex.BuildNaive(fx.g, fx.s.Model().DampVector(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := pathindex.NewCached(idx, 0)
+	opts := Options{K: 5, Diameter: 4, MaxExpansions: 200000, Workers: 2, Index: memo}
 	type outcome struct {
 		qi  int
 		res []Answer
@@ -202,6 +209,9 @@ func TestConcurrentCachedSearches(t *testing.T) {
 			continue
 		}
 		answersEqual(t, fmt.Sprintf("concurrent query %d", out.qi), reference[out.qi], out.res)
+	}
+	if hits, misses := memo.Stats(); hits == 0 {
+		t.Errorf("repeated identical queries produced no bound-memo hits (%d misses)", misses)
 	}
 }
 

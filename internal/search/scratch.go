@@ -10,7 +10,7 @@ import (
 // hot path. One queryScratch carries every reusable structure a
 // branch-and-bound run touches — candidate slabs, the tree arena, the dedup
 // set and per-root records, the dense per-node tables, the priority queue
-// and top-k backings, and the per-term BFS buffers — so a steady-state query
+// and top-k backings, and the per-term supply fields — so a steady-state query
 // allocates only what it must retain past its own lifetime (the canonical
 // keys of top-k entrants and the cloned answer trees). The scratch is
 // recycled through a sync.Pool on the Searcher, following the epoch/slab
@@ -68,9 +68,6 @@ type boundScratch struct {
 
 	supplies   []float64
 	flowAtRoot []float64
-	// The candidate's rootNeighbors products (see bounds.go).
-	nbrDamp float64
-	adjGen  []float64
 }
 
 // treeSet is the dedup set of generated candidates: an open-addressing table
@@ -138,8 +135,8 @@ func (s *treeSet) reset() {
 	s.n = 0
 }
 
-// rootState is what the search keeps per candidate root besides its
-// neighbour summary: the merge registry. Records are created by
+// rootState is what the search keeps per candidate root besides its supply
+// lists: the merge registry. Records are created by
 // bbState.rootOf when a root's first candidate appears and found again
 // through the dense queryScratch.rootAt table.
 type rootState struct {
@@ -147,39 +144,42 @@ type rootState struct {
 	cands []*candidate // committed candidates rooted here, in commit order
 }
 
-// rootTop is how many out-neighbours a root's summary lists per ranking.
+// rootTop is how many out-neighbours a supply list holds.
 const rootTop = 4
 
-// topList names a root's best out-neighbours under one ranking — dampening
-// rate, or generation among the neighbours matching one term — best first.
-// truncated records that the root has further neighbours in the ranking, so
-// a tree containing every listed node leaves the list undecided.
+// topList names the out-neighbours of a root through which one term's
+// supplement can deliver most — the rootTop largest positive supply-field
+// values at one level — best first. It holds the nodes only; their values
+// stay in the field table. truncated records that further neighbours carry
+// a positive value, so a tree containing every listed node leaves the list
+// undecided.
 type topList struct {
 	nodes     [rootTop]graph.NodeID
 	n         uint8
 	truncated bool
 }
 
-// offer ranks v into the list by vals[v], keeping earlier nodes ahead on
-// ties.
-func (l *topList) offer(v graph.NodeID, vals []float64) {
+// offer ranks v into the list by vals[v·stride] (a column of the field
+// table), keeping earlier nodes ahead on ties.
+func (l *topList) offer(v graph.NodeID, vals []float64, stride int) {
+	val := vals[int(v)*stride]
 	i := int(l.n)
 	if i == rootTop {
 		l.truncated = true
-		if vals[v] <= vals[l.nodes[rootTop-1]] {
+		if val <= vals[int(l.nodes[rootTop-1])*stride] {
 			return
 		}
 		i--
 	} else {
 		l.n++
 	}
-	for ; i > 0 && vals[l.nodes[i-1]] < vals[v]; i-- {
+	for ; i > 0 && vals[int(l.nodes[i-1])*stride] < val; i-- {
 		l.nodes[i] = l.nodes[i-1]
 	}
 	l.nodes[i] = v
 }
 
-// bestOutside returns the ranking's best neighbour outside t, or
+// bestOutside returns the best listed neighbour outside t, or
 // graph.InvalidNode when there is none. decided is false when the list
 // cannot tell: every listed node is in t and the list was truncated.
 func (l *topList) bestOutside(t *jtt.Tree) (v graph.NodeID, decided bool) {
@@ -189,43 +189,6 @@ func (l *topList) bestOutside(t *jtt.Tree) (v graph.NodeID, decided bool) {
 		}
 	}
 	return graph.InvalidNode, !l.truncated
-}
-
-// termScratch holds the per-term BFS buffers of computeTermDistances. The
-// per-term work is distributed by term index, so each term owns its entry
-// and the parallel fan-out needs no further coordination.
-type termScratch struct {
-	dist           []int32   // multi-source BFS distances
-	supDist        [][]int32 // exact distances per top supplier
-	frontier, next []graph.NodeID
-}
-
-// distInto resizes (reusing capacity) and returns the -1-filled distance
-// buffer at slot j: slot 0 is the term's multi-source BFS, slots 1…
-// topSuppliersPerTerm are the per-supplier BFS runs.
-func (ts *termScratch) distInto(j, n int) []int32 {
-	var buf []int32
-	if j == 0 {
-		buf = ts.dist
-	} else {
-		for len(ts.supDist) < j {
-			ts.supDist = append(ts.supDist, nil)
-		}
-		buf = ts.supDist[j-1]
-	}
-	if cap(buf) < n {
-		buf = make([]int32, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = -1
-	}
-	if j == 0 {
-		ts.dist = buf
-	} else {
-		ts.supDist[j-1] = buf
-	}
-	return buf
 }
 
 // These constants bound what a released scratch retains: a pathological
@@ -260,12 +223,14 @@ type queryScratch struct {
 	seen treeSet
 	// roots holds one record per candidate root of this query; rootAt is
 	// the dense node → 1+index table into it (0 = no record yet), cleared
-	// on release by walking roots. tops holds the roots' neighbour
-	// summaries in the same order: 1+len(terms) lists each, dampening
-	// first.
+	// on release by walking roots. tops holds the supply lists, len(terms)
+	// in a row per (root, field level) that some candidate asked about;
+	// listAt, qc.levels entries per root record, finds them: 1 + the index
+	// of the row's first list, 0 = not built yet.
 	roots  []rootState
 	rootAt []int32
 	tops   []topList
+	listAt []int32
 	pq     candidateQueue
 	top    topK
 
@@ -279,7 +244,8 @@ type queryScratch struct {
 	procA     []*jtt.Tree
 	procB     []*jtt.Tree
 	ws        []boundScratch
-	termBufs  []termScratch
+	field     []float64        // the supply-field table (field.go), all zero between queries
+	fields    []fieldScratch   // its per-term views and relaxation buffers
 	matchBufs [][]graph.NodeID // per-term matching-node buffers (perTerm)
 	genBufs   [][]graph.NodeID // per-term generation-sorted buffers (byGen)
 }
@@ -330,6 +296,23 @@ func (sc *queryScratch) release() {
 	}
 	sc.roots = trimmed(sc.roots, rootsCap)
 	sc.tops = trimmed(sc.tops, ptrBufCap)
+	sc.listAt = trimmed(sc.listAt, ptrBufCap)
+	// The field table goes back all zero, or not at all when a many-term
+	// query grew it past what fieldKeepTerms terms can need.
+	for i := range sc.fields {
+		fs := &sc.fields[i]
+		for _, u := range fs.touched {
+			clear(fs.row(u))
+		}
+		fs.out, fs.touched = nil, fs.touched[:0]
+	}
+	if len(sc.fields) > fieldKeepTerms {
+		clear(sc.fields[fieldKeepTerms:])
+		sc.fields = sc.fields[:fieldKeepTerms]
+	}
+	if cap(sc.field) > fieldKeepTerms*maxSupplyLevels*len(sc.rootAt) {
+		sc.field = nil
+	}
 	// Every candidate pointer below dies with the slab rewind; the buffers
 	// are emptied so none outlives it.
 	sc.pq = trimmed(sc.pq, ptrBufCap)
@@ -352,14 +335,6 @@ func (sc *queryScratch) boundScratches(nw int) []boundScratch {
 	return sc.ws[:nw]
 }
 
-// termScratches sizes the per-term BFS scratch for n terms.
-func (sc *queryScratch) termScratches(n int) []termScratch {
-	for len(sc.termBufs) < n {
-		sc.termBufs = append(sc.termBufs, termScratch{})
-	}
-	return sc.termBufs[:n]
-}
-
 // nodeBuf returns the i-th reusable NodeID buffer of the given family,
 // emptied.
 func nodeBuf(bufs *[][]graph.NodeID, i int) []graph.NodeID {
@@ -378,9 +353,7 @@ func (qc *queryContext) release() {
 	qc.perTerm = qc.perTerm[:0]
 	qc.byGen = qc.byGen[:0]
 	qc.nonFree = qc.nonFree[:0]
-	qc.termDist = nil
-	qc.maxDamp = 0
-	qc.topSup = qc.topSup[:0]
+	qc.levels = 0
 	qc.isNonFreeFn = nil
 }
 

@@ -27,20 +27,22 @@ type Options struct {
 	// Diameter is the maximal answer-tree diameter D (§IV). The paper
 	// evaluates D ∈ {4, 5, 6}.
 	Diameter int
-	// Index optionally provides DS/LS bounds (§V) that tighten the
-	// branch-and-bound upper bounds and prune far-away supplement nodes.
+	// Index optionally provides DS/LS bounds (§V). A supplement bound is the
+	// lower of the index's estimate and the search's own, so passing one
+	// never weakens a bound; the supply fields are never looser on their
+	// own, which leaves the index to the NoDynamicBounds arm.
 	Index pathindex.Index
 	// MaxExpansions caps the number of candidate-tree expansions in the
 	// branch-and-bound loop as a safety valve; 0 means unlimited. When the
 	// cap fires the results are the best found so far and Stats.Truncated
 	// is set.
 	MaxExpansions int
-	// NoDynamicBounds disables the per-query distance machinery (one
-	// multi-source BFS per term plus exact-distance BFS from the heaviest
-	// suppliers) that tightens the upper bounds at query time. The
-	// machinery is this implementation's extension over the paper's
-	// upper-bound search; the Fig. 11/12 reproduction disables it so the
-	// with/without-star-index comparison measures what the paper measured.
+	// NoDynamicBounds disables the per-query supply fields (field.go) that
+	// tighten the upper bounds at query time, leaving the best generation of
+	// a missing term as its supplement bound. The fields are this
+	// implementation's extension over the paper's upper-bound search; the
+	// Fig. 11/12 reproduction disables them so the with/without-star-index
+	// comparison measures what the paper measured.
 	NoDynamicBounds bool
 	// ExtendedMerge admits tree merges that add non-free nodes without
 	// covering new keywords. The default (false) follows the paper's §IV-B
@@ -177,117 +179,14 @@ type queryContext struct {
 	perTerm [][]graph.NodeID // term → matching nodes (ascending)
 	byGen   [][]graph.NodeID // term → matching nodes, generation descending
 	nonFree []graph.NodeID   // all matching nodes, ascending
-	// termDist[t][v] is the exact hop distance from node v to the nearest
-	// node matching term t, computed by one depth-bounded multi-source BFS
-	// per term; -1 means beyond the horizon. The branch-and-bound bounds
-	// use it to discard candidates that cannot reach a missing keyword
-	// within the diameter budget — the same information the naive
-	// algorithm's BFS phase gathers (§IV-A), turned into pruning.
-	termDist [][]int32
-	// maxDamp is the largest dampening rate in the graph; a path of h hops
-	// retains at most maxDamp^(h-1), which discounts far-away supplements
-	// even without a prebuilt index.
-	maxDamp float64
-	// topSup[t] holds, for the few highest-generation nodes matching term
-	// t, their exact distances to every node (one BFS each). These heavy
-	// hitters dominate the supplement bounds, and exact distances let the
-	// branch-and-bound discount them per candidate root instead of using
-	// the loose global maximum — the decisive pruning for low-ambiguity
-	// queries when no prebuilt index is available.
-	topSup [][]supplierInfo
+	// levels is how many levels per node the query's supply fields hold
+	// (field.go; the fields themselves live in the scratch): 0 without
+	// dynamic bounds.
+	levels int
 	// isNonFreeFn is the bound method value of isNonFree, captured once per
 	// query so the per-candidate IsReduced calls don't allocate a closure
 	// each.
 	isNonFreeFn func(graph.NodeID) bool
-}
-
-// supplierInfo is one high-generation keyword node with its BFS distances.
-type supplierInfo struct {
-	node graph.NodeID
-	gen  float64
-	dist []int32 // -1 beyond horizon
-}
-
-// topSuppliersPerTerm bounds the per-term exact-distance BFS count.
-const topSuppliersPerTerm = 4
-
-// computeTermDistances fills termDist (multi-source BFS per term) and
-// topSup (exact per-node BFS from each term's heaviest generators), both
-// bounded by horizon maxDepth. The per-term computations are independent
-// and each term owns its scratch entry, so they fan out across workers
-// goroutines with no coordination.
-func (qc *queryContext) computeTermDistances(g *graph.Graph, maxDepth, workers int, sc *queryScratch) {
-	n := len(qc.terms)
-	qc.termDist = make([][]int32, n)
-	// Re-extend topSup without overwriting retained entries: their backing
-	// arrays carry the supplier buffers reused across queries.
-	for cap(qc.topSup) < n {
-		qc.topSup = append(qc.topSup[:cap(qc.topSup)], nil)
-	}
-	qc.topSup = qc.topSup[:n]
-	terms := sc.termScratches(n)
-	parallelFor(n, workers, func(ti int) {
-		ts := &terms[ti]
-		qc.termDist[ti] = bfsDistancesInto(ts, 0, g, qc.perTerm[ti], maxDepth)
-		top := qc.byGen[ti]
-		if len(top) > topSuppliersPerTerm {
-			top = top[:topSuppliersPerTerm]
-		}
-		sup := qc.topSup[ti][:0]
-		for j, v := range top {
-			var one [1]graph.NodeID
-			one[0] = v
-			sup = append(sup, supplierInfo{
-				node: v,
-				gen:  qc.gen[v],
-				dist: bfsDistancesInto(ts, j+1, g, one[:], maxDepth),
-			})
-		}
-		qc.topSup[ti] = sup
-	})
-}
-
-// bfsDistancesInto runs a depth-bounded multi-source BFS into the scratch's
-// j-th distance buffer and returns per-node hop distances (-1 beyond the
-// horizon). The frontier buffers are reused across calls on the same
-// scratch.
-func bfsDistancesInto(ts *termScratch, j int, g *graph.Graph, sources []graph.NodeID, maxDepth int) []int32 {
-	dist := ts.distInto(j, g.NumNodes())
-	frontier := ts.frontier[:0]
-	for _, v := range sources {
-		if dist[v] < 0 {
-			dist[v] = 0
-			frontier = append(frontier, v)
-		}
-	}
-	next := ts.next[:0]
-	for depth := int32(0); depth < int32(maxDepth) && len(frontier) > 0; depth++ {
-		next = next[:0]
-		for _, u := range frontier {
-			for _, e := range g.OutEdges(u) {
-				if dist[e.To] < 0 {
-					dist[e.To] = depth + 1
-					next = append(next, e.To)
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	ts.frontier, ts.next = frontier[:0], next[:0]
-	return dist
-}
-
-// distToTerm returns the exact distance from v to the nearest node matching
-// term ti, or maxDepth+1 as a lower bound when it lies beyond the horizon.
-func (qc *queryContext) distToTerm(ti int, v graph.NodeID, maxDepth int) int {
-	if qc.termDist == nil {
-		return 0
-	}
-	d := qc.termDist[ti][v]
-	if d < 0 {
-		return maxDepth + 1
-	}
-	return int(d)
 }
 
 // prepare normalizes the query and resolves its non-free node sets into a

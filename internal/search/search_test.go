@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -465,6 +466,31 @@ func TestDiameterZeroAndOne(t *testing.T) {
 	}
 	if len(res) != 0 {
 		t.Errorf("diameter 1 found %d answers, want 0", len(res))
+	}
+}
+
+// TestHugeDiameterIsBounded checks a hostile Diameter against the supply
+// fields: they store at most maxSupplyLevels levels per node whatever D is,
+// so D = 2^20 on the Fig. 2 graph ranks exactly as D = n does (no tree there
+// is wider) and allocates a few kilobytes, not a NumNodes × D table.
+func TestHugeDiameterIsBounded(t *testing.T) {
+	fx := fig2Fixture(t)
+	terms := []string{"papakonstantinou", "ullman"}
+	want, _, err := fx.s.TopK(terms, Options{K: 10, Diameter: fx.g.NumNodes(), Workers: 1})
+	if err != nil || len(want) == 0 {
+		t.Fatalf("D = n: %d answers, err %v", len(want), err)
+	}
+	huge := Options{K: 10, Diameter: 1 << 20, Workers: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, stats, err := New(fx.m).TopK(terms, huge) // a fresh searcher: nothing pooled
+	runtime.ReadMemStats(&after)
+	if err != nil || stats.Partial() {
+		t.Fatalf("D = 2^20: err %v, stats %+v", err, stats)
+	}
+	answersEqual(t, "D = 2^20 against D = n", want, got)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("D = 2^20 on a %d-node graph allocated %d bytes", fx.g.NumNodes(), grew)
 	}
 }
 

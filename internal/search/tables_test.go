@@ -1,7 +1,6 @@
 package search
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,12 +10,11 @@ import (
 )
 
 // summaryFixture builds a hub (node 0) with n out-neighbours of pairwise
-// distinct importance, so the dampening ranking is strict. Neighbour i < n
+// distinct importance, so their dampening rates differ. Neighbour i < n
 // matches "alpha" when i%2 == 0 and "beta" when i%3 == 0, with a word count
 // that varies the generation counts. Neighbour n, the only "gamma" node, is
-// joined by the one-way edge hub→n: an out-neighbour matching a term whose
-// nearest matcher is nevertheless not within one hop of the hub, which the
-// bound must not count as adjacent.
+// joined by the one-way edge hub→n: the hub can grow to it, so it supplies
+// the hub, but it supplies nothing beyond itself.
 func summaryFixture(t testing.TB, n int) *fixture {
 	texts := []string{"hub"}
 	imp := []float64{1}
@@ -41,79 +39,80 @@ func summaryFixture(t testing.TB, n int) *fixture {
 	return build(t, texts, imp, edges, [2]int{0, n})
 }
 
-// TestRootSummaryMatchesFullScan holds rootNeighbors to scanRootNeighbors —
-// the definition — for trees rooted at the hub that contain none, some and
-// all of the neighbours the summary lists, so both the listed answer and the
-// exhausted-truncated-list fallback are exercised; and on a low-degree root,
-// whose untruncated lists must decide every tree themselves.
-func TestRootSummaryMatchesFullScan(t *testing.T) {
+// TestSupplyListMatchesFullScan holds the supply lists to scanSupply — the
+// definition — for trees rooted at the hub that contain none, some and all
+// of the neighbours a list names, so both the listed answer and the
+// exhausted-truncated-list fallback are exercised, at every field level the
+// diameter allows; and on a low-degree root, whose untruncated lists must
+// decide every tree themselves.
+func TestSupplyListMatchesFullScan(t *testing.T) {
 	terms := []string{"alpha", "beta", "gamma"}
 	for _, degree := range []int{rootTop, 3 * rootTop} {
 		fx := summaryFixture(t, degree)
-		for _, noBFS := range []bool{false, true} {
+		var listed, fellBack int
+		for diameter := 1; diameter <= 5; diameter++ {
 			sc := newQueryScratch()
-			st, err := fx.s.run(context.Background(), sc, terms, Options{K: 3, Diameter: 4, Workers: 1, NoDynamicBounds: noBFS})
-			if err != nil || st == nil {
-				t.Fatalf("degree %d: run: %v", degree, err)
+			if _, ok, err := fx.s.prepareInto(sc, terms); err != nil || !ok {
+				t.Fatalf("degree %d: prepare: %v", degree, err)
 			}
-			lists := st.summary(st.rootOf(0))
-			if got, want := lists[0].truncated, degree > rootTop; got != want {
-				t.Fatalf("degree %d: dampening list truncated = %v", degree, got)
-			}
-			// Rankings to peel prefixes off: the hub's neighbours by
-			// dampening rate and by generation, best first.
-			byDamp := make([]graph.NodeID, degree)
-			for i := range byDamp {
-				byDamp[i] = graph.NodeID(i + 1)
-			}
-			byGen := append([]graph.NodeID(nil), byDamp...)
-			sortDesc(byDamp, fx.m.DampVector())
-			sortDesc(byGen, st.qc.gen)
-			var trees []*jtt.Tree
-			for _, order := range [][]graph.NodeID{byDamp, byGen} {
-				tree := jtt.NewSingle(0)
-				trees = append(trees, tree)
-				for _, v := range order {
-					tree = tree.MustAttach(v, 0)
-					trees = append(trees, tree)
+			st := newBBState(fx.s, sc, Options{K: 3, Diameter: diameter, Workers: 1})
+			hub := st.rootOf(0)
+			// Trees to try: the hub alone, prefixes of its neighbours in
+			// each term's field order at each level (these swallow the
+			// lists front to back), and random neighbour subsets.
+			trees := []*jtt.Tree{jtt.NewSingle(0)}
+			for ti := range terms {
+				for lv := 0; lv < st.qc.levels; lv++ {
+					order := make([]graph.NodeID, degree)
+					vals := make([]float64, degree+1)
+					for i := range order {
+						order[i] = graph.NodeID(i + 1)
+						vals[i+1] = sc.fields[ti].row(order[i])[lv]
+					}
+					sortDesc(order, vals)
+					tree := jtt.NewSingle(0)
+					for _, v := range order {
+						tree = tree.MustAttach(v, 0)
+						trees = append(trees, tree)
+					}
 				}
 			}
 			rng := rand.New(rand.NewSource(int64(degree)))
 			for i := 0; i < 50; i++ {
 				tree := jtt.NewSingle(0)
-				for _, v := range byDamp {
+				for v := 1; v <= degree; v++ {
 					if rng.Intn(2) == 0 {
-						tree = tree.MustAttach(v, 0)
+						tree = tree.MustAttach(graph.NodeID(v), 0)
 					}
 				}
 				trees = append(trees, tree)
 			}
-			var listed, fellBack int
 			for _, tree := range trees {
-				c := &candidate{tree: tree, root: st.rootOf(0)}
-				if _, decided := lists[0].bestOutside(tree); decided {
-					listed++
-				} else {
-					fellBack++
-				}
-				for want := uint64(1); want <= st.qc.full; want++ {
-					var got, ref boundScratch
-					st.rootNeighbors(c, want, &got)
-					ref.adjGen = make([]float64, len(terms))
-					st.scanRootNeighbors(c, want, &ref)
-					if got.nbrDamp != ref.nbrDamp {
-						t.Fatalf("degree %d tree %s want %b: nbrDamp %v, full scan %v", degree, tree.CanonicalKey(), want, got.nbrDamp, ref.nbrDamp)
-					}
-					for ti := range terms {
-						if want&(1<<ti) != 0 && got.adjGen[ti] != ref.adjGen[ti] {
-							t.Fatalf("degree %d tree %s want %b: adjGen[%d] %v, full scan %v", degree, tree.CanonicalKey(), want, ti, got.adjGen[ti], ref.adjGen[ti])
+				c := &candidate{tree: tree, root: hub}
+				st.supplyLists(c)
+				lv, ok := st.supplyLevel(tree.Depth())
+				for ti := range terms {
+					got := st.bestSupply(ti, c)
+					if !ok {
+						if got != 0 {
+							t.Fatalf("degree %d D=%d tree %s: supply %v with no budget left", degree, diameter, tree.CanonicalKey(), got)
 						}
+						continue
+					}
+					if _, decided := st.supplyList(hub, lv, ti).bestOutside(tree); decided {
+						listed++
+					} else {
+						fellBack++
+					}
+					if want := st.scanSupply(ti, lv, tree); got != want {
+						t.Fatalf("degree %d D=%d tree %s term %q level %d: supply %v, full scan %v",
+							degree, diameter, tree.CanonicalKey(), terms[ti], lv, got, want)
 					}
 				}
 			}
-			if listed == 0 || (fellBack > 0) != (degree > rootTop) {
-				t.Fatalf("degree %d: %d trees answered from the lists, %d by the fallback", degree, listed, fellBack)
-			}
+		}
+		if listed == 0 || (fellBack > 0) != (degree > rootTop) {
+			t.Fatalf("degree %d: %d bounds answered from the lists, %d by the fallback", degree, listed, fellBack)
 		}
 	}
 }
@@ -139,7 +138,7 @@ func TestTopListKeepsBestFour(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(rng.Intn(6)) // few values, so ties occur
 			all[i] = graph.NodeID(i)
-			l.offer(all[i], vals)
+			l.offer(all[i], vals, 1)
 		}
 		sortDesc(all, vals)
 		want := all[:min(n, rootTop)]

@@ -387,8 +387,7 @@ func (s *ShardedEngine) SearchTerms(terms []string, k int, opts SearchOptions) (
 
 // SearchTermsContext runs one query as scatter-gather: every shard evaluates
 // it concurrently over its subgraph (each leg resolving options exactly as
-// Engine.SearchTermsContext would, including the shard's own star index and
-// caches), and the shard lists merge under the global score order with
+// Engine.SearchTermsContext would), and the shard lists merge under the global score order with
 // overlap duplicates removed. The ranking is byte-identical to the
 // unpartitioned engine's for every shard and worker count. The resolved
 // diameter must not exceed 2×Radius — beyond that an answer tree could
