@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) .
 	$(GO) test -run '^$$' -fuzz '^FuzzServerSearchParams$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzSupplyField$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/search
+	$(GO) test -run '^$$' -fuzz '^FuzzChildBound$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/search
 
 # cover writes a full-repo coverage profile and prints the function table.
 # CI compares the total against COVERAGE_BASELINE.

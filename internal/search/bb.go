@@ -78,6 +78,9 @@ type bbState struct {
 	// successful merges. The arena hands out exactly these — the accounting
 	// test holds it to that, so a tree built only to be discarded shows.
 	built int
+	// spared counts the children the bound check kept the arena from
+	// building; built + spared is what the cheaper checks let through.
+	spared int
 	// lost latches when candidate trees were dropped before evaluation (the
 	// Generated-cap backstop discards whole merge cascades), so the frontier
 	// no longer bounds the unexplored answer space and FrontierBound must
@@ -223,7 +226,9 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 		// Grow every batch candidate through its root, in deterministic
 		// (batch, edge) order. Every check that can reject a grow runs
 		// before the arena hands out storage, cheapest first, so no tree is
-		// built only to be thrown away; evaluating the survivors is the
+		// built only to be thrown away: depth, frontier, overlap, and — when
+		// the query has supply fields — the bound itself, priced from the
+		// parent's flows (prebound.go). Evaluating the survivors is the
 		// expensive part, which process fans out.
 		grown := sc.grown[:0]
 		for _, c := range batch {
@@ -235,6 +240,7 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 			if depth > halfD {
 				continue
 			}
+			var parent *flowView // c's view, taken at the first neighbour that needs it
 			for _, e := range g.OutEdges(c.tree.Root()) {
 				nb := e.To
 				// Frontier prune, fused with the depth limit: the grown
@@ -249,9 +255,19 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 				}
 				// nb came from the root's out-edges, so the data-graph edge
 				// needs no second proof; only the overlap check remains.
-				if t := sc.arena.GrowEdge(c.tree, nb); t != nil {
-					grown = append(grown, t)
+				if c.tree.Contains(nb) {
+					continue
 				}
+				if qc.levels > 0 {
+					if parent == nil {
+						parent = st.viewParent(c)
+					}
+					if st.doomed(parent, e) {
+						st.spared++
+						continue
+					}
+				}
+				grown = append(grown, sc.arena.GrowEdge(c.tree, nb))
 			}
 		}
 		sc.grown = grown
@@ -323,7 +339,7 @@ func (st *bbState) process(trees []*jtt.Tree) {
 			c := sc.cands.get()
 			c.tree = tree
 			c.root = st.rootOf(tree.Root())
-			st.supplyLists(c)
+			st.supplyLists(c.root, tree.Root(), tree.Depth())
 			level = append(level, c)
 		}
 		sc.level = level
@@ -385,31 +401,44 @@ func (st *bbState) rootOf(root graph.NodeID) int32 {
 
 // fill computes the evaluation products of a candidate: keyword cover, the
 // RWMP score when the tree is a valid complete answer, and the §IV-B upper
-// bound. The tree's flow table is filled once and both the score and the
-// bound read it. fill only reads state that is immutable during the fan-out
-// (model, query context, root records, options, path index) and writes only
-// the candidate and the calling worker's own bound scratch, so any number of
-// fills may run concurrently.
+// bound. The tree's flow table is filled once, read into the worker's bound
+// view, and both the score and the bound come from the view; a candidate
+// missing a term nothing can supply needs neither. fill only reads state that
+// is immutable during the fan-out (model, query context, root records,
+// options, path index) and writes only the candidate and the calling worker's
+// own bound scratch, so any number of fills may run concurrently.
 func (st *bbState) fill(c *candidate, bs *boundScratch) {
 	qc := st.qc
+	c.cover = st.sources(c.tree, bs)
+	v := &bs.view
+	v.at(c.tree, c.root)
+	v.cover = c.cover
+	if !st.supplied(v) {
+		return // ub stays 0: commit drops the candidate
+	}
+	bs.flow.SetTree(st.s.m, c.tree)
+	v.readFlow(&bs.flow, bs.slots, bs.gens, nil, st.s.m.Damp(v.node))
+	if c.cover == qc.full && c.tree.IsReduced(qc.isNonFreeFn) && c.tree.Diameter() <= st.opts.Diameter {
+		c.complete = true
+		c.score = v.scoreSum() / float64(len(bs.slots))
+	}
+	c.ub = st.upperBound(v)
+}
+
+// sources lists t's sources into bs — their slots and generation counts,
+// ascending — and returns the terms they cover.
+func (st *bbState) sources(t *jtt.Tree, bs *boundScratch) (cover uint64) {
+	qc := st.qc
 	slots, gens := bs.slots[:0], bs.gens[:0]
-	for i, v := range c.tree.NodeView() {
+	for i, v := range t.NodeView() {
 		if mask := qc.masks[v]; mask != 0 {
-			c.cover |= mask
+			cover |= mask
 			slots = append(slots, i)
 			gens = append(gens, qc.gen[v])
 		}
 	}
 	bs.slots, bs.gens = slots, gens
-	bs.flow.SetTree(st.s.m, c.tree)
-	if c.cover == qc.full {
-		bs.scoreSum = bs.flow.ScoreSum(slots, gens)
-		if c.tree.IsReduced(qc.isNonFreeFn) && c.tree.Diameter() <= st.opts.Diameter {
-			c.complete = true
-			c.score = bs.scoreSum / float64(len(slots))
-		}
-	}
-	c.ub = st.upperBound(c, bs)
+	return cover
 }
 
 // commit folds one evaluated candidate into the search state: records its

@@ -4,6 +4,8 @@ import (
 	"math"
 
 	"cirank/internal/graph"
+	"cirank/internal/jtt"
+	"cirank/internal/rwmp"
 )
 
 // This file implements the upper-bound machinery of §IV-B. A candidate tree
@@ -37,49 +39,138 @@ import (
 // sound at O(1) extra cost.
 const supplyScanCap = 256
 
-// upperBound computes ub(C) = max(ce, pe). A return of 0 means the
-// candidate can never become a valid answer (some keyword has no feasible
-// supplement) and must be pruned. bs is the calling worker's own scratch;
-// the two float buffers below live in it instead of on the heap.
-func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
-	qc := st.qc
-	flow, slots, gens := &bs.flow, bs.slots, bs.gens
-	root := flow.Root()
-	missing := qc.full &^ c.cover
-	lone := missing == 0 && len(slots) == 1
+// boundView is everything the bound reads about one candidate: where it
+// stands (for the supplement bounds) and its message flows, per source. There
+// are two ways to fill one. fill reads a built candidate's rwmp.Flow; the
+// expansion step derives the view of a child it has not built from its
+// parent's (flowView.grow). upperBound cannot tell them apart, which is the
+// point: the case analysis below exists once.
+type boundView struct {
+	// The candidate's nodes are tree's, plus grown when the view prices a
+	// child that is not built yet (graph.InvalidNode otherwise). node is its
+	// root, root the root's record, depth its depth.
+	tree  *jtt.Tree
+	grown graph.NodeID
+	node  graph.NodeID
+	root  int32
+	depth int
 
-	// Best possible delivery, at the root, from a supplement covering each
-	// missing term.
-	supplies := bs.supplies[:0]
-	for ti := range qc.terms {
+	cover uint64
+	// dampRoot is the root's dampening rate; rootSrc the position of the
+	// source that is the root, −1 for a free root.
+	dampRoot float64
+	rootSrc  int
+	// Per source, ascending by node (a grown root last): its generation
+	// count, how many of its messages arrive at the root, the root → source
+	// path factor, and the least any other source delivers to it (+Inf for a
+	// lone source) — Eq. 3's node score when there are two or more.
+	gens, atRoot, fromRoot, inflow []float64
+
+	supplies []float64 // the missing terms' supplies, as supplied left them
+}
+
+// at places the view on a built candidate.
+func (v *boundView) at(tree *jtt.Tree, root int32) {
+	v.tree, v.grown, v.node, v.root, v.depth = tree, graph.InvalidNode, tree.Root(), root, tree.Depth()
+}
+
+// contains reports whether u is a node of the candidate.
+func (v *boundView) contains(u graph.NodeID) bool { return u == v.grown || v.tree.Contains(u) }
+
+// sized returns buf with length n, reallocating only to grow.
+func sized(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// size makes room for n sources.
+func (v *boundView) size(n int) {
+	v.gens, v.atRoot, v.fromRoot, v.inflow = sized(v.gens, n), sized(v.atRoot, n), sized(v.fromRoot, n), sized(v.inflow, n)
+}
+
+// readFlow fills the flow side of the view from a built tree's table, whose
+// sources sit at slots (ascending) and generate gens. A non-nil deliv, of
+// len(slots)² entries, also receives every source-to-source delivered count:
+// entry i·n+j is what source i delivers to source j.
+func (v *boundView) readFlow(flow *rwmp.Flow, slots []int, gens, deliv []float64, dampRoot float64) {
+	n, root := len(slots), flow.Root()
+	v.size(n)
+	v.dampRoot, v.rootSrc = dampRoot, -1
+	copy(v.gens, gens)
+	for j, dst := range slots {
+		if dst == root {
+			v.rootSrc = j
+		}
+		v.atRoot[j] = flow.Delivered(gens[j], dst, root)
+		v.fromRoot[j] = flow.Factor(root, dst)
+		in := math.Inf(1)
+		for i, src := range slots {
+			if src == dst {
+				continue
+			}
+			f := flow.Delivered(gens[i], src, dst)
+			if deliv != nil {
+				deliv[i*n+j] = f
+			}
+			if f < in {
+				in = f
+			}
+		}
+		v.inflow[j] = in
+	}
+}
+
+// scoreSum returns Σ node scores (Eq. 4's numerator) of a candidate that
+// covers every term: a lone source scores its generation, otherwise each
+// source its least inflow.
+func (v *boundView) scoreSum() float64 {
+	if len(v.gens) == 1 {
+		return v.gens[0]
+	}
+	sum := 0.0
+	for _, in := range v.inflow {
+		sum += in
+	}
+	return sum
+}
+
+// supplied fills v.supplies with the best possible delivery, at the root,
+// from a supplement covering each term the candidate misses. It reports
+// false when some missing term has no feasible supplement: the candidate can
+// never become a valid answer, its bound is 0 and it must be pruned.
+func (st *bbState) supplied(v *boundView) bool {
+	missing := st.qc.full &^ v.cover
+	v.supplies = v.supplies[:0]
+	for ti := range st.qc.terms {
 		if missing&(uint64(1)<<ti) == 0 {
 			continue
 		}
-		best := st.bestSupply(ti, c)
+		best := st.bestSupply(ti, v)
 		if best <= 0 {
-			return 0 // no feasible node can cover this keyword
+			return false
 		}
-		supplies = append(supplies, best)
+		v.supplies = append(v.supplies, best)
 	}
-	bs.supplies = supplies
+	return true
+}
 
-	if cap(bs.flowAtRoot) < len(slots) {
-		bs.flowAtRoot = make([]float64, len(slots))
-	}
-	flowAtRoot := bs.flowAtRoot[:len(slots)]
-	for i, src := range slots {
-		flowAtRoot[i] = flow.Delivered(gens[i], src, root)
-	}
-	dampRoot := st.s.m.Damp(c.tree.Root())
+// upperBound computes ub(C) = max(ce, pe) of a candidate that supplied
+// accepted, from its view.
+func (st *bbState) upperBound(v *boundView) float64 {
+	qc := st.qc
+	missing := qc.full &^ v.cover
+	n := len(v.gens)
+	lone := missing == 0 && n == 1
 
 	// pe: bound on the score of any node added outside C. Its messages
 	// from C's sources cross the root (dampened there unless the root is
 	// the source itself), then attenuate by at most 1.
 	ubNew := math.Inf(1)
-	for i, src := range slots {
-		f := flowAtRoot[i]
-		if src != root {
-			f *= dampRoot
+	for i, f := range v.atRoot {
+		if i != v.rootSrc {
+			f *= v.dampRoot
 		}
 		if f < ubNew {
 			ubNew = f
@@ -103,18 +194,17 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 		// supply, and need not: what s carries back through any neighbour
 		// is at most gen(s), so its share of alt below is at most gens[0] —
 		// the floor bound already stands on.
-		v := slots[0]
-		bound := gens[0]
+		bound := v.gens[0]
 		bestAdd := 0.0
 		for ti := range qc.terms {
-			if sup := st.bestSupply(ti, c); sup > bestAdd {
+			if sup := st.bestSupply(ti, v); sup > bestAdd {
 				bestAdd = sup
 			}
 		}
 		if bestAdd > 0 {
-			factor := flow.Factor(root, v)
-			if v != root {
-				factor *= dampRoot
+			factor := v.fromRoot[0]
+			if v.rootSrc != 0 {
+				factor *= v.dampRoot
 			}
 			if alt := bestAdd * factor; alt > bound {
 				bound = alt
@@ -124,28 +214,19 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 	case missing == 0:
 		// With two or more sources every node score is already a min over
 		// other-source inflows; adding sources only shrinks each node's
-		// min, so the current exact node scores — which fill summed for
-		// Eq. 4 — are the bounds.
-		flowSum = bs.scoreSum
+		// min, so the current exact node scores — Eq. 4's numerator — are
+		// the bounds.
+		flowSum = v.scoreSum()
 	default:
 		// Each in-tree source's score is capped by flows from existing
 		// sources (exact within C) and by the best supplement flow
-		// entering at the root and descending to v.
-		for _, v := range slots {
-			ub := math.Inf(1)
-			for i, src := range slots {
-				if src == v {
-					continue
-				}
-				if f := flow.Delivered(gens[i], src, v); f < ub {
-					ub = f
-				}
+		// entering at the root and descending to it.
+		for j, ub := range v.inflow {
+			factor := v.fromRoot[j]
+			if j != v.rootSrc {
+				factor *= v.dampRoot
 			}
-			factor := flow.Factor(root, v)
-			if v != root {
-				factor *= dampRoot
-			}
-			for _, sup := range supplies {
+			for _, sup := range v.supplies {
 				if f := sup * factor; f < ub {
 					ub = f
 				}
@@ -167,8 +248,7 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 	if missing != 0 {
 		aMin = 1
 	}
-	n := float64(len(slots))
-	atMin := (flowSum + aMin*ubNew) / (n + aMin)
+	atMin := (flowSum + aMin*ubNew) / (float64(n) + aMin)
 	if ubNew > atMin {
 		return ubNew
 	}
@@ -191,45 +271,46 @@ func (st *bbState) upperBound(c *candidate, bs *boundScratch) float64 {
 // With an index, the feasible nodes are also scanned by descending
 // generation — those the index places beyond the budget discarded, the rest
 // discounted by the indexed retention — and the lower estimate wins, so
-// passing an index never weakens a bound.
-func (st *bbState) bestSupply(ti int, c *candidate) float64 {
+// passing an index never weakens a bound. A child that is not built yet is
+// priced from the fields alone: the index could only lower its supplies, so
+// the pre-build bound stays above the one fill will compute.
+func (st *bbState) bestSupply(ti int, v *boundView) float64 {
 	qc := st.qc
 	nodes := qc.byGen[ti]
 	best := 0.0
-	if lv, ok := st.supplyLevel(c.tree.Depth()); ok {
-		if n, decided := st.supplyList(c.root, lv, ti).bestOutside(c.tree); !decided {
-			best = st.scanSupply(ti, lv, c.tree)
+	if lv, ok := st.supplyLevel(v.depth); ok {
+		if n, decided := st.supplyList(v.root, lv, ti).bestOutside(v); !decided {
+			best = st.scanSupply(ti, lv, v)
 		} else if n != graph.InvalidNode {
 			best = st.sc.fields[ti].row(n)[lv]
 		}
 	} else if st.opts.NoDynamicBounds {
-		for _, v := range nodes {
-			if !c.tree.Contains(v) {
-				best = qc.gen[v]
+		for _, u := range nodes {
+			if !v.contains(u) {
+				best = qc.gen[u]
 				break // byGen is sorted descending
 			}
 		}
 	}
 	idx := st.opts.Index
-	if idx == nil || best <= 0 {
+	if idx == nil || best <= 0 || v.grown != graph.InvalidNode {
 		return best
 	}
-	root := c.tree.Root()
-	budget := st.opts.Diameter - c.tree.Depth()
+	budget := st.opts.Diameter - v.depth
 	indexed := 0.0
 	scanned := 0
-	for i, v := range nodes {
-		if c.tree.Contains(v) {
+	for i, u := range nodes {
+		if v.contains(u) {
 			continue
 		}
-		g := qc.gen[v]
+		g := qc.gen[u]
 		if g <= indexed {
 			break // sorted by descending generation; retention ≤ 1
 		}
-		if idx.DistanceLB(v, root) > budget {
+		if idx.DistanceLB(u, v.node) > budget {
 			continue
 		}
-		if r := g * idx.RetentionUB(v, root); r > indexed {
+		if r := g * idx.RetentionUB(u, v.node); r > indexed {
 			indexed = r
 		}
 		scanned++

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"cirank/internal/graph"
+	"cirank/internal/jtt"
 )
 
 // hubFixture builds a free hub with n spokes, each a free connector ending in
@@ -36,8 +39,24 @@ var hubTerms = []string{"alpha", "beta"}
 // TestArenaHandsOutOnlyKeptTrees is the "pruned earlier, not differently"
 // accounting: over a whole hub query the arena hands out exactly the trees
 // that reach evaluation — seeds, grows that passed every check, successful
-// merges — so none is built to be discarded for depth.
+// merges — so none is built to be discarded for depth. And on the Fig. 2
+// query it hands out fewer trees than children passed the cheap checks: the
+// bound check spares some, unless the query has no supply fields to price
+// them from.
 func TestArenaHandsOutOnlyKeptTrees(t *testing.T) {
+	fig2 := fig2Fixture(t)
+	for _, static := range []bool{false, true} {
+		sc := newQueryScratch()
+		st, err := fig2.s.run(context.Background(), sc, []string{"tsimmis", "ullman"},
+			Options{K: 2, Diameter: 4, Workers: 1, NoDynamicBounds: static})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sc.arena.Trees(); got != st.built || (st.spared > 0) == static {
+			t.Errorf("fig2 static=%v: arena handed out %d trees, %d reached evaluation, the bound check spared %d",
+				static, got, st.built, st.spared)
+		}
+	}
 	fx := hubFixture(t, 40)
 	for _, workers := range []int{1, 4} {
 		sc := newQueryScratch()
@@ -65,7 +84,8 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 	fx := hubFixture(t, 400)
 	opts := Options{K: 5, Diameter: 4, Workers: 1}
 	sc := newQueryScratch()
-	if _, err := fx.s.run(context.Background(), sc, hubTerms, opts); err != nil {
+	st, err := fx.s.run(context.Background(), sc, hubTerms, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.seen.n <= seenMapCap || len(sc.cands.slabs) <= candSlabKeep || cap(sc.pq) <= ptrBufCap {
@@ -83,7 +103,42 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 		t.Fatalf("unexpected root records: hub registry %d, %d roots, %d supply lists (%d level slots) over %d nodes",
 			cap(hub.cands), len(sc.roots), len(sc.tops), len(sc.listAt), len(sc.rootAt))
 	}
+	// The bound views hold a few floats per source of one tree, the parent's
+	// a square of them. The query's trees have two sources; a tree over 300
+	// spokes — evaluated, viewed as a parent and priced for a child — grows
+	// every view buffer past its cap.
+	wide := jtt.NewSingle(0)
+	for i := 0; i < 300; i++ {
+		mid, leaf := graph.NodeID(1+2*i), graph.NodeID(2+2*i)
+		wide = wide.MustAttach(mid, 0).MustAttach(leaf, mid)
+	}
+	c := &candidate{tree: wide, root: st.rootOf(0)}
+	st.fill(c, &st.ws[0])
+	w, _ := fx.g.Weight(0, 601)
+	st.childBound(st.viewParent(c), graph.HalfEdge{To: 601, Weight: w}, true)
+	views := func() map[string]int {
+		fillView, p, ch := &sc.ws[0].view, &sc.parent, &sc.child
+		return map[string]int{
+			"fill gens": cap(fillView.gens), "fill atRoot": cap(fillView.atRoot), "fill fromRoot": cap(fillView.fromRoot), "fill inflow": cap(fillView.inflow),
+			"parent gens": cap(p.gens), "parent atRoot": cap(p.atRoot), "parent fromRoot": cap(p.fromRoot), "parent inflow": cap(p.inflow),
+			"parent deliv": cap(p.deliv), "parent branch": cap(p.branch),
+			"child gens": cap(ch.gens), "child atRoot": cap(ch.atRoot), "child fromRoot": cap(ch.fromRoot), "child inflow": cap(ch.inflow),
+		}
+	}
+	for name, c := range views() {
+		if c <= viewBufCap {
+			t.Fatalf("fixture too small to exceed the view cap: %s holds %d", name, c)
+		}
+	}
 	sc.release()
+	for name, c := range views() {
+		if c > viewBufCap {
+			t.Errorf("retained view buffer %s with capacity %d, cap %d", name, c, viewBufCap)
+		}
+	}
+	if sc.parent.tree != nil || sc.child.tree != nil || sc.ws[0].view.tree != nil {
+		t.Error("a released view still points into the arena")
+	}
 	if sc.seen.n != 0 || len(sc.seen.slots) != 0 || len(sc.roots) != 0 || len(sc.tops) != 0 || len(sc.listAt) != 0 || sc.arena.Trees() != 0 {
 		t.Errorf("released scratch not empty: seen %d in %d slots, roots %d, supply lists %d (%d level slots), arena trees %d",
 			sc.seen.n, len(sc.seen.slots), len(sc.roots), len(sc.tops), len(sc.listAt), sc.arena.Trees())

@@ -1,6 +1,9 @@
 package search
 
-import "cirank/internal/graph"
+import (
+	"cirank/internal/graph"
+	"cirank/internal/jtt"
+)
 
 // WithoutFieldSource runs f with the oracle's supply fields relaxed as if
 // src matched no term, then restores them. It is how the external tests ask
@@ -31,4 +34,24 @@ func (o *BoundOracle) refield(drop graph.NodeID) {
 		}
 		fs.relax(m.Graph(), m.DampVector(), qc.gen, matchers, st.opts.Diameter > maxSupplyLevels)
 	}
+}
+
+// ChildBound returns what the expansion step would price tree grown to nb
+// at — nb an out-neighbour of tree's root, outside tree — without building
+// the child: the bound upperBound gives the view derived from tree's flows.
+// ok is false when the query has no supply fields, so the search would not
+// price at all.
+func (o *BoundOracle) ChildBound(tree *jtt.Tree, nb graph.NodeID) (ub float64, ok bool) {
+	st := o.st
+	if st.qc.levels == 0 {
+		return 0, false
+	}
+	g := st.s.m.Graph()
+	w, isEdge := g.Weight(tree.Root(), nb)
+	if !isEdge || tree.Contains(nb) {
+		panic("search: ChildBound wants an out-neighbour of the root outside the tree")
+	}
+	c := &candidate{tree: tree, root: st.rootOf(tree.Root())}
+	ub, _ = st.childBound(st.viewParent(c), graph.HalfEdge{To: nb, Weight: w}, g.HasEdge(nb, tree.Root()))
+	return ub, true
 }

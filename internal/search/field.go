@@ -1,9 +1,6 @@
 package search
 
-import (
-	"cirank/internal/graph"
-	"cirank/internal/jtt"
-)
+import "cirank/internal/graph"
 
 // This file computes the per-term supply field behind the dynamic supplement
 // bound of §IV-B — how many messages a node covering a missing keyword could
@@ -151,20 +148,22 @@ func (st *bbState) supplyLevel(depth int) (lv int, ok bool) {
 	return min(budget, st.qc.levels) - 1, st.qc.levels > 0 && budget >= 1
 }
 
-// supplyLists makes sure the supply lists c's bound will read exist: one
-// topList per term for (c's root, c's field level), ranking the root's
+// supplyLists makes sure the supply lists that the bound of a candidate of
+// the given depth, rooted at node (whose record is root), will read exist:
+// one topList per term for (root, field level), ranking the root's
 // out-neighbours by field value. This is the one pass over a root's
 // out-edges the query pays per level, however many candidate trees it roots
-// there. It runs on the coordinator, before c is handed to fill, in batch
-// order — so the lists, like everything else Stats depends on, are the same
-// for every worker count.
-func (st *bbState) supplyLists(c *candidate) {
-	lv, ok := st.supplyLevel(c.tree.Depth())
+// there. It runs on the coordinator — before the candidate is handed to fill,
+// or before the expansion step prices it unbuilt — in batch order, so the
+// lists, like everything else Stats depends on, are the same for every worker
+// count. It appends to sc.tops: fetch list pointers after it, not before.
+func (st *bbState) supplyLists(root int32, node graph.NodeID, depth int) {
+	lv, ok := st.supplyLevel(depth)
 	if !ok {
 		return
 	}
 	sc, L := st.sc, st.qc.levels
-	at := &sc.listAt[int(c.root)*L+lv]
+	at := &sc.listAt[int(root)*L+lv]
 	if *at != 0 {
 		return
 	}
@@ -175,7 +174,7 @@ func (st *bbState) supplyLists(c *candidate) {
 	}
 	lists := sc.tops[off:]
 	stride := len(lists) * L
-	for _, e := range st.s.m.Graph().OutEdges(c.tree.Root()) {
+	for _, e := range st.s.m.Graph().OutEdges(node) {
 		at := int(e.To)*stride + lv // the neighbour's terms at this level sit L apart
 		for ti := range lists {
 			if sc.field[at+ti*L] > 0 {
@@ -192,13 +191,13 @@ func (st *bbState) supplyList(root int32, lv, ti int) *topList {
 }
 
 // scanSupply is bestSupply's field estimate by a full pass over the root's
-// out-edges: the fallback for a tree that contains every node of a truncated
-// supply list, and the definition the lists are tested against.
-func (st *bbState) scanSupply(ti, lv int, t *jtt.Tree) float64 {
+// out-edges: the fallback for a candidate that contains every node of a
+// truncated supply list, and the definition the lists are tested against.
+func (st *bbState) scanSupply(ti, lv int, v *boundView) float64 {
 	fs := &st.sc.fields[ti]
 	best := 0.0
-	for _, e := range st.s.m.Graph().OutEdges(t.Root()) {
-		if val := fs.row(e.To)[lv]; val > best && !t.Contains(e.To) {
+	for _, e := range st.s.m.Graph().OutEdges(v.node) {
+		if val := fs.row(e.To)[lv]; val > best && !v.contains(e.To) {
 			best = val
 		}
 	}

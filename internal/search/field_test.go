@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cirank/internal/graph"
+	"cirank/internal/textindex"
 )
 
 // fieldCase is one input of the supply-field oracle: a small graph,
@@ -19,6 +20,10 @@ type fieldCase struct {
 
 // fieldCaseTerms is how many matcher sets a decoded case carries.
 const fieldCaseTerms = 2
+
+// fieldCaseTexts is a decoded node's text by term mask: term 0 is "alpha",
+// term 1 "beta".
+var fieldCaseTexts = [1 << fieldCaseTerms]string{"free", "alpha", "beta", "alpha beta"}
 
 // decodeFieldCase reads a case off raw bytes, the fuzz target's input: a
 // header byte (node count 2–8, levels 1–4, the fixpoint flag), three bytes
@@ -41,7 +46,10 @@ func decodeFieldCase(data []byte) (fc fieldCase, ok bool) {
 	fc.damp, fc.gen = make([]float64, n), make([]float64, n)
 	fc.matchers = make([][]graph.NodeID, fieldCaseTerms)
 	for v := 0; v < n; v++ {
-		b.AddNode(graph.Node{Relation: "R"})
+		// The text spells the term mask out, so that a text index over the
+		// graph finds the same matchers (prebound_test.go searches the case).
+		text := fieldCaseTexts[data[3*v+2]&(1<<fieldCaseTerms-1)]
+		b.AddNode(graph.Node{Relation: "R", Text: text, Words: textindex.WordCount(text)})
 		fc.damp[v] = (float64(data[3*v]) + 1) / 258
 		fc.gen[v] = 1 + float64(data[3*v+1])
 		for ti := range fc.matchers {

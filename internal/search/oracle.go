@@ -46,7 +46,7 @@ func (o *BoundOracle) Evaluate(tree *jtt.Tree) (ub, score float64, complete bool
 	// fill reads the supply lists, which the search builds when process
 	// creates the first candidate of a (root, depth).
 	c := &candidate{tree: tree, root: o.st.rootOf(tree.Root())}
-	o.st.supplyLists(c)
+	o.st.supplyLists(c.root, tree.Root(), tree.Depth())
 	o.st.fill(c, &o.st.ws[0])
 	return c.ub, c.score, c.complete
 }

@@ -1,0 +1,188 @@
+package search
+
+import (
+	"math"
+
+	"cirank/internal/graph"
+)
+
+// This file is the fourth pre-build check of the expansion step: the §IV-B
+// bound, per neighbour. Algorithm 1 grows a popped candidate C(r) to every
+// neighbour nb of its root and bounds each child afterwards; most children's
+// bounds send them straight to the bin. But a child is its parent plus one
+// node on top, and every flow the bound reads of it follows from the
+// parent's by arithmetic:
+//
+//   - r gains nb as a tree neighbour, so its split denominator grows from
+//     denom to denom+w, w = w(r→nb). Every flow that crosses r or leaves it
+//     towards the old tree is scaled by ρ = denom/(denom+w); flows that end
+//     at r, or stay inside one of its branches, are untouched.
+//   - What reached r reaches nb after r's dampening (unless r generated it)
+//     and the split w/(denom+w).
+//   - What nb sends enters r whole — r is nb's only tree neighbour — provided
+//     the edge nb→r exists, and then descends as r's own flows do, dampened
+//     at r and scaled by ρ.
+//   - nb joins as a source when it matches a term; its supplies come from
+//     its own supply lists at the child's level, with nb counted as a tree
+//     node.
+//
+// So the expansion step views the popped candidate once (flowView), derives
+// each child's boundView from it and asks upperBound — the same function
+// fill asks. Children whose bound already condemns them are never built.
+// The derived numbers round differently from the ones fill computes off the
+// child's own flow table (SetTree sums r's denominator in ascending
+// neighbour order), so the comparison keeps a relative slack and survivors
+// are still filled: the queue only ever orders by fill's bound.
+
+// preBoundSlack is the relative slack the skip rule leaves for the rounding
+// differences between a derived view and the built child's.
+const preBoundSlack = 1e-9
+
+// flowView is the bound view of a candidate about to be expanded, with what
+// deriving its children's views needs on top.
+type flowView struct {
+	boundView
+	// denom is the root's split denominator: Σ w(root → child) over its tree
+	// children.
+	denom float64
+	// deliv holds the source-to-source delivered counts (boundView.readFlow);
+	// branch, per source, the slot of the root's child it hangs under — its
+	// own slot for the root. Two sources exchange messages through the root
+	// iff their branches differ.
+	deliv  []float64
+	branch []int32
+}
+
+// viewParent fills the scratch's parent view for the popped candidate c. It
+// runs on the coordinator between fan-outs, when worker 0's flow table is
+// idle.
+func (st *bbState) viewParent(c *candidate) *flowView {
+	bs, p := &st.ws[0], &st.sc.parent
+	t, m := c.tree, st.s.m
+	p.cover = st.sources(t, bs)
+	nodes, par, root := t.NodeView(), t.ParentView(), t.Root()
+	p.denom, p.branch = 0, p.branch[:0]
+	for _, i := range bs.slots {
+		for par[i] != root { // the root's own entry names itself
+			i = t.Slot(par[i])
+		}
+		p.branch = append(p.branch, int32(i))
+	}
+	for i, u := range nodes {
+		if par[i] == root && u != root {
+			w, _ := m.Graph().Weight(root, u)
+			p.denom += w
+		}
+	}
+	bs.flow.SetTree(m, t)
+	p.at(t, c.root)
+	p.deliv = sized(p.deliv, len(bs.slots)*len(bs.slots))
+	p.readFlow(&bs.flow, bs.slots, bs.gens, p.deliv, m.Damp(root))
+	return p
+}
+
+// grow derives into v the flows of p's candidate grown over its root's
+// out-edge of weight w to a node with the given dampening rate; back reports
+// whether the reverse edge exists, and gen is the node's generation count
+// when it matches a term, 0 for a free node.
+func (p *flowView) grow(v *boundView, w float64, back bool, gen, damp float64) {
+	n := len(p.gens)
+	if gen > 0 {
+		v.size(n + 1)
+	} else {
+		v.size(n)
+	}
+	v.dampRoot, v.rootSrc = damp, -1
+	copy(v.gens, p.gens)
+	denom := p.denom + w
+	up, rho := w/denom, p.denom/denom
+	for j := 0; j < n; j++ {
+		v.atRoot[j], v.fromRoot[j] = p.atRoot[j]*up, 0
+		if j != p.rootSrc {
+			v.atRoot[j] *= p.dampRoot
+		}
+		if back {
+			v.fromRoot[j] = 1
+			if j != p.rootSrc {
+				v.fromRoot[j] = p.dampRoot * rho * p.fromRoot[j]
+			}
+		}
+		in := math.Inf(1)
+		for i := 0; i < n; i++ {
+			if i == j {
+				continue
+			}
+			f := p.deliv[i*n+j]
+			if j != p.rootSrc && p.branch[i] != p.branch[j] {
+				f *= rho
+			}
+			in = min(in, f)
+		}
+		v.inflow[j] = in
+	}
+	if gen > 0 {
+		in := math.Inf(1)
+		for j := 0; j < n; j++ {
+			v.inflow[j] = min(v.inflow[j], gen*v.fromRoot[j])
+			in = min(in, v.atRoot[j])
+		}
+		v.gens[n], v.atRoot[n], v.fromRoot[n], v.inflow[n], v.rootSrc = gen, gen, 1, in, n
+	}
+}
+
+// childBound prices the child of p's candidate over the root's out-edge e
+// without building it: its cover and the bound upperBound gives its derived
+// view. back says whether the reverse edge exists, so that e.To's messages
+// reach the old tree at all. The bound is fill's for the built child up to
+// rounding when no path index is passed, and never below it when one is. The
+// caller has checked that e.To is outside the tree.
+func (st *bbState) childBound(p *flowView, e graph.HalfEdge, back bool) (ub float64, cover uint64) {
+	qc, nb := st.qc, e.To
+	v := &st.sc.child
+	v.tree, v.grown, v.node, v.depth = p.tree, nb, nb, p.depth+1
+	v.root = st.rootOf(nb)
+	st.supplyLists(v.root, nb, v.depth)
+	v.cover = p.cover | qc.masks[nb]
+	if !st.supplied(v) {
+		return 0, v.cover
+	}
+	p.grow(v, e.Weight, back, qc.gen[nb], st.s.m.Damp(nb))
+	return st.upperBound(v), v.cover
+}
+
+// condemned reports whether commit would discard a child with that cover
+// whose bound fill puts at most at ub (rounding aside): it misses a term and
+// its bound is 0, or the top-k is full and its bound, hence its score, lies
+// below the k-th answer's. A child that covers every term is an answer even
+// at score 0 while the list has room, so only the second test may drop it.
+func (st *bbState) condemned(ub float64, cover uint64) bool {
+	return cover != st.qc.full && ub <= 0 || st.top.full() && ub*(1+preBoundSlack) < st.top.min()
+}
+
+// doomed reports whether the child over e need not be built. The reverse
+// edge is a binary search in e.To's adjacency, and nothing the bound reads
+// shrinks when it exists, so the child is priced as if it did and the edge
+// looked up only when that price lets the child live.
+func (st *bbState) doomed(p *flowView, e graph.HalfEdge) bool {
+	if st.condemned(st.childBound(p, e, true)) {
+		return true
+	}
+	if st.s.m.Graph().HasEdge(e.To, p.node) {
+		return false
+	}
+	return st.condemned(st.childBound(p, e, false))
+}
+
+// release drops the view's candidate and empties its buffers, dropping those
+// a many-source tree grew.
+func (v *boundView) release() {
+	v.tree = nil
+	v.gens, v.atRoot = trimmed(v.gens, viewBufCap), trimmed(v.atRoot, viewBufCap)
+	v.fromRoot, v.inflow = trimmed(v.fromRoot, viewBufCap), trimmed(v.inflow, viewBufCap)
+}
+
+// release is boundView.release for the parent's extra buffers too.
+func (p *flowView) release() {
+	p.boundView.release()
+	p.deliv, p.branch = trimmed(p.deliv, viewBufCap), trimmed(p.branch, viewBufCap)
+}

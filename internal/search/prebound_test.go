@@ -1,0 +1,376 @@
+package search
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"cirank/internal/graph"
+	"cirank/internal/jtt"
+	"cirank/internal/rwmp"
+	"cirank/internal/textindex"
+)
+
+// These tests carry the soundness argument of the pre-build bound
+// (prebound.go) on the graphs the in-package fixtures can build and the
+// difftest generators cannot: one-way edges, hand-made hubs, the fuzz
+// decoder's cases. oracle_prebound_test.go walks the generators.
+
+// searcher builds a model over a decoded case — the case's dampening rates,
+// its generation bytes as importance, a text index over the node texts — and
+// a searcher over the model.
+func (fc fieldCase) searcher(t testing.TB) *Searcher {
+	t.Helper()
+	m, err := rwmp.NewFromParts(fc.g, textindex.Build(fc.g), fc.gen, fc.damp, rwmp.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(m)
+}
+
+// symmetric reports whether every edge of g has its reverse. Only then do
+// the exhaustive enumerator, which attaches children along out-edges, and
+// the search, which grows roots along them, walk the same trees.
+func symmetric(g *graph.Graph) bool {
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, e := range g.OutEdges(graph.NodeID(v)) {
+			if !g.HasEdge(e.To, graph.NodeID(v)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// childKinds counts what checkChildBounds saw, so a test can demand that
+// its inputs reached every case of the bound.
+type childKinds struct {
+	lone, complete, missing int // the child's view, by upperBound's cases
+	matcher, free           int // the node grown to
+	rootSource, oneWay      int // parents whose root is a source; edges without a reverse
+	doomed, checked         int
+	ranked                  int // queries whose ranking was held to the references
+}
+
+func (k *childKinds) add(o childKinds) {
+	k.lone, k.complete, k.missing = k.lone+o.lone, k.complete+o.complete, k.missing+o.missing
+	k.matcher, k.free = k.matcher+o.matcher, k.free+o.free
+	k.rootSource, k.oneWay = k.rootSource+o.rootSource, k.oneWay+o.oneWay
+	k.doomed, k.checked, k.ranked = k.doomed+o.doomed, k.checked+o.checked, k.ranked+o.ranked
+}
+
+// checkChildBounds holds the derived bound to fill's on every child of every
+// tree the search could hold for the query, up to maxTrees of them: the
+// closure of the matchers under grow and (extended) merge within the depth
+// limit. For each tree and each out-neighbour of its root outside it, the
+// bound priced from the tree's flows must agree with the bound fill computes
+// for the built child within preBoundSlack — the skip rule's slack, so a
+// child is never dropped on a bound fill would have put above the k-th
+// answer.
+func checkChildBounds(t testing.TB, s *Searcher, terms []string, opts Options, maxTrees int) (kinds childKinds) {
+	t.Helper()
+	o, ok, err := s.NewBoundOracle(terms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok || o.st.qc.levels == 0 {
+		return kinds
+	}
+	g, qc := s.m.Graph(), o.st.qc
+	seen := make(map[string]bool)
+	var trees []*jtt.Tree
+	push := func(tree *jtt.Tree) {
+		key := fmt.Sprintf("%d|%s", tree.Root(), tree.CanonicalKey())
+		if !seen[key] && len(trees) < maxTrees {
+			seen[key] = true
+			trees = append(trees, tree)
+		}
+	}
+	for _, v := range qc.nonFree {
+		push(jtt.NewSingle(v))
+	}
+	for i := 0; i < len(trees); i++ {
+		tree := trees[i]
+		for _, other := range trees[:i] {
+			if merged, err := tree.Merge(other); err == nil && other.Root() == tree.Root() {
+				push(merged)
+			}
+		}
+		if tree.Depth() >= o.GrowthDepthLimit() {
+			continue
+		}
+		root := tree.Root()
+		for _, e := range g.OutEdges(root) {
+			if tree.Contains(e.To) {
+				continue
+			}
+			pre, _ := o.ChildBound(tree, e.To)
+			child, err := tree.Grow(g, e.To)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ub, _, _ := o.Evaluate(child)
+			if pre*(1+preBoundSlack) < ub || pre > ub*(1+preBoundSlack) {
+				t.Fatalf("query %v D=%d: tree %s rooted at %d grown to %d: priced %.17g from the parent, fill bounds the built child %.17g",
+					terms, opts.Diameter, tree.CanonicalKey(), root, e.To, pre, ub)
+			}
+			kinds.checked++
+			sources := len(qc.sourcesIn(child))
+			switch {
+			case qc.cover(child) != qc.full:
+				kinds.missing++
+			case sources == 1:
+				kinds.lone++
+			default:
+				kinds.complete++
+			}
+			if qc.masks[e.To] != 0 {
+				kinds.matcher++
+			} else {
+				kinds.free++
+			}
+			if qc.masks[root] != 0 {
+				kinds.rootSource++
+			}
+			if !g.HasEdge(e.To, root) {
+				kinds.oneWay++
+			}
+			if ub <= 0 {
+				kinds.doomed++
+			}
+			push(child)
+		}
+	}
+	return kinds
+}
+
+// sameRanking fails unless the two answer lists hold the same trees with the
+// same scores, bit for bit, in the same order.
+func sameRanking(t testing.TB, label string, want, got []Answer) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d answers, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if wk, gk := want[i].Tree.CanonicalKey(), got[i].Tree.CanonicalKey(); wk != gk || want[i].Score != got[i].Score {
+			t.Fatalf("%s: answer %d is %s=%v, want %s=%v", label, i, gk, got[i].Score, wk, want[i].Score)
+		}
+	}
+}
+
+// checkChildBoundCase runs a decoded case as queries and holds every child's
+// derived bound to fill's. Where every edge has its reverse it also holds the
+// pricing search's ranking to the search without supply fields, which never
+// prices, and to the enumeration. (With one-way edges neither is a reference:
+// the enumerator attaches children along out-edges where the search grows
+// roots along them, and the supply lists read a root's out-neighbours where
+// a merge partner arrives over an in-edge, so the two arms of the search
+// already disagreed on such graphs before anything was priced. ROADMAP's
+// robustness item has the finding.)
+func checkChildBoundCase(t testing.TB, fc fieldCase) (kinds childKinds) {
+	t.Helper()
+	s := fc.searcher(t)
+	n := fc.g.NumNodes()
+	for _, terms := range [][]string{{"alpha"}, {"alpha", "beta"}} {
+		if len(fc.matchers[len(terms)-1]) == 0 {
+			continue
+		}
+		opts := Options{K: 1 + n%4, Diameter: fc.levels + 1, ExtendedMerge: true, Workers: 1}
+		kinds.add(checkChildBounds(t, s, terms, opts, 256))
+		if !symmetric(fc.g) {
+			continue
+		}
+		got, _, err := s.TopK(terms, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		static := opts
+		static.NoDynamicBounds = true
+		want, _, err := s.TopK(terms, static)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRanking(t, fmt.Sprintf("query %v %+v against the unpriced search", terms, opts), want, got)
+		all, err := s.ExhaustiveTopK(terms, opts, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) != len(got) {
+			t.Fatalf("query %v %+v: %d answers, enumeration has %d", terms, opts, len(got), len(all))
+		}
+		for i := range all {
+			if math.Abs(got[i].Score-all[i].Score) > 1e-9*all[i].Score {
+				t.Fatalf("query %v %+v: answer %d scores %v, enumerated %v", terms, opts, i, got[i].Score, all[i].Score)
+			}
+		}
+		kinds.ranked++
+	}
+	return kinds
+}
+
+// TestChildBoundMatchesFill is the pre-build bound's soundness argument as a
+// property, on the inputs this package can build: the fuzz decoder's graphs
+// (random rates, one-way edges, nodes matching both terms), the random
+// fixtures, a hub, and Fig. 2.
+func TestChildBoundMatchesFill(t *testing.T) {
+	var kinds childKinds
+	rng := rand.New(rand.NewSource(25))
+	for round := 0; round < 300; round++ {
+		data := make([]byte, 1+3*8+2*rng.Intn(16))
+		rng.Read(data)
+		if round%2 == 0 { // every edge both ways, so the rankings are checked too
+			for i := 1 + 3*(2+int(data[0]&7)%7); i < len(data); i += 2 {
+				data[i] &^= 0x80
+			}
+		}
+		fc, ok := decodeFieldCase(data)
+		if !ok {
+			t.Fatalf("round %d: %d bytes did not decode", round, len(data))
+		}
+		kinds.add(checkChildBoundCase(t, fc))
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		fx := randomFixture(t, rand.New(rand.NewSource(seed)))
+		for _, terms := range [][]string{{"alpha"}, {"alpha", "beta"}, {"alpha", "beta", "spoke"}} {
+			for _, d := range []int{1, 2, 3, 4, 5} {
+				kinds.add(checkChildBounds(t, fx.s, terms, Options{K: 3, Diameter: d, ExtendedMerge: seed%2 == 0, Workers: 1}, 256))
+			}
+		}
+	}
+	kinds.add(checkChildBounds(t, hubFixture(t, 12).s, hubTerms, Options{K: 5, Diameter: 4, Workers: 1}, 512))
+	kinds.add(checkChildBounds(t, fig2Fixture(t).s, []string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4, Workers: 1}, 512))
+	t.Logf("%+v", kinds)
+	if kinds.lone < 100 || kinds.complete < 100 || kinds.missing < 100 || kinds.matcher < 100 || kinds.free < 100 ||
+		kinds.rootSource < 100 || kinds.oneWay < 100 || kinds.doomed < 100 || kinds.ranked < 100 {
+		t.Fatalf("some case of the bound went nearly unexercised: %+v", kinds)
+	}
+}
+
+// FuzzChildBound runs whatever graph, rates and matchers the bytes decode to
+// (FuzzSupplyField's decoder) as queries: every derived bound is held to
+// fill's, and the ranking to the unpriced search and the enumeration.
+// The seeds are the committed corpus under testdata/fuzz/FuzzChildBound.
+func FuzzChildBound(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if fc, ok := decodeFieldCase(data); ok {
+			checkChildBoundCase(t, fc)
+		}
+	})
+}
+
+// TestZeroScoreAnswerSurvivesPricing is the regression test of the first
+// trap: commit records a complete answer before it looks at the bound, so
+// while the list has room an answer that scores 0 is still an answer, and
+// the skip rule must not drop a child for a zero bound unless it misses a
+// term. With one-way edges a→m←b nothing flows between the two keyword
+// nodes, so the only answer scores 0; c gives m something to grow to.
+func TestZeroScoreAnswerSurvivesPricing(t *testing.T) {
+	fx := build(t, []string{"alpha", "beta", "mid", "beta gamma"}, []float64{1, 1, 1, 1},
+		[][2]int{{2, 3}}, [2]int{0, 2}, [2]int{1, 2})
+	terms := []string{"alpha", "beta"}
+	opts := Options{K: 5, Diameter: 4, Workers: 1}
+	got, _, err := fx.s.TopK(terms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := false
+	for _, a := range got {
+		zero = zero || (a.Score == 0 && a.Tree.Contains(0) && a.Tree.Contains(1))
+	}
+	if len(got) >= opts.K || !zero {
+		t.Fatalf("the zero-score answer alpha→mid←beta is missing from %d answers", len(got))
+	}
+	static := opts
+	static.NoDynamicBounds = true
+	want, _, err := fx.s.TopK(terms, static)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRanking(t, "against the unpriced search", want, got)
+
+	// The rule itself: a zero bound condemns only a child that misses a
+	// term, and a full list condemns whatever its k-th answer beats.
+	sc := newQueryScratch()
+	if _, ok, err := fx.s.prepareInto(sc, terms); err != nil || !ok {
+		t.Fatal(err)
+	}
+	st := newBBState(fx.s, sc, opts)
+	if st.condemned(0, st.qc.full) || !st.condemned(0, 1) {
+		t.Error("with room in the list a zero bound must condemn a child missing a term, and only that")
+	}
+	st.top.k = 1
+	st.top.add(jtt.NewSingle(0), 2)
+	if !st.condemned(1, st.qc.full) || st.condemned(2, st.qc.full) || st.condemned(2*(1-preBoundSlack/2), 1) {
+		t.Error("a full list must condemn a bound below its k-th score, beyond the rounding slack, and nothing else")
+	}
+}
+
+// TestUndecidedSupplyListBuildsChild is the regression test of the second
+// trap. The hub h lists its four best beta suppliers x1…x4, and the list is
+// truncated: x5, a weak beta node, did not fit. The tree r{x1…x4} holds all
+// four, so for its child over r→h the list alone cannot tell — reading that
+// as "no supply" would drop the child, and with it the only route to the
+// answer that joins all of them to x5: r→h is one-way, so no other rooting
+// assembles it.
+func TestUndecidedSupplyListBuildsChild(t *testing.T) {
+	const (
+		r, h, x5 = 0, 1, 10
+	)
+	texts := []string{"mid", "hub"}
+	imp := []float64{1, 1}
+	var edges [][2]int
+	for i := 0; i < 4; i++ { // x_i = 2+2i matches alpha and hangs a strong beta node y_i = 3+2i
+		texts = append(texts, "alpha", "beta")
+		imp = append(imp, 1, 50)
+		edges = append(edges, [2]int{r, 2 + 2*i}, [2]int{h, 2 + 2*i}, [2]int{2 + 2*i, 3 + 2*i})
+	}
+	texts = append(texts, "beta pad pad pad")
+	imp = append(imp, 0.1)
+	edges = append(edges, [2]int{h, x5})
+	fx := build(t, texts, imp, edges, [2]int{r, h})
+	terms := []string{"alpha", "beta"}
+	opts := Options{K: 4096, Diameter: 4, ExtendedMerge: true, Workers: 1}
+
+	sc := newQueryScratch()
+	if _, ok, err := fx.s.prepareInto(sc, terms); err != nil || !ok {
+		t.Fatal(err)
+	}
+	st := newBBState(fx.s, sc, opts)
+	tree := jtt.NewSingle(r)
+	for i := 0; i < 4; i++ {
+		tree = tree.MustAttach(graph.NodeID(2+2*i), r)
+	}
+	c := &candidate{tree: tree, root: st.rootOf(r)}
+	w, _ := fx.g.Weight(r, h)
+	edge := graph.HalfEdge{To: h, Weight: w}
+	parent := st.viewParent(c)
+	ub, _ := st.childBound(parent, edge, false)
+	v := &sc.child
+	lv, _ := st.supplyLevel(v.depth)
+	if _, decided := st.supplyList(v.root, lv, 1).bestOutside(v); decided {
+		t.Fatal("fixture broken: h's beta list decides the child by itself")
+	}
+	if ub <= 0 || st.doomed(parent, edge) {
+		t.Fatalf("the child over r→h is priced %v and dropped; x5 can still supply it", ub)
+	}
+
+	got, _, err := fx.s.TopK(terms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, a := range got {
+		found = found || a.Tree.Size() == 7 && a.Tree.Contains(x5) && a.Tree.Contains(r)
+	}
+	if !found {
+		t.Fatalf("the answer joining x1…x4 to x5 through r→h is missing from %d answers", len(got))
+	}
+	static := opts
+	static.NoDynamicBounds = true
+	want, _, err := fx.s.TopK(terms, static)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRanking(t, "against the unpriced search", want, got)
+}

@@ -58,16 +58,12 @@ func (cs *candSlab) reset() {
 // describes the candidate being filled.
 type boundScratch struct {
 	// flow is the candidate tree's message-flow table; slots and gens are
-	// its sources' table slots and generation counts, ascending. scoreSum is Σ node scores (Eq. 4's numerator),
-	// computed once for a candidate covering every term: the exact score
-	// and the complete-estimate bound both read it.
-	flow     rwmp.Flow
-	slots    []int
-	gens     []float64
-	scoreSum float64
-
-	supplies   []float64
-	flowAtRoot []float64
+	// its sources' table slots and generation counts, ascending; view is
+	// what the exact score and the bound read of them (bounds.go).
+	flow  rwmp.Flow
+	slots []int
+	gens  []float64
+	view  boundView
 }
 
 // treeSet is the dedup set of generated candidates: an open-addressing table
@@ -179,13 +175,14 @@ func (l *topList) offer(v graph.NodeID, vals []float64, stride int) {
 	l.nodes[i] = v
 }
 
-// bestOutside returns the best listed neighbour outside t, or
-// graph.InvalidNode when there is none. decided is false when the list
-// cannot tell: every listed node is in t and the list was truncated.
-func (l *topList) bestOutside(t *jtt.Tree) (v graph.NodeID, decided bool) {
-	for _, v := range l.nodes[:l.n] {
-		if !t.Contains(v) {
-			return v, true
+// bestOutside returns the best listed neighbour outside the candidate v
+// views, or graph.InvalidNode when there is none. decided is false when the
+// list cannot tell: every listed node is in the candidate and the list was
+// truncated.
+func (l *topList) bestOutside(v *boundView) (n graph.NodeID, decided bool) {
+	for _, n := range l.nodes[:l.n] {
+		if !v.contains(n) {
+			return n, true
 		}
 	}
 	return graph.InvalidNode, !l.truncated
@@ -203,6 +200,7 @@ const (
 	candSlabKeep = seenMapCap / candSlabSize
 	ptrBufCap    = seenMapCap
 	rootListCap  = 256 // per retained merge registry; a hub root's is dropped
+	viewBufCap   = 256 // floats per bound-view buffer; the parent's source-by-source square reaches it at 16 sources
 )
 
 // trimmed empties a reusable buffer, dropping it when it grew past max.
@@ -237,6 +235,12 @@ type queryScratch struct {
 	arena  jtt.Arena
 	cands  candSlab
 	keyBuf []byte // canonical key of the top-k entrant being committed
+
+	// parent is the bound view of the candidate being expanded, child the
+	// view the expansion step derives from it for one neighbour at a time
+	// (prebound.go); both belong to the coordinator.
+	parent flowView
+	child  boundView
 
 	batch     []*candidate
 	level     []*candidate
@@ -321,6 +325,13 @@ func (sc *queryScratch) release() {
 	sc.grown = trimmed(sc.grown, ptrBufCap)
 	sc.procA = trimmed(sc.procA, ptrBufCap)
 	sc.procB = trimmed(sc.procB, ptrBufCap)
+	// A view holds a few floats per source of one tree, the parent's a
+	// square of them; a many-source tree's are dropped.
+	for i := range sc.ws {
+		sc.ws[i].view.release()
+	}
+	sc.parent.release()
+	sc.child.release()
 	sc.top.release()
 	sc.arena.Reset()
 	sc.cands.reset()

@@ -88,23 +88,24 @@ func TestSupplyListMatchesFullScan(t *testing.T) {
 				trees = append(trees, tree)
 			}
 			for _, tree := range trees {
-				c := &candidate{tree: tree, root: hub}
-				st.supplyLists(c)
+				st.supplyLists(hub, 0, tree.Depth())
 				lv, ok := st.supplyLevel(tree.Depth())
+				var v boundView
+				v.at(tree, hub)
 				for ti := range terms {
-					got := st.bestSupply(ti, c)
+					got := st.bestSupply(ti, &v)
 					if !ok {
 						if got != 0 {
 							t.Fatalf("degree %d D=%d tree %s: supply %v with no budget left", degree, diameter, tree.CanonicalKey(), got)
 						}
 						continue
 					}
-					if _, decided := st.supplyList(hub, lv, ti).bestOutside(tree); decided {
+					if _, decided := st.supplyList(hub, lv, ti).bestOutside(&v); decided {
 						listed++
 					} else {
 						fellBack++
 					}
-					if want := st.scanSupply(ti, lv, tree); got != want {
+					if want := st.scanSupply(ti, lv, &v); got != want {
 						t.Fatalf("degree %d D=%d tree %s term %q level %d: supply %v, full scan %v",
 							degree, diameter, tree.CanonicalKey(), terms[ti], lv, got, want)
 					}

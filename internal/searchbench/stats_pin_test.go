@@ -14,11 +14,13 @@ import (
 	"cirank/internal/shard"
 )
 
-// updatePins rewrites testdata/stats_pins.json from the running engine. The
-// committed file was recorded on the commit before the expansion step
-// learned to reject grows ahead of building them, so it certifies that
-// trees are pruned earlier, not differently; re-record only for a change
-// that is meant to alter what the search explores.
+// updatePins rewrites testdata/stats_pins.json from the running engine.
+// Re-record only for a change that is meant to alter what the search
+// explores. A change that only builds fewer trees moves Generated, down, and
+// nothing else, and the update holds it to that: while the committed file
+// exists, a re-record that changes any row's Expanded, Answers or Truncated,
+// or raises a Generated, fails and writes nothing. (Delete the file first to
+// record a change that means to move those; say why in the PR.)
 var updatePins = flag.Bool("update-pins", false, "rewrite testdata/stats_pins.json")
 
 const pinsPath = "testdata/stats_pins.json"
@@ -65,17 +67,21 @@ func workOf(terms []string, st search.Stats) pinnedWork {
 // the recorded Expanded/Generated/Answers/Truncated, at workers 1 and 4 and
 // through 2- and 4-shard scatter-gather.
 func TestStatsPinned(t *testing.T) {
-	var pins []pinnedWorkload
+	var pins, old []pinnedWorkload
+	raw, err := os.ReadFile(pinsPath)
+	if err == nil {
+		err = json.Unmarshal(raw, &old)
+	}
+	if *updatePins && os.IsNotExist(err) {
+		err = nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 	if *updatePins {
 		pins = []pinnedWorkload{{Dataset: "dblp", Scale: 0.25}, {Dataset: "imdb", Scale: 0.25}}
 	} else {
-		raw, err := os.ReadFile(pinsPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(raw, &pins); err != nil {
-			t.Fatal(err)
-		}
+		pins = old
 	}
 	for pi := range pins {
 		pin := &pins[pi]
@@ -132,6 +138,16 @@ func TestStatsPinned(t *testing.T) {
 		}
 	}
 	if *updatePins {
+		for pi := range old {
+			onlyGeneratedFell(t, old[pi].Dataset, "single", old[pi].Single, pins[pi].Single)
+			for _, count := range pinShards {
+				name := strconv.Itoa(count)
+				onlyGeneratedFell(t, old[pi].Dataset, "shards="+name, old[pi].Sharded[name], pins[pi].Sharded[name])
+			}
+		}
+		if t.Failed() {
+			t.Fatalf("%s not rewritten", pinsPath)
+		}
 		raw, err := json.MarshalIndent(pins, "", " ")
 		if err != nil {
 			t.Fatal(err)
@@ -140,6 +156,28 @@ func TestStatsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// onlyGeneratedFell is the re-record guard: against the committed rows, the
+// new ones may differ in Generated alone, and only downwards. It logs the
+// old → new totals, which is the table EXPERIMENTS.md quotes.
+func onlyGeneratedFell(t *testing.T, dataset, arm string, old, rows []pinnedWork) {
+	t.Helper()
+	if len(old) != len(rows) {
+		t.Errorf("%s %s: %d committed rows, %d re-recorded", dataset, arm, len(old), len(rows))
+		return
+	}
+	var was, now int
+	for i, o := range old {
+		r := rows[i]
+		was, now = was+o.Generated, now+r.Generated
+		rest := o
+		rest.Generated = r.Generated
+		if rest != r || r.Generated > o.Generated {
+			t.Errorf("%s %s query %d: re-record moves more than Generated, or moves it up:\n new %+v\n old %+v", dataset, arm, i, r, o)
+		}
+	}
+	t.Logf("%s %s: generated %d -> %d over %d queries", dataset, arm, was, now, len(rows))
 }
 
 func comparePins(t *testing.T, dataset, axis string, n int, want, got []pinnedWork) {
