@@ -20,7 +20,7 @@ test:
 	$(GO) test ./...
 
 # race runs the full suite under the race detector; the concurrency tests
-# (concurrency_test.go, internal/search/parallel_test.go, the cache tests)
+# (concurrency_test.go, internal/search/parallel_test.go, internal/server)
 # are written to put load on every shared structure.
 race:
 	$(GO) test -race ./...

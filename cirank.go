@@ -50,8 +50,7 @@ import (
 // out-of-range value) with ErrBadConfig instead of guessing what was meant.
 // The remaining fields keep documented zero sentinels: Group 0 means the
 // paper's 20, IndexDepth 0 disables indexing, FeedbackMix 0 disables
-// feedback biasing, Workers 0 means one worker per CPU, and CacheSize 0
-// means the default bound-memo capacity.
+// feedback biasing, and Workers 0 means one worker per CPU.
 type Config struct {
 	// Alpha is the message-keeping probability of the dampening function,
 	// in (0, 1]. DefaultConfig sets the paper's operating point, 0.15.
@@ -65,8 +64,9 @@ type Config struct {
 	// explicit 0 is rejected at Build.
 	Teleport float64
 	// IndexDepth, when positive, builds the §V-B star index with the given
-	// horizon. The index is saved in snapshots and handed to shard engines
-	// but searches no longer consult it (see SearchOptions.DisableIndex).
+	// horizon. The index is saved in snapshots and rebuilt per shard engine,
+	// but searches do not consult it: the per-query supply fields
+	// (internal/search/field.go) bound supplements at least as tightly.
 	// 0 disables indexing.
 	IndexDepth int
 	// FeedbackMix routes this fraction of teleport mass through recorded
@@ -84,12 +84,6 @@ type Config struct {
 	// count (certified by the determinism suites); only throughput
 	// changes.
 	Workers int
-	// CacheSize bounds the path-index bound memo (entries keyed by node
-	// pair), which exists only when a star index was built. 0 means the
-	// default (pathindex.DefaultBoundCacheSize); a negative value disables
-	// the memo. Searches no longer consult the index, so the memo stays
-	// idle and results never depend on this knob.
-	CacheSize int
 }
 
 // DefaultConfig returns the paper's configuration with a star index deep
@@ -134,10 +128,6 @@ type SearchOptions struct {
 	// MaxExpansions caps branch-and-bound work (default 200000; 0 keeps
 	// the default, -1 removes the cap).
 	MaxExpansions int
-	// DisableIndex is a no-op kept for compatibility: searches no longer
-	// consult the engine's star index. The per-query supply fields
-	// (internal/search/field.go) bound supplements at least as tightly.
-	DisableIndex bool
 	// Workers overrides the engine's Config.Workers for this query:
 	// 0 keeps the engine setting, 1 forces the sequential path, higher
 	// values set the evaluation fan-out. Rankings are identical for every
@@ -203,9 +193,6 @@ type Engine struct {
 	// every merged-away role key. Snapshots persist it so Importance keeps
 	// resolving merged keys after a reload.
 	mapEntries []relational.MappingEntry
-	// cachedIdx is the engine-lifetime bound memo over starIdx (nil without
-	// a star index or when Config.CacheSize < 0).
-	cachedIdx *pathindex.CachedIndex
 	// buildStats records what the offline build pipeline did. Engines
 	// loaded from a snapshot report zero stage timings with Source set to
 	// how the data arrived (stream decode or mmap open).
@@ -246,23 +233,6 @@ func (e *Engine) Close() error {
 // snapshot report zero stage timings — their expensive stages were skipped
 // entirely — with Source recording how the data arrived.
 func (e *Engine) BuildStats() BuildStats { return e.buildStats }
-
-// CacheStats reports cumulative hit/miss counts of the engine's path-index
-// bound memo. Searches no longer consult the index, so both stay 0.
-type CacheStats struct {
-	BoundHits, BoundMisses int64
-}
-
-// CacheStats returns the engine's cache counters since construction. All
-// zeros without a star index or when caching is disabled
-// (Config.CacheSize < 0).
-func (e *Engine) CacheStats() CacheStats {
-	var cs CacheStats
-	if e.cachedIdx != nil {
-		cs.BoundHits, cs.BoundMisses = e.cachedIdx.Stats()
-	}
-	return cs
-}
 
 // TermSelectivity reports how many graph nodes' text contains term (the
 // term's total posting-list length, case-insensitively). It is the
@@ -591,8 +561,5 @@ func buildEngine(ctx context.Context, g *graph.Graph, mp *relational.Mapping, is
 		mapEntries: mp.Entries(),
 	}
 	stats.Source = SourceBuild
-	if cfg.CacheSize >= 0 && starIdx != nil {
-		e.cachedIdx = pathindex.NewCached(starIdx, cfg.CacheSize)
-	}
 	return e, nil
 }

@@ -90,12 +90,13 @@ func TestEngineSearchValidation(t *testing.T) {
 }
 
 func TestEngineIndexToggle(t *testing.T) {
-	eng := fig2Engine(t, DefaultConfig())
-	withIdx, err := eng.SearchTerms([]string{"papakonstantinou", "ullman"}, 2, SearchOptions{})
+	withIdx, err := fig2Engine(t, DefaultConfig()).SearchTerms([]string{"papakonstantinou", "ullman"}, 2, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noIdx, err := eng.SearchTerms([]string{"papakonstantinou", "ullman"}, 2, SearchOptions{DisableIndex: true})
+	cfg := DefaultConfig()
+	cfg.IndexDepth = 0
+	noIdx, err := fig2Engine(t, cfg).SearchTerms([]string{"papakonstantinou", "ullman"}, 2, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,25 +93,6 @@ func TestEngineSearchConcurrent(t *testing.T) {
 	}
 }
 
-// TestCacheDisabled checks the CacheSize < 0 escape hatch still searches
-// correctly and reports idle caches.
-func TestCacheDisabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CacheSize = -1
-	cfg.Workers = 2
-	eng := concurrencyEngine(t, cfg)
-	res, err := eng.Search("number3 number10", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) == 0 {
-		t.Fatal("no results with caching disabled")
-	}
-	if cs := eng.CacheStats(); cs != (CacheStats{}) {
-		t.Errorf("disabled caches reported activity: %+v", cs)
-	}
-}
-
 // TestWorkerCountsAgreeEndToEnd pins the public API to the determinism
 // guarantee: the same engine data searched with Workers 1, 2 and 8 must
 // return identical rankings and scores.

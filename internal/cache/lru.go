@@ -1,8 +1,7 @@
-// Package cache provides the small, dependency-free bounded LRU map that
-// backs the query-path caches (rwmp score memoisation and pathindex bound
-// memoisation). It is not paper machinery — the paper's §V indexes are
-// offline structures — but the online caching layer the ROADMAP's
-// production-scale goal calls for.
+// Package cache provides the small, dependency-free bounded LRU map behind
+// the server's result cache. It is not paper machinery — the paper's §V
+// indexes are offline structures — but the online caching layer a serving
+// process needs.
 package cache
 
 import (
@@ -14,8 +13,8 @@ import (
 // LRU is a bounded least-recently-used map. The zero value is not usable;
 // construct with New. All methods are safe for concurrent use: a single
 // mutex guards the map and recency list, which keeps the implementation
-// obviously correct under the -race test load (search workers hammer the
-// caches from GOMAXPROCS goroutines).
+// obviously correct under the -race test load (concurrent requests hammer
+// the cache from every handler goroutine).
 type LRU[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
@@ -81,29 +80,12 @@ func (c *LRU[K, V]) Add(key K, val V) {
 	c.items[key] = c.order.PushFront(&entry[K, V]{key: key, val: val})
 }
 
-// GetOrCompute returns the cached value for key, computing and storing it on
-// a miss. compute may run concurrently for the same key on racing misses;
-// each racer stores its result, so compute must be deterministic for the
-// cache to stay coherent — which is exactly the contract the score and bound
-// caches rely on (their values are pure functions of the key).
-func (c *LRU[K, V]) GetOrCompute(key K, compute func() V) V {
-	if v, ok := c.Get(key); ok {
-		return v
-	}
-	v := compute()
-	c.Add(key, v)
-	return v
-}
-
 // Len reports the number of cached entries.
 func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
-
-// Cap reports the configured capacity.
-func (c *LRU[K, V]) Cap() int { return c.cap }
 
 // Stats reports cumulative hit and miss counts since construction.
 func (c *LRU[K, V]) Stats() (hits, misses int64) {

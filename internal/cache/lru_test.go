@@ -30,6 +30,9 @@ func TestBasicGetAdd(t *testing.T) {
 	if c.Len() != 2 {
 		t.Errorf("Len() = %d, want 2", c.Len())
 	}
+	if hits, misses := c.Stats(); hits != 3 || misses != 2 {
+		t.Errorf("Stats() = %d hits, %d misses; want 3, 2", hits, misses)
+	}
 }
 
 func TestUpdateExisting(t *testing.T) {
@@ -50,28 +53,6 @@ func TestZeroCapacityStoresNothing(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Error("zero-capacity cache stored a value")
 	}
-	if got := c.GetOrCompute("a", func() int { return 7 }); got != 7 {
-		t.Errorf("GetOrCompute = %d, want computed 7", got)
-	}
-}
-
-func TestGetOrCompute(t *testing.T) {
-	c := New[string, int](4)
-	calls := 0
-	f := func() int { calls++; return 42 }
-	if got := c.GetOrCompute("k", f); got != 42 {
-		t.Errorf("first GetOrCompute = %d", got)
-	}
-	if got := c.GetOrCompute("k", f); got != 42 {
-		t.Errorf("second GetOrCompute = %d", got)
-	}
-	if calls != 1 {
-		t.Errorf("compute called %d times, want 1", calls)
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("Stats() = %d hits, %d misses; want 1, 1", hits, misses)
-	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
@@ -83,9 +64,13 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				k := (w*31 + i) % 100
-				got := c.GetOrCompute(k, func() int { return k * 2 })
+				got, ok := c.Get(k)
+				if !ok {
+					c.Add(k, k*2)
+					continue
+				}
 				if got != k*2 {
-					t.Errorf("GetOrCompute(%d) = %d", k, got)
+					t.Errorf("Get(%d) = %d", k, got)
 					return
 				}
 			}

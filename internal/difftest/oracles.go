@@ -117,11 +117,10 @@ func trueRetentions(g *graph.Graph, damp []float64) [][]float64 {
 	return all
 }
 
-// checkIndexes certifies both path indexes (and the cached wrapper and the
-// serialization roundtrip of the star index) against brute-force truth:
-// DistanceLB never exceeds the true hop distance, RetentionUB never falls
-// below the true best retention, and the roundtripped/cached indexes answer
-// exactly like the originals.
+// checkIndexes certifies both path indexes (and the serialization roundtrip
+// of the star index) against brute-force truth: DistanceLB never exceeds the
+// true hop distance, RetentionUB never falls below the true best retention,
+// and the roundtripped index answers exactly like the original.
 func checkIndexes(w *Workload) error {
 	dist := trueDistances(w.Graph)
 	ret := trueRetentions(w.Graph, w.Damp)
@@ -134,7 +133,6 @@ func checkIndexes(w *Workload) error {
 	if err != nil {
 		return fmt.Errorf("star index ReadStar roundtrip: %w", err)
 	}
-	cached := pathindex.NewCached(w.StarIdx, 0)
 
 	indexes := []struct {
 		name string
@@ -143,7 +141,6 @@ func checkIndexes(w *Workload) error {
 		{"naive", w.NaiveIdx},
 		{"star", w.StarIdx},
 		{"star-reread", reread},
-		{"star-cached", cached},
 	}
 	n := w.Graph.NumNodes()
 	for u := 0; u < n; u++ {
@@ -168,11 +165,7 @@ func checkIndexes(w *Workload) error {
 						u, v, lb, dist[u][v])
 				}
 			}
-			// Cached and reread stars must be bit-identical to the original.
-			if cached.DistanceLB(uu, vv) != w.StarIdx.DistanceLB(uu, vv) ||
-				cached.RetentionUB(uu, vv) != w.StarIdx.RetentionUB(uu, vv) {
-				return fmt.Errorf("cached star index diverges from inner at (%d,%d)", u, v)
-			}
+			// The reread star must be bit-identical to the original.
 			if reread.DistanceLB(uu, vv) != w.StarIdx.DistanceLB(uu, vv) ||
 				reread.RetentionUB(uu, vv) != w.StarIdx.RetentionUB(uu, vv) {
 				return fmt.Errorf("reread star index diverges from original at (%d,%d)", u, v)
@@ -311,8 +304,8 @@ func checkQuery(w *Workload, q Query) error {
 	}
 
 	// Engine variants that must be *bit-identical* to the sequential run:
-	// parallel workers, either path index (bounds only steer pruning, never
-	// scores) and the cached star index.
+	// parallel workers and either path index (bounds only steer pruning,
+	// never scores).
 	variants := []struct {
 		name string
 		opts func() search.Options
@@ -320,7 +313,6 @@ func checkQuery(w *Workload, q Query) error {
 		{"parallel(4)", func() search.Options { o := base; o.Workers = 4; return o }},
 		{"naive-index", func() search.Options { o := base; o.Index = w.NaiveIdx; return o }},
 		{"star-index", func() search.Options { o := base; o.Index = w.StarIdx; return o }},
-		{"cached-star-index", func() search.Options { o := base; o.Index = pathindex.NewCached(w.StarIdx, 0); return o }},
 		{"no-dynamic-bounds", func() search.Options { o := base; o.NoDynamicBounds = true; return o }},
 		{"parallel-star-index", func() search.Options { o := base; o.Workers = 4; o.Index = w.StarIdx; return o }},
 	}

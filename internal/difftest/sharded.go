@@ -20,67 +20,59 @@ const shardRadius = 2
 // behaviour bit for bit.
 var shardCounts = []int{1, 2, 4}
 
-// shardStrategies are the ownership assignments the axis certifies: the
-// locality split the public facade defaults to, and the legacy contiguous
-// split that snapshots from before explicit ownership decode into.
-var shardStrategies = []shard.Strategy{shard.Locality, shard.Contiguous}
-
-// checkSharded partitions the workload graph at every certified strategy and
-// shard count and cross-checks the coordinator's merged top-k against the
-// sequential single-engine ranking for every query — demanding bitwise-equal
-// scores and identical tree order. Per plan it covers the sequential leg with
+// checkSharded partitions the workload graph at every certified shard count
+// and cross-checks the coordinator's merged top-k against the sequential
+// single-engine ranking for every query — demanding bitwise-equal scores and
+// identical tree order. Per plan it covers the sequential leg with
 // the frontier prune on and off (the prune only drops trees another shard
 // also finds, so rankings must not move), plus parallel workers and the
 // per-shard star indexes with the prune on, as deployed.
 func checkSharded(w *Workload) error {
-	for _, strategy := range shardStrategies {
-		for _, count := range shardCounts {
-			_, shards, err := shard.Build(context.Background(), w.Graph, shard.Config{
-				Count:      count,
-				Radius:     shardRadius,
-				Strategy:   strategy,
-				Importance: w.Imp,
-				Damp:       w.Damp,
-				Params:     w.Params,
-				IsStar:     w.IsStar,
-				StarDepth:  maxIndexDepth,
-				Workers:    1,
-			})
+	for _, count := range shardCounts {
+		_, shards, err := shard.Build(context.Background(), w.Graph, shard.Config{
+			Count:      count,
+			Radius:     shardRadius,
+			Importance: w.Imp,
+			Damp:       w.Damp,
+			Params:     w.Params,
+			IsStar:     w.IsStar,
+			StarDepth:  maxIndexDepth,
+			Workers:    1,
+		})
+		if err != nil {
+			return fmt.Errorf("shard build (count %d): %v", count, err)
+		}
+		set := shard.NewSet(shards)
+		noPruneSet := shard.NewSet(shards)
+		noPruneSet.NoPrune = true
+		for qi, q := range w.Queries {
+			base := search.Options{K: q.K, Diameter: q.Diameter, Workers: 1, ExtendedMerge: true}
+			bb, _, err := w.Searcher.TopK(q.Terms, base)
 			if err != nil {
-				return fmt.Errorf("shard build (%v, count %d): %v", strategy, count, err)
+				return fmt.Errorf("query %d %v: bb: %v", qi, q.Terms, err)
 			}
-			set := shard.NewSet(shards)
-			noPruneSet := shard.NewSet(shards)
-			noPruneSet.NoPrune = true
-			for qi, q := range w.Queries {
-				base := search.Options{K: q.K, Diameter: q.Diameter, Workers: 1, ExtendedMerge: true}
-				bb, _, err := w.Searcher.TopK(q.Terms, base)
+			variants := []struct {
+				name string
+				set  *shard.Set
+				opts search.Options
+			}{
+				{"sequential", set, base},
+				{"sequential/noprune", noPruneSet, base},
+				{"parallel(4)", set, func() search.Options { o := base; o.Workers = 4; return o }()},
+				{"star-index", set, func() search.Options { o := base; o.Index = w.StarIdx; return o }()},
+			}
+			for _, v := range variants {
+				got, stats, err := v.set.TopK(q.Terms, v.opts)
 				if err != nil {
-					return fmt.Errorf("query %d %v: bb: %v", qi, q.Terms, err)
+					return fmt.Errorf("query %d %v: sharded(%d) %s: %v", qi, q.Terms, count, v.name, err)
 				}
-				variants := []struct {
-					name string
-					set  *shard.Set
-					opts search.Options
-				}{
-					{"sequential", set, base},
-					{"sequential/noprune", noPruneSet, base},
-					{"parallel(4)", set, func() search.Options { o := base; o.Workers = 4; return o }()},
-					{"star-index", set, func() search.Options { o := base; o.Index = w.StarIdx; return o }()},
+				if err := answersEqual(got, bb, 0); err != nil {
+					return fmt.Errorf("query %d %v: sharded(%d) %s vs sequential bb: %w",
+						qi, q.Terms, count, v.name, err)
 				}
-				for _, v := range variants {
-					got, stats, err := v.set.TopK(q.Terms, v.opts)
-					if err != nil {
-						return fmt.Errorf("query %d %v: sharded(%v, %d) %s: %v", qi, q.Terms, strategy, count, v.name, err)
-					}
-					if err := answersEqual(got, bb, 0); err != nil {
-						return fmt.Errorf("query %d %v: sharded(%v, %d) %s vs sequential bb: %w",
-							qi, q.Terms, strategy, count, v.name, err)
-					}
-					if stats.Truncated || stats.Interrupted {
-						return fmt.Errorf("query %d %v: sharded(%v, %d) %s reported a partial run on an uncapped search",
-							qi, q.Terms, strategy, count, v.name)
-					}
+				if stats.Truncated || stats.Interrupted {
+					return fmt.Errorf("query %d %v: sharded(%d) %s reported a partial run on an uncapped search",
+						qi, q.Terms, count, v.name)
 				}
 			}
 		}

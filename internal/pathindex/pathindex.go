@@ -34,7 +34,7 @@ import (
 // Implementations must be safe for concurrent lookups: the parallel search
 // workers (search.Options.Workers) query the index from many goroutines.
 // Both in-package implementations are immutable after build and trivially
-// satisfy this; CachedIndex adds a mutex-guarded memo on top.
+// satisfy this.
 type Index interface {
 	// DistanceLB returns a lower bound on the hop distance from u to v.
 	// A graph with both FK directions materialized is symmetric, so the

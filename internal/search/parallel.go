@@ -9,14 +9,12 @@
 // goroutine that called TopK/NaiveTopK, in an order fixed by the data, never
 // by worker scheduling. Workers compute only pure functions of state that is
 // immutable for the duration of the search: the RWMP model, the query
-// context, the options, and the path index (plus the optional bound memo,
-// whose hits are provably equivalent to recomputation — see
-// pathindex.CachedIndex). The top-k additionally holds its entries in a
-// total order (score desc, canonical key asc), so even where the naive
-// pipeline commits scores in scheduling order, the retained list is the k
-// least elements under that order regardless of arrival order. The
-// determinism tests certify both properties empirically across randomized
-// workloads.
+// context, the options, and the path index. The top-k additionally holds
+// its entries in a total order (score desc, canonical key asc), so even
+// where the naive pipeline commits scores in scheduling order, the retained
+// list is the k least elements under that order regardless of arrival
+// order. The determinism tests certify both properties empirically across
+// randomized workloads.
 package search
 
 import (

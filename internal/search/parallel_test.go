@@ -8,6 +8,7 @@ import (
 	"cirank/internal/datagen"
 	"cirank/internal/graph"
 	"cirank/internal/pathindex"
+	"cirank/internal/relational"
 	"cirank/internal/rwmp"
 )
 
@@ -17,6 +18,7 @@ import (
 type datagenFixture struct {
 	s       *Searcher
 	g       *graph.Graph
+	isStar  []bool
 	queries []datagen.Query
 }
 
@@ -49,7 +51,8 @@ func prepareDatagen(t testing.TB, kind string, scale float64, dataSeed, querySee
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &datagenFixture{s: New(m), g: built.G, queries: queries}
+	isStar := relational.StarNodeSet(built.G, relational.StarTables(ds.Schema))
+	return &datagenFixture{s: New(m), g: built.G, isStar: isStar, queries: queries}
 }
 
 // answersEqual asserts two ranked lists are byte-identical: same length,
@@ -115,9 +118,8 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestParallelDeterminismIndexed repeats the determinism check with a path
-// index assisting the bounds, comparing the sequential uncached index run
-// against the parallel run through pathindex.NewCached — certifying both the
-// parallel engine and the bound cache at once.
+// index assisting the bounds: the sequential and the parallel run share one
+// immutable index.
 func TestParallelDeterminismIndexed(t *testing.T) {
 	fx := prepareDatagen(t, "imdb", 0.12, 3, 17, 8)
 	damp := make([]float64, fx.g.NumNodes())
@@ -128,7 +130,6 @@ func TestParallelDeterminismIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedIdx := pathindex.NewCached(idx, 0)
 	for qi, q := range fx.queries {
 		seq, seqStats, err := fx.s.TopK(q.Terms, Options{
 			K: 5, Diameter: 4, MaxExpansions: 200000, Workers: 1, Index: idx,
@@ -140,7 +141,7 @@ func TestParallelDeterminismIndexed(t *testing.T) {
 			t.Fatalf("query %d truncated; raise MaxExpansions", qi)
 		}
 		par, _, err := fx.s.TopK(q.Terms, Options{
-			K: 5, Diameter: 4, MaxExpansions: 200000, Workers: 8, Index: cachedIdx,
+			K: 5, Diameter: 4, MaxExpansions: 200000, Workers: 8, Index: idx,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -167,19 +168,18 @@ func TestNaiveParallelDeterminism(t *testing.T) {
 }
 
 // TestConcurrentCachedSearches drives one Searcher — one scratch pool — and
-// one bound memo, passed explicitly as Options.Index, from many goroutines.
-// Run under -race this exercises the isolation of pooled per-query state
-// (dense tables, field table, tree set, root records) and the memo's own
-// synchronization; each goroutine must also observe the same ranked lists,
-// and the repeated queries must hit the memo.
+// one immutable star index, passed explicitly as Options.Index, from many
+// goroutines. Run under -race this exercises the isolation of pooled
+// per-query state (dense tables, field table, tree set, root records) and
+// the index's lock-free reads; each goroutine must also observe the same
+// ranked lists.
 func TestConcurrentCachedSearches(t *testing.T) {
 	fx := prepareDatagen(t, "imdb", 0.1, 5, 23, 4)
-	idx, err := pathindex.BuildNaive(fx.g, fx.s.Model().DampVector(), 4)
+	idx, err := pathindex.BuildStar(fx.g, fx.s.Model().DampVector(), fx.isStar, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := pathindex.NewCached(idx, 0)
-	opts := Options{K: 5, Diameter: 4, MaxExpansions: 200000, Workers: 2, Index: memo}
+	opts := Options{K: 5, Diameter: 4, MaxExpansions: 200000, Workers: 2, Index: idx}
 	type outcome struct {
 		qi  int
 		res []Answer
@@ -209,9 +209,6 @@ func TestConcurrentCachedSearches(t *testing.T) {
 			continue
 		}
 		answersEqual(t, fmt.Sprintf("concurrent query %d", out.qi), reference[out.qi], out.res)
-	}
-	if hits, misses := memo.Stats(); hits == 0 {
-		t.Errorf("repeated identical queries produced no bound-memo hits (%d misses)", misses)
 	}
 }
 

@@ -19,27 +19,26 @@ import (
 // The compatibility test: docs/api.md is executable documentation. Every
 // example marked with an HTML comment of the form
 //
-//	<!-- compat: METHOD /path status=N [fences=2] [deprecated] [snapshot] -->
+//	<!-- compat: METHOD /path status=N [fences=2] [snapshot] [sharded] [tenants] -->
 //
 // is replayed against a fresh fixture server and its response compared
 // byte-for-byte with the documented body, after canonicalizing JSON field
 // order and zeroing the volatile elapsed_ms timing field. fences=2 marks a
-// POST whose first fenced block is the request body; "deprecated" asserts
-// the Deprecation/Link headers; "snapshot" wires /v1/admin/reload up;
-// "sharded" serves the fixture as a two-shard scatter-gather set;
-// "tenants" serves the documented two-tenant registry (books + papers).
+// POST whose first fenced block is the request body; "snapshot" wires
+// /v1/admin/reload up; "sharded" serves the fixture as a two-shard
+// scatter-gather set; "tenants" serves the documented two-tenant registry
+// (books + papers).
 
 type compatCase struct {
-	name       string
-	method     string
-	path       string
-	status     int
-	deprecated bool
-	snapshot   bool
-	sharded    bool
-	tenants    bool
-	reqBody    string
-	wantBody   string
+	name     string
+	method   string
+	path     string
+	status   int
+	snapshot bool
+	sharded  bool
+	tenants  bool
+	reqBody  string
+	wantBody string
 }
 
 var compatMarkerRe = regexp.MustCompile(`^<!-- compat: (GET|POST) (\S+) status=(\d+)((?: \w+(?:=\d+)?)*) -->$`)
@@ -91,8 +90,6 @@ func parseCompatDoc(t *testing.T) []compatCase {
 			fencesWanted = 1
 			for _, flag := range strings.Fields(m[4]) {
 				switch {
-				case flag == "deprecated":
-					c.deprecated = true
 				case flag == "snapshot":
 					c.snapshot = true
 				case flag == "sharded":
@@ -227,16 +224,6 @@ func TestAPICompat(t *testing.T) {
 			}
 			if resp.StatusCode != c.status {
 				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, c.status, raw)
-			}
-			if c.deprecated {
-				if resp.Header.Get("Deprecation") != "true" {
-					t.Error("documented-deprecated path missing Deprecation: true")
-				}
-				if link := resp.Header.Get("Link"); !strings.Contains(link, `rel="successor-version"`) {
-					t.Errorf("documented-deprecated path Link = %q", link)
-				}
-			} else if resp.Header.Get("Deprecation") != "" {
-				t.Error("versioned path answered a Deprecation header")
 			}
 			got := canonicalJSON(t, raw)
 			want := canonicalJSON(t, []byte(c.wantBody))

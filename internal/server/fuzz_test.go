@@ -4,12 +4,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
 
-// FuzzServerSearchParams feeds arbitrary raw query strings to the /search
+// FuzzServerSearchParams feeds arbitrary raw query strings to the /v1/search
 // parameter parser and, when parsing succeeds, to the full handler. The
 // parser is the trust boundary between the network and the engine: every
 // accepted parameter must already respect the server's configured limits,
@@ -30,7 +31,7 @@ func FuzzServerSearchParams(f *testing.F) {
 	f.Add("q=%zz%00;&&k=1e9&timeout=2fortnights")
 	f.Add("q=a;q=b&k=2;k=3")
 	f.Fuzz(func(t *testing.T, raw string) {
-		r := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/search", RawQuery: raw}}
+		r := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/v1/search", RawQuery: raw}}
 		p, errMsg := s.parseSearchParams(r)
 		if errMsg == "" {
 			if len(p.terms) == 0 {
@@ -45,8 +46,8 @@ func FuzzServerSearchParams(f *testing.F) {
 			if p.timeout <= 0 || p.timeout > s.cfg.MaxTimeout {
 				t.Fatalf("accepted %q with timeout=%v outside (0, %v]", raw, p.timeout, s.cfg.MaxTimeout)
 			}
-			if p.opts.Workers < 0 {
-				t.Fatalf("accepted %q with negative workers %d", raw, p.opts.Workers)
+			if p.opts.Workers < 0 || p.opts.Workers > runtime.GOMAXPROCS(0) {
+				t.Fatalf("accepted %q with workers=%d outside [0, %d]", raw, p.opts.Workers, runtime.GOMAXPROCS(0))
 			}
 		} else if strings.ContainsAny(errMsg, "\r\n") {
 			// The message is written into an HTTP error body; a newline from
@@ -73,7 +74,7 @@ func TestFuzzSeedTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/search", RawQuery: "q=a&timeout=300h"}}
+	r := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/v1/search", RawQuery: "q=a&timeout=300h"}}
 	p, errMsg := s.parseSearchParams(r)
 	if errMsg != "" {
 		t.Fatalf("unexpected reject: %s", errMsg)

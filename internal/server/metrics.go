@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
-
-	"cirank"
 )
 
 // latencyBuckets are the query-latency histogram upper bounds, in seconds.
@@ -70,12 +68,11 @@ func (m *metrics) observe(d time.Duration) {
 }
 
 // scrapeView is one consistent-enough reading of the serving-stack state
-// that lives outside the metrics struct: engine caches, the per-tenant
-// result caches, admission slices and generations. The top-level fields are
-// sums over the tenants, keeping the pre-tenant series' meanings; the
-// tenants slice feeds the tenant-labeled series.
+// that lives outside the metrics struct: the per-tenant result caches,
+// admission slices and generations. The top-level fields are sums over the
+// tenants, keeping the pre-tenant series' meanings; the tenants slice feeds
+// the tenant-labeled series.
 type scrapeView struct {
-	engineCache  cirank.CacheStats
 	generation   uint64
 	resultHits   int64
 	resultMisses int64
@@ -104,12 +101,9 @@ type tenantScrape struct {
 	shardLeases []int64
 }
 
-// scrape assembles the view for one /metrics exposition.
-func (s *Server) scrape(cache cirank.CacheStats) scrapeView {
-	v := scrapeView{
-		engineCache: cache,
-		generation:  s.generation(),
-	}
+// scrape assembles the view for one /v1/metrics exposition.
+func (s *Server) scrape() scrapeView {
+	v := scrapeView{generation: s.generation()}
 	for _, t := range s.reg.all() {
 		ts := tenantScrape{
 			name:         t.name,
@@ -145,8 +139,7 @@ func (s *Server) scrape(cache cirank.CacheStats) scrapeView {
 }
 
 // writeTo emits the metrics in the Prometheus text exposition format,
-// folding in the engine's cache counters, the serving-stack view and the
-// current in-flight gauge.
+// folding in the serving-stack view and the current in-flight gauge.
 func (m *metrics) writeTo(w io.Writer, v scrapeView) {
 	counter := func(name, help string, pairs ...any) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
@@ -182,12 +175,6 @@ func (m *metrics) writeTo(w io.Writer, v scrapeView) {
 	counter("cirank_admission_total", "Cost-based admission decisions by outcome.",
 		`{result="admitted"}`, v.admitted,
 		`{result="rejected"}`, v.admRejected,
-	)
-	counter("cirank_cache_hits_total", "Engine memo-cache hits by cache.",
-		`{cache="bound"}`, v.engineCache.BoundHits,
-	)
-	counter("cirank_cache_misses_total", "Engine memo-cache misses by cache.",
-		`{cache="bound"}`, v.engineCache.BoundMisses,
 	)
 	counter("cirank_reloads_total", "Hot-reload attempts by outcome.",
 		`{status="ok"}`, m.reloadsOK.Load(),

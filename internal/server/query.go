@@ -94,11 +94,11 @@ func queryKey(gens []uint64, p searchParams) string {
 	return b.String()
 }
 
-// resolveAndRun is the single request path shared by every search handler,
-// legacy and /v1 alike: it resolves the query's tenant (the one owner of
-// tenant resolution), takes the query through the tenant's serving stack,
-// and keeps the global and per-tenant outcome counters. Handlers only
-// differ in how they render the returned outcome or error.
+// resolveAndRun is the single request path shared by the GET and the batch
+// handler: it resolves the query's tenant (the one owner of tenant
+// resolution), takes the query through the tenant's serving stack, and
+// keeps the global and per-tenant outcome counters. Handlers only differ in
+// how they render the returned outcome or error.
 func (s *Server) resolveAndRun(ctx context.Context, p searchParams) (*tenant, queryOutcome, string, *apiError) {
 	t, apiErr := s.resolveTenant(p.tenant)
 	if apiErr != nil {

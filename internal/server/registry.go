@@ -19,8 +19,7 @@ import (
 // or posting-heavy traffic cannot invalidate another's cache, ride its
 // flights, or starve its budget. The global admission budget is divided by
 // a weighted-fair policy (see Server.rebalance); request routing resolves
-// the tenant exactly once, in Server.resolveTenant, for legacy and /v1
-// handlers alike.
+// the tenant exactly once, in Server.resolveTenant, for every handler.
 
 // DefaultTenantName is the name a single-tenant Config's implicit tenant
 // gets: configuring Engine/Shards without Tenants serves the corpus as the
@@ -289,10 +288,10 @@ func (s *Server) rebalance() {
 }
 
 // resolveTenant maps a request's tenant parameter to its registry entry —
-// the single owner of tenant resolution, shared by every handler, legacy
-// and /v1 alike. An empty name resolves to the sole tenant (single-tenant
-// back-compat); on a multi-tenant server the parameter is required, and an
-// unknown name is a 404 with the typed unknown_tenant code.
+// the single owner of tenant resolution, shared by every handler. An empty
+// name resolves to the sole tenant (single-tenant back-compat); on a
+// multi-tenant server the parameter is required, and an unknown name is a
+// 404 with the typed unknown_tenant code.
 func (s *Server) resolveTenant(name string) (*tenant, *apiError) {
 	if name == "" {
 		if t, ok := s.reg.sole(); ok {

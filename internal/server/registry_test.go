@@ -64,8 +64,8 @@ func TestTenantConfigValidation(t *testing.T) {
 	}
 }
 
-// TestTenantResolution pins the single-owner resolution contract across both
-// API surfaces: explicit names route, the parameter is required once more
+// TestTenantResolution pins the single-owner resolution contract: explicit
+// names route, the parameter is required once more
 // than one tenant is registered, and unknown names are typed 404s.
 func TestTenantResolution(t *testing.T) {
 	_, url := twoTenantServer(t, Config{})
@@ -82,13 +82,6 @@ func TestTenantResolution(t *testing.T) {
 		t.Errorf("tenant=papers resolved to %q", res.Tenant)
 	}
 
-	// Legacy aliases resolve tenants through the same owner.
-	var legacy SearchResponse
-	getJSON(t, url+"/search?q=ullman&tenant=papers", http.StatusOK, &legacy)
-	if len(legacy.Results) == 0 {
-		t.Error("legacy search with a tenant parameter returned nothing")
-	}
-
 	// With two tenants registered the parameter is required...
 	var fail V1ErrorResponse
 	getJSON(t, url+"/v1/search?q=ullman", http.StatusBadRequest, &fail)
@@ -101,14 +94,6 @@ func TestTenantResolution(t *testing.T) {
 		if fail.Error.Code != codeUnknownTenant {
 			t.Errorf("%s: code %q, want %q", path, fail.Error.Code, codeUnknownTenant)
 		}
-	}
-	resp, err := http.Get(url + "/search?q=ullman&tenant=nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("legacy unknown tenant: status %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -141,7 +126,7 @@ func TestTenantBatchRouting(t *testing.T) {
 }
 
 // TestTenantHealthz pins the healthz tenant blocks: all tenants without a
-// selector, one with, and top-level sums that keep the frozen shapes honest.
+// selector, one with, and top-level sums over the probed blocks.
 func TestTenantHealthz(t *testing.T) {
 	s, url := twoTenantServer(t, Config{})
 
@@ -170,13 +155,6 @@ func TestTenantHealthz(t *testing.T) {
 	}
 	if health.Nodes != health.Tenants[0].Nodes || health.Generation != 1 {
 		t.Errorf("selected-tenant top level = %d nodes gen %d", health.Nodes, health.Generation)
-	}
-
-	// The legacy probe sums through the frozen shape.
-	var legacy HealthResponse
-	getJSON(t, url+"/healthz", http.StatusOK, &legacy)
-	if legacy.Nodes != wantNodes {
-		t.Errorf("legacy nodes = %d, want %d", legacy.Nodes, wantNodes)
 	}
 }
 

@@ -34,7 +34,7 @@ func saveSnapshot(t testing.TB, eng *cirank.Engine, dir string) string {
 }
 
 // snapshotServer saves eng, opens it zero-copy, and serves it with
-// /admin/reload wired to the snapshot path.
+// /v1/admin/reload wired to the snapshot path.
 func snapshotServer(t *testing.T, eng *cirank.Engine, cfg Config) (string, *Server, string) {
 	t.Helper()
 	path := saveSnapshot(t, eng, t.TempDir())
@@ -127,14 +127,14 @@ func TestProviderLeaseLifecycle(t *testing.T) {
 func TestReloadEndpoint(t *testing.T) {
 	path, _, url := snapshotServer(t, smallEngine(t), Config{})
 
-	var health HealthResponse
-	getJSON(t, url+"/healthz", http.StatusOK, &health)
+	var health V1HealthResponse
+	getJSON(t, url+"/v1/healthz", http.StatusOK, &health)
 	if health.Generation != 1 || health.Source != cirank.SourceMmap {
 		t.Fatalf("initial health = %+v, want generation 1, source mmap", health)
 	}
 
-	var rel ReloadResponse
-	postJSON(t, url+"/admin/reload", http.StatusOK, &rel)
+	var rel V1ReloadResponse
+	postJSON(t, url+"/v1/admin/reload", http.StatusOK, &rel)
 	if rel.Status != "ok" || rel.Generation != 2 || rel.Source != cirank.SourceMmap {
 		t.Fatalf("reload response = %+v", rel)
 	}
@@ -143,13 +143,13 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 
 	// GET is not allowed.
-	resp, err := http.Get(url + "/admin/reload")
+	resp, err := http.Get(url + "/v1/admin/reload")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /admin/reload: status %d, want 405", resp.StatusCode)
+		t.Fatalf("GET /v1/admin/reload: status %d, want 405", resp.StatusCode)
 	}
 
 	// A corrupt snapshot must be rejected without touching the serving
@@ -157,17 +157,17 @@ func TestReloadEndpoint(t *testing.T) {
 	if err := os.WriteFile(path, []byte("CIEN garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var fail ErrorResponse
-	postJSON(t, url+"/admin/reload", http.StatusUnprocessableEntity, &fail)
-	if fail.Error == "" {
-		t.Error("422 response carries no error message")
+	var fail V1ErrorResponse
+	postJSON(t, url+"/v1/admin/reload", http.StatusUnprocessableEntity, &fail)
+	if fail.Error.Code != codeBadSnapshot || fail.Error.Message == "" {
+		t.Errorf("422 response carries error %+v, want code %q and a message", fail.Error, codeBadSnapshot)
 	}
-	getJSON(t, url+"/healthz", http.StatusOK, &health)
+	getJSON(t, url+"/v1/healthz", http.StatusOK, &health)
 	if health.Generation != 2 {
 		t.Fatalf("generation after failed reload = %d, want 2", health.Generation)
 	}
-	var res SearchResponse
-	getJSON(t, url+"/search?q=ullman", http.StatusOK, &res)
+	var res V1SearchResponse
+	getJSON(t, url+"/v1/search?q=ullman", http.StatusOK, &res)
 	if len(res.Results) == 0 {
 		t.Fatal("old engine stopped answering after a failed reload")
 	}
@@ -192,13 +192,13 @@ func TestReloadEndpoint(t *testing.T) {
 	if p := saveSnapshot(t, bigger, filepath.Dir(path)); p != path {
 		t.Fatalf("snapshot rewritten to %s, want %s", p, path)
 	}
-	postJSON(t, url+"/admin/reload", http.StatusOK, &rel)
+	postJSON(t, url+"/v1/admin/reload", http.StatusOK, &rel)
 	if rel.Generation != 3 || rel.Nodes != bigger.NumNodes() {
 		t.Fatalf("reload after rewrite = %+v, want generation 3 with %d nodes", rel, bigger.NumNodes())
 	}
 
 	// The metrics endpoint accounts both outcomes and the live generation.
-	mresp, err := http.Get(url + "/metrics")
+	mresp, err := http.Get(url + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,13 +219,13 @@ func TestReloadEndpoint(t *testing.T) {
 // snapshot path.
 func TestReloadNotConfigured(t *testing.T) {
 	_, ts := newTestServer(t, Config{Engine: smallEngine(t)})
-	resp, err := http.Post(ts.URL+"/admin/reload", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/v1/admin/reload", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST /admin/reload without SnapshotPath: status %d, want 404", resp.StatusCode)
+		t.Fatalf("POST /v1/admin/reload without SnapshotPath: status %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -392,14 +392,14 @@ func TestReloadUnderQueryLoad(t *testing.T) {
 		t.Error(err)
 	}
 
-	var health HealthResponse
-	getJSON(t, url+"/healthz", http.StatusOK, &health)
+	var health V1HealthResponse
+	getJSON(t, url+"/v1/healthz", http.StatusOK, &health)
 	if health.Generation != reloads+1 {
 		t.Errorf("final generation = %d, want %d", health.Generation, reloads+1)
 	}
 	// The storm must have exercised the cache, and the books must balance:
 	// every OK answer came from exactly one serving layer.
-	hits, _ := s.firstTenant().cache.stats()
+	hits, _ := soleTenant(t, s).cache.stats()
 	if hits == 0 {
 		t.Error("no result-cache hits across the storm; the cached path never straddled a reload")
 	}
@@ -497,10 +497,10 @@ func TestCoalescedReloadStraddle(t *testing.T) {
 // and health checks answer 503 instead of panicking on a retired engine.
 func TestServerClose(t *testing.T) {
 	s, ts := newTestServer(t, Config{Engine: smallEngine(t)})
-	var res SearchResponse
-	getJSON(t, ts.URL+"/search?q=ullman", http.StatusOK, &res)
+	var res V1SearchResponse
+	getJSON(t, ts.URL+"/v1/search?q=ullman", http.StatusOK, &res)
 	s.Close()
-	resp, err := http.Get(ts.URL + "/search?q=ullman")
+	resp, err := http.Get(ts.URL + "/v1/search?q=ullman")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,8 +508,8 @@ func TestServerClose(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("search after Close: status %d, want 503", resp.StatusCode)
 	}
-	var health HealthResponse
-	getJSON(t, ts.URL+"/healthz", http.StatusServiceUnavailable, &health)
+	var health V1HealthResponse
+	getJSON(t, ts.URL+"/v1/healthz", http.StatusServiceUnavailable, &health)
 	if health.Status != "closed" {
 		t.Fatalf("health after Close = %+v, want status closed", health)
 	}

@@ -17,11 +17,6 @@
 //	GET  /v1/metrics
 //	POST /v1/admin/reload        (only with Config.SnapshotPath set)
 //
-// The original unversioned paths (/search, /healthz, /metrics,
-// /admin/reload) keep serving their pre-v1 response bodies as deprecated
-// aliases; every legacy response carries a "Deprecation: true" header and a
-// Link to its successor.
-//
 // Every query runs under a deadline from its timeout parameter
 // (default/cap from Config), so a runaway branch-and-bound query stops at
 // its next cancellation point and returns the best answers found so far
@@ -30,7 +25,7 @@
 // The server never touches a bare engine: requests borrow the current one
 // from a Provider for exactly their own duration, and every result —
 // cached, coalesced or fresh — is keyed by the borrowed generation.
-// /admin/reload re-opens the configured snapshot, validates it, atomically
+// /v1/admin/reload re-opens the configured snapshot, validates it, atomically
 // swaps it in and discards the result cache; queries already running
 // continue against the engine they started with, a result computed against
 // generation g can only ever reach a request that leased generation g, and
@@ -48,7 +43,7 @@
 // named engine (or shard set) per tenant, each behind its own providers,
 // result cache, singleflight group and admission slice (registry.go). The
 // tenant request parameter selects the corpus (defaulting to the sole
-// tenant), /v1/healthz reports a block per tenant, /metrics labels the
+// tenant), /v1/healthz reports a block per tenant, /v1/metrics labels the
 // per-tenant series, and the global admission budget is split by a
 // weighted-fair policy so one tenant's heavy queries cannot starve another.
 // Tenants hot-reload independently (/v1/admin/reload?tenant=<name>) and can
@@ -111,12 +106,12 @@ type Config struct {
 	// shorthand: configuring them is equivalent to one Tenants entry named
 	// DefaultTenantName.
 	Tenants []TenantConfig
-	// SnapshotPath, when non-empty, enables POST /v1/admin/reload (and its
-	// legacy alias): the handler opens this snapshot file with cirank.Open
-	// and hot-swaps the resulting engine in, discarding the result cache.
-	// Empty leaves the endpoints unregistered (404). On a sharded server it
-	// is the shard-set base path (see cirank.SaveShardSet): a reload opens
-	// every per-shard file, or just one when the request selects ?shard=i.
+	// SnapshotPath, when non-empty, enables POST /v1/admin/reload: the
+	// handler opens this snapshot file with cirank.Open and hot-swaps the
+	// resulting engine in, discarding the result cache. Empty leaves the
+	// endpoint unregistered (404). On a sharded server it is the shard-set
+	// base path (see cirank.SaveShardSet): a reload opens every per-shard
+	// file, or just one when the request selects ?shard=i.
 	SnapshotPath string
 	// ReloadDrainTimeout bounds how long a reload waits for queries
 	// borrowed from the replaced engine to finish before answering (default
@@ -304,39 +299,11 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/search", s.handleV1Search)
 	s.mux.HandleFunc("/v1/healthz", s.handleV1Healthz)
 	s.mux.HandleFunc("/v1/metrics", s.handleMetricsExposition)
-	s.mux.HandleFunc("/search", s.handleLegacySearch)
-	s.mux.HandleFunc("/healthz", s.handleLegacyHealthz)
-	s.mux.HandleFunc("/metrics", s.handleLegacyMetrics)
 	if reloadConfigured {
 		s.mux.HandleFunc("/v1/admin/reload", s.handleV1Reload)
-		s.mux.HandleFunc("/admin/reload", s.handleLegacyReload)
 	}
 	return s, nil
 }
-
-// firstTenant returns the first tenant in sorted name order — the sole
-// tenant of a single-tenant server — backing the single-tenant accessor
-// methods below.
-func (s *Server) firstTenant() *tenant {
-	tenants := s.reg.all()
-	if len(tenants) == 0 {
-		return nil
-	}
-	return tenants[0]
-}
-
-// Provider returns the server's engine provider — the shard-0 provider on a
-// sharded server, the first tenant's in name order on a multi-tenant one —
-// for tests and embedders that need to observe or drive engine swaps
-// directly.
-func (s *Server) Provider() *Provider { return s.firstTenant().providers[0] }
-
-// NumShards reports how many partitions the server's first tenant serves
-// (1 when unsharded).
-func (s *Server) NumShards() int { return len(s.firstTenant().providers) }
-
-// ShardProvider returns the first tenant's shard-i provider.
-func (s *Server) ShardProvider(i int) *Provider { return s.firstTenant().providers[i] }
 
 // Close retires every tenant's current engines: in-flight queries finish
 // against the generations they leased, new ones get 503, and each engine is
@@ -377,151 +344,6 @@ type Answer struct {
 	Edges [][2]int `json:"edges"`
 }
 
-// Stats is the per-query work report of the legacy /search response; the
-// /v1 envelope uses V1Stats, which extends it with the serving source.
-type Stats struct {
-	// Expanded counts candidate trees expanded by branch-and-bound.
-	Expanded int `json:"expanded"`
-	// Generated counts candidate trees generated.
-	Generated int `json:"generated"`
-	// Answers counts complete answers found (not just the k returned).
-	Answers int `json:"answers"`
-	// Truncated reports an early stop by the expansion cap; the results
-	// are the best found so far.
-	Truncated bool `json:"truncated"`
-	// Interrupted reports an early stop by the request deadline or client
-	// disconnect; the results are the best found so far.
-	Interrupted bool `json:"interrupted"`
-	// ElapsedMS is the query's wall-clock engine time in milliseconds.
-	ElapsedMS float64 `json:"elapsed_ms"`
-}
-
-// SearchResponse is the legacy /search response body, frozen pre-v1.
-type SearchResponse struct {
-	// Query is the raw q parameter.
-	Query string `json:"query"`
-	// Terms is the query's tokenization, as the engine searched it.
-	Terms []string `json:"terms"`
-	// K is the effective answer-count limit.
-	K int `json:"k"`
-	// Results are the ranked answers, best first.
-	Results []Answer `json:"results"`
-	// Stats reports the work the query did.
-	Stats Stats `json:"stats"`
-}
-
-// ErrorResponse is the JSON body of every non-200 legacy response.
-type ErrorResponse struct {
-	// Error is a human-readable description of the failure.
-	Error string `json:"error"`
-}
-
-// HealthResponse is the legacy /healthz response body.
-type HealthResponse struct {
-	// Status is "ok" while an engine is being served, "closed" after
-	// Server.Close retired it.
-	Status string `json:"status"`
-	// Nodes is the engine data graph's node count.
-	Nodes int `json:"nodes"`
-	// Edges is the engine data graph's directed edge count.
-	Edges int `json:"edges"`
-	// Generation counts engine swaps: 1 for the initial engine,
-	// incremented by every successful reload.
-	Generation uint64 `json:"generation"`
-	// Source is how the current engine's data arrived: "build", "stream"
-	// or "mmap" (see cirank.BuildStats.Source).
-	Source string `json:"source"`
-}
-
-// ReloadResponse is the legacy /admin/reload response body.
-type ReloadResponse struct {
-	// Status is "ok" on a successful swap.
-	Status string `json:"status"`
-	// Generation is the new engine's generation number.
-	Generation uint64 `json:"generation"`
-	// Nodes is the new engine's node count.
-	Nodes int `json:"nodes"`
-	// Edges is the new engine's directed edge count.
-	Edges int `json:"edges"`
-	// Source is how the new engine's data arrived ("mmap": reloads open
-	// the snapshot file zero-copy).
-	Source string `json:"source"`
-	// Drained reports whether every query started against the previous
-	// engine finished (and the previous engine was closed) within the
-	// drain timeout. false does not indicate a failure: the swap already
-	// happened and stragglers keep running safely against the old engine.
-	Drained bool `json:"drained"`
-}
-
-// deprecate stamps a legacy-path response with its deprecation headers: the
-// unversioned endpoints keep working, but clients are pointed at /v1.
-func deprecate(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-}
-
-// handleLegacySearch serves the pre-v1 /search wire format over the same
-// serving stack as /v1/search (tenant resolution, coalescing, result cache
-// and cost admission included), marked deprecated. The frozen body shape
-// has no tenant field; the tenant request parameter still selects the
-// corpus through the shared resolveAndRun path.
-func (s *Server) handleLegacySearch(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/search")
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use GET"})
-		return
-	}
-	params, errMsg := s.parseSearchParams(r)
-	if errMsg != "" {
-		s.m.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: errMsg})
-		return
-	}
-	_, out, _, apiErr := s.resolveAndRun(r.Context(), params)
-	if apiErr != nil {
-		if apiErr.retryAfterSecs > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(apiErr.retryAfterSecs))
-		}
-		writeJSON(w, apiErr.status, ErrorResponse{Error: apiErr.msg})
-		return
-	}
-	writeJSON(w, http.StatusOK, searchResponse(params, out.res))
-}
-
-// handleLegacyHealthz answers the pre-v1 liveness probe, marked deprecated.
-// The frozen body shape reports one corpus view: the tenant selected by the
-// tenant parameter, the sole tenant when absent, or — on a multi-tenant
-// server with no selector — the whole process (node/edge totals summed
-// across tenants, the server-wide composite generation, the first tenant's
-// source).
-func (s *Server) handleLegacyHealthz(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/healthz")
-	tenants, apiErr := s.healthTargets(r)
-	if apiErr != nil {
-		writeJSON(w, apiErr.status, ErrorResponse{Error: apiErr.msg})
-		return
-	}
-	resp := HealthResponse{Status: "ok", Generation: s.generation()}
-	for _, t := range tenants {
-		ql, apiErr := t.acquire()
-		if apiErr != nil {
-			writeJSON(w, apiErr.status, HealthResponse{Status: "closed"})
-			return
-		}
-		resp.Nodes += ql.engine.NumNodes()
-		resp.Edges += ql.engine.NumEdges()
-		if resp.Source == "" {
-			resp.Source = ql.leases[0].Engine().BuildStats().Source
-		}
-		if len(tenants) == 1 {
-			resp.Generation = compositeGeneration(ql.generations())
-		}
-		ql.Release()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // healthTargets resolves which tenants a healthz probe reports: the one the
 // tenant parameter names, the sole tenant when absent, or every tenant on a
 // multi-tenant server with no selector.
@@ -535,40 +357,6 @@ func (s *Server) healthTargets(r *http.Request) ([]*tenant, *apiError) {
 		return nil, apiErr
 	}
 	return []*tenant{t}, nil
-}
-
-// handleLegacyMetrics serves the Prometheus exposition on the deprecated
-// unversioned path; the body is identical to /v1/metrics.
-func (s *Server) handleLegacyMetrics(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/metrics")
-	s.handleMetricsExposition(w, r)
-}
-
-// handleLegacyReload serves the pre-v1 /admin/reload wire format, marked
-// deprecated.
-func (s *Server) handleLegacyReload(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/admin/reload")
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use POST"})
-		return
-	}
-	t, apiErr := s.resolveTenant(r.URL.Query().Get("tenant"))
-	if apiErr != nil {
-		writeJSON(w, apiErr.status, ErrorResponse{Error: apiErr.msg})
-		return
-	}
-	shard, apiErr := parseShardParam(r, t)
-	if apiErr != nil {
-		writeJSON(w, apiErr.status, ErrorResponse{Error: apiErr.msg})
-		return
-	}
-	rel, apiErr := s.reload(t, shard)
-	if apiErr != nil {
-		writeJSON(w, apiErr.status, ErrorResponse{Error: apiErr.msg})
-		return
-	}
-	writeJSON(w, http.StatusOK, rel)
 }
 
 // recordSuccess updates the global and per-tenant counters for one 200
@@ -655,31 +443,15 @@ func (s *Server) validateParams(get func(string) string) (searchParams, string) 
 		if err != nil || n < 0 {
 			return p, fmt.Sprintf("bad workers %q: want a non-negative integer", v)
 		}
+		if cpus := runtime.GOMAXPROCS(0); n > cpus {
+			n = cpus // clamp: each worker costs pooled scratch, more than the CPUs buy nothing
+		}
 		p.opts.Workers = n
 	}
 	return p, ""
 }
 
-// searchResponse converts an engine result to the legacy wire form.
-func searchResponse(p searchParams, res cirank.SearchResult) SearchResponse {
-	return SearchResponse{
-		Query:   p.query,
-		Terms:   p.terms,
-		K:       p.k,
-		Results: wireAnswers(res),
-		Stats: Stats{
-			Expanded:    res.Stats.Expanded,
-			Generated:   res.Stats.Generated,
-			Answers:     res.Stats.Answers,
-			Truncated:   res.Stats.Truncated,
-			Interrupted: res.Stats.Interrupted,
-			ElapsedMS:   float64(res.Stats.Elapsed.Microseconds()) / 1e3,
-		},
-	}
-}
-
-// wireAnswers converts engine results to their wire form, shared by the
-// legacy and /v1 encoders.
+// wireAnswers converts engine results to their wire form.
 func wireAnswers(res cirank.SearchResult) []Answer {
 	out := make([]Answer, len(res.Results))
 	for i, a := range res.Results {
@@ -692,18 +464,18 @@ func wireAnswers(res cirank.SearchResult) []Answer {
 	return out
 }
 
-// reload re-opens the tenant's configured snapshot(s) and hot-swaps its
-// engines, discarding the tenant's result cache — other tenants' caches,
-// flights and generations are untouched. shard selects one partition of a
-// sharded tenant; -1 reloads everything the tenant holds. Reloads are
-// serialized; checksum and structural validation happen inside cirank.Open
-// — and a sharded reload additionally demands the file identify itself as
-// the right shard of the right set size — so a corrupt or misplaced file
-// never becomes a serving engine: nothing is swapped unless every selected
-// file opened.
-func (s *Server) reload(t *tenant, shard int) (ReloadResponse, *apiError) {
+// reload re-opens the tenant's configured snapshot(s), hot-swaps its engines
+// and returns the success envelope of POST /v1/admin/reload, discarding the
+// tenant's result cache — other tenants' caches, flights and generations are
+// untouched. shard selects one partition of a sharded tenant; -1 reloads
+// everything the tenant holds. Reloads are serialized; checksum and
+// structural validation happen inside cirank.Open — and a sharded reload
+// additionally demands the file identify itself as the right shard of the
+// right set size — so a corrupt or misplaced file never becomes a serving
+// engine: nothing is swapped unless every selected file opened.
+func (s *Server) reload(t *tenant, shard int) (V1ReloadResponse, *apiError) {
 	if t.snapshotPath == "" {
-		return ReloadResponse{}, &apiError{status: http.StatusBadRequest, code: codeBadRequest,
+		return V1ReloadResponse{}, &apiError{status: http.StatusBadRequest, code: codeBadRequest,
 			msg: fmt.Sprintf("tenant %q serves no snapshot; reload is not configured for it", t.name)}
 	}
 	s.reloadMu.Lock()
@@ -716,12 +488,12 @@ func (s *Server) reload(t *tenant, shard int) (ReloadResponse, *apiError) {
 		}
 	}
 	engines := make([]*cirank.Engine, 0, len(idxs))
-	fail := func(e *apiError) (ReloadResponse, *apiError) {
+	fail := func(e *apiError) (V1ReloadResponse, *apiError) {
 		for _, eng := range engines {
 			_ = eng.Close()
 		}
 		s.m.reloadsFailed.Add(1)
-		return ReloadResponse{}, e
+		return V1ReloadResponse{}, e
 	}
 	for _, i := range idxs {
 		path := t.snapshotPath
@@ -772,32 +544,27 @@ func (s *Server) reload(t *tenant, shard int) (ReloadResponse, *apiError) {
 		}
 	}
 	s.m.reloadsOK.Add(1)
-	return ReloadResponse{
-		Status:     "ok",
+	resp := V1ReloadResponse{
+		Schema:     APISchema,
 		Generation: gen,
+		Tenant:     t.name,
+		Status:     "ok",
 		Nodes:      nodes,
 		Edges:      edges,
 		Source:     source,
 		Drained:    drained,
-	}, nil
+	}
+	if shard >= 0 {
+		resp.Shard = &shard
+	}
+	return resp, nil
 }
 
-// handleMetricsExposition emits the Prometheus text exposition (served on
-// /v1/metrics and, deprecated, on /metrics).
+// handleMetricsExposition emits the Prometheus text exposition of
+// /v1/metrics.
 func (s *Server) handleMetricsExposition(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var cache cirank.CacheStats
-	for _, t := range s.reg.all() {
-		for _, p := range t.providers {
-			if lease := p.Acquire(); lease != nil {
-				c := lease.Engine().CacheStats()
-				lease.Release()
-				cache.BoundHits += c.BoundHits
-				cache.BoundMisses += c.BoundMisses
-			}
-		}
-	}
-	s.m.writeTo(w, s.scrape(cache))
+	s.m.writeTo(w, s.scrape())
 }
 
 // writeJSON writes a JSON response with the given status code.

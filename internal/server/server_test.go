@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +107,16 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// soleTenant returns the one tenant of a single-tenant test server.
+func soleTenant(t testing.TB, s *Server) *tenant {
+	t.Helper()
+	tn, ok := s.reg.sole()
+	if !ok {
+		t.Fatal("server does not have exactly one tenant")
+	}
+	return tn
+}
+
 func getJSON(t *testing.T, url string, wantStatus int, out any) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -122,12 +134,12 @@ func getJSON(t *testing.T, url string, wantStatus int, out any) {
 	}
 }
 
-// TestSearchRoundTrip is the ISSUE's integration test: a /search request
+// TestSearchRoundTrip is the integration test: a /v1/search request
 // returns ranked JSON answers with populated stats.
 func TestSearchRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Config{Engine: smallEngine(t)})
-	var res SearchResponse
-	getJSON(t, ts.URL+"/search?q=papakonstantinou+ullman&k=3", http.StatusOK, &res)
+	var res V1SearchResponse
+	getJSON(t, ts.URL+"/v1/search?q=papakonstantinou+ullman&k=3", http.StatusOK, &res)
 	if len(res.Terms) != 2 {
 		t.Fatalf("terms = %v", res.Terms)
 	}
@@ -177,44 +189,49 @@ func TestSearchBadRequests(t *testing.T) {
 	for _, tc := range []struct {
 		name, query string
 	}{
-		{"missing q", "/search"},
-		{"blank q", "/search?q=%20%20"},
-		{"bad k", "/search?q=ullman&k=zero"},
-		{"zero k", "/search?q=ullman&k=0"},
-		{"k over limit", "/search?q=ullman&k=11"},
-		{"negative diameter", "/search?q=ullman&diameter=-1"},
-		{"diameter over limit", "/search?q=ullman&diameter=7"},
-		{"bad timeout", "/search?q=ullman&timeout=fast"},
-		{"negative workers", "/search?q=ullman&workers=-1"},
+		{"missing q", "/v1/search"},
+		{"blank q", "/v1/search?q=%20%20"},
+		{"bad k", "/v1/search?q=ullman&k=zero"},
+		{"zero k", "/v1/search?q=ullman&k=0"},
+		{"k over limit", "/v1/search?q=ullman&k=11"},
+		{"negative diameter", "/v1/search?q=ullman&diameter=-1"},
+		{"diameter over limit", "/v1/search?q=ullman&diameter=7"},
+		{"bad timeout", "/v1/search?q=ullman&timeout=fast"},
+		{"negative workers", "/v1/search?q=ullman&workers=-1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var e ErrorResponse
+			var e V1ErrorResponse
 			getJSON(t, ts.URL+tc.query, http.StatusBadRequest, &e)
-			if e.Error == "" {
-				t.Error("400 with empty error message")
+			if e.Error.Code != codeBadRequest || e.Error.Message == "" {
+				t.Errorf("400 with error %+v, want code %q and a message", e.Error, codeBadRequest)
 			}
 		})
 	}
-	resp, err := http.Post(ts.URL+"/search?q=ullman", "text/plain", nil)
+	// POST is the batch form; any other method is refused.
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/search?q=ullman", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /search: status %d, want 405", resp.StatusCode)
+		t.Errorf("DELETE /v1/search: status %d, want 405", resp.StatusCode)
 	}
 }
 
-// TestAdmissionControl: with the concurrency cap saturated, /search answers
+// TestAdmissionControl: with the concurrency cap saturated, /v1/search answers
 // 429 + Retry-After immediately instead of queueing.
 func TestAdmissionControl(t *testing.T) {
 	s, ts := newTestServer(t, Config{Engine: smallEngine(t), MaxInFlight: 2})
 	// Occupy both evaluation slots directly — deterministic saturation, no
 	// goroutine timing games.
-	if !s.firstTenant().adm.tryAcquire(1) || !s.firstTenant().adm.tryAcquire(1) {
+	if !soleTenant(t, s).adm.tryAcquire(1) || !soleTenant(t, s).adm.tryAcquire(1) {
 		t.Fatal("could not occupy the admission slots")
 	}
-	resp, err := http.Get(ts.URL + "/search?q=ullman")
+	resp, err := http.Get(ts.URL + "/v1/search?q=ullman")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +243,13 @@ func TestAdmissionControl(t *testing.T) {
 		t.Error("429 without Retry-After")
 	}
 	// Freeing one slot restores service.
-	s.firstTenant().adm.release(1)
-	var res SearchResponse
-	getJSON(t, ts.URL+"/search?q=ullman", http.StatusOK, &res)
+	soleTenant(t, s).adm.release(1)
+	var res V1SearchResponse
+	getJSON(t, ts.URL+"/v1/search?q=ullman", http.StatusOK, &res)
 	if len(res.Results) == 0 {
 		t.Error("no results after slot freed")
 	}
-	s.firstTenant().adm.release(1)
+	soleTenant(t, s).adm.release(1)
 }
 
 // TestAdmissionCostBudget: expensive queries are priced by posting-list
@@ -241,11 +258,11 @@ func TestAdmissionControl(t *testing.T) {
 func TestAdmissionCostBudget(t *testing.T) {
 	s, ts := newTestServer(t, Config{Engine: smallEngine(t), AdmissionBudget: 3, MaxInFlight: 16})
 	// An idle server admits even an over-budget query.
-	if !s.firstTenant().adm.tryAcquire(100) {
+	if !soleTenant(t, s).adm.tryAcquire(100) {
 		t.Fatal("idle server rejected an expensive query")
 	}
 	// The budget is now exhausted: any further query is shed.
-	resp, err := http.Get(ts.URL + "/search?q=ullman")
+	resp, err := http.Get(ts.URL + "/v1/search?q=ullman")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,16 +270,16 @@ func TestAdmissionCostBudget(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-budget server: status %d, want 429", resp.StatusCode)
 	}
-	s.firstTenant().adm.release(100)
+	soleTenant(t, s).adm.release(100)
 	// Cache hits bypass admission entirely: warm the cache, re-saturate,
 	// and the same query must still answer 200.
-	var res SearchResponse
-	getJSON(t, ts.URL+"/search?q=ullman", http.StatusOK, &res)
-	if !s.firstTenant().adm.tryAcquire(100) {
+	var res V1SearchResponse
+	getJSON(t, ts.URL+"/v1/search?q=ullman", http.StatusOK, &res)
+	if !soleTenant(t, s).adm.tryAcquire(100) {
 		t.Fatal("idle server rejected an expensive query")
 	}
-	getJSON(t, ts.URL+"/search?q=ullman", http.StatusOK, &res)
-	s.firstTenant().adm.release(100)
+	getJSON(t, ts.URL+"/v1/search?q=ullman", http.StatusOK, &res)
+	soleTenant(t, s).adm.release(100)
 }
 
 // TestSearchTimeout: an uncapped query on a dense engine returns well under
@@ -271,9 +288,9 @@ func TestAdmissionCostBudget(t *testing.T) {
 func TestSearchTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Config{Engine: denseEngine(t, 40), MaxExpansions: -1})
 	start := time.Now()
-	var res SearchResponse
+	var res V1SearchResponse
 	// 500ms leaves room for the first answers to land under -race.
-	getJSON(t, ts.URL+"/search?q=alpha+beta&k=10&timeout=500ms", http.StatusOK, &res)
+	getJSON(t, ts.URL+"/v1/search?q=alpha+beta&k=10&timeout=500ms", http.StatusOK, &res)
 	elapsed := time.Since(start)
 	if !res.Stats.Interrupted {
 		t.Fatalf("stats %+v: uncapped dense query finished before the 500ms deadline", res.Stats)
@@ -292,7 +309,7 @@ func TestTimeoutClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodGet, "/search?q=ullman&timeout=1h", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/search?q=ullman&timeout=1h", nil)
 	p, msg := s.parseSearchParams(req)
 	if msg != "" {
 		t.Fatalf("clamped timeout rejected: %s", msg)
@@ -302,12 +319,50 @@ func TestTimeoutClamp(t *testing.T) {
 	}
 }
 
+// TestWorkersParamIsClamped: workers is outside input, and every requested
+// worker costs a bound scratch in the engine's pooled query scratch. A
+// request for a billion of them must be served like any other — same answer
+// as workers=1, a few MB at most — on the GET and the batch path alike.
+func TestWorkersParamIsClamped(t *testing.T) {
+	_, ts := newTestServer(t, Config{Engine: smallEngine(t), ResultCacheSize: -1})
+	var one, huge V1SearchResponse
+	getJSON(t, ts.URL+"/v1/search?q=ullman&k=1&workers=1", http.StatusOK, &one)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	getJSON(t, ts.URL+"/v1/search?q=ullman&k=1&workers=1000000000", http.StatusOK, &huge)
+	resp, err := http.Post(ts.URL+"/v1/search", "application/json",
+		strings.NewReader(`{"queries": [{"q": "ullman", "k": 1, "workers": 1000000000}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch V1BatchResponse
+	err = json.NewDecoder(resp.Body).Decode(&batch)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	one.Stats.ElapsedMS, huge.Stats.ElapsedMS = 0, 0
+	if !reflect.DeepEqual(one, huge) {
+		t.Errorf("workers=1000000000 answered\n%+v\nworkers=1 answered\n%+v", huge, one)
+	}
+	if len(batch.Results) != 1 || batch.Results[0].Error != nil ||
+		!reflect.DeepEqual(batch.Results[0].Results, one.Results) {
+		t.Errorf("batch entry with workers=1000000000 = %+v, want the workers=1 results", batch.Results)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > 8<<20 {
+		t.Errorf("two requests with workers=1000000000 allocated %d bytes, want a few MB at most", delta)
+	}
+}
+
 // TestHealthz: the probe reports the engine's graph size.
 func TestHealthz(t *testing.T) {
 	eng := smallEngine(t)
 	_, ts := newTestServer(t, Config{Engine: eng})
-	var h HealthResponse
-	getJSON(t, ts.URL+"/healthz", http.StatusOK, &h)
+	var h V1HealthResponse
+	getJSON(t, ts.URL+"/v1/healthz", http.StatusOK, &h)
 	if h.Status != "ok" {
 		t.Errorf("status = %q", h.Status)
 	}
@@ -316,15 +371,15 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestMetrics: after traffic, /metrics exposes the per-outcome counters,
+// TestMetrics: after traffic, /v1/metrics exposes the per-outcome counters,
 // cache stats and the latency histogram in Prometheus text format.
 func TestMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{Engine: smallEngine(t)})
-	var res SearchResponse
-	getJSON(t, ts.URL+"/search?q=ullman", http.StatusOK, &res)
-	getJSON(t, ts.URL+"/search?q=", http.StatusBadRequest, nil)
+	var res V1SearchResponse
+	getJSON(t, ts.URL+"/v1/search?q=ullman", http.StatusOK, &res)
+	getJSON(t, ts.URL+"/v1/search?q=", http.StatusBadRequest, nil)
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,8 +393,7 @@ func TestMetrics(t *testing.T) {
 		`cirank_queries_total{status="ok"} 1`,
 		`cirank_queries_total{status="bad_request"} 1`,
 		`cirank_queries_total{status="rejected"} 0`,
-		`cirank_cache_hits_total{cache="bound"}`,
-		`cirank_cache_misses_total{cache="bound"}`,
+		`cirank_result_cache_total{result="miss"} 1`,
 		"cirank_inflight_queries 0",
 		`cirank_query_duration_seconds_bucket{le="+Inf"} 1`,
 		"cirank_query_duration_seconds_count 1",

@@ -49,12 +49,6 @@ func TestShardedServerParity(t *testing.T) {
 			t.Errorf("%s: envelope fields diverge: %+v vs %+v", q, got, want)
 		}
 	}
-	// The legacy path serves the same stack.
-	var legacy SearchResponse
-	getJSON(t, sharded.URL+"/search?q=ullman&k=10", http.StatusOK, &legacy)
-	if len(legacy.Results) == 0 {
-		t.Error("legacy path returned no results from the sharded stack")
-	}
 }
 
 // TestShardedHealthz pins the shard-aware health report: composite
@@ -94,12 +88,6 @@ func TestShardedHealthz(t *testing.T) {
 	getJSON(t, plain.URL+"/v1/healthz", http.StatusOK, &plainHealth)
 	if plainHealth.Shards != nil {
 		t.Errorf("unsharded health grew a shards array: %+v", plainHealth.Shards)
-	}
-	// Legacy body reports the aggregate through the frozen shape.
-	var legacy HealthResponse
-	getJSON(t, ts.URL+"/healthz", http.StatusOK, &legacy)
-	if legacy.Generation != 1 || legacy.Nodes != ref.NumNodes() {
-		t.Errorf("legacy sharded health = %+v", legacy)
 	}
 }
 
@@ -232,7 +220,7 @@ func TestShardedReloadEndpoint(t *testing.T) {
 	// Shard selector validation.
 	postJSON(t, url+"/v1/admin/reload?shard=7", http.StatusBadRequest, nil)
 	_, _, plainURL := snapshotServer(t, smallEngine(t), Config{})
-	resp, err = http.Post(plainURL+"/admin/reload?shard=0", "application/json", nil)
+	resp, err = http.Post(plainURL+"/v1/admin/reload?shard=0", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

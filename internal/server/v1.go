@@ -3,8 +3,8 @@ package server
 // The versioned HTTP surface. /v1/ endpoints answer a stable JSON envelope
 // — schema, generation, results, stats, and structured error{code,message}
 // on failures — documented field by field in docs/api.md and pinned
-// byte-for-byte by the compatibility test (compat_test.go). The legacy
-// unversioned paths in server.go keep their frozen pre-v1 bodies.
+// byte-for-byte by the compatibility test (compat_test.go). It is the only
+// surface: the pre-v1 unversioned paths answer the mux's plain 404.
 
 import (
 	"encoding/json"
@@ -18,10 +18,23 @@ import (
 // carries it in its schema field.
 const APISchema = "cirank/api/v1"
 
-// V1Stats is the per-query work report of the /v1 envelope: the legacy
-// stats plus which serving layer produced the answer.
+// V1Stats is the per-query work report of the /v1 envelope: what the engine
+// did and which serving layer produced the answer.
 type V1Stats struct {
-	Stats
+	// Expanded counts candidate trees expanded by branch-and-bound.
+	Expanded int `json:"expanded"`
+	// Generated counts candidate trees generated.
+	Generated int `json:"generated"`
+	// Answers counts complete answers found (not just the k returned).
+	Answers int `json:"answers"`
+	// Truncated reports an early stop by the expansion cap; the results
+	// are the best found so far.
+	Truncated bool `json:"truncated"`
+	// Interrupted reports an early stop by the request deadline or client
+	// disconnect; the results are the best found so far.
+	Interrupted bool `json:"interrupted"`
+	// ElapsedMS is the query's wall-clock engine time in milliseconds.
+	ElapsedMS float64 `json:"elapsed_ms"`
 	// Source reports which layer served the result: "engine" (evaluated
 	// for this request), "cache" (generation-keyed result cache) or
 	// "coalesced" (rode another request's identical in-flight evaluation).
@@ -284,16 +297,24 @@ func (s *Server) handleV1SingleSearch(w http.ResponseWriter, r *http.Request) {
 
 // v1SearchResponse assembles the single-query success envelope.
 func v1SearchResponse(tenantName string, p searchParams, out queryOutcome, served string) V1SearchResponse {
-	legacy := searchResponse(p, out.res)
+	st := out.res.Stats
 	return V1SearchResponse{
 		Schema:     APISchema,
 		Generation: out.generation,
 		Tenant:     tenantName,
-		Query:      legacy.Query,
-		Terms:      legacy.Terms,
-		K:          legacy.K,
-		Results:    legacy.Results,
-		Stats:      V1Stats{Stats: legacy.Stats, Source: served},
+		Query:      p.query,
+		Terms:      p.terms,
+		K:          p.k,
+		Results:    wireAnswers(out.res),
+		Stats: V1Stats{
+			Expanded:    st.Expanded,
+			Generated:   st.Generated,
+			Answers:     st.Answers,
+			Truncated:   st.Truncated,
+			Interrupted: st.Interrupted,
+			ElapsedMS:   float64(st.Elapsed.Microseconds()) / 1e3,
+			Source:      served,
+		},
 	}
 }
 
@@ -460,23 +481,10 @@ func (s *Server) handleV1Reload(w http.ResponseWriter, r *http.Request) {
 		s.writeV1Error(w, apiErr)
 		return
 	}
-	rel, apiErr := s.reload(t, shard)
+	resp, apiErr := s.reload(t, shard)
 	if apiErr != nil {
 		s.writeV1Error(w, apiErr)
 		return
-	}
-	resp := V1ReloadResponse{
-		Schema:     APISchema,
-		Generation: rel.Generation,
-		Tenant:     t.name,
-		Status:     rel.Status,
-		Nodes:      rel.Nodes,
-		Edges:      rel.Edges,
-		Source:     rel.Source,
-		Drained:    rel.Drained,
-	}
-	if shard >= 0 {
-		resp.Shard = &shard
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -294,39 +294,38 @@ func TestV1Healthz(t *testing.T) {
 	}
 }
 
-// TestLegacyDeprecationHeaders: the unversioned paths keep answering their
-// frozen pre-v1 bodies, now marked deprecated with a successor link; the
-// /v1 paths carry no such marking.
-func TestLegacyDeprecationHeaders(t *testing.T) {
-	_, ts := newTestServer(t, Config{Engine: smallEngine(t)})
-	for path, successor := range map[string]string{
-		"/search?q=ullman": "/v1/search",
-		"/healthz":         "/v1/healthz",
-		"/metrics":         "/v1/metrics",
-	} {
-		resp, err := http.Get(ts.URL + path)
+// TestUnversionedPathsAreGone: the pre-v1 paths answer the mux's plain 404
+// with no deprecation marking, while their /v1 twins serve.
+func TestUnversionedPathsAreGone(t *testing.T) {
+	_, _, url := snapshotServer(t, smallEngine(t), Config{})
+	do := func(method, path string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, url+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", path, resp.StatusCode)
-		}
-		if got := resp.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("GET %s: Deprecation header %q, want \"true\"", path, got)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, successor) || !strings.Contains(link, "successor-version") {
-			t.Errorf("GET %s: Link header %q does not point at %s", path, link, successor)
-		}
+		return resp
 	}
-	for _, path := range []string{"/v1/search?q=ullman", "/v1/healthz", "/v1/metrics"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodGet, "/search?q=ullman"},
+		{http.MethodGet, "/healthz"},
+		{http.MethodGet, "/metrics"},
+		{http.MethodPost, "/admin/reload"},
+	} {
+		resp := do(tc.method, tc.path)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", tc.method, tc.path, resp.StatusCode)
 		}
-		resp.Body.Close()
-		if resp.Header.Get("Deprecation") != "" {
-			t.Errorf("GET %s: versioned path marked deprecated", path)
+		if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Link") != "" {
+			t.Errorf("%s %s: a removed path still carries deprecation headers", tc.method, tc.path)
+		}
+		if resp := do(tc.method, "/v1"+tc.path); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s /v1%s: status %d, want 200", tc.method, tc.path, resp.StatusCode)
 		}
 	}
 }

@@ -17,9 +17,6 @@ import (
 type Config struct {
 	// Count is the number of shards, Radius the halo depth; see NewPlan.
 	Count, Radius int
-	// Strategy selects the ownership assignment; the zero value is
-	// Locality, the graph-aware default.
-	Strategy Strategy
 	// Importance is the global importance (PageRank) vector.
 	Importance []float64
 	// Damp is the global per-node dampening-rate vector (Eq. 2).
@@ -70,7 +67,7 @@ func Build(ctx context.Context, g *graph.Graph, cfg Config) (*Plan, []*Shard, er
 	if len(cfg.Importance) != n || len(cfg.Damp) != n {
 		return nil, nil, fmt.Errorf("shard: importance/damp length mismatch with %d nodes", n)
 	}
-	plan, err := NewPlan(g, cfg.Count, cfg.Radius, cfg.Strategy)
+	plan, err := NewPlan(g, cfg.Count, cfg.Radius)
 	if err != nil {
 		return nil, nil, err
 	}

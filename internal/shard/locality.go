@@ -6,44 +6,14 @@ import (
 	"cirank/internal/graph"
 )
 
-// Strategy selects how NewPlan assigns node ownership to shards.
-type Strategy int
-
-const (
-	// Locality orders nodes by a degree-guided breadth-first traversal of
-	// the undirected graph (Cuthill–McKee) and cuts the order into
-	// contiguous chunks, so each shard owns one tightly connected region.
-	// Far fewer edges cross owned boundaries than under Contiguous, which
-	// shrinks the radius-r halo every shard must replicate — the halo
-	// duplication factor the shard benchmark tracks. This is the default
-	// strategy of the public ShardEngines API.
-	Locality Strategy = iota
-	// Contiguous is the legacy split: shard i of N owns the raw ID range
-	// [i·n/N, (i+1)·n/N). Insertion order rarely follows graph structure,
-	// so hub edges cross every boundary and halos balloon; it survives as
-	// the before-side of the halo benchmark and for snapshots written
-	// before ownership travelled explicitly.
-	Contiguous
-)
-
-// String names the strategy as the benchmark and logs spell it.
-func (s Strategy) String() string {
-	switch s {
-	case Locality:
-		return "locality"
-	case Contiguous:
-		return "contiguous"
-	default:
-		return "unknown"
-	}
-}
-
 // localityOrder returns a permutation of the node IDs in Cuthill–McKee
 // order: components are entered at their minimum-degree node and traversed
 // breadth-first with neighbours visited in (undirected degree, ID)
 // ascending order. Nodes adjacent in the graph land close together in the
-// order, so contiguous chunks of it have small edge boundaries. The order
-// is deterministic in the graph alone.
+// order, so contiguous chunks of it have small edge boundaries — far
+// smaller than chunks of raw insertion-order IDs, where hub edges cross every
+// boundary — which shrinks the radius-r halo every shard must replicate. The
+// order is deterministic in the graph alone.
 func localityOrder(g *graph.Graph) []graph.NodeID {
 	n := g.NumNodes()
 	rev := reverseAdjacency(g)
@@ -153,11 +123,11 @@ func OwnedDistances(g *graph.Graph, owned []graph.NodeID, maxDepth int) []int32 
 // DuplicationFactor reports the halo cost of the plan over its graph: the
 // sum of every part's stored edge count (the member-induced set minus the
 // rim edges Project drops) divided by the whole graph's edge count. 1.0
-// means no duplication at all; the contiguous split on the small-world
+// means no duplication at all; a raw-ID range split on the small-world
 // synthetics sits near the shard count itself — every shard replicates
-// almost the whole corpus — which is what the locality strategy and the
-// rim trim exist to shrink. The factor is deterministic in (graph, plan),
-// so CI gates on it.
+// almost the whole corpus — which is what the locality order and the rim
+// trim exist to shrink. The factor is deterministic in (graph, plan), so CI
+// gates on it.
 func (plan *Plan) DuplicationFactor(g *graph.Graph) float64 {
 	total := g.NumEdges()
 	if total == 0 {

@@ -5,12 +5,11 @@
 // # Partitioning scheme
 //
 // Ownership is a disjoint cover of the dense node-ID space: every node is
-// owned by exactly one shard. How nodes are assigned is the plan's Strategy —
-// the legacy Contiguous range split, or the default Locality split that
-// chunks a Cuthill–McKee traversal order so each shard owns one connected
-// region (see locality.go). Every shard then replicates a halo around its
-// owned set — all nodes within Radius undirected hops of an owned node — and
-// materializes the member-induced subgraph. The halo makes shards
+// owned by exactly one shard. Ownership chunks a Cuthill–McKee traversal
+// order so each shard owns one connected region (see locality.go). Every
+// shard then replicates a halo around its owned set — all nodes within
+// Radius undirected hops of an owned node — and materializes the
+// member-induced subgraph. The halo makes shards
 // self-sufficient: an answer tree of diameter ≤ D has a center node whose
 // tree-eccentricity is at most ⌈D/2⌉, so as long as Radius ≥ ⌈D/2⌉ the shard
 // owning the center contains the whole tree. Every valid answer is therefore
@@ -63,10 +62,8 @@ func (p *Part) Owns(v graph.NodeID) bool {
 }
 
 // Span returns the half-open ID interval [lo, hi) bounding the owned set,
-// with lo == hi for an empty set. Under the Contiguous strategy the span IS
-// the owned set; under Locality it merely bounds it. The snapshot records
-// the span alongside the explicit owned list so legacy readers still see a
-// meaningful range.
+// with lo == hi for an empty set. The span merely bounds the owned set; the
+// snapshot records it alongside the explicit owned list.
 func (p *Part) Span() (lo, hi graph.NodeID) {
 	if len(p.Owned) == 0 {
 		return 0, 0
@@ -84,19 +81,16 @@ type Plan struct {
 	// Radius is the halo depth in undirected hops. Searches on the plan's
 	// shards are exact for answer diameters up to 2·Radius.
 	Radius int
-	// Strategy records how ownership was assigned.
-	Strategy Strategy
 	// Parts holds one entry per shard, in shard-index order.
 	Parts []Part
 }
 
-// NewPlan splits g into count shards with the given halo radius, assigning
-// ownership per strategy. The split is deterministic in (g, count, radius,
-// strategy): the owned sets are chunks of a node order — raw IDs for
-// Contiguous, the Cuthill–McKee traversal for Locality — and the halo is a
-// breadth-first search over edges taken undirected. count may exceed the
-// node count; the excess shards are empty.
-func NewPlan(g *graph.Graph, count, radius int, strategy Strategy) (*Plan, error) {
+// NewPlan splits g into count shards with the given halo radius. The split
+// is deterministic in (g, count, radius): the owned sets are chunks of the
+// Cuthill–McKee node order (localityOrder) and the halo is a breadth-first
+// search over edges taken undirected. count may exceed the node count; the
+// excess shards are empty.
+func NewPlan(g *graph.Graph, count, radius int) (*Plan, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("shard: count %d, want at least 1", count)
 	}
@@ -104,19 +98,8 @@ func NewPlan(g *graph.Graph, count, radius int, strategy Strategy) (*Plan, error
 		return nil, fmt.Errorf("shard: radius %d, want at least 1", radius)
 	}
 	n := g.NumNodes()
-	var order []graph.NodeID
-	switch strategy {
-	case Contiguous:
-		order = make([]graph.NodeID, n)
-		for v := range order {
-			order[v] = graph.NodeID(v)
-		}
-	case Locality:
-		order = localityOrder(g)
-	default:
-		return nil, fmt.Errorf("shard: unknown strategy %d", int(strategy))
-	}
-	plan := &Plan{NumNodes: n, Count: count, Radius: radius, Strategy: strategy, Parts: make([]Part, count)}
+	order := localityOrder(g)
+	plan := &Plan{NumNodes: n, Count: count, Radius: radius, Parts: make([]Part, count)}
 	rev := reverseAdjacency(g)
 	for i := 0; i < count; i++ {
 		owned := append([]graph.NodeID(nil), order[i*n/count:(i+1)*n/count]...)

@@ -149,38 +149,13 @@ func checkPlanInvariants(t *testing.T, g *graph.Graph, plan *Plan) {
 }
 
 func TestNewPlanInvariants(t *testing.T) {
-	for _, strategy := range []Strategy{Contiguous, Locality} {
-		for _, g := range []*graph.Graph{chainGraph(10), interleavedChains(6)} {
-			for _, count := range []int{1, 2, 3, 4, 10, 15} {
-				plan, err := NewPlan(g, count, 2, strategy)
-				if err != nil {
-					t.Fatalf("%v count %d: %v", strategy, count, err)
-				}
-				checkPlanInvariants(t, g, plan)
+	for _, g := range []*graph.Graph{chainGraph(10), interleavedChains(6)} {
+		for _, count := range []int{1, 2, 3, 4, 10, 15} {
+			plan, err := NewPlan(g, count, 2)
+			if err != nil {
+				t.Fatalf("count %d: %v", count, err)
 			}
-		}
-	}
-}
-
-// TestNewPlanContiguousRanges pins the legacy split: shard i owns the ID
-// range [i·n/count, (i+1)·n/count), which snapshots written before explicit
-// ownership rely on when they synthesize Owned from the span.
-func TestNewPlanContiguousRanges(t *testing.T) {
-	g := chainGraph(10)
-	plan, err := NewPlan(g, 3, 1, Contiguous)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.NumNodes()
-	for i, p := range plan.Parts {
-		lo, hi := i*n/3, (i+1)*n/3
-		if len(p.Owned) != hi-lo {
-			t.Fatalf("part %d owns %d nodes, want %d", i, len(p.Owned), hi-lo)
-		}
-		for j, v := range p.Owned {
-			if int(v) != lo+j {
-				t.Fatalf("part %d Owned[%d] = %d, want %d", i, j, v, lo+j)
-			}
+			checkPlanInvariants(t, g, plan)
 		}
 	}
 }
@@ -190,7 +165,7 @@ func TestNewPlanContiguousRanges(t *testing.T) {
 // two-way split owns whole components and the halo is empty.
 func TestNewPlanLocalityComponents(t *testing.T) {
 	g := interleavedChains(6)
-	plan, err := NewPlan(g, 2, 2, Locality)
+	plan, err := NewPlan(g, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,13 +184,6 @@ func TestNewPlanLocalityComponents(t *testing.T) {
 	}
 	if got := plan.DuplicationFactor(g); got != 1.0 {
 		t.Fatalf("locality duplication factor = %v, want exactly 1.0", got)
-	}
-	cont, err := NewPlan(g, 2, 2, Contiguous)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := cont.DuplicationFactor(g); c <= 1.0 {
-		t.Fatalf("contiguous duplication factor = %v, want > 1.0 on interleaved IDs", c)
 	}
 }
 
@@ -239,29 +207,27 @@ func TestLocalityOrderIsPermutation(t *testing.T) {
 
 func TestNewPlanSingleShard(t *testing.T) {
 	g := chainGraph(6)
-	for _, strategy := range []Strategy{Contiguous, Locality} {
-		plan, err := NewPlan(g, 1, 3, strategy)
-		if err != nil {
-			t.Fatalf("%v: %v", strategy, err)
-		}
-		p := &plan.Parts[0]
-		if len(p.Owned) != g.NumNodes() || p.Members != g.NumNodes() {
-			t.Fatalf("%v: single shard owns %d / members %d, want all %d",
-				strategy, len(p.Owned), p.Members, g.NumNodes())
-		}
-		if lo, hi := p.Span(); lo != 0 || int(hi) != g.NumNodes() {
-			t.Fatalf("%v: single-shard span [%d, %d)", strategy, lo, hi)
-		}
-		// One shard replicates nothing: every edge is stored exactly once.
-		if d := plan.DuplicationFactor(g); d != 1.0 {
-			t.Fatalf("%v: single-shard duplication factor = %v, want 1.0", strategy, d)
-		}
+	plan, err := NewPlan(g, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &plan.Parts[0]
+	if len(p.Owned) != g.NumNodes() || p.Members != g.NumNodes() {
+		t.Fatalf("single shard owns %d / members %d, want all %d",
+			len(p.Owned), p.Members, g.NumNodes())
+	}
+	if lo, hi := p.Span(); lo != 0 || int(hi) != g.NumNodes() {
+		t.Fatalf("single-shard span [%d, %d)", lo, hi)
+	}
+	// One shard replicates nothing: every edge is stored exactly once.
+	if d := plan.DuplicationFactor(g); d != 1.0 {
+		t.Fatalf("single-shard duplication factor = %v, want 1.0", d)
 	}
 }
 
 func TestNewPlanMoreShardsThanNodes(t *testing.T) {
 	g := chainGraph(3)
-	plan, err := NewPlan(g, 5, 1, Locality)
+	plan, err := NewPlan(g, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,23 +253,11 @@ func TestNewPlanMoreShardsThanNodes(t *testing.T) {
 
 func TestNewPlanValidation(t *testing.T) {
 	g := chainGraph(4)
-	if _, err := NewPlan(g, 0, 1, Locality); err == nil {
+	if _, err := NewPlan(g, 0, 1); err == nil {
 		t.Error("count 0 accepted")
 	}
-	if _, err := NewPlan(g, 2, 0, Locality); err == nil {
+	if _, err := NewPlan(g, 2, 0); err == nil {
 		t.Error("radius 0 accepted")
-	}
-	if _, err := NewPlan(g, 2, 1, Strategy(99)); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-}
-
-func TestStrategyString(t *testing.T) {
-	if Locality.String() != "locality" || Contiguous.String() != "contiguous" {
-		t.Fatalf("strategy names: %q, %q", Locality, Contiguous)
-	}
-	if Strategy(99).String() != "unknown" {
-		t.Fatalf("out-of-range strategy name: %q", Strategy(99))
 	}
 }
 
@@ -330,22 +284,19 @@ func TestOwnedDistances(t *testing.T) {
 
 // TestOwnedDistancesMatchPlanHalo ties the two BFS computations together:
 // membership of a part is exactly the set of nodes OwnedDistances reaches at
-// the plan radius, for both strategies.
+// the plan radius.
 func TestOwnedDistancesMatchPlanHalo(t *testing.T) {
 	g := interleavedChains(6)
-	for _, strategy := range []Strategy{Contiguous, Locality} {
-		plan, err := NewPlan(g, 3, 2, strategy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range plan.Parts {
-			p := &plan.Parts[i]
-			dist := OwnedDistances(g, p.Owned, plan.Radius)
-			for v := 0; v < g.NumNodes(); v++ {
-				if (dist[v] >= 0) != p.Member[v] {
-					t.Fatalf("%v part %d node %d: dist %d vs member %v",
-						strategy, i, v, dist[v], p.Member[v])
-				}
+	plan, err := NewPlan(g, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range plan.Parts {
+		p := &plan.Parts[i]
+		dist := OwnedDistances(g, p.Owned, plan.Radius)
+		for v := 0; v < g.NumNodes(); v++ {
+			if (dist[v] >= 0) != p.Member[v] {
+				t.Fatalf("part %d node %d: dist %d vs member %v", i, v, dist[v], p.Member[v])
 			}
 		}
 	}
@@ -357,7 +308,7 @@ func TestOwnedDistancesMatchPlanHalo(t *testing.T) {
 // destination order.
 func TestProjectSingleShardIdentity(t *testing.T) {
 	g := chainGraph(6)
-	plan, err := NewPlan(g, 1, 1, Locality)
+	plan, err := NewPlan(g, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +338,7 @@ func TestProjectSingleShardIdentity(t *testing.T) {
 // structure survives, edges to non-members are cut, non-members are empty.
 func TestProjectDropsNonMembers(t *testing.T) {
 	g := chainGraph(8)
-	plan, err := NewPlan(g, 4, 1, Contiguous) // shard 0 owns {0,1}, halo adds node 2
+	plan, err := NewPlan(g, 4, 1) // a chain is traversed in ID order: shard 0 owns {0,1}, halo adds node 2
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cirank/internal/graph"
-	"cirank/internal/pathindex"
 	"cirank/internal/relational"
 	"cirank/internal/search"
 	"cirank/internal/shard"
@@ -31,12 +30,11 @@ type shardMeta struct {
 	// for diameters up to 2·Radius.
 	Radius int
 	// Owned lists the shard's owned node IDs, ascending. The owned sets of
-	// a composed set are disjoint and cover the whole ID space. Under a
-	// locality plan the set is not an interval; Lo and Hi only bound it.
+	// a composed set are disjoint and cover the whole ID space. The set is
+	// not an interval in general; Lo and Hi only bound it.
 	Owned []graph.NodeID
 	// Lo and Hi delimit the half-open span [Lo, Hi) bounding Owned (equal
-	// for an empty owned set). Legacy snapshots without an explicit owned
-	// list carry only the span, and ownership is the whole interval.
+	// for an empty owned set).
 	Lo, Hi graph.NodeID
 	// TotalNodes and TotalEdges are the whole (pre-partitioning) graph's
 	// sizes, reported by the coordinator as the set's corpus size.
@@ -51,10 +49,9 @@ type ShardInfo struct {
 	// Radius is the halo depth of the shard's plan.
 	Radius int
 	// OwnedLo and OwnedHi delimit the half-open node-ID span [OwnedLo,
-	// OwnedHi) bounding the shard's owned set. Under the default locality
-	// strategy the owned set is not an interval — OwnedCount says how many
-	// IDs inside the span the shard actually owns; the owned sets of a set
-	// partition the ID space.
+	// OwnedHi) bounding the shard's owned set. The owned set is not an
+	// interval in general — OwnedCount says how many IDs inside the span the
+	// shard actually owns; the owned sets of a set partition the ID space.
 	OwnedLo, OwnedHi int
 	// OwnedCount is the number of nodes the shard owns.
 	OwnedCount int
@@ -78,53 +75,16 @@ func (e *Engine) ShardInfo() (ShardInfo, bool) {
 	}, true
 }
 
-// ShardStrategy selects how ShardEngines assigns node ownership; see the
-// internal/shard package for the mechanics.
-type ShardStrategy int
-
-const (
-	// ShardLocality (the default) chunks a Cuthill–McKee breadth-first
-	// traversal of the graph, so each shard owns one tightly connected
-	// region and the radius-r halo it must replicate stays small.
-	ShardLocality ShardStrategy = iota
-	// ShardContiguous is the legacy raw-ID range split. It survives for
-	// halo before/after comparisons; rankings are identical under both.
-	ShardContiguous
-)
-
-// String names the strategy as the benchmark output spells it.
-func (s ShardStrategy) String() string {
-	switch s {
-	case ShardLocality:
-		return "locality"
-	case ShardContiguous:
-		return "contiguous"
-	default:
-		return "unknown"
-	}
-}
-
-// internalStrategy maps the public strategy onto the shard package's.
-func (s ShardStrategy) internal() (shard.Strategy, error) {
-	switch s {
-	case ShardLocality:
-		return shard.Locality, nil
-	case ShardContiguous:
-		return shard.Contiguous, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown shard strategy %d", ErrShardSet, int(s))
-	}
-}
-
 // ShardEngines partitions e into count shard engines with the given halo
-// radius (0 means DefaultShardRadius) under the default locality strategy.
-// Each returned engine is a complete, independently usable Engine — it can
-// be queried, saved and reopened like any other — serving the
-// member-induced subgraph of its slice of the plan (owned set plus halo;
-// see internal/shard). The shards reuse e's global importance and dampening
-// vectors, which is what makes their answer scores bitwise equal to e's;
-// compose them with NewSharded to answer queries with e's exact rankings.
-// e itself is not modified or consumed.
+// radius (0 means DefaultShardRadius). Each shard owns one chunk of a
+// Cuthill–McKee traversal of the graph — one tightly connected region, so the
+// halo it replicates stays small (see internal/shard) — and each returned
+// engine is a complete, independently usable Engine: it can be queried, saved
+// and reopened like any other, serving the member-induced subgraph of its
+// slice of the plan (owned set plus halo). The shards reuse e's global
+// importance and dampening vectors, which is what makes their answer scores
+// bitwise equal to e's; compose them with NewSharded to answer queries with
+// e's exact rankings. e itself is not modified or consumed.
 func ShardEngines(e *Engine, count, radius int) ([]*Engine, error) {
 	return ShardEnginesContext(context.Background(), e, count, radius)
 }
@@ -132,29 +92,15 @@ func ShardEngines(e *Engine, count, radius int) ([]*Engine, error) {
 // ShardEnginesContext is ShardEngines bounded by ctx: cancellation aborts
 // the per-shard index builds with an error wrapping ctx.Err().
 func ShardEnginesContext(ctx context.Context, e *Engine, count, radius int) ([]*Engine, error) {
-	return ShardEnginesWithStrategy(ctx, e, count, radius, ShardLocality)
-}
-
-// ShardEnginesWithStrategy is ShardEnginesContext with an explicit ownership
-// strategy. ShardContiguous reproduces the pre-locality range split — the
-// benchmark uses it to measure the halo-duplication before/after — at
-// rankings identical to ShardLocality's; everything else should let
-// ShardEnginesContext pick the default.
-func ShardEnginesWithStrategy(ctx context.Context, e *Engine, count, radius int, strategy ShardStrategy) ([]*Engine, error) {
 	if e.shard != nil {
 		return nil, fmt.Errorf("%w: engine already serves shard %d of %d; partition the original engine instead", ErrShardSet, e.shard.Index, e.shard.Count)
 	}
 	if radius == 0 {
 		radius = DefaultShardRadius
 	}
-	strat, err := strategy.internal()
-	if err != nil {
-		return nil, err
-	}
 	cfg := shard.Config{
 		Count:      count,
 		Radius:     radius,
-		Strategy:   strat,
 		Importance: e.imp,
 		Damp:       e.model.DampVector(),
 		Params:     e.model.Params(),
@@ -204,9 +150,6 @@ func ShardEnginesWithStrategy(ctx context.Context, e *Engine, count, radius int,
 		}
 		se.buildStats.Source = SourceBuild
 		se.buildStats.Workers = e.workers
-		if sh.Star != nil {
-			se.cachedIdx = pathindex.NewCached(sh.Star, 0)
-		}
 		engines[i] = se
 	}
 	return engines, nil
@@ -247,7 +190,7 @@ func NewSharded(engines []*Engine) (*ShardedEngine, error) {
 	}
 	// Ownership must partition the ID space: every node owned by exactly
 	// one shard. The owner bitmap catches overlaps pairwise and the final
-	// count catches gaps, whatever strategy cut the plan.
+	// count catches gaps.
 	owner := make([]bool, first.TotalNodes)
 	covered := 0
 	for i, e := range engines {
@@ -330,26 +273,15 @@ func (s *ShardedEngine) TermSelectivity(term string) int {
 	for _, e := range s.shards {
 		m := e.shard
 		if len(m.Owned) == int(m.Hi-m.Lo) {
-			// The owned set is exactly its span (contiguous plans, and any
-			// locality chunk that happens to be an interval): two binary
-			// searches beat the postings merge.
+			// The owned set is exactly its span (a one-shard set, or a chunk
+			// that happens to be an interval): two binary searches beat the
+			// postings merge.
 			total += e.ix.DFRange(term, m.Lo, m.Hi)
 		} else {
 			total += e.ix.DFIn(term, m.Owned)
 		}
 	}
 	return total
-}
-
-// CacheStats sums the cache counters of every shard engine.
-func (s *ShardedEngine) CacheStats() CacheStats {
-	var cs CacheStats
-	for _, e := range s.shards {
-		c := e.CacheStats()
-		cs.BoundHits += c.BoundHits
-		cs.BoundMisses += c.BoundMisses
-	}
-	return cs
 }
 
 // Close closes every shard engine and returns the first error. The same
@@ -400,7 +332,7 @@ func (s *ShardedEngine) SearchTerms(terms []string, k int, opts SearchOptions) (
 func (s *ShardedEngine) SearchTermsContext(ctx context.Context, terms []string, k int, opts SearchOptions) (SearchResult, error) {
 	start := time.Now()
 	// Validate once up front so a bad request fails before any scatter; the
-	// per-shard legs re-resolve with their own index and caches.
+	// per-shard legs re-resolve against their own ownedDist tables.
 	sopts, err := s.shards[0].searchOptions(k, opts)
 	if err != nil {
 		return SearchResult{}, err

@@ -2,7 +2,6 @@ package cirank
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -178,7 +177,7 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardStrategiesAndPrune sweeps the strategy × frontier-prune grid:
+// TestShardStrategiesAndPrune sweeps the shard-count × frontier-prune grid:
 // every combination must reproduce the single-engine ranking byte for byte.
 // The difftest harness runs the same grid on larger workloads; this is the
 // fast in-tree anchor.
@@ -187,28 +186,26 @@ func TestShardStrategiesAndPrune(t *testing.T) {
 	if len(queries) > 6 {
 		queries = queries[:6]
 	}
-	for _, strategy := range []ShardStrategy{ShardLocality, ShardContiguous} {
-		for _, count := range []int{2, 4} {
-			shards, err := ShardEnginesWithStrategy(context.Background(), eng, count, 0, strategy)
+	for _, count := range []int{2, 4} {
+		shards, err := ShardEngines(eng, count, 0)
+		if err != nil {
+			t.Fatalf("count %d: %v", count, err)
+		}
+		se, err := NewSharded(shards)
+		if err != nil {
+			t.Fatalf("count %d: %v", count, err)
+		}
+		for qi, terms := range queries {
+			want, err := eng.SearchTerms(terms, 5, SearchOptions{})
 			if err != nil {
-				t.Fatalf("%v count %d: %v", strategy, count, err)
+				t.Fatalf("query %d: %v", qi, err)
 			}
-			se, err := NewSharded(shards)
-			if err != nil {
-				t.Fatalf("%v count %d: %v", strategy, count, err)
-			}
-			for qi, terms := range queries {
-				want, err := eng.SearchTerms(terms, 5, SearchOptions{})
+			for _, noPrune := range []bool{false, true} {
+				got, err := se.SearchTerms(terms, 5, SearchOptions{DisableFrontierPrune: noPrune})
 				if err != nil {
-					t.Fatalf("query %d: %v", qi, err)
+					t.Fatalf("count %d query %d noPrune=%v: %v", count, qi, noPrune, err)
 				}
-				for _, noPrune := range []bool{false, true} {
-					got, err := se.SearchTerms(terms, 5, SearchOptions{DisableFrontierPrune: noPrune})
-					if err != nil {
-						t.Fatalf("%v count %d query %d noPrune=%v: %v", strategy, count, qi, noPrune, err)
-					}
-					sameResults(t, strategy.String(), got, want)
-				}
+				sameResults(t, fmt.Sprintf("count %d noPrune=%v", count, noPrune), got, want)
 			}
 		}
 	}
@@ -289,32 +286,9 @@ func shardSectionBytes(index, count, radius, lo, hi, totalNodes, totalEdges uint
 	return b
 }
 
-// TestDecodeShardSectionLegacyOwned drives the decoder directly: a snapshot
-// written before locality plans has no shard.owned section, and ownership
-// must be synthesized as the whole [lo, hi) interval.
-func TestDecodeShardSectionLegacyOwned(t *testing.T) {
-	secs := map[string][]byte{
-		secShard: shardSectionBytes(1, 2, 3, 10, 14, 20, 40),
-	}
-	m, err := decodeShardSection(secs, 20, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Owned) != 4 {
-		t.Fatalf("synthesized %d owned nodes, want 4", len(m.Owned))
-	}
-	for j, v := range m.Owned {
-		if int(v) != 10+j {
-			t.Fatalf("Owned[%d] = %d, want %d", j, v, 10+j)
-		}
-	}
-	if m.Lo != 10 || m.Hi != 14 {
-		t.Fatalf("span [%d, %d), want [10, 14)", m.Lo, m.Hi)
-	}
-}
-
-// TestDecodeShardSectionOwnedValidation covers the explicit-owned branch:
-// well-formed sets decode, malformed ones fail as ErrBadSnapshot.
+// TestDecodeShardSectionOwnedValidation drives the decoder directly:
+// well-formed owned sets decode, malformed ones fail as ErrBadSnapshot (a
+// missing one is a row of TestSnapshotV2Corruptions).
 func TestDecodeShardSectionOwnedValidation(t *testing.T) {
 	section := func(lo, hi uint64, owned []uint32) map[string][]byte {
 		ob := make([]byte, 0, 4*len(owned))

@@ -59,12 +59,9 @@ import (
 // The five star.* sections are present together exactly when the meta flags
 // word has bit 0 set; the shard sections (a shard engine's slice of its
 // partition plan, see ShardEngines) exactly when bit 1 is set; strings are
-// u32-length-prefixed UTF-8. shard.owned is the explicit owned node set of
-// a locality-partitioned shard; ownedLo/ownedHi in the shard section are
-// its span. Snapshots written before ownership travelled explicitly carry
-// only the shard section, and the owned set decodes as the whole interval
-// [ownedLo, ownedHi). The encoding is deterministic: the same engine always
-// serializes to the same bytes.
+// u32-length-prefixed UTF-8. shard.owned is the shard's owned node set;
+// ownedLo/ownedHi in the shard section are its span. The encoding is
+// deterministic: the same engine always serializes to the same bytes.
 //
 // v2 is the only format: any other version word (including the retired v1
 // stream format) is rejected. Every decode error wraps ErrBadSnapshot.
@@ -326,8 +323,8 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 }
 
 // assembleLoaded builds the engine shell around a decoded snapshot's parts.
-// Snapshots carry no Config, so loaded engines get the auto defaults
-// (Workers 0, default cache sizes).
+// Snapshots carry no Config, so loaded engines get the auto default
+// (Workers 0).
 func assembleLoaded(g *graph.Graph, ix *textindex.Index, model *rwmp.Model, imp []float64,
 	starIdx *pathindex.StarIndex, entries []relational.MappingEntry, byKey map[string]graph.NodeID) *Engine {
 	e := &Engine{
@@ -344,9 +341,6 @@ func assembleLoaded(g *graph.Graph, ix *textindex.Index, model *rwmp.Model, imp 
 		},
 	}
 	e.buildStats.Source = SourceStream
-	if starIdx != nil {
-		e.cachedIdx = pathindex.NewCached(starIdx, 0)
-	}
 	return e
 }
 
@@ -522,13 +516,11 @@ func decodeV2(data []byte, alias bool) (*Engine, error) {
 }
 
 // decodeShardSection validates and decodes the shard section — the engine's
-// slice of its partition plan — together with the optional shard.owned
-// section holding the explicit owned node set. n and nEdges are the snapshot
-// graph's sizes: a shard subgraph spans the full global ID space, so
-// totalNodes must equal n, while totalEdges (the whole graph's) can only
-// exceed the shard's. Without shard.owned (snapshots from before locality
-// plans) ownership is the whole interval [lo, hi); with it, lo/hi must be
-// exactly the owned set's span so a re-save is byte-stable.
+// slice of its partition plan — together with the shard.owned section
+// holding the owned node set. n and nEdges are the snapshot graph's sizes: a
+// shard subgraph spans the full global ID space, so totalNodes must equal n,
+// while totalEdges (the whole graph's) can only exceed the shard's. lo/hi
+// must be exactly the owned set's span so a re-save is byte-stable.
 func decodeShardSection(secs map[string][]byte, n, nEdges int) (*shardMeta, error) {
 	b, ok := secs[secShard]
 	if !ok {
@@ -562,38 +554,34 @@ func decodeShardSection(secs map[string][]byte, n, nEdges int) (*shardMeta, erro
 	if lo > hi || hi > totalNodes {
 		return nil, badSnap("shard owned range [%d, %d) invalid for %d nodes", lo, hi, totalNodes)
 	}
-	var owned []graph.NodeID
-	if ob, ok := secs[secShardOwn]; ok {
-		if len(ob)%4 != 0 {
-			return nil, badSnap("section %q is %d bytes, want a multiple of 4", secShardOwn, len(ob))
+	ob, ok := secs[secShardOwn]
+	if !ok {
+		return nil, badSnap("shard flag set but section %q is missing", secShardOwn)
+	}
+	if len(ob)%4 != 0 {
+		return nil, badSnap("section %q is %d bytes, want a multiple of 4", secShardOwn, len(ob))
+	}
+	owned := make([]graph.NodeID, len(ob)/4)
+	prev := int64(-1)
+	for i := range owned {
+		id := int64(binary.LittleEndian.Uint32(ob[4*i:]))
+		if id <= prev {
+			return nil, badSnap("section %q not strictly ascending at entry %d", secShardOwn, i)
 		}
-		owned = make([]graph.NodeID, len(ob)/4)
-		prev := int64(-1)
-		for i := range owned {
-			id := int64(binary.LittleEndian.Uint32(ob[4*i:]))
-			if id <= prev {
-				return nil, badSnap("section %q not strictly ascending at entry %d", secShardOwn, i)
-			}
-			if uint64(id) >= totalNodes {
-				return nil, badSnap("section %q owns node %d of %d", secShardOwn, id, totalNodes)
-			}
-			prev = id
-			owned[i] = graph.NodeID(id)
+		if uint64(id) >= totalNodes {
+			return nil, badSnap("section %q owns node %d of %d", secShardOwn, id, totalNodes)
 		}
-		switch {
-		case len(owned) == 0:
-			if lo != hi {
-				return nil, badSnap("empty owned set with nonempty span [%d, %d)", lo, hi)
-			}
-		case uint64(owned[0]) != lo || uint64(owned[len(owned)-1])+1 != hi:
-			return nil, badSnap("owned set spans [%d, %d), shard section claims [%d, %d)",
-				owned[0], owned[len(owned)-1]+1, lo, hi)
+		prev = id
+		owned[i] = graph.NodeID(id)
+	}
+	switch {
+	case len(owned) == 0:
+		if lo != hi {
+			return nil, badSnap("empty owned set with nonempty span [%d, %d)", lo, hi)
 		}
-	} else {
-		owned = make([]graph.NodeID, 0, hi-lo)
-		for id := lo; id < hi; id++ {
-			owned = append(owned, graph.NodeID(id))
-		}
+	case uint64(owned[0]) != lo || uint64(owned[len(owned)-1])+1 != hi:
+		return nil, badSnap("owned set spans [%d, %d), shard section claims [%d, %d)",
+			owned[0], owned[len(owned)-1]+1, lo, hi)
 	}
 	return &shardMeta{
 		Index: int(index), Count: int(count), Radius: int(radius),

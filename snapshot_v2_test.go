@@ -248,7 +248,26 @@ func TestSnapshotV2Corruptions(t *testing.T) {
 	impEntry, impOff, _ := findEntry(t, snap, secImp)
 	_ = impEntry
 
+	// A shard snapshot re-encoded without its shard.owned section: every
+	// Save writes one, and ownership is never guessed from the span.
+	shards, err := ShardEngines(fig2Engine(t, DefaultConfig()), 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := shards[0].encodeSections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var noOwned bytes.Buffer
+	if last := secs[len(secs)-1]; last.name != secShardOwn {
+		t.Fatalf("last section is %q, want %q", last.name, secShardOwn)
+	}
+	if err := writeSnapshot(&noOwned, secs[:len(secs)-1]); err != nil {
+		t.Fatal(err)
+	}
+
 	cases := map[string][]byte{
+		"missing shard.owned":  noOwned.Bytes(),
 		"truncated header":     snap[:10],
 		"truncated table":      snap[:snapHeaderSize+snapEntrySize-4],
 		"truncated payloads":   snap[:len(snap)-8],
