@@ -31,7 +31,7 @@ vet:
 # lint enforces the documentation contract: every exported identifier in
 # the listed packages must carry a doc comment.
 lint:
-	$(GO) run ./cmd/doccheck internal/search internal/rwmp internal/pathindex internal/cache internal/server internal/servebench internal/shard internal/textindex internal/graph internal/searchbench internal/relational internal/jtt internal/pagerank internal/eval internal/baseline internal/datagen internal/difftest internal/mmapio
+	$(GO) run ./cmd/doccheck internal/search internal/rwmp internal/pathindex internal/cache internal/server internal/servebench internal/textindex internal/graph internal/searchbench internal/relational internal/jtt internal/pagerank internal/eval internal/baseline internal/datagen internal/difftest internal/mmapio
 
 # diff runs the differential correctness harness: every committed seed
 # generates a random workload and cross-checks branch-and-bound against
@@ -91,7 +91,7 @@ PAIRS ?= 10
 bench-pairs:
 	bash scripts/bench-pairs.sh $(WORKLOAD) $(PAIRS)
 
-# bench runs the paper-figure benchmarks plus the search and shard grids.
+# bench runs the paper-figure benchmarks plus the search grid.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
@@ -101,7 +101,7 @@ bench:
 # end. Nothing here compares wall-clock numbers; that is bench-pairs' job.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkSearch$$' -benchtime 1x .
-	$(GO) test -race -run 'TestBuild|TestScratch|TestEdgeOrder|TestWeightBinarySearch|TestSharded' ./internal/pathindex ./internal/textindex ./internal/graph .
+	$(GO) test -race -run 'TestBuild|TestScratch|TestEdgeOrder|TestWeightBinarySearch' ./internal/pathindex ./internal/textindex ./internal/graph .
 	$(GO) run ./cmd/cirank-loadgen -duration 1s -clients 4 -out /dev/null
 	$(GO) run ./cmd/cirank-loadgen -arms tenants -duration 1s -clients 4 -out /dev/null
 

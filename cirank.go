@@ -64,8 +64,8 @@ type Config struct {
 	// explicit 0 is rejected at Build.
 	Teleport float64
 	// IndexDepth, when positive, builds the §V-B star index with the given
-	// horizon. The index is saved in snapshots and rebuilt per shard engine,
-	// but searches do not consult it: the per-query supply fields
+	// horizon. The index is saved in snapshots, but searches do not consult
+	// it: the per-query supply fields
 	// (internal/search/field.go) bound supplements at least as tightly.
 	// 0 disables indexing.
 	IndexDepth int
@@ -140,16 +140,6 @@ type SearchOptions struct {
 	// (worst-case exponential) extra cost. The default follows the paper's
 	// §IV-B merge rule. See search.Options.ExtendedMerge.
 	ExtendedMerge bool
-	// DisableFrontierPrune stops a shard engine from pruning candidate
-	// trees centered far from its owned node set. By default a shard
-	// engine (see ShardEngines) explores only trees whose root lies within
-	// ⌈Diameter/2⌉ hops of ownership — exactly the trees whose answers it
-	// is responsible for in a scatter-gather set — which is what makes
-	// sharding cheaper than a whole-graph search. Disabling the prune
-	// makes the shard return every answer its halo-widened subgraph holds
-	// (the pre-prune behaviour); merged rankings through ShardedEngine are
-	// byte-identical either way. Non-shard engines ignore the flag.
-	DisableFrontierPrune bool
 }
 
 // Row is one tuple of a search result.
@@ -197,14 +187,6 @@ type Engine struct {
 	// loaded from a snapshot report zero stage timings with Source set to
 	// how the data arrived (stream decode or mmap open).
 	buildStats BuildStats
-	// shard is non-nil when this engine serves one shard of a partitioned
-	// set (see ShardEngines); it records the engine's slice of the plan.
-	shard *shardMeta
-	// ownedDist maps every node to its hop distance from the shard's owned
-	// set over the shard subgraph, cut off at the plan radius (-1 beyond).
-	// It powers the frontier prune; nil for non-shard engines. Derived
-	// data: recomputed from the owned set at load rather than persisted.
-	ownedDist []int32
 	// closer releases the snapshot mapping backing a zero-copy engine
 	// (nil otherwise); closeOnce makes Close idempotent.
 	closer    func() error
@@ -266,8 +248,7 @@ type SearchStats struct {
 	// return either scores strictly below the k-th returned answer or is
 	// bounded by this value. 0 when the frontier was exhausted, +Inf when
 	// no finite bound exists (the query was interrupted or candidates were
-	// dropped at the expansion cap). Scatter-gather coordination uses it to
-	// certify a truncated shard's result against the merged global top-k.
+	// dropped at the expansion cap).
 	FrontierBound float64
 	// Elapsed is the query's wall-clock time inside the engine.
 	Elapsed time.Duration
@@ -310,9 +291,7 @@ func (e *Engine) SearchTerms(terms []string, k int, opts SearchOptions) ([]Resul
 }
 
 // searchOptions validates k and opts and resolves them into internal search
-// options with the documented defaults filled. Shared by
-// the single-engine query path and the per-shard scatter legs of
-// ShardedEngine, so both resolve a request identically.
+// options with the documented defaults filled.
 func (e *Engine) searchOptions(k int, opts SearchOptions) (search.Options, error) {
 	if k < 1 {
 		return search.Options{}, fmt.Errorf("%w (got %d)", ErrBadK, k)
@@ -342,15 +321,6 @@ func (e *Engine) searchOptions(k int, opts SearchOptions) (search.Options, error
 		sopts.MaxExpansions = 200000
 	case sopts.MaxExpansions < 0:
 		sopts.MaxExpansions = 0
-	}
-	// A shard engine defaults to the frontier prune, but only while the
-	// diameter stays inside the exactness horizon its ownedDist table was
-	// built for (the plan radius bounds both the halo and the distance
-	// cut-off); beyond it the shard already can't answer exactly and the
-	// prune must not silently narrow things further.
-	if e.ownedDist != nil && e.shard != nil && !opts.DisableFrontierPrune &&
-		sopts.Diameter <= 2*e.shard.Radius {
-		sopts.OwnedDist = e.ownedDist
 	}
 	return sopts, nil
 }

@@ -11,9 +11,8 @@
 //	curl localhost:8080/v1/healthz
 //	curl localhost:8080/v1/metrics
 //
-// The versioned /v1 API (docs/api.md) is the contract; the original
-// unversioned paths still answer, marked with a Deprecation header. The
-// serving stack — singleflight coalescing, the generation-keyed result
+// The versioned /v1 API (docs/api.md) is the contract and the only surface.
+// The serving stack — singleflight coalescing, the generation-keyed result
 // cache, cost-based admission — is tunable with -coalesce, -result-cache,
 // -admission-budget and -max-batch.
 //
@@ -31,13 +30,12 @@
 //	curl 'localhost:8080/v1/search?q=ullman&tenant=books'
 //	curl -X POST 'localhost:8080/v1/admin/reload?tenant=books'
 //
-// The -tenants file maps names to snapshots (or shard-set base paths with
-// "sharded": true) plus optional per-tenant overrides:
+// The -tenants file maps names to snapshots plus optional per-tenant
+// overrides:
 //
 //	{"tenants": [
 //	  {"name": "books", "snapshot": "books.snap", "admission_weight": 2},
-//	  {"name": "papers", "snapshot": "papers.set", "sharded": true,
-//	   "result_cache": 4096}
+//	  {"name": "papers", "snapshot": "papers.snap", "result_cache": 4096}
 //	]}
 package main
 
@@ -73,10 +71,8 @@ func main() {
 		maxExp   = flag.Int("maxexpansions", 200000, "branch-and-bound expansion cap per query (-1 = unlimited)")
 		workers  = flag.Int("workers", 0, "engine worker goroutines per query (0 = GOMAXPROCS)")
 		snapshot = flag.String("snapshot", "", "serve from this snapshot file (mmap-opened; enables POST /v1/admin/reload) instead of generating a dataset")
-		tenants  = flag.String("tenants", "", "serve several named tenants from this JSON config (see the package docs; mutually exclusive with -snapshot and -shards)")
+		tenants  = flag.String("tenants", "", "serve several named tenants from this JSON config (see the package docs; mutually exclusive with -snapshot)")
 		saveSnap = flag.String("save-snapshot", "", "build the dataset engine, write a snapshot to this file, and exit")
-		shards   = flag.Int("shards", 1, "partition the engine into this many shards behind the scatter-gather coordinator (1 = single engine)")
-		radius   = flag.Int("shard-radius", cirank.DefaultShardRadius, "halo radius for -shards partitions; answers stay exact up to diameter 2*radius")
 
 		resultCache = flag.Int("result-cache", 0, "result-cache entries per generation (0 = default 1024, -1 = off)")
 		coalesce    = flag.Bool("coalesce", true, "coalesce identical in-flight queries (singleflight)")
@@ -85,26 +81,10 @@ func main() {
 	)
 	flag.Parse()
 
-	if *shards < 1 {
-		fail(fmt.Errorf("bad -shards %d: want at least 1", *shards))
-	}
-
 	if *saveSnap != "" {
 		eng, err := buildEngine(*dataset, *scale, *seed, *workers)
 		if err != nil {
 			fail(err)
-		}
-		if *shards > 1 {
-			engines, err := cirank.ShardEngines(eng, *shards, *radius)
-			if err != nil {
-				fail(err)
-			}
-			if err := cirank.SaveShardSet(engines, *saveSnap); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "cirank-server: shard set of %d nodes, %d edges written to %s.shard0..shard%d\n",
-				eng.NumNodes(), eng.NumEdges(), *saveSnap, *shards-1)
-			return
 		}
 		if err := saveSnapshot(eng, *saveSnap); err != nil {
 			fail(err)
@@ -128,8 +108,8 @@ func main() {
 		MaxBatch:        *maxBatch,
 	}
 	if *tenants != "" {
-		if *snapshot != "" || *shards > 1 {
-			fail(fmt.Errorf("-tenants is mutually exclusive with -snapshot and -shards"))
+		if *snapshot != "" {
+			fail(fmt.Errorf("-tenants is mutually exclusive with -snapshot"))
 		}
 		cfg.SnapshotPath = ""
 		list, err := loadTenants(*tenants)
@@ -137,34 +117,6 @@ func main() {
 			fail(err)
 		}
 		cfg.Tenants = list
-	} else if *shards > 1 {
-		// Sharded serving: open the set written by -save-snapshot -shards N,
-		// or partition a freshly built engine in place. The snapshot path
-		// stays the set's base path, so /v1/admin/reload (whole set or
-		// ?shard=i) finds the members.
-		if *snapshot != "" {
-			se, err := cirank.OpenShardSet(*snapshot)
-			if err != nil {
-				fail(err)
-			}
-			cfg.Shards = se.Engines()
-		} else {
-			eng, err := buildEngine(*dataset, *scale, *seed, *workers)
-			if err != nil {
-				fail(err)
-			}
-			engines, err := cirank.ShardEngines(eng, *shards, *radius)
-			if err != nil {
-				fail(err)
-			}
-			cfg.Shards = engines
-		}
-		nodes, edges, setRadius := 0, 0, *radius
-		if info, ok := cfg.Shards[0].ShardInfo(); ok {
-			nodes, edges, setRadius = info.TotalNodes, info.TotalEdges, info.Radius
-		}
-		fmt.Fprintf(os.Stderr, "cirank-server: sharded engine ready: %d shards (radius %d), %d nodes, %d edges\n",
-			len(cfg.Shards), setRadius, nodes, edges)
 	} else {
 		var (
 			eng *cirank.Engine
@@ -246,12 +198,9 @@ func buildEngine(dataset string, scale float64, seed int64, workers int) (*ciran
 type tenantEntry struct {
 	// Name is the tenant's wire name (the tenant request parameter).
 	Name string `json:"name"`
-	// Snapshot is the tenant's snapshot file, or its shard-set base path
-	// when Sharded is true. Hot reload re-opens the same path.
+	// Snapshot is the tenant's snapshot file. Hot reload re-opens the same
+	// path.
 	Snapshot string `json:"snapshot"`
-	// Sharded opens Snapshot as a shard-set base path (written by
-	// -save-snapshot -shards N) instead of a single snapshot file.
-	Sharded bool `json:"sharded"`
 	// ResultCache overrides -result-cache for this tenant (0 inherits,
 	// negative disables).
 	ResultCache int `json:"result_cache"`
@@ -283,33 +232,18 @@ func loadTenants(path string) ([]server.TenantConfig, error) {
 		if e.Snapshot == "" {
 			return nil, fmt.Errorf("%s: tenant %q: snapshot is required", path, e.Name)
 		}
-		tc := server.TenantConfig{
+		eng, err := cirank.Open(e.Snapshot)
+		if err != nil {
+			return nil, fmt.Errorf("tenant %q: %w", e.Name, err)
+		}
+		fmt.Fprintf(os.Stderr, "cirank-server: tenant %s ready: %d nodes, %d edges\n", e.Name, eng.NumNodes(), eng.NumEdges())
+		out = append(out, server.TenantConfig{
 			Name:            e.Name,
+			Engine:          eng,
 			SnapshotPath:    e.Snapshot,
 			ResultCacheSize: e.ResultCache,
 			AdmissionWeight: e.AdmissionWeight,
-		}
-		if e.Sharded {
-			se, err := cirank.OpenShardSet(e.Snapshot)
-			if err != nil {
-				return nil, fmt.Errorf("tenant %q: %w", e.Name, err)
-			}
-			tc.Shards = se.Engines()
-		} else {
-			eng, err := cirank.Open(e.Snapshot)
-			if err != nil {
-				return nil, fmt.Errorf("tenant %q: %w", e.Name, err)
-			}
-			tc.Engine = eng
-		}
-		nodes, edges := 0, 0
-		if tc.Engine != nil {
-			nodes, edges = tc.Engine.NumNodes(), tc.Engine.NumEdges()
-		} else if info, ok := tc.Shards[0].ShardInfo(); ok {
-			nodes, edges = info.TotalNodes, info.TotalEdges
-		}
-		fmt.Fprintf(os.Stderr, "cirank-server: tenant %s ready: %d nodes, %d edges\n", e.Name, nodes, edges)
-		out = append(out, tc)
+		})
 	}
 	return out, nil
 }

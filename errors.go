@@ -31,11 +31,6 @@ var (
 	// in particular an explicit Alpha: 0 or Teleport: 0, which earlier
 	// versions silently rewrote to the paper defaults.
 	ErrBadConfig = errors.New("cirank: invalid config")
-	// ErrShardSet reports an invalid shard-engine set: engines that are not
-	// shards, a wrong count, out-of-order indices, mismatched plans, or
-	// owned ranges that fail to partition the ID space. Returned by
-	// NewSharded, ShardEngines and OpenShardSet.
-	ErrShardSet = errors.New("cirank: invalid shard set")
 	// ErrBadSnapshot reports a snapshot that LoadEngine or Open rejected:
 	// wrong magic, unsupported version, a truncated or corrupt section
 	// table, a checksum mismatch, or section contents that fail structural

@@ -13,8 +13,9 @@ import (
 // alone reproduces the workload.
 const numSeeds = 224
 
-// numShards spreads the seeds over parallel subtests.
-const numShards = 8
+// seedGroups spreads the seeds over parallel subtests (labelled "shard<i>",
+// the name CI history knows them by).
+const seedGroups = 8
 
 // TestDifferential is the harness entry point: for every committed seed it
 // generates a random workload and cross-checks all four oracle axes —
@@ -22,11 +23,11 @@ const numShards = 8
 // brute-force ground truth (plus codec roundtrips), cached/parallel engine
 // variants vs the sequential baseline, and the answer/bound invariants.
 func TestDifferential(t *testing.T) {
-	for shard := 0; shard < numShards; shard++ {
-		shard := shard
-		t.Run(fmt.Sprintf("shard%d", shard), func(t *testing.T) {
+	for group := 0; group < seedGroups; group++ {
+		group := group
+		t.Run(fmt.Sprintf("shard%d", group), func(t *testing.T) {
 			t.Parallel()
-			for seed := int64(shard); seed < numSeeds; seed += numShards {
+			for seed := int64(group); seed < numSeeds; seed += seedGroups {
 				w, err := Generate(seed)
 				if err != nil {
 					t.Fatalf("generate seed %d: %v", seed, err)

@@ -482,10 +482,9 @@ func (t *Tree) heightDiam(v graph.NodeID) (int, int) {
 // CanonicalRoot returns the node every rooting of the same undirected tree
 // agrees on: the smallest-ID node of minimal eccentricity (a tree center).
 // The branch-and-bound search can reach one answer through lineages ending
-// in different rootings — which lineage wins depends on exploration order,
-// and under scatter-gather on which shard reported the answer — so the
-// reporting boundary re-roots every answer here to make the rendered tree a
-// function of the answer alone.
+// in different rootings — which lineage wins depends on exploration order —
+// so the reporting boundary re-roots every answer here to make the rendered
+// tree a function of the answer alone.
 func (t *Tree) CanonicalRoot() graph.NodeID {
 	best := t.root
 	bestEcc := -1

@@ -8,15 +8,13 @@
 // §VIII): nodes clicked in labeled queries receive extra teleport mass,
 // shifting importance toward them.
 //
-// Power iteration is the primary solver; a Monte Carlo simulation is
-// provided as an independent cross-check (the paper notes Eq. 1 can be
-// solved "by iteration or Monte Carlo simulation").
+// Power iteration is the solver (the paper notes Eq. 1 can be solved "by
+// iteration or Monte Carlo simulation").
 package pagerank
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"cirank/internal/graph"
 )
@@ -176,74 +174,4 @@ func teleportVector(g *graph.Graph, opts Options) ([]float64, error) {
 		u[id] += mix * w / total
 	}
 	return u, nil
-}
-
-// MonteCarlo estimates importance by simulating walks walks of random
-// surfers, each restarting with probability opts.Teleport, for maxSteps
-// total steps. It exists as an independent check on the power iteration and
-// as the paper's alternative solver. Personalization is honored for
-// restarts.
-func MonteCarlo(g *graph.Graph, opts Options, rng *rand.Rand, walks, maxSteps int) (*Result, error) {
-	if opts.Teleport <= 0 || opts.Teleport >= 1 {
-		return nil, fmt.Errorf("pagerank: teleport %g outside (0, 1)", opts.Teleport)
-	}
-	n := g.NumNodes()
-	if n == 0 {
-		return &Result{Converged: true}, nil
-	}
-	u, err := teleportVector(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Cumulative distribution for teleport sampling.
-	cum := make([]float64, n)
-	acc := 0.0
-	for i, w := range u {
-		acc += w
-		cum[i] = acc
-	}
-	sampleU := func() graph.NodeID {
-		x := rng.Float64() * acc
-		lo, hi := 0, n-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return graph.NodeID(lo)
-	}
-	visits := make([]float64, n)
-	totalVisits := 0.0
-	for w := 0; w < walks; w++ {
-		cur := sampleU()
-		for s := 0; s < maxSteps; s++ {
-			visits[cur]++
-			totalVisits++
-			if rng.Float64() < opts.Teleport {
-				cur = sampleU()
-				continue
-			}
-			sum := g.OutWeightSum(cur)
-			if sum == 0 {
-				cur = sampleU()
-				continue
-			}
-			x := rng.Float64() * sum
-			edges := g.OutEdges(cur)
-			for _, e := range edges {
-				x -= e.Weight
-				if x <= 0 {
-					cur = e.To
-					break
-				}
-			}
-		}
-	}
-	for i := range visits {
-		visits[i] /= totalVisits
-	}
-	return &Result{Scores: visits, Converged: true}, nil
 }

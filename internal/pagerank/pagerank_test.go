@@ -189,23 +189,6 @@ func TestMinPositive(t *testing.T) {
 	}
 }
 
-func TestMonteCarloAgreesWithPowerIteration(t *testing.T) {
-	g := starGraph(4)
-	exact, err := Compute(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, err := MonteCarlo(g, DefaultOptions(), rand.New(rand.NewSource(7)), 2000, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range exact.Scores {
-		if math.Abs(exact.Scores[i]-mc.Scores[i]) > 0.03 {
-			t.Errorf("node %d: exact %g vs MC %g", i, exact.Scores[i], mc.Scores[i])
-		}
-	}
-}
-
 // Property: on random graphs, scores form a probability distribution with
 // every entry ≥ c/n (the teleport floor with uniform u).
 func TestDistributionProperty(t *testing.T) {

@@ -131,10 +131,7 @@ func (st *bbState) interrupted() bool {
 // key, so the order is a total one). The result is optimal (Theorem 1): no
 // valid answer tree within the diameter limit scores higher than the k-th
 // returned answer, unless Stats.Truncated reports an early stop via
-// MaxExpansions. With Options.OwnedDist set the guarantee is scoped to the
-// shard: it covers every answer with a center rooting in the owned set, and
-// a scatter-gather coordinator recovers the global guarantee by unioning
-// shards whose owned sets cover the graph.
+// MaxExpansions.
 //
 // Candidate evaluation fans out across Options.Workers goroutines; the
 // ranked answers (trees and scores) are identical for every worker count.
@@ -163,10 +160,6 @@ func (s *Searcher) TopKContext(ctx context.Context, terms []string, opts Options
 	if err := opts.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	if opts.OwnedDist != nil && len(opts.OwnedDist) != s.m.Graph().NumNodes() {
-		return nil, Stats{}, fmt.Errorf("%w: OwnedDist has %d entries, graph has %d nodes",
-			ErrBadOptions, len(opts.OwnedDist), s.m.Graph().NumNodes())
-	}
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	st, err := s.run(ctx, sc, terms, opts)
@@ -193,12 +186,6 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 	halfD := halfDiameter(opts.Diameter)
 	seeds := sc.grown[:0]
 	for _, v := range qc.nonFree {
-		// Frontier prune at the seed: a single-node tree has depth 0, so
-		// it survives iff its node sits within ⌈D/2⌉ hops of the owned set
-		// (always, when pruning is off).
-		if d := ownedDistAt(opts.OwnedDist, v); d < 0 || int(d) > halfD {
-			continue
-		}
 		seeds = append(seeds, sc.arena.NewSingle(v))
 	}
 	sc.grown = seeds
@@ -243,16 +230,6 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 			var parent *flowView // c's view, taken at the first neighbour that needs it
 			for _, e := range g.OutEdges(c.tree.Root()) {
 				nb := e.To
-				// Frontier prune, fused with the depth limit: the grown
-				// tree is rooted at nb, so its budget for growing into an
-				// owned-centered answer is its depth plus nb's distance to
-				// the owned set (0 with pruning off, where the check above
-				// already decided). Merges need no counterpart — they keep
-				// both roots and take the max depth, so the invariant
-				// carries over.
-				if d := ownedDistAt(opts.OwnedDist, nb); d < 0 || depth+int(d) > halfD {
-					continue
-				}
 				// nb came from the root's out-edges, so the data-graph edge
 				// needs no second proof; only the overlap check remains.
 				if c.tree.Contains(nb) {

@@ -62,22 +62,6 @@ type Options struct {
 	// worker count (see parallel.go for the argument; the determinism
 	// tests certify it).
 	Workers int
-	// OwnedDist enables the scatter-gather frontier prune when non-nil:
-	// entry v is the undirected hop distance from node v to the searching
-	// shard's owned node set, -1 meaning beyond the horizon. The search
-	// then discards every candidate rooted at r with depth d whenever
-	// OwnedDist[r] + d exceeds ⌈Diameter/2⌉ — such a candidate can only
-	// build toward answers whose center rooting lies outside the owned
-	// set, and the shard owning that center finds those answers itself. A
-	// lineage invariant keeps the prune exact: every intermediate of an
-	// owned-centered answer's half-diameter build lineage is rooted inside
-	// the answer tree at depth + within-tree-distance-to-center ≤ ⌈D/2⌉,
-	// and OwnedDist lower-bounds the within-tree distance as long as it is
-	// measured over a subgraph containing every owned-centered answer
-	// whole — the shard's member-induced subgraph with halo radius ≥
-	// ⌈D/2⌉, which also means a horizon of ⌈D/2⌉ loses nothing. Length
-	// must equal the graph's node count; nil searches the full frontier.
-	OwnedDist []int32
 }
 
 // Validate checks the options. Failures wrap the sentinel errors ErrBadK
@@ -137,9 +121,7 @@ type Stats struct {
 	// grows out of a still-queued candidate and is bounded by
 	// FrontierBound (Lemma 1). 0 when the frontier was exhausted, +Inf
 	// when no finite bound exists — the run was interrupted, or merge
-	// cascades were dropped at the Generated cap. Scatter-gather
-	// coordinators use it to decide whether a truncated shard could still
-	// displace the merged global top-k.
+	// cascades were dropped at the Generated cap.
 	FrontierBound float64
 }
 
@@ -301,16 +283,6 @@ func (qc *queryContext) validAnswer(t *jtt.Tree, diameter int) bool {
 // preserves completeness while halving the search frontier (§IV-A).
 func halfDiameter(d int) int { return (d + 1) / 2 }
 
-// ownedDistAt reads the frontier-prune distance of v. With pruning off (nil
-// table) every node counts as owned (distance 0), so the prune condition
-// degenerates to the plain half-diameter depth limit.
-func ownedDistAt(dist []int32, v graph.NodeID) int32 {
-	if dist == nil {
-		return 0
-	}
-	return dist[v]
-}
-
 // topK maintains the best-k answers with canonical-key deduplication.
 //
 // Entries are held in a total order — score descending, canonical key
@@ -392,9 +364,7 @@ func (t *topK) results() []Answer { return t.items }
 // tree cloned off its arena and re-rooted at its canonical root. The pooled
 // search path must hand out results that survive the scratch's return to the
 // pool; canonical rooting makes the rendered tree a function of the answer
-// alone — which lineage (and, sharded, which shard) discovered the answer
-// stops mattering, so scatter-gather output stays byte-identical to the
-// single engine's even when frontier pruning changes discovery order.
+// alone: which lineage discovered it stops mattering.
 func (t *topK) resultsDetached() []Answer {
 	if len(t.items) == 0 {
 		return nil

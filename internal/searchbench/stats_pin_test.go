@@ -1,17 +1,14 @@
 package searchbench
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"os"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
 	"cirank/internal/search"
-	"cirank/internal/shard"
 )
 
 // updatePins rewrites testdata/stats_pins.json from the running engine.
@@ -35,15 +32,13 @@ type pinnedWork struct {
 	Truncated bool   `json:"truncated"`
 }
 
-// pinnedWorkload holds one workload's rows: Single for the whole-graph
-// engine (identical at every worker count), Sharded per shard count for the
-// scatter-gather sum with the frontier prune on — the OwnedDist branch of
-// the expansion step.
+// pinnedWorkload holds one workload's rows, identical at every worker count.
+// (The committed file has a second key per workload, recorded through the
+// retired scatter-gather engine; nothing reads it.)
 type pinnedWorkload struct {
-	Dataset string                  `json:"dataset"`
-	Scale   float64                 `json:"scale"`
-	Single  []pinnedWork            `json:"single"`
-	Sharded map[string][]pinnedWork `json:"sharded"`
+	Dataset string       `json:"dataset"`
+	Scale   float64      `json:"scale"`
+	Single  []pinnedWork `json:"single"`
 }
 
 const (
@@ -51,10 +46,7 @@ const (
 	pinDiameter = 4
 )
 
-var (
-	pinWorkers = []int{1, 4}
-	pinShards  = []int{2, 4}
-)
+var pinWorkers = []int{1, 4}
 
 func workOf(terms []string, st search.Stats) pinnedWork {
 	return pinnedWork{
@@ -64,8 +56,7 @@ func workOf(terms []string, st search.Stats) pinnedWork {
 }
 
 // TestStatsPinned replays every query of the tracked workloads and demands
-// the recorded Expanded/Generated/Answers/Truncated, at workers 1 and 4 and
-// through 2- and 4-shard scatter-gather.
+// the recorded Expanded/Generated/Answers/Truncated, at workers 1 and 4.
 func TestStatsPinned(t *testing.T) {
 	var pins, old []pinnedWorkload
 	raw, err := os.ReadFile(pinsPath)
@@ -108,42 +99,10 @@ func TestStatsPinned(t *testing.T) {
 			}
 			comparePins(t, pin.Dataset, "workers", workers, pin.Single, got)
 		}
-
-		opts.Workers = 1
-		if *updatePins {
-			pin.Sharded = map[string][]pinnedWork{}
-		}
-		for _, count := range pinShards {
-			name := strconv.Itoa(count)
-			_, shards, err := shard.Build(context.Background(), w.G, shard.Config{
-				Count: count, Radius: (pinDiameter + 1) / 2,
-				Importance: w.M.ImportanceVector(), Damp: w.M.DampVector(), Params: w.M.Params(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			set := shard.NewSet(shards)
-			var got []pinnedWork
-			for _, terms := range w.Queries {
-				_, st, err := set.TopK(terms, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, workOf(terms, st))
-			}
-			if *updatePins {
-				pin.Sharded[name] = got
-			}
-			comparePins(t, pin.Dataset, "shards", count, pin.Sharded[name], got)
-		}
 	}
 	if *updatePins {
 		for pi := range old {
 			onlyGeneratedFell(t, old[pi].Dataset, "single", old[pi].Single, pins[pi].Single)
-			for _, count := range pinShards {
-				name := strconv.Itoa(count)
-				onlyGeneratedFell(t, old[pi].Dataset, "shards="+name, old[pi].Sharded[name], pins[pi].Sharded[name])
-			}
 		}
 		if t.Failed() {
 			t.Fatalf("%s not rewritten", pinsPath)

@@ -1,10 +1,10 @@
 // Package searchbench prepares the query workload the search benchmarks and
 // the exploration pin share: a generated dataset, the RWMP scoring model over
-// it, and a skewed AOL-style query stream. The root package's BenchmarkSearch
-// and BenchmarkShardedSearch, the halo gate, internal/servebench and this
-// package's own TestStatsPinned (testdata/stats_pins.json: the exact
-// per-query Expanded/Generated/Answers counts of the live engine) all load
-// their queries through it, so they measure and pin the same stream.
+// it, and a skewed AOL-style query stream. The root package's BenchmarkSearch,
+// internal/servebench and this package's own TestStatsPinned
+// (testdata/stats_pins.json: the exact per-query Expanded/Generated/Answers
+// counts of the live engine) all load their queries through it, so they
+// measure and pin the same stream.
 package searchbench
 
 import (

@@ -2,6 +2,8 @@ package server
 
 import (
 	"sync/atomic"
+
+	"cirank"
 )
 
 // queryCost estimates the work a query will cause before any of it happens:
@@ -10,11 +12,8 @@ import (
 // loop starts from, so a query for two hub terms ("the" in every title)
 // costs orders of magnitude more than a selective author/title pair — and
 // the admission controller can price them accordingly instead of treating
-// every request as one flat semaphore slot. On a sharded server eng is the
-// scatter-gather coordinator, whose TermSelectivity sums the owned-range
-// posting mass across shards — the exact whole-corpus count, so a query is
-// priced once, not once per shard and not N× through halo double-counting.
-func queryCost(eng queryEngine, terms []string) int64 {
+// every request as one flat semaphore slot.
+func queryCost(eng *cirank.Engine, terms []string) int64 {
 	cost := int64(1)
 	for i, t := range terms {
 		dup := false

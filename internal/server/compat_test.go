@@ -19,14 +19,13 @@ import (
 // The compatibility test: docs/api.md is executable documentation. Every
 // example marked with an HTML comment of the form
 //
-//	<!-- compat: METHOD /path status=N [fences=2] [snapshot] [sharded] [tenants] -->
+//	<!-- compat: METHOD /path status=N [fences=2] [snapshot] [tenants] -->
 //
 // is replayed against a fresh fixture server and its response compared
 // byte-for-byte with the documented body, after canonicalizing JSON field
 // order and zeroing the volatile elapsed_ms timing field. fences=2 marks a
 // POST whose first fenced block is the request body; "snapshot" wires
-// /v1/admin/reload up; "sharded" serves the fixture as a two-shard
-// scatter-gather set; "tenants" serves the documented two-tenant registry
+// /v1/admin/reload up; "tenants" serves the documented two-tenant registry
 // (books + papers).
 
 type compatCase struct {
@@ -35,7 +34,6 @@ type compatCase struct {
 	path     string
 	status   int
 	snapshot bool
-	sharded  bool
 	tenants  bool
 	reqBody  string
 	wantBody string
@@ -92,8 +90,6 @@ func parseCompatDoc(t *testing.T) []compatCase {
 				switch {
 				case flag == "snapshot":
 					c.snapshot = true
-				case flag == "sharded":
-					c.sharded = true
 				case flag == "tenants":
 					c.tenants = true
 				case strings.HasPrefix(flag, "fences="):
@@ -140,9 +136,8 @@ func canonicalJSON(t *testing.T, raw []byte) []byte {
 }
 
 // compatFixtureServer builds the documented fixture: the four-node
-// bibliography, optionally served from a snapshot with reload wired up,
-// partitioned into the documented two-shard scatter-gather set, or split
-// into the documented two-tenant registry. The admission budget is pinned
+// bibliography, optionally served from a snapshot with reload wired up, or
+// split into the documented two-tenant registry. The admission budget is pinned
 // so the documented healthz admission_budget fields are machine-independent
 // (the default derives from GOMAXPROCS).
 func compatFixtureServer(t *testing.T, c compatCase) string {
@@ -156,14 +151,6 @@ func compatFixtureServer(t *testing.T, c compatCase) string {
 		}
 		cfg.Engine = opened
 		cfg.SnapshotPath = path
-	}
-	if c.sharded {
-		engines, err := cirank.ShardEngines(smallEngine(t), 2, cirank.DefaultShardRadius)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Engine = nil
-		cfg.Shards = engines
 	}
 	if c.tenants {
 		// The documented registry: the bibliography as "books", a variant

@@ -96,9 +96,6 @@ type tenantScrape struct {
 	resultMisses int64
 	ok           int64
 	rejected     int64
-	// Per-shard gauges, emitted only for a sharded tenant.
-	shardGens   []uint64
-	shardLeases []int64
 }
 
 // scrape assembles the view for one /v1/metrics exposition.
@@ -107,8 +104,8 @@ func (s *Server) scrape() scrapeView {
 	for _, t := range s.reg.all() {
 		ts := tenantScrape{
 			name:         t.name,
-			generation:   t.generation(),
-			leases:       t.leases(),
+			generation:   t.provider.Generation(),
+			leases:       t.provider.Leases(),
 			weight:       t.weight,
 			budget:       t.adm.budget.Load(),
 			inflightCost: t.adm.cost.Load(),
@@ -119,14 +116,6 @@ func (s *Server) scrape() scrapeView {
 		}
 		if t.cache != nil {
 			ts.resultHits, ts.resultMisses = t.cache.stats()
-		}
-		if t.sharded() {
-			ts.shardGens = make([]uint64, len(t.providers))
-			ts.shardLeases = make([]int64, len(t.providers))
-			for i, p := range t.providers {
-				ts.shardGens[i] = p.Generation()
-				ts.shardLeases[i] = p.Leases()
-			}
 		}
 		v.admitted += ts.admitted
 		v.admRejected += ts.admRejected
@@ -180,7 +169,7 @@ func (m *metrics) writeTo(w io.Writer, v scrapeView) {
 		`{status="ok"}`, m.reloadsOK.Load(),
 		`{status="error"}`, m.reloadsFailed.Load(),
 	)
-	gauge("cirank_engine_generation", "Current engine generation (1 + successful reloads; the composite generation on a sharded or multi-tenant server).", int64(v.generation))
+	gauge("cirank_engine_generation", "Current engine generation (1 + successful reloads; the composite generation on a multi-tenant server).", int64(v.generation))
 
 	// The tenant-labeled series: one set per registered tenant, in sorted
 	// name order. The unlabeled series above stay the process-wide sums, so
@@ -222,26 +211,6 @@ func (m *metrics) writeTo(w io.Writer, v scrapeView) {
 	tenantGauge("cirank_tenant_inflight_cost", "Per-tenant estimated cost of queries currently evaluating.",
 		func(t tenantScrape) int64 { return t.inflightCost })
 
-	sharded := false
-	for _, t := range v.tenants {
-		if len(t.shardGens) > 0 {
-			sharded = true
-		}
-	}
-	if sharded {
-		fmt.Fprintf(w, "# HELP cirank_shard_generation Per-shard provider generation.\n# TYPE cirank_shard_generation gauge\n")
-		for _, t := range v.tenants {
-			for i, g := range t.shardGens {
-				fmt.Fprintf(w, "cirank_shard_generation{tenant=%q,shard=\"%d\"} %d\n", t.name, i, g)
-			}
-		}
-		fmt.Fprintf(w, "# HELP cirank_shard_leases Outstanding engine leases per shard.\n# TYPE cirank_shard_leases gauge\n")
-		for _, t := range v.tenants {
-			for i, n := range t.shardLeases {
-				fmt.Fprintf(w, "cirank_shard_leases{tenant=%q,shard=\"%d\"} %d\n", t.name, i, n)
-			}
-		}
-	}
 	gauge("cirank_inflight_queries", "Queries currently evaluating on the engine.", m.inflight.Load())
 	gauge("cirank_inflight_cost", "Total estimated cost of queries currently evaluating (admission budget consumption).", v.inflightCost)
 	fmt.Fprintf(w, "# HELP cirank_query_duration_seconds Engine latency of successful search queries.\n")

@@ -66,23 +66,17 @@ const (
 var errOverCapacity = errors.New("server: admission over capacity")
 
 // queryKey canonicalizes one query into the coalescing/result-cache key.
-// The generation vector — one generation per leased shard, a single element
-// on an unsharded server — leads the key: results computed against a vector
-// are only reachable by requests that themselves leased exactly that vector,
-// which is what makes a hot reload of any shard an atomic invalidation — the
-// new vector's requests form different keys. Every option that can change
+// The leased generation leads the key: results computed against a generation
+// are only reachable by requests that themselves leased exactly that one,
+// which is what makes a hot reload an atomic invalidation — the new
+// generation's requests form different keys. Every option that can change
 // the observable response participates; terms keep their query order (the
 // engine's ranking is order-stable, so "a b" and "b a" stay conservative,
 // separate keys).
-func queryKey(gens []uint64, p searchParams) string {
+func queryKey(gen uint64, p searchParams) string {
 	var b strings.Builder
 	b.Grow(64)
-	for i, g := range gens {
-		if i > 0 {
-			b.WriteByte('.')
-		}
-		b.WriteString(strconv.FormatUint(g, 10))
-	}
+	b.WriteString(strconv.FormatUint(gen, 10))
 	fmt.Fprintf(&b, "\x1fk=%d\x1fd=%d\x1fx=%d\x1fw=%d\x1fm=%t\x1ft=%d",
 		p.k, p.opts.Diameter, p.opts.MaxExpansions, p.opts.Workers,
 		p.opts.ExtendedMerge, int64(p.timeout))
@@ -136,18 +130,16 @@ func (s *Server) countFailure(t *tenant, e *apiError) {
 // requests may be riding the same flight (the evaluation carries its own
 // deadline from the query's timeout parameter).
 func (s *Server) runQuery(ctx context.Context, t *tenant, p searchParams) (queryOutcome, string, *apiError) {
-	// Borrow the tenant's current engine — or its full shard set — for
-	// exactly this request. The leases pin the generation vector: the key
-	// derived from it can only ever hit results computed against the
-	// engines this request actually sees.
-	ql, apiErr := t.acquire()
+	// Borrow the tenant's current engine for exactly this request. The lease
+	// pins the generation: the key derived from it can only ever hit results
+	// computed against the engine this request actually sees.
+	lease, apiErr := t.acquire()
 	if apiErr != nil {
 		return queryOutcome{}, "", apiErr
 	}
-	defer ql.Release()
-	gens := ql.generations()
-	gen := compositeGeneration(gens)
-	key := queryKey(gens, p)
+	defer lease.Release()
+	eng, gen := lease.Engine(), lease.Generation()
+	key := queryKey(gen, p)
 
 	// Result cache first: a hit costs no admission budget and no engine
 	// work, which is exactly why it sits before load shedding — a saturated
@@ -161,7 +153,7 @@ func (s *Server) runQuery(ctx context.Context, t *tenant, p searchParams) (query
 	eval := func() (queryOutcome, error) {
 		// Cost-based admission, inside the flight: a thundering herd on one
 		// hot query charges the budget once, through its leader.
-		cost := queryCost(ql.engine, p.terms)
+		cost := queryCost(eng, p.terms)
 		if !t.adm.tryAcquire(cost) {
 			return queryOutcome{}, errOverCapacity
 		}
@@ -180,7 +172,7 @@ func (s *Server) runQuery(ctx context.Context, t *tenant, p searchParams) (query
 		}
 		ectx, cancel := context.WithTimeout(base, p.timeout)
 		defer cancel()
-		res, err := ql.engine.SearchTermsContext(ectx, p.terms, p.k, p.opts)
+		res, err := eng.SearchTermsContext(ectx, p.terms, p.k, p.opts)
 		if err != nil {
 			return queryOutcome{}, err
 		}

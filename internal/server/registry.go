@@ -7,14 +7,13 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cirank"
 )
 
 // The tenant registry: one process, many named corpora. Each tenant owns an
-// independently reloadable engine (or shard set) behind its own refcounted
-// providers, plus its own slice of the serving stack — result cache,
+// independently reloadable engine behind its own refcounted provider, plus
+// its own slice of the serving stack — result cache,
 // singleflight group and cost-based admission — so one tenant's hot reload
 // or posting-heavy traffic cannot invalidate another's cache, ride its
 // flights, or starve its budget. The global admission budget is divided by
@@ -22,7 +21,7 @@ import (
 // the tenant exactly once, in Server.resolveTenant, for every handler.
 
 // DefaultTenantName is the name a single-tenant Config's implicit tenant
-// gets: configuring Engine/Shards without Tenants serves the corpus as the
+// gets: configuring Engine without Tenants serves the corpus as the
 // tenant "default", and requests without a tenant parameter resolve to the
 // sole tenant either way.
 const DefaultTenantName = "default"
@@ -33,15 +32,10 @@ type TenantConfig struct {
 	// healthz blocks, metric labels). It must match [A-Za-z0-9][A-Za-z0-9._-]*,
 	// at most 64 characters, and be unique within the server.
 	Name string
-	// Engine is the tenant's query-ready engine. Exactly one of Engine and
-	// Shards must be set.
+	// Engine is the tenant's query-ready engine (required).
 	Engine *cirank.Engine
-	// Shards, when non-empty, serves this tenant as a partitioned engine set
-	// behind the scatter-gather coordinator, exactly like Config.Shards.
-	Shards []*cirank.Engine
 	// SnapshotPath, when non-empty, enables hot reload for this tenant
-	// (POST /v1/admin/reload?tenant=<name>); on a sharded tenant it is the
-	// shard-set base path.
+	// (POST /v1/admin/reload?tenant=<name>).
 	SnapshotPath string
 	// ResultCacheSize overrides Config.ResultCacheSize for this tenant:
 	// 0 inherits the server-wide setting, negative disables the tenant's
@@ -53,14 +47,13 @@ type TenantConfig struct {
 	AdmissionWeight int
 }
 
-// tenant is one registry entry: a named corpus with its own providers and
+// tenant is one registry entry: a named corpus with its own provider and
 // its own slice of the serving stack.
 type tenant struct {
 	name         string
 	snapshotPath string
-	// providers hand out per-request engine leases; length 1 on an
-	// unsharded tenant, one per shard otherwise.
-	providers []*Provider
+	// provider hands out per-request engine leases.
+	provider *Provider
 	// weight is the tenant's share in the weighted-fair budget split.
 	weight int64
 	// flight coalesces identical in-flight queries within this tenant;
@@ -73,26 +66,13 @@ type tenant struct {
 	ok, rejected atomic.Int64
 }
 
-// sharded reports whether the tenant serves a partitioned engine set.
-func (t *tenant) sharded() bool { return len(t.providers) > 1 }
-
-// generation is the tenant's composite generation (the provider generation
-// unchanged on an unsharded tenant).
-func (t *tenant) generation() uint64 {
-	gens := make([]uint64, len(t.providers))
-	for i, p := range t.providers {
-		gens[i] = p.Generation()
+// acquire pins the tenant's current engine for one request.
+func (t *tenant) acquire() (*Lease, *apiError) {
+	l := t.provider.Acquire()
+	if l == nil {
+		return nil, &apiError{status: http.StatusServiceUnavailable, code: codeUnavailable, msg: "server is shut down"}
 	}
-	return compositeGeneration(gens)
-}
-
-// leases sums the outstanding engine leases across the tenant's providers.
-func (t *tenant) leases() int64 {
-	var n int64
-	for _, p := range t.providers {
-		n += p.Leases()
-	}
-	return n
+	return l, nil
 }
 
 // retryAfterHint prices a 429 for this tenant: the further the tenant's
@@ -203,11 +183,8 @@ func (c Config) normalizeTenant(tc TenantConfig) (TenantConfig, error) {
 	if !tenantNameRe.MatchString(tc.Name) {
 		return tc, fmt.Errorf("%w: bad tenant name %q: want [A-Za-z0-9][A-Za-z0-9._-]*, at most 64 characters", ErrBadConfig, tc.Name)
 	}
-	switch {
-	case tc.Engine == nil && len(tc.Shards) == 0:
-		return tc, fmt.Errorf("%w: tenant %q: Engine or Shards is required", ErrBadConfig, tc.Name)
-	case tc.Engine != nil && len(tc.Shards) > 0:
-		return tc, fmt.Errorf("%w: tenant %q: Engine and Shards are mutually exclusive", ErrBadConfig, tc.Name)
+	if tc.Engine == nil {
+		return tc, fmt.Errorf("%w: tenant %q: Engine is required", ErrBadConfig, tc.Name)
 	}
 	if tc.AdmissionWeight < 0 {
 		return tc, fmt.Errorf("%w: tenant %q: negative AdmissionWeight %d", ErrBadConfig, tc.Name, tc.AdmissionWeight)
@@ -218,42 +195,18 @@ func (c Config) normalizeTenant(tc TenantConfig) (TenantConfig, error) {
 	if tc.ResultCacheSize == 0 {
 		tc.ResultCacheSize = c.ResultCacheSize
 	}
-	if len(tc.Shards) > 0 {
-		// Reject a broken set at startup instead of on the first query; the
-		// validated coordinator is discarded, requests assemble their own
-		// over the engines they lease.
-		se, err := cirank.NewSharded(tc.Shards)
-		if err != nil {
-			return tc, fmt.Errorf("%w: tenant %q: %v", ErrBadConfig, tc.Name, err)
-		}
-		// The exactness horizon: a shard set with halo radius r certifies
-		// answer diameters up to 2r, so a diameter limit beyond it would turn
-		// every default-diameter query into a 400.
-		if c.MaxDiameter > 2*se.Radius() {
-			return tc, fmt.Errorf("%w: tenant %q: MaxDiameter %d exceeds the shard set's exactness horizon %d (halo radius %d)",
-				ErrBadConfig, tc.Name, c.MaxDiameter, 2*se.Radius(), se.Radius())
-		}
-	}
 	return tc, nil
 }
 
-// newTenant assembles the registry entry for a normalized tenant config:
-// providers over its engines, its own cache/flight/admission slice. The
+// newTenant assembles the registry entry for a normalized tenant config: a
+// provider over its engine, its own cache/flight/admission slice. The
 // admission budget starts at the whole global budget; rebalance immediately
 // narrows it to the tenant's fair share.
 func (s *Server) newTenant(tc TenantConfig) *tenant {
-	engines := tc.Shards
-	if len(engines) == 0 {
-		engines = []*cirank.Engine{tc.Engine}
-	}
-	providers := make([]*Provider, len(engines))
-	for i, e := range engines {
-		providers[i] = NewProvider(e)
-	}
 	t := &tenant{
 		name:         tc.Name,
 		snapshotPath: tc.SnapshotPath,
-		providers:    providers,
+		provider:     NewProvider(tc.Engine),
 		weight:       int64(tc.AdmissionWeight),
 	}
 	t.adm.maxConcurrent = int64(s.cfg.MaxInFlight)
@@ -313,7 +266,7 @@ func (s *Server) resolveTenant(name string) (*tenant, *apiError) {
 
 // AddTenant registers a new tenant at runtime and rebalances the fair
 // budget shares. The config passes exactly the validation a startup tenant
-// does; on error the engines stay the caller's to close. Note the reload
+// does; on error the engine stays the caller's to close. Note the reload
 // endpoints are only mounted when some startup tenant configured a
 // snapshot path — a runtime tenant's SnapshotPath is honored whenever the
 // endpoints exist.
@@ -331,8 +284,8 @@ func (s *Server) AddTenant(tc TenantConfig) error {
 }
 
 // RemoveTenant unregisters the named tenant, rebalances the fair budget
-// shares, and retires the tenant's engines: requests already holding leases
-// finish against the engines they borrowed, new requests get 404, and each
+// shares, and retires the tenant's engine: requests already holding a lease
+// finish against the engine they borrowed, new requests get 404, and the
 // engine is closed once its leases drain. It reports whether the drain
 // completed within Config.ReloadDrainTimeout — false is not a failure, the
 // tenant is gone either way and stragglers keep computing safely.
@@ -342,16 +295,22 @@ func (s *Server) RemoveTenant(name string) (bool, error) {
 		return false, fmt.Errorf("server: unknown tenant %q", name)
 	}
 	s.rebalance()
-	drained := true
-	deadline := time.Now().Add(s.cfg.ReloadDrainTimeout)
-	for _, p := range t.providers {
-		remaining := time.Until(deadline)
-		if remaining < 0 {
-			remaining = 0
-		}
-		if !p.CloseWait(remaining) {
-			drained = false
-		}
+	return t.provider.CloseWait(s.cfg.ReloadDrainTimeout), nil
+}
+
+// generation reports the server-wide composite generation without leasing,
+// for error envelopes and batch headers: the sum of the tenants' provider
+// generations minus one per tenant after the first, so a fresh server starts
+// at 1 and every reload of any tenant bumps it by exactly one. With a single
+// tenant it is that tenant's generation unchanged; 0 with no tenants.
+func (s *Server) generation() uint64 {
+	tenants := s.reg.all()
+	if len(tenants) == 0 {
+		return 0
 	}
-	return drained, nil
+	var sum uint64
+	for _, t := range tenants {
+		sum += t.provider.Generation()
+	}
+	return sum - uint64(len(tenants)-1)
 }

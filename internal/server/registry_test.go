@@ -34,8 +34,6 @@ func TestTenantConfigValidation(t *testing.T) {
 		"empty tenant list": {Tenants: []TenantConfig{}},
 		"tenants+engine": {Engine: eng(),
 			Tenants: []TenantConfig{{Name: "a", Engine: eng()}}},
-		"tenants+shards": {Shards: shardedEngines(t, 2),
-			Tenants: []TenantConfig{{Name: "a", Engine: eng()}}},
 		"tenants+snapshot": {SnapshotPath: "x.snap",
 			Tenants: []TenantConfig{{Name: "a", Engine: eng()}}},
 		"duplicate names": {Tenants: []TenantConfig{
@@ -46,8 +44,6 @@ func TestTenantConfigValidation(t *testing.T) {
 		"name too long": {Tenants: []TenantConfig{
 			{Name: strings.Repeat("x", 65), Engine: eng()}}},
 		"no engine": {Tenants: []TenantConfig{{Name: "a"}}},
-		"engine and shards": {Tenants: []TenantConfig{
-			{Name: "a", Engine: eng(), Shards: shardedEngines(t, 2)}}},
 		"negative weight": {Tenants: []TenantConfig{
 			{Name: "a", Engine: eng(), AdmissionWeight: -1}}},
 	}
@@ -55,12 +51,6 @@ func TestTenantConfigValidation(t *testing.T) {
 		if _, err := New(cfg); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%s: error %v does not wrap ErrBadConfig", name, err)
 		}
-	}
-	// A sharded tenant is validated like a top-level shard set.
-	shards := shardedEngines(t, 2)
-	if _, err := New(Config{MaxDiameter: 8, Tenants: []TenantConfig{
-		{Name: "a", Shards: shards}}}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("sharded tenant beyond the exactness horizon accepted: %v", err)
 	}
 }
 
@@ -206,8 +196,8 @@ func TestTenantReloadIsolation(t *testing.T) {
 	if rel.Tenant != "papers" || rel.Generation != 2 {
 		t.Fatalf("reload response %+v", rel)
 	}
-	if books.generation() != 1 || papers.generation() != 2 {
-		t.Errorf("generations after reload = %d/%d, want 1/2", books.generation(), papers.generation())
+	if b, p := books.provider.Generation(), papers.provider.Generation(); b != 1 || p != 2 {
+		t.Errorf("generations after reload = %d/%d, want 1/2", b, p)
 	}
 
 	// The reloaded tenant's cache was dropped; the neighbour's still hits.
@@ -299,7 +289,7 @@ func TestTenantLifecycle(t *testing.T) {
 	// Removal with an outstanding lease: the drain times out (engines close
 	// later), but the borrowed engine keeps computing safely.
 	papers, _ := s.reg.get("papers")
-	lease := papers.providers[0].Acquire()
+	lease := papers.provider.Acquire()
 	if lease == nil {
 		t.Fatal("no lease from the live tenant")
 	}
@@ -331,6 +321,44 @@ func TestTenantLifecycle(t *testing.T) {
 	}
 	if drained, err := s.RemoveTenant("ephemeral"); err != nil || !drained {
 		t.Errorf("idle removal drained=%v err=%v", drained, err)
+	}
+}
+
+// TestTenantReloadDrainClose follows one tenant's single provider through its
+// whole life: a reload swaps at once and reports drained=false while a lease
+// on the old generation is out, the borrowed engine keeps answering, the
+// release closes it, and removal then drains immediately and closes the
+// provider for good.
+func TestTenantReloadDrainClose(t *testing.T) {
+	_, s, url := snapshotServer(t, smallEngine(t), Config{ReloadDrainTimeout: 20 * time.Millisecond})
+	tn, _ := s.reg.get(DefaultTenantName)
+
+	old := tn.provider.Acquire()
+	var rel V1ReloadResponse
+	postJSON(t, url+"/v1/admin/reload", http.StatusOK, &rel)
+	if rel.Generation != 2 || rel.Drained {
+		t.Fatalf("reload under a lease: %+v, want generation 2 and drained=false", rel)
+	}
+	if old.Generation() != 1 {
+		t.Errorf("outstanding lease moved to generation %d", old.Generation())
+	}
+	if _, err := old.Engine().Search("ullman", 1); err != nil {
+		t.Errorf("borrowed engine unusable after the swap: %v", err)
+	}
+	if n := tn.provider.Leases(); n != 0 {
+		t.Errorf("new generation reports %d leases before any request", n)
+	}
+	old.Release()
+
+	postJSON(t, url+"/v1/admin/reload", http.StatusOK, &rel)
+	if rel.Generation != 3 || !rel.Drained {
+		t.Fatalf("idle reload: %+v, want generation 3 and drained=true", rel)
+	}
+	if drained, err := s.RemoveTenant(DefaultTenantName); err != nil || !drained {
+		t.Fatalf("idle removal drained=%v err=%v", drained, err)
+	}
+	if tn.provider.Acquire() != nil {
+		t.Error("Acquire succeeded on a removed tenant's provider")
 	}
 }
 

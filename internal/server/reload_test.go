@@ -215,6 +215,59 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 }
 
+// TestReloadRejectsShardSnapshot: a file left behind by the retired shard
+// engines (here shard 0 of 2 as commit e40efd4 saved it) holds a subgraph, not
+// a corpus. Renamed onto the serving path it must answer 422 bad_snapshot and
+// leave the serving generation alone.
+func TestReloadRejectsShardSnapshot(t *testing.T) {
+	path, _, url := snapshotServer(t, smallEngine(t), Config{})
+	leftover, err := os.ReadFile("../../testdata/shard0_e40efd4.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, leftover, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+	var fail V1ErrorResponse
+	postJSON(t, url+"/v1/admin/reload", http.StatusUnprocessableEntity, &fail)
+	if fail.Error.Code != codeBadSnapshot || !strings.Contains(fail.Error.Message, "shard snapshots are no longer supported") {
+		t.Errorf("422 response carries error %+v, want code %q naming the retired shard format", fail.Error, codeBadSnapshot)
+	}
+	if fail.Generation != 1 {
+		t.Errorf("generation after the rejected reload = %d, want 1", fail.Generation)
+	}
+	var res V1SearchResponse
+	getJSON(t, url+"/v1/search?q=ullman", http.StatusOK, &res)
+	if res.Generation != 1 || len(res.Results) == 0 {
+		t.Errorf("after the rejected reload: generation %d, %d results; want the old engine answering", res.Generation, len(res.Results))
+	}
+}
+
+// TestShardParamIsIgnored: ?shard= selected one partition of a sharded tenant
+// until scatter-gather was retired. It is now an unknown parameter like any
+// other: the reload covers the tenant's one engine and the envelope carries no
+// shard field.
+func TestShardParamIsIgnored(t *testing.T) {
+	_, _, url := snapshotServer(t, smallEngine(t), Config{})
+	var rel map[string]any
+	postJSON(t, url+"/v1/admin/reload?shard=1", http.StatusOK, &rel)
+	if rel["generation"] != float64(2) || rel["status"] != "ok" {
+		t.Errorf("reload with ?shard=1 answered %v, want a whole-engine reload to generation 2", rel)
+	}
+	if _, ok := rel["shard"]; ok {
+		t.Errorf("reload envelope still carries a shard field: %v", rel)
+	}
+	var res V1SearchResponse
+	getJSON(t, url+"/v1/search?q=ullman&shard=7", http.StatusOK, &res)
+	if res.Generation != 2 || len(res.Results) == 0 {
+		t.Errorf("search with ?shard=7: generation %d, %d results", res.Generation, len(res.Results))
+	}
+}
+
 // TestReloadNotConfigured checks the endpoint stays unregistered without a
 // snapshot path.
 func TestReloadNotConfigured(t *testing.T) {

@@ -31,19 +31,11 @@
 // generation g can only ever reach a request that leased generation g, and
 // no request ever fails because a reload happened mid-flight.
 //
-// The same surface can front a partitioned corpus: Config.Shards serves a
-// complete shard set (cirank.ShardEngines, cirank.OpenShardSet) through a
-// per-request scatter-gather coordinator, with one provider per shard. Each
-// shard hot-reloads independently (POST /v1/admin/reload?shard=i), the wire
-// generation becomes the composite of the per-shard generations, and cache
-// and coalescing keys carry the full generation vector — the single-engine
-// key discipline, per shard.
-//
 // One process can serve many corpora at once: Config.Tenants registers a
-// named engine (or shard set) per tenant, each behind its own providers,
-// result cache, singleflight group and admission slice (registry.go). The
-// tenant request parameter selects the corpus (defaulting to the sole
-// tenant), /v1/healthz reports a block per tenant, /v1/metrics labels the
+// named engine per tenant, each behind its own provider, result cache,
+// singleflight group and admission slice (registry.go). The tenant request
+// parameter selects the corpus (defaulting to the sole tenant), /v1/healthz
+// reports a block per tenant, /v1/metrics labels the
 // per-tenant series, and the global admission budget is split by a
 // weighted-fair policy so one tenant's heavy queries cannot starve another.
 // Tenants hot-reload independently (/v1/admin/reload?tenant=<name>) and can
@@ -70,15 +62,8 @@ import (
 // errors wrapping ErrBadConfig.
 type Config struct {
 	// Engine is the query-ready engine to serve. Exactly one of Engine and
-	// Shards must be set.
+	// Tenants must be set.
 	Engine *cirank.Engine
-	// Shards, when non-empty, serves a partitioned engine set behind one
-	// scatter-gather coordinator instead of a single engine: element i must
-	// be shard i of a complete set, as produced by cirank.ShardEngines or
-	// cirank.OpenShardSet (New validates the set via cirank.NewSharded).
-	// Each shard gets its own Provider and hot-reloads independently; the
-	// wire generation becomes the composite of the per-shard generations.
-	Shards []*cirank.Engine
 	// DefaultK is the answer count when the request has no k parameter
 	// (default 5).
 	DefaultK int
@@ -100,18 +85,16 @@ type Config struct {
 	// -1 removes the cap, leaving the timeout as the only bound).
 	MaxExpansions int
 	// Tenants, when non-empty, serves several named corpora from one
-	// process: each entry gets its own providers, result cache, singleflight
+	// process: each entry gets its own provider, result cache, singleflight
 	// group and weighted-fair admission share (see TenantConfig). Mutually
-	// exclusive with Engine/Shards/SnapshotPath, which are the single-tenant
+	// exclusive with Engine/SnapshotPath, which are the single-tenant
 	// shorthand: configuring them is equivalent to one Tenants entry named
 	// DefaultTenantName.
 	Tenants []TenantConfig
 	// SnapshotPath, when non-empty, enables POST /v1/admin/reload: the
 	// handler opens this snapshot file with cirank.Open and hot-swaps the
 	// resulting engine in, discarding the result cache. Empty leaves the
-	// endpoint unregistered (404). On a sharded server it is the shard-set
-	// base path (see cirank.SaveShardSet): a reload opens every per-shard
-	// file, or just one when the request selects ?shard=i.
+	// endpoint unregistered (404).
 	SnapshotPath string
 	// ReloadDrainTimeout bounds how long a reload waits for queries
 	// borrowed from the replaced engine to finish before answering (default
@@ -155,20 +138,15 @@ type Config struct {
 func Bool(v bool) *bool { return &v }
 
 // withDefaults validates the config and fills the zero fields, normalizing
-// the single-tenant shorthand (Engine/Shards/SnapshotPath) into a one-entry
+// the single-tenant shorthand (Engine/SnapshotPath) into a one-entry
 // Tenants list named DefaultTenantName. Every failure wraps ErrBadConfig.
 func (c Config) withDefaults() (Config, error) {
 	if len(c.Tenants) > 0 {
-		if c.Engine != nil || len(c.Shards) > 0 || c.SnapshotPath != "" {
-			return c, fmt.Errorf("%w: Tenants is mutually exclusive with Engine, Shards and SnapshotPath", ErrBadConfig)
+		if c.Engine != nil || c.SnapshotPath != "" {
+			return c, fmt.Errorf("%w: Tenants is mutually exclusive with Engine and SnapshotPath", ErrBadConfig)
 		}
-	} else {
-		switch {
-		case c.Engine == nil && len(c.Shards) == 0:
-			return c, fmt.Errorf("%w: Engine, Shards or Tenants is required", ErrBadConfig)
-		case c.Engine != nil && len(c.Shards) > 0:
-			return c, fmt.Errorf("%w: Engine and Shards are mutually exclusive", ErrBadConfig)
-		}
+	} else if c.Engine == nil {
+		return c, fmt.Errorf("%w: Engine or Tenants is required", ErrBadConfig)
 	}
 	if c.DefaultK == 0 {
 		c.DefaultK = 5
@@ -226,14 +204,12 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	// Normalize to the tenant form: the single-tenant shorthand becomes one
 	// entry named DefaultTenantName, then every tenant — explicit or
-	// synthesized — passes the same validation (shard-set coherence, the
-	// exactness horizon, name shape, weights).
+	// synthesized — passes the same validation (name shape, weights).
 	tenants := c.Tenants
 	if len(tenants) == 0 {
 		tenants = []TenantConfig{{
 			Name:         DefaultTenantName,
 			Engine:       c.Engine,
-			Shards:       c.Shards,
 			SnapshotPath: c.SnapshotPath,
 		}}
 	}
@@ -260,7 +236,7 @@ func (c Config) withDefaults() (Config, error) {
 type Server struct {
 	cfg Config
 	// reg is the tenant registry: every named corpus with its own
-	// providers, cache, flight group and admission slice (registry.go). The
+	// provider, cache, flight group and admission slice (registry.go). The
 	// server never stores a bare engine.
 	reg registry
 	// reloadMu serializes reloads across tenants: loading a snapshot is
@@ -305,14 +281,12 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close retires every tenant's current engines: in-flight queries finish
+// Close retires every tenant's current engine: in-flight queries finish
 // against the generations they leased, new ones get 503, and each engine is
 // closed once its leases drain.
 func (s *Server) Close() {
 	for _, t := range s.reg.all() {
-		for _, p := range t.providers {
-			p.Close()
-		}
+		t.provider.Close()
 	}
 }
 
@@ -464,87 +438,39 @@ func wireAnswers(res cirank.SearchResult) []Answer {
 	return out
 }
 
-// reload re-opens the tenant's configured snapshot(s), hot-swaps its engines
-// and returns the success envelope of POST /v1/admin/reload, discarding the
+// reload re-opens the tenant's configured snapshot, hot-swaps its engine and
+// returns the success envelope of POST /v1/admin/reload, discarding the
 // tenant's result cache — other tenants' caches, flights and generations are
-// untouched. shard selects one partition of a sharded tenant; -1 reloads
-// everything the tenant holds. Reloads are serialized; checksum and
-// structural validation happen inside cirank.Open — and a sharded reload
-// additionally demands the file identify itself as the right shard of the
-// right set size — so a corrupt or misplaced file never becomes a serving
-// engine: nothing is swapped unless every selected file opened.
-func (s *Server) reload(t *tenant, shard int) (V1ReloadResponse, *apiError) {
+// untouched. Reloads are serialized; checksum and structural validation
+// happen inside cirank.Open, so a corrupt file never becomes a serving
+// engine: nothing is swapped unless it opened.
+func (s *Server) reload(t *tenant) (V1ReloadResponse, *apiError) {
 	if t.snapshotPath == "" {
 		return V1ReloadResponse{}, &apiError{status: http.StatusBadRequest, code: codeBadRequest,
 			msg: fmt.Sprintf("tenant %q serves no snapshot; reload is not configured for it", t.name)}
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	idxs := []int{shard}
-	if shard < 0 {
-		idxs = make([]int, len(t.providers))
-		for i := range idxs {
-			idxs[i] = i
-		}
-	}
-	engines := make([]*cirank.Engine, 0, len(idxs))
-	fail := func(e *apiError) (V1ReloadResponse, *apiError) {
-		for _, eng := range engines {
-			_ = eng.Close()
-		}
+	eng, err := cirank.Open(t.snapshotPath)
+	if err != nil {
 		s.m.reloadsFailed.Add(1)
-		return V1ReloadResponse{}, e
-	}
-	for _, i := range idxs {
-		path := t.snapshotPath
-		if t.sharded() {
-			path = cirank.ShardSnapshotPath(path, i)
+		if errors.Is(err, cirank.ErrBadSnapshot) {
+			return V1ReloadResponse{}, &apiError{status: http.StatusUnprocessableEntity, code: codeBadSnapshot, msg: err.Error()}
 		}
-		eng, err := cirank.Open(path)
-		if err != nil {
-			if errors.Is(err, cirank.ErrBadSnapshot) {
-				return fail(&apiError{status: http.StatusUnprocessableEntity, code: codeBadSnapshot, msg: err.Error()})
-			}
-			return fail(&apiError{status: http.StatusInternalServerError, code: codeInternal, msg: err.Error()})
-		}
-		engines = append(engines, eng)
-		if t.sharded() {
-			if info, ok := eng.ShardInfo(); !ok || info.Index != i || info.Count != len(t.providers) {
-				return fail(&apiError{status: http.StatusUnprocessableEntity, code: codeBadSnapshot,
-					msg: fmt.Sprintf("%s is not shard %d of %d", path, i, len(t.providers))})
-			}
-		}
+		return V1ReloadResponse{}, &apiError{status: http.StatusInternalServerError, code: codeInternal, msg: err.Error()}
 	}
-	nodes, edges := engines[0].NumNodes(), engines[0].NumEdges()
-	if info, ok := engines[0].ShardInfo(); ok {
-		nodes, edges = info.TotalNodes, info.TotalEdges
-	}
-	source := engines[0].BuildStats().Source
-	waits := make([]func(time.Duration) bool, len(idxs))
-	for j, i := range idxs {
-		_, waits[j] = t.providers[i].Swap(engines[j])
-	}
-	gen := t.generation()
+	nodes, edges, source := eng.NumNodes(), eng.NumEdges(), eng.BuildStats().Source
+	gen, wait := t.provider.Swap(eng)
 	// Stale generations are unreachable by key construction (every cache
-	// key embeds the leasing request's generation vector); dropping the
-	// tenant's cache here releases their memory at the swap instead of
-	// waiting for eviction.
+	// key embeds the leasing request's generation); dropping the tenant's
+	// cache here releases their memory at the swap instead of waiting for
+	// eviction.
 	if t.cache != nil {
 		t.cache.swap()
 	}
-	drained := true
-	deadline := time.Now().Add(s.cfg.ReloadDrainTimeout)
-	for _, wait := range waits {
-		remaining := time.Until(deadline)
-		if remaining < 0 {
-			remaining = 0
-		}
-		if !wait(remaining) {
-			drained = false
-		}
-	}
+	drained := wait(s.cfg.ReloadDrainTimeout)
 	s.m.reloadsOK.Add(1)
-	resp := V1ReloadResponse{
+	return V1ReloadResponse{
 		Schema:     APISchema,
 		Generation: gen,
 		Tenant:     t.name,
@@ -553,11 +479,7 @@ func (s *Server) reload(t *tenant, shard int) (V1ReloadResponse, *apiError) {
 		Edges:      edges,
 		Source:     source,
 		Drained:    drained,
-	}
-	if shard >= 0 {
-		resp.Shard = &shard
-	}
-	return resp, nil
+	}, nil
 }
 
 // handleMetricsExposition emits the Prometheus text exposition of

@@ -88,26 +88,18 @@ type V1HealthResponse struct {
 	// Schema is the envelope format identifier, always APISchema.
 	Schema string `json:"schema"`
 	// Generation counts engine swaps: 1 for the initial engine,
-	// incremented by every successful reload (0 once closed). On a sharded
-	// server it is the composite generation — the per-shard sum minus N-1 —
-	// so it still starts at 1 and every single-shard reload bumps it by one.
+	// incremented by every successful reload (0 once closed).
 	Generation uint64 `json:"generation"`
 	// Status is "ok" while an engine is being served, "closed" after
 	// Server.Close retired it.
 	Status string `json:"status"`
-	// Nodes is the engine data graph's node count (the whole corpus on a
-	// sharded server).
+	// Nodes is the engine data graph's node count.
 	Nodes int `json:"nodes"`
-	// Edges is the engine data graph's directed edge count (the whole
-	// corpus on a sharded server).
+	// Edges is the engine data graph's directed edge count.
 	Edges int `json:"edges"`
 	// Source is how the current engine's data arrived: "build", "stream"
-	// or "mmap" (shard 0's source on a sharded server).
+	// or "mmap".
 	Source string `json:"source"`
-	// Shards reports the partitions of a sharded server, in shard order;
-	// absent on an unsharded one. When the probe reports several tenants the
-	// top-level field stays absent and each tenant block carries its own.
-	Shards []V1ShardHealth `json:"shards,omitempty"`
 	// Tenants reports every probed tenant, in sorted name order: the tenant
 	// the request selected, the sole tenant, or all of them on a
 	// multi-tenant server probed without a tenant parameter. The top-level
@@ -121,8 +113,8 @@ type V1HealthResponse struct {
 type V1TenantHealth struct {
 	// Name is the tenant's registry name (the tenant request parameter).
 	Name string `json:"name"`
-	// Generation is the tenant's composite generation: 1 for its initial
-	// engines, bumped by one for every reload that touched it.
+	// Generation is the tenant's generation: 1 for its initial engine,
+	// bumped by one for every reload that touched it.
 	Generation uint64 `json:"generation"`
 	// Nodes is the tenant's data graph node count.
 	Nodes int `json:"nodes"`
@@ -131,7 +123,7 @@ type V1TenantHealth struct {
 	// Source is how the tenant's current engine data arrived.
 	Source string `json:"source"`
 	// Leases is the number of requests currently borrowing the tenant's
-	// engines, excluding the probe itself — an instantaneous gauge.
+	// engine, excluding the probe itself — an instantaneous gauge.
 	Leases int64 `json:"leases"`
 	// Weight is the tenant's share weight in the weighted-fair admission
 	// split.
@@ -139,41 +131,17 @@ type V1TenantHealth struct {
 	// AdmissionBudget is the tenant's current fair share of the global
 	// admission budget, in posting-entry cost units.
 	AdmissionBudget int64 `json:"admission_budget"`
-	// Shards reports a sharded tenant's partitions; absent when unsharded.
-	Shards []V1ShardHealth `json:"shards,omitempty"`
-}
-
-// V1ShardHealth is one partition's entry in the /v1/healthz shards array.
-type V1ShardHealth struct {
-	// Index is the shard's position in the set.
-	Index int `json:"index"`
-	// Generation is the shard's own provider generation: 1 for the initial
-	// engine, incremented by every reload that touched this shard.
-	Generation uint64 `json:"generation"`
-	// Edges is the shard's projected directed edge count (members plus
-	// halo); shard edge counts sum to at least the corpus total, halo
-	// replication accounts for the excess.
-	Edges int `json:"edges"`
-	// Source is how this shard's engine data arrived.
-	Source string `json:"source"`
-	// Leases is the number of requests currently borrowing this shard's
-	// engine, excluding the probe itself — an instantaneous gauge.
-	Leases int64 `json:"leases"`
 }
 
 // V1ReloadResponse is the POST /v1/admin/reload success envelope.
 type V1ReloadResponse struct {
 	// Schema is the envelope format identifier, always APISchema.
 	Schema string `json:"schema"`
-	// Generation is the new engine's generation number (the reloaded
-	// tenant's composite generation on a sharded tenant).
+	// Generation is the new engine's generation number.
 	Generation uint64 `json:"generation"`
 	// Tenant is the tenant the reload touched: the tenant request
 	// parameter, or the sole tenant's name when the parameter was absent.
 	Tenant string `json:"tenant"`
-	// Shard is the single partition the reload touched, present only when
-	// the request selected one with ?shard=i.
-	Shard *int `json:"shard,omitempty"`
 	// Status is "ok" on a successful swap.
 	Status string `json:"status"`
 	// Nodes is the new engine's node count.
@@ -396,9 +364,8 @@ func (s *Server) runBatchEntry(r *http.Request, q V1BatchQuery) V1BatchResult {
 
 // handleV1Healthz answers the versioned liveness/readiness probe: one block
 // per probed tenant (every tenant by default, one with ?tenant=<name>),
-// each with its own generation, lease gauge and fair admission share — and,
-// on a sharded tenant, every partition. The top-level fields summarize the
-// probed view for single-tenant compatibility.
+// each with its own generation, lease gauge and fair admission share. The
+// top-level fields summarize the probed view for single-tenant compatibility.
 func (s *Server) handleV1Healthz(w http.ResponseWriter, r *http.Request) {
 	tenants, apiErr := s.healthTargets(r)
 	if apiErr != nil {
@@ -416,38 +383,25 @@ func (s *Server) handleV1Healthz(w http.ResponseWriter, r *http.Request) {
 		Tenants:    make([]V1TenantHealth, 0, len(tenants)),
 	}
 	for _, t := range tenants {
-		ql, apiErr := t.acquire()
+		lease, apiErr := t.acquire()
 		if apiErr != nil {
 			writeJSON(w, apiErr.status, V1HealthResponse{Schema: APISchema, Status: "closed"})
 			return
 		}
+		eng := lease.Engine()
 		th := V1TenantHealth{
 			Name:            t.name,
-			Generation:      compositeGeneration(ql.generations()),
-			Nodes:           ql.engine.NumNodes(),
-			Edges:           ql.engine.NumEdges(),
-			Source:          ql.leases[0].Engine().BuildStats().Source,
+			Generation:      lease.Generation(),
+			Nodes:           eng.NumNodes(),
+			Edges:           eng.NumEdges(),
+			Source:          eng.BuildStats().Source,
 			Weight:          t.weight,
 			AdmissionBudget: t.adm.budget.Load(),
 		}
-		if t.sharded() {
-			th.Shards = make([]V1ShardHealth, len(ql.leases))
-			for i, l := range ql.leases {
-				th.Shards[i] = V1ShardHealth{
-					Index:      i,
-					Generation: l.Generation(),
-					Edges:      l.Engine().NumEdges(),
-					Source:     l.Engine().BuildStats().Source,
-				}
-			}
-		}
-		// Release before reading the lease gauges so the probe's own borrows
-		// don't inflate them — an idle server reports 0.
-		ql.Release()
-		th.Leases = t.leases()
-		for i := range th.Shards {
-			th.Shards[i].Leases = t.providers[i].Leases()
-		}
+		// Release before reading the lease gauge so the probe's own borrow
+		// doesn't inflate it — an idle server reports 0.
+		lease.Release()
+		th.Leases = t.provider.Leases()
 		resp.Tenants = append(resp.Tenants, th)
 		resp.Nodes += th.Nodes
 		resp.Edges += th.Edges
@@ -457,14 +411,12 @@ func (s *Server) handleV1Healthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(resp.Tenants) == 1 {
 		resp.Generation = resp.Tenants[0].Generation
-		resp.Shards = resp.Tenants[0].Shards
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleV1Reload answers the versioned hot-reload endpoint. The tenant
-// parameter selects which corpus to reload (the sole tenant when absent);
-// ?shard=i additionally narrows a sharded tenant to one partition.
+// parameter selects which corpus to reload (the sole tenant when absent).
 func (s *Server) handleV1Reload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -476,12 +428,7 @@ func (s *Server) handleV1Reload(w http.ResponseWriter, r *http.Request) {
 		s.writeV1Error(w, apiErr)
 		return
 	}
-	shard, apiErr := parseShardParam(r, t)
-	if apiErr != nil {
-		s.writeV1Error(w, apiErr)
-		return
-	}
-	resp, apiErr := s.reload(t, shard)
+	resp, apiErr := s.reload(t)
 	if apiErr != nil {
 		s.writeV1Error(w, apiErr)
 		return

@@ -363,11 +363,11 @@ func TestV1Metrics(t *testing.T) {
 	}
 }
 
-// TestQueryKey pins the key's discriminating fields: the generation vector
-// and every response-affecting option separate keys; identical queries share
+// TestQueryKey pins the key's discriminating fields: the generation and
+// every response-affecting option separate keys; identical queries share
 // one.
 func TestQueryKey(t *testing.T) {
-	g1 := []uint64{1}
+	const g1 = uint64(1)
 	base := searchParams{
 		terms:   []string{"a", "b"},
 		k:       5,
@@ -377,9 +377,7 @@ func TestQueryKey(t *testing.T) {
 		t.Error("identical queries produced different keys")
 	}
 	mutations := map[string]func() string{
-		"generation": func() string { return queryKey([]uint64{2}, base) },
-		"gen vector": func() string { return queryKey([]uint64{1, 2}, base) },
-		"vec order":  func() string { return queryKey([]uint64{2, 1}, base) },
+		"generation": func() string { return queryKey(2, base) },
 		"k":          func() string { p := base; p.k = 6; return queryKey(g1, p) },
 		"terms":      func() string { p := base; p.terms = []string{"a", "c"}; return queryKey(g1, p) },
 		"term order": func() string { p := base; p.terms = []string{"b", "a"}; return queryKey(g1, p) },
@@ -397,11 +395,6 @@ func TestQueryKey(t *testing.T) {
 			t.Errorf("mutating %s collides with %s", name, prev)
 		}
 		seen[k] = name
-	}
-	// Shard generation vectors with equal composites must still separate:
-	// the key carries the vector, not its sum.
-	if queryKey([]uint64{1, 3}, base) == queryKey([]uint64{3, 1}, base) {
-		t.Error("distinct generation vectors with equal composites collide")
 	}
 	// Terms containing the separator cannot smuggle a collision: the count
 	// of separators differs.

@@ -259,42 +259,6 @@ func (ix *Index) DFTotal(term string) int {
 	return len(ix.Postings(term))
 }
 
-// DFRange reports the number of nodes with ID in [lo, hi) whose text
-// contains term. Posting lists are sorted by node, so two binary searches
-// suffice. Sharded engines price queries with it: summing DFRange over the
-// shards' disjoint owned ranges reproduces the whole-corpus DFTotal exactly,
-// without double-counting replicated halo nodes.
-func (ix *Index) DFRange(term string, lo, hi graph.NodeID) int {
-	ps := ix.Postings(term)
-	i := sort.Search(len(ps), func(i int) bool { return ps[i].Node >= lo })
-	j := sort.Search(len(ps), func(i int) bool { return ps[i].Node >= hi })
-	return j - i
-}
-
-// DFIn reports the number of nodes in the sorted ID set owned whose text
-// contains term. It is DFRange generalized to the non-contiguous owned sets
-// of locality-partitioned shards: both sides are sorted by node, so one
-// linear merge over the shorter-driven pair suffices. Summing DFIn over the
-// shards' disjoint owned sets reproduces the whole-corpus DFTotal exactly,
-// without double-counting replicated halo nodes.
-func (ix *Index) DFIn(term string, owned []graph.NodeID) int {
-	ps := ix.Postings(term)
-	n := 0
-	j := 0
-	for _, p := range ps {
-		for j < len(owned) && owned[j] < p.Node {
-			j++
-		}
-		if j == len(owned) {
-			break
-		}
-		if owned[j] == p.Node {
-			n++
-		}
-	}
-	return n
-}
-
 // RelationTuples reports the number of tuples in relation rel (N_Rel).
 func (ix *Index) RelationTuples(rel string) int {
 	if rs := ix.rels[rel]; rs != nil {

@@ -2,7 +2,11 @@
 
 package cirank
 
-import "testing"
+import (
+	"testing"
+
+	"cirank/internal/datagen"
+)
 
 // openAllocCeiling bounds the heap allocations of one Open + Close of the
 // dblp scale-0.25 snapshot (331 nodes, star index on). Open aliases the flat
@@ -16,7 +20,18 @@ const openAllocCeiling = 22000
 // TestOpenAllocCeiling is excluded under -race, whose instrumentation
 // allocates.
 func TestOpenAllocCeiling(t *testing.T) {
-	eng, _ := shardFixture(t)
+	ds, err := datagen.GenerateDBLP(datagen.DefaultDBLPConfig(7).Scale(0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewDBLPBuilder()
+	if err := ds.Replay(b.InsertEntity, b.Relate); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := b.Build(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := writeSnapFile(t, saveV2(t, eng))
 	allocs := testing.AllocsPerRun(5, func() {
 		e, err := Open(path)

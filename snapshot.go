@@ -15,7 +15,6 @@ import (
 	"cirank/internal/relational"
 	"cirank/internal/rwmp"
 	"cirank/internal/search"
-	"cirank/internal/shard"
 	"cirank/internal/textindex"
 )
 
@@ -52,19 +51,17 @@ import (
 //	star.ord    numNodes × i32
 //	star.dist   numStar² × u8
 //	star.ret    numStar² × f64
-//	shard       index u64 | count u64 | radius u64 |
-//	            ownedLo u64 | ownedHi u64 | totalNodes u64 | totalEdges u64
-//	shard.owned ownedCount × u32 (node IDs, strictly ascending)
 //
 // The five star.* sections are present together exactly when the meta flags
-// word has bit 0 set; the shard sections (a shard engine's slice of its
-// partition plan, see ShardEngines) exactly when bit 1 is set; strings are
-// u32-length-prefixed UTF-8. shard.owned is the shard's owned node set;
-// ownedLo/ownedHi in the shard section are its span. The encoding is
+// word has bit 0 set; strings are u32-length-prefixed UTF-8. The encoding is
 // deterministic: the same engine always serializes to the same bytes.
 //
 // v2 is the only format: any other version word (including the retired v1
-// stream format) is rejected. Every decode error wraps ErrBadSnapshot.
+// stream format) is rejected. Flag bit 1 and the section names "shard" and
+// "shard.owned" belonged to the retired shard engines, whose snapshots hold a
+// member-induced subgraph of a corpus: they are rejected by name so such a
+// file can never load and rank over a partial graph. Every decode error wraps
+// ErrBadSnapshot.
 
 const (
 	engineMagic     = "CIEN"
@@ -81,7 +78,7 @@ const (
 	// element type (f64 and the 16-byte edge record).
 	snapAlign = 16
 	// maxSections bounds the section count a decoder will size a table for;
-	// the format defines 16 names, so anything near this is corruption.
+	// the format defines 14 names, so anything near this is corruption.
 	maxSections = 64
 	// maxSnapshotString bounds one length-prefixed string, matching the
 	// graph serialization's limit.
@@ -89,12 +86,11 @@ const (
 
 	metaSectionSize     = 40
 	starMetaSectionSize = 24
-	shardSectionSize    = 56
 	// metaFlagStarIndex marks that the five star.* sections are present.
 	metaFlagStarIndex = uint64(1) << 0
-	// metaFlagShard marks that the shard section is present: the engine
-	// serves one shard of a partitioned set (see ShardEngines).
-	metaFlagShard = uint64(1) << 1
+	// metaFlagRetiredShard marked a shard engine's snapshot (see
+	// errRetiredShard).
+	metaFlagRetiredShard = uint64(1) << 1
 )
 
 // Section names of the v2 format.
@@ -113,8 +109,6 @@ const (
 	secStarOrd   = "star.ord"
 	secStarDist  = "star.dist"
 	secStarRet   = "star.ret"
-	secShard     = "shard"
-	secShardOwn  = "shard.owned"
 )
 
 // requiredSections must be present in every v2 snapshot; starSections are
@@ -133,11 +127,17 @@ var (
 		for _, s := range starSections {
 			m[s] = true
 		}
-		m[secShard] = true
-		m[secShardOwn] = true
 		return m
 	}()
+	// retiredShardSections named a shard engine's slice of its partition
+	// plan.
+	retiredShardSections = map[string]bool{"shard": true, "shard.owned": true}
 )
+
+// errRetiredShard refuses a file the retired shard engines wrote, known by
+// metaFlagRetiredShard or a retiredShardSections name: it holds a
+// member-induced subgraph, and must not load and rank as if it were a corpus.
+var errRetiredShard = badSnap("shard snapshots are no longer supported; re-save the whole engine")
 
 // badSnap builds an error wrapping ErrBadSnapshot.
 func badSnap(format string, args ...any) error {
@@ -176,9 +176,6 @@ func (e *Engine) encodeSections() ([]snapSection, error) {
 	var flags uint64
 	if e.starIdx != nil {
 		flags |= metaFlagStarIndex
-	}
-	if e.shard != nil {
-		flags |= metaFlagShard
 	}
 	meta = binary.LittleEndian.AppendUint64(meta, flags)
 
@@ -234,22 +231,6 @@ func (e *Engine) encodeSections() ([]snapSection, error) {
 			snapSection{secStarDist, p.Dist},
 			snapSection{secStarRet, mmapio.AppendFloat64s(nil, p.Ret)},
 		)
-	}
-	if e.shard != nil {
-		m := e.shard
-		sh := make([]byte, 0, shardSectionSize)
-		sh = binary.LittleEndian.AppendUint64(sh, uint64(m.Index))
-		sh = binary.LittleEndian.AppendUint64(sh, uint64(m.Count))
-		sh = binary.LittleEndian.AppendUint64(sh, uint64(m.Radius))
-		sh = binary.LittleEndian.AppendUint64(sh, uint64(m.Lo))
-		sh = binary.LittleEndian.AppendUint64(sh, uint64(m.Hi))
-		sh = binary.LittleEndian.AppendUint64(sh, uint64(m.TotalNodes))
-		sh = binary.LittleEndian.AppendUint64(sh, uint64(m.TotalEdges))
-		owned := make([]byte, 0, 4*len(m.Owned))
-		for _, v := range m.Owned {
-			owned = binary.LittleEndian.AppendUint32(owned, uint32(v))
-		}
-		secs = append(secs, snapSection{secShard, sh}, snapSection{secShardOwn, owned})
 	}
 	return secs, nil
 }
@@ -381,6 +362,9 @@ func decodeV2(data []byte, alias bool) (*Engine, error) {
 		if name == "" || bytes.IndexByte([]byte(name), 0) >= 0 {
 			return nil, badSnap("invalid section name %q", entry[:snapNameLen])
 		}
+		if retiredShardSections[name] {
+			return nil, errRetiredShard
+		}
 		if !knownSections[name] {
 			return nil, badSnap("unknown section %q", name)
 		}
@@ -424,7 +408,10 @@ func decodeV2(data []byte, alias bool) (*Engine, error) {
 	nNodes := binary.LittleEndian.Uint64(meta[16:])
 	nEdges := binary.LittleEndian.Uint64(meta[24:])
 	flags := binary.LittleEndian.Uint64(meta[32:])
-	if flags&^(metaFlagStarIndex|metaFlagShard) != 0 {
+	if flags&metaFlagRetiredShard != 0 {
+		return nil, errRetiredShard
+	}
+	if flags&^metaFlagStarIndex != 0 {
 		return nil, badSnap("unknown meta flags %#x", flags)
 	}
 	if nNodes > math.MaxInt32 {
@@ -485,109 +472,11 @@ func decodeV2(data []byte, alias bool) (*Engine, error) {
 		}
 	}
 
-	var shardM *shardMeta
-	if flags&metaFlagShard != 0 {
-		shardM, err = decodeShardSection(secs, n, int(nEdges))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for _, name := range []string{secShard, secShardOwn} {
-			if _, ok := secs[name]; ok {
-				return nil, badSnap("section %q present without the shard flag", name)
-			}
-		}
-	}
-
 	entries, byKey, err := decodeEntMap(secs[secEntMap], n)
 	if err != nil {
 		return nil, err
 	}
-	e := assembleLoaded(g, ix, model, impV, starIdx, entries, byKey)
-	e.shard = shardM
-	if shardM != nil {
-		// ownedDist is derived data: one undirected BFS over the shard
-		// subgraph reproduces the build-time table exactly, so it is never
-		// persisted — cheaper than widening the format and impossible to
-		// let drift out of sync with the owned set.
-		e.ownedDist = shard.OwnedDistances(g, shardM.Owned, shardM.Radius)
-	}
-	return e, nil
-}
-
-// decodeShardSection validates and decodes the shard section — the engine's
-// slice of its partition plan — together with the shard.owned section
-// holding the owned node set. n and nEdges are the snapshot graph's sizes: a
-// shard subgraph spans the full global ID space, so totalNodes must equal n,
-// while totalEdges (the whole graph's) can only exceed the shard's. lo/hi
-// must be exactly the owned set's span so a re-save is byte-stable.
-func decodeShardSection(secs map[string][]byte, n, nEdges int) (*shardMeta, error) {
-	b, ok := secs[secShard]
-	if !ok {
-		return nil, badSnap("shard flag set but section %q is missing", secShard)
-	}
-	if len(b) != shardSectionSize {
-		return nil, badSnap("section %q is %d bytes, want %d", secShard, len(b), shardSectionSize)
-	}
-	var v [7]uint64
-	for i := range v {
-		v[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	index, count, radius := v[0], v[1], v[2]
-	lo, hi := v[3], v[4]
-	totalNodes, totalEdges := v[5], v[6]
-	if count < 1 || count > math.MaxInt32 {
-		return nil, badSnap("shard count %d outside [1, %d]", count, math.MaxInt32)
-	}
-	if index >= count {
-		return nil, badSnap("shard index %d outside [0, %d)", index, count)
-	}
-	if radius < 1 || radius > math.MaxInt32 {
-		return nil, badSnap("shard radius %d outside [1, %d]", radius, math.MaxInt32)
-	}
-	if totalNodes != uint64(n) {
-		return nil, badSnap("shard claims %d total nodes, snapshot holds %d", totalNodes, n)
-	}
-	if totalEdges < uint64(nEdges) || totalEdges > math.MaxInt32 {
-		return nil, badSnap("shard claims %d total edges for a subgraph of %d", totalEdges, nEdges)
-	}
-	if lo > hi || hi > totalNodes {
-		return nil, badSnap("shard owned range [%d, %d) invalid for %d nodes", lo, hi, totalNodes)
-	}
-	ob, ok := secs[secShardOwn]
-	if !ok {
-		return nil, badSnap("shard flag set but section %q is missing", secShardOwn)
-	}
-	if len(ob)%4 != 0 {
-		return nil, badSnap("section %q is %d bytes, want a multiple of 4", secShardOwn, len(ob))
-	}
-	owned := make([]graph.NodeID, len(ob)/4)
-	prev := int64(-1)
-	for i := range owned {
-		id := int64(binary.LittleEndian.Uint32(ob[4*i:]))
-		if id <= prev {
-			return nil, badSnap("section %q not strictly ascending at entry %d", secShardOwn, i)
-		}
-		if uint64(id) >= totalNodes {
-			return nil, badSnap("section %q owns node %d of %d", secShardOwn, id, totalNodes)
-		}
-		prev = id
-		owned[i] = graph.NodeID(id)
-	}
-	switch {
-	case len(owned) == 0:
-		if lo != hi {
-			return nil, badSnap("empty owned set with nonempty span [%d, %d)", lo, hi)
-		}
-	case uint64(owned[0]) != lo || uint64(owned[len(owned)-1])+1 != hi:
-		return nil, badSnap("owned set spans [%d, %d), shard section claims [%d, %d)",
-			owned[0], owned[len(owned)-1]+1, lo, hi)
-	}
-	return &shardMeta{
-		Index: int(index), Count: int(count), Radius: int(radius),
-		Owned: owned, Lo: graph.NodeID(lo), Hi: graph.NodeID(hi),
-		TotalNodes: int(totalNodes), TotalEdges: int(totalEdges),
-	}, nil
+	return assembleLoaded(g, ix, model, impV, starIdx, entries, byKey), nil
 }
 
 // decodeStarSections validates and reassembles the five star.* sections.

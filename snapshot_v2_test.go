@@ -248,26 +248,10 @@ func TestSnapshotV2Corruptions(t *testing.T) {
 	impEntry, impOff, _ := findEntry(t, snap, secImp)
 	_ = impEntry
 
-	// A shard snapshot re-encoded without its shard.owned section: every
-	// Save writes one, and ownership is never guessed from the span.
-	shards, err := ShardEngines(fig2Engine(t, DefaultConfig()), 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	secs, err := shards[0].encodeSections()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var noOwned bytes.Buffer
-	if last := secs[len(secs)-1]; last.name != secShardOwn {
-		t.Fatalf("last section is %q, want %q", last.name, secShardOwn)
-	}
-	if err := writeSnapshot(&noOwned, secs[:len(secs)-1]); err != nil {
-		t.Fatal(err)
-	}
+	shard := readShardFixture(t)
 
 	cases := map[string][]byte{
-		"missing shard.owned":  noOwned.Bytes(),
+		"missing shard.owned":  dropLastSections(shard, 1),
 		"truncated header":     snap[:10],
 		"truncated table":      snap[:snapHeaderSize+snapEntrySize-4],
 		"truncated payloads":   snap[:len(snap)-8],
@@ -330,6 +314,60 @@ func TestSnapshotV2Corruptions(t *testing.T) {
 			// The mmap path shares the decoder and must agree.
 			if _, err := Open(writeSnapFile(t, data)); !errors.Is(err, ErrBadSnapshot) {
 				t.Fatalf("Open error is not ErrBadSnapshot: %v", err)
+			}
+		})
+	}
+}
+
+// shardFixturePath is shard 0 of a two-shard, radius-2 set cut from
+// fig2Engine, as the last commit with shard engines (e40efd4) saved it: meta
+// flag bit 1 set, "shard" and "shard.owned" the last two sections. It holds a
+// member-induced subgraph of the corpus, not the corpus.
+const shardFixturePath = "testdata/shard0_e40efd4.snap"
+
+func readShardFixture(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile(shardFixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// dropLastSections returns data without its last n section-table entries.
+// The payload offsets stay valid: the table only shrinks.
+func dropLastSections(data []byte, n int) []byte {
+	return mutated(data, func(d []byte) {
+		count := binary.LittleEndian.Uint32(d[8:])
+		binary.LittleEndian.PutUint32(d[8:], count-uint32(n))
+		fixTableCRC(d)
+	})
+}
+
+// TestShardSnapshotRejected: a leftover shard file must not open as a corpus.
+// Whichever of its two marks survives (the flag bit or a section name), Open
+// and LoadEngine refuse it with the re-save hint instead of ranking over a
+// partial graph.
+func TestShardSnapshotRejected(t *testing.T) {
+	shard := readShardFixture(t)
+	cases := map[string][]byte{
+		"as saved":  shard,
+		"flag only": dropLastSections(shard, 2),
+		"sections only": mutated(shard, func(d []byte) {
+			metaEntry, metaOff, _ := findEntry(t, d, secMeta)
+			binary.LittleEndian.PutUint64(d[metaOff+32:], metaFlagStarIndex)
+			fixSectionCRC(d, metaEntry)
+			fixTableCRC(d)
+		}),
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, loadErr := LoadEngine(bytes.NewReader(data))
+			_, openErr := Open(writeSnapFile(t, data))
+			for path, err := range map[string]error{"LoadEngine": loadErr, "Open": openErr} {
+				if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "shard snapshots are no longer supported") {
+					t.Errorf("%s: err = %v, want ErrBadSnapshot naming the retired shard format", path, err)
+				}
 			}
 		})
 	}
