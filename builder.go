@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
@@ -79,6 +80,7 @@ func NewDBLPBuilder() *Builder {
 }
 
 // SetWeight assigns the edge weight for the from→to direction label pair.
+// Build rejects a weight that is not positive and finite with ErrBadConfig.
 func (b *Builder) SetWeight(fromLabel, toLabel string, weight float64) {
 	b.weights[graph.RelPair{From: fromLabel, To: toLabel}] = weight
 }
@@ -198,6 +200,11 @@ func (b *Builder) BuildContext(ctx context.Context, cfg Config) (*Engine, error)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, buildCancelled(err)
+	}
+	for p, w := range b.weights {
+		if !(w > 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("%w: weight %g for %s→%s is not positive and finite", ErrBadConfig, w, p.From, p.To)
+		}
 	}
 	start := time.Now()
 	defaultWeight := 1.0

@@ -1,6 +1,9 @@
 package cirank
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -183,6 +186,25 @@ func TestBuilderErrors(t *testing.T) {
 	}
 	if _, err := NewBuilder([]string{"A", "A"}, nil); err == nil {
 		t.Error("duplicate table accepted")
+	}
+}
+
+// TestBuilderRejectsBadWeight: a configured edge weight that is not positive
+// and finite is a configuration error Build reports, naming the label pair,
+// not a panic inside the graph builder or an unrelated model error.
+func TestBuilderRejectsBadWeight(t *testing.T) {
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		t.Run(fmt.Sprint(w), func(t *testing.T) {
+			b := NewDBLPBuilder()
+			b.MustInsert("Author", "a1", "jeffrey ullman")
+			b.MustInsert("Paper", "p1", "tsimmis")
+			b.MustRelate("written_by", "p1", "a1")
+			b.SetWeight("Paper", "Author", w)
+			_, err := b.Build(DefaultConfig())
+			if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "Paper→Author") {
+				t.Fatalf("Build with weight %v: err = %v, want ErrBadConfig naming Paper→Author", w, err)
+			}
+		})
 	}
 }
 

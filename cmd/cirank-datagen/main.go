@@ -1,11 +1,10 @@
 // Command cirank-datagen generates a synthetic IMDB-like or DBLP-like
-// dataset (DESIGN.md §3), optionally writing the data graph to a binary
-// file that the other tools and library users can reload with graph.Read,
-// and printing a query workload with its ground truth.
+// dataset (DESIGN.md §3), prints its shape and optionally a query workload
+// with its ground truth.
 //
 // Usage:
 //
-//	cirank-datagen -dataset imdb -scale 2 -out imdb.cirg
+//	cirank-datagen -dataset imdb -scale 2
 //	cirank-datagen -dataset dblp -workload synthetic -queries 20
 package main
 
@@ -23,7 +22,6 @@ func main() {
 		dataset  = flag.String("dataset", "dblp", "dataset to generate: imdb or dblp")
 		scale    = flag.Float64("scale", 1.0, "dataset scale multiplier")
 		seed     = flag.Int64("seed", 1, "generation seed")
-		out      = flag.String("out", "", "write the data graph to this file (binary format)")
 		workload = flag.String("workload", "", "also print a workload: synthetic or userlog")
 		queries  = flag.Int("queries", 10, "workload query count")
 	)
@@ -50,21 +48,6 @@ func main() {
 		ds.Kind, ds.DB.NumTuples(), ds.DB.NumLinks(), built.G.NumNodes(), built.G.NumEdges())
 	for _, tb := range ds.Schema.SortedTableNames() {
 		fmt.Printf("  %-12s %d tuples\n", tb, ds.DB.TableSize(tb))
-	}
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		n, err := built.G.WriteTo(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %d bytes to %s\n", n, *out)
 	}
 
 	if *workload != "" {

@@ -29,7 +29,8 @@ var (
 	ErrDeadline = search.ErrDeadline
 	// ErrBadConfig reports an invalid Config field at engine build time —
 	// in particular an explicit Alpha: 0 or Teleport: 0, which earlier
-	// versions silently rewrote to the paper defaults.
+	// versions silently rewrote to the paper defaults — or a Builder.SetWeight
+	// weight that is not positive and finite.
 	ErrBadConfig = errors.New("cirank: invalid config")
 	// ErrBadSnapshot reports a snapshot that LoadEngine or Open rejected:
 	// wrong magic, unsupported version, a truncated or corrupt section

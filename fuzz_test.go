@@ -3,8 +3,11 @@ package cirank
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"strings"
 	"testing"
+
+	"cirank/internal/graph"
 )
 
 // FuzzSnapshotLoad throws arbitrary bytes at the snapshot decoder. The
@@ -13,7 +16,7 @@ import (
 // stream, so every length must be validated before it sizes an allocation
 // and every float before it parameterizes the model. Any input that loads
 // must round-trip: Save then LoadEngine again, byte-comparably, and serve a
-// query without panicking.
+// query without panicking, and every edge of its graph has its reverse.
 func FuzzSnapshotLoad(f *testing.F) {
 	eng := fig2Engine(f, DefaultConfig())
 	var full bytes.Buffer
@@ -63,6 +66,11 @@ func FuzzSnapshotLoad(f *testing.F) {
 		fixSectionCRC(d, metaEntry)
 		fixTableCRC(d)
 	}))
+	oneWay, err := os.ReadFile(oneWayFixturePath) // valid but for one edge's reverse
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(oneWay)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := LoadEngine(bytes.NewReader(data))
 		if err != nil {
@@ -79,6 +87,13 @@ func FuzzSnapshotLoad(f *testing.F) {
 		if again.NumNodes() != loaded.NumNodes() || again.NumEdges() != loaded.NumEdges() {
 			t.Fatalf("roundtrip changed graph shape: %d/%d -> %d/%d",
 				loaded.NumNodes(), loaded.NumEdges(), again.NumNodes(), again.NumEdges())
+		}
+		for v := graph.NodeID(0); int(v) < loaded.g.NumNodes(); v++ {
+			for _, e := range loaded.g.OutEdges(v) {
+				if !loaded.g.HasEdge(e.To, v) {
+					t.Fatalf("loaded a graph whose edge %d→%d has no reverse", v, e.To)
+				}
+			}
 		}
 		if _, err := loaded.Search("tsimmis ullman", 2); err != nil && !strings.Contains(err.Error(), "empty") {
 			t.Fatalf("loaded engine cannot search: %v", err)

@@ -98,11 +98,8 @@ func (b *Banks) Score(t *jtt.Tree, terms []string) float64 {
 	costSum := 0.0
 	for _, e := range t.Edges() {
 		w, ok := b.G.Weight(e.Child, e.Parent)
-		if !ok || w <= 0 {
-			w, ok = b.G.Weight(e.Parent, e.Child)
-			if !ok || w <= 0 {
-				w = 1e-9
-			}
+		if !ok {
+			w = 1e-9 // a tree that claims a non-edge
 		}
 		costSum += 1 / w
 	}

@@ -132,18 +132,15 @@ func (bs *BanksSearch) TopK(terms []string, k, maxDepth int) ([]Ranked, error) {
 			}
 		}
 		// Backward expansion: walk edges v → it.node, i.e. predecessors of
-		// the current node. Our graphs materialize both directions, so the
-		// predecessors of n are exactly the targets of n's out-edges, with
-		// the traversal cost taken from the v → n direction.
+		// the current node. Every edge has its reverse (package graph), so
+		// the predecessors of n are exactly the targets of n's out-edges,
+		// with the traversal cost taken from the v → n direction.
 		if hops[it.kw][it.node] >= maxDepth {
 			continue
 		}
 		for _, e := range bs.G.OutEdges(it.node) {
 			v := e.To
-			w, ok := bs.G.Weight(v, it.node)
-			if !ok || w <= 0 {
-				continue
-			}
+			w, _ := bs.G.Weight(v, it.node)
 			cost := it.cost + 1/w
 			if old, known := dist[it.kw][v]; !known || cost < old {
 				if done[it.kw][v] {

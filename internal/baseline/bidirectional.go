@@ -155,15 +155,9 @@ func (bd *Bidirectional) TopK(terms []string, k, maxDepth int) ([]Ranked, error)
 		}
 		var nbs []nb
 		for _, e := range bd.G.OutEdges(it.node) {
-			w, ok := bd.G.Weight(e.To, it.node)
-			if !ok || w <= 0 {
-				continue
-			}
+			w, _ := bd.G.Weight(e.To, it.node)
 			nbs = append(nbs, nb{v: e.To, w: w})
 			total += w
-		}
-		if total == 0 {
-			continue
 		}
 		for _, n := range nbs {
 			if done[it.kw][n.v] {

@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -156,16 +155,19 @@ func checkIndexes(w *Workload) error {
 	return checkGraphRoundtrip(w)
 }
 
-// checkGraphRoundtrip serializes the graph, reads it back, and verifies the
-// reloaded graph is structurally identical (nodes, text, edges, weights).
+// checkGraphRoundtrip reassembles the graph from its CSR layout — the
+// snapshot's csr.* sections, the edges through their wire encoding — under
+// FromCSR's validation, and verifies the result is structurally identical
+// (nodes, text, edges, weights).
 func checkGraphRoundtrip(w *Workload) error {
-	var buf bytes.Buffer
-	if _, err := w.Graph.WriteTo(&buf); err != nil {
-		return fmt.Errorf("graph WriteTo: %w", err)
+	nodes := make([]graph.Node, w.Graph.NumNodes())
+	for v := range nodes {
+		nodes[v] = *w.Graph.Node(graph.NodeID(v))
 	}
-	g2, err := graph.Read(&buf)
+	offsets, edges, outSum := w.Graph.CSR()
+	g2, err := graph.FromCSR(nodes, offsets, graph.EdgesFromBytes(graph.AppendEdges(nil, edges), false), outSum)
 	if err != nil {
-		return fmt.Errorf("graph Read roundtrip: %w", err)
+		return fmt.Errorf("graph FromCSR roundtrip: %w", err)
 	}
 	if g2.NumNodes() != w.Graph.NumNodes() {
 		return fmt.Errorf("graph roundtrip: %d nodes became %d", w.Graph.NumNodes(), g2.NumNodes())

@@ -37,10 +37,10 @@ func (g *Graph) CSR() (offsets []int32, edges []HalfEdge, outSum []float64) {
 // every structural invariant Build would have established: offsets must be a
 // monotonic [0, len(edges)] ramp, each adjacency list strictly sorted by
 // destination with in-range targets, no self-loops, positive finite weights,
-// and outSum must equal the sorted-order weight sum exactly (the same
-// summation order Build uses, so a valid snapshot matches bit-for-bit).
-// The slices are retained, not copied: callers loading from a mapped file
-// keep the graph zero-copy.
+// outSum must equal the sorted-order weight sum exactly (the same summation
+// order Build uses, so a valid snapshot matches bit-for-bit), and every edge
+// must have its reverse. The slices are retained, not copied: callers
+// loading from a mapped file keep the graph zero-copy.
 func FromCSR(nodes []Node, offsets []int32, edges []HalfEdge, outSum []float64) (*Graph, error) {
 	n := len(nodes)
 	if len(offsets) != n+1 {
@@ -85,6 +85,21 @@ func FromCSR(nodes []Node, offsets []int32, edges []HalfEdge, outSum []float64) 
 	for i := range nodes {
 		if nodes[i].Words < 0 {
 			return nil, fmt.Errorf("graph: node %d has negative word count %d", i, nodes[i].Words)
+		}
+	}
+	// Sources visited in ascending order meet v's in-neighbours in ascending
+	// order, and with every reverse present those are exactly v's sorted
+	// out-list: one cursor per node checks the pairing in a pass. Each edge
+	// advances one cursor, so no cursor can stop short of its list's end.
+	next := make([]int32, n)
+	copy(next, offsets)
+	for u := 0; u < n; u++ {
+		for _, e := range edges[offsets[u]:offsets[u+1]] {
+			c := next[e.To]
+			if c == offsets[e.To+1] || edges[c].To != NodeID(u) {
+				return nil, fmt.Errorf("graph: edge %d→%d has no reverse", u, e.To)
+			}
+			next[e.To] = c + 1
 		}
 	}
 	return &Graph{nodes: nodes, offsets: offsets, flat: edges, outSum: outSum}, nil

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -46,14 +48,15 @@ func TestFromCSRRoundTrip(t *testing.T) {
 }
 
 func TestFromCSRRejectsBrokenLayouts(t *testing.T) {
-	// A valid two-node, one-edge layout to mutate from.
+	// A valid two-node layout, one edge each way, to mutate from.
 	nodes := []Node{{Relation: "R", Words: 1}, {Relation: "R", Words: 1}}
-	offsets := []int32{0, 1, 1}
-	edges := []HalfEdge{{To: 1, Weight: 2}}
-	outSum := []float64{2, 0}
+	offsets := []int32{0, 1, 2}
+	edges := []HalfEdge{{To: 1, Weight: 2}, {To: 0, Weight: 0.5}}
+	outSum := []float64{2, 0.5}
 	if _, err := FromCSR(nodes, offsets, edges, outSum); err != nil {
 		t.Fatalf("baseline layout rejected: %v", err)
 	}
+	three := []Node{{Words: 1}, {Words: 1}, {Words: 1}}
 
 	cases := []struct {
 		name string
@@ -66,46 +69,57 @@ func TestFromCSRRejectsBrokenLayouts(t *testing.T) {
 			return nodes, offsets, edges, []float64{2}
 		}},
 		{"nonzero first offset", func() ([]Node, []int32, []HalfEdge, []float64) {
-			return nodes, []int32{1, 1, 1}, edges, outSum
+			return nodes, []int32{1, 1, 2}, edges, outSum
 		}},
 		{"last offset under edge count", func() ([]Node, []int32, []HalfEdge, []float64) {
-			return nodes, []int32{0, 0, 0}, edges, outSum
+			return nodes, []int32{0, 1, 1}, edges, outSum
 		}},
 		{"decreasing offsets", func() ([]Node, []int32, []HalfEdge, []float64) {
-			three := []Node{{Words: 1}, {Words: 1}, {Words: 1}}
 			return three, []int32{0, 2, 1, 2},
 				[]HalfEdge{{To: 1, Weight: 1}, {To: 2, Weight: 1}}, []float64{2, 0, 0}
 		}},
 		{"unsorted adjacency", func() ([]Node, []int32, []HalfEdge, []float64) {
-			return nodes, []int32{0, 2, 2},
-				[]HalfEdge{{To: 1, Weight: 1}, {To: 1, Weight: 1}}, []float64{2, 0}
+			return nodes, []int32{0, 2, 3},
+				[]HalfEdge{{To: 1, Weight: 1}, {To: 1, Weight: 1}, {To: 0, Weight: 1}}, []float64{2, 1}
 		}},
 		{"target out of range", func() ([]Node, []int32, []HalfEdge, []float64) {
-			return nodes, offsets, []HalfEdge{{To: 5, Weight: 2}}, outSum
+			return nodes, offsets, []HalfEdge{{To: 5, Weight: 2}, {To: 0, Weight: 0.5}}, outSum
 		}},
 		{"self-loop", func() ([]Node, []int32, []HalfEdge, []float64) {
 			return nodes, []int32{0, 0, 1}, []HalfEdge{{To: 1, Weight: 2}}, []float64{0, 2}
 		}},
 		{"zero weight", func() ([]Node, []int32, []HalfEdge, []float64) {
-			return nodes, offsets, []HalfEdge{{To: 1, Weight: 0}}, []float64{0, 0}
+			return nodes, offsets, []HalfEdge{{To: 1, Weight: 0}, {To: 0, Weight: 0.5}}, []float64{0, 0.5}
 		}},
 		{"infinite weight", func() ([]Node, []int32, []HalfEdge, []float64) {
-			inf := HalfEdge{To: 1, Weight: 1}
-			inf.Weight = inf.Weight / 0 // +Inf
-			return nodes, offsets, []HalfEdge{inf}, []float64{inf.Weight, 0}
+			inf := math.Inf(1)
+			return nodes, offsets, []HalfEdge{{To: 1, Weight: inf}, {To: 0, Weight: 0.5}}, []float64{inf, 0.5}
 		}},
 		{"out-sum mismatch", func() ([]Node, []int32, []HalfEdge, []float64) {
-			return nodes, offsets, edges, []float64{3, 0}
+			return nodes, offsets, edges, []float64{3, 0.5}
 		}},
 		{"negative word count", func() ([]Node, []int32, []HalfEdge, []float64) {
 			bad := []Node{{Relation: "R", Words: -1}, {Relation: "R", Words: 1}}
 			return bad, offsets, edges, outSum
 		}},
+		// Every check above passes and the reverse of 0→1 is missing.
+		{"one-way edge", func() ([]Node, []int32, []HalfEdge, []float64) {
+			return nodes, []int32{0, 1, 1}, edges[:1], []float64{2, 0}
+		}},
+		// 0↔1 is a pair, 1→2 and 2→0 are not: node 2's cursor still sits on
+		// 2→0 when 1→2 arrives.
+		{"one-way pair of edges", func() ([]Node, []int32, []HalfEdge, []float64) {
+			return three, []int32{0, 1, 3, 4},
+				[]HalfEdge{{To: 1, Weight: 1}, {To: 0, Weight: 1}, {To: 2, Weight: 1}, {To: 0, Weight: 1}}, []float64{1, 2, 1}
+		}},
 	}
 	for _, c := range cases {
 		n, o, e, s := c.f()
-		if _, err := FromCSR(n, o, e, s); err == nil {
+		_, err := FromCSR(n, o, e, s)
+		if err == nil {
 			t.Errorf("%s: accepted", c.name)
+		} else if strings.HasPrefix(c.name, "one-way") != strings.Contains(err.Error(), "no reverse") {
+			t.Errorf("%s: rejected by the wrong check: %v", c.name, err)
 		}
 	}
 }

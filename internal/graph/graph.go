@@ -5,6 +5,11 @@
 // ⟨v_j, v_i⟩, generally with different weights (readers of a citing paper are
 // more likely to follow the citation forward than backward).
 //
+// Every edge has its reverse (the two weights may differ). That is an
+// invariant of *Graph, enforced where one is made: Builder adds edges only in
+// pairs (AddBiEdge), and FromCSR refuses a layout with an edge whose reverse
+// is missing. Code reading a graph may rely on it.
+//
 // The graph is immutable after construction via Builder, which lets the
 // adjacency lists be stored as contiguous sorted slices — compact and cheap
 // to binary-search, which matters because the search algorithms in
@@ -13,6 +18,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -146,16 +152,24 @@ func (b *Builder) NumNodes() int { return len(b.nodes) }
 // counts before Build.
 func (b *Builder) Node(id NodeID) *Node { return &b.nodes[id] }
 
-// AddEdge adds the directed edge from → to with the given weight. Adding an
-// edge that already exists overwrites its weight; this makes the
-// entity-merging pass idempotent. It panics if either endpoint does not
-// exist or the weight is not positive.
-func (b *Builder) AddEdge(from, to NodeID, weight float64) {
+// AddBiEdge adds both directed edges between a and c with per-direction
+// weights, the paper's modeling of a foreign-key relationship, and the only
+// way to add an edge. Adding a pair that already exists overwrites both
+// weights. It panics if either endpoint does not exist or a weight is not
+// positive and finite; a self-loop (a == c) is dropped.
+func (b *Builder) AddBiEdge(a, c NodeID, weightAC, weightCA float64) {
+	b.addEdge(a, c, weightAC)
+	b.addEdge(c, a, weightCA)
+}
+
+// addEdge adds (or overwrites) the directed edge from → to: one half of
+// AddBiEdge.
+func (b *Builder) addEdge(from, to NodeID, weight float64) {
 	if int(from) >= len(b.nodes) || int(to) >= len(b.nodes) || from < 0 || to < 0 {
-		panic(fmt.Sprintf("graph: AddEdge(%d, %d) with %d nodes", from, to, len(b.nodes)))
+		panic(fmt.Sprintf("graph: AddBiEdge(%d, %d) with %d nodes", from, to, len(b.nodes)))
 	}
-	if weight <= 0 {
-		panic(fmt.Sprintf("graph: AddEdge(%d, %d) with non-positive weight %g", from, to, weight))
+	if !(weight > 0) || math.IsInf(weight, 1) {
+		panic(fmt.Sprintf("graph: AddBiEdge(%d, %d) with weight %g", from, to, weight))
 	}
 	if from == to {
 		// Self-loops carry no information for either the random walk
@@ -166,13 +180,6 @@ func (b *Builder) AddEdge(from, to NodeID, weight float64) {
 		b.adj[from] = make(map[NodeID]float64, 4)
 	}
 	b.adj[from][to] = weight
-}
-
-// AddBiEdge adds both directed edges between a and b with per-direction
-// weights, the paper's modeling of a foreign-key relationship.
-func (b *Builder) AddBiEdge(a, c NodeID, weightAC, weightCA float64) {
-	b.AddEdge(a, c, weightAC)
-	b.AddEdge(c, a, weightCA)
 }
 
 // Build freezes the builder into an immutable Graph. The builder must not be

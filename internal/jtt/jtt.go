@@ -276,7 +276,7 @@ func (t *Tree) checkGrow(g *graph.Graph, newRoot graph.NodeID) (int, error) {
 	if present {
 		return 0, fmt.Errorf("jtt: grow: node %d already in tree", newRoot)
 	}
-	if !g.HasEdge(newRoot, t.root) && !g.HasEdge(t.root, newRoot) {
+	if !g.HasEdge(newRoot, t.root) {
 		return 0, fmt.Errorf("jtt: grow: no edge between %d and root %d", newRoot, t.root)
 	}
 	return pos, nil

@@ -77,12 +77,14 @@ func TestSymmetryOnLine(t *testing.T) {
 }
 
 func TestDanglingNodes(t *testing.T) {
-	// 0 → 1, and node 2 isolated: all mass must still sum to 1.
-	b := graph.NewBuilder(3)
-	for i := 0; i < 3; i++ {
+	// 0 ↔ 1 ↔ 2, and node 3 isolated, so dangling: all mass must still sum
+	// to 1.
+	b := graph.NewBuilder(4)
+	for i := 0; i < 4; i++ {
 		b.AddNode(graph.Node{})
 	}
-	b.AddEdge(0, 1, 1)
+	b.AddBiEdge(0, 1, 1, 1)
+	b.AddBiEdge(1, 2, 1, 1)
 	g := b.Build()
 	res, err := Compute(g, DefaultOptions())
 	if err != nil {
@@ -95,8 +97,8 @@ func TestDanglingNodes(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("scores sum to %g with dangling nodes, want 1", sum)
 	}
-	if res.Scores[1] <= res.Scores[0] {
-		t.Errorf("sink node 1 should outrank source 0: %v", res.Scores)
+	if res.Scores[1] <= res.Scores[0] || res.Scores[3] >= res.Scores[0] {
+		t.Errorf("want the middle node above an end node above the isolated one: %v", res.Scores)
 	}
 }
 
@@ -106,10 +108,8 @@ func TestEdgeWeightsMatter(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.AddNode(graph.Node{})
 	}
-	b.AddEdge(0, 1, 9)
-	b.AddEdge(0, 2, 1)
-	b.AddEdge(1, 0, 1)
-	b.AddEdge(2, 0, 1)
+	b.AddBiEdge(0, 1, 9, 1)
+	b.AddBiEdge(0, 2, 1, 1)
 	g := b.Build()
 	res, err := Compute(g, DefaultOptions())
 	if err != nil {
@@ -202,7 +202,7 @@ func TestDistributionProperty(t *testing.T) {
 		for i := 0; i < 3*n; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				b.AddEdge(graph.NodeID(u), graph.NodeID(v), rng.Float64()+0.05)
+				b.AddBiEdge(graph.NodeID(u), graph.NodeID(v), rng.Float64()+0.05, rng.Float64()+0.05)
 			}
 		}
 		g := b.Build()

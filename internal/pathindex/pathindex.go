@@ -37,8 +37,8 @@ import (
 // satisfy this.
 type Index interface {
 	// DistanceLB returns a lower bound on the hop distance from u to v.
-	// A graph with both FK directions materialized is symmetric, so the
-	// bound holds in both directions.
+	// Every edge has its reverse (package graph), so the bound holds in
+	// both directions.
 	DistanceLB(u, v graph.NodeID) int
 	// RetentionUB returns an upper bound on the product of dampening
 	// factors over intermediate nodes of any u→v path (1 for adjacent or

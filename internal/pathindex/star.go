@@ -179,7 +179,7 @@ func (ix *StarIndex) RetentionUB(u, v graph.NodeID) float64 {
 	if u == v {
 		return 1
 	}
-	if ix.g.HasEdge(u, v) || ix.g.HasEdge(v, u) {
+	if ix.g.HasEdge(u, v) {
 		return 1
 	}
 	su, sv := ix.starIdx[u], ix.starIdx[v]
@@ -195,7 +195,7 @@ func (ix *StarIndex) RetentionUB(u, v graph.NodeID) float64 {
 		for _, e := range ix.g.OutEdges(u) {
 			h := e.To
 			var r float64
-			if ix.g.HasEdge(h, v) || ix.g.HasEdge(v, h) {
+			if ix.g.HasEdge(h, v) {
 				// u → h → v: single intermediate h.
 				r = ix.damp[h]
 			} else {

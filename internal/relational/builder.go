@@ -139,7 +139,9 @@ func BuildGraph(db *Database, weights graph.WeightTable, defaultWeight float64) 
 		acc[pair{to, from}] += bw
 	}
 	for p, w := range acc {
-		b.AddEdge(p.from, p.to, w)
+		if p.from < p.to { // each node pair once, with both weights
+			b.AddBiEdge(p.from, p.to, w, acc[pair{p.to, p.from}])
+		}
 	}
 	return b.Build(), m, nil
 }

@@ -23,9 +23,9 @@ type Flow struct {
 }
 
 // hop is one tree node's row: where its parent sits, how deep it hangs, the
-// two directed weights of the edge to its parent (0 when the data graph lacks
-// that direction — real weights are positive), its split denominator and its
-// dampening rate.
+// two directed weights of the edge to its parent (0 when the tree claims a
+// non-edge, which jtt.Attach allows — real weights are positive), its split
+// denominator and its dampening rate.
 type hop struct {
 	par   int32
 	depth int32

@@ -94,9 +94,8 @@ func walkScoreTree(m *Model, t *jtt.Tree, sources []graph.NodeID, terms []string
 
 // flowGraph builds a seeded random graph for the flow-table property test:
 // node 0 is a hub adjacent to everything, the other pairs are joined at
-// random, every direction carries its own irregular weight (so the order a
-// denominator is summed in shows in its last bits), and about one pair in
-// six has one direction only.
+// random, and every direction carries its own irregular weight (so the order
+// a denominator is summed in shows in its last bits).
 func flowGraph(t *testing.T, rng *rand.Rand, n int) *Model {
 	t.Helper()
 	words := []string{"kw0", "kw1", "kw0 kw1 pad", "free", "free pad"}
@@ -110,14 +109,7 @@ func flowGraph(t *testing.T, rng *rand.Rand, n int) *Model {
 			if a != 0 && rng.Intn(3) != 0 {
 				continue
 			}
-			from, to := graph.NodeID(a), graph.NodeID(c)
-			if rng.Intn(2) == 0 {
-				from, to = to, from
-			}
-			b.AddEdge(from, to, 0.05+rng.Float64())
-			if rng.Intn(6) != 0 {
-				b.AddEdge(to, from, 0.05+rng.Float64())
-			}
+			b.AddBiEdge(graph.NodeID(a), graph.NodeID(c), 0.05+rng.Float64(), 0.05+rng.Float64())
 		}
 	}
 	g := b.Build()
@@ -137,21 +129,17 @@ func flowGraph(t *testing.T, rng *rand.Rand, n int) *Model {
 	return m
 }
 
-// adjacent reports whether the data graph joins a and b in either direction,
-// which is all a tree edge needs.
-func adjacent(g *graph.Graph, a, b graph.NodeID) bool {
-	return g.HasEdge(a, b) || g.HasEdge(b, a)
-}
-
 // heapTree attaches up to size-1 random nodes under random tree nodes no
-// deeper than maxDepth-1: bushy shapes, stars around the hub included.
+// deeper than maxDepth-1: bushy shapes, stars around the hub included. Some
+// attachments claim a non-edge, as jtt.Attach lets a caller do, so paths
+// over a missing edge occur.
 func heapTree(rng *rand.Rand, g *graph.Graph, size, maxDepth int) *jtt.Tree {
 	t := jtt.NewSingle(graph.NodeID(rng.Intn(g.NumNodes())))
 	depth := map[graph.NodeID]int{t.Root(): 0}
 	for tries := 0; t.Size() < size && tries < 20*size; tries++ {
 		parent := t.NodeView()[rng.Intn(t.Size())]
 		child := graph.NodeID(rng.Intn(g.NumNodes()))
-		if depth[parent] >= maxDepth || t.Contains(child) || !adjacent(g, parent, child) {
+		if depth[parent] >= maxDepth || t.Contains(child) || !g.HasEdge(parent, child) && rng.Intn(4) != 0 {
 			continue
 		}
 		t = t.MustAttach(child, parent)
@@ -201,7 +189,7 @@ func containsNode(list []graph.NodeID, v graph.NodeID) bool {
 
 // TestFlowTableMatchesPerPairWalk holds every table-driven result to the
 // per-pair walk bit for bit, on seeded random trees of depth 0–3 from the
-// heap and from an arena, over graphs with a hub and one-directional edges.
+// heap and from an arena, over graphs with a hub and per-direction weights.
 func TestFlowTableMatchesPerPairWalk(t *testing.T) {
 	terms := []string{"kw0", "kw1"}
 	var zeroFactors, midParents int
@@ -259,8 +247,8 @@ func TestFlowTableMatchesPerPairWalk(t *testing.T) {
 			}
 		}
 	}
-	// The cases the table could get wrong must actually occur: a missing
-	// direction on a path, and a node whose parent sorts between its children.
+	// The cases the table could get wrong must actually occur: a claimed
+	// non-edge on a path, and a node whose parent sorts between its children.
 	if zeroFactors < 100 || midParents < 20 {
 		t.Fatalf("weak fixture: %d zero factors, %d nodes with the parent between children", zeroFactors, midParents)
 	}

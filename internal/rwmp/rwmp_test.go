@@ -388,29 +388,27 @@ func TestMaxDamp(t *testing.T) {
 }
 
 func TestPathFactorMissingEdge(t *testing.T) {
-	// Build a graph with a one-way edge: the tree claims a path the
-	// directed graph cannot carry; the factor must be zero.
-	b := graph.NewBuilder(2)
-	b.AddNode(graph.Node{Relation: "R", Text: "a", Words: 1})
-	b.AddNode(graph.Node{Relation: "R", Text: "b", Words: 1})
-	b.AddEdge(0, 1, 1) // no reverse edge
+	// Attach takes the caller's word for the edge: this tree claims the
+	// non-edge 0–2 beside the real edge 0–1. A path over the claimed edge
+	// carries nothing, in either direction; one over the real edge does.
+	b := graph.NewBuilder(3)
+	for _, text := range []string{"a", "b", "c"} {
+		b.AddNode(graph.Node{Relation: "R", Text: text, Words: 1})
+	}
+	b.AddBiEdge(0, 1, 1, 1)
 	g := b.Build()
-	ix := textindex.Build(g)
-	m, err := New(g, ix, []float64{0.5, 0.5}, DefaultParams())
+	m, err := New(g, textindex.Build(g), []float64{0.4, 0.3, 0.3}, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := jtt.NewSingle(0).Grow(g, 1)
-	if err != nil {
-		t.Fatal(err)
+	tr := jtt.NewSingle(0).MustAttach(1, 0).MustAttach(2, 0)
+	for _, p := range [][2]graph.NodeID{{2, 0}, {0, 2}, {1, 2}, {2, 1}} {
+		if f := m.PathFactor(tr, p[0], p[1]); f != 0 {
+			t.Errorf("PathFactor(%d → %d) over the claimed non-edge = %g, want 0", p[0], p[1], f)
+		}
 	}
-	// Path 1 → 0 requires edge 1→0, which does not exist.
-	if f := m.PathFactor(tr, 1, 0); f != 0 {
-		t.Errorf("PathFactor over missing edge = %g, want 0", f)
-	}
-	// Path 0 → 1 exists.
-	if f := m.PathFactor(tr, 0, 1); f <= 0 {
-		t.Errorf("PathFactor over present edge = %g, want > 0", f)
+	if f := m.PathFactor(tr, 1, 0); f <= 0 {
+		t.Errorf("PathFactor over a present edge = %g, want > 0", f)
 	}
 }
 

@@ -239,7 +239,7 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 					if parent == nil {
 						parent = st.viewParent(c)
 					}
-					if st.doomed(parent, e) {
+					if st.condemned(st.childBound(parent, e)) {
 						st.spared++
 						continue
 					}

@@ -115,7 +115,7 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 	c := &candidate{tree: wide, root: st.rootOf(0)}
 	st.fill(c, &st.ws[0])
 	w, _ := fx.g.Weight(0, 601)
-	st.childBound(st.viewParent(c), graph.HalfEdge{To: 601, Weight: w}, true)
+	st.childBound(st.viewParent(c), graph.HalfEdge{To: 601, Weight: w})
 	views := func() map[string]int {
 		fillView, p, ch := &sc.ws[0].view, &sc.parent, &sc.child
 		return map[string]int{

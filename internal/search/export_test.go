@@ -52,6 +52,6 @@ func (o *BoundOracle) ChildBound(tree *jtt.Tree, nb graph.NodeID) (ub float64, o
 		panic("search: ChildBound wants an out-neighbour of the root outside the tree")
 	}
 	c := &candidate{tree: tree, root: st.rootOf(tree.Root())}
-	ub, _ = st.childBound(st.viewParent(c), graph.HalfEdge{To: nb, Weight: w}, g.HasEdge(nb, tree.Root()))
+	ub, _ = st.childBound(st.viewParent(c), graph.HalfEdge{To: nb, Weight: w})
 	return ub, true
 }

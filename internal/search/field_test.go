@@ -28,9 +28,11 @@ var fieldCaseTexts = [1 << fieldCaseTerms]string{"free", "alpha", "beta", "alpha
 // decodeFieldCase reads a case off raw bytes, the fuzz target's input: a
 // header byte (node count 2–8, levels 1–4, the fixpoint flag), three bytes
 // per node (dampening rate in (0, 1), generation count, term mask) and then
-// one byte pair per edge, the high bit of the first making it one-way. Every
-// byte string decodes to something; ok is false only when it is too short to
-// hold the nodes.
+// one byte pair per edge pair. An edge weighs 1 one way; the other way it
+// weighs 1 too, or, when the first byte's high bit is set, a weight in
+// [0.1, 3.1] read off the second byte's high nibble (Table II's weights
+// differ per direction). Every byte string decodes to something; ok is false
+// only when it is too short to hold the nodes.
 func decodeFieldCase(data []byte) (fc fieldCase, ok bool) {
 	if len(data) < 1 {
 		return fc, false
@@ -63,11 +65,11 @@ func decodeFieldCase(data []byte) (fc fieldCase, ok bool) {
 		if from == to {
 			continue
 		}
+		back := 1.0
 		if data[0]&0x80 != 0 {
-			b.AddEdge(from, to, 1)
-		} else {
-			b.AddBiEdge(from, to, 1, 1)
+			back = 0.1 + float64(data[1]>>4)/5
 		}
+		b.AddBiEdge(from, to, 1, back)
 	}
 	fc.g = b.Build()
 	return fc, true
@@ -136,7 +138,7 @@ func checkFieldCase(t testing.TB, fc fieldCase) {
 
 // TestSupplyFieldMatchesPathEnumeration is the field's soundness argument as
 // a property: on seeded small graphs — random rates, dense enough to hold
-// hubs, one-way edges, nodes matching both terms — every entry equals the
+// hubs, per-direction weights, nodes matching both terms — every entry equals the
 // best enumerated path product; and the fields a real query computes (the
 // model's rates and generation counts, the text index's matchers, the pooled
 // table) equal it too.

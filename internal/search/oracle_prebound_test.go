@@ -17,8 +17,7 @@ import (
 // Evaluate computes for the built one within 1e-9 relative — the slack of the
 // skip rule, which therefore drops exactly the children commit would have.
 // The children must span the bound's three cases, grown nodes that match and
-// that do not, and parents whose root is a source. (The generators' edges all
-// have their reverse; prebound_test.go covers one-way edges.)
+// that do not, and parents whose root is a source.
 func TestChildBoundOnGenerators(t *testing.T) {
 	const slack = 1e-9
 	var lone, complete, missing, matcher, free, rootSource, checked, below int

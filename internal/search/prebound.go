@@ -19,9 +19,9 @@ import (
 //     at r, or stay inside one of its branches, are untouched.
 //   - What reached r reaches nb after r's dampening (unless r generated it)
 //     and the split w/(denom+w).
-//   - What nb sends enters r whole — r is nb's only tree neighbour — provided
-//     the edge nb→r exists, and then descends as r's own flows do, dampened
-//     at r and scaled by ρ.
+//   - What nb sends enters r whole — r is nb's only tree neighbour, and the
+//     edge nb→r exists because every edge has its reverse — and then
+//     descends as r's own flows do, dampened at r and scaled by ρ.
 //   - nb joins as a source when it matches a term; its supplies come from
 //     its own supply lists at the child's level, with nb counted as a tree
 //     node.
@@ -82,10 +82,9 @@ func (st *bbState) viewParent(c *candidate) *flowView {
 }
 
 // grow derives into v the flows of p's candidate grown over its root's
-// out-edge of weight w to a node with the given dampening rate; back reports
-// whether the reverse edge exists, and gen is the node's generation count
-// when it matches a term, 0 for a free node.
-func (p *flowView) grow(v *boundView, w float64, back bool, gen, damp float64) {
+// out-edge of weight w to a node with the given dampening rate; gen is the
+// node's generation count when it matches a term, 0 for a free node.
+func (p *flowView) grow(v *boundView, w float64, gen, damp float64) {
 	n := len(p.gens)
 	if gen > 0 {
 		v.size(n + 1)
@@ -97,15 +96,10 @@ func (p *flowView) grow(v *boundView, w float64, back bool, gen, damp float64) {
 	denom := p.denom + w
 	up, rho := w/denom, p.denom/denom
 	for j := 0; j < n; j++ {
-		v.atRoot[j], v.fromRoot[j] = p.atRoot[j]*up, 0
+		v.atRoot[j], v.fromRoot[j] = p.atRoot[j]*up, 1
 		if j != p.rootSrc {
 			v.atRoot[j] *= p.dampRoot
-		}
-		if back {
-			v.fromRoot[j] = 1
-			if j != p.rootSrc {
-				v.fromRoot[j] = p.dampRoot * rho * p.fromRoot[j]
-			}
+			v.fromRoot[j] = p.dampRoot * rho * p.fromRoot[j]
 		}
 		in := math.Inf(1)
 		for i := 0; i < n; i++ {
@@ -132,11 +126,10 @@ func (p *flowView) grow(v *boundView, w float64, back bool, gen, damp float64) {
 
 // childBound prices the child of p's candidate over the root's out-edge e
 // without building it: its cover and the bound upperBound gives its derived
-// view. back says whether the reverse edge exists, so that e.To's messages
-// reach the old tree at all. The bound is fill's for the built child up to
-// rounding when no path index is passed, and never below it when one is. The
-// caller has checked that e.To is outside the tree.
-func (st *bbState) childBound(p *flowView, e graph.HalfEdge, back bool) (ub float64, cover uint64) {
+// view. The bound is fill's for the built child up to rounding when no path
+// index is passed, and never below it when one is. The caller has checked
+// that e.To is outside the tree.
+func (st *bbState) childBound(p *flowView, e graph.HalfEdge) (ub float64, cover uint64) {
 	qc, nb := st.qc, e.To
 	v := &st.sc.child
 	v.tree, v.grown, v.node, v.depth = p.tree, nb, nb, p.depth+1
@@ -146,7 +139,7 @@ func (st *bbState) childBound(p *flowView, e graph.HalfEdge, back bool) (ub floa
 	if !st.supplied(v) {
 		return 0, v.cover
 	}
-	p.grow(v, e.Weight, back, qc.gen[nb], st.s.m.Damp(nb))
+	p.grow(v, e.Weight, qc.gen[nb], st.s.m.Damp(nb))
 	return st.upperBound(v), v.cover
 }
 
@@ -157,20 +150,6 @@ func (st *bbState) childBound(p *flowView, e graph.HalfEdge, back bool) (ub floa
 // at score 0 while the list has room, so only the second test may drop it.
 func (st *bbState) condemned(ub float64, cover uint64) bool {
 	return cover != st.qc.full && ub <= 0 || st.top.full() && ub*(1+preBoundSlack) < st.top.min()
-}
-
-// doomed reports whether the child over e need not be built. The reverse
-// edge is a binary search in e.To's adjacency, and nothing the bound reads
-// shrinks when it exists, so the child is priced as if it did and the edge
-// looked up only when that price lets the child live.
-func (st *bbState) doomed(p *flowView, e graph.HalfEdge) bool {
-	if st.condemned(st.childBound(p, e, true)) {
-		return true
-	}
-	if st.s.m.Graph().HasEdge(e.To, p.node) {
-		return false
-	}
-	return st.condemned(st.childBound(p, e, false))
 }
 
 // release drops the view's candidate and empties its buffers, dropping those

@@ -14,8 +14,8 @@ import (
 
 // These tests carry the soundness argument of the pre-build bound
 // (prebound.go) on the graphs the in-package fixtures can build and the
-// difftest generators cannot: one-way edges, hand-made hubs, the fuzz
-// decoder's cases. oracle_prebound_test.go walks the generators.
+// difftest generators cannot: hand-made hubs, the fuzz decoder's cases with
+// their per-direction weights. oracle_prebound_test.go walks the generators.
 
 // searcher builds a model over a decoded case — the case's dampening rates,
 // its generation bytes as importance, a text index over the node texts — and
@@ -29,26 +29,12 @@ func (fc fieldCase) searcher(t testing.TB) *Searcher {
 	return New(m)
 }
 
-// symmetric reports whether every edge of g has its reverse. Only then do
-// the exhaustive enumerator, which attaches children along out-edges, and
-// the search, which grows roots along them, walk the same trees.
-func symmetric(g *graph.Graph) bool {
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, e := range g.OutEdges(graph.NodeID(v)) {
-			if !g.HasEdge(e.To, graph.NodeID(v)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // childKinds counts what checkChildBounds saw, so a test can demand that
 // its inputs reached every case of the bound.
 type childKinds struct {
 	lone, complete, missing int // the child's view, by upperBound's cases
 	matcher, free           int // the node grown to
-	rootSource, oneWay      int // parents whose root is a source; edges without a reverse
+	rootSource              int // parents whose root is a source
 	doomed, checked         int
 	ranked                  int // queries whose ranking was held to the references
 }
@@ -56,7 +42,7 @@ type childKinds struct {
 func (k *childKinds) add(o childKinds) {
 	k.lone, k.complete, k.missing = k.lone+o.lone, k.complete+o.complete, k.missing+o.missing
 	k.matcher, k.free = k.matcher+o.matcher, k.free+o.free
-	k.rootSource, k.oneWay = k.rootSource+o.rootSource, k.oneWay+o.oneWay
+	k.rootSource += o.rootSource
 	k.doomed, k.checked, k.ranked = k.doomed+o.doomed, k.checked+o.checked, k.ranked+o.ranked
 }
 
@@ -133,9 +119,6 @@ func checkChildBounds(t testing.TB, s *Searcher, terms []string, opts Options, m
 			if qc.masks[root] != 0 {
 				kinds.rootSource++
 			}
-			if !g.HasEdge(e.To, root) {
-				kinds.oneWay++
-			}
 			if ub <= 0 {
 				kinds.doomed++
 			}
@@ -160,14 +143,8 @@ func sameRanking(t testing.TB, label string, want, got []Answer) {
 }
 
 // checkChildBoundCase runs a decoded case as queries and holds every child's
-// derived bound to fill's. Where every edge has its reverse it also holds the
-// pricing search's ranking to the search without supply fields, which never
-// prices, and to the enumeration. (With one-way edges neither is a reference:
-// the enumerator attaches children along out-edges where the search grows
-// roots along them, and the supply lists read a root's out-neighbours where
-// a merge partner arrives over an in-edge, so the two arms of the search
-// already disagreed on such graphs before anything was priced. ROADMAP's
-// robustness item has the finding.)
+// derived bound to fill's, and the pricing search's ranking to the search
+// without supply fields, which never prices, and to the enumeration.
 func checkChildBoundCase(t testing.TB, fc fieldCase) (kinds childKinds) {
 	t.Helper()
 	s := fc.searcher(t)
@@ -178,9 +155,6 @@ func checkChildBoundCase(t testing.TB, fc fieldCase) (kinds childKinds) {
 		}
 		opts := Options{K: 1 + n%4, Diameter: fc.levels + 1, ExtendedMerge: true, Workers: 1}
 		kinds.add(checkChildBounds(t, s, terms, opts, 256))
-		if !symmetric(fc.g) {
-			continue
-		}
 		got, _, err := s.TopK(terms, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -211,7 +185,7 @@ func checkChildBoundCase(t testing.TB, fc fieldCase) (kinds childKinds) {
 
 // TestChildBoundMatchesFill is the pre-build bound's soundness argument as a
 // property, on the inputs this package can build: the fuzz decoder's graphs
-// (random rates, one-way edges, nodes matching both terms), the random
+// (random rates, per-direction weights, nodes matching both terms), the random
 // fixtures, a hub, and Fig. 2.
 func TestChildBoundMatchesFill(t *testing.T) {
 	var kinds childKinds
@@ -219,11 +193,6 @@ func TestChildBoundMatchesFill(t *testing.T) {
 	for round := 0; round < 300; round++ {
 		data := make([]byte, 1+3*8+2*rng.Intn(16))
 		rng.Read(data)
-		if round%2 == 0 { // every edge both ways, so the rankings are checked too
-			for i := 1 + 3*(2+int(data[0]&7)%7); i < len(data); i += 2 {
-				data[i] &^= 0x80
-			}
-		}
 		fc, ok := decodeFieldCase(data)
 		if !ok {
 			t.Fatalf("round %d: %d bytes did not decode", round, len(data))
@@ -242,7 +211,7 @@ func TestChildBoundMatchesFill(t *testing.T) {
 	kinds.add(checkChildBounds(t, fig2Fixture(t).s, []string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4, Workers: 1}, 512))
 	t.Logf("%+v", kinds)
 	if kinds.lone < 100 || kinds.complete < 100 || kinds.missing < 100 || kinds.matcher < 100 || kinds.free < 100 ||
-		kinds.rootSource < 100 || kinds.oneWay < 100 || kinds.doomed < 100 || kinds.ranked < 100 {
+		kinds.rootSource < 100 || kinds.doomed < 100 || kinds.ranked < 100 {
 		t.Fatalf("some case of the bound went nearly unexercised: %+v", kinds)
 	}
 }
@@ -263,31 +232,12 @@ func FuzzChildBound(f *testing.F) {
 // trap: commit records a complete answer before it looks at the bound, so
 // while the list has room an answer that scores 0 is still an answer, and
 // the skip rule must not drop a child for a zero bound unless it misses a
-// term. With one-way edges a→m←b nothing flows between the two keyword
-// nodes, so the only answer scores 0; c gives m something to grow to.
+// term. Every edge has its reverse, so no tree over a graph scores 0 any
+// more; the rule is held directly.
 func TestZeroScoreAnswerSurvivesPricing(t *testing.T) {
-	fx := build(t, []string{"alpha", "beta", "mid", "beta gamma"}, []float64{1, 1, 1, 1},
-		[][2]int{{2, 3}}, [2]int{0, 2}, [2]int{1, 2})
+	fx := build(t, []string{"alpha", "beta", "mid"}, []float64{1, 1, 1}, [][2]int{{0, 2}, {1, 2}})
 	terms := []string{"alpha", "beta"}
 	opts := Options{K: 5, Diameter: 4, Workers: 1}
-	got, _, err := fx.s.TopK(terms, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero := false
-	for _, a := range got {
-		zero = zero || (a.Score == 0 && a.Tree.Contains(0) && a.Tree.Contains(1))
-	}
-	if len(got) >= opts.K || !zero {
-		t.Fatalf("the zero-score answer alpha→mid←beta is missing from %d answers", len(got))
-	}
-	static := opts
-	static.NoDynamicBounds = true
-	want, _, err := fx.s.TopK(terms, static)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRanking(t, "against the unpriced search", want, got)
 
 	// The rule itself: a zero bound condemns only a child that misses a
 	// term, and a full list condemns whatever its k-th answer beats.
@@ -310,9 +260,8 @@ func TestZeroScoreAnswerSurvivesPricing(t *testing.T) {
 // trap. The hub h lists its four best beta suppliers x1…x4, and the list is
 // truncated: x5, a weak beta node, did not fit. The tree r{x1…x4} holds all
 // four, so for its child over r→h the list alone cannot tell — reading that
-// as "no supply" would drop the child, and with it the only route to the
-// answer that joins all of them to x5: r→h is one-way, so no other rooting
-// assembles it.
+// as "no supply" would price the child at 0 and drop it, though x5 can still
+// supply it.
 func TestUndecidedSupplyListBuildsChild(t *testing.T) {
 	const (
 		r, h, x5 = 0, 1, 10
@@ -327,8 +276,8 @@ func TestUndecidedSupplyListBuildsChild(t *testing.T) {
 	}
 	texts = append(texts, "beta pad pad pad")
 	imp = append(imp, 0.1)
-	edges = append(edges, [2]int{h, x5})
-	fx := build(t, texts, imp, edges, [2]int{r, h})
+	edges = append(edges, [2]int{h, x5}, [2]int{r, h})
+	fx := build(t, texts, imp, edges)
 	terms := []string{"alpha", "beta"}
 	opts := Options{K: 4096, Diameter: 4, ExtendedMerge: true, Workers: 1}
 
@@ -345,13 +294,13 @@ func TestUndecidedSupplyListBuildsChild(t *testing.T) {
 	w, _ := fx.g.Weight(r, h)
 	edge := graph.HalfEdge{To: h, Weight: w}
 	parent := st.viewParent(c)
-	ub, _ := st.childBound(parent, edge, false)
+	ub, cover := st.childBound(parent, edge)
 	v := &sc.child
 	lv, _ := st.supplyLevel(v.depth)
 	if _, decided := st.supplyList(v.root, lv, 1).bestOutside(v); decided {
 		t.Fatal("fixture broken: h's beta list decides the child by itself")
 	}
-	if ub <= 0 || st.doomed(parent, edge) {
+	if ub <= 0 || st.condemned(ub, cover) {
 		t.Fatalf("the child over r→h is priced %v and dropped; x5 can still supply it", ub)
 	}
 

@@ -24,7 +24,7 @@ type fixture struct {
 	ix *textindex.Index
 }
 
-func build(t testing.TB, texts []string, imp []float64, edges [][2]int, oneWay ...[2]int) *fixture {
+func build(t testing.TB, texts []string, imp []float64, edges [][2]int) *fixture {
 	t.Helper()
 	b := graph.NewBuilder(len(texts))
 	for _, s := range texts {
@@ -32,9 +32,6 @@ func build(t testing.TB, texts []string, imp []float64, edges [][2]int, oneWay .
 	}
 	for _, e := range edges {
 		b.AddBiEdge(graph.NodeID(e[0]), graph.NodeID(e[1]), 1, 1)
-	}
-	for _, e := range oneWay {
-		b.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1]), 1)
 	}
 	g := b.Build()
 	sum := 0.0

@@ -12,9 +12,7 @@ import (
 // summaryFixture builds a hub (node 0) with n out-neighbours of pairwise
 // distinct importance, so their dampening rates differ. Neighbour i < n
 // matches "alpha" when i%2 == 0 and "beta" when i%3 == 0, with a word count
-// that varies the generation counts. Neighbour n, the only "gamma" node, is
-// joined by the one-way edge hub→n: the hub can grow to it, so it supplies
-// the hub, but it supplies nothing beyond itself.
+// that varies the generation counts. Neighbour n is the only "gamma" node.
 func summaryFixture(t testing.TB, n int) *fixture {
 	texts := []string{"hub"}
 	imp := []float64{1}
@@ -36,7 +34,7 @@ func summaryFixture(t testing.TB, n int) *fixture {
 	}
 	texts = append(texts, "gamma")
 	imp = append(imp, float64(1+(n*7)%n))
-	return build(t, texts, imp, edges, [2]int{0, n})
+	return build(t, texts, imp, append(edges, [2]int{0, n}))
 }
 
 // TestSupplyListMatchesFullScan holds the supply lists to scanSupply — the

@@ -1,6 +1,7 @@
 package searchbench
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -33,8 +34,6 @@ type pinnedWork struct {
 }
 
 // pinnedWorkload holds one workload's rows, identical at every worker count.
-// (The committed file has a second key per workload, recorded through the
-// retired scatter-gather engine; nothing reads it.)
 type pinnedWorkload struct {
 	Dataset string       `json:"dataset"`
 	Scale   float64      `json:"scale"`
@@ -61,7 +60,10 @@ func TestStatsPinned(t *testing.T) {
 	var pins, old []pinnedWorkload
 	raw, err := os.ReadFile(pinsPath)
 	if err == nil {
-		err = json.Unmarshal(raw, &old)
+		// A key nothing decodes must not sit in the file unread.
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&old)
 	}
 	if *updatePins && os.IsNotExist(err) {
 		err = nil

@@ -215,18 +215,18 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 }
 
-// TestReloadRejectsShardSnapshot: a file left behind by the retired shard
-// engines (here shard 0 of 2 as commit e40efd4 saved it) holds a subgraph, not
-// a corpus. Renamed onto the serving path it must answer 422 bad_snapshot and
-// leave the serving generation alone.
-func TestReloadRejectsShardSnapshot(t *testing.T) {
+// reloadRejects renames a committed snapshot fixture onto the serving path:
+// POST /v1/admin/reload must answer 422 bad_snapshot with a message naming
+// why (want), and the old engine must keep serving generation 1.
+func reloadRejects(t *testing.T, fixture, want string) {
+	t.Helper()
 	path, _, url := snapshotServer(t, smallEngine(t), Config{})
-	leftover, err := os.ReadFile("../../testdata/shard0_e40efd4.snap")
+	data, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, leftover, 0o644); err != nil {
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -234,8 +234,8 @@ func TestReloadRejectsShardSnapshot(t *testing.T) {
 	}
 	var fail V1ErrorResponse
 	postJSON(t, url+"/v1/admin/reload", http.StatusUnprocessableEntity, &fail)
-	if fail.Error.Code != codeBadSnapshot || !strings.Contains(fail.Error.Message, "shard snapshots are no longer supported") {
-		t.Errorf("422 response carries error %+v, want code %q naming the retired shard format", fail.Error, codeBadSnapshot)
+	if fail.Error.Code != codeBadSnapshot || !strings.Contains(fail.Error.Message, want) {
+		t.Errorf("422 response carries error %+v, want code %q and a message containing %q", fail.Error, codeBadSnapshot, want)
 	}
 	if fail.Generation != 1 {
 		t.Errorf("generation after the rejected reload = %d, want 1", fail.Generation)
@@ -245,6 +245,20 @@ func TestReloadRejectsShardSnapshot(t *testing.T) {
 	if res.Generation != 1 || len(res.Results) == 0 {
 		t.Errorf("after the rejected reload: generation %d, %d results; want the old engine answering", res.Generation, len(res.Results))
 	}
+}
+
+// TestReloadRejectsShardSnapshot: a file left behind by the retired shard
+// engines (here shard 0 of 2 as commit e40efd4 saved it) holds a subgraph, not
+// a corpus.
+func TestReloadRejectsShardSnapshot(t *testing.T) {
+	reloadRejects(t, "../../testdata/shard0_e40efd4.snap", "shard snapshots are no longer supported")
+}
+
+// TestReloadRejectsOneWaySnapshot: a snapshot that is valid but for one edge
+// without its reverse must not load, or the engine would rank over a graph
+// its search does not handle.
+func TestReloadRejectsOneWaySnapshot(t *testing.T) {
+	reloadRejects(t, "../../testdata/oneway_edge.snap", "has no reverse")
 }
 
 // TestShardParamIsIgnored: ?shard= selected one partition of a sharded tenant

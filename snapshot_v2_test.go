@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -70,6 +71,46 @@ func mutated(data []byte, f func([]byte)) []byte {
 	f(out)
 	return out
 }
+
+// oneWaySnapshot cuts node 0's first out-edge from snap's csr.* sections and
+// rewrites everything else that depends on it — the later offsets, node 0's
+// out-sum, the meta edge count and the CRCs — so that the snapshot is valid
+// but for one edge without its reverse. Only the edge section's length
+// shrinks; no section moves.
+func oneWaySnapshot(t testing.TB, snap []byte) []byte {
+	t.Helper()
+	return mutated(snap, func(d []byte) {
+		offEntry, offOff, offLen := findEntry(t, d, secCSROff)
+		edgeEntry, edgeOff, edgeLen := findEntry(t, d, secCSREdge)
+		sumEntry, sumOff, _ := findEntry(t, d, secCSRSum)
+		metaEntry, metaOff, _ := findEntry(t, d, secMeta)
+		offsets, edges := d[offOff:offOff+offLen], d[edgeOff:edgeOff+edgeLen]
+		deg := int(binary.LittleEndian.Uint32(offsets[4:])) - 1 // node 0's degree after the cut
+		if deg < 0 {
+			t.Fatal("node 0 has no edge to cut")
+		}
+		copy(edges, edges[16:])
+		sum := 0.0
+		for i := 0; i < deg; i++ {
+			sum += math.Float64frombits(binary.LittleEndian.Uint64(edges[16*i+8:]))
+		}
+		binary.LittleEndian.PutUint64(d[sumOff:], math.Float64bits(sum))
+		for i := 4; i < len(offsets); i += 4 {
+			binary.LittleEndian.PutUint32(offsets[i:], binary.LittleEndian.Uint32(offsets[i:])-1)
+		}
+		binary.LittleEndian.PutUint64(d[edgeEntry+24:], uint64(edgeLen-16))
+		binary.LittleEndian.PutUint64(d[metaOff+24:], binary.LittleEndian.Uint64(d[metaOff+24:])-1)
+		for _, e := range []int{offEntry, edgeEntry, sumEntry, metaEntry} {
+			fixSectionCRC(d, e)
+		}
+		fixTableCRC(d)
+	})
+}
+
+// oneWayFixturePath is oneWaySnapshot of fig2Engine under DefaultConfig,
+// committed so the server's reload test and the snapshot fuzzer load the
+// same bytes.
+const oneWayFixturePath = "testdata/oneway_edge.snap"
 
 // requireSameResults asserts two engines return identical answers (scores,
 // rows and tree edges) for the query.
@@ -249,6 +290,10 @@ func TestSnapshotV2Corruptions(t *testing.T) {
 	_ = impEntry
 
 	shard := readShardFixture(t)
+	oneWay, err := os.ReadFile(oneWayFixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := map[string][]byte{
 		"missing shard.owned":  dropLastSections(shard, 1),
@@ -299,6 +344,10 @@ func TestSnapshotV2Corruptions(t *testing.T) {
 			fixTableCRC(d)
 		}),
 	}
+	// Valid but for one edge without its reverse: only FromCSR's reverse-edge
+	// pass may refuse these (asserted below through its message).
+	cases["one-way edge"] = oneWaySnapshot(t, snap)
+	cases["one-way edge (fixture)"] = oneWay
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
 			_, err := LoadEngine(bytes.NewReader(data))
@@ -310,6 +359,9 @@ func TestSnapshotV2Corruptions(t *testing.T) {
 			}
 			if name == "retired v1 version" && !strings.Contains(err.Error(), "version 1") {
 				t.Errorf("v1 rejection does not name the version: %v", err)
+			}
+			if strings.HasPrefix(name, "one-way") && !strings.Contains(err.Error(), "has no reverse") {
+				t.Errorf("one-way snapshot refused by another check: %v", err)
 			}
 			// The mmap path shares the decoder and must agree.
 			if _, err := Open(writeSnapFile(t, data)); !errors.Is(err, ErrBadSnapshot) {
