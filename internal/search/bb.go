@@ -369,7 +369,7 @@ func (st *bbState) rootOf(root graph.NodeID) int32 {
 		sc.roots = append(sc.roots, rootState{})
 	}
 	rs := &sc.roots[n]
-	rs.node, rs.cands = root, rs.cands[:0]
+	rs.node, rs.buckets = root, rs.buckets[:0]
 	sc.rootAt[root] = int32(n + 1)
 	var unbuilt [maxSupplyLevels]int32
 	sc.listAt = append(sc.listAt, unbuilt[:st.qc.levels]...)
@@ -390,7 +390,7 @@ func (st *bbState) fill(c *candidate, bs *boundScratch) {
 	v := &bs.view
 	v.at(c.tree, c.root)
 	v.cover = c.cover
-	if !st.supplied(v) {
+	if !st.supplied(v, len(bs.slots)) {
 		return // ub stays 0: commit drops the candidate
 	}
 	bs.flow.SetTree(st.s.m, c.tree)
@@ -421,11 +421,13 @@ func (st *bbState) sources(t *jtt.Tree, bs *boundScratch) (cover uint64) {
 // commit folds one evaluated candidate into the search state: records its
 // answer (if complete), enqueues it for expansion unless pruned, and
 // attempts tree merges (Algorithm 1 lines 16–20) against every same-root
-// candidate committed before it, appending the merged trees to out for the
-// caller to process. Because every candidate merges against all its
-// predecessors, each unordered pair is attempted exactly once and the merge
-// set is transitively closed — a root with any number of child subtrees is
-// reachable, which Theorem 1's optimality needs.
+// candidate committed before it that the admission rule admits, appending
+// the merged trees to out for the caller to process. Because every
+// candidate merges against all its predecessors, each unordered pair is
+// attempted exactly once and the merge set is transitively closed — a root
+// with any number of child subtrees is reachable, which Theorem 1's
+// optimality needs. The admission rule reads covers only, so the registry
+// asks it once per cover (bucketWalk.start).
 func (st *bbState) commit(c *candidate, out []*jtt.Tree) []*jtt.Tree {
 	// The canonical key — the top-k's identity and tie-break — is built only
 	// for an answer that can enter or tie the list; one scoring below a full
@@ -453,35 +455,17 @@ func (st *bbState) commit(c *candidate, out []*jtt.Tree) []*jtt.Tree {
 	st.seq++
 	heap.Push(st.pq, c)
 	// Snapshot: trees merged from c will themselves merge against everything
-	// committed at their own commit time, including c, so iterating the
-	// pre-existing set suffices for closure.
-	rs := &st.sc.roots[c.root]
-	others := rs.cands
-	rs.cands = append(others, c)
-	for _, other := range others {
-		if !st.mergeAllowed(c, other) {
-			continue
-		}
+	// committed at their own commit time, including c, so walking the
+	// pre-existing registry suffices for closure.
+	rs, walk := &st.sc.roots[c.root], &st.sc.walk
+	walk.start(rs, c.cover, st.opts.ExtendedMerge)
+	for other := walk.next(); other != nil; other = walk.next() {
 		merged, err := st.sc.arena.Merge(c.tree, other.tree)
 		if err != nil {
 			continue // overlap: the sanity check of §IV-B
 		}
 		out = append(out, merged)
 	}
+	rs.register(c)
 	return out
-}
-
-// mergeAllowed applies the merge admission rule. The default (the paper's
-// §IV-B wording) requires the union to cover strictly more keywords than
-// either operand; extended mode also admits merges that only add non-free
-// nodes (see Options.ExtendedMerge).
-func (st *bbState) mergeAllowed(a, b *candidate) bool {
-	if st.opts.ExtendedMerge {
-		// Every candidate contains at least one non-free node (its
-		// original single-node seed), and Merge rejects overlap, so any
-		// merge adds at least one non-free node; always admissible.
-		return true
-	}
-	union := a.cover | b.cover
-	return union != a.cover && union != b.cover
 }

@@ -48,7 +48,8 @@ const supplyScanCap = 256
 type boundView struct {
 	// The candidate's nodes are tree's, plus grown when the view prices a
 	// child that is not built yet (graph.InvalidNode otherwise). node is its
-	// root, root the root's record, depth its depth.
+	// root, root the root's record — noRecord while the expansion step prices
+	// a child from the root's own field row — and depth its depth.
 	tree  *jtt.Tree
 	grown graph.NodeID
 	node  graph.NodeID
@@ -66,8 +67,14 @@ type boundView struct {
 	// lone source) — Eq. 3's node score when there are two or more.
 	gens, atRoot, fromRoot, inflow []float64
 
-	supplies []float64 // the missing terms' supplies, as supplied left them
+	// supplies holds, as supplied left them, the supplies of the missing
+	// terms, or of every term when a lone source covers them all.
+	supplies []float64
 }
+
+// noRecord is boundView.root for a view with no root record to read supply
+// lists from: supplied prices it from the root's own field row.
+const noRecord int32 = -1
 
 // at places the view on a built candidate.
 func (v *boundView) at(tree *jtt.Tree, root int32) {
@@ -137,18 +144,32 @@ func (v *boundView) scoreSum() float64 {
 }
 
 // supplied fills v.supplies with the best possible delivery, at the root,
-// from a supplement covering each term the candidate misses. It reports
-// false when some missing term has no feasible supplement: the candidate can
-// never become a valid answer, its bound is 0 and it must be pruned.
-func (st *bbState) supplied(v *boundView) bool {
+// from a supplement covering each term the candidate with that many sources
+// misses — or each term, when one source covers them all: the lone-source
+// bound asks what a second source could add. A view with a root record reads
+// the root's supply lists (bestSupply); one without reads the root's own
+// field row (rowSupply), which bounds the lists from above. It reports false
+// when some missing term has no feasible supplement: the candidate can never
+// become a valid answer, its bound is 0 and it must be pruned.
+func (st *bbState) supplied(v *boundView, sources int) bool {
 	missing := st.qc.full &^ v.cover
+	wanted := missing
+	if missing == 0 && sources == 1 {
+		wanted = st.qc.full
+	}
 	v.supplies = v.supplies[:0]
 	for ti := range st.qc.terms {
-		if missing&(uint64(1)<<ti) == 0 {
+		bit := uint64(1) << ti
+		if wanted&bit == 0 {
 			continue
 		}
-		best := st.bestSupply(ti, v)
-		if best <= 0 {
+		var best float64
+		if v.root == noRecord {
+			best = st.rowSupply(ti, v)
+		} else {
+			best = st.bestSupply(ti, v)
+		}
+		if best <= 0 && missing&bit != 0 {
 			return false
 		}
 		v.supplies = append(v.supplies, best)
@@ -157,10 +178,10 @@ func (st *bbState) supplied(v *boundView) bool {
 }
 
 // upperBound computes ub(C) = max(ce, pe) of a candidate that supplied
-// accepted, from its view.
+// accepted, from its view. It is monotone in the view's supplies, so a view
+// supplied from the field row bounds the one supplied from the lists.
 func (st *bbState) upperBound(v *boundView) float64 {
-	qc := st.qc
-	missing := qc.full &^ v.cover
+	missing := st.qc.full &^ v.cover
 	n := len(v.gens)
 	lone := missing == 0 && n == 1
 
@@ -196,10 +217,8 @@ func (st *bbState) upperBound(v *boundView) float64 {
 		// the floor bound already stands on.
 		bound := v.gens[0]
 		bestAdd := 0.0
-		for ti := range qc.terms {
-			if sup := st.bestSupply(ti, v); sup > bestAdd {
-				bestAdd = sup
-			}
+		for _, sup := range v.supplies {
+			bestAdd = max(bestAdd, sup)
 		}
 		if bestAdd > 0 {
 			factor := v.fromRoot[0]

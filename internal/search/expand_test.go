@@ -97,11 +97,15 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 	// per term — for each field level its candidates asked about: at least
 	// one, at most as many as the growth depths 0…⌈D/2⌉.
 	hub := &sc.roots[sc.rootAt[0]-1]
+	hubBucket := 0
+	for _, b := range hub.buckets {
+		hubBucket = max(hubBucket, cap(b.cands))
+	}
 	rows := len(sc.tops) / len(hubTerms)
-	if cap(hub.cands) <= rootListCap || len(sc.roots) != len(sc.rootAt) || len(sc.listAt) != opts.Diameter*len(sc.roots) ||
+	if hubBucket <= rootListCap || len(sc.roots) != len(sc.rootAt) || len(sc.listAt) != opts.Diameter*len(sc.roots) ||
 		rows < len(sc.roots) || rows > (halfDiameter(opts.Diameter)+1)*len(sc.roots) {
-		t.Fatalf("unexpected root records: hub registry %d, %d roots, %d supply lists (%d level slots) over %d nodes",
-			cap(hub.cands), len(sc.roots), len(sc.tops), len(sc.listAt), len(sc.rootAt))
+		t.Fatalf("unexpected root records: hub registry bucket %d, %d roots, %d supply lists (%d level slots) over %d nodes",
+			hubBucket, len(sc.roots), len(sc.tops), len(sc.listAt), len(sc.rootAt))
 	}
 	// The bound views hold a few floats per source of one tree, the parent's
 	// a square of them. The query's trees have two sources; a tree over 300
@@ -165,9 +169,17 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 		}
 	}
 	for _, rs := range sc.roots[:cap(sc.roots)] {
-		if cap(rs.cands) > rootListCap {
-			t.Errorf("retained a merge registry with capacity %d, cap %d", cap(rs.cands), rootListCap)
+		if cap(rs.buckets) > rootListCap {
+			t.Errorf("retained a merge registry of %d buckets, cap %d", cap(rs.buckets), rootListCap)
 		}
+		for _, b := range rs.buckets[:cap(rs.buckets)] {
+			if cap(b.cands) > rootListCap {
+				t.Errorf("retained a registry bucket with capacity %d, cap %d", cap(b.cands), rootListCap)
+			}
+		}
+	}
+	if cap(sc.walk.rest) > rootListCap {
+		t.Errorf("retained a bucket walk of capacity %d, cap %d", cap(sc.walk.rest), rootListCap)
 	}
 	// The field table of a two-term query is kept, all zero.
 	if len(sc.field) == 0 || len(sc.fields) != len(hubTerms) {

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"math"
+
 	"cirank/internal/graph"
 	"cirank/internal/jtt"
 )
@@ -36,15 +38,16 @@ func (o *BoundOracle) refield(drop graph.NodeID) {
 	}
 }
 
-// ChildBound returns what the expansion step would price tree grown to nb
-// at — nb an out-neighbour of tree's root, outside tree — without building
-// the child: the bound upperBound gives the view derived from tree's flows.
-// ok is false when the query has no supply fields, so the search would not
-// price at all.
-func (o *BoundOracle) ChildBound(tree *jtt.Tree, nb graph.NodeID) (ub float64, ok bool) {
+// ChildBound returns the two prices the expansion step can give tree grown
+// to nb — nb an out-neighbour of tree's root, outside tree — without building
+// the child: the bounds upperBound gives the view derived from tree's flows,
+// supplied from nb's field row (row) and from nb's supply lists (exact). ok
+// is false when the query has no supply fields, so the search would not price
+// at all.
+func (o *BoundOracle) ChildBound(tree *jtt.Tree, nb graph.NodeID) (row, exact float64, ok bool) {
 	st := o.st
 	if st.qc.levels == 0 {
-		return 0, false
+		return 0, 0, false
 	}
 	g := st.s.m.Graph()
 	w, isEdge := g.Weight(tree.Root(), nb)
@@ -52,6 +55,16 @@ func (o *BoundOracle) ChildBound(tree *jtt.Tree, nb graph.NodeID) (ub float64, o
 		panic("search: ChildBound wants an out-neighbour of the root outside the tree")
 	}
 	c := &candidate{tree: tree, root: st.rootOf(tree.Root())}
-	ub, _ = st.childBound(st.viewParent(c), graph.HalfEdge{To: nb, Weight: w})
-	return ub, true
+	p, e := st.viewParent(c), graph.HalfEdge{To: nb, Weight: w}
+	// childBound returns the row price when the row condemns the child, as a
+	// list whose k-th answer scores +Inf makes it do for every child, and
+	// the exact price otherwise, as an empty list makes it do unless both
+	// prices are 0.
+	empty := st.top
+	st.top = newTopK(1)
+	st.top.add(jtt.NewSingle(nb), math.Inf(1))
+	row, _ = st.childBound(p, e)
+	st.top = empty
+	exact, _ = st.childBound(p, e)
+	return row, exact, true
 }

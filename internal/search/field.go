@@ -5,8 +5,9 @@ import "cirank/internal/graph"
 // This file computes the per-term supply field behind the dynamic supplement
 // bound of §IV-B — how many messages a node covering a missing keyword could
 // still deliver at a candidate's root — and holds everything that reads its
-// table: the per-root supply lists and their full-scan fallback
-// (bounds.go's bestSupply asks them). The field answers that for every node
+// table: the per-root supply lists, their full-scan fallback (bounds.go's
+// bestSupply asks them) and the row bound an unbuilt child is priced from
+// first (rowSupply). The field answers that for every node
 // and every hop budget at once, per query, for the query's own matchers — a
 // hub's degree is paid once per query here rather than once per lookup in a
 // prebuilt index.
@@ -188,6 +189,29 @@ func (st *bbState) supplyLists(root int32, node graph.NodeID, depth int) {
 // level), which supplyLists built before any fill could ask for it.
 func (st *bbState) supplyList(root int32, lv, ti int) *topList {
 	return &st.sc.tops[int(st.sc.listAt[int(root)*st.qc.levels+lv])-1+ti]
+}
+
+// rowSlack is the relative slack rowSupply adds for the rounding of its
+// division, so that the row never prices below a list.
+const rowSlack = 1e-12
+
+// rowSupply bounds bestSupply's field estimate from the root's own field row,
+// without a pass over its out-edges. relax carries every edge n→w as
+// field(w, h+1) ≥ field(n, h)·damp(w), and the fixpoint level as
+// field(w, L−1) ≥ field(n, L−1)·damp(w); every edge has its reverse, so this
+// holds for every out-neighbour n of the root w. One level up, divided by the
+// root's own rate, the row bounds what any of them supplies at the view's
+// level — inside the tree or not.
+func (st *bbState) rowSupply(ti int, v *boundView) float64 {
+	lv, ok := st.supplyLevel(v.depth)
+	if !ok {
+		return 0
+	}
+	// A child stands at depth 1 or more, so the level above its own exists
+	// unless the diameter runs past maxSupplyLevels; then the last level is
+	// the fixpoint.
+	up := min(lv+1, st.qc.levels-1)
+	return st.sc.fields[ti].row(v.node)[up] / st.s.m.Damp(v.node) * (1 + rowSlack)
 }
 
 // scanSupply is bestSupply's field estimate by a full pass over the root's

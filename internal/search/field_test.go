@@ -108,8 +108,36 @@ func bruteField(fc fieldCase, matchers []graph.NodeID) []float64 {
 	return out
 }
 
+// checkRowBound holds one term's field to what rowSupply reads off it: along
+// every edge w→n, field(n, h)·damp(w) ≤ field(w, h+1), and with fixpoint
+// field(n, L−1)·damp(w) ≤ field(w, L−1). Every edge has its reverse, so n is
+// also a node that relax carries into w.
+func checkRowBound(t testing.TB, g *graph.Graph, damp []float64, fs *fieldScratch, fixpoint bool) {
+	t.Helper()
+	L := fs.levels
+	for w := 0; w < g.NumNodes(); w++ {
+		at := fs.row(graph.NodeID(w))
+		for _, e := range g.OutEdges(graph.NodeID(w)) {
+			for h, val := range fs.row(e.To) {
+				up := h + 1
+				if up == L {
+					if !fixpoint {
+						continue
+					}
+					up = L - 1
+				}
+				if val*damp[w] > at[up] {
+					t.Fatalf("edge %d→%d: field(%d, %d)·damp(%d) = %v exceeds field(%d, %d) = %v (levels %d, fixpoint %v)",
+						w, e.To, e.To, h, w, val*damp[w], w, up, at[up], L, fixpoint)
+				}
+			}
+		}
+	}
+}
+
 // checkFieldCase relaxes every term of the case into one shared table, as a
-// query does, and compares each entry with the enumeration, exactly.
+// query does, and compares each entry with the enumeration, exactly; the
+// table must also carry the row bound.
 func checkFieldCase(t testing.TB, fc fieldCase) {
 	t.Helper()
 	T, L := len(fc.matchers), fc.levels
@@ -133,6 +161,7 @@ func checkFieldCase(t testing.TB, fc fieldCase) {
 				}
 			}
 		}
+		checkRowBound(t, fc.g, fc.damp, &fs, fc.fixpoint)
 	}
 }
 
@@ -141,7 +170,8 @@ func checkFieldCase(t testing.TB, fc fieldCase) {
 // hubs, per-direction weights, nodes matching both terms — every entry equals the
 // best enumerated path product; and the fields a real query computes (the
 // model's rates and generation counts, the text index's matchers, the pooled
-// table) equal it too.
+// table) equal it too. Both carry the row bound the expansion step prices
+// children from (checkRowBound).
 func TestSupplyFieldMatchesPathEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 400; round++ {
@@ -174,6 +204,7 @@ func TestSupplyFieldMatchesPathEnumeration(t *testing.T) {
 						}
 					}
 				}
+				checkRowBound(t, fx.g, fc.damp, &sc.fields[ti], fc.fixpoint)
 			}
 			sc.release()
 			for i, v := range sc.field[:cap(sc.field)] {
@@ -185,8 +216,9 @@ func TestSupplyFieldMatchesPathEnumeration(t *testing.T) {
 	}
 }
 
-// FuzzSupplyField holds the relaxation to the path enumeration on whatever
-// graph, rates and matcher sets the bytes decode to. The seeds are the
+// FuzzSupplyField holds the relaxation to the path enumeration, and to the
+// row bound, on whatever graph, rates and matcher sets the bytes decode to.
+// The seeds are the
 // committed corpus under testdata/fuzz/FuzzSupplyField.
 func FuzzSupplyField(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

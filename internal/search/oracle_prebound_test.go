@@ -13,14 +13,17 @@ import (
 // TestChildBoundOnGenerators walks the difftest workloads: for every
 // candidate tree on the way to an enumerated answer, and every keyword node
 // alone, and every out-neighbour of its root it does not hold, the bound the
-// expansion step prices the unbuilt child at must agree with the bound
-// Evaluate computes for the built one within 1e-9 relative — the slack of the
-// skip rule, which therefore drops exactly the children commit would have.
-// The children must span the bound's three cases, grown nodes that match and
-// that do not, and parents whose root is a source.
+// expansion step prices the unbuilt child at from its root's supply lists
+// must agree with the bound Evaluate computes for the built one within 1e-9
+// relative — the slack of the skip rule, which therefore drops exactly the
+// children commit would have. The cheaper price from the root's field row
+// must be at least the list price, and 0 only where that is 0 too, so any
+// child the row condemns the lists condemn. The children must span the
+// bound's three cases, grown nodes that match and that do not, and parents
+// whose root is a source.
 func TestChildBoundOnGenerators(t *testing.T) {
 	const slack = 1e-9
-	var lone, complete, missing, matcher, free, rootSource, checked, below int
+	var lone, complete, missing, matcher, free, rootSource, checked, below, rowZero int
 	var gap float64 // the largest relative distance seen
 	for seed := int64(0); seed < fieldSeeds; seed++ {
 		w, err := difftest.Generate(seed)
@@ -57,9 +60,16 @@ func TestChildBoundOnGenerators(t *testing.T) {
 					if tree.Contains(e.To) {
 						continue
 					}
-					pre, priced := o.ChildBound(tree, e.To)
+					row, pre, priced := o.ChildBound(tree, e.To)
 					if !priced {
 						t.Fatalf("seed %d query %v D=%d: no supply fields to price from", seed, q.Terms, q.Diameter)
+					}
+					if row < pre || row <= 0 && pre > 0 {
+						t.Fatalf("seed %d query %v D=%d: %s rooted at %d grown to %d: priced %.17g from the row, %.17g from the lists",
+							seed, q.Terms, q.Diameter, tree.CanonicalKey(), tree.Root(), e.To, row, pre)
+					}
+					if row <= 0 {
+						rowZero++
 					}
 					child, err := tree.Grow(w.Graph, e.To)
 					if err != nil {
@@ -101,7 +111,8 @@ func TestChildBoundOnGenerators(t *testing.T) {
 	t.Logf("%d children: %d lone, %d complete, %d missing a term; %d grown to a matcher, %d to a free node; %d under a source root",
 		checked, lone, complete, missing, matcher, free, rootSource)
 	t.Logf("largest relative distance between the two bounds %.3g; the unbuilt one is the lower in %d children", gap, below)
-	for name, n := range map[string]int{"lone": lone, "complete": complete, "missing": missing, "matcher": matcher, "free": free, "source root": rootSource} {
+	t.Logf("the row alone prices %d children at 0", rowZero)
+	for name, n := range map[string]int{"lone": lone, "complete": complete, "missing": missing, "matcher": matcher, "free": free, "source root": rootSource, "row zero": rowZero} {
 		if n < 1000 {
 			t.Errorf("only %d children of kind %q checked", n, name)
 		}

@@ -23,8 +23,9 @@ import (
 //     edge nb→r exists because every edge has its reverse — and then
 //     descends as r's own flows do, dampened at r and scaled by ρ.
 //   - nb joins as a source when it matches a term; its supplies come from
-//     its own supply lists at the child's level, with nb counted as a tree
-//     node.
+//     its own field row (an O(terms) read that bounds its supply lists)
+//     and, for a child that price does not condemn, from the lists at the
+//     child's level, with nb counted as a tree node.
 //
 // So the expansion step views the popped candidate once (flowView), derives
 // each child's boundView from it and asks upperBound — the same function
@@ -126,20 +127,36 @@ func (p *flowView) grow(v *boundView, w float64, gen, damp float64) {
 
 // childBound prices the child of p's candidate over the root's out-edge e
 // without building it: its cover and the bound upperBound gives its derived
-// view. The bound is fill's for the built child up to rounding when no path
-// index is passed, and never below it when one is. The caller has checked
-// that e.To is outside the tree.
+// view. The view is supplied twice at most, cheapest first: from nb's own
+// field row, which costs a read per term, and — only when that price does
+// not condemn the child — from nb's supply lists, which cost a pass over its
+// out-edges the first time a child at that depth asks. The row supplies bound
+// the lists' from above and upperBound is monotone in them, so a child the
+// row condemns the lists would condemn too. The bound returned is fill's for
+// the built child up to rounding when no path index is passed, and never
+// below it when one is, unless the row condemned the child. The caller has
+// checked that e.To is outside the tree.
 func (st *bbState) childBound(p *flowView, e graph.HalfEdge) (ub float64, cover uint64) {
 	qc, nb := st.qc, e.To
 	v := &st.sc.child
-	v.tree, v.grown, v.node, v.depth = p.tree, nb, nb, p.depth+1
-	v.root = st.rootOf(nb)
-	st.supplyLists(v.root, nb, v.depth)
+	v.tree, v.grown, v.node, v.root, v.depth = p.tree, nb, nb, noRecord, p.depth+1
 	v.cover = p.cover | qc.masks[nb]
-	if !st.supplied(v) {
+	sources := len(p.gens)
+	if qc.gen[nb] > 0 {
+		sources++
+	}
+	if !st.supplied(v, sources) {
 		return 0, v.cover
 	}
 	p.grow(v, e.Weight, qc.gen[nb], st.s.m.Damp(nb))
+	if ub = st.upperBound(v); st.condemned(ub, v.cover) {
+		return ub, v.cover
+	}
+	v.root = st.rootOf(nb)
+	st.supplyLists(v.root, nb, v.depth)
+	if !st.supplied(v, sources) {
+		return 0, v.cover
+	}
 	return st.upperBound(v), v.cover
 }
 

@@ -36,6 +36,7 @@ type childKinds struct {
 	matcher, free           int // the node grown to
 	rootSource              int // parents whose root is a source
 	doomed, checked         int
+	rowDoomed, rowTight     int // children the row price alone condemns: for a missing term, and just past the exact price
 	ranked                  int // queries whose ranking was held to the references
 }
 
@@ -44,16 +45,19 @@ func (k *childKinds) add(o childKinds) {
 	k.matcher, k.free = k.matcher+o.matcher, k.free+o.free
 	k.rootSource += o.rootSource
 	k.doomed, k.checked, k.ranked = k.doomed+o.doomed, k.checked+o.checked, k.ranked+o.ranked
+	k.rowDoomed, k.rowTight = k.rowDoomed+o.rowDoomed, k.rowTight+o.rowTight
 }
 
 // checkChildBounds holds the derived bound to fill's on every child of every
 // tree the search could hold for the query, up to maxTrees of them: the
 // closure of the matchers under grow and (extended) merge within the depth
 // limit. For each tree and each out-neighbour of its root outside it, the
-// bound priced from the tree's flows must agree with the bound fill computes
-// for the built child within preBoundSlack — the skip rule's slack, so a
-// child is never dropped on a bound fill would have put above the k-th
-// answer.
+// bound priced from the tree's flows and the root's supply lists must agree
+// with the bound fill computes for the built child within preBoundSlack — the
+// skip rule's slack, so a child is never dropped on a bound fill would have
+// put above the k-th answer. The price from the root's field row must be at
+// least that bound, and condemn the child only where it condemns it too —
+// with room in the answer list, and with a full one at any k-th score.
 func checkChildBounds(t testing.TB, s *Searcher, terms []string, opts Options, maxTrees int) (kinds childKinds) {
 	t.Helper()
 	o, ok, err := s.NewBoundOracle(terms, opts)
@@ -64,6 +68,19 @@ func checkChildBounds(t testing.TB, s *Searcher, terms []string, opts Options, m
 		return kinds
 	}
 	g, qc := s.m.Graph(), o.st.qc
+	// condemnedAt is the skip rule under a list whose k-th answer scores
+	// kth, or with room in the list when kth < 0.
+	kthList := newTopK(1)
+	kthList.add(jtt.NewSingle(0), 0)
+	condemnedAt := func(ub float64, cover uint64, kth float64) bool {
+		if kth < 0 {
+			return o.st.condemned(ub, cover)
+		}
+		saved := o.st.top
+		kthList.items[0].Score, o.st.top = kth, kthList
+		defer func() { o.st.top = saved }()
+		return o.st.condemned(ub, cover)
+	}
 	seen := make(map[string]bool)
 	var trees []*jtt.Tree
 	push := func(tree *jtt.Tree) {
@@ -91,7 +108,7 @@ func checkChildBounds(t testing.TB, s *Searcher, terms []string, opts Options, m
 			if tree.Contains(e.To) {
 				continue
 			}
-			pre, _ := o.ChildBound(tree, e.To)
+			row, pre, _ := o.ChildBound(tree, e.To)
 			child, err := tree.Grow(g, e.To)
 			if err != nil {
 				t.Fatal(err)
@@ -101,10 +118,27 @@ func checkChildBounds(t testing.TB, s *Searcher, terms []string, opts Options, m
 				t.Fatalf("query %v D=%d: tree %s rooted at %d grown to %d: priced %.17g from the parent, fill bounds the built child %.17g",
 					terms, opts.Diameter, tree.CanonicalKey(), root, e.To, pre, ub)
 			}
+			cover := qc.cover(child)
+			if row < pre {
+				t.Fatalf("query %v D=%d: tree %s rooted at %d grown to %d: priced %.17g from the row, %.17g from the lists",
+					terms, opts.Diameter, tree.CanonicalKey(), root, e.To, row, pre)
+			}
+			for _, kth := range []float64{-1, pre * (1 + 2*preBoundSlack), row * (1 + 2*preBoundSlack), ub} {
+				if condemnedAt(row, cover, kth) && !condemnedAt(pre, cover, kth) {
+					t.Fatalf("query %v D=%d: tree %s rooted at %d grown to %d: the row price %.17g condemns at k-th score %v, the list price %.17g does not",
+						terms, opts.Diameter, tree.CanonicalKey(), root, e.To, row, kth, pre)
+				}
+			}
+			if condemnedAt(row, cover, -1) {
+				kinds.rowDoomed++
+			}
+			if condemnedAt(row, cover, pre*(1+2*preBoundSlack)) {
+				kinds.rowTight++
+			}
 			kinds.checked++
 			sources := len(qc.sourcesIn(child))
 			switch {
-			case qc.cover(child) != qc.full:
+			case cover != qc.full:
 				kinds.missing++
 			case sources == 1:
 				kinds.lone++
@@ -211,7 +245,7 @@ func TestChildBoundMatchesFill(t *testing.T) {
 	kinds.add(checkChildBounds(t, fig2Fixture(t).s, []string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4, Workers: 1}, 512))
 	t.Logf("%+v", kinds)
 	if kinds.lone < 100 || kinds.complete < 100 || kinds.missing < 100 || kinds.matcher < 100 || kinds.free < 100 ||
-		kinds.rootSource < 100 || kinds.doomed < 100 || kinds.ranked < 100 {
+		kinds.rootSource < 100 || kinds.doomed < 100 || kinds.rowDoomed < 100 || kinds.rowTight < 100 || kinds.ranked < 100 {
 		t.Fatalf("some case of the bound went nearly unexercised: %+v", kinds)
 	}
 }

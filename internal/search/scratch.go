@@ -132,12 +132,80 @@ func (s *treeSet) reset() {
 }
 
 // rootState is what the search keeps per candidate root besides its supply
-// lists: the merge registry. Records are created by
-// bbState.rootOf when a root's first candidate appears and found again
-// through the dense queryScratch.rootAt table.
+// lists: the merge registry, the committed candidates rooted here bucketed by
+// cover. Records are created by bbState.rootOf when a root's first candidate
+// appears, or an unbuilt child's bound needs its supply lists, and found
+// again through the dense queryScratch.rootAt table.
 type rootState struct {
-	node  graph.NodeID
-	cands []*candidate // committed candidates rooted here, in commit order
+	node    graph.NodeID
+	buckets []coverBucket // one per cover seen here, in order of first commit
+}
+
+// coverBucket is the committed candidates of one root that share a cover, in
+// commit order — ascending seq.
+type coverBucket struct {
+	cover uint64
+	cands []*candidate
+}
+
+// register files a committed candidate, the last so far, under its cover.
+func (rs *rootState) register(c *candidate) {
+	i := 0
+	for i < len(rs.buckets) && rs.buckets[i].cover != c.cover {
+		i++
+	}
+	if i == len(rs.buckets) {
+		if i < cap(rs.buckets) {
+			rs.buckets = rs.buckets[:i+1] // re-use a released bucket's storage
+		} else {
+			rs.buckets = append(rs.buckets, coverBucket{})
+		}
+		rs.buckets[i].cover, rs.buckets[i].cands = c.cover, rs.buckets[i].cands[:0]
+	}
+	rs.buckets[i].cands = append(rs.buckets[i].cands, c)
+}
+
+// bucketWalk visits the registered candidates of one root that the merge
+// admission rule pairs with a candidate of a given cover, in commit order.
+// The rule reads covers only. The default (the paper's §IV-B wording)
+// requires the union to cover strictly more keywords than either operand,
+// so the two covers must be incomparable; extended mode admits every pair
+// (see Options.ExtendedMerge): every candidate contains a non-free node, its
+// seed, and Merge rejects overlap, so any merge adds one. So the walk asks
+// the rule once per bucket and merges the admitted buckets by seq: the same
+// candidates, in the same order, as a scan over every registered one.
+type bucketWalk struct {
+	rest [][]*candidate // the unvisited tail of each admitted bucket, none empty
+}
+
+// start aims the walk at the candidates of rs the rule admits for cover.
+func (w *bucketWalk) start(rs *rootState, cover uint64, extended bool) {
+	w.rest = w.rest[:0]
+	for _, b := range rs.buckets {
+		if union := b.cover | cover; extended || union != b.cover && union != cover {
+			w.rest = append(w.rest, b.cands)
+		}
+	}
+}
+
+// next returns the next admitted candidate, nil when the walk is done.
+func (w *bucketWalk) next() *candidate {
+	if len(w.rest) == 0 {
+		return nil
+	}
+	first := 0 // the bucket whose next candidate committed first
+	for i := 1; i < len(w.rest); i++ {
+		if w.rest[i][0].seq < w.rest[first][0].seq {
+			first = i
+		}
+	}
+	c := w.rest[first][0]
+	if w.rest[first] = w.rest[first][1:]; len(w.rest[first]) == 0 {
+		last := len(w.rest) - 1
+		w.rest[first], w.rest[last] = w.rest[last], nil
+		w.rest = w.rest[:last]
+	}
+	return c
 }
 
 // rootTop is how many out-neighbours a supply list holds.
@@ -199,7 +267,7 @@ const (
 	rootsCap     = 1 << 13
 	candSlabKeep = seenMapCap / candSlabSize
 	ptrBufCap    = seenMapCap
-	rootListCap  = 256 // per retained merge registry; a hub root's is dropped
+	rootListCap  = 256 // per retained registry bucket, and buckets per registry; a hub root's are dropped
 	viewBufCap   = 256 // floats per bound-view buffer; the parent's source-by-source square reaches it at 16 sources
 )
 
@@ -234,7 +302,8 @@ type queryScratch struct {
 
 	arena  jtt.Arena
 	cands  candSlab
-	keyBuf []byte // canonical key of the top-k entrant being committed
+	keyBuf []byte     // canonical key of the top-k entrant being committed
+	walk   bucketWalk // the registry walk of the candidate being committed
 
 	// parent is the bound view of the candidate being expanded, child the
 	// view the expansion step derives from it for one neighbour at a time
@@ -296,8 +365,12 @@ func (sc *queryScratch) release() {
 	for i := range sc.roots {
 		rs := &sc.roots[i]
 		sc.rootAt[rs.node] = 0
-		rs.cands = trimmed(rs.cands, rootListCap)
+		for j := range rs.buckets {
+			rs.buckets[j].cands = trimmed(rs.buckets[j].cands, rootListCap)
+		}
+		rs.buckets = trimmed(rs.buckets, rootListCap)
 	}
+	sc.walk.rest = trimmed(sc.walk.rest, rootListCap)
 	sc.roots = trimmed(sc.roots, rootsCap)
 	sc.tops = trimmed(sc.tops, ptrBufCap)
 	sc.listAt = trimmed(sc.listAt, ptrBufCap)

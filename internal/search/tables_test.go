@@ -147,6 +147,46 @@ func TestTopListKeepsBestFour(t *testing.T) {
 	}
 }
 
+// TestBucketWalkMatchesScan holds the cover-bucketed merge registry to the
+// scan it replaces: over random cover sequences of one to five terms, with
+// extended merging on and off, the walk for each committed candidate yields
+// exactly the earlier candidates the admission rule accepts, in commit order.
+// One registry serves every round, reset as rootOf resets a record, so the
+// rounds also re-use released buckets.
+func TestBucketWalkMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	var rs rootState
+	var walk bucketWalk
+	for round := 0; round < 400; round++ {
+		terms, extended, n := 1+rng.Intn(5), round%2 == 1, 1+rng.Intn(120)
+		full := uint64(1)<<terms - 1
+		rs.buckets = rs.buckets[:0]
+		var committed []*candidate
+		for seq := 0; seq < n; seq++ {
+			c := &candidate{cover: 1 + uint64(rng.Int63n(int64(full))), seq: seq}
+			var want, got []int
+			for _, o := range committed {
+				if u := o.cover | c.cover; extended || u != o.cover && u != c.cover {
+					want = append(want, o.seq)
+				}
+			}
+			walk.start(&rs, c.cover, extended)
+			for o := walk.next(); o != nil; o = walk.next() {
+				got = append(got, o.seq)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("round %d (%d terms, extended %v): candidate %d covering %b walks %v, the scan admits %v",
+					round, terms, extended, seq, c.cover, got, want)
+			}
+			rs.register(c)
+			committed = append(committed, c)
+		}
+		if len(rs.buckets) > int(full) {
+			t.Fatalf("round %d: %d buckets for %d covers", round, len(rs.buckets), full)
+		}
+	}
+}
+
 // TestTreeSetIsExactUnderCollisions forces every insert onto one hash value,
 // so membership rests on structural equality alone: trees over one node set
 // that differ in a single parent or only in the root stay apart, and one

@@ -21,11 +21,11 @@ type engineHandle struct {
 	done       chan struct{}
 }
 
-// release drops one reference, closing the engine at zero.
+// release drops one reference, closing the engine at zero. Only a reference
+// taken while the count was positive may be released: the count reaches zero
+// once per handle, so the engine and done close once.
 func (h *engineHandle) release() {
 	if h.refs.Add(-1) == 0 {
-		// Engine.Close is idempotent, so the resurrection race in Acquire
-		// (increment from zero, detect, re-release) cannot double-close.
 		_ = h.engine.Close()
 		close(h.done)
 	}
@@ -91,8 +91,10 @@ func (p *Provider) Acquire() *Lease {
 			return &Lease{h: h}
 		}
 		// The count was zero: h was retired and its closer already ran (or
-		// is running). Undo the increment and retry on the new current.
-		h.release()
+		// is running). Undo the increment without releasing — the count
+		// returns to zero, and release would close h a second time — and
+		// retry on the new current.
+		h.refs.Add(-1)
 	}
 }
 

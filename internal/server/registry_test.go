@@ -423,6 +423,38 @@ func TestProviderCloseAcquireRace(t *testing.T) {
 	}
 }
 
+// TestProviderAcquireSkipsRetiredHandle pins the step of Acquire that the
+// race above only rarely reaches: the current handle it loads was retired in
+// the meantime — its count at zero, its engine and done closed. Acquire must
+// undo its increment without closing the handle a second time and retry
+// until a live handle is current, then lease that one.
+func TestProviderAcquireSkipsRetiredHandle(t *testing.T) {
+	retired := &engineHandle{engine: smallEngine(t), generation: 1, done: make(chan struct{})}
+	retired.engine.Close()
+	close(retired.done)
+	live := &engineHandle{engine: smallEngine(t), generation: 2, done: make(chan struct{})}
+	live.refs.Store(1)
+	p := &Provider{}
+	p.cur.Store(retired)
+	go func() {
+		// Acquire spins on the retired handle until this store, so the wait
+		// only makes sure it meets that handle; no outcome depends on it.
+		time.Sleep(20 * time.Millisecond)
+		p.cur.Store(live)
+	}()
+	l := p.Acquire()
+	if l == nil || l.Generation() != 2 {
+		t.Fatalf("Acquire leased %+v, want the live generation 2", l)
+	}
+	if n := retired.refs.Load(); n != 0 {
+		t.Errorf("retired handle left at %d references", n)
+	}
+	l.Release()
+	if n := live.refs.Load(); n != 1 {
+		t.Errorf("live handle at %d references after the lease, want the provider's 1", n)
+	}
+}
+
 // TestTenantMetricsLabels spot-checks the tenant-labeled series of a
 // two-tenant exposition: per-tenant outcome counters and fair-share gauges,
 // with the unlabeled series still carrying the process-wide sums.
