@@ -101,7 +101,7 @@ bench:
 # end. Nothing here compares wall-clock numbers; that is bench-pairs' job.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkSearch$$' -benchtime 1x .
-	$(GO) test -race -run 'TestBuild|TestScratch|TestEdgeOrder|TestWeightBinarySearch' ./internal/pathindex ./internal/textindex ./internal/graph .
+	$(GO) test -race -run 'TestBuild|TestScratch|TestEdgeOrder|TestWeightBinarySearch|TestWeightsReverseIndex' ./internal/pathindex ./internal/textindex ./internal/graph .
 	$(GO) run ./cmd/cirank-loadgen -duration 1s -clients 4 -out /dev/null
 	$(GO) run ./cmd/cirank-loadgen -arms tenants -duration 1s -clients 4 -out /dev/null
 

@@ -229,8 +229,10 @@ func (e *Engine) TermSelectivity(term string) int {
 // SearchStats reports the work one query did, for observability and the
 // serving layer's per-query diagnostics.
 type SearchStats struct {
-	// Expanded counts candidate trees popped and expanded by the
-	// branch-and-bound loop.
+	// Expanded counts candidate trees popped and grown by the
+	// branch-and-bound loop. Trees at the ⌈D/2⌉ depth limit can grow nothing
+	// and are never queued, so each count is a real expansion, and it is
+	// this count that SearchOptions.MaxExpansions caps.
 	Expanded int
 	// Generated counts candidate trees created (after dedup).
 	Generated int

@@ -11,7 +11,8 @@ import (
 // denseEngine builds, through the public API, a layered graph whose
 // branch-and-bound frontier grows combinatorially: 3 "alpha" tuples, three
 // complete-bipartite layers of m connector tuples, 3 "beta" tuples. With
-// MaxExpansions -1 an uncancelled query runs far past the test deadlines.
+// MaxExpansions -1 an uncancelled query generates about 9m³ trees and runs
+// far past the test deadlines.
 func denseEngine(t *testing.T, m int) *Engine {
 	t.Helper()
 	b, err := NewBuilder(
@@ -114,10 +115,14 @@ func TestConfigValidation(t *testing.T) {
 // per-query context expires, returning the best answers found so far with
 // Stats.Interrupted — at both per-query worker settings.
 func TestSearchContextCancellation(t *testing.T) {
-	eng := denseEngine(t, 40)
+	eng := denseEngine(t, 120)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			// 500ms leaves room for the first answers to land under -race.
+			// 500ms leaves room for the first answers to land under -race,
+			// and is far under the uncancelled runtime: m = 120 generates
+			// about 15.6M trees, and on a 2-core x86-64 VM a 5 s deadline
+			// (10x this one) still interrupted it at 5.2M, with 4 workers.
+			// (m = 40 finished in 0.54 s there.)
 			ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 			defer cancel()
 			start := time.Now()

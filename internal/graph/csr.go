@@ -40,7 +40,8 @@ func (g *Graph) CSR() (offsets []int32, edges []HalfEdge, outSum []float64) {
 // outSum must equal the sorted-order weight sum exactly (the same summation
 // order Build uses, so a valid snapshot matches bit-for-bit), and every edge
 // must have its reverse. The slices are retained, not copied: callers
-// loading from a mapped file keep the graph zero-copy.
+// loading from a mapped file keep the graph zero-copy. Only the reverse
+// index, found by the same pass that checks the pairing, is allocated.
 func FromCSR(nodes []Node, offsets []int32, edges []HalfEdge, outSum []float64) (*Graph, error) {
 	n := len(nodes)
 	if len(offsets) != n+1 {
@@ -87,22 +88,37 @@ func FromCSR(nodes []Node, offsets []int32, edges []HalfEdge, outSum []float64) 
 			return nil, fmt.Errorf("graph: node %d has negative word count %d", i, nodes[i].Words)
 		}
 	}
-	// Sources visited in ascending order meet v's in-neighbours in ascending
-	// order, and with every reverse present those are exactly v's sorted
-	// out-list: one cursor per node checks the pairing in a pass. Each edge
-	// advances one cursor, so no cursor can stop short of its list's end.
+	rev, err := reverses(offsets, edges)
+	if err != nil {
+		return nil, err
+	}
+	return &Graph{nodes: nodes, offsets: offsets, flat: edges, outSum: outSum, rev: rev}, nil
+}
+
+// reverses pairs every edge of a sorted CSR layout with its reverse: rev[k]
+// is the flat index of the edge running back along edge k. Sources visited
+// in ascending order meet v's in-neighbours in ascending order, and with
+// every reverse present those are exactly v's sorted out-list: one cursor
+// per node pairs them in a pass. Each edge advances one cursor, so no cursor
+// can stop short of its list's end. It fails at the first edge whose reverse
+// is missing.
+func reverses(offsets []int32, edges []HalfEdge) ([]int32, error) {
+	n := len(offsets) - 1
+	rev := make([]int32, len(edges))
 	next := make([]int32, n)
 	copy(next, offsets)
 	for u := 0; u < n; u++ {
-		for _, e := range edges[offsets[u]:offsets[u+1]] {
-			c := next[e.To]
-			if c == offsets[e.To+1] || edges[c].To != NodeID(u) {
-				return nil, fmt.Errorf("graph: edge %d→%d has no reverse", u, e.To)
+		for k := offsets[u]; k < offsets[u+1]; k++ {
+			v := edges[k].To
+			c := next[v]
+			if c == offsets[v+1] || edges[c].To != NodeID(u) {
+				return nil, fmt.Errorf("graph: edge %d→%d has no reverse", u, v)
 			}
-			next[e.To] = c + 1
+			rev[k] = c
+			next[v] = c + 1
 		}
 	}
-	return &Graph{nodes: nodes, offsets: offsets, flat: edges, outSum: outSum}, nil
+	return rev, nil
 }
 
 // AppendEdges appends the wire encoding of edges to dst: 16 bytes per edge,

@@ -47,6 +47,61 @@ func TestFromCSRRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWeightsReverseIndex is the reverse index's property test over graphs
+// made by Builder and by a CSR() → FromCSR round trip: for every ordered
+// pair, present or absent, Weights(a, b) is (Weight(a, b), Weight(b, a)) and
+// agrees with a scan of both adjacency lists, and rev pairs every edge with
+// the edge running back along it (so rev[rev[k]] == k).
+func TestWeightsReverseIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	scan := func(g *Graph, from, to NodeID) (float64, bool) {
+		for _, e := range g.OutEdges(from) {
+			if e.To == to {
+				return e.Weight, true
+			}
+		}
+		return 0, false
+	}
+	for trial := 0; trial < 40; trial++ {
+		// Dense and sparse graphs, so both the hub side and the leaf side of
+		// a pair get to be the shorter list.
+		n := 2 + rng.Intn(24)
+		built := randomGraph(rng, n, rng.Intn(4*n))
+		offsets, edges, outSum := built.CSR()
+		loaded, err := FromCSR(nodesOf(built), offsets, edges, outSum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, g := range map[string]*Graph{"built": built, "loaded": loaded} {
+			if len(g.rev) != g.NumEdges() {
+				t.Fatalf("trial %d %s: reverse index of %d entries for %d edges", trial, name, len(g.rev), g.NumEdges())
+			}
+			for u := 0; u < n; u++ {
+				for k := g.offsets[u]; k < g.offsets[u+1]; k++ {
+					r := g.rev[k]
+					if g.rev[r] != k || g.flat[r].To != NodeID(u) || r < g.offsets[g.flat[k].To] || r >= g.offsets[g.flat[k].To+1] {
+						t.Fatalf("trial %d %s: edge %d (%d→%d) has reverse index %d", trial, name, k, u, g.flat[k].To, r)
+					}
+				}
+			}
+			for a := NodeID(0); a < NodeID(n); a++ {
+				for b := NodeID(0); b < NodeID(n); b++ {
+					ab, ba, ok := g.Weights(a, b)
+					wab, okAB := g.Weight(a, b)
+					wba, okBA := g.Weight(b, a)
+					sab, sokAB := scan(g, a, b)
+					sba, sokBA := scan(g, b, a)
+					if ab != wab || ba != wba || ok != okAB || ok != okBA ||
+						ab != sab || ba != sba || ok != sokAB || ok != sokBA {
+						t.Fatalf("trial %d %s: Weights(%d, %d) = (%g, %g, %v); Weight both ways (%g, %v) (%g, %v); scan (%g, %v) (%g, %v)",
+							trial, name, a, b, ab, ba, ok, wab, okAB, wba, okBA, sab, sokAB, sba, sokBA)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFromCSRRejectsBrokenLayouts(t *testing.T) {
 	// A valid two-node layout, one edge each way, to mutate from.
 	nodes := []Node{{Relation: "R", Words: 1}, {Relation: "R", Words: 1}}

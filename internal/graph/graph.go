@@ -13,7 +13,8 @@
 // The graph is immutable after construction via Builder, which lets the
 // adjacency lists be stored as contiguous sorted slices — compact and cheap
 // to binary-search, which matters because the search algorithms in
-// internal/search probe edges heavily.
+// internal/search probe edges heavily — and every edge be paired with its
+// reverse's index, so a probe for both directions searches one list.
 package graph
 
 import (
@@ -65,6 +66,10 @@ type Graph struct {
 	// outSum[i] caches the total outgoing weight of node i, used both for
 	// random-walk normalization and for RWMP split denominators.
 	outSum []float64
+	// rev[k] is the flat index of edge k's reverse: flat[k] runs u→v and
+	// flat[rev[k]] runs v→u. It lives on the heap only — derived from the
+	// layout wherever a graph is made, never written to a snapshot.
+	rev []int32
 }
 
 // NumNodes reports the number of nodes in the graph.
@@ -94,22 +99,39 @@ func (g *Graph) OutWeightSum(id NodeID) float64 { return g.outSum[id] }
 // Weight returns the weight of the directed edge from → to, and whether the
 // edge exists.
 func (g *Graph) Weight(from, to NodeID) (float64, bool) {
-	edges := g.OutEdges(from)
-	// Hand-rolled rather than sort.Search: scoring probes two weights per
-	// tree edge, and the closure call per step showed in its profile.
-	lo, hi := 0, len(edges)
+	w, _, ok := g.Weights(from, to)
+	return w, ok
+}
+
+// Weights returns the weights of the edge a → b and of its reverse b → a,
+// and whether the pair exists (every edge has its reverse, so both do or
+// neither does). It binary-searches only the shorter of the two adjacency
+// lists and reads the other direction through the reverse index, so a probe
+// between a hub and a leaf costs the leaf's degree, not the hub's.
+func (g *Graph) Weights(a, b NodeID) (ab, ba float64, ok bool) {
+	from, to := a, b
+	if g.OutDegree(b) < g.OutDegree(a) {
+		from, to = b, a
+	}
+	lo, hi := g.offsets[from], g.offsets[from+1]
+	// Hand-rolled rather than sort.Search: scoring probes every tree edge,
+	// and the closure call per step showed in its profile.
 	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if edges[mid].To < to {
+		mid := int32(uint32(lo+hi) >> 1)
+		if g.flat[mid].To < to {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(edges) && edges[lo].To == to {
-		return edges[lo].Weight, true
+	if lo == g.offsets[from+1] || g.flat[lo].To != to {
+		return 0, 0, false
 	}
-	return 0, false
+	ab, ba = g.flat[lo].Weight, g.flat[g.rev[lo]].Weight
+	if from != a {
+		ab, ba = ba, ab
+	}
+	return ab, ba, true
 }
 
 // HasEdge reports whether the directed edge from → to exists.
@@ -219,6 +241,11 @@ func (b *Builder) Build() *Graph {
 		g.outSum[i] = sum
 	}
 	g.offsets[n] = int32(len(g.flat))
+	rev, err := reverses(g.offsets, g.flat)
+	if err != nil {
+		panic(err) // unreachable: AddBiEdge adds edges only in pairs
+	}
+	g.rev = rev
 	b.nodes = nil
 	b.adj = nil
 	return g

@@ -43,7 +43,7 @@ type hop struct {
 // SetTree fills f for tree t under model m, reusing f's storage.
 func (f *Flow) SetTree(m *Model, t *jtt.Tree) { *f = m.flowInto(f.hops[:0], t) }
 
-// flowInto builds t's table in buf: two graph.Weight probes per tree edge,
+// flowInto builds t's table in buf: one graph.Weights probe per tree edge,
 // after which nothing touches the graph. Returning the table by value keeps
 // a caller's stack buffer on the stack.
 func (m *Model) flowInto(buf []hop, t *jtt.Tree) Flow {
@@ -54,8 +54,7 @@ func (m *Model) flowInto(buf []hop, t *jtt.Tree) Flow {
 		h := hop{par: int32(root), damp: m.damp[v]}
 		if i != root {
 			h.par = int32(t.Slot(par[i]))
-			h.up, _ = m.g.Weight(v, par[i])
-			h.down, _ = m.g.Weight(par[i], v)
+			h.up, h.down, _ = m.g.Weights(v, par[i])
 		}
 		hops = append(hops, h)
 	}

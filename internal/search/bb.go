@@ -183,7 +183,6 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 	g := s.m.Graph()
 	st := newBBState(s, sc, opts)
 	st.done = ctx.Done()
-	halfD := halfDiameter(opts.Diameter)
 	seeds := sc.grown[:0]
 	for _, v := range qc.nonFree {
 		seeds = append(seeds, sc.arena.NewSingle(v))
@@ -211,22 +210,15 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 			break
 		}
 		// Grow every batch candidate through its root, in deterministic
-		// (batch, edge) order. Every check that can reject a grow runs
-		// before the arena hands out storage, cheapest first, so no tree is
-		// built only to be thrown away: depth, frontier, overlap, and — when
-		// the query has supply fields — the bound itself, priced from the
-		// parent's flows (prebound.go). Evaluating the survivors is the
+		// (batch, edge) order. Only growable candidates are ever queued
+		// (commit), so every one has room for a level. Every check that can
+		// reject a grow runs before the arena hands out storage, cheapest
+		// first, so no tree is built only to be thrown away: overlap, then —
+		// when the query has supply fields — the bound itself, priced from
+		// the parent's flows (prebound.go). Evaluating the survivors is the
 		// expensive part, which process fans out.
 		grown := sc.grown[:0]
 		for _, c := range batch {
-			// Half-diameter depth limit (§IV-A): a grown tree is one level
-			// deeper than c whichever neighbour it grows to, so a candidate
-			// already at ⌈D/2⌉ has nothing to enumerate. It was still popped
-			// and counted above.
-			depth := c.tree.Depth() + 1
-			if depth > halfD {
-				continue
-			}
 			var parent *flowView // c's view, taken at the first neighbour that needs it
 			for _, e := range g.OutEdges(c.tree.Root()) {
 				nb := e.To
@@ -419,13 +411,13 @@ func (st *bbState) sources(t *jtt.Tree, bs *boundScratch) (cover uint64) {
 }
 
 // commit folds one evaluated candidate into the search state: records its
-// answer (if complete), enqueues it for expansion unless pruned, and
-// attempts tree merges (Algorithm 1 lines 16–20) against every same-root
-// candidate committed before it that the admission rule admits, appending
-// the merged trees to out for the caller to process. Because every
-// candidate merges against all its predecessors, each unordered pair is
-// attempted exactly once and the merge set is transitively closed — a root
-// with any number of child subtrees is reachable, which Theorem 1's
+// answer (if complete), enqueues it for expansion unless pruned or already at
+// the depth limit, and attempts tree merges (Algorithm 1 lines 16–20) against
+// every same-root candidate committed before it that the admission rule
+// admits, appending the merged trees to out for the caller to process.
+// Because every candidate merges against all its predecessors, each unordered
+// pair is attempted exactly once and the merge set is transitively closed — a
+// root with any number of child subtrees is reachable, which Theorem 1's
 // optimality needs. The admission rule reads covers only, so the registry
 // asks it once per cover (bucketWalk.start).
 func (st *bbState) commit(c *candidate, out []*jtt.Tree) []*jtt.Tree {
@@ -453,7 +445,14 @@ func (st *bbState) commit(c *candidate, out []*jtt.Tree) []*jtt.Tree {
 	}
 	c.seq = st.seq
 	st.seq++
-	heap.Push(st.pq, c)
+	// Half-diameter depth limit (§IV-A): a grown tree is one level deeper
+	// than c, so a candidate already at ⌈D/2⌉ can grow nothing and stays off
+	// the frontier. It still merges, and a merge is as deep as its deeper
+	// operand, so what merges from it is terminal too: every undiscovered
+	// answer still grows out of a queued candidate (Lemma 1).
+	if c.tree.Depth() < halfDiameter(st.opts.Diameter) {
+		heap.Push(st.pq, c)
+	}
 	// Snapshot: trees merged from c will themselves merge against everything
 	// committed at their own commit time, including c, so walking the
 	// pre-existing registry suffices for closure.

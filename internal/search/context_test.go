@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 // near-equal importance, so upper bounds barely prune and the branch-and-
 // bound frontier (and the naive algorithm's path-combination space) grows
 // combinatorially — the workload the cancellation tests need: uncapped, it
-// runs many orders of magnitude past the test deadlines.
+// generates about 9m³ trees and runs far past the test deadlines.
 func denseFixture(t testing.TB, m int) *fixture {
 	n := 6 + 3*m
 	texts := make([]string, n)
@@ -72,12 +73,15 @@ func denseFixture(t testing.TB, m int) *fixture {
 // graph must return promptly once the context fires, at Workers 1 and 4,
 // reporting Stats.Interrupted with a nil error.
 func TestCancelMidSearch(t *testing.T) {
-	fx := denseFixture(t, 40)
+	fx := denseFixture(t, 120)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			// 500ms: long enough for the first complete answers to land
-			// even at the race detector's ~10x slowdown, still orders of
-			// magnitude under the uncancelled runtime.
+			// even at the race detector's ~10x slowdown, and far under the
+			// uncancelled runtime. Uncancelled, m = 120 generates about
+			// 15.6M trees; on a 2-core x86-64 VM a 5 s deadline (10x this
+			// one) still interrupted it at 6.0M, with 4 workers. (m = 40
+			// finished in 0.39 s there, m = 60 in 1.25 s.)
 			ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 			defer cancel()
 			start := time.Now()
@@ -92,6 +96,9 @@ func TestCancelMidSearch(t *testing.T) {
 			}
 			if !stats.Partial() {
 				t.Error("Partial() false on an interrupted search")
+			}
+			if !math.IsInf(stats.FrontierBound, 1) {
+				t.Errorf("interrupted search certified FrontierBound %g, want +Inf", stats.FrontierBound)
 			}
 			// "Promptly": well under the seconds-to-forever uncancelled
 			// runtime. 5s leaves headroom for -race and loaded CI machines.

@@ -15,7 +15,12 @@ import (
 // the merge closure at the hub is quadratic in n and nothing prunes it; and
 // every spoke reaches the hub as a depth-⌈D/2⌉ candidate, the shape whose
 // expansion used to build one doomed tree per hub neighbour.
-func hubFixture(t testing.TB, n int) *fixture {
+//
+// pairs adds that many isolated alpha–beta edges of negligible importance
+// after the hub's nodes: each is two seeds the frontier queues at the start
+// and the search never needs to pop, so they widen the growable frontier
+// without adding expansions.
+func hubFixture(t testing.TB, n, pairs int) *fixture {
 	texts := []string{"hub"}
 	var edges [][2]int
 	for i := 0; i < n; i++ {
@@ -27,9 +32,14 @@ func hubFixture(t testing.TB, n int) *fixture {
 		texts = append(texts, fmt.Sprintf("free%d", i), word)
 		edges = append(edges, [2]int{0, mid}, [2]int{mid, leaf})
 	}
-	imp := make([]float64, len(texts))
+	imp := make([]float64, len(texts), len(texts)+2*pairs)
 	for i := range imp {
 		imp[i] = 1
+	}
+	for i := 0; i < pairs; i++ {
+		edges = append(edges, [2]int{len(texts), len(texts) + 1})
+		texts = append(texts, "alpha", "beta")
+		imp = append(imp, 1e-6, 1e-6)
 	}
 	return build(t, texts, imp, edges)
 }
@@ -57,15 +67,17 @@ func TestArenaHandsOutOnlyKeptTrees(t *testing.T) {
 				static, got, st.built, st.spared)
 		}
 	}
-	fx := hubFixture(t, 40)
+	fx := hubFixture(t, 40, 0)
 	for _, workers := range []int{1, 4} {
 		sc := newQueryScratch()
 		st, err := fx.s.run(context.Background(), sc, hubTerms, Options{K: 5, Diameter: 4, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every spoke reaches the hub as a depth-2 candidate and is popped.
-		if st.stats.Answers == 0 || st.stats.Expanded < 40 || st.stats.Partial() {
+		// Every spoke reaches the hub through two expansions: its leaf grows
+		// to the connector, and that tree to the hub. The depth-2 trees at
+		// the hub merge but are never queued.
+		if st.stats.Answers == 0 || st.stats.Expanded < 80 || st.stats.Partial() {
 			t.Fatalf("workers=%d: unexpected stats %+v", workers, st.stats)
 		}
 		if got := sc.arena.Trees(); got != st.built {
@@ -81,16 +93,22 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 	if raceEnabled {
 		t.Skip("single-goroutine retention check; the 40k-candidate query is slow under the race detector")
 	}
-	fx := hubFixture(t, 400)
+	// The hub's merge closure is terminal at D = 4 and never queued; the
+	// idle pairs' seeds are what push the growable frontier past its cap.
+	pairs := ptrBufCap/2 + 1
+	fx := hubFixture(t, 400, pairs)
 	opts := Options{K: 5, Diameter: 4, Workers: 1}
 	sc := newQueryScratch()
 	st, err := fx.s.run(context.Background(), sc, hubTerms, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.seen.n <= seenMapCap || len(sc.cands.slabs) <= candSlabKeep || cap(sc.pq) <= ptrBufCap {
-		t.Fatalf("fixture too small to exceed the caps: seen %d, cand slabs %d, pq %d",
-			sc.seen.n, len(sc.cands.slabs), cap(sc.pq))
+	if sc.seen.n <= seenMapCap || len(sc.cands.slabs) <= candSlabKeep || cap(sc.pq) <= ptrBufCap || len(sc.roots) <= rootsCap {
+		t.Fatalf("fixture too small to exceed the caps: seen %d, cand slabs %d, pq %d, roots %d",
+			sc.seen.n, len(sc.cands.slabs), cap(sc.pq), len(sc.roots))
+	}
+	if st.stats.Answers == 0 || st.stats.Expanded > 4*400 || st.stats.Partial() {
+		t.Fatalf("the idle pairs were expanded, or the hub query went wrong: %+v", st.stats)
 	}
 	// The hub roots the 40k-candidate merge closure, and every node of the
 	// fixture roots something. A root has one row of supply lists — a list
@@ -134,6 +152,10 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 			t.Fatalf("fixture too small to exceed the view cap: %s holds %d", name, c)
 		}
 	}
+	// Past rootsCap the records go altogether; release still trims each
+	// one's registry in place first, which is all a smaller query's
+	// retained records hold.
+	records := sc.roots[:cap(sc.roots)]
 	sc.release()
 	for name, c := range views() {
 		if c > viewBufCap {
@@ -168,7 +190,10 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 			t.Errorf("retained %s with capacity %d, cap %d", name, c, ptrBufCap)
 		}
 	}
-	for _, rs := range sc.roots[:cap(sc.roots)] {
+	if cap(sc.roots) != 0 {
+		t.Errorf("retained %d root records, cap %d", cap(sc.roots), rootsCap)
+	}
+	for _, rs := range records {
 		if cap(rs.buckets) > rootListCap {
 			t.Errorf("retained a merge registry of %d buckets, cap %d", cap(rs.buckets), rootListCap)
 		}

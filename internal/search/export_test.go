@@ -1,11 +1,23 @@
 package search
 
 import (
+	"context"
 	"math"
 
 	"cirank/internal/graph"
 	"cirank/internal/jtt"
 )
+
+// TopKLost is TopK on a fresh scratch that also reports whether the run
+// dropped trees at the Generated cap — besides an interruption, the one
+// reason FrontierBound gives up and reads +Inf.
+func (s *Searcher) TopKLost(terms []string, opts Options) (answers []Answer, stats Stats, lost bool, err error) {
+	st, err := s.run(context.Background(), newQueryScratch(), terms, opts)
+	if err != nil || st == nil {
+		return nil, Stats{}, false, err
+	}
+	return st.top.resultsDetached(), st.stats, st.lost, nil
+}
 
 // WithoutFieldSource runs f with the oracle's supply fields relaxed as if
 // src matched no term, then restores them. It is how the external tests ask

@@ -241,7 +241,7 @@ func TestChildBoundMatchesFill(t *testing.T) {
 			}
 		}
 	}
-	kinds.add(checkChildBounds(t, hubFixture(t, 12).s, hubTerms, Options{K: 5, Diameter: 4, Workers: 1}, 512))
+	kinds.add(checkChildBounds(t, hubFixture(t, 12, 0).s, hubTerms, Options{K: 5, Diameter: 4, Workers: 1}, 512))
 	kinds.add(checkChildBounds(t, fig2Fixture(t).s, []string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4, Workers: 1}, 512))
 	t.Logf("%+v", kinds)
 	if kinds.lone < 100 || kinds.complete < 100 || kinds.missing < 100 || kinds.matcher < 100 || kinds.free < 100 ||

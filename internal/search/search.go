@@ -33,9 +33,11 @@ type Options struct {
 	// own, which leaves the index to the NoDynamicBounds arm.
 	Index pathindex.Index
 	// MaxExpansions caps the number of candidate-tree expansions in the
-	// branch-and-bound loop as a safety valve; 0 means unlimited. When the
-	// cap fires the results are the best found so far and Stats.Truncated
-	// is set.
+	// branch-and-bound loop as a safety valve; 0 means unlimited. It caps
+	// what Stats.Expanded counts: frontier pops, each of which grows its
+	// tree (trees at the depth limit are never queued, so never counted).
+	// When the cap fires the results are the best found so far and
+	// Stats.Truncated is set.
 	MaxExpansions int
 	// NoDynamicBounds disables the per-query supply fields (field.go) that
 	// tighten the upper bounds at query time, leaving the best generation of
@@ -100,7 +102,9 @@ type Answer struct {
 
 // Stats reports work done by a search, for the efficiency experiments.
 type Stats struct {
-	// Expanded counts candidate trees popped and expanded.
+	// Expanded counts candidate trees popped from the frontier and grown.
+	// Only a tree below the ⌈D/2⌉ depth limit is queued — one at the limit
+	// can grow nothing — so every count is a real expansion.
 	Expanded int
 	// Generated counts candidate trees created (after dedup).
 	Generated int

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -290,6 +291,33 @@ func TestMaxExpansionsTruncates(t *testing.T) {
 	}
 	if stats.Expanded > 1 {
 		t.Errorf("expanded %d candidates despite cap", stats.Expanded)
+	}
+}
+
+// TestFrontierBoundGivesUpOnLostTrees is the lossy side of the FrontierBound
+// certificate (TestFrontierBoundCertifies holds the finite side): a cap whose
+// Generated backstop the hub's merge closure overruns drops trees, and only
+// then does the bound read +Inf.
+func TestFrontierBoundGivesUpOnLostTrees(t *testing.T) {
+	fx := hubFixture(t, 40, 0)
+	var lost, kept int
+	for limit := 1; limit <= 64; limit *= 2 {
+		st, err := fx.s.run(context.Background(), newQueryScratch(), hubTerms,
+			Options{K: 5, Diameter: 4, Workers: 1, MaxExpansions: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsInf(st.stats.FrontierBound, 1) != st.lost || !st.stats.Truncated {
+			t.Errorf("cap %d: FrontierBound %g, trees lost %v, stats %+v", limit, st.stats.FrontierBound, st.lost, st.stats)
+		}
+		if st.lost {
+			lost++
+		} else {
+			kept++
+		}
+	}
+	if lost == 0 || kept == 0 {
+		t.Fatalf("%d capped runs lost trees, %d did not; want some of each", lost, kept)
 	}
 }
 

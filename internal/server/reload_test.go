@@ -484,7 +484,7 @@ func TestReloadUnderQueryLoad(t *testing.T) {
 // labelled with the generation they actually leased, never the new one —
 // while the next request evaluates fresh against the new generation.
 func TestCoalescedReloadStraddle(t *testing.T) {
-	_, s, url := snapshotServer(t, denseEngine(t, 40), Config{MaxExpansions: -1})
+	_, s, url := snapshotServer(t, denseEngine(t, 120), Config{MaxExpansions: -1})
 	const q = "/v1/search?q=alpha+beta&k=10&timeout=700ms"
 
 	var wg sync.WaitGroup

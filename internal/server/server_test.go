@@ -37,7 +37,9 @@ func smallEngine(t testing.TB) *cirank.Engine {
 
 // denseEngine mirrors the cancellation fixture of the facade tests: a
 // layered complete-bipartite graph whose uncapped frontier outlives any
-// test deadline.
+// test deadline. The tests pass m = 120: about 15.6M trees uncancelled, well
+// past 5 s on a 2-core x86-64 VM, where m = 40 finishes in about 0.5 s —
+// too close to the 300–700 ms deadlines here.
 func denseEngine(t *testing.T, m int) *cirank.Engine {
 	t.Helper()
 	b, err := cirank.NewBuilder(
@@ -286,7 +288,7 @@ func TestAdmissionCostBudget(t *testing.T) {
 // its uncancelled runtime once the per-request timeout fires, as a 200 with
 // stats.interrupted — the serving layer's best-so-far contract.
 func TestSearchTimeout(t *testing.T) {
-	_, ts := newTestServer(t, Config{Engine: denseEngine(t, 40), MaxExpansions: -1})
+	_, ts := newTestServer(t, Config{Engine: denseEngine(t, 120), MaxExpansions: -1})
 	start := time.Now()
 	var res V1SearchResponse
 	// 500ms leaves room for the first answers to land under -race.

@@ -110,7 +110,7 @@ func TestV1Coalescing(t *testing.T) {
 	// Cache off isolates coalescing; the dense uncapped query runs until
 	// its 500ms deadline, guaranteeing the second request arrives in flight.
 	s, ts := newTestServer(t, Config{
-		Engine:          denseEngine(t, 40),
+		Engine:          denseEngine(t, 120),
 		MaxExpansions:   -1,
 		ResultCacheSize: -1,
 	})
@@ -155,7 +155,7 @@ func TestV1Coalescing(t *testing.T) {
 // TestV1InterruptedNotCached: partial (deadline-interrupted) results never
 // enter the result cache — the next identical request evaluates again.
 func TestV1InterruptedNotCached(t *testing.T) {
-	_, ts := newTestServer(t, Config{Engine: denseEngine(t, 40), MaxExpansions: -1})
+	_, ts := newTestServer(t, Config{Engine: denseEngine(t, 120), MaxExpansions: -1})
 	const q = "/v1/search?q=alpha+beta&k=10&timeout=300ms"
 	var first, second V1SearchResponse
 	getJSON(t, ts.URL+q, http.StatusOK, &first)
