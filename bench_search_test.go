@@ -1,7 +1,6 @@
 package cirank_test
 
-// The online-search benchmark grid: dataset size × worker count × answer
-// count k, over the skewed AOL-style query stream internal/searchbench
+// The online-search benchmark grid: dataset size × answer count k, over the skewed AOL-style query stream internal/searchbench
 // derives, against an index-free search.Searcher. It is an ad-hoc view for
 // benchstat while working on the hot path; the numbers a change is judged on
 // come from the bench/ harness (BENCHMARK.json), and the allocation gate is
@@ -28,10 +27,7 @@ var searchBenchScales = []struct {
 	{"large", 0.5},
 }
 
-var (
-	searchBenchWorkers = []int{1, 2, 4}
-	searchBenchKs      = []int{5, 10}
-)
+var searchBenchKs = []int{5, 10}
 
 const searchBenchDiameter = 4
 
@@ -44,20 +40,16 @@ func BenchmarkSearch(b *testing.B) {
 		}
 		for _, k := range searchBenchKs {
 			b.Run(fmt.Sprintf("stage=search/data=dblp-%s/k=%d", sc.name, k), func(b *testing.B) {
-				for _, workers := range searchBenchWorkers {
-					b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-						benchSearchStream(b, w, k, workers)
-					})
-				}
+				benchSearchStream(b, w, k)
 			})
 		}
 	}
 }
 
-func benchSearchStream(b *testing.B, w *searchbench.Workload, k, workers int) {
+func benchSearchStream(b *testing.B, w *searchbench.Workload, k int) {
 	b.ReportAllocs()
 	s := search.New(w.M)
-	opts := search.Options{K: k, Diameter: searchBenchDiameter, Workers: workers}
+	opts := search.Options{K: k, Diameter: searchBenchDiameter}
 	// Warm the scratch pool so the measured loop sees the steady state a
 	// long-running server reaches.
 	for i := 0; i < 3; i++ {

@@ -338,37 +338,6 @@ func BenchmarkEngineSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSearch measures branch-and-bound throughput across the
-// online path's worker count (1, 2, 4, 8). The workload replays the same
-// synthetic IMDB query mix each iteration; the workers=1 cell is the
-// sequential baseline every other cell is compared against. Results are
-// byte-identical across all cells (see TestParallelDeterminism) — only the
-// wall clock moves.
-func BenchmarkParallelSearch(b *testing.B) {
-	imdb, _ := benchBundles(b)
-	m, err := imdb.DefaultModel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := search.New(m)
-	queries, err := imdb.Built.GenerateWorkload(datagen.SyntheticConfig(6, 43))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := search.Options{K: 5, Diameter: 4, MaxExpansions: 20000, Workers: workers}
-			for i := 0; i < b.N; i++ {
-				for _, q := range queries {
-					if _, _, err := s.TopK(q.Terms, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkRWMPDamp measures the dampening-rate evaluation (Eq. 2).
 func BenchmarkRWMPDamp(b *testing.B) {
 	imdb, _ := benchBundles(b)

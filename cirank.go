@@ -74,15 +74,14 @@ type Config struct {
 	// users clicked — the paper's user-preference adaptation (§VI-A,
 	// §VIII). 0 disables feedback biasing even if feedback was recorded.
 	FeedbackMix float64
-	// Workers is the single worker count shared by the offline build
-	// pipeline (text index and path index sharding, see
-	// Builder.BuildContext) and the online per-query fan-out (candidate
-	// tree evaluation). 0 means auto — one worker per available CPU
-	// (GOMAXPROCS), resolved once at build time; 1 forces the sequential
-	// paths; negative values are rejected with ErrBadConfig. Both the
-	// built indexes and the ranked results are identical for every worker
-	// count (certified by the determinism suites); only throughput
-	// changes.
+	// Workers is the fan-out of the offline build pipeline (text index and
+	// path index sharding, see Builder.BuildContext). 0 means auto — one
+	// worker per available CPU (GOMAXPROCS); 1 forces the sequential paths;
+	// negative values are rejected with ErrBadConfig. The built indexes are
+	// identical for every worker count (certified by the determinism
+	// suites); only build time changes. Queries take no part: each one runs
+	// on the goroutine that calls Search, and serving gets its concurrency
+	// from independent queries.
 	Workers int
 }
 
@@ -128,12 +127,6 @@ type SearchOptions struct {
 	// MaxExpansions caps branch-and-bound work (default 200000; 0 keeps
 	// the default, -1 removes the cap).
 	MaxExpansions int
-	// Workers overrides the engine's Config.Workers for this query:
-	// 0 keeps the engine setting, 1 forces the sequential path, higher
-	// values set the evaluation fan-out. Rankings are identical for every
-	// worker count; only throughput changes. Negative values are rejected
-	// with ErrBadOptions.
-	Workers int
 	// ExtendedMerge admits candidate-tree merges that add non-free nodes
 	// without covering new keywords, restoring full completeness for
 	// answers with three or more same-keyword subtrees under one root at
@@ -178,7 +171,6 @@ type Engine struct {
 	starIdx  *pathindex.StarIndex
 	imp      []float64
 	lookup   lookupFunc
-	workers  int
 	// mapEntries is the complete (table, key) → node mapping, including
 	// every merged-away role key. Snapshots persist it so Importance keeps
 	// resolving merged keys after a reload.
@@ -298,13 +290,6 @@ func (e *Engine) searchOptions(k int, opts SearchOptions) (search.Options, error
 	if k < 1 {
 		return search.Options{}, fmt.Errorf("%w (got %d)", ErrBadK, k)
 	}
-	workers := e.workers
-	switch {
-	case opts.Workers < 0:
-		return search.Options{}, fmt.Errorf("%w: negative Workers %d", ErrBadOptions, opts.Workers)
-	case opts.Workers > 0:
-		workers = opts.Workers
-	}
 	if opts.MaxExpansions < -1 {
 		return search.Options{}, fmt.Errorf("%w: MaxExpansions %d (use -1 to remove the cap)", ErrBadOptions, opts.MaxExpansions)
 	}
@@ -312,7 +297,6 @@ func (e *Engine) searchOptions(k int, opts SearchOptions) (search.Options, error
 		K:             k,
 		Diameter:      opts.Diameter,
 		MaxExpansions: opts.MaxExpansions,
-		Workers:       workers,
 		ExtendedMerge: opts.ExtendedMerge,
 	}
 	if sopts.Diameter == 0 {
@@ -333,7 +317,7 @@ func (e *Engine) searchOptions(k int, opts SearchOptions) (search.Options, error
 // done; a context that expires mid-search stops the query promptly at its
 // next cancellation point and returns the best answers found so far with
 // Stats.Interrupted set and a nil error. When the context never fires the
-// ranking is byte-identical to SearchTerms for every Workers setting.
+// ranking is byte-identical to SearchTerms.
 // Invalid arguments are reported through the sentinel errors ErrBadK,
 // ErrEmptyQuery and ErrBadOptions.
 func (e *Engine) SearchTermsContext(ctx context.Context, terms []string, k int, opts SearchOptions) (SearchResult, error) {
@@ -528,7 +512,6 @@ func buildEngine(ctx context.Context, g *graph.Graph, mp *relational.Mapping, is
 		searcher:   search.New(model),
 		imp:        imp,
 		lookup:     func(table, key string) (graph.NodeID, bool) { return mp.NodeOf(table, key) },
-		workers:    workers,
 		starIdx:    starIdx,
 		mapEntries: mp.Entries(),
 	}

@@ -69,7 +69,7 @@ func main() {
 		maxTime  = flag.Duration("maxtimeout", 30*time.Second, "cap on the per-query deadline")
 		inflight = flag.Int("inflight", 0, "max concurrent queries (0 = 2x GOMAXPROCS)")
 		maxExp   = flag.Int("maxexpansions", 200000, "branch-and-bound expansion cap per query (-1 = unlimited)")
-		workers  = flag.Int("workers", 0, "engine worker goroutines per query (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "goroutines for building the dataset engine's indexes (0 = GOMAXPROCS)")
 		snapshot = flag.String("snapshot", "", "serve from this snapshot file (mmap-opened; enables POST /v1/admin/reload) instead of generating a dataset")
 		tenants  = flag.String("tenants", "", "serve several named tenants from this JSON config (see the package docs; mutually exclusive with -snapshot)")
 		saveSnap = flag.String("save-snapshot", "", "build the dataset engine, write a snapshot to this file, and exit")

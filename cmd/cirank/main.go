@@ -36,7 +36,7 @@ func main() {
 		noIndex = flag.Bool("noindex", false, "disable the star index")
 		suggest = flag.Int("suggest", 3, "print this many example queries on startup")
 		dotFile = flag.String("dot", "", "write the top answer of each query to this Graphviz file")
-		workers = flag.Int("workers", 0, "goroutines per query (0 = GOMAXPROCS, 1 = sequential)")
+		workers = flag.Int("workers", 0, "goroutines for the -save build and for a query's per-term supply fields (0 = GOMAXPROCS, 1 = sequential)")
 		qTime   = flag.Duration("timeout", 0, "per-query deadline (0 = none); an expired query prints its best answers so far")
 		save    = flag.String("save", "", "build the engine through the public API, write a v2 snapshot to this file, and exit")
 	)

@@ -94,7 +94,7 @@ func TestEngineSearchConcurrent(t *testing.T) {
 }
 
 // TestWorkerCountsAgreeEndToEnd pins the public API to the determinism
-// guarantee: the same engine data searched with Workers 1, 2 and 8 must
+// guarantee: the same engine data built with Workers 1, 2 and 8 must
 // return identical rankings and scores.
 func TestWorkerCountsAgreeEndToEnd(t *testing.T) {
 	var reference []Result

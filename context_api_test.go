@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -113,21 +114,23 @@ func TestConfigValidation(t *testing.T) {
 
 // TestSearchContextCancellation: an uncapped query aborts promptly when the
 // per-query context expires, returning the best answers found so far with
-// Stats.Interrupted — at both per-query worker settings.
+// Stats.Interrupted. The query's only fan-out, the per-term supply-field
+// relaxation, takes its width from GOMAXPROCS, so each subtest runs the query
+// at that many Ps.
 func TestSearchContextCancellation(t *testing.T) {
 	eng := denseEngine(t, 120)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			// 500ms leaves room for the first answers to land under -race,
 			// and is far under the uncancelled runtime: m = 120 generates
 			// about 15.6M trees, and on a 2-core x86-64 VM a 5 s deadline
-			// (10x this one) still interrupted it at 5.2M, with 4 workers.
-			// (m = 40 finished in 0.54 s there.)
+			// (10x this one) still interrupted it at 5.2M. (m = 40
+			// finished in 0.54 s there.)
 			ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			res, err := eng.SearchTermsContext(ctx, []string{"alpha", "beta"}, 10,
-				SearchOptions{MaxExpansions: -1, Workers: workers})
+			res, err := eng.SearchTermsContext(ctx, []string{"alpha", "beta"}, 10, SearchOptions{MaxExpansions: -1})
 			elapsed := time.Since(start)
 			if err != nil {
 				t.Fatal(err)
@@ -187,9 +190,6 @@ func TestSearchArgumentErrors(t *testing.T) {
 	if _, err := eng.SearchContext(ctx, "   ", 3); !errors.Is(err, ErrEmptyQuery) {
 		t.Errorf("blank query: err = %v, want ErrEmptyQuery", err)
 	}
-	if _, err := eng.SearchTermsContext(ctx, []string{"ullman"}, 3, SearchOptions{Workers: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("Workers=-1: err = %v, want ErrBadOptions", err)
-	}
 	if _, err := eng.SearchTermsContext(ctx, []string{"ullman"}, 3, SearchOptions{MaxExpansions: -2}); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("MaxExpansions=-2: err = %v, want ErrBadOptions", err)
 	}
@@ -200,31 +200,6 @@ func TestSearchArgumentErrors(t *testing.T) {
 	cancel()
 	if _, err := eng.SearchContext(dead, "ullman", 3); !errors.Is(err, ErrDeadline) || !errors.Is(err, context.Canceled) {
 		t.Errorf("dead context: err = %v, want ErrDeadline wrapping context.Canceled", err)
-	}
-}
-
-// TestPerQueryWorkersDeterminism: the per-query Workers override must not
-// change rankings, and must accept any positive fan-out without a second
-// engine.
-func TestPerQueryWorkersDeterminism(t *testing.T) {
-	eng := fig2Engine(t, DefaultConfig())
-	base, err := eng.SearchTermsContext(context.Background(), []string{"papakonstantinou", "ullman"}, 3, SearchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		res, err := eng.SearchTermsContext(context.Background(), []string{"papakonstantinou", "ullman"}, 3, SearchOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Results) != len(base.Results) {
-			t.Fatalf("workers %d: %d answers vs %d", workers, len(res.Results), len(base.Results))
-		}
-		for i := range base.Results {
-			if res.Results[i].Score != base.Results[i].Score {
-				t.Errorf("workers %d answer %d: score %g vs %g", workers, i, res.Results[i].Score, base.Results[i].Score)
-			}
-		}
 	}
 }
 

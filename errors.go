@@ -17,7 +17,7 @@ var (
 	// input reduced to nothing by tokenization).
 	ErrEmptyQuery = search.ErrEmptyQuery
 	// ErrBadOptions reports an invalid SearchOptions field (negative
-	// Diameter, Workers or MaxExpansions below -1, or an oversized query).
+	// Diameter, MaxExpansions below -1, or an oversized query).
 	ErrBadOptions = search.ErrBadOptions
 	// ErrDeadline reports that the context passed to SearchContext or
 	// SearchTermsContext was already cancelled or past its deadline before

@@ -108,15 +108,14 @@ func FuzzSnapshotLoad(f *testing.F) {
 // scores non-increasing, every answer non-empty.
 func FuzzQueryParse(f *testing.F) {
 	eng := fig2Engine(f, DefaultConfig())
-	f.Add("papakonstantinou ullman", 2, 4, 1)
-	f.Add("TSIMMIS", 1, 0, 0)
-	f.Add("", 5, 4, 2)
-	f.Add("ullman \x00\xffmediation", 3, 6, 3)
-	f.Add(strings.Repeat("many words ", 40), 1, 2, 1)
-	f.Fuzz(func(t *testing.T, query string, k, diameter, workers int) {
+	f.Add("papakonstantinou ullman", 2, 4)
+	f.Add("TSIMMIS", 1, 0)
+	f.Add("", 5, 4)
+	f.Add("ullman \x00\xffmediation", 3, 6)
+	f.Add(strings.Repeat("many words ", 40), 1, 2)
+	f.Fuzz(func(t *testing.T, query string, k, diameter int) {
 		opts := SearchOptions{
 			Diameter: diameter % 8,
-			Workers:  workers % 5,
 			// Keep adversarial inputs cheap; the cap is itself a validated
 			// option so exercising it here is part of the surface.
 			MaxExpansions: 2000,

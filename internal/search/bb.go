@@ -12,8 +12,8 @@ import (
 
 // candidate is a tree in the branch-and-bound frontier, together with the
 // evaluation products (cover, bound, score) the engine computes for it.
-// Evaluation (fill) is pure and may run on any worker goroutine; the seq
-// field is assigned later, at commit time, on the coordinating goroutine.
+// Evaluation (fill) writes only the candidate's evaluation products; the seq
+// field is assigned later, at commit time.
 // Candidates are slab-allocated per query (see scratch.go) and invalid once
 // the query's scratch returns to the pool.
 type candidate struct {
@@ -49,31 +49,25 @@ func (q *candidateQueue) Pop() interface{} {
 	return c
 }
 
-// expandBatch is the number of frontier candidates popped per round. Batching
-// keeps the evaluation workers fed; it is a fixed constant (not derived from
-// the worker count) so that every worker count walks the same batch
-// structure and produces identical Stats, not just identical rankings.
+// expandBatch is the number of frontier candidates popped per round. The
+// batch structure decides which trees are built and evaluated before the
+// next pop, and Stats — with the recorded stats pins — is counted against
+// it: changing the constant changes Stats, not just timing.
 const expandBatch = 32
 
-// bbState carries the state of one branch-and-bound run. The dedup set, root
-// records, queue, top-k and stats are touched only by the coordinating
-// goroutine; workers see the state read-only through fill (see parallel.go
-// for the contract). All reusable storage lives in the query scratch the
-// state points into.
+// bbState carries the state of one branch-and-bound run, all of it touched
+// only by the goroutine that called TopK. All reusable storage lives in the
+// query scratch the state points into.
 type bbState struct {
-	s      *Searcher
-	qc     *queryContext
-	sc     *queryScratch
-	opts   Options
-	done   <-chan struct{} // the context's Done channel; nil = uncancellable
-	nw     int             // resolved worker count
-	pq     *candidateQueue
-	top    *topK
-	ws     []boundScratch // per-worker bound-evaluation scratch
-	chunk  []*candidate   // the fill chunk currently fanned out
-	fillFn func(w, i int) // hoisted fill closure, one per query
-	stats  Stats
-	seq    int
+	s     *Searcher
+	qc    *queryContext
+	sc    *queryScratch
+	opts  Options
+	done  <-chan struct{} // the context's Done channel; nil = uncancellable
+	pq    *candidateQueue
+	top   *topK
+	stats Stats
+	seq   int
 	// built counts the trees handed to process: seeds, kept grows and
 	// successful merges. The arena hands out exactly these — the accounting
 	// test holds it to that, so a tree built only to be discarded shows.
@@ -93,23 +87,18 @@ type bbState struct {
 // fields. The queue, dedup set, root records and top-k all live in the
 // scratch; the state only points at them.
 func newBBState(s *Searcher, sc *queryScratch, opts Options) *bbState {
-	nw := opts.workers()
 	if !opts.NoDynamicBounds {
-		sc.qc.supplyFields(s.m.Graph(), s.m.DampVector(), opts.Diameter, nw, sc)
+		sc.qc.supplyFields(s.m.Graph(), s.m.DampVector(), opts.Diameter, opts.workers(), sc)
 	}
 	sc.top.k = opts.K
-	st := &bbState{
+	return &bbState{
 		s:    s,
 		qc:   &sc.qc,
 		sc:   sc,
 		opts: opts,
-		nw:   nw,
 		pq:   &sc.pq,
 		top:  &sc.top,
-		ws:   sc.boundScratches(nw),
 	}
-	st.fillFn = func(w, i int) { st.fill(st.chunk[i], &st.ws[w]) }
-	return st
 }
 
 // interrupted polls the context. The first positive poll latches
@@ -133,13 +122,14 @@ func (st *bbState) interrupted() bool {
 // returned answer, unless Stats.Truncated reports an early stop via
 // MaxExpansions.
 //
-// Candidate evaluation fans out across Options.Workers goroutines; the
-// ranked answers (trees and scores) are identical for every worker count.
-// When Stats.Truncated is set the guarantee weakens to "the best answers
-// found before the cap", and because batching changes which candidates are
-// in flight when the cap fires, truncated runs may differ across worker
-// counts. TopK is safe for concurrent use: searches share only immutable
-// state plus the scratch pool, which hands each query its own scratch.
+// Candidates are evaluated on the calling goroutine; Options.Workers fans
+// out only the per-term supply fields, which are pure, so the answers and
+// the Stats are identical for every worker count. When Stats.Truncated is
+// set the guarantee weakens to "the best answers found before the cap", but
+// a truncated run is as deterministic as a complete one: the cap counts
+// pops and generated trees, never time. TopK is safe for concurrent use:
+// searches share only immutable state plus the scratch pool, which hands
+// each query its own scratch.
 //
 // TopK is uncancellable; use TopKContext to bound a query by a deadline.
 func (s *Searcher) TopK(terms []string, opts Options) ([]Answer, Stats, error) {
@@ -150,9 +140,10 @@ func (s *Searcher) TopK(terms []string, opts Options) ([]Answer, Stats, error) {
 // no work happens and the error wraps both ErrDeadline and ctx's error. If
 // ctx expires mid-search the loop stops at its next cancellation point and
 // returns the best answers found so far with Stats.Interrupted set and a nil
-// error — like a MaxExpansions stop, interrupted rankings may differ across
-// worker counts. A context that never fires leaves the search byte-identical
-// to TopK: the cancellation points only poll ctx.Done().
+// error. Unlike a MaxExpansions stop, an interruption lands where the timing
+// puts it, so interrupted rankings may differ from run to run. A context that
+// never fires leaves the search byte-identical to TopK: the cancellation
+// points only poll ctx.Done().
 func (s *Searcher) TopKContext(ctx context.Context, terms []string, opts Options) ([]Answer, Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, fmt.Errorf("%w: %w", ErrDeadline, err)
@@ -216,7 +207,7 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 		// first, so no tree is built only to be thrown away: overlap, then —
 		// when the query has supply fields — the bound itself, priced from
 		// the parent's flows (prebound.go). Evaluating the survivors is the
-		// expensive part, which process fans out.
+		// expensive part, which process does.
 		grown := sc.grown[:0]
 		for _, c := range batch {
 			var parent *flowView // c's view, taken at the first neighbour that needs it
@@ -258,21 +249,20 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 
 // process drives newly built trees through the evaluate/commit pipeline
 // until the merge closure is exhausted: dedupe the level against the set of
-// rooted trees already generated, evaluate it on the worker pool, commit
-// each candidate in order (recording answers, enqueuing survivors, and
-// collecting the trees its merges produce), then recurse on the collected
-// level. Committing level-by-level instead of depth-first
-// (the pre-parallel implementation recursed) visits the same closure — every
-// candidate still merges against every earlier same-root candidate — in a
-// breadth-first order that exposes whole levels to the workers.
+// rooted trees already generated, evaluate it, commit each candidate in
+// order (recording answers, enqueuing survivors, and collecting the trees
+// its merges produce), then recurse on the collected level. Committing
+// level by level visits the same closure a depth-first recursion would —
+// every candidate still merges against every earlier same-root candidate —
+// in a breadth-first order, and that order is what Stats is counted in.
 //
 // fillChunk bounds how many candidates are evaluated between context polls.
 // A merge level around a hub root can hold tens of thousands of candidates
 // whose fills (RWMP scoring, bound computation) dominate the query's cost,
 // so polling only at level boundaries would let a cancelled query run for
 // seconds; chunking caps the post-cancellation latency at one chunk of
-// fills plus one commit. The chunking changes scheduling only — fill is
-// pure — so uncancelled results are unaffected.
+// fills plus one commit. Fill is pure, so the chunking leaves uncancelled
+// results unaffected.
 const fillChunk = 256
 
 // Cancellation points: each merge level, each fillChunk of evaluations
@@ -316,8 +306,9 @@ func (st *bbState) process(trees []*jtt.Tree) {
 			if st.interrupted() {
 				return
 			}
-			st.chunk = level[start:min(start+fillChunk, len(level))]
-			parallelForWorkers(len(st.chunk), st.nw, st.fillFn)
+			for _, c := range level[start:min(start+fillChunk, len(level))] {
+				st.fill(c)
+			}
 		}
 		var out []*jtt.Tree
 		if useA {
@@ -347,8 +338,7 @@ func (st *bbState) process(trees []*jtt.Tree) {
 }
 
 // rootOf returns the index of root's record in the scratch, creating it at
-// the root's first candidate. It runs on the coordinator only; workers read
-// the records through fill.
+// the root's first candidate.
 func (st *bbState) rootOf(root graph.NodeID) int32 {
 	sc := st.sc
 	if i := sc.rootAt[root]; i != 0 {
@@ -370,15 +360,13 @@ func (st *bbState) rootOf(root graph.NodeID) int32 {
 
 // fill computes the evaluation products of a candidate: keyword cover, the
 // RWMP score when the tree is a valid complete answer, and the §IV-B upper
-// bound. The tree's flow table is filled once, read into the worker's bound
+// bound. The tree's flow table is filled once, read into the scratch's bound
 // view, and both the score and the bound come from the view; a candidate
-// missing a term nothing can supply needs neither. fill only reads state that
-// is immutable during the fan-out (model, query context, root records,
-// options, path index) and writes only the candidate and the calling worker's
-// own bound scratch, so any number of fills may run concurrently.
-func (st *bbState) fill(c *candidate, bs *boundScratch) {
-	qc := st.qc
-	c.cover = st.sources(c.tree, bs)
+// missing a term nothing can supply needs neither. fill writes only the
+// candidate and the bound scratch.
+func (st *bbState) fill(c *candidate) {
+	qc, bs := st.qc, &st.sc.bound
+	c.cover = st.sources(c.tree)
 	v := &bs.view
 	v.at(c.tree, c.root)
 	v.cover = c.cover
@@ -394,10 +382,10 @@ func (st *bbState) fill(c *candidate, bs *boundScratch) {
 	c.ub = st.upperBound(v)
 }
 
-// sources lists t's sources into bs — their slots and generation counts,
-// ascending — and returns the terms they cover.
-func (st *bbState) sources(t *jtt.Tree, bs *boundScratch) (cover uint64) {
-	qc := st.qc
+// sources lists t's sources into the bound scratch — their slots and
+// generation counts, ascending — and returns the terms they cover.
+func (st *bbState) sources(t *jtt.Tree) (cover uint64) {
+	qc, bs := st.qc, &st.sc.bound
 	slots, gens := bs.slots[:0], bs.gens[:0]
 	for i, v := range t.NodeView() {
 		if mask := qc.masks[v]; mask != 0 {

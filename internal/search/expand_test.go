@@ -135,11 +135,11 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 		wide = wide.MustAttach(mid, 0).MustAttach(leaf, mid)
 	}
 	c := &candidate{tree: wide, root: st.rootOf(0)}
-	st.fill(c, &st.ws[0])
+	st.fill(c)
 	w, _ := fx.g.Weight(0, 601)
 	st.childBound(st.viewParent(c), graph.HalfEdge{To: 601, Weight: w})
 	views := func() map[string]int {
-		fillView, p, ch := &sc.ws[0].view, &sc.parent, &sc.child
+		fillView, p, ch := &sc.bound.view, &sc.parent, &sc.child
 		return map[string]int{
 			"fill gens": cap(fillView.gens), "fill atRoot": cap(fillView.atRoot), "fill fromRoot": cap(fillView.fromRoot), "fill inflow": cap(fillView.inflow),
 			"parent gens": cap(p.gens), "parent atRoot": cap(p.atRoot), "parent fromRoot": cap(p.fromRoot), "parent inflow": cap(p.inflow),
@@ -162,7 +162,7 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 			t.Errorf("retained view buffer %s with capacity %d, cap %d", name, c, viewBufCap)
 		}
 	}
-	if sc.parent.tree != nil || sc.child.tree != nil || sc.ws[0].view.tree != nil {
+	if sc.parent.tree != nil || sc.child.tree != nil || sc.bound.view.tree != nil {
 		t.Error("a released view still points into the arena")
 	}
 	if sc.seen.n != 0 || len(sc.seen.slots) != 0 || len(sc.roots) != 0 || len(sc.tops) != 0 || len(sc.listAt) != 0 || sc.arena.Trees() != 0 {

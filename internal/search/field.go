@@ -1,6 +1,11 @@
 package search
 
-import "cirank/internal/graph"
+import (
+	"sync"
+	"sync/atomic"
+
+	"cirank/internal/graph"
+)
 
 // This file computes the per-term supply field behind the dynamic supplement
 // bound of §IV-B — how many messages a node covering a missing keyword could
@@ -137,6 +142,39 @@ func (qc *queryContext) supplyFields(g *graph.Graph, damp []float64, diameter, w
 		fs.out, fs.stride, fs.off, fs.levels = sc.field, stride, ti*qc.levels, qc.levels
 		fs.relax(g, damp, qc.gen, qc.perTerm[ti], diameter > maxSupplyLevels)
 	})
+}
+
+// parallelFor runs f(0..n-1) across at most workers goroutines and returns
+// when every call finished. With one worker (or a trivially small n) it runs
+// inline, so the sequential path pays no synchronization. Iterations are
+// claimed dynamically (shared cursor), which balances terms whose matchers
+// reach very different parts of the graph.
+func parallelFor(n, workers int, f func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 || n < 2 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // supplyLevel maps the hop budget a candidate of the given depth leaves a

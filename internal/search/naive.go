@@ -24,12 +24,8 @@ const (
 // from a keyword-covering set of sources, scoring all of them, and keeping
 // the top k.
 //
-// With Options.Workers > 1 the scoring of enumerated trees (the dominant
-// cost) runs on a worker pool; the ranked answers are identical for every
-// worker count because the enumeration — and hence the offered answer set —
-// does not change and the top-k keeps a total order (see parallel.go). Only
-// Stats.Answers may vary across parallel runs. NaiveTopK is safe for
-// concurrent use.
+// Enumeration and scoring run on the calling goroutine, and Options.Workers
+// has no effect here. NaiveTopK is safe for concurrent use.
 //
 // NaiveTopK is uncancellable; use NaiveTopKContext to bound a run.
 func (s *Searcher) NaiveTopK(terms []string, opts Options) ([]Answer, Stats, error) {
@@ -59,23 +55,13 @@ func (s *Searcher) NaiveTopKContext(ctx context.Context, terms []string, opts Op
 	}
 	top := newTopK(opts.K)
 	var stats Stats
-	done := ctx.Done()
-	if nw := opts.workers(); nw > 1 {
-		pipe := newNaiveScorePipeline(s, qc, top, nw)
-		stats.Expanded, stats.Interrupted = s.enumerateNaive(qc, opts.Diameter, done, func(t *jtt.Tree) {
-			stats.Generated++
-			pipe.submit(t)
-		})
-		stats.Answers = pipe.close()
-	} else {
-		stats.Expanded, stats.Interrupted = s.enumerateNaive(qc, opts.Diameter, done, func(t *jtt.Tree) {
-			stats.Generated++
-			score := s.m.ScoreTree(t, qc.sourcesIn(t), qc.terms)
-			if top.add(t, score) {
-				stats.Answers++
-			}
-		})
-	}
+	stats.Expanded, stats.Interrupted = s.enumerateNaive(qc, opts.Diameter, ctx.Done(), func(t *jtt.Tree) {
+		stats.Generated++
+		score := s.m.ScoreTree(t, qc.sourcesIn(t), qc.terms)
+		if top.add(t, score) {
+			stats.Answers++
+		}
+	})
 	return top.results(), stats, nil
 }
 

@@ -47,7 +47,7 @@ func (o *BoundOracle) Evaluate(tree *jtt.Tree) (ub, score float64, complete bool
 	// creates the first candidate of a (root, depth).
 	c := &candidate{tree: tree, root: o.st.rootOf(tree.Root())}
 	o.st.supplyLists(c.root, tree.Root(), tree.Depth())
-	o.st.fill(c, &o.st.ws[0])
+	o.st.fill(c)
 	return c.ub, c.score, c.complete
 }
 

@@ -74,46 +74,56 @@ func answersEqual(t *testing.T, label string, want, got []Answer) {
 	}
 }
 
-// TestParallelDeterminism is the acceptance suite for the parallel search
-// path: across randomized datagen workloads (two datasets × many generated
-// queries ≥ 20 workloads total), branch-and-bound search with Workers: 8
-// must return a ranked list byte-identical to the sequential Workers: 1 run
-// — same trees, same exact scores, same order — and with identical Stats
-// (the batch structure is worker-count independent by design).
+// TestParallelDeterminism is the acceptance suite for Options.Workers, which
+// fans out the per-term supply fields: across randomized datagen workloads
+// (two datasets × many generated queries ≥ 20 workloads total),
+// branch-and-bound search with Workers: 8 must return a ranked list
+// byte-identical to the Workers: 1 run — same trees, same exact scores,
+// same order — and identical Stats. The guarantee covers truncated runs
+// too, so every query also runs under a MaxExpansions cap of 50.
 func TestParallelDeterminism(t *testing.T) {
 	fixtures := []*datagenFixture{
 		prepareDatagen(t, "imdb", 0.12, 1, 11, 12),
 		prepareDatagen(t, "dblp", 0.12, 2, 13, 12),
 	}
-	total := 0
+	const capped = 50
+	total, truncated := 0, 0
 	for fi, fx := range fixtures {
 		for qi, q := range fx.queries {
 			total++
-			base := Options{K: 5, Diameter: 4, MaxExpansions: 200000}
-			seqOpts := base
-			seqOpts.Workers = 1
-			seq, seqStats, err := fx.s.TopK(q.Terms, seqOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seqStats.Truncated {
-				t.Fatalf("fixture %d query %d truncated; raise MaxExpansions", fi, qi)
-			}
-			parOpts := base
-			parOpts.Workers = 8
-			par, parStats, err := fx.s.TopK(q.Terms, parOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("fixture %d query %d (%v)", fi, qi, q.Terms)
-			answersEqual(t, label, seq, par)
-			if seqStats != parStats {
-				t.Errorf("%s: stats diverged: seq %+v, par %+v", label, seqStats, parStats)
+			for _, limit := range []int{200000, capped} {
+				base := Options{K: 5, Diameter: 4, MaxExpansions: limit}
+				seqOpts := base
+				seqOpts.Workers = 1
+				seq, seqStats, err := fx.s.TopK(q.Terms, seqOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if seqStats.Truncated {
+					if limit != capped {
+						t.Fatalf("fixture %d query %d truncated; raise MaxExpansions", fi, qi)
+					}
+					truncated++
+				}
+				parOpts := base
+				parOpts.Workers = 8
+				par, parStats, err := fx.s.TopK(q.Terms, parOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("fixture %d query %d (%v) MaxExpansions %d", fi, qi, q.Terms, limit)
+				answersEqual(t, label, seq, par)
+				if seqStats != parStats {
+					t.Errorf("%s: stats diverged: seq %+v, par %+v", label, seqStats, parStats)
+				}
 			}
 		}
 	}
 	if total < 20 {
 		t.Fatalf("determinism suite covered %d workloads, want >= 20", total)
+	}
+	if truncated == 0 {
+		t.Fatalf("no query hit the MaxExpansions cap of %d; the truncated arm tested nothing", capped)
 	}
 }
 
@@ -143,23 +153,6 @@ func TestParallelDeterminismIndexed(t *testing.T) {
 		par, _, err := fx.s.TopK(q.Terms, Options{
 			K: 5, Diameter: 4, MaxExpansions: 200000, Workers: 8, Index: idx,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		answersEqual(t, fmt.Sprintf("query %d (%v)", qi, q.Terms), seq, par)
-	}
-}
-
-// TestNaiveParallelDeterminism checks the naive algorithm's scoring pipeline:
-// parallel workers must not change the ranked list.
-func TestNaiveParallelDeterminism(t *testing.T) {
-	fx := prepareDatagen(t, "dblp", 0.15, 4, 19, 6)
-	for qi, q := range fx.queries {
-		seq, _, err := fx.s.NaiveTopK(q.Terms, Options{K: 5, Diameter: 4, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, _, err := fx.s.NaiveTopK(q.Terms, Options{K: 5, Diameter: 4, Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

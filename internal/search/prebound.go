@@ -54,13 +54,12 @@ type flowView struct {
 	branch []int32
 }
 
-// viewParent fills the scratch's parent view for the popped candidate c. It
-// runs on the coordinator between fan-outs, when worker 0's flow table is
-// idle.
+// viewParent fills the scratch's parent view for the popped candidate c,
+// reading its flows through the bound scratch fill uses.
 func (st *bbState) viewParent(c *candidate) *flowView {
-	bs, p := &st.ws[0], &st.sc.parent
+	bs, p := &st.sc.bound, &st.sc.parent
 	t, m := c.tree, st.s.m
-	p.cover = st.sources(t, bs)
+	p.cover = st.sources(t)
 	nodes, par, root := t.NodeView(), t.ParentView(), t.Root()
 	p.denom, p.branch = 0, p.branch[:0]
 	for _, i := range bs.slots {

@@ -53,9 +53,9 @@ func (cs *candSlab) reset() {
 	}
 }
 
-// boundScratch is the per-worker scratch of candidate evaluation: fill runs
-// on worker goroutines, so each worker gets its own copy. Everything in it
-// describes the candidate being filled.
+// boundScratch is the scratch of candidate evaluation. Everything in it
+// describes the candidate being filled, or the popped candidate the
+// expansion step is viewing.
 type boundScratch struct {
 	// flow is the candidate tree's message-flow table; slots and gens are
 	// its sources' table slots and generation counts, ascending; view is
@@ -305,9 +305,11 @@ type queryScratch struct {
 	keyBuf []byte     // canonical key of the top-k entrant being committed
 	walk   bucketWalk // the registry walk of the candidate being committed
 
-	// parent is the bound view of the candidate being expanded, child the
-	// view the expansion step derives from it for one neighbour at a time
-	// (prebound.go); both belong to the coordinator.
+	// bound is the evaluation scratch fill and viewParent share. parent is
+	// the bound view of the candidate being expanded, child the view the
+	// expansion step derives from it for one neighbour at a time
+	// (prebound.go).
+	bound  boundScratch
 	parent flowView
 	child  boundView
 
@@ -316,7 +318,6 @@ type queryScratch struct {
 	grown     []*jtt.Tree
 	procA     []*jtt.Tree
 	procB     []*jtt.Tree
-	ws        []boundScratch
 	field     []float64        // the supply-field table (field.go), all zero between queries
 	fields    []fieldScratch   // its per-term views and relaxation buffers
 	matchBufs [][]graph.NodeID // per-term matching-node buffers (perTerm)
@@ -400,23 +401,13 @@ func (sc *queryScratch) release() {
 	sc.procB = trimmed(sc.procB, ptrBufCap)
 	// A view holds a few floats per source of one tree, the parent's a
 	// square of them; a many-source tree's are dropped.
-	for i := range sc.ws {
-		sc.ws[i].view.release()
-	}
+	sc.bound.view.release()
 	sc.parent.release()
 	sc.child.release()
 	sc.top.release()
 	sc.arena.Reset()
 	sc.cands.reset()
 	sc.qc.release()
-}
-
-// boundScratches sizes the per-worker bound scratch for nw workers.
-func (sc *queryScratch) boundScratches(nw int) []boundScratch {
-	for len(sc.ws) < nw {
-		sc.ws = append(sc.ws, boundScratch{})
-	}
-	return sc.ws[:nw]
 }
 
 // nodeBuf returns the i-th reusable NodeID buffer of the given family,

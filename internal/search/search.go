@@ -56,13 +56,10 @@ type Options struct {
 	// restores full completeness at exponential cost and exists for the
 	// exhaustive-oracle validation tests and the ablation benchmark.
 	ExtendedMerge bool
-	// Workers sets the number of goroutines that evaluate candidate trees
-	// (cover, sources, RWMP score, upper bound) concurrently. 0 means
-	// auto (GOMAXPROCS); 1 forces fully inline evaluation. Candidate
-	// evaluation is pure and the queue/top-k bookkeeping stays on the
-	// calling goroutine, so the ranked result is identical for every
-	// worker count (see parallel.go for the argument; the determinism
-	// tests certify it).
+	// Workers is the number of goroutines for the per-term supply-field
+	// relaxation (field.go); 0 = GOMAXPROCS. Everything else in a query runs
+	// on the calling goroutine, and the fields are pure, so answers and
+	// Stats are identical for every worker count.
 	Workers int
 }
 

@@ -77,8 +77,8 @@ func queryKey(gen uint64, p searchParams) string {
 	var b strings.Builder
 	b.Grow(64)
 	b.WriteString(strconv.FormatUint(gen, 10))
-	fmt.Fprintf(&b, "\x1fk=%d\x1fd=%d\x1fx=%d\x1fw=%d\x1fm=%t\x1ft=%d",
-		p.k, p.opts.Diameter, p.opts.MaxExpansions, p.opts.Workers,
+	fmt.Fprintf(&b, "\x1fk=%d\x1fd=%d\x1fx=%d\x1fm=%t\x1ft=%d",
+		p.k, p.opts.Diameter, p.opts.MaxExpansions,
 		p.opts.ExtendedMerge, int64(p.timeout))
 	for _, t := range p.terms {
 		// Length-prefixed so no term content can fake a term boundary.

@@ -11,7 +11,7 @@
 // (docs/api.md) with a uniform JSON envelope carrying schema, generation,
 // results, stats and structured errors:
 //
-//	GET  /v1/search?q=<keywords>&k=5&diameter=4&timeout=2s&workers=0
+//	GET  /v1/search?q=<keywords>&k=5&diameter=4&timeout=2s
 //	POST /v1/search              {"queries": [{"q": ...}, ...]}  (batched)
 //	GET  /v1/healthz
 //	GET  /v1/metrics
@@ -394,8 +394,8 @@ func (s *Server) validateParams(get func(string) string) (searchParams, string) 
 	}
 	if v := get("diameter"); v != "" {
 		d, err := strconv.Atoi(v)
-		if err != nil || d < 0 {
-			return p, fmt.Sprintf("bad diameter %q: want a non-negative integer", v)
+		if err != nil || d < 1 {
+			return p, fmt.Sprintf("bad diameter %q: want a positive integer", v)
 		}
 		if d > s.cfg.MaxDiameter {
 			return p, fmt.Sprintf("diameter %d exceeds the limit %d", d, s.cfg.MaxDiameter)
@@ -412,15 +412,13 @@ func (s *Server) validateParams(get func(string) string) (searchParams, string) 
 		}
 		p.timeout = d
 	}
+	// /v1 keeps accepting and validating workers — batch decoding rejects
+	// unknown fields, so dropping it would fail valid requests — but a query
+	// runs on one goroutine, so nothing reads the value.
 	if v := get("workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
+		if n, err := strconv.Atoi(v); err != nil || n < 0 {
 			return p, fmt.Sprintf("bad workers %q: want a non-negative integer", v)
 		}
-		if cpus := runtime.GOMAXPROCS(0); n > cpus {
-			n = cpus // clamp: each worker costs pooled scratch, more than the CPUs buy nothing
-		}
-		p.opts.Workers = n
 	}
 	return p, ""
 }

@@ -171,7 +171,8 @@ type V1BatchQuery struct {
 	Diameter *int `json:"diameter,omitempty"`
 	// Timeout overrides the per-query deadline, as a Go duration string.
 	Timeout string `json:"timeout,omitempty"`
-	// Workers overrides the engine's per-query fan-out.
+	// Workers is accepted for compatibility and validated like the GET
+	// parameter (a non-negative integer); it has no effect.
 	Workers *int `json:"workers,omitempty"`
 }
 

@@ -383,7 +383,6 @@ func TestQueryKey(t *testing.T) {
 		"term order": func() string { p := base; p.terms = []string{"b", "a"}; return queryKey(g1, p) },
 		"timeout":    func() string { p := base; p.timeout = 2 * time.Second; return queryKey(g1, p) },
 		"diameter":   func() string { p := base; p.opts.Diameter = 3; return queryKey(g1, p) },
-		"workers":    func() string { p := base; p.opts.Workers = 2; return queryKey(g1, p) },
 		"merge":      func() string { p := base; p.opts.ExtendedMerge = true; return queryKey(g1, p) },
 		"expansions": func() string { p := base; p.opts.MaxExpansions = 7; return queryKey(g1, p) },
 	}
@@ -395,6 +394,22 @@ func TestQueryKey(t *testing.T) {
 			t.Errorf("mutating %s collides with %s", name, prev)
 		}
 		seen[k] = name
+	}
+	// workers is accepted but reaches nothing, so it must not split keys.
+	s, err := New(Config{Engine: smallEngine(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed := func(workers string) searchParams {
+		fields := map[string]string{"q": "a b", "workers": workers}
+		p, msg := s.validateParams(func(key string) string { return fields[key] })
+		if msg != "" {
+			t.Fatalf("workers=%q rejected: %s", workers, msg)
+		}
+		return p
+	}
+	if queryKey(g1, parsed("")) != queryKey(g1, parsed("2")) {
+		t.Error("workers=2 produced a different key from no workers parameter")
 	}
 	// Terms containing the separator cannot smuggle a collision: the count
 	// of separators differs.

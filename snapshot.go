@@ -304,8 +304,6 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 }
 
 // assembleLoaded builds the engine shell around a decoded snapshot's parts.
-// Snapshots carry no Config, so loaded engines get the auto default
-// (Workers 0).
 func assembleLoaded(g *graph.Graph, ix *textindex.Index, model *rwmp.Model, imp []float64,
 	starIdx *pathindex.StarIndex, entries []relational.MappingEntry, byKey map[string]graph.NodeID) *Engine {
 	e := &Engine{
