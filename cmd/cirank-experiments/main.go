@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"cirank/internal/experiments"
@@ -30,6 +31,11 @@ func main() {
 	)
 	flag.Parse()
 
+	want, err := parseFigs(*figs)
+	if err != nil {
+		fail(err)
+	}
+
 	cfg := experiments.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.QueryCount = *queries
@@ -37,20 +43,8 @@ func main() {
 	cfg.K = *k
 	cfg.Diameter = *diam
 
-	want := map[string]bool{}
-	if *figs == "all" {
-		for _, f := range []string{"6", "7", "8", "9", "10", "11", "12", "classes"} {
-			want[f] = true
-		}
-	} else {
-		for _, f := range strings.Split(*figs, ",") {
-			want[strings.TrimSpace(f)] = true
-		}
-	}
-
 	needBundles := want["6"] || want["7"] || want["8"] || want["9"] || want["11"] || want["12"] || want["classes"]
 	var imdb, dblp *experiments.Bundle
-	var err error
 	if needBundles {
 		fmt.Fprintf(os.Stderr, "preparing datasets (scale %.2g, seed %d)...\n", cfg.Scale, cfg.Seed)
 		if imdb, err = experiments.PrepareIMDB(cfg.Scale, cfg.Seed); err != nil {
@@ -78,7 +72,6 @@ func main() {
 		{"12", func() (*experiments.Table, error) { return experiments.Fig12DBLPIndexTime(dblp, cfg) }},
 		{"classes", func() (*experiments.Table, error) { return experiments.ClassBreakdown(dblp, cfg) }},
 	}
-	ran := 0
 	for _, j := range jobs {
 		if !want[j.id] {
 			continue
@@ -88,11 +81,31 @@ func main() {
 			fail(fmt.Errorf("figure %s: %w", j.id, err))
 		}
 		fmt.Println(tab)
-		ran++
 	}
-	if ran == 0 {
-		fail(fmt.Errorf("no figures selected by -fig=%q (valid: 6-12, classes)", *figs))
+}
+
+// figIDs lists every figure id -fig accepts.
+var figIDs = []string{"6", "7", "8", "9", "10", "11", "12", "classes"}
+
+// parseFigs turns the comma-separated -fig value into the set of figure ids
+// to run. "all" selects every figure; any other id outside figIDs is an
+// error, so a typo cannot silently drop a figure from the run.
+func parseFigs(s string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, f := range strings.Split(s, ",") {
+		f = strings.TrimSpace(f)
+		switch {
+		case f == "all":
+			for _, id := range figIDs {
+				want[id] = true
+			}
+		case slices.Contains(figIDs, f):
+			want[f] = true
+		default:
+			return nil, fmt.Errorf("unknown figure %q in -fig=%q (valid: 6-12, classes)", f, s)
+		}
 	}
+	return want, nil
 }
 
 func fail(err error) {

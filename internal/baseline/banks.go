@@ -71,9 +71,6 @@ func NewBanks(g *graph.Graph, ix *textindex.Index) *Banks {
 // Name implements Scorer.
 func (b *Banks) Name() string { return "BANKS" }
 
-// Prestige exposes the normalized node prestige, for tests and diagnostics.
-func (b *Banks) Prestige(v graph.NodeID) float64 { return b.prestige[v] }
-
 // Score implements Scorer. Beyond selecting the root, terms do not
 // influence the score: BANKS sees only tree structure and node prestige,
 // which is precisely the behaviour the CI-Rank paper critiques.

@@ -1,6 +1,6 @@
 // Package baseline implements the ranking methods CI-Rank is evaluated
-// against in §VI: the IR-style scoring functions of DISCOVER2 and SPARK
-// (§II-B.1) and the graph-based scoring of BANKS (§II-B.2).
+// against in §VI: the IR-style scoring function of SPARK (§II-B.1) and the
+// graph-based scoring of BANKS (§II-B.2).
 //
 // All scorers implement the same Scorer interface over joined tuple trees,
 // so the effectiveness experiments can rank a shared candidate pool with
@@ -10,19 +10,15 @@
 // Where the CI-Rank paper omits a formula "due to the limited space", the
 // implementation follows the cited original papers with documented
 // approximations; the behaviours the CI-Rank paper relies on for its
-// analysis — DISCOVER2 ignoring free-node identity, SPARK penalizing longer
-// text via dl_T, BANKS seeing only root and leaf weights — are reproduced
-// exactly and covered by tests.
+// analysis — SPARK penalizing longer text via dl_T, BANKS seeing only root
+// and leaf weights — are reproduced exactly and covered by tests.
 package baseline
 
 import (
 	"hash/fnv"
-	"math"
 	"sort"
 
-	"cirank/internal/graph"
 	"cirank/internal/jtt"
-	"cirank/internal/textindex"
 )
 
 // Scorer ranks a joined tuple tree for a query. Higher is better.
@@ -70,64 +66,6 @@ func keyHash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
-}
-
-// Discover2 implements the TF-IDF scoring function of Hristidis et al.
-// (DISCOVER2, §II-B.1):
-//
-//	score(T,Q) = Σ_{v∈T} score(v,Q) / size(T)
-//	score(v,Q) = Σ_{k∈v∩Q} (1 + ln(1 + ln tf_k(v))) /
-//	             ((1−s) + s·dl_v/avdl_v) · ln(idf_k)
-//	idf_k      = (N_Rel(v) + 1) / df_k(Rel(v))
-type Discover2 struct {
-	// G is the data graph the scorer reads structure from.
-	G *graph.Graph
-	// Ix locates keyword matches and term statistics.
-	Ix *textindex.Index
-	// S is the length-normalization slope; the literature uses 0.2.
-	S float64
-}
-
-// NewDiscover2 builds the scorer with the standard s = 0.2.
-func NewDiscover2(g *graph.Graph, ix *textindex.Index) *Discover2 {
-	return &Discover2{G: g, Ix: ix, S: 0.2}
-}
-
-// Name implements Scorer.
-func (d *Discover2) Name() string { return "DISCOVER2" }
-
-// Score implements Scorer.
-func (d *Discover2) Score(t *jtt.Tree, terms []string) float64 {
-	total := 0.0
-	for _, v := range t.Nodes() {
-		total += d.nodeScore(v, terms)
-	}
-	return total / float64(t.Size())
-}
-
-// nodeScore is score(v, Q).
-func (d *Discover2) nodeScore(v graph.NodeID, terms []string) float64 {
-	rel := d.G.Node(v).Relation
-	dl := float64(d.Ix.NodeLen(v))
-	avdl := d.Ix.RelationAvgLen(rel)
-	if avdl == 0 {
-		return 0
-	}
-	norm := (1 - d.S) + d.S*dl/avdl
-	score := 0.0
-	for _, k := range dedupeTerms(terms) {
-		tf := d.Ix.TF(v, k)
-		if tf == 0 {
-			continue
-		}
-		df := d.Ix.DF(k, rel)
-		if df == 0 {
-			continue
-		}
-		idf := (float64(d.Ix.RelationTuples(rel)) + 1) / float64(df)
-		score += (1 + math.Log(1+math.Log(float64(tf)))) / norm * math.Log(idf)
-	}
-	return score
 }
 
 // dedupeTerms lowercases and dedupes query terms preserving order. Terms

@@ -35,7 +35,7 @@ type Spark struct {
 	G *graph.Graph
 	// Ix locates keyword matches and term statistics.
 	Ix *textindex.Index
-	// S is the length-normalization slope (0.2 as in DISCOVER2).
+	// S is the length-normalization slope; the literature uses 0.2.
 	S float64
 	// P is the L^p norm of the completeness factor; SPARK uses 2.0.
 	P float64

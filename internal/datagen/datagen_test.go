@@ -298,27 +298,6 @@ func TestNameQueryGeneration(t *testing.T) {
 	}
 }
 
-func TestDebugNameRatios(t *testing.T) {
-	b := smallIMDB(t, 61)
-	rng := rand.New(rand.NewSource(9))
-	ratios := DebugNameRatios(b, rng, 100)
-	for _, r := range ratios {
-		if r <= 0 {
-			t.Fatalf("non-positive ratio %g", r)
-		}
-	}
-	q := DebugSampleNameQuery(b, rng)
-	for i := 0; q == nil && i < 200; i++ {
-		q = DebugSampleNameQuery(b, rng)
-	}
-	if q == nil {
-		t.Skip("no sample emerged; dataset too small at this seed")
-	}
-	if q.Class != NameQuery || q.GoldKey == "" {
-		t.Errorf("malformed sampled query: %+v", q)
-	}
-}
-
 func TestWorkloadDeterminism(t *testing.T) {
 	b := smallDBLP(t, 71)
 	q1, err := b.GenerateWorkload(SyntheticConfig(8, 123))

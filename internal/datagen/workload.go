@@ -467,9 +467,6 @@ const nameOracleThreshold = 26.0
 // use of manually-labeled (i.e. judgment-requiring) AOL queries.
 var nameAmbiguityBand = [2]float64{6, 120}
 
-// nameBandEnabled disables the ambiguity band during calibration debugging.
-var nameBandEnabled = true
-
 // genNameQuery emits the Fig. 4-style cross-interpretation query: two
 // ambiguous name words that match a single person jointly and famous
 // entity pairs separately. The gold is whichever interpretation the fame
@@ -539,7 +536,7 @@ func (b *Built) genNameQuery(rng *rand.Rand) *Query {
 		return nil
 	}
 	ratio := bestPairFame / bestSingleFame
-	if nameBandEnabled && (ratio < nameAmbiguityBand[0] || ratio > nameAmbiguityBand[1]) {
+	if ratio < nameAmbiguityBand[0] || ratio > nameAmbiguityBand[1] {
 		return nil
 	}
 	pairTree := b.starTree(bpConn, bp1, bp2)
@@ -649,74 +646,4 @@ func (b *Built) bestCommonConnector(people []graph.NodeID) graph.NodeID {
 		}
 	}
 	return best
-}
-
-// DebugNameRatios samples candidate name queries and reports their
-// pair/single fame ratios; a development aid for calibrating the oracle
-// threshold and ambiguity band.
-func DebugNameRatios(b *Built, rng *rand.Rand, samples int) []float64 {
-	var out []float64
-	for i := 0; i < samples; i++ {
-		ratio, ok := b.sampleNameRatio(rng)
-		if ok {
-			out = append(out, ratio)
-		}
-	}
-	return out
-}
-
-// sampleNameRatio draws one candidate name query and returns its fame
-// ratio.
-func (b *Built) sampleNameRatio(rng *rand.Rand) (float64, bool) {
-	v := graph.NodeID(rng.Intn(b.G.NumNodes()))
-	toks := textindex.Tokenize(b.G.Node(v).Text)
-	if len(toks) < 2 {
-		return 0, false
-	}
-	t1, t2 := toks[0], toks[1]
-	if t1 == t2 || b.Ix.DFTotal(t1) < 2 || b.Ix.DFTotal(t2) < 2 {
-		return 0, false
-	}
-	bestSingleFame := -1.0
-	for _, u := range b.Ix.MatchingNodes(t1) {
-		if b.Ix.TF(u, t2) == 0 {
-			continue
-		}
-		if fame := b.personPop(u) + b.connectorPop(u); fame > bestSingleFame {
-			bestSingleFame = fame
-		}
-	}
-	if bestSingleFame <= 0 {
-		return 0, false
-	}
-	m1 := b.topFameMatchers(t1, 20)
-	m2 := b.topFameMatchers(t2, 20)
-	bestPairFame := -1.0
-	for _, u := range m1 {
-		for _, w := range m2 {
-			if u == w {
-				continue
-			}
-			if b.bestCommonConnector([]graph.NodeID{u, w}) == graph.InvalidNode {
-				continue
-			}
-			if fame := b.personPop(u) + b.personPop(w); fame > bestPairFame {
-				bestPairFame = fame
-			}
-		}
-	}
-	if bestPairFame <= 0 {
-		return 0, false
-	}
-	return bestPairFame / bestSingleFame, true
-}
-
-// DebugSampleNameQuery draws one name query without the ambiguity-band
-// filter; a development aid for calibrating the oracle. It toggles a
-// package-level flag and must not run concurrently with GenerateWorkload.
-func DebugSampleNameQuery(b *Built, rng *rand.Rand) *Query {
-	save := nameBandEnabled
-	nameBandEnabled = false
-	defer func() { nameBandEnabled = save }()
-	return b.genNameQuery(rng)
 }

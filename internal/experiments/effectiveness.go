@@ -25,8 +25,8 @@ type Effectiveness struct {
 const precisionK = 1
 
 // evaluatePools ranks each query's candidate pool with the scorer and
-// aggregates MRR (reciprocal rank of the gold answer) and precision@5
-// (graded by gold-endpoint coverage).
+// aggregates MRR (reciprocal rank of the gold answer) and precision at
+// precisionK, the top answer (graded by gold-endpoint coverage).
 func evaluatePools(scorer baseline.Scorer, queries []datagen.Query, queryPools [][]*jtt.Tree) Effectiveness {
 	var acc eval.Accumulator
 	for i, q := range queries {

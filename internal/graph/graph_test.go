@@ -94,20 +94,6 @@ func TestAddEdgePanics(t *testing.T) {
 	}
 }
 
-func TestBFSDistances(t *testing.T) {
-	g := buildLine(t, 6)
-	dist := g.BFSDistances(0, 3)
-	want := map[NodeID]int{0: 0, 1: 1, 2: 2, 3: 3}
-	if len(dist) != len(want) {
-		t.Fatalf("got %d nodes, want %d: %v", len(dist), len(want), dist)
-	}
-	for id, d := range want {
-		if dist[id] != d {
-			t.Errorf("dist[%d] = %d, want %d", id, dist[id], d)
-		}
-	}
-}
-
 func TestBFSAllShortestPathsDiamond(t *testing.T) {
 	// 0 → {1, 2} → 3: node 3 has two shortest-path predecessors.
 	b := NewBuilder(4)
@@ -125,41 +111,6 @@ func TestBFSAllShortestPathsDiamond(t *testing.T) {
 	}
 	if len(tr.Preds[3]) != 2 {
 		t.Fatalf("Preds[3] = %v, want two predecessors", tr.Preds[3])
-	}
-}
-
-func TestDijkstraHopCounts(t *testing.T) {
-	g := buildLine(t, 5)
-	dist := g.Dijkstra(0, -1, func(NodeID, HalfEdge) float64 { return 1 })
-	for i := 0; i < 5; i++ {
-		if dist[NodeID(i)] != float64(i) {
-			t.Errorf("dist[%d] = %g, want %d", i, dist[NodeID(i)], i)
-		}
-	}
-}
-
-func TestDijkstraMaxCost(t *testing.T) {
-	g := buildLine(t, 10)
-	dist := g.Dijkstra(0, 3, func(NodeID, HalfEdge) float64 { return 1 })
-	if len(dist) != 4 {
-		t.Fatalf("got %d nodes within cost 3, want 4", len(dist))
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	b := NewBuilder(5)
-	for i := 0; i < 5; i++ {
-		b.AddNode(Node{})
-	}
-	b.AddBiEdge(0, 1, 1, 1)
-	b.AddBiEdge(3, 4, 1, 1)
-	g := b.Build()
-	labels, n := g.ConnectedComponents()
-	if n != 3 {
-		t.Fatalf("numComponents = %d, want 3", n)
-	}
-	if labels[0] != labels[1] || labels[3] != labels[4] || labels[0] == labels[2] || labels[0] == labels[3] {
-		t.Errorf("unexpected labels %v", labels)
 	}
 }
 
@@ -197,18 +148,6 @@ func randomGraph(rng *rand.Rand, n, m int) *Graph {
 		b.AddBiEdge(u, v, rng.Float64()+0.1, rng.Float64()+0.1)
 	}
 	return b.Build()
-}
-
-func TestBFSVisitEarlyStop(t *testing.T) {
-	g := buildLine(t, 10)
-	count := 0
-	g.BFSVisit(0, 10, func(NodeID, int) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("visited %d nodes, want 3 (early stop)", count)
-	}
 }
 
 // TestEdgeOrderIndependence pins the property the parallel build pipeline

@@ -1,49 +1,5 @@
 package graph
 
-import "container/heap"
-
-// BFSVisit calls visit for every node reachable from start within maxDepth
-// hops (treating edges as traversable in their stored direction), including
-// start itself at depth 0. If visit returns false the traversal stops.
-//
-// The search algorithms expand from non-free nodes up to ⌈D/2⌉ hops (§IV-A),
-// so depth-bounded BFS is the workhorse primitive here.
-func (g *Graph) BFSVisit(start NodeID, maxDepth int, visit func(id NodeID, depth int) bool) {
-	type item struct {
-		id    NodeID
-		depth int
-	}
-	seen := map[NodeID]bool{start: true}
-	queue := []item{{start, 0}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if !visit(cur.id, cur.depth) {
-			return
-		}
-		if cur.depth == maxDepth {
-			continue
-		}
-		for _, e := range g.OutEdges(cur.id) {
-			if !seen[e.To] {
-				seen[e.To] = true
-				queue = append(queue, item{e.To, cur.depth + 1})
-			}
-		}
-	}
-}
-
-// BFSDistances returns the hop distance from start to every node reachable
-// within maxDepth, including start (distance 0).
-func (g *Graph) BFSDistances(start NodeID, maxDepth int) map[NodeID]int {
-	dist := make(map[NodeID]int)
-	g.BFSVisit(start, maxDepth, func(id NodeID, depth int) bool {
-		dist[id] = depth
-		return true
-	})
-	return dist
-}
-
 // BFSTree records, for each node reached, the hop distance from the source
 // and the set of predecessors on shortest paths. The naive search algorithm
 // (§IV-A) needs all shortest-path predecessors because different connecting
@@ -86,93 +42,4 @@ func (g *Graph) BFSAllShortestPaths(start NodeID, maxDepth int) *BFSTree {
 		frontier = next
 	}
 	return t
-}
-
-// pqItem is a priority-queue entry for Dijkstra-style traversals.
-type pqItem struct {
-	id   NodeID
-	prio float64
-}
-
-type minPQ []pqItem
-
-func (q minPQ) Len() int            { return len(q) }
-func (q minPQ) Less(i, j int) bool  { return q[i].prio < q[j].prio }
-func (q minPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *minPQ) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *minPQ) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
-// Dijkstra computes, from start, the minimum cost to every reachable node
-// under the given per-edge cost function. Nodes whose cost exceeds maxCost
-// are not expanded (pass a negative maxCost for no limit). cost must be
-// non-negative for every edge.
-//
-// The path indexes (§V) are built with two instantiations: hop counts
-// (cost ≡ 1) for the shortest distance DS, and −log retention for the
-// minimal message loss LS.
-func (g *Graph) Dijkstra(start NodeID, maxCost float64, cost func(from NodeID, e HalfEdge) float64) map[NodeID]float64 {
-	dist := map[NodeID]float64{start: 0}
-	done := make(map[NodeID]bool)
-	pq := &minPQ{{start, 0}}
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(pqItem)
-		if done[cur.id] {
-			continue
-		}
-		done[cur.id] = true
-		for _, e := range g.OutEdges(cur.id) {
-			c := cost(cur.id, e)
-			if c < 0 {
-				panic("graph: Dijkstra edge cost must be non-negative")
-			}
-			nd := cur.prio + c
-			if maxCost >= 0 && nd > maxCost {
-				continue
-			}
-			if old, seen := dist[e.To]; !seen || nd < old {
-				dist[e.To] = nd
-				heap.Push(pq, pqItem{e.To, nd})
-			}
-		}
-	}
-	return dist
-}
-
-// ConnectedComponents returns, for each node, a component label in
-// [0, numComponents), treating edges as undirected. The relational builder
-// uses this to verify star-table removal disconnects the graph, and the
-// dataset samplers use it to keep samples connected.
-func (g *Graph) ConnectedComponents() (labels []int32, numComponents int) {
-	n := g.NumNodes()
-	labels = make([]int32, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	var stack []NodeID
-	comp := int32(0)
-	for v := 0; v < n; v++ {
-		if labels[v] >= 0 {
-			continue
-		}
-		stack = append(stack[:0], NodeID(v))
-		labels[v] = comp
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range g.OutEdges(u) {
-				if labels[e.To] < 0 {
-					labels[e.To] = comp
-					stack = append(stack, e.To)
-				}
-			}
-		}
-		comp++
-	}
-	return labels, int(comp)
 }

@@ -15,7 +15,6 @@ package jtt
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"cirank/internal/graph"
@@ -169,19 +168,6 @@ func (t *Tree) hasChild(i int) bool {
 		}
 	}
 	return false
-}
-
-// Neighbors returns v's tree neighbours (parent and children) in ascending
-// order. This is N(v) ∩ V(T), the set over which RWMP message splits are
-// normalized. It allocates per call; rwmp's hot path iterates NodeView and
-// Parent instead.
-func (t *Tree) Neighbors(v graph.NodeID) []graph.NodeID {
-	out := t.Children(v)
-	if p, ok := t.Parent(v); ok {
-		out = append(out, p)
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	}
-	return out
 }
 
 // Leaves returns the tree's leaves (nodes without children; the root counts

@@ -142,11 +142,11 @@ func TestNeighborsAndLeaves(t *testing.T) {
 	a := mustGrow(t, NewSingle(1), g, 0)
 	b := mustGrow(t, NewSingle(2), g, 0)
 	m, _ := a.Merge(b)
-	if got := m.Neighbors(0); !reflect.DeepEqual(got, []graph.NodeID{1, 2}) {
-		t.Errorf("Neighbors(0) = %v", got)
+	if got := m.Children(0); !reflect.DeepEqual(got, []graph.NodeID{1, 2}) {
+		t.Errorf("Children(0) = %v", got)
 	}
-	if got := m.Neighbors(1); !reflect.DeepEqual(got, []graph.NodeID{0}) {
-		t.Errorf("Neighbors(1) = %v", got)
+	if p, ok := m.Parent(1); !ok || p != 0 {
+		t.Errorf("Parent(1) = %v, %v", p, ok)
 	}
 	if got := m.Leaves(); !reflect.DeepEqual(got, []graph.NodeID{1, 2}) {
 		t.Errorf("Leaves = %v", got)

@@ -1,9 +1,6 @@
 package relational
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Tuple is a row of a table. For keyword search only the text content
 // matters, so the substrate stores a tuple as its primary key plus the
@@ -174,8 +171,6 @@ func (db *Database) Lookup(tableName, key string) (Tuple, bool) {
 	return db.tuples[idx], true
 }
 
-// UsedRelationships returns the relationships that have at least one link,
-// in name order — useful for tooling that introspects populated databases.
 // EachLink calls fn for every recorded relationship instance, in insertion
 // order, with the relationship and the two tuples' keys. It lets callers
 // replay a populated database into another store (e.g. the public builder)
@@ -184,24 +179,4 @@ func (db *Database) EachLink(fn func(rel Relationship, fromKey, toKey string)) {
 	for _, l := range db.links {
 		fn(*l.rel, db.tuples[l.from].Key, db.tuples[l.to].Key)
 	}
-}
-
-// UsedRelationships returns the distinct relationships that at least one
-// link instantiates, sorted by name. A schema may declare relationships the
-// data never uses; graph construction only needs these.
-func (db *Database) UsedRelationships() []Relationship {
-	seen := make(map[string]*Relationship)
-	for _, l := range db.links {
-		seen[l.rel.Name] = l.rel
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]Relationship, len(names))
-	for i, n := range names {
-		out[i] = *seen[n]
-	}
-	return out
 }

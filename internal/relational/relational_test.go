@@ -268,17 +268,6 @@ func TestBuildGraphRejectsBadDefault(t *testing.T) {
 	}
 }
 
-func TestUsedRelationships(t *testing.T) {
-	db, _, _ := buildDBLPFixture(t)
-	rels := db.UsedRelationships()
-	if len(rels) != 2 {
-		t.Fatalf("UsedRelationships = %d, want 2 (appears_in, written_by)", len(rels))
-	}
-	if rels[0].Name != "appears_in" || rels[1].Name != "written_by" {
-		t.Errorf("unexpected order: %v, %v", rels[0].Name, rels[1].Name)
-	}
-}
-
 func TestEachLink(t *testing.T) {
 	db, _, _ := buildDBLPFixture(t)
 	type link struct{ rel, from, to string }

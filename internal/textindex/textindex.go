@@ -3,7 +3,7 @@
 // implements the equivalent from scratch: a tokenizer, an inverted index
 // from terms to posting lists over graph nodes, and the per-relation
 // statistics (document frequency, tuple counts, average text length) that
-// the IR-style baseline scorers (DISCOVER2 and SPARK, §II-B) require.
+// the IR-style baseline scorer (SPARK, §II-B) requires.
 package textindex
 
 import (
@@ -249,7 +249,7 @@ func (ix *Index) TF(id graph.NodeID, term string) int {
 }
 
 // DF reports the number of tuples of relation rel containing term, the
-// df_k(Rel(v)) statistic in the DISCOVER2 scoring function.
+// per-relation df that SPARK sums over the joined relations.
 func (ix *Index) DF(term, rel string) int {
 	return ix.df[strings.ToLower(term)][rel]
 }
@@ -318,20 +318,4 @@ func termSeenBefore(queryTerms []string, i int, t string) bool {
 		}
 	}
 	return false
-}
-
-// MatchedTerms returns the subset of queryTerms present in node id's text,
-// deduplicated and in query order.
-func (ix *Index) MatchedTerms(id graph.NodeID, queryTerms []string) []string {
-	var out []string
-	for i, t := range queryTerms {
-		lt := strings.ToLower(t)
-		if termSeenBefore(queryTerms, i, lt) {
-			continue
-		}
-		if ix.TF(id, lt) > 0 {
-			out = append(out, lt)
-		}
-	}
-	return out
 }

@@ -103,15 +103,6 @@ func TestQueryMatchCount(t *testing.T) {
 	}
 }
 
-func TestMatchedTerms(t *testing.T) {
-	ix := Build(testGraph())
-	got := ix.MatchedTerms(3, []string{"TSIMMIS", "mediation", "ullman", "tsimmis"})
-	want := []string{"tsimmis", "mediation"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("MatchedTerms = %v, want %v", got, want)
-	}
-}
-
 func TestUnknownTermAndRelation(t *testing.T) {
 	ix := Build(testGraph())
 	if got := ix.MatchingNodes("nonexistent"); len(got) != 0 {
