@@ -33,17 +33,21 @@ type pinnedWork struct {
 	Truncated bool   `json:"truncated"`
 }
 
-// pinnedWorkload holds one workload's rows, identical at every worker count.
+// pinnedWorkload holds one workload's rows at one diameter, identical at
+// every worker count.
 type pinnedWorkload struct {
-	Dataset string       `json:"dataset"`
-	Scale   float64      `json:"scale"`
-	Single  []pinnedWork `json:"single"`
+	Dataset  string       `json:"dataset"`
+	Scale    float64      `json:"scale"`
+	Diameter int          `json:"diameter"`
+	Single   []pinnedWork `json:"single"`
 }
 
-const (
-	pinK        = 10
-	pinDiameter = 4
-)
+const pinK = 10
+
+// pinDiameters are the diameters every workload is pinned at: the one the
+// benchmarks run and the next, whose ⌈D/2⌉ = 3 depth limit is where the
+// search holds most trees at the limit.
+var pinDiameters = []int{4, 5}
 
 var pinWorkers = []int{1, 4}
 
@@ -72,7 +76,12 @@ func TestStatsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if *updatePins {
-		pins = []pinnedWorkload{{Dataset: "dblp", Scale: 0.25}, {Dataset: "imdb", Scale: 0.25}}
+		pins = nil
+		for _, d := range pinDiameters {
+			for _, dataset := range []string{"dblp", "imdb"} {
+				pins = append(pins, pinnedWorkload{Dataset: dataset, Scale: 0.25, Diameter: d})
+			}
+		}
 	} else {
 		pins = old
 	}
@@ -83,7 +92,7 @@ func TestStatsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := search.Options{K: pinK, Diameter: pinDiameter}
+		opts := search.Options{K: pinK, Diameter: pin.Diameter}
 
 		s := search.New(w.M)
 		for _, workers := range pinWorkers {
@@ -99,12 +108,16 @@ func TestStatsPinned(t *testing.T) {
 			if *updatePins && workers == pinWorkers[0] {
 				pin.Single = got
 			}
-			comparePins(t, pin.Dataset, "workers", workers, pin.Single, got)
+			comparePins(t, pin, workers, got)
 		}
 	}
 	if *updatePins {
-		for pi := range old {
-			onlyGeneratedFell(t, old[pi].Dataset, "single", old[pi].Single, pins[pi].Single)
+		for _, o := range old {
+			for _, p := range pins {
+				if p.Dataset == o.Dataset && p.Scale == o.Scale && p.Diameter == o.Diameter {
+					onlyGeneratedFell(t, p, o.Single)
+				}
+			}
 		}
 		if t.Failed() {
 			t.Fatalf("%s not rewritten", pinsPath)
@@ -122,10 +135,11 @@ func TestStatsPinned(t *testing.T) {
 // onlyGeneratedFell is the re-record guard: against the committed rows, the
 // new ones may differ in Generated alone, and only downwards. It logs the
 // old → new totals, which is the table EXPERIMENTS.md quotes.
-func onlyGeneratedFell(t *testing.T, dataset, arm string, old, rows []pinnedWork) {
+func onlyGeneratedFell(t *testing.T, pin pinnedWorkload, old []pinnedWork) {
 	t.Helper()
+	rows := pin.Single
 	if len(old) != len(rows) {
-		t.Errorf("%s %s: %d committed rows, %d re-recorded", dataset, arm, len(old), len(rows))
+		t.Errorf("%s D=%d: %d committed rows, %d re-recorded", pin.Dataset, pin.Diameter, len(old), len(rows))
 		return
 	}
 	var was, now int
@@ -135,21 +149,22 @@ func onlyGeneratedFell(t *testing.T, dataset, arm string, old, rows []pinnedWork
 		rest := o
 		rest.Generated = r.Generated
 		if rest != r || r.Generated > o.Generated {
-			t.Errorf("%s %s query %d: re-record moves more than Generated, or moves it up:\n new %+v\n old %+v", dataset, arm, i, r, o)
+			t.Errorf("%s D=%d query %d: re-record moves more than Generated, or moves it up:\n new %+v\n old %+v", pin.Dataset, pin.Diameter, i, r, o)
 		}
 	}
-	t.Logf("%s %s: generated %d -> %d over %d queries", dataset, arm, was, now, len(rows))
+	t.Logf("%s D=%d: generated %d -> %d over %d queries", pin.Dataset, pin.Diameter, was, now, len(rows))
 }
 
-func comparePins(t *testing.T, dataset, axis string, n int, want, got []pinnedWork) {
+func comparePins(t *testing.T, pin *pinnedWorkload, workers int, got []pinnedWork) {
 	t.Helper()
+	want := pin.Single
 	if len(want) != len(got) {
-		t.Errorf("%s %s=%d: %d pinned queries, workload has %d", dataset, axis, n, len(want), len(got))
+		t.Errorf("%s D=%d workers=%d: %d pinned queries, workload has %d", pin.Dataset, pin.Diameter, workers, len(want), len(got))
 		return
 	}
 	for i := range want {
 		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("%s %s=%d query %d:\n got %+v\nwant %+v", dataset, axis, n, i, got[i], want[i])
+			t.Errorf("%s D=%d workers=%d query %d:\n got %+v\nwant %+v", pin.Dataset, pin.Diameter, workers, i, got[i], want[i])
 		}
 	}
 }
