@@ -226,7 +226,9 @@ type SearchStats struct {
 	// and are never queued, so each count is a real expansion, and it is
 	// this count that SearchOptions.MaxExpansions caps.
 	Expanded int
-	// Generated counts candidate trees created (after dedup).
+	// Generated counts the candidates the search created: built trees after
+	// dedup, plus terminal children priced and registered without being
+	// built.
 	Generated int
 	// Answers counts complete valid answers encountered before top-k
 	// truncation.

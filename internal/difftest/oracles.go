@@ -27,10 +27,18 @@ const (
 	subsetCap = 256
 )
 
+// deepDiameters are the diameters every query is also asked at, against the
+// exhaustive top-k only. The generator draws D ∈ {2, 3, 4}, whose candidate
+// depth limit ⌈D/2⌉ is at most 2; the paper's Fig. 11/12 run D ∈ {4, 5, 6},
+// and 5 and 6 put the limit at 3. The queries keep their graph, terms and k,
+// so no seed's workload changes.
+var deepDiameters = []int{5, 6}
+
 // CheckWorkload runs every oracle axis over the workload: path-index bounds
 // against brute-force ground truth (plus codec roundtrips), then the full
-// search cross-check for each query. It returns an error describing the
-// first mismatch, nil when every axis agrees.
+// search cross-check for each query, then branch-and-bound against the
+// exhaustive top-k at each deep diameter. It returns an error describing
+// the first mismatch, nil when every axis agrees.
 func CheckWorkload(w *Workload) error {
 	if err := checkIndexes(w); err != nil {
 		return fmt.Errorf("seed %d: %w", w.Seed, err)
@@ -39,6 +47,14 @@ func CheckWorkload(w *Workload) error {
 		if err := checkQuery(w, q); err != nil {
 			return fmt.Errorf("seed %d: query %d %v (k=%d, D=%d): %w",
 				w.Seed, qi, q.Terms, q.K, q.Diameter, err)
+		}
+		for _, d := range deepDiameters {
+			deep := q
+			deep.Diameter = d
+			if _, _, err := optimal(w, deep); err != nil {
+				return fmt.Errorf("seed %d: query %d %v (k=%d) asked at D=%d: %w",
+					w.Seed, qi, q.Terms, q.K, d, err)
+			}
 		}
 	}
 	return nil
@@ -256,35 +272,42 @@ func checkAnswerInvariants(w *Workload, q Query, answers []search.Answer, label 
 	return nil
 }
 
+// optimal runs the query's branch-and-bound search with extended merge,
+// which is certified optimal, and holds it to the exhaustive ground truth:
+// it must reproduce the exhaustive top k exactly, and its answers must keep
+// axis (d)'s invariants. It returns the search's answers and every valid
+// answer, scored and ranked.
+func optimal(w *Workload, q Query) (bb, all []search.Answer, err error) {
+	base := search.Options{K: q.K, Diameter: q.Diameter, Workers: 1, ExtendedMerge: true}
+	allOpts := base
+	allOpts.K = allAnswersK
+	all, err = w.Searcher.ExhaustiveTopK(q.Terms, allOpts, w.Graph.NumNodes())
+	if err != nil {
+		return nil, nil, fmt.Errorf("exhaustive: %v", err)
+	}
+	truth := all[:min(len(all), q.K)]
+	bb, _, err = w.Searcher.TopK(q.Terms, base)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bb: %v", err)
+	}
+	if err := answersEqual(bb, truth, scoreEps); err != nil {
+		return nil, nil, fmt.Errorf("bb vs exhaustive: %w", err)
+	}
+	if err := checkAnswerInvariants(w, q, bb, "bb"); err != nil {
+		return nil, nil, err
+	}
+	return bb, all, nil
+}
+
 // checkQuery runs one query through every engine variant and cross-checks
 // them against the exhaustive ground truth and against each other.
 func checkQuery(w *Workload, q Query) error {
 	base := search.Options{K: q.K, Diameter: q.Diameter, Workers: 1, ExtendedMerge: true}
-
-	// Ground truth: every valid answer, scored and ranked.
-	allOpts := base
-	allOpts.K = allAnswersK
-	all, err := w.Searcher.ExhaustiveTopK(q.Terms, allOpts, w.Graph.NumNodes())
+	bb, all, err := optimal(w, q)
 	if err != nil {
-		return fmt.Errorf("exhaustive: %v", err)
-	}
-	truth := all
-	if len(truth) > q.K {
-		truth = truth[:q.K]
-	}
-
-	// Branch-and-bound with extended merge is certified optimal: it must
-	// reproduce the exhaustive top k exactly.
-	bb, _, err := w.Searcher.TopK(q.Terms, base)
-	if err != nil {
-		return fmt.Errorf("bb: %v", err)
-	}
-	if err := answersEqual(bb, truth, scoreEps); err != nil {
-		return fmt.Errorf("bb vs exhaustive: %w", err)
-	}
-	if err := checkAnswerInvariants(w, q, bb, "bb"); err != nil {
 		return err
 	}
+	truth := all[:min(len(all), q.K)]
 
 	// Engine variants that must be *bit-identical* to the sequential run:
 	// the per-term supply fields fanned out across four goroutines, and

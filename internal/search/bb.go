@@ -16,12 +16,21 @@ import (
 // field is assigned later, at commit time.
 // Candidates are slab-allocated per query (see scratch.go) and invalid once
 // the query's scratch returns to the pool.
+//
+// A stub is a grown child at the ⌈D/2⌉ depth limit that cannot be an answer:
+// it misses a term, or its root is free (a free root with one child is a
+// free leaf, so the tree is not reduced). It is never queued, only merged.
+// The expansion step prices it (childBound) and does not build it: parent is
+// the tree it grows, its root record's node the new root, and cover and ub
+// are the priced ones. tree stays nil until a merge walk admits the stub
+// against a partner (treeOf); fill never runs on it.
 type candidate struct {
-	tree  *jtt.Tree
-	root  int32 // index of the tree root's record in queryScratch.roots
-	cover uint64
-	ub    float64
-	seq   int // commit order, for deterministic queue tie-breaking
+	tree   *jtt.Tree
+	parent *jtt.Tree // set for a stub only
+	root   int32     // index of the tree root's record in queryScratch.roots
+	cover  uint64
+	ub     float64
+	seq    int // commit order, for deterministic queue tie-breaking
 
 	// score and complete are set when the tree is a valid complete answer.
 	score    float64
@@ -68,13 +77,6 @@ type bbState struct {
 	top   *topK
 	stats Stats
 	seq   int
-	// built counts the trees handed to process: seeds, kept grows and
-	// successful merges. The arena hands out exactly these — the accounting
-	// test holds it to that, so a tree built only to be discarded shows.
-	built int
-	// spared counts the children the bound check kept the arena from
-	// building; built + spared is what the cheaper checks let through.
-	spared int
 	// lost latches when candidate trees were dropped before evaluation (the
 	// Generated-cap backstop discards whole merge cascades), so the frontier
 	// no longer bounds the unexplored answer space and FrontierBound must
@@ -174,12 +176,15 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 	g := s.m.Graph()
 	st := newBBState(s, sc, opts)
 	st.done = ctx.Done()
-	seeds := sc.grown[:0]
+	level := sc.level[:0]
 	for _, v := range qc.nonFree {
-		seeds = append(seeds, sc.arena.NewSingle(v))
+		if st.capped() {
+			break
+		}
+		st.stats.Built++
+		level = append(level, st.enter(sc.arena.NewSingle(v)))
 	}
-	sc.grown = seeds
-	st.process(seeds)
+	st.process(level)
 	for st.pq.Len() > 0 && !st.interrupted() {
 		// Pop a batch of frontier candidates. Lemma 1: once the best
 		// remaining upper bound cannot beat the current k-th answer,
@@ -206,11 +211,15 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 		// reject a grow runs before the arena hands out storage, cheapest
 		// first, so no tree is built only to be thrown away: overlap, then —
 		// when the query has supply fields — the bound itself, priced from
-		// the parent's flows (prebound.go). Evaluating the survivors is the
-		// expensive part, which process does.
-		grown := sc.grown[:0]
+		// the parent's flows (prebound.go). A priced child at the depth limit
+		// that cannot be an answer is not built at all: it enters the level
+		// as a stub (candidate), built only if a merge needs it. Evaluating
+		// the built survivors is the expensive part, which process does.
+		level := sc.level[:0]
+	grow:
 		for _, c := range batch {
 			var parent *flowView // c's view, taken at the first neighbour that needs it
+			terminal := c.tree.Depth()+1 >= halfDiameter(st.opts.Diameter)
 			for _, e := range g.OutEdges(c.tree.Root()) {
 				nb := e.To
 				// nb came from the root's out-edges, so the data-graph edge
@@ -218,20 +227,29 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 				if c.tree.Contains(nb) {
 					continue
 				}
+				var ub float64
+				var cover uint64
 				if qc.levels > 0 {
 					if parent == nil {
 						parent = st.viewParent(c)
 					}
-					if st.condemned(st.childBound(parent, e)) {
-						st.spared++
+					if ub, cover = st.childBound(parent, e); st.condemned(ub, cover) {
+						st.stats.Spared++
 						continue
 					}
 				}
-				grown = append(grown, sc.arena.GrowEdge(c.tree, nb))
+				if st.capped() {
+					break grow
+				}
+				if qc.levels > 0 && terminal && (cover != qc.full || qc.masks[nb] == 0) {
+					level = append(level, st.stub(c.tree, nb, cover, ub))
+					continue
+				}
+				st.stats.Built++
+				level = append(level, st.enter(sc.arena.GrowEdge(c.tree, nb)))
 			}
 		}
-		sc.grown = grown
-		st.process(grown)
+		st.process(level)
 	}
 	// The frontier bound certifies what the returned list misses: with
 	// trees lost (Generated cap) or the run interrupted, the frontier no
@@ -247,14 +265,16 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 	return st, nil
 }
 
-// process drives newly built trees through the evaluate/commit pipeline
-// until the merge closure is exhausted: dedupe the level against the set of
-// rooted trees already generated, evaluate it, commit each candidate in
-// order (recording answers, enqueuing survivors, and collecting the trees
-// its merges produce), then recurse on the collected level. Committing
-// level by level visits the same closure a depth-first recursion would —
-// every candidate still merges against every earlier same-root candidate —
-// in a breadth-first order, and that order is what Stats is counted in.
+// process drives a level of new candidates through the evaluate/commit
+// pipeline until the merge closure is exhausted: evaluate the level, commit
+// each candidate in order (recording answers, enqueuing survivors, and
+// collecting the trees its merges produce), then dedupe the merged trees
+// against those generated before and recurse on them as the next level.
+// Committing level by level visits the same closure a depth-first recursion
+// would — every candidate still merges against every earlier same-root
+// candidate — in a breadth-first order, and that order is what Stats is
+// counted in. The level is the caller's scratch buffer (queryScratch.level),
+// reused for every level after it.
 //
 // fillChunk bounds how many candidates are evaluated between context polls.
 // A merge level around a hub root can hold tens of thousands of candidates
@@ -270,71 +290,94 @@ const fillChunk = 256
 // cascade through many merge levels, and a single level through many
 // thousands of fills and merge attempts.
 //
-// The merged trees of each level collect into the scratch's two ping-pong
-// buffers: one is read as the current level while the other fills with the
-// next, so the whole cascade reuses two allocations. The caller's input
-// buffer is only read, never written.
-func (st *bbState) process(trees []*jtt.Tree) {
+// Only merged trees go through the seen set; the rest cannot repeat. A grown
+// tree is its parent under a new root, the parent its one root child, so the
+// pair (parent, new root) can be read back from it: two grown trees are equal
+// only if they grow the same parent to the same neighbour. Every parent is
+// popped once and grows once per neighbour (adjacency lists hold no parallel
+// edges), so that needs the parents themselves to be distinct trees. A seed
+// has no root child. A merge has two or more: its operands' root children
+// are disjoint (Merge rejects overlap off the root) and neither operand is a
+// seed (seeds are never registered for merges, see commit). So no grown tree
+// equals a seed or a merge, seeds are distinct nodes, and merges are deduped
+// among themselves: by induction over the generation order every candidate,
+// parents included, is a distinct tree.
+func (st *bbState) process(level []*candidate) {
 	sc := st.sc
-	outA, outB := sc.procA, sc.procB
-	useA := true
-	defer func() { sc.procA, sc.procB = outA, outB }()
-	for len(trees) > 0 && !st.interrupted() {
-		st.built += len(trees)
-		level := sc.level[:0]
-		for _, tree := range trees {
-			// The Generated cap backstops the merge closure: MaxExpansions
-			// alone bounds queue pops, but a single expansion can cascade
-			// through many merges.
-			if st.opts.MaxExpansions > 0 && st.stats.Generated >= 40*st.opts.MaxExpansions {
-				st.stats.Truncated = true
-				st.lost = true
-				break
-			}
-			if !sc.seen.add(tree, tree.Hash()) {
-				continue
-			}
-			st.stats.Generated++
-			c := sc.cands.get()
-			c.tree = tree
-			c.root = st.rootOf(tree.Root())
-			st.supplyLists(c.root, tree.Root(), tree.Depth())
-			level = append(level, c)
-		}
-		sc.level = level
+	defer func() { sc.level = level }()
+	for len(level) > 0 && !st.interrupted() {
 		for start := 0; start < len(level); start += fillChunk {
 			if st.interrupted() {
 				return
 			}
 			for _, c := range level[start:min(start+fillChunk, len(level))] {
-				st.fill(c)
+				if c.parent == nil { // a stub is priced, not filled
+					st.fill(c)
+				}
 			}
 		}
-		var out []*jtt.Tree
-		if useA {
-			out = outA[:0]
-		} else {
-			out = outB[:0]
-		}
-		stop := false
+		out := sc.merged[:0]
 		for _, c := range level {
 			if st.interrupted() {
-				stop = true
-				break
+				sc.merged = out
+				return
 			}
 			out = st.commit(c, out)
 		}
-		if useA {
-			outA = out
-		} else {
-			outB = out
+		sc.merged = out
+		level = level[:0]
+		for _, tree := range out {
+			if st.capped() {
+				break
+			}
+			if sc.seen.add(tree, tree.Hash()) {
+				level = append(level, st.enter(tree))
+			}
 		}
-		if stop {
-			return
-		}
-		useA = !useA
-		trees = out
 	}
+}
+
+// capped reports whether the Generated cap drops the next new tree. The cap
+// backstops the merge closure: MaxExpansions alone bounds queue pops, but a
+// single expansion can cascade through many merges.
+func (st *bbState) capped() bool {
+	if st.opts.MaxExpansions > 0 && st.stats.Generated >= 40*st.opts.MaxExpansions {
+		st.stats.Truncated = true
+		st.lost = true
+		return true
+	}
+	return false
+}
+
+// enter makes the candidate of a newly built tree, with the root record and
+// supply lists its evaluation reads.
+func (st *bbState) enter(tree *jtt.Tree) *candidate {
+	st.stats.Generated++
+	c := st.sc.cands.get()
+	c.tree = tree
+	c.root = st.rootOf(tree.Root())
+	st.supplyLists(c.root, tree.Root(), tree.Depth())
+	return c
+}
+
+// stub makes the candidate of parent's child over nb without building it:
+// childBound priced it at ub, with the cover given, and left its root record
+// and supply lists in place.
+func (st *bbState) stub(parent *jtt.Tree, nb graph.NodeID, cover uint64, ub float64) *candidate {
+	st.stats.Generated++
+	c := st.sc.cands.get()
+	c.parent, c.cover, c.ub = parent, cover, ub
+	c.root = st.rootOf(nb)
+	return c
+}
+
+// treeOf returns c's tree, building a stub's the first time a merge needs it.
+func (st *bbState) treeOf(c *candidate) *jtt.Tree {
+	if c.tree == nil {
+		c.tree = st.sc.arena.GrowEdge(c.parent, st.sc.roots[c.root].node)
+		st.stats.Built++
+	}
+	return c.tree
 }
 
 // rootOf returns the index of root's record in the scratch, creating it at
@@ -419,27 +462,36 @@ func (st *bbState) commit(c *candidate, out []*jtt.Tree) []*jtt.Tree {
 		}
 	}
 	// A zero bound means the candidate can never become a valid answer
-	// (some keyword has no feasible supplement).
-	if c.ub <= 0 {
-		return out
+	// (some keyword has no feasible supplement). Commit-time pruning: if the
+	// candidate's bound cannot beat the current k-th answer it can never
+	// contribute (the k-th score only rises), so don't enqueue it, don't
+	// register it for merges, and don't close merges over it. This is what
+	// keeps the merge closure from exploding quadratically around hub roots.
+	// A stub's bound is priced, not filled, so it gets the skip rule's slack
+	// (condemned): it is kept wherever fill's bound would have kept it.
+	ub := c.ub
+	if c.parent != nil {
+		ub *= 1 + preBoundSlack
 	}
-	// Commit-time pruning: if the candidate's bound cannot beat the current
-	// k-th answer it can never contribute (the k-th score only rises), so
-	// don't enqueue it, don't register it for merges, and don't close merges
-	// over it. This is what keeps the merge closure from exploding
-	// quadratically around hub roots.
-	if st.top.full() && c.ub < st.top.min() {
+	if ub <= 0 || st.top.full() && ub < st.top.min() {
 		return out
 	}
 	c.seq = st.seq
 	st.seq++
 	// Half-diameter depth limit (§IV-A): a grown tree is one level deeper
-	// than c, so a candidate already at ⌈D/2⌉ can grow nothing and stays off
-	// the frontier. It still merges, and a merge is as deep as its deeper
-	// operand, so what merges from it is terminal too: every undiscovered
-	// answer still grows out of a queued candidate (Lemma 1).
-	if c.tree.Depth() < halfDiameter(st.opts.Diameter) {
+	// than c, so a candidate already at ⌈D/2⌉ — a stub among them — can grow
+	// nothing and stays off the frontier. It still merges, and a merge is as
+	// deep as its deeper operand, so what merges from it is terminal too:
+	// every undiscovered answer still grows out of a queued candidate
+	// (Lemma 1).
+	if c.parent == nil && c.tree.Depth() < halfDiameter(st.opts.Diameter) {
 		heap.Push(st.pq, c)
+	}
+	// A seed is never merged. Merging it into a partner, which holds the
+	// seed's node as its root, returns the partner unchanged; and the seeds
+	// commit first, on distinct roots, so a seed's own walk finds nothing.
+	if c.tree != nil && c.tree.Size() == 1 {
+		return out
 	}
 	// Snapshot: trees merged from c will themselves merge against everything
 	// committed at their own commit time, including c, so walking the
@@ -447,10 +499,11 @@ func (st *bbState) commit(c *candidate, out []*jtt.Tree) []*jtt.Tree {
 	rs, walk := &st.sc.roots[c.root], &st.sc.walk
 	walk.start(rs, c.cover, st.opts.ExtendedMerge)
 	for other := walk.next(); other != nil; other = walk.next() {
-		merged, err := st.sc.arena.Merge(c.tree, other.tree)
+		merged, err := st.sc.arena.Merge(st.treeOf(c), st.treeOf(other))
 		if err != nil {
 			continue // overlap: the sanity check of §IV-B
 		}
+		st.stats.Built++
 		out = append(out, merged)
 	}
 	rs.register(c)

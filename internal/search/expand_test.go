@@ -48,11 +48,11 @@ var hubTerms = []string{"alpha", "beta"}
 
 // TestArenaHandsOutOnlyKeptTrees is the "pruned earlier, not differently"
 // accounting: over a whole hub query the arena hands out exactly the trees
-// that reach evaluation — seeds, grows that passed every check, successful
-// merges — so none is built to be discarded for depth. And on the Fig. 2
-// query it hands out fewer trees than children passed the cheap checks: the
-// bound check spares some, unless the query has no supply fields to price
-// them from.
+// Stats.Built counts — seeds, grows that passed every check, successful
+// merges, and the terminal children a merge needed — so none is built to be
+// discarded for depth. And on the Fig. 2 query it hands out fewer trees than
+// children passed the cheap checks: the bound check spares some, unless the
+// query has no supply fields to price them from.
 func TestArenaHandsOutOnlyKeptTrees(t *testing.T) {
 	fig2 := fig2Fixture(t)
 	for _, static := range []bool{false, true} {
@@ -62,9 +62,9 @@ func TestArenaHandsOutOnlyKeptTrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sc.arena.Trees(); got != st.built || (st.spared > 0) == static {
-			t.Errorf("fig2 static=%v: arena handed out %d trees, %d reached evaluation, the bound check spared %d",
-				static, got, st.built, st.spared)
+		if got := sc.arena.Trees(); got != st.stats.Built || (st.stats.Spared > 0) == static {
+			t.Errorf("fig2 static=%v: arena handed out %d trees, Stats counts %d built, the bound check spared %d",
+				static, got, st.stats.Built, st.stats.Spared)
 		}
 	}
 	fx := hubFixture(t, 40, 0)
@@ -80,8 +80,8 @@ func TestArenaHandsOutOnlyKeptTrees(t *testing.T) {
 		if st.stats.Answers == 0 || st.stats.Expanded < 80 || st.stats.Partial() {
 			t.Fatalf("workers=%d: unexpected stats %+v", workers, st.stats)
 		}
-		if got := sc.arena.Trees(); got != st.built {
-			t.Errorf("workers=%d: arena handed out %d trees, %d reached evaluation", workers, got, st.built)
+		if got := sc.arena.Trees(); got != st.stats.Built {
+			t.Errorf("workers=%d: arena handed out %d trees, Stats counts %d built", workers, got, st.stats.Built)
 		}
 	}
 }
@@ -184,7 +184,7 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 		t.Errorf("retained %d candidate slabs, cap %d", n, candSlabKeep)
 	}
 	for name, c := range map[string]int{
-		"pq": cap(sc.pq), "level": cap(sc.level), "grown": cap(sc.grown), "procA": cap(sc.procA), "procB": cap(sc.procB),
+		"pq": cap(sc.pq), "level": cap(sc.level), "merged": cap(sc.merged),
 	} {
 		if c > ptrBufCap {
 			t.Errorf("retained %s with capacity %d, cap %d", name, c, ptrBufCap)

@@ -80,3 +80,59 @@ func (o *BoundOracle) ChildBound(tree *jtt.Tree, nb graph.NodeID) (row, exact fl
 	exact, _ = st.childBound(p, e)
 	return row, exact, true
 }
+
+// handedOut returns every candidate the slab has handed out since its last
+// reset, in order.
+func (cs *candSlab) handedOut() []*candidate {
+	var out []*candidate
+	for i := 0; i <= cs.si && i < len(cs.slabs); i++ {
+		slab := cs.slabs[i]
+		if i == cs.si {
+			slab = slab[:cs.used]
+		}
+		for j := range slab {
+			out = append(out, &slab[j])
+		}
+	}
+	return out
+}
+
+// GeneratedTrees runs TopK on a fresh scratch and returns the trees the
+// search generated, by origin: the grown children — a stub's built here from
+// its parent, as a merge would — and the merges, which the seen set holds.
+// Seeds are left out.
+func (s *Searcher) GeneratedTrees(terms []string, opts Options) (grown, merged []*jtt.Tree, err error) {
+	sc := newQueryScratch()
+	st, err := s.run(context.Background(), sc, terms, opts)
+	if err != nil || st == nil {
+		return nil, nil, err
+	}
+	inSeen := make(map[*jtt.Tree]bool, sc.seen.n)
+	for _, sl := range sc.seen.slots {
+		if sl.tree != nil {
+			inSeen[sl.tree] = true
+		}
+	}
+	g := s.m.Graph()
+	for _, c := range sc.cands.handedOut() {
+		switch {
+		case c.parent != nil:
+			child, err := c.parent.Grow(g, sc.roots[c.root].node)
+			if err != nil {
+				return nil, nil, err
+			}
+			grown = append(grown, child)
+		case inSeen[c.tree]:
+			merged = append(merged, c.tree)
+		case c.tree.Size() > 1:
+			grown = append(grown, c.tree)
+		}
+	}
+	return grown, merged, nil
+}
+
+// TreeSet is the search's dedup set, for the external tests.
+type TreeSet struct{ s treeSet }
+
+// Add inserts t and reports whether no equal tree was in the set.
+func (s *TreeSet) Add(t *jtt.Tree) bool { return s.s.add(t, t.Hash()) }

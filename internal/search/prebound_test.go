@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -247,6 +248,105 @@ func TestChildBoundMatchesFill(t *testing.T) {
 	if kinds.lone < 100 || kinds.complete < 100 || kinds.missing < 100 || kinds.matcher < 100 || kinds.free < 100 ||
 		kinds.rootSource < 100 || kinds.doomed < 100 || kinds.rowDoomed < 100 || kinds.rowTight < 100 || kinds.ranked < 100 {
 		t.Fatalf("some case of the bound went nearly unexercised: %+v", kinds)
+	}
+}
+
+// stubKinds counts what checkStubs saw, so a test can demand that its inputs
+// reached every kind of stub.
+type stubKinds struct {
+	missing, freeRoot int // the child misses a term; it covers all, under a free root
+	built, unbuilt    int // a merge built it; nothing did
+}
+
+func (k *stubKinds) add(o stubKinds) {
+	k.missing, k.freeRoot = k.missing+o.missing, k.freeRoot+o.freeRoot
+	k.built, k.unbuilt = k.built+o.built, k.unbuilt+o.unbuilt
+}
+
+// checkStubs runs the query and holds every stub the search made to the
+// child it stands for, built here from its parent and filled: the child sits
+// at the depth limit, covers the stub's cover, is no answer, and fill bounds
+// it within preBoundSlack of the stub's priced bound, both ways. A stub a
+// merge built must be that child.
+func checkStubs(t testing.TB, s *Searcher, terms []string, opts Options) (kinds stubKinds) {
+	t.Helper()
+	sc := newQueryScratch()
+	st, err := s.run(context.Background(), sc, terms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st == nil {
+		return kinds
+	}
+	g := s.m.Graph()
+	for _, c := range sc.cands.handedOut() {
+		if c.parent == nil {
+			continue
+		}
+		nb := sc.roots[c.root].node
+		child, err := c.parent.Grow(g, nb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.tree != nil {
+			if !c.tree.Equal(child) {
+				t.Fatalf("query %v %+v: the stub of %s grown to %d was built as %s", terms, opts, c.parent.CanonicalKey(), nb, c.tree.CanonicalKey())
+			}
+			kinds.built++
+		} else {
+			kinds.unbuilt++
+		}
+		filled := &candidate{tree: child, root: c.root}
+		st.supplyLists(c.root, nb, child.Depth())
+		st.fill(filled)
+		if child.Depth() != halfDiameter(opts.Diameter) || filled.complete || filled.cover != c.cover ||
+			c.ub*(1+preBoundSlack) < filled.ub || c.ub > filled.ub*(1+preBoundSlack) {
+			t.Fatalf("query %v %+v: stub of %s grown to %d at depth %d: priced cover %b bound %.17g, filled cover %b bound %.17g, answer %v",
+				terms, opts, c.parent.CanonicalKey(), nb, child.Depth(), c.cover, c.ub, filled.cover, filled.ub, filled.complete)
+		}
+		if c.cover != st.qc.full {
+			kinds.missing++
+		} else {
+			kinds.freeRoot++
+		}
+	}
+	return kinds
+}
+
+// TestTerminalStubMatchesBuilt is the stub's exactness argument as a
+// property, on TestChildBoundMatchesFill's inputs: a terminal child the
+// search priced and did not build is the child fill would have seen, priced
+// as fill would have bounded it, and never an answer.
+func TestTerminalStubMatchesBuilt(t *testing.T) {
+	var kinds stubKinds
+	rng := rand.New(rand.NewSource(25))
+	for round := 0; round < 300; round++ {
+		data := make([]byte, 1+3*8+2*rng.Intn(16))
+		rng.Read(data)
+		fc, ok := decodeFieldCase(data)
+		if !ok {
+			t.Fatalf("round %d: %d bytes did not decode", round, len(data))
+		}
+		s := fc.searcher(t)
+		for _, terms := range [][]string{{"alpha"}, {"alpha", "beta"}} {
+			if len(fc.matchers[len(terms)-1]) != 0 {
+				kinds.add(checkStubs(t, s, terms, Options{K: 1 + fc.g.NumNodes()%4, Diameter: fc.levels + 1, ExtendedMerge: true, Workers: 1}))
+			}
+		}
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		fx := randomFixture(t, rand.New(rand.NewSource(seed)))
+		for _, terms := range [][]string{{"alpha"}, {"alpha", "beta"}, {"alpha", "beta", "spoke"}} {
+			for _, d := range []int{1, 2, 3, 4, 5} {
+				kinds.add(checkStubs(t, fx.s, terms, Options{K: 3, Diameter: d, ExtendedMerge: seed%2 == 0, Workers: 1}))
+			}
+		}
+	}
+	kinds.add(checkStubs(t, hubFixture(t, 12, 0).s, hubTerms, Options{K: 5, Diameter: 4, Workers: 1}))
+	kinds.add(checkStubs(t, fig2Fixture(t).s, []string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4, Workers: 1}))
+	t.Logf("%+v", kinds)
+	if kinds.missing < 100 || kinds.freeRoot < 100 || kinds.built < 100 || kinds.unbuilt < 100 {
+		t.Fatalf("some kind of stub went nearly unexercised: %+v", kinds)
 	}
 }
 

@@ -313,11 +313,13 @@ type queryScratch struct {
 	parent flowView
 	child  boundView
 
+	// batch holds the candidates popped for one expansion round; level the
+	// new candidates process is evaluating and committing (the round's
+	// children, then each merge level); merged the trees the level's commits
+	// merge, the next level once deduped.
 	batch     []*candidate
 	level     []*candidate
-	grown     []*jtt.Tree
-	procA     []*jtt.Tree
-	procB     []*jtt.Tree
+	merged    []*jtt.Tree
 	field     []float64        // the supply-field table (field.go), all zero between queries
 	fields    []fieldScratch   // its per-term views and relaxation buffers
 	matchBufs [][]graph.NodeID // per-term matching-node buffers (perTerm)
@@ -396,9 +398,7 @@ func (sc *queryScratch) release() {
 	sc.pq = trimmed(sc.pq, ptrBufCap)
 	sc.batch = sc.batch[:0]
 	sc.level = trimmed(sc.level, ptrBufCap)
-	sc.grown = trimmed(sc.grown, ptrBufCap)
-	sc.procA = trimmed(sc.procA, ptrBufCap)
-	sc.procB = trimmed(sc.procB, ptrBufCap)
+	sc.merged = trimmed(sc.merged, ptrBufCap)
 	// A view holds a few floats per source of one tree, the parent's a
 	// square of them; a many-source tree's are dropped.
 	sc.bound.view.release()

@@ -103,7 +103,9 @@ type Stats struct {
 	// Only a tree below the ⌈D/2⌉ depth limit is queued — one at the limit
 	// can grow nothing — so every count is a real expansion.
 	Expanded int
-	// Generated counts candidate trees created (after dedup).
+	// Generated counts the candidates the search created: built trees after
+	// dedup, plus terminal children priced and registered without being
+	// built.
 	Generated int
 	// Answers counts complete valid answers encountered (before top-k
 	// truncation, after dedup).
@@ -124,6 +126,14 @@ type Stats struct {
 	// when no finite bound exists — the run was interrupted, or merge
 	// cascades were dropped at the Generated cap.
 	FrontierBound float64
+	// Built counts the trees the query's arena handed out: seeds, grown
+	// children that passed every pre-build check, successful merges, and
+	// terminal children built because a merge needed them.
+	Built int
+	// Spared counts the grown children the bound check kept from being
+	// built, priced from their parents' flows (Options.NoDynamicBounds
+	// leaves nothing to price them from, so it spares none).
+	Spared int
 }
 
 // Partial reports whether the search stopped before exhausting its frontier

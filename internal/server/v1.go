@@ -23,7 +23,9 @@ const APISchema = "cirank/api/v1"
 type V1Stats struct {
 	// Expanded counts candidate trees expanded by branch-and-bound.
 	Expanded int `json:"expanded"`
-	// Generated counts candidate trees generated.
+	// Generated counts the candidates the search created: built trees
+	// after dedup, plus terminal children priced and registered without
+	// being built.
 	Generated int `json:"generated"`
 	// Answers counts complete answers found (not just the k returned).
 	Answers int `json:"answers"`
