@@ -89,11 +89,7 @@ type bbState struct {
 // fields. The queue, dedup set, root records and top-k all live in the
 // scratch; the state only points at them.
 func newBBState(s *Searcher, sc *queryScratch, opts Options) *bbState {
-	if !opts.NoDynamicBounds {
-		sc.qc.supplyFields(s.m.Graph(), s.m.DampVector(), opts.Diameter, opts.workers(), sc)
-	}
-	sc.top.k = opts.K
-	return &bbState{
+	st := &bbState{
 		s:    s,
 		qc:   &sc.qc,
 		sc:   sc,
@@ -101,6 +97,11 @@ func newBBState(s *Searcher, sc *queryScratch, opts Options) *bbState {
 		pq:   &sc.pq,
 		top:  &sc.top,
 	}
+	if !opts.NoDynamicBounds {
+		st.stats.Relaxed = sc.qc.supplyFields(s.m.Graph(), s.m.DampVector(), opts.Diameter, opts.workers(), sc)
+	}
+	sc.top.k = opts.K
+	return st
 }
 
 // interrupted polls the context. The first positive poll latches

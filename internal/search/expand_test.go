@@ -103,9 +103,10 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.seen.n <= seenMapCap || len(sc.cands.slabs) <= candSlabKeep || cap(sc.pq) <= ptrBufCap || len(sc.roots) <= rootsCap {
-		t.Fatalf("fixture too small to exceed the caps: seen %d, cand slabs %d, pq %d, roots %d",
-			sc.seen.n, len(sc.cands.slabs), cap(sc.pq), len(sc.roots))
+	if sc.seen.n <= seenMapCap || len(sc.cands.slabs) <= candSlabKeep || cap(sc.pq) <= ptrBufCap || len(sc.roots) <= rootsCap ||
+		len(sc.region.nodes) <= ptrBufCap {
+		t.Fatalf("fixture too small to exceed the caps: seen %d, cand slabs %d, pq %d, roots %d, field region %d",
+			sc.seen.n, len(sc.cands.slabs), cap(sc.pq), len(sc.roots), len(sc.region.nodes))
 	}
 	if st.stats.Answers == 0 || st.stats.Expanded > 4*400 || st.stats.Partial() {
 		t.Fatalf("the idle pairs were expanded, or the hub query went wrong: %+v", st.stats)
@@ -213,6 +214,20 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 	for i, v := range sc.field[:cap(sc.field)] {
 		if v != 0 {
 			t.Fatalf("released field table holds %v at %d", v, i)
+		}
+	}
+	// The field region's node list is dropped past its cap; its visited
+	// table, dense like the others, comes back all clear.
+	if cap(sc.region.nodes) > ptrBufCap || len(sc.region.ends) != 0 || len(sc.region.degs) != 0 {
+		t.Errorf("retained a field region of %d nodes (capacity %d, cap %d) and %d layers",
+			len(sc.region.nodes), cap(sc.region.nodes), ptrBufCap, len(sc.region.ends))
+	}
+	if len(sc.region.seen) != n {
+		t.Errorf("field region's visited table sized %d for %d nodes", len(sc.region.seen), n)
+	}
+	for v, seen := range sc.region.seen {
+		if seen {
+			t.Fatalf("released field region still marks node %d visited", v)
 		}
 	}
 	// The trimmed scratch must serve the next query like a fresh one (a

@@ -3,10 +3,44 @@ package search
 import (
 	"context"
 	"math"
+	"testing"
 
 	"cirank/internal/graph"
 	"cirank/internal/jtt"
 )
+
+// ForcePull makes every restricted round of the supply-field relaxation pull,
+// whatever its cost, until t ends.
+func ForcePull(t testing.TB) {
+	forcePull = true
+	t.Cleanup(func() { forcePull = false })
+}
+
+// HopsFrom is the test's own breadth-first search: every node's hop count
+// from the nearest source, -1 when none reaches it.
+var HopsFrom = hopsFrom
+
+// FieldLevels reports how many levels per node the oracle's fields hold, 0
+// without dynamic bounds.
+func (o *BoundOracle) FieldLevels() int { return o.st.qc.levels }
+
+// FieldRow returns term ti's supply-field levels at node v as the oracle's
+// query computed them.
+func (o *BoundOracle) FieldRow(ti int, v graph.NodeID) []float64 { return o.st.sc.fields[ti].row(v) }
+
+// Relaxed returns the edges the oracle's query relaxation scanned.
+func (o *BoundOracle) Relaxed() int { return o.st.stats.Relaxed }
+
+// PushedField relaxes term ti's field by push rounds alone, over the whole
+// graph, into a table of its own (FieldLevels entries per node), and returns
+// it with the edges the rounds scanned.
+func (o *BoundOracle) PushedField(ti int) (field []float64, scanned int) {
+	st := o.st
+	g, L := st.s.m.Graph(), st.qc.levels
+	fs := fieldScratch{out: make([]float64, g.NumNodes()*L), stride: L, levels: L}
+	fs.relax(g, st.s.m.DampVector(), st.qc.gen, st.qc.perTerm[ti], st.opts.Diameter > maxSupplyLevels, nil)
+	return fs.out, fs.scanned
+}
 
 // TopKLost is TopK on a fresh scratch that also reports whether the run
 // dropped trees at the Generated cap — besides an interruption, the one
@@ -28,13 +62,17 @@ func (o *BoundOracle) WithoutFieldSource(src graph.NodeID, f func()) {
 	o.refield(graph.InvalidNode)
 }
 
-// refield recomputes every term's field from its matchers less drop, and
-// forgets the supply lists built from the old values.
+// refield recomputes every term's field from its matchers less drop, over
+// the query's region, and forgets the supply lists built from the old values.
 func (o *BoundOracle) refield(drop graph.NodeID) {
 	st := o.st
 	sc, qc, m := st.sc, st.qc, st.s.m
 	clear(sc.listAt)
 	sc.tops = sc.tops[:0]
+	var reg *region
+	if len(sc.region.ends) > 0 {
+		reg = &sc.region
+	}
 	for ti := range sc.fields[:min(len(sc.fields), len(qc.terms))] {
 		fs := &sc.fields[ti]
 		for _, u := range fs.touched {
@@ -46,7 +84,7 @@ func (o *BoundOracle) refield(drop graph.NodeID) {
 				matchers = append(matchers, u)
 			}
 		}
-		fs.relax(m.Graph(), m.DampVector(), qc.gen, matchers, st.opts.Diameter > maxSupplyLevels)
+		fs.relax(m.Graph(), m.DampVector(), qc.gen, matchers, st.opts.Diameter > maxSupplyLevels, reg)
 	}
 }
 

@@ -26,8 +26,14 @@ import (
 // so a matcher's own level 0 is its generation, and 0 means no matcher is in
 // range. Levels are cumulative (level h ≥ level h−1). Every rate lies in
 // (0, 1), so a walk never beats the simple path inside it and float rounding
-// keeps that order: the field equals the best path-order product exactly,
-// which is what the tests enumerate.
+// keeps that order: the best path-order product is what relax computes and
+// what the tests enumerate.
+//
+// The search reads level h only within D−h hops of the query's matching
+// nodes (see region), so that is where the field is exact: on the region of
+// radius D−h for every level h ≤ D−1 when D ≤ maxSupplyLevels, everywhere
+// past it. Outside, an entry may stop short of the definition, never exceed
+// it.
 //
 // All terms share one table, node-major, then term, then level — a root's
 // supply lists read every term of a neighbour at one level, and that is one
@@ -52,6 +58,7 @@ type fieldScratch struct {
 	out                     []float64
 	stride, off, levels     int
 	touched, frontier, next []graph.NodeID // touched: the nodes with a non-zero row
+	scanned                 int            // edges the last relax read, for Stats.Relaxed
 }
 
 // row returns node w's levels.
@@ -59,14 +66,83 @@ func (fs *fieldScratch) row(w graph.NodeID) []float64 {
 	return fs.out[int(w)*fs.stride+fs.off:][:fs.levels]
 }
 
+// region is what the search reads of a field, layer by layer: a candidate of
+// depth d has a matching node within d hops of its root, and its bound reads
+// level D−d−1 at the root's out-neighbours (supplyLists, scanSupply) or level
+// D−d at a priced child's root (rowSupply) — level h only within D−h hops of
+// the query's matching nodes. Up to level ⌊D/2⌋ that holds every node a round
+// can reach; above it the rounds need only the nodes within radius D−h, the
+// radii up to ⌈D/2⌉−1 that grow records. The term goroutines share it
+// read-only.
+type region struct {
+	nodes []graph.NodeID // layer by layer, the matching nodes first
+	ends  []int          // ends[r]: how many nodes lie within r hops
+	degs  []int          // degs[r]: their out-degree sum, what a pull over them scans
+	seen  []bool         // dense: whether nodes holds the node
+}
+
+// grow records the region out to radius hops from sources, which must be
+// distinct, by breadth-first search along out-edges (every edge has its
+// reverse, so hop counts are symmetric).
+func (reg *region) grow(g *graph.Graph, sources []graph.NodeID, radius int) {
+	if len(reg.seen) != g.NumNodes() {
+		reg.seen = make([]bool, g.NumNodes())
+	}
+	nodes := append(reg.nodes[:0], sources...)
+	for _, v := range sources {
+		reg.seen[v] = true
+	}
+	reg.ends, reg.degs = reg.ends[:0], reg.degs[:0]
+	deg, start := 0, 0
+	for r := 0; r <= radius; r++ {
+		end := len(nodes)
+		for _, u := range nodes[start:end] {
+			edges := g.OutEdges(u)
+			deg += len(edges)
+			if r == radius {
+				continue
+			}
+			for _, e := range edges {
+				if !reg.seen[e.To] {
+					reg.seen[e.To] = true
+					nodes = append(nodes, e.To)
+				}
+			}
+		}
+		reg.ends, reg.degs = append(reg.ends, end), append(reg.degs, deg)
+		start = end
+	}
+	reg.nodes = nodes
+}
+
+// release clears the visited table and empties the region, dropping a node
+// list grown past ptrBufCap.
+func (reg *region) release() {
+	for _, v := range reg.nodes {
+		reg.seen[v] = false
+	}
+	reg.nodes = trimmed(reg.nodes, ptrBufCap)
+	reg.ends, reg.degs = reg.ends[:0], reg.degs[:0]
+}
+
+// forcePull makes every restricted round pull whatever it costs, so that the
+// tests can hold the pull to the push (export_test.go sets it).
+var forcePull bool
+
 // relax fills the term's rows from its matchers by levels−1 rounds of
 // frontier max-product relaxation along out-edges (the direction a message
 // travels towards a root that lists the reached node among its
-// out-neighbours). Round h reads level h−1 of the nodes that improved in
-// round h−1 and writes levels h and up, so a value set once is carried to
-// every later level without a copy pass. With fixpoint set the last level
-// keeps relaxing until nothing improves. The rows must be all zero on entry.
-func (fs *fieldScratch) relax(g *graph.Graph, damp, gen []float64, matchers []graph.NodeID, fixpoint bool) {
+// out-neighbours). Round h reads level h−1 and writes levels h and up, so a
+// value set once is carried to every later level without a copy pass. A push
+// round scans the out-edges of the nodes that improved in round h−1. Given a
+// region (then levels is the diameter D), a round h > D/2 computes only the
+// nodes within D−h hops of a matching node, and pulls when their out-degree
+// sum is below the frontier's: each takes the best of its neighbours'
+// level h−1 times its own rate (the direction-optimizing rule of Beamer et
+// al., SC 2012). Either way an entry on the region is the same product, bit
+// for bit. With fixpoint set (and no region) the last level keeps relaxing
+// until nothing improves. The rows must be all zero on entry.
+func (fs *fieldScratch) relax(g *graph.Graph, damp, gen []float64, matchers []graph.NodeID, fixpoint bool, reg *region) {
 	L := fs.levels
 	touched, frontier, next := fs.touched[:0], fs.frontier[:0], fs.next[:0]
 	for _, u := range matchers {
@@ -78,11 +154,38 @@ func (fs *fieldScratch) relax(g *graph.Graph, damp, gen []float64, matchers []gr
 		frontier = append(frontier, u)
 	}
 	out, stride, off := fs.out, fs.stride, fs.off // locals: this loop is the query's set-up cost
+	scanned := 0
 	for h := 1; h < L && len(frontier) > 0; h++ {
 		next = next[:0]
+		if reg != nil && 2*h > L && (forcePull || reg.degs[L-h] < outDegrees(g, frontier)) {
+			scanned += reg.degs[L-h]
+			for _, x := range reg.nodes[:reg.ends[L-h]] {
+				row := out[int(x)*stride+off:][:L]
+				best, rate := row[h-1], damp[x]
+				for _, e := range g.OutEdges(x) {
+					if cand := out[int(e.To)*stride+off+h-1] * rate; cand > best {
+						best = cand
+					}
+				}
+				if best == row[h-1] {
+					continue
+				}
+				if row[L-1] == 0 {
+					touched = append(touched, x)
+				}
+				next = append(next, x)
+				for i := h; i < L; i++ {
+					row[i] = best
+				}
+			}
+			frontier, next = next, frontier
+			continue
+		}
 		for _, u := range frontier {
 			val := out[int(u)*stride+off+h-1]
-			for _, e := range g.OutEdges(u) {
+			edges := g.OutEdges(u)
+			scanned += len(edges)
+			for _, e := range edges {
 				at := int(e.To)*stride + off
 				cand := val * damp[e.To]
 				if cand <= out[at+h] {
@@ -106,7 +209,9 @@ func (fs *fieldScratch) relax(g *graph.Graph, damp, gen []float64, matchers []gr
 		changed = false
 		for i := 0; i < len(touched); i++ { // touched grows as the sweep reaches new nodes
 			val := fs.row(touched[i])[L-1]
-			for _, e := range g.OutEdges(touched[i]) {
+			edges := g.OutEdges(touched[i])
+			scanned += len(edges)
+			for _, e := range edges {
 				at := &fs.row(e.To)[L-1]
 				if cand := val * damp[e.To]; cand > *at {
 					if *at == 0 {
@@ -117,16 +222,27 @@ func (fs *fieldScratch) relax(g *graph.Graph, damp, gen []float64, matchers []gr
 			}
 		}
 	}
-	fs.touched, fs.frontier, fs.next = touched, frontier[:0], next[:0]
+	fs.touched, fs.frontier, fs.next, fs.scanned = touched, frontier[:0], next[:0], scanned
+}
+
+// outDegrees is the out-degree sum of nodes: what a push from them scans.
+func outDegrees(g *graph.Graph, nodes []graph.NodeID) int {
+	sum := 0
+	for _, u := range nodes {
+		sum += g.OutDegree(u)
+	}
+	return sum
 }
 
 // supplyFields computes the query's fields into the scratch's table, one
-// term per goroutine on up to workers of them. Diameter 0 leaves no budget
-// to supply across and no field.
-func (qc *queryContext) supplyFields(g *graph.Graph, damp []float64, diameter, workers int, sc *queryScratch) {
+// term per goroutine on up to workers of them, and returns the edges the
+// relaxations scanned. Below maxSupplyLevels it first records the region the
+// rounds past D/2 are restricted to. Diameter 0 leaves no budget to supply
+// across and no field.
+func (qc *queryContext) supplyFields(g *graph.Graph, damp []float64, diameter, workers int, sc *queryScratch) (scanned int) {
 	qc.levels = min(diameter, maxSupplyLevels)
 	if qc.levels == 0 {
-		return
+		return 0
 	}
 	stride := len(qc.terms) * qc.levels
 	if need := g.NumNodes() * stride; cap(sc.field) < need {
@@ -137,11 +253,20 @@ func (qc *queryContext) supplyFields(g *graph.Graph, damp []float64, diameter, w
 	for len(sc.fields) < len(qc.terms) {
 		sc.fields = append(sc.fields, fieldScratch{})
 	}
+	var reg *region
+	if radius := halfDiameter(diameter) - 1; radius > 0 && diameter <= maxSupplyLevels {
+		reg = &sc.region
+		reg.grow(g, qc.nonFree, radius)
+	}
 	parallelFor(len(qc.terms), workers, func(ti int) {
 		fs := &sc.fields[ti]
 		fs.out, fs.stride, fs.off, fs.levels = sc.field, stride, ti*qc.levels, qc.levels
-		fs.relax(g, damp, qc.gen, qc.perTerm[ti], diameter > maxSupplyLevels)
+		fs.relax(g, damp, qc.gen, qc.perTerm[ti], diameter > maxSupplyLevels, reg)
 	})
+	for ti := range qc.terms {
+		scanned += sc.fields[ti].scanned
+	}
+	return scanned
 }
 
 // parallelFor runs f(0..n-1) across at most workers goroutines and returns
@@ -192,10 +317,10 @@ func (st *bbState) supplyLevel(depth int) (lv int, ok bool) {
 // one topList per term for (root, field level), ranking the root's
 // out-neighbours by field value. This is the one pass over a root's
 // out-edges the query pays per level, however many candidate trees it roots
-// there. It runs on the coordinator — before the candidate is handed to fill,
-// or before the expansion step prices it unbuilt — in batch order, so the
-// lists, like everything else Stats depends on, are the same for every worker
-// count. It appends to sc.tops: fetch list pointers after it, not before.
+// there. It runs on the query's goroutine — before fill evaluates the
+// candidate, or before the expansion step prices it unbuilt — in batch order,
+// so the lists, like everything else Stats depends on, are the same run to
+// run. It appends to sc.tops: fetch list pointers after it, not before.
 func (st *bbState) supplyLists(root int32, node graph.NodeID, depth int) {
 	lv, ok := st.supplyLevel(depth)
 	if !ok {

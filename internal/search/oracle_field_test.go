@@ -1,6 +1,8 @@
 package search_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"cirank/internal/difftest"
@@ -171,5 +173,101 @@ func TestIndexNeverUndercutsField(t *testing.T) {
 	}
 	if checked < 10000 || missing < 1000 {
 		t.Fatalf("only %d candidates checked, %d of them with a live supplement bound", checked, missing)
+	}
+}
+
+// TestPulledFieldMatchesPushed certifies the pull: over the difftest
+// workloads, at each query's own diameter and at 5 and 6, a relaxation whose
+// restricted rounds all pull gives every region entry — level h within D−h
+// hops of a matching node — the value the push alone gives it, bit for bit,
+// and no entry a larger one; the cost rule's relaxation scans no more edges
+// than the push; and searching with the pull forced returns the answers,
+// scores and Stats of the default run, the relaxation's own edge count
+// aside.
+func TestPulledFieldMatchesPushed(t *testing.T) {
+	type run struct {
+		w      *difftest.Workload
+		q      difftest.Query
+		opts   search.Options
+		keys   []string
+		scores []float64
+		stats  search.Stats
+	}
+	search1 := func(r *run) ([]string, []float64, search.Stats) {
+		answers, stats, err := r.w.Searcher.TopK(r.q.Terms, r.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, scores := make([]string, len(answers)), make([]float64, len(answers))
+		for i, a := range answers {
+			keys[i], scores[i] = a.Tree.CanonicalKey(), a.Score
+		}
+		stats.Relaxed = 0
+		return keys, scores, stats
+	}
+	var runs []run
+	for seed := int64(0); seed < fieldSeeds; seed++ {
+		w, err := difftest.Generate(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range w.Queries {
+			for _, d := range []int{q.Diameter, 5, 6} {
+				r := run{w: w, q: q, opts: search.Options{K: q.K, Diameter: d, Workers: 1}}
+				o, ok, err := w.Searcher.NewBoundOracle(q.Terms, r.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					continue
+				}
+				pushed := 0
+				for ti := range q.Terms {
+					_, scanned := o.PushedField(ti)
+					pushed += scanned
+				}
+				if o.Relaxed() > pushed {
+					t.Fatalf("seed %d query %v D=%d: the relaxation scanned %d edges, the push alone %d", seed, q.Terms, d, o.Relaxed(), pushed)
+				}
+				r.keys, r.scores, r.stats = search1(&r)
+				runs = append(runs, r)
+			}
+		}
+	}
+	search.ForcePull(t)
+	regionEntries := 0
+	for _, r := range runs {
+		where := fmt.Sprintf("seed %d query %v D=%d", r.w.Seed, r.q.Terms, r.opts.Diameter)
+		o, _, err := r.w.Searcher.NewBoundOracle(r.q.Terms, r.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var matching []graph.NodeID
+		for _, term := range r.q.Terms {
+			matching = r.w.Model.Index().AppendMatchingNodes(matching, term)
+		}
+		hops, L := search.HopsFrom(r.w.Graph, matching), o.FieldLevels()
+		for ti := range r.q.Terms {
+			pushed, _ := o.PushedField(ti)
+			for v := 0; v < r.w.Graph.NumNodes(); v++ {
+				for h, got := range o.FieldRow(ti, graph.NodeID(v)) {
+					want := pushed[v*L+h]
+					inRegion := hops[v] >= 0 && hops[v] <= r.opts.Diameter-h
+					if got > want || inRegion && got != want {
+						t.Fatalf("%s term %d node %d (%d hops out) level %d: pulled %.17g, pushed %.17g", where, ti, v, hops[v], h, got, want)
+					}
+					if inRegion {
+						regionEntries++
+					}
+				}
+			}
+		}
+		keys, scores, stats := search1(&r)
+		if !slices.Equal(keys, r.keys) || !slices.Equal(scores, r.scores) || stats != r.stats {
+			t.Fatalf("%s: with the pull forced\n%v %v %+v\nby default\n%v %v %+v", where, keys, scores, stats, r.keys, r.scores, r.stats)
+		}
+	}
+	if len(runs) < 1000 || regionEntries < 50000 {
+		t.Fatalf("only %d runs, %d region entries checked", len(runs), regionEntries)
 	}
 }

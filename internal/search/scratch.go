@@ -282,7 +282,7 @@ func trimmed[T any](buf []T, max int) []T {
 // queryScratch is the pooled per-query state. Fields are grouped by phase:
 // prepare (the query context and its buffers), the branch-and-bound state
 // (dedup set, per-root records, queue, top-k), and the evaluation scratch
-// (slabs, arena, per-worker bound buffers).
+// (slabs, arena, the bound views, the supply fields).
 type queryScratch struct {
 	qc queryContext
 
@@ -322,6 +322,7 @@ type queryScratch struct {
 	merged    []*jtt.Tree
 	field     []float64        // the supply-field table (field.go), all zero between queries
 	fields    []fieldScratch   // its per-term views and relaxation buffers
+	region    region           // the nodes the fields' restricted rounds compute
 	matchBufs [][]graph.NodeID // per-term matching-node buffers (perTerm)
 	genBufs   [][]graph.NodeID // per-term generation-sorted buffers (byGen)
 }
@@ -393,6 +394,7 @@ func (sc *queryScratch) release() {
 	if cap(sc.field) > fieldKeepTerms*maxSupplyLevels*len(sc.rootAt) {
 		sc.field = nil
 	}
+	sc.region.release()
 	// Every candidate pointer below dies with the slab rewind; the buffers
 	// are emptied so none outlives it.
 	sc.pq = trimmed(sc.pq, ptrBufCap)

@@ -134,6 +134,9 @@ type Stats struct {
 	// built, priced from their parents' flows (Options.NoDynamicBounds
 	// leaves nothing to price them from, so it spares none).
 	Spared int
+	// Relaxed counts the edges the supply-field relaxation scanned, pushes
+	// and pulls, summed over the query's terms (0 without dynamic bounds).
+	Relaxed int
 }
 
 // Partial reports whether the search stopped before exhausting its frontier

@@ -6,8 +6,9 @@
 #	scripts/bench-pairs.sh <workload> <pairs> [parent-rev]
 #	scripts/bench-pairs.sh search-large 10
 #
-# Pair i runs both sides with seed 100+i; odd pairs run the parent first,
-# even pairs the change first. Each side is built and run by its own
+# Pair i runs both sides with seed FIRST_SEED+i−1 (FIRST_SEED defaults to
+# 101; set it, e.g. FIRST_SEED=201, to re-check a claim on held-out seeds);
+# odd pairs run the parent first, even pairs the change first. Each side is built and run by its own
 # bench/run.sh, for the run length BENCHMARK.json fixes. For every end-to-end
 # metric the script prints each side's median and quartiles, how many pairs
 # the change won (ties count for neither), and two verdicts. The gain rule:
@@ -32,6 +33,7 @@ if [ $# -lt 2 ] || [ $# -gt 3 ]; then
 fi
 workload=$1
 pairs=$2
+first=${FIRST_SEED:-101}
 root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$root"
 
@@ -65,7 +67,7 @@ run_side() {
 }
 
 for i in $(seq 1 "$pairs"); do
-	seed=$((100 + i))
+	seed=$((first + i - 1))
 	if [ $((i % 2)) -eq 1 ]; then
 		run_side parent "$parent" "$i" "$seed"
 		run_side change "$root" "$i" "$seed"
@@ -75,7 +77,7 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
-echo "$workload: $pairs pairs, parent $(git rev-parse --short "$commit"), seeds 101..$((100 + pairs)), ${seconds}s runs"
+echo "$workload: $pairs pairs, parent $(git rev-parse --short "$commit"), seeds $first..$((first + pairs - 1)), ${seconds}s runs"
 # BENCHMARK.json lists one end-to-end metric per line: take name, direction
 # and bound.
 sed -n 's/.*{"name": "\([a-z0-9_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound": *\([0-9.]*\).*/\1 \2 \3/p' BENCHMARK.json |
