@@ -31,7 +31,7 @@ vet:
 # lint enforces the documentation contract: every exported identifier in
 # the listed packages must carry a doc comment.
 lint:
-	$(GO) run ./cmd/doccheck internal/search internal/rwmp internal/pathindex internal/cache internal/server internal/servebench internal/textindex internal/graph internal/searchbench internal/relational internal/jtt internal/pagerank internal/eval internal/baseline internal/datagen internal/difftest internal/mmapio
+	$(GO) run ./cmd/doccheck internal/search internal/rwmp internal/pathindex internal/cache internal/server internal/servebench internal/textindex internal/graph internal/searchbench internal/relational internal/jtt internal/pagerank internal/eval internal/baseline internal/datagen internal/difftest internal/mmapio . internal/experiments
 
 # diff runs the differential correctness harness: every committed seed
 # generates a random workload and cross-checks branch-and-bound against

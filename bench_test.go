@@ -43,11 +43,11 @@ func benchBundles(b *testing.B) (*experiments.Bundle, *experiments.Bundle) {
 	b.Helper()
 	benchOnce.Do(func() {
 		cfg := benchConfig()
-		benchIMDB, benchErr = experiments.PrepareIMDB(cfg.Scale, cfg.Seed)
+		benchIMDB, benchErr = experiments.Prepare("imdb", cfg.Scale, cfg.Seed)
 		if benchErr != nil {
 			return
 		}
-		benchDBLP, benchErr = experiments.PrepareDBLP(cfg.Scale, cfg.Seed)
+		benchDBLP, benchErr = experiments.Prepare("dblp", cfg.Scale, cfg.Seed)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -112,9 +112,10 @@ func BenchmarkFig9PrecisionComparison(b *testing.B) {
 // BenchmarkFig10NaiveVsBB regenerates Fig. 10: naive vs branch-and-bound
 // average search time.
 func BenchmarkFig10NaiveVsBB(b *testing.B) {
+	imdb, dblp := benchBundles(b)
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Fig10NaiveVsBB(cfg)
+		tab, err := experiments.Fig10NaiveVsBB(imdb, dblp, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

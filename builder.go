@@ -18,10 +18,12 @@ import (
 // override the labels used for weight lookup (needed when a table relates
 // to itself, like paper citations); empty means the table name.
 type Relationship struct {
-	Name     string
+	// Name identifies the relationship in Relate and LoadRelationship.
+	Name string
+	// From and To are the related tables.
 	From, To string
-	FromType string
-	ToType   string
+	// FromType and ToType are the weight-lookup labels of the two ends.
+	FromType, ToType string
 }
 
 // Builder accumulates a database and produces a query-ready Engine.

@@ -137,9 +137,12 @@ type SearchOptions struct {
 
 // Row is one tuple of a search result.
 type Row struct {
+	// Table is the tuple's table.
 	Table string
-	Key   string
-	Text  string
+	// Key is the tuple's primary key within Table.
+	Key string
+	// Text is the tuple's searchable text.
+	Text string
 	// Matched reports whether this tuple matches at least one query term
 	// (a non-free node).
 	Matched bool
@@ -147,6 +150,7 @@ type Row struct {
 
 // Result is one ranked answer: a joined tuple tree.
 type Result struct {
+	// Score is the answer's RWMP score (Eq. 4); results rank by it.
 	Score float64
 	// Rows are the answer's tuples; Rows[0] is the tree root.
 	Rows []Row

@@ -27,16 +27,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var ds *datagen.Dataset
-	var err error
-	switch *dataset {
-	case "imdb":
-		ds, err = datagen.GenerateIMDB(datagen.DefaultIMDBConfig(*seed).Scale(*scale))
-	case "dblp":
-		ds, err = datagen.GenerateDBLP(datagen.DefaultDBLPConfig(*seed).Scale(*scale))
-	default:
-		err = fmt.Errorf("unknown dataset %q", *dataset)
-	}
+	ds, err := datagen.Generate(*dataset, *scale, *seed)
 	if err != nil {
 		fail(err)
 	}

@@ -43,20 +43,18 @@ func main() {
 	cfg.K = *k
 	cfg.Diameter = *diam
 
-	needBundles := want["6"] || want["7"] || want["8"] || want["9"] || want["11"] || want["12"] || want["classes"]
-	var imdb, dblp *experiments.Bundle
-	if needBundles {
-		fmt.Fprintf(os.Stderr, "preparing datasets (scale %.2g, seed %d)...\n", cfg.Scale, cfg.Seed)
-		if imdb, err = experiments.PrepareIMDB(cfg.Scale, cfg.Seed); err != nil {
-			fail(err)
-		}
-		if dblp, err = experiments.PrepareDBLP(cfg.Scale, cfg.Seed); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "IMDB: %d nodes, %d edges; DBLP: %d nodes, %d edges\n",
-			imdb.Built.G.NumNodes(), imdb.Built.G.NumEdges(),
-			dblp.Built.G.NumNodes(), dblp.Built.G.NumEdges())
+	fmt.Fprintf(os.Stderr, "preparing datasets (scale %.2g, seed %d)...\n", cfg.Scale, cfg.Seed)
+	imdb, err := experiments.Prepare("imdb", cfg.Scale, cfg.Seed)
+	if err != nil {
+		fail(err)
 	}
+	dblp, err := experiments.Prepare("dblp", cfg.Scale, cfg.Seed)
+	if err != nil {
+		fail(err)
+	}
+	fmt.Fprintf(os.Stderr, "IMDB: %d nodes, %d edges; DBLP: %d nodes, %d edges\n",
+		imdb.Built.G.NumNodes(), imdb.Built.G.NumEdges(),
+		dblp.Built.G.NumNodes(), dblp.Built.G.NumEdges())
 
 	type figJob struct {
 		id  string
@@ -67,7 +65,7 @@ func main() {
 		{"7", func() (*experiments.Table, error) { return experiments.Fig7GroupSweep(imdb, dblp, cfg) }},
 		{"8", func() (*experiments.Table, error) { return experiments.Fig8MRRComparison(imdb, dblp, cfg) }},
 		{"9", func() (*experiments.Table, error) { return experiments.Fig9PrecisionComparison(imdb, dblp, cfg) }},
-		{"10", func() (*experiments.Table, error) { return experiments.Fig10NaiveVsBB(cfg) }},
+		{"10", func() (*experiments.Table, error) { return experiments.Fig10NaiveVsBB(imdb, dblp, cfg) }},
 		{"11", func() (*experiments.Table, error) { return experiments.Fig11IMDBIndexTime(imdb, cfg) }},
 		{"12", func() (*experiments.Table, error) { return experiments.Fig12DBLPIndexTime(dblp, cfg) }},
 		{"classes", func() (*experiments.Table, error) { return experiments.ClassBreakdown(dblp, cfg) }},

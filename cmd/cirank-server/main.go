@@ -168,23 +168,13 @@ func main() {
 // public builder, so the server exercises the same API an embedding
 // application would.
 func buildEngine(dataset string, scale float64, seed int64, workers int) (*cirank.Engine, error) {
-	var (
-		ds  *datagen.Dataset
-		b   *cirank.Builder
-		err error
-	)
-	switch dataset {
-	case "imdb":
-		ds, err = datagen.GenerateIMDB(datagen.DefaultIMDBConfig(seed).Scale(scale))
-		b = cirank.NewIMDBBuilder()
-	case "dblp":
-		ds, err = datagen.GenerateDBLP(datagen.DefaultDBLPConfig(seed).Scale(scale))
-		b = cirank.NewDBLPBuilder()
-	default:
-		return nil, fmt.Errorf("unknown dataset %q (want imdb or dblp)", dataset)
-	}
+	ds, err := datagen.Generate(dataset, scale, seed)
 	if err != nil {
 		return nil, err
+	}
+	b := cirank.NewDBLPBuilder()
+	if ds.Kind == "imdb" {
+		b = cirank.NewIMDBBuilder()
 	}
 	if err := ds.Replay(b.InsertEntity, b.Relate); err != nil {
 		return nil, err

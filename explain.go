@@ -38,6 +38,7 @@ type FlowDetail struct {
 // pairwise message flows whose minima define the node scores (Eq. 3) whose
 // mean is the answer score (Eq. 4).
 type Explanation struct {
+	// Score is the explained result's score (Eq. 4).
 	Score float64
 	// Nodes parallels Result.Rows.
 	Nodes []NodeDetail

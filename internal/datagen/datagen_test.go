@@ -91,6 +91,30 @@ func TestGenerateIMDBDeterministic(t *testing.T) {
 	}
 }
 
+func TestGenerateByName(t *testing.T) {
+	imdb, err := GenerateIMDB(DefaultIMDBConfig(7).Scale(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dblp, err := GenerateDBLP(DefaultDBLPConfig(7).Scale(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []*Dataset{imdb, dblp} {
+		got, err := Generate(want.Kind, 0.1, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Kind != want.Kind || got.DB.NumTuples() != want.DB.NumTuples() || got.DB.NumLinks() != want.DB.NumLinks() {
+			t.Errorf("Generate(%q): %s with %d tuples, %d links; want %s with %d, %d", want.Kind,
+				got.Kind, got.DB.NumTuples(), got.DB.NumLinks(), want.Kind, want.DB.NumTuples(), want.DB.NumLinks())
+		}
+	}
+	if _, err := Generate("IMDB", 0.1, 7); err == nil {
+		t.Error("Generate accepted an unknown dataset name")
+	}
+}
+
 func TestGenerateDBLPShape(t *testing.T) {
 	cfg := DefaultDBLPConfig(2)
 	ds, err := GenerateDBLP(cfg)

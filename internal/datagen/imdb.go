@@ -25,6 +25,19 @@ type Dataset struct {
 	popularity map[string]float64
 }
 
+// Generate builds the named synthetic dataset, "imdb" or "dblp", at the
+// default configuration for seed scaled by scale. It is the one place a
+// dataset name maps to a generator.
+func Generate(kind string, scale float64, seed int64) (*Dataset, error) {
+	switch kind {
+	case "imdb":
+		return GenerateIMDB(DefaultIMDBConfig(seed).Scale(scale))
+	case "dblp":
+		return GenerateDBLP(DefaultDBLPConfig(seed).Scale(scale))
+	}
+	return nil, fmt.Errorf("datagen: unknown dataset %q (want imdb or dblp)", kind)
+}
+
 // Pop returns the planted popularity of (table, key); 0 if unknown.
 func (d *Dataset) Pop(table, key string) float64 {
 	return d.popularity[table+"\x00"+key]

@@ -8,12 +8,11 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"cirank/internal/baseline"
 	"cirank/internal/datagen"
-	"cirank/internal/graph"
 	"cirank/internal/jtt"
-	"cirank/internal/pagerank"
 	"cirank/internal/pathindex"
 	"cirank/internal/relational"
 	"cirank/internal/rwmp"
@@ -25,6 +24,7 @@ import (
 // α = 0.15, g = 20, teleport 0.15) and commodity-scale datasets elsewhere
 // (see DESIGN.md §3 on scaling).
 type Config struct {
+	// Seed drives dataset and workload generation.
 	Seed       int64
 	Scale      float64 // dataset size multiplier over the defaults
 	QueryCount int     // queries per workload (paper: 44 user-log, 20 synthetic)
@@ -53,52 +53,35 @@ func DefaultConfig() Config {
 // and global importance values. Models for specific (α, g) points are
 // derived cheaply from it.
 type Bundle struct {
-	Name       string
-	Built      *datagen.Built
-	Importance []float64
-	isStar     []bool
+	// Name labels the dataset in figure rows: "IMDB" or "DBLP".
+	Name string
+	// Built is the materialized dataset; its Importance vector is the
+	// global importance every model starts from.
+	Built  *datagen.Built
+	isStar []bool
 }
 
-// PrepareIMDB generates and materializes the synthetic IMDB dataset at the
-// given scale.
-func PrepareIMDB(scale float64, seed int64) (*Bundle, error) {
-	ds, err := datagen.GenerateIMDB(datagen.DefaultIMDBConfig(seed).Scale(scale))
+// Prepare generates and materializes the named synthetic dataset ("imdb"
+// or "dblp", see datagen.Generate) at the given scale.
+func Prepare(kind string, scale float64, seed int64) (*Bundle, error) {
+	ds, err := datagen.Generate(kind, scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	return prepare("IMDB", ds)
-}
-
-// PrepareDBLP generates and materializes the synthetic DBLP dataset.
-func PrepareDBLP(scale float64, seed int64) (*Bundle, error) {
-	ds, err := datagen.GenerateDBLP(datagen.DefaultDBLPConfig(seed).Scale(scale))
-	if err != nil {
-		return nil, err
-	}
-	return prepare("DBLP", ds)
-}
-
-func prepare(name string, ds *datagen.Dataset) (*Bundle, error) {
 	built, err := datagen.Build(ds)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := pagerank.Compute(built.G, pagerank.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	stars := relational.StarTables(ds.Schema)
 	return &Bundle{
-		Name:       name,
-		Built:      built,
-		Importance: pr.Scores,
-		isStar:     relational.StarNodeSet(built.G, stars),
+		Name:   strings.ToUpper(kind),
+		Built:  built,
+		isStar: relational.StarNodeSet(built.G, relational.StarTables(ds.Schema)),
 	}, nil
 }
 
 // Model builds an RWMP model at the given dampening parameters.
 func (b *Bundle) Model(params rwmp.Params) (*rwmp.Model, error) {
-	return rwmp.New(b.Built.G, b.Built.Ix, b.Importance, params)
+	return rwmp.New(b.Built.G, b.Built.Ix, b.Built.Importance, params)
 }
 
 // DefaultModel builds the model at the paper's chosen α = 0.15, g = 20.
@@ -109,11 +92,7 @@ func (b *Bundle) DefaultModel() (*rwmp.Model, error) {
 // StarIndex builds the §V-B star index for the given model's dampening
 // rates, with horizon maxDepth.
 func (b *Bundle) StarIndex(m *rwmp.Model, maxDepth int) (*pathindex.StarIndex, error) {
-	damp := make([]float64, b.Built.G.NumNodes())
-	for i := range damp {
-		damp[i] = m.Damp(graph.NodeID(i))
-	}
-	return pathindex.BuildStar(b.Built.G, damp, b.isStar, maxDepth)
+	return pathindex.BuildStar(b.Built.G, m.DampVector(), b.isStar, maxDepth)
 }
 
 // ciScorer adapts the RWMP model to the baseline.Scorer interface so the

@@ -14,7 +14,9 @@ import (
 // Effectiveness bundles the two §VI-B metrics for one method on one
 // workload.
 type Effectiveness struct {
-	MRR       float64
+	// MRR is the mean reciprocal rank of the gold answer.
+	MRR float64
+	// Precision is the mean graded precision of the top precisionK answers.
 	Precision float64
 }
 

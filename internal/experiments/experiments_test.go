@@ -22,11 +22,11 @@ func smallConfig() Config {
 func smallBundles(t *testing.T) (*Bundle, *Bundle) {
 	t.Helper()
 	cfg := smallConfig()
-	imdb, err := PrepareIMDB(cfg.Scale, cfg.Seed)
+	imdb, err := Prepare("imdb", cfg.Scale, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dblp, err := PrepareDBLP(cfg.Scale, cfg.Seed)
+	dblp, err := Prepare("dblp", cfg.Scale, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +38,11 @@ func TestPrepareBundles(t *testing.T) {
 	if imdb.Built.G.NumNodes() == 0 || dblp.Built.G.NumNodes() == 0 {
 		t.Fatal("empty bundles")
 	}
-	if len(imdb.Importance) != imdb.Built.G.NumNodes() {
-		t.Error("importance length mismatch")
+	if imdb.Name != "IMDB" || dblp.Name != "DBLP" {
+		t.Errorf("bundle names %q, %q, want IMDB, DBLP", imdb.Name, dblp.Name)
+	}
+	if _, err := Prepare("nope", 0.2, 1); err == nil {
+		t.Error("Prepare accepted an unknown dataset")
 	}
 	m, err := imdb.DefaultModel()
 	if err != nil {
@@ -112,8 +115,9 @@ func TestFig7SweepRuns(t *testing.T) {
 }
 
 func TestFig10Runs(t *testing.T) {
+	imdb, dblp := smallBundles(t)
 	cfg := smallConfig()
-	tab, err := Fig10NaiveVsBB(cfg)
+	tab, err := Fig10NaiveVsBB(imdb, dblp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,14 @@ import (
 // Table is a printable experiment result: the textual analogue of one of
 // the paper's figures.
 type Table struct {
-	Title  string
+	// Title names the figure.
+	Title string
+	// Header labels the columns.
 	Header []string
-	Rows   [][]string
-	Notes  []string
+	// Rows holds the formatted cells, one slice per row.
+	Rows [][]string
+	// Notes are printed below the table, one line each.
+	Notes []string
 }
 
 // AddRow appends a formatted row.

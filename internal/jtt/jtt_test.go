@@ -1,10 +1,8 @@
 package jtt
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -333,32 +331,4 @@ func mustGrowQuiet(tr *Tree, g *graph.Graph, v graph.NodeID) *Tree {
 		return nil
 	}
 	return nt
-}
-
-func TestWriteDOT(t *testing.T) {
-	g := starGraph(3)
-	a := mustGrow(t, NewSingle(1), g, 0)
-	b := mustGrow(t, NewSingle(2), g, 0)
-	m, _ := a.Merge(b)
-	var buf bytes.Buffer
-	err := m.WriteDOT(&buf,
-		func(v graph.NodeID) string { return "N" + string(rune('A'+v)) },
-		func(v graph.NodeID) bool { return v != 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"graph jtt", "n0 --", "penwidth=2", "fillcolor=lightyellow", "\"NB\""} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-	// Nil label falls back gracefully.
-	buf.Reset()
-	if err := m.WriteDOT(&buf, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "node 0") {
-		t.Error("default labels missing")
-	}
 }

@@ -24,18 +24,7 @@ type datagenFixture struct {
 
 func prepareDatagen(t testing.TB, kind string, scale float64, dataSeed, querySeed int64, queryCount int) *datagenFixture {
 	t.Helper()
-	var (
-		ds  *datagen.Dataset
-		err error
-	)
-	switch kind {
-	case "imdb":
-		ds, err = datagen.GenerateIMDB(datagen.DefaultIMDBConfig(dataSeed).Scale(scale))
-	case "dblp":
-		ds, err = datagen.GenerateDBLP(datagen.DefaultDBLPConfig(dataSeed).Scale(scale))
-	default:
-		t.Fatalf("unknown dataset kind %q", kind)
-	}
+	ds, err := datagen.Generate(kind, scale, dataSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

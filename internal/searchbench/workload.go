@@ -8,7 +8,6 @@
 package searchbench
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -57,7 +56,7 @@ const (
 // the scoring model, and derives the query stream. Identical arguments
 // produce an identical workload.
 func Load(dataset string, scale float64, dataSeed, querySeed int64) (*Workload, error) {
-	ds, err := generateDatasetByKind(dataset, scale, dataSeed)
+	ds, err := datagen.Generate(dataset, scale, dataSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -125,17 +124,6 @@ func zipfStream(n, length int, seed int64) []int {
 		}
 	}
 	return out
-}
-
-// generateDatasetByKind builds one synthetic dataset by kind.
-func generateDatasetByKind(kind string, scale float64, seed int64) (*datagen.Dataset, error) {
-	switch kind {
-	case "imdb":
-		return datagen.GenerateIMDB(datagen.DefaultIMDBConfig(seed).Scale(scale))
-	case "dblp":
-		return datagen.GenerateDBLP(datagen.DefaultDBLPConfig(seed).Scale(scale))
-	}
-	return nil, fmt.Errorf("searchbench: unknown dataset kind %q (want dblp or imdb)", kind)
 }
 
 // DefaultSeeds returns the workload seeds the benchmarks and pins use for the

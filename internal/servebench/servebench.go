@@ -69,23 +69,13 @@ type Fixture struct {
 // and derives the query stream. Identical arguments produce an identical
 // fixture.
 func NewFixture(dir, dataset string, scale float64, dataSeed, querySeed int64, k int) (*Fixture, error) {
-	var (
-		ds  *datagen.Dataset
-		b   *cirank.Builder
-		err error
-	)
-	switch dataset {
-	case "imdb":
-		ds, err = datagen.GenerateIMDB(datagen.DefaultIMDBConfig(dataSeed).Scale(scale))
-		b = cirank.NewIMDBBuilder()
-	case "dblp":
-		ds, err = datagen.GenerateDBLP(datagen.DefaultDBLPConfig(dataSeed).Scale(scale))
-		b = cirank.NewDBLPBuilder()
-	default:
-		return nil, fmt.Errorf("servebench: unknown dataset %q (want dblp or imdb)", dataset)
-	}
+	ds, err := datagen.Generate(dataset, scale, dataSeed)
 	if err != nil {
 		return nil, err
+	}
+	b := cirank.NewDBLPBuilder()
+	if ds.Kind == "imdb" {
+		b = cirank.NewIMDBBuilder()
 	}
 
 	// The workload generator needs the analysis graph; the serving engine
