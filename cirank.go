@@ -127,12 +127,6 @@ type SearchOptions struct {
 	// MaxExpansions caps branch-and-bound work (default 200000; 0 keeps
 	// the default, -1 removes the cap).
 	MaxExpansions int
-	// ExtendedMerge admits candidate-tree merges that add non-free nodes
-	// without covering new keywords, restoring full completeness for
-	// answers with three or more same-keyword subtrees under one root at
-	// (worst-case exponential) extra cost. The default follows the paper's
-	// §IV-B merge rule. See search.Options.ExtendedMerge.
-	ExtendedMerge bool
 }
 
 // Row is one tuple of a search result.
@@ -303,7 +297,6 @@ func (e *Engine) searchOptions(k int, opts SearchOptions) (search.Options, error
 		K:             k,
 		Diameter:      opts.Diameter,
 		MaxExpansions: opts.MaxExpansions,
-		ExtendedMerge: opts.ExtendedMerge,
 	}
 	if sopts.Diameter == 0 {
 		sopts.Diameter = 4

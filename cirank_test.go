@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"cirank/internal/textindex"
 )
 
 // fig2Engine builds the paper's Fig. 2 scenario through the public API.
@@ -262,6 +264,10 @@ func TestStopWords(t *testing.T) {
 	}
 	if res[0].Rows[0].Text != "art computer programming" {
 		t.Errorf("stored text = %q", res[0].Rows[0].Text)
+	}
+	// |v| counts the words left after filtering, as the index does.
+	if node := eng.g.Node(0); node.Words != len(textindex.Tokenize(node.Text)) {
+		t.Errorf("Words = %d for stored text %q", node.Words, node.Text)
 	}
 }
 

@@ -166,7 +166,8 @@ func main() {
 
 // buildEngine generates the requested dataset and replays it through the
 // public builder, so the server exercises the same API an embedding
-// application would.
+// application would. IndexDepth is 0: no search reads the star index, so
+// neither the served engine nor a -save-snapshot file carries one.
 func buildEngine(dataset string, scale float64, seed int64, workers int) (*cirank.Engine, error) {
 	ds, err := datagen.Generate(dataset, scale, seed)
 	if err != nil {
@@ -180,6 +181,7 @@ func buildEngine(dataset string, scale float64, seed int64, workers int) (*ciran
 		return nil, err
 	}
 	cfg := cirank.DefaultConfig()
+	cfg.IndexDepth = 0
 	cfg.Workers = workers
 	return b.Build(cfg)
 }

@@ -92,9 +92,8 @@ func checkArgs(k, diameter int) error {
 	return nil
 }
 
-// buildEngine replays the dataset through the public builder, as
-// cirank-server does. IndexDepth is 0 because the CLI saves nothing and no
-// search reads the star index.
+// buildEngine replays the dataset through the public builder with
+// IndexDepth 0, as cirank-server does: no search reads the star index.
 func buildEngine(ds *datagen.Dataset, workers int) (*cirank.Engine, error) {
 	b := cirank.NewDBLPBuilder()
 	if ds.Kind == "imdb" {

@@ -202,39 +202,3 @@ func TestSearchArgumentErrors(t *testing.T) {
 		t.Errorf("dead context: err = %v, want ErrDeadline wrapping context.Canceled", err)
 	}
 }
-
-// TestPerQueryExtendedMerge: the override reaches the search layer — a hub
-// with three same-keyword neighbors has an extended-only answer (the
-// 3-subtree star the strict §IV-B merge rule cannot assemble).
-func TestPerQueryExtendedMerge(t *testing.T) {
-	b, err := NewBuilder(
-		[]string{"Node"},
-		[]Relationship{{Name: "link", From: "Node", To: "Node"}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.MustInsert("Node", "hub", "connector")
-	for i := 0; i < 3; i++ {
-		b.MustInsert("Node", fmt.Sprintf("s%d", i), "smith")
-		b.MustRelate("link", "hub", fmt.Sprintf("s%d", i))
-	}
-	cfg := DefaultConfig()
-	cfg.IndexDepth = 0
-	eng, err := b.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strict, err := eng.SearchTermsContext(context.Background(), []string{"smith"}, 20, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	extended, err := eng.SearchTermsContext(context.Background(), []string{"smith"}, 20, SearchOptions{ExtendedMerge: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(extended.Results) <= len(strict.Results) {
-		t.Errorf("extended merge found %d answers, strict %d — override not reaching the search layer",
-			len(extended.Results), len(strict.Results))
-	}
-}

@@ -66,6 +66,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 		fixSectionCRC(d, metaEntry)
 		fixTableCRC(d)
 	}))
+	for _, data := range textSectionCorruptions(f, eng) {
+		f.Add(data)
+	}
 	oneWay, err := os.ReadFile(oneWayFixturePath) // valid but for one edge's reverse
 	if err != nil {
 		f.Fatal(err)

@@ -29,6 +29,46 @@ func fig2Graph(t *testing.T) (*graph.Graph, *textindex.Index) {
 	return g, textindex.Build(g)
 }
 
+// TestSparkRelationStatistics checks the per-relation statistics SPARK
+// derives from the graph and the postings on a four-tuple corpus: two
+// authors and two papers, "tsimmis" occurring only in the papers.
+func TestSparkRelationStatistics(t *testing.T) {
+	b := graph.NewBuilder(4)
+	add := func(rel, text string) {
+		b.AddNode(graph.Node{Relation: rel, Text: text, Words: textindex.WordCount(text)})
+	}
+	add("Author", "Yannis Papakonstantinou")
+	add("Author", "Jeffrey Ullman")
+	add("Paper", "The TSIMMIS Project TSIMMIS")
+	add("Paper", "Capability Based Mediation in TSIMMIS")
+	g := b.Build()
+	sp := NewSpark(g, textindex.Build(g))
+	if got := sp.df("tsimmis", "Paper"); got != 2 {
+		t.Errorf("df(tsimmis, Paper) = %d, want 2", got)
+	}
+	if got := sp.df("tsimmis", "Author"); got != 0 {
+		t.Errorf("df(tsimmis, Author) = %d, want 0", got)
+	}
+	if got := sp.df("TSIMMIS", "Paper"); got != 2 {
+		t.Errorf("df(TSIMMIS, Paper) = %d, want 2 (case-insensitive)", got)
+	}
+	if got := sp.relationTuples("Paper"); got != 2 {
+		t.Errorf("relationTuples(Paper) = %d, want 2", got)
+	}
+	if got := sp.relationAvgLen("Author"); got != 2 {
+		t.Errorf("relationAvgLen(Author) = %g, want 2", got)
+	}
+	if got := sp.relationAvgLen("Paper"); got != 4.5 {
+		t.Errorf("relationAvgLen(Paper) = %g, want 4.5", got)
+	}
+	if got := sp.relationTuples("NoSuchRel"); got != 0 {
+		t.Errorf("relationTuples(NoSuchRel) = %d, want 0", got)
+	}
+	if got := sp.relationAvgLen("NoSuchRel"); got != 0 {
+		t.Errorf("relationAvgLen(NoSuchRel) = %g, want 0", got)
+	}
+}
+
 // viaPaper builds the author–paper–author tree through the given paper.
 func viaPaper(t *testing.T, g *graph.Graph, paper graph.NodeID) *jtt.Tree {
 	t.Helper()

@@ -21,7 +21,9 @@ import (
 // CI-Rank paper omits its precise statistics; we approximate the joined
 // relation by the multiset of relations of T's keyword nodes, with
 // N_CN* = Σ N_rel, df over CN* = Σ df_rel, and avdl_CN* = Σ avdl_rel (a
-// joined tuple concatenates one tuple per participating relation). These
+// joined tuple concatenates one tuple per participating relation). The
+// scorer derives these itself: N_rel and avdl_rel from the graph's node
+// records (dl is graph.Node.Words), df_rel from the term's postings. These
 // choices preserve the behaviour §II-B analyzes: when two trees differ only
 // in a free node, only dl_T distinguishes their scores, so the tree with
 // the longer text loses.
@@ -30,6 +32,8 @@ import (
 // keyword presence, and score_c (size normalization) penalizes tree size
 // mildly; both degenerate to constants across same-shape, same-coverage
 // candidates, again matching the paper's analysis.
+//
+// Build a Spark with NewSpark, which gathers the relation statistics.
 type Spark struct {
 	// G is the data graph the scorer reads structure from.
 	G *graph.Graph
@@ -42,11 +46,51 @@ type Spark struct {
 	// SizePenalty is the exponent of the size normalization factor
 	// score_c = size(T)^(−SizePenalty).
 	SizePenalty float64
+
+	rels map[string]relationStats
+}
+
+// relationStats holds one relation's N_rel and the summed word count of its
+// tuples.
+type relationStats struct {
+	tuples, words int
 }
 
 // NewSpark builds the scorer with the standard constants.
 func NewSpark(g *graph.Graph, ix *textindex.Index) *Spark {
-	return &Spark{G: g, Ix: ix, S: 0.2, P: 2.0, SizePenalty: 0.5}
+	rels := make(map[string]relationStats)
+	for v := 0; v < g.NumNodes(); v++ {
+		node := g.Node(graph.NodeID(v))
+		rs := rels[node.Relation]
+		rs.tuples++
+		rs.words += node.Words
+		rels[node.Relation] = rs
+	}
+	return &Spark{G: g, Ix: ix, S: 0.2, P: 2.0, SizePenalty: 0.5, rels: rels}
+}
+
+// relationTuples reports N_rel, the number of tuples in relation rel.
+func (sp *Spark) relationTuples(rel string) int { return sp.rels[rel].tuples }
+
+// relationAvgLen reports avdl_rel, the average word count of relation rel's
+// tuples (0 for an unknown relation).
+func (sp *Spark) relationAvgLen(rel string) float64 {
+	rs := sp.rels[rel]
+	if rs.tuples == 0 {
+		return 0
+	}
+	return float64(rs.words) / float64(rs.tuples)
+}
+
+// df reports df_rel: the number of relation rel's tuples containing term.
+func (sp *Spark) df(term, rel string) int {
+	n := 0
+	for _, p := range sp.Ix.Postings(term) {
+		if sp.G.Node(p.Node).Relation == rel {
+			n++
+		}
+	}
+	return n
 }
 
 // Name implements Scorer.
@@ -91,15 +135,15 @@ func (sp *Spark) scoreA(t *jtt.Tree, terms []string) float64 {
 	nCN := 0
 	avdlCN := 0.0
 	for _, r := range rels {
-		nCN += sp.Ix.RelationTuples(r)
-		avdlCN += sp.Ix.RelationAvgLen(r)
+		nCN += sp.relationTuples(r)
+		avdlCN += sp.relationAvgLen(r)
 	}
 	if avdlCN == 0 {
 		return 0
 	}
 	dlT := 0.0
 	for _, v := range t.Nodes() {
-		dlT += float64(sp.Ix.NodeLen(v))
+		dlT += float64(sp.G.Node(v).Words)
 	}
 	norm := (1 - sp.S) + sp.S*dlT/avdlCN
 	score := 0.0
@@ -113,7 +157,7 @@ func (sp *Spark) scoreA(t *jtt.Tree, terms []string) float64 {
 		}
 		dfCN := 0
 		for _, r := range rels {
-			dfCN += sp.Ix.DF(k, r)
+			dfCN += sp.df(k, r)
 		}
 		if dfCN == 0 {
 			continue

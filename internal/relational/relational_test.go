@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cirank/internal/graph"
+	"cirank/internal/textindex"
 )
 
 func TestSchemaValidate(t *testing.T) {
@@ -199,6 +200,35 @@ func TestEntityMergingDistinctText(t *testing.T) {
 		t.Errorf("merged words = %d, want 3", g.Node(node).Words)
 	}
 	_ = m
+}
+
+// TestNodeWordsMatchTokenizer: graph.Node.Words is the |v| the RWMP model
+// and SPARK divide by, and the text index holds no second copy, so it must
+// count exactly the tokens the index sees — for merged entities (whose text
+// grows per role) and for text the public Builder stripped of stop words.
+func TestNodeWordsMatchTokenizer(t *testing.T) {
+	db, err := NewDatabase(IMDBSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustInsert("Movie", Tuple{Key: "m1", Text: "Braveheart (1995)"})
+	db.MustInsert("Movie", Tuple{Key: "m2", Text: ""})
+	db.MustInsert("Movie", Tuple{Key: "m3", Text: "art computer programming"}) // "The Art of ..." after stop words
+	db.MustInsert("Actor", Tuple{Key: "a1", Text: "Mel Gibson", EntityKey: "p"})
+	db.MustInsert("Director", Tuple{Key: "d1", Text: "Mel Gibson", EntityKey: "p"})
+	db.MustInsert("Producer", Tuple{Key: "p1", Text: "Mel-Gibson, producer", EntityKey: "p"})
+	db.MustInsert("Actor", Tuple{Key: "a2", Text: "ÜBER straße  x_y", EntityKey: "q"})
+	db.MustRelate("acts_in", "a1", "m1")
+	g, _, err := BuildGraph(db, graph.DefaultIMDBWeights(), 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		node := g.Node(graph.NodeID(v))
+		if want := len(textindex.Tokenize(node.Text)); node.Words != want {
+			t.Errorf("node %d (%s/%s, %q): Words = %d, tokens %d", v, node.Relation, node.Key, node.Text, node.Words, want)
+		}
+	}
 }
 
 func TestStarTables(t *testing.T) {

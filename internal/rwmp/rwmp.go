@@ -218,7 +218,7 @@ func (m *Model) MaxDamp() float64 { return m.maxDamp }
 // Generation returns r_vv = t · p_v · |v ∩ Q| / |v|, the number of messages
 // node v generates for the query; zero for free nodes or empty nodes.
 func (m *Model) Generation(v graph.NodeID, queryTerms []string) float64 {
-	words := m.ix.NodeLen(v)
+	words := m.g.Node(v).Words
 	if words == 0 {
 		return 0
 	}

@@ -321,6 +321,41 @@ func TestFrontierBoundGivesUpOnLostTrees(t *testing.T) {
 	}
 }
 
+// TestExtendedMergeAssemblesThreeSubtreeStar: a hub with three neighbours
+// that all match the one query term has an answer only the extended merge
+// rule builds — the star of hub and all three matches, whose third subtree
+// adds a non-free node without covering a new keyword, which the paper's
+// §IV-B rule never merges.
+func TestExtendedMergeAssemblesThreeSubtreeStar(t *testing.T) {
+	fx := build(t,
+		[]string{"connector", "smith", "smith", "smith"},
+		[]float64{1, 1, 1, 1},
+		[][2]int{{0, 1}, {0, 2}, {0, 3}},
+	)
+	hasStar := func(answers []Answer) bool {
+		for _, a := range answers {
+			if a.Tree.Size() == 4 {
+				return true
+			}
+		}
+		return false
+	}
+	opts := Options{K: 20, Diameter: 4, Workers: 1}
+	strict, _, err := fx.s.TopK([]string{"smith"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.ExtendedMerge = true
+	extended, _, err := fx.s.TopK([]string{"smith"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hasStar(strict) || !hasStar(extended) || len(extended) <= len(strict) {
+		t.Errorf("strict: %d answers (star %v), extended: %d (star %v); want the star from the extended rule only",
+			len(strict), hasStar(strict), len(extended), hasStar(extended))
+	}
+}
+
 func TestStrictMergeIsSubset(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

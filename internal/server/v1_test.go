@@ -383,7 +383,6 @@ func TestQueryKey(t *testing.T) {
 		"term order": func() string { p := base; p.terms = []string{"b", "a"}; return queryKey(g1, p) },
 		"timeout":    func() string { p := base; p.timeout = 2 * time.Second; return queryKey(g1, p) },
 		"diameter":   func() string { p := base; p.opts.Diameter = 3; return queryKey(g1, p) },
-		"merge":      func() string { p := base; p.opts.ExtendedMerge = true; return queryKey(g1, p) },
 		"expansions": func() string { p := base; p.opts.MaxExpansions = 7; return queryKey(g1, p) },
 	}
 	ref := queryKey(g1, base)

@@ -1,6 +1,9 @@
 package textindex
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"strings"
 	"testing"
 	"unicode"
@@ -46,6 +49,44 @@ func FuzzTokenize(f *testing.F) {
 			if toks[i] != again[i] {
 				t.Fatalf("re-tokenizing %q changed token %d: %q -> %q", text, i, toks[i], again[i])
 			}
+		}
+	})
+}
+
+// FuzzTextDecode throws arbitrary bytes at the text-section decoder, which
+// reads counts and lengths before it can see the data they describe. Every
+// input must either be refused or decode to an index that re-encodes
+// byte-identically: the decoder accepts exactly the canonical encodings.
+// Snapshot-level fuzzing rarely reaches this decoder, because random
+// mutations fail the section checksums first.
+func FuzzTextDecode(f *testing.F) {
+	g := testGraph()
+	valid := Build(g).Encode()
+	f.Add(valid, uint32(g.NumNodes()))
+	rng := rand.New(rand.NewSource(1))
+	rg := randomTextGraph(rng, 40)
+	f.Add(Build(rg).Encode(), uint32(rg.NumNodes()))
+	f.Add(Build(randomTextGraph(rng, 0)).Encode(), uint32(0))
+	termOff, postingOff := encodedTerm(valid)
+	for _, m := range []struct{ off, v int }{
+		{4, 1},                    // version 1
+		{termOff, 1 << 30},        // huge term length
+		{postingOff, 4},           // posting node out of range
+		{postingOff + 4, 0},       // zero tf
+		{16, len(valid)},          // posting count beyond the data
+		{postingOff - 4, 1 << 20}, // term posting count beyond the data
+	} {
+		d := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(d[m.off:], uint32(m.v))
+		f.Add(d, uint32(g.NumNodes()))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, numNodes uint32) {
+		ix, err := Decode(data, int(numNodes))
+		if err != nil {
+			return
+		}
+		if again := ix.Encode(); !bytes.Equal(again, data) {
+			t.Fatalf("decoded index re-encodes to %d different bytes (input %d)", len(again), len(data))
 		}
 	})
 }

@@ -37,8 +37,7 @@ func randomTextGraph(rng *rand.Rand, n int) *graph.Graph {
 
 // TestBuildContextWorkerCountInvariant is the determinism suite's text-index
 // leg: sharded builds must be deep-equal to the sequential build — posting
-// order, DF tables and relation statistics included — for every worker
-// count.
+// order included — for every worker count.
 func TestBuildContextWorkerCountInvariant(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -52,17 +51,8 @@ func TestBuildContextWorkerCountInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.postings, base.postings) {
-				t.Fatalf("seed %d: postings differ at workers=%d", seed, workers)
-			}
-			if !reflect.DeepEqual(got.df, base.df) {
-				t.Fatalf("seed %d: df differs at workers=%d", seed, workers)
-			}
-			if !reflect.DeepEqual(got.rels, base.rels) {
-				t.Fatalf("seed %d: relation stats differ at workers=%d", seed, workers)
-			}
-			if !reflect.DeepEqual(got.nodeLen, base.nodeLen) {
-				t.Fatalf("seed %d: node lengths differ at workers=%d", seed, workers)
+			if !reflect.DeepEqual(got, base) {
+				t.Fatalf("seed %d: index differs at workers=%d", seed, workers)
 			}
 		}
 	}

@@ -1,9 +1,10 @@
 // Package textindex provides the full-text indexing substrate for keyword
 // search. The paper built its term index with Apache Lucene; this package
-// implements the equivalent from scratch: a tokenizer, an inverted index
-// from terms to posting lists over graph nodes, and the per-relation
-// statistics (document frequency, tuple counts, average text length) that
-// the IR-style baseline scorer (SPARK, §II-B) requires.
+// implements the equivalent from scratch: a tokenizer and an inverted index
+// from terms to posting lists over graph nodes. The index holds postings
+// and nothing else: a node's word count |v| is graph.Node.Words, and the
+// per-relation statistics of the SPARK baseline (§II-B) are derived from the
+// graph and the postings by that scorer (internal/baseline).
 package textindex
 
 import (
@@ -40,18 +41,10 @@ type Posting struct {
 	TF int
 }
 
-// relationStats aggregates per-relation statistics used by the IR scorers.
-type relationStats struct {
-	tuples   int // N_Rel: number of tuples in the relation
-	totalLen int // total word count, for avg dl
-}
-
 // Index is an immutable inverted index over the text of a graph's nodes.
 type Index struct {
-	postings map[string][]Posting      // term → postings sorted by node
-	df       map[string]map[string]int // term → relation → document frequency
-	rels     map[string]*relationStats // relation → stats
-	nodeLen  []int                     // node → word count
+	postings map[string][]Posting // term → postings sorted by node
+	numNodes int                  // node-ID domain of the postings
 }
 
 // Build indexes every node of g, fanning the tokenization across one worker
@@ -73,16 +66,14 @@ func Build(g *graph.Graph) *Index {
 // reproduces exactly the posting order of a sequential build.
 type shard struct {
 	postings map[string][]Posting
-	df       map[string]map[string]int
-	rels     map[string]*relationStats
 }
 
 // BuildContext indexes every node of g using up to workers goroutines over
 // contiguous node ranges (0 means one worker per available CPU, following
 // the search.Options.Workers convention). Sharding only partitions the node
-// scan: per-shard postings merge in shard order and the TF/DF/length
-// statistics merge by addition, so the result — Postings ordering included —
-// is identical to the sequential build for every worker count. A cancelled
+// scan: per-shard postings merge in shard order, so the result — Postings
+// ordering included — is identical to the sequential build for every worker
+// count. A cancelled
 // ctx aborts the build with an error wrapping ctx.Err().
 func BuildContext(ctx context.Context, g *graph.Graph, workers int) (*Index, error) {
 	n := g.NumNodes()
@@ -95,12 +86,7 @@ func BuildContext(ctx context.Context, g *graph.Graph, workers int) (*Index, err
 	if workers < 1 {
 		workers = 1
 	}
-	ix := &Index{
-		postings: make(map[string][]Posting),
-		df:       make(map[string]map[string]int),
-		rels:     make(map[string]*relationStats),
-		nodeLen:  make([]int, n),
-	}
+	ix := &Index{postings: make(map[string][]Posting), numNodes: n}
 	shards := make([]*shard, workers)
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
@@ -112,20 +98,16 @@ func BuildContext(ctx context.Context, g *graph.Graph, workers int) (*Index, err
 		if lo >= hi {
 			break
 		}
-		sh := &shard{
-			postings: make(map[string][]Posting),
-			df:       make(map[string]map[string]int),
-			rels:     make(map[string]*relationStats),
-		}
+		sh := &shard{postings: make(map[string][]Posting)}
 		shards[w] = sh
 		if workers == 1 {
-			sh.scan(ctx, g, lo, hi, ix.nodeLen)
+			sh.scan(ctx, g, lo, hi)
 			break
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sh.scan(ctx, g, lo, hi, ix.nodeLen)
+			sh.scan(ctx, g, lo, hi)
 		}()
 	}
 	wg.Wait()
@@ -133,32 +115,13 @@ func BuildContext(ctx context.Context, g *graph.Graph, workers int) (*Index, err
 		return nil, fmt.Errorf("textindex: build cancelled: %w", err)
 	}
 	// Deterministic merge: shards are concatenated in ascending node-range
-	// order, statistics are summed.
+	// order.
 	for _, sh := range shards {
 		if sh == nil {
 			continue
 		}
 		for t, ps := range sh.postings {
 			ix.postings[t] = append(ix.postings[t], ps...)
-		}
-		for t, byRel := range sh.df {
-			dst := ix.df[t]
-			if dst == nil {
-				dst = make(map[string]int, len(byRel))
-				ix.df[t] = dst
-			}
-			for rel, c := range byRel {
-				dst[rel] += c
-			}
-		}
-		for rel, rs := range sh.rels {
-			dst := ix.rels[rel]
-			if dst == nil {
-				dst = &relationStats{}
-				ix.rels[rel] = dst
-			}
-			dst.tuples += rs.tuples
-			dst.totalLen += rs.totalLen
 		}
 	}
 	// Nodes are visited in increasing ID order (within and across shards),
@@ -175,37 +138,21 @@ func BuildContext(ctx context.Context, g *graph.Graph, workers int) (*Index, err
 // cancelCheckStride is how many nodes a shard scans between context polls.
 const cancelCheckStride = 256
 
-// scan accumulates nodes [lo, hi) into the shard. nodeLen is the shared
-// output slice; shards write disjoint ranges of it. On cancellation the scan
+// scan accumulates nodes [lo, hi) into the shard. On cancellation the scan
 // stops early — the caller detects ctx.Err and discards the partial result.
-func (sh *shard) scan(ctx context.Context, g *graph.Graph, lo, hi int, nodeLen []int) {
+func (sh *shard) scan(ctx context.Context, g *graph.Graph, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if (i-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
 			return
 		}
 		id := graph.NodeID(i)
-		node := g.Node(id)
-		terms := Tokenize(node.Text)
-		nodeLen[i] = len(terms)
-		rs := sh.rels[node.Relation]
-		if rs == nil {
-			rs = &relationStats{}
-			sh.rels[node.Relation] = rs
-		}
-		rs.tuples++
-		rs.totalLen += len(terms)
+		terms := Tokenize(g.Node(id).Text)
 		counts := make(map[string]int, len(terms))
 		for _, t := range terms {
 			counts[t]++
 		}
 		for t, c := range counts {
 			sh.postings[t] = append(sh.postings[t], Posting{Node: id, TF: c})
-			byRel := sh.df[t]
-			if byRel == nil {
-				byRel = make(map[string]int, 2)
-				sh.df[t] = byRel
-			}
-			byRel[node.Relation]++
 		}
 	}
 }
@@ -248,47 +195,10 @@ func (ix *Index) TF(id graph.NodeID, term string) int {
 	return 0
 }
 
-// DF reports the number of tuples of relation rel containing term, the
-// per-relation df that SPARK sums over the joined relations.
-func (ix *Index) DF(term, rel string) int {
-	return ix.df[strings.ToLower(term)][rel]
-}
-
 // DFTotal reports the number of nodes containing term across all relations.
 func (ix *Index) DFTotal(term string) int {
 	return len(ix.Postings(term))
 }
-
-// RelationTuples reports the number of tuples in relation rel (N_Rel).
-func (ix *Index) RelationTuples(rel string) int {
-	if rs := ix.rels[rel]; rs != nil {
-		return rs.tuples
-	}
-	return 0
-}
-
-// RelationAvgLen reports the average text length, in words, of tuples in
-// relation rel (avdl).
-func (ix *Index) RelationAvgLen(rel string) float64 {
-	rs := ix.rels[rel]
-	if rs == nil || rs.tuples == 0 {
-		return 0
-	}
-	return float64(rs.totalLen) / float64(rs.tuples)
-}
-
-// Relations lists the indexed relation names in sorted order.
-func (ix *Index) Relations() []string {
-	out := make([]string, 0, len(ix.rels))
-	for r := range ix.rels {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NodeLen reports the word count of node id's text, |v|.
-func (ix *Index) NodeLen(id graph.NodeID) int { return ix.nodeLen[id] }
 
 // QueryMatchCount reports |v ∩ Q|: the number of word occurrences in node
 // id's text that match any query term. Following the paper's definition

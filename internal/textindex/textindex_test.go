@@ -55,26 +55,8 @@ func TestBuildAndLookup(t *testing.T) {
 	if got := ix.TF(0, "tsimmis"); got != 0 {
 		t.Errorf("TF(0, tsimmis) = %d, want 0", got)
 	}
-	if got := ix.DF("tsimmis", "Paper"); got != 2 {
-		t.Errorf("DF(tsimmis, Paper) = %d, want 2", got)
-	}
-	if got := ix.DF("tsimmis", "Author"); got != 0 {
-		t.Errorf("DF(tsimmis, Author) = %d, want 0", got)
-	}
 	if got := ix.DFTotal("tsimmis"); got != 2 {
 		t.Errorf("DFTotal(tsimmis) = %d, want 2", got)
-	}
-	if got := ix.RelationTuples("Paper"); got != 2 {
-		t.Errorf("RelationTuples(Paper) = %d, want 2", got)
-	}
-	if got := ix.RelationAvgLen("Author"); got != 2 {
-		t.Errorf("RelationAvgLen(Author) = %g, want 2", got)
-	}
-	if got := ix.Relations(); !reflect.DeepEqual(got, []string{"Author", "Paper"}) {
-		t.Errorf("Relations() = %v", got)
-	}
-	if got := ix.NodeLen(2); got != 4 {
-		t.Errorf("NodeLen(2) = %d, want 4", got)
 	}
 }
 
@@ -103,21 +85,15 @@ func TestQueryMatchCount(t *testing.T) {
 	}
 }
 
-func TestUnknownTermAndRelation(t *testing.T) {
+func TestUnknownTerm(t *testing.T) {
 	ix := Build(testGraph())
 	if got := ix.MatchingNodes("nonexistent"); len(got) != 0 {
 		t.Errorf("MatchingNodes(nonexistent) = %v, want empty", got)
 	}
-	if got := ix.RelationTuples("NoSuchRel"); got != 0 {
-		t.Errorf("RelationTuples(NoSuchRel) = %d, want 0", got)
-	}
-	if got := ix.RelationAvgLen("NoSuchRel"); got != 0 {
-		t.Errorf("RelationAvgLen(NoSuchRel) = %g, want 0", got)
-	}
 }
 
-// Property: the sum of TFs over a node's matched terms never exceeds the
-// node's length, and DFTotal equals the posting list length.
+// Property: the TFs of a node's distinct terms sum to the node's token
+// count.
 func TestIndexInvariants(t *testing.T) {
 	f := func(texts []string) bool {
 		b := graph.NewBuilder(len(texts))
@@ -129,9 +105,6 @@ func TestIndexInvariants(t *testing.T) {
 		for i := 0; i < g.NumNodes(); i++ {
 			id := graph.NodeID(i)
 			terms := Tokenize(g.Node(id).Text)
-			if ix.NodeLen(id) != len(terms) {
-				return false
-			}
 			sum := 0
 			seen := map[string]bool{}
 			for _, term := range terms {

@@ -10,12 +10,13 @@ import (
 
 // openAllocCeiling bounds the heap allocations of one Open + Close of the
 // dblp scale-0.25 snapshot (331 nodes, star index on). Open aliases the flat
-// arrays but still decodes node records, the text index and the entity map
-// per entry, so the count grows with the corpus; the ceiling is about 1.5×
-// the measured 14 871 and exists to catch a return to per-element decoding of
-// the flat sections. The zero-copy fix in ROADMAP (O(sections) allocations)
-// is expected to lower it — tighten the ceiling alongside that change.
-const openAllocCeiling = 22000
+// arrays but still decodes node records, the text index's terms and the
+// entity map per entry, so the count grows with the corpus; the ceiling is
+// 1.5× the measured 2 664 and exists to catch a return to per-element
+// decoding of the flat sections or of the posting lists (which share one
+// backing array). The zero-copy fix in ROADMAP (O(sections) allocations) is
+// expected to lower it — tighten the ceiling alongside that change.
+const openAllocCeiling = 4000
 
 // TestOpenAllocCeiling is excluded under -race, whose instrumentation
 // allocates.

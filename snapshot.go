@@ -44,7 +44,7 @@ import (
 //	csr.outsum  numNodes × f64
 //	imp         numNodes × f64
 //	damp        numNodes × f64
-//	text        textindex serialization (see textindex.Index.WriteTo)
+//	text        term postings (textindex.Index.Encode; version 1 is refused)
 //	entmap      count u64 | count × (table str | key str | node u32)
 //	star.meta   maxDepth u32 | reserved u32 | numStar u64 | far f64
 //	star.flags  numNodes × u8 (0/1)
@@ -154,16 +154,12 @@ type snapSection struct {
 // saving the same engine (or an engine loaded from the saved bytes) always
 // produces identical output.
 func (e *Engine) Save(w io.Writer) error {
-	secs, err := e.encodeSections()
-	if err != nil {
-		return err
-	}
-	return writeSnapshot(w, secs)
+	return writeSnapshot(w, e.encodeSections())
 }
 
 // encodeSections serializes every engine part into its named section, in
 // file order.
-func (e *Engine) encodeSections() ([]snapSection, error) {
+func (e *Engine) encodeSections() []snapSection {
 	n := e.g.NumNodes()
 	offsets, edges, outSum := e.g.CSR()
 	params := e.model.Params()
@@ -188,11 +184,6 @@ func (e *Engine) encodeSections() ([]snapSection, error) {
 		nodes = binary.LittleEndian.AppendUint32(nodes, uint32(node.Words))
 	}
 
-	var text bytes.Buffer
-	if _, err := e.ix.WriteTo(&text); err != nil {
-		return nil, err
-	}
-
 	entmap := binary.LittleEndian.AppendUint64(nil, uint64(len(e.mapEntries)))
 	for _, me := range e.mapEntries {
 		entmap = appendSnapString(entmap, me.Table)
@@ -208,7 +199,7 @@ func (e *Engine) encodeSections() ([]snapSection, error) {
 		{secCSRSum, mmapio.AppendFloat64s(nil, outSum)},
 		{secImp, mmapio.AppendFloat64s(nil, e.imp)},
 		{secDamp, mmapio.AppendFloat64s(nil, e.model.DampVector())},
-		{secText, text.Bytes()},
+		{secText, e.ix.Encode()},
 		{secEntMap, entmap},
 	}
 	if e.starIdx != nil {
@@ -232,7 +223,7 @@ func (e *Engine) encodeSections() ([]snapSection, error) {
 			snapSection{secStarRet, mmapio.AppendFloat64s(nil, p.Ret)},
 		)
 	}
-	return secs, nil
+	return secs
 }
 
 // writeSnapshot lays the sections out with 16-byte-aligned offsets, computes
@@ -447,7 +438,7 @@ func decodeV2(data []byte, alias bool) (*Engine, error) {
 	if err != nil {
 		return nil, badSnap("%v", err)
 	}
-	ix, err := textindex.Read(bytes.NewReader(secs[secText]), n)
+	ix, err := textindex.Decode(secs[secText], n)
 	if err != nil {
 		return nil, badSnap("%v", err)
 	}

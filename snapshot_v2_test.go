@@ -107,6 +107,48 @@ func oneWaySnapshot(t testing.TB, snap []byte) []byte {
 	})
 }
 
+// textSectionCorruptions returns snapshots of eng whose text section each
+// break one rule of the text decoder, with every checksum recomputed so the
+// decoder, not the CRC gate, refuses them. The offsets follow the text
+// layout: a 20-byte header, then the first term's length word, its bytes,
+// its posting count and its first (node, tf) posting.
+func textSectionCorruptions(t testing.TB, eng *Engine) map[string][]byte {
+	t.Helper()
+	with := func(f func(text []byte) []byte) []byte {
+		secs := eng.encodeSections()
+		for i := range secs {
+			if secs[i].name == secText {
+				secs[i].payload = f(append([]byte(nil), secs[i].payload...))
+			}
+		}
+		var buf bytes.Buffer
+		if err := writeSnapshot(&buf, secs); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	const termOff = 20
+	firstPosting := func(text []byte) int {
+		return termOff + 4 + int(binary.LittleEndian.Uint32(text[termOff:])) + 4
+	}
+	put := func(off func([]byte) int, v uint32) []byte {
+		return with(func(text []byte) []byte {
+			binary.LittleEndian.PutUint32(text[off(text):], v)
+			return text
+		})
+	}
+	return map[string][]byte{
+		"text section version 1": put(func([]byte) int { return 4 }, 1),
+		"text terms unsorted": with(func(text []byte) []byte {
+			text[termOff+4] = 0xff
+			return text
+		}),
+		"text posting node out of range": put(firstPosting, uint32(eng.NumNodes())),
+		"text posting zero tf":           put(func(text []byte) int { return firstPosting(text) + 4 }, 0),
+		"text trailing bytes":            with(func(text []byte) []byte { return append(text, 0) }),
+	}
+}
+
 // oneWayFixturePath is oneWaySnapshot of fig2Engine under DefaultConfig,
 // committed so the server's reload test and the snapshot fuzzer load the
 // same bytes.
@@ -344,6 +386,9 @@ func TestSnapshotV2Corruptions(t *testing.T) {
 			fixTableCRC(d)
 		}),
 	}
+	for name, data := range textSectionCorruptions(t, fig2Engine(t, DefaultConfig())) {
+		cases[name] = data
+	}
 	// Valid but for one edge without its reverse: only FromCSR's reverse-edge
 	// pass may refuse these (asserted below through its message).
 	cases["one-way edge"] = oneWaySnapshot(t, snap)
@@ -359,6 +404,12 @@ func TestSnapshotV2Corruptions(t *testing.T) {
 			}
 			if name == "retired v1 version" && !strings.Contains(err.Error(), "version 1") {
 				t.Errorf("v1 rejection does not name the version: %v", err)
+			}
+			if name == "text section version 1" && !strings.Contains(err.Error(), "re-save") {
+				t.Errorf("text version 1 rejection does not say to re-save: %v", err)
+			}
+			if strings.HasPrefix(name, "text ") && !strings.Contains(err.Error(), "textindex:") {
+				t.Errorf("text-section corruption refused by another check: %v", err)
 			}
 			if strings.HasPrefix(name, "one-way") && !strings.Contains(err.Error(), "has no reverse") {
 				t.Errorf("one-way snapshot refused by another check: %v", err)
