@@ -243,7 +243,7 @@ func TestWorkloadGoldUsesGroundTruthConnector(t *testing.T) {
 		// The gold connector is the root of the star and must have maximal
 		// planted popularity among common connectors.
 		root := q.Gold.Root()
-		best := b.bestCommonConnector(q.GoldEndpoints)
+		best := b.mostPopular(b.commonConnectors(nil, q.GoldEndpoints))
 		if best != root {
 			t.Errorf("gold root %d is not the best common connector %d", root, best)
 		}

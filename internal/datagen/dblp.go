@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"cirank/internal/graph"
@@ -96,8 +97,11 @@ func GenerateDBLP(cfg DBLPConfig) (*Dataset, error) {
 
 	papers := make([]string, cfg.Papers)
 	// inCites[i] counts citations received by paper i; +1 smoothing keeps
-	// preferential attachment live for uncited papers.
+	// preferential attachment live for uncited papers. pool holds the
+	// weights 1 + inCites[j] of the papers already written, the ones a new
+	// paper may cite.
 	inCites := make([]int, cfg.Papers)
+	pool := newCitationPool(cfg.Papers)
 	for i := 0; i < cfg.Papers; i++ {
 		key := fmt.Sprintf("Pa%d", i)
 		papers[i] = key
@@ -115,14 +119,16 @@ func GenerateDBLP(cfg DBLPConfig) (*Dataset, error) {
 			}
 			cited := make(map[int]bool, nCite)
 			for len(cited) < nCite {
-				j := sampleCitation(rng, inCites[:i])
+				j := pool.find(rng.Intn(pool.total))
 				if !cited[j] {
 					cited[j] = true
 					db.MustRelate("cites", key, papers[j])
 					inCites[j]++
+					pool.add(j, 1)
 				}
 			}
 		}
+		pool.add(i, 1)
 	}
 	for i, key := range papers {
 		ds.setPop("Paper", key, float64(inCites[i]))
@@ -130,18 +136,36 @@ func GenerateDBLP(cfg DBLPConfig) (*Dataset, error) {
 	return ds, nil
 }
 
-// sampleCitation picks an index proportionally to 1 + inCites[i].
-func sampleCitation(rng *rand.Rand, inCites []int) int {
-	total := len(inCites)
-	for _, c := range inCites {
-		total += c
+// citationPool is a Fenwick tree over the papers' citation weights
+// 1 + inCites[i]. A draw x in [0, total) maps to the paper whose weight
+// interval holds x — the index a linear scan subtracting weights in paper
+// order would return — in O(log n), so citing stays near-linear in papers.
+type citationPool struct {
+	tree  []int // 1-based: tree[k] sums the weights of papers (k - k&-k, k]
+	total int
+}
+
+func newCitationPool(n int) *citationPool {
+	return &citationPool{tree: make([]int, n+1)}
+}
+
+// add adds d to paper i's weight.
+func (p *citationPool) add(i, d int) {
+	p.total += d
+	for k := i + 1; k < len(p.tree); k += k & -k {
+		p.tree[k] += d
 	}
-	x := rng.Intn(total)
-	for i, c := range inCites {
-		x -= 1 + c
-		if x < 0 {
-			return i
+}
+
+// find returns the smallest i whose prefix weight sum exceeds x, for x in
+// [0, total).
+func (p *citationPool) find(x int) int {
+	i := 0
+	for step := bits.Len(uint(len(p.tree)-1)) - 1; step >= 0; step-- {
+		if k := i + 1<<step; k < len(p.tree) && p.tree[k] <= x {
+			i = k
+			x -= p.tree[k]
 		}
 	}
-	return len(inCites) - 1
+	return i
 }

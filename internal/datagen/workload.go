@@ -28,6 +28,8 @@ type Built struct {
 	Importance []float64
 	// connector is the star table name ("Movie" or "Paper").
 	connector string
+	// connectors are the connector table's nodes in key insertion order.
+	connectors []graph.NodeID
 }
 
 // Build materializes the dataset into a graph, text index and importance
@@ -45,6 +47,11 @@ func Build(ds *Dataset) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
+	keys := ds.DB.Keys(stars[0])
+	connectors := make([]graph.NodeID, len(keys))
+	for i, key := range keys {
+		connectors[i] = m.MustNodeOf(stars[0], key)
+	}
 	return &Built{
 		Dataset:    ds,
 		G:          g,
@@ -52,6 +59,7 @@ func Build(ds *Dataset) (*Built, error) {
 		Ix:         textindex.Build(g),
 		Importance: pr.Scores,
 		connector:  stars[0],
+		connectors: connectors,
 	}, nil
 }
 
@@ -245,12 +253,9 @@ func (b *Built) personPop(v graph.NodeID) float64 {
 	return b.Importance[v]
 }
 
-// randomConnector samples a connector node, biased toward popular ones
-// (which have more neighbours, like real query subjects).
+// randomConnector samples a connector node uniformly.
 func (b *Built) randomConnector(rng *rand.Rand) graph.NodeID {
-	keys := b.Dataset.DB.Keys(b.connector)
-	key := keys[rng.Intn(len(keys))]
-	return b.Mapping.MustNodeOf(b.connector, key)
+	return b.connectors[rng.Intn(len(b.connectors))]
 }
 
 // personNeighbors lists the non-connector neighbours of a connector node
@@ -393,7 +398,8 @@ func (b *Built) genNonAdjacent(rng *rand.Rand, n, minCommon int) *Query {
 	}
 	rng.Shuffle(len(people), func(i, j int) { people[i], people[j] = people[j], people[i] })
 	chosen := people[:n]
-	if b.countCommonConnectors(chosen) < minCommon {
+	common := b.commonConnectors(nil, chosen)
+	if len(common) < minCommon {
 		return nil
 	}
 	terms := make([]string, 0, n)
@@ -411,7 +417,7 @@ func (b *Built) genNonAdjacent(rng *rand.Rand, n, minCommon int) *Query {
 		seen[t] = true
 		terms = append(terms, t)
 	}
-	gold := b.bestCommonConnector(chosen)
+	gold := b.mostPopular(common)
 	if gold == graph.InvalidNode {
 		return nil
 	}
@@ -512,12 +518,14 @@ func (b *Built) genNameQuery(rng *rand.Rand) *Query {
 	m2 := b.topFameMatchers(t2, 20)
 	var bp1, bp2, bpConn graph.NodeID = graph.InvalidNode, graph.InvalidNode, graph.InvalidNode
 	bestPairFame := -1.0
+	var common []graph.NodeID
 	for _, u := range m1 {
 		for _, v := range m2 {
 			if u == v {
 				continue
 			}
-			cc := b.bestCommonConnector([]graph.NodeID{u, v})
+			common = b.commonConnectors(common[:0], []graph.NodeID{u, v})
+			cc := b.mostPopular(common)
 			if cc == graph.InvalidNode {
 				continue
 			}
@@ -602,46 +610,40 @@ func (b *Built) topFameMatchers(term string, limit int) []graph.NodeID {
 	return nodes
 }
 
-// countCommonConnectors counts the connector nodes adjacent to every person
-// in the set.
-func (b *Built) countCommonConnectors(people []graph.NodeID) int {
-	counts := make(map[graph.NodeID]int)
-	for _, p := range people {
-		for _, e := range b.G.OutEdges(p) {
-			if b.G.Node(e.To).Relation == b.connector {
-				counts[e.To]++
-			}
+// commonConnectors appends to dst the connector nodes adjacent to every
+// person in the set, in ascending ID order. It walks the shortest out-list,
+// which is sorted by destination, and probes the others by binary search,
+// so a set holding a prolific person costs the least prolific one's degree.
+func (b *Built) commonConnectors(dst, people []graph.NodeID) []graph.NodeID {
+	base := people[0]
+	for _, p := range people[1:] {
+		if b.G.OutDegree(p) < b.G.OutDegree(base) {
+			base = p
 		}
 	}
-	total := 0
-	for _, k := range counts {
-		if k == len(people) {
-			total++
-		}
-	}
-	return total
-}
-
-// bestCommonConnector returns the most popular connector node adjacent to
-// every person in the set, or InvalidNode if none exists.
-func (b *Built) bestCommonConnector(people []graph.NodeID) graph.NodeID {
-	counts := make(map[graph.NodeID]int)
-	for _, p := range people {
-		for _, e := range b.G.OutEdges(p) {
-			if b.G.Node(e.To).Relation == b.connector {
-				counts[e.To]++
-			}
-		}
-	}
-	var best graph.NodeID = graph.InvalidNode
-	bestPop := -1.0
-	for c, k := range counts {
-		if k != len(people) {
+next:
+	for _, e := range b.G.OutEdges(base) {
+		if b.G.Node(e.To).Relation != b.connector {
 			continue
 		}
-		// Tie-break by node ID: planted popularity (e.g. citation counts)
-		// can tie, and map iteration order must not leak into gold answers.
-		if pop := b.connectorPop(c); pop > bestPop || (pop == bestPop && c < best) {
+		for _, p := range people {
+			if !b.G.HasEdge(p, e.To) {
+				continue next
+			}
+		}
+		dst = append(dst, e.To)
+	}
+	return dst
+}
+
+// mostPopular returns the connector with the highest planted popularity,
+// the lowest node ID among equals (citation counts tie), or InvalidNode
+// for an empty set. The connectors must be in ascending ID order.
+func (b *Built) mostPopular(connectors []graph.NodeID) graph.NodeID {
+	best := graph.InvalidNode
+	bestPop := -1.0
+	for _, c := range connectors {
+		if pop := b.connectorPop(c); pop > bestPop {
 			best, bestPop = c, pop
 		}
 	}

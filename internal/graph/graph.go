@@ -20,7 +20,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node in a Graph. IDs are dense: a graph with n nodes
@@ -144,7 +144,15 @@ func (g *Graph) HasEdge(from, to NodeID) bool {
 // Builders are not safe for concurrent use.
 type Builder struct {
 	nodes []Node
-	adj   []map[NodeID]float64
+	// edges records every directed edge in call order, repeats included;
+	// Build sorts them and keeps the last call for each pair.
+	edges []builderEdge
+}
+
+// builderEdge is one directed edge as AddBiEdge recorded it.
+type builderEdge struct {
+	from, to NodeID
+	weight   float64
 }
 
 // NewBuilder returns an empty Builder. If sizeHint > 0 it preallocates for
@@ -153,7 +161,6 @@ func NewBuilder(sizeHint int) *Builder {
 	b := &Builder{}
 	if sizeHint > 0 {
 		b.nodes = make([]Node, 0, sizeHint)
-		b.adj = make([]map[NodeID]float64, 0, sizeHint)
 	}
 	return b
 }
@@ -162,7 +169,6 @@ func NewBuilder(sizeHint int) *Builder {
 func (b *Builder) AddNode(n Node) NodeID {
 	id := NodeID(len(b.nodes))
 	b.nodes = append(b.nodes, n)
-	b.adj = append(b.adj, nil)
 	return id
 }
 
@@ -174,6 +180,12 @@ func (b *Builder) NumNodes() int { return len(b.nodes) }
 // counts before Build.
 func (b *Builder) Node(id NodeID) *Node { return &b.nodes[id] }
 
+// GrowEdges makes room for pairs more AddBiEdge calls, so a caller that
+// knows how many it will make spares the builder repeated reallocation.
+func (b *Builder) GrowEdges(pairs int) {
+	b.edges = slices.Grow(b.edges, 2*pairs)
+}
+
 // AddBiEdge adds both directed edges between a and c with per-direction
 // weights, the paper's modeling of a foreign-key relationship, and the only
 // way to add an edge. Adding a pair that already exists overwrites both
@@ -184,8 +196,7 @@ func (b *Builder) AddBiEdge(a, c NodeID, weightAC, weightCA float64) {
 	b.addEdge(c, a, weightCA)
 }
 
-// addEdge adds (or overwrites) the directed edge from → to: one half of
-// AddBiEdge.
+// addEdge records the directed edge from → to: one half of AddBiEdge.
 func (b *Builder) addEdge(from, to NodeID, weight float64) {
 	if int(from) >= len(b.nodes) || int(to) >= len(b.nodes) || from < 0 || to < 0 {
 		panic(fmt.Sprintf("graph: AddBiEdge(%d, %d) with %d nodes", from, to, len(b.nodes)))
@@ -198,10 +209,7 @@ func (b *Builder) addEdge(from, to NodeID, weight float64) {
 		// or message passing; drop them.
 		return
 	}
-	if b.adj[from] == nil {
-		b.adj[from] = make(map[NodeID]float64, 4)
-	}
-	b.adj[from][to] = weight
+	b.edges = append(b.edges, builderEdge{from: from, to: to, weight: weight})
 }
 
 // Build freezes the builder into an immutable Graph. The builder must not be
@@ -213,40 +221,60 @@ func (b *Builder) Build() *Graph {
 		offsets: make([]int32, n+1),
 		outSum:  make([]float64, n),
 	}
-	total := 0
-	for i := range b.adj {
-		total += len(b.adj[i])
-	}
-	g.flat = make([]HalfEdge, 0, total)
-	for i := 0; i < n; i++ {
-		g.offsets[i] = int32(len(g.flat))
-		edges := b.adj[i]
-		if len(edges) == 0 {
-			continue
+	// Sort by (source, destination); a pair's calls keep their call order,
+	// so the last of them is the one kept below.
+	edges := b.edges
+	SortByNodePair(edges, n,
+		func(e *builderEdge) NodeID { return e.from },
+		func(e *builderEdge) NodeID { return e.to })
+	g.flat = make([]HalfEdge, 0, len(edges))
+	for i, e := range edges {
+		if i+1 < len(edges) && edges[i+1].from == e.from && edges[i+1].to == e.to {
+			continue // a later call for this pair overwrote the weight
 		}
-		start := len(g.flat)
-		for to, w := range edges {
-			g.flat = append(g.flat, HalfEdge{To: to, Weight: w})
-		}
-		part := g.flat[start:]
-		sort.Slice(part, func(x, y int) bool { return part[x].To < part[y].To })
-		// Sum in sorted-destination order, not map-iteration order: float
+		g.flat = append(g.flat, HalfEdge{To: e.to, Weight: e.weight})
+		g.offsets[e.from+1] = int32(len(g.flat))
+		// Sum in ascending-destination order, never in call order: float
 		// addition is order-sensitive, and OutWeightSum feeds random-walk
-		// normalization and RWMP split denominators, so a wandering last ULP
-		// here would make "identical" builds score answers differently.
-		sum := 0.0
-		for _, e := range part {
-			sum += e.Weight
-		}
-		g.outSum[i] = sum
+		// normalization and RWMP split denominators, so a wandering last
+		// ULP here would make "identical" builds score answers differently.
+		g.outSum[e.from] += e.weight
 	}
-	g.offsets[n] = int32(len(g.flat))
+	// A node without out-edges ends where its predecessor ends.
+	for i := 1; i <= n; i++ {
+		g.offsets[i] = max(g.offsets[i], g.offsets[i-1])
+	}
 	rev, err := reverses(g.offsets, g.flat)
 	if err != nil {
 		panic(err) // unreachable: AddBiEdge adds edges only in pairs
 	}
 	g.rev = rev
 	b.nodes = nil
-	b.adj = nil
+	b.edges = nil
 	return g
+}
+
+// SortByNodePair sorts s by (first, second), node IDs below n, keeping the
+// order of equal pairs: two stable counting sorts, O(len(s) + n).
+func SortByNodePair[T any](s []T, n int, first, second func(*T) NodeID) {
+	tmp := make([]T, len(s))
+	countingSort(tmp, s, n, second)
+	countingSort(s, tmp, n, first)
+}
+
+// countingSort writes src into dst ordered by key, a node ID below n,
+// keeping the order of equal keys.
+func countingSort[T any](dst, src []T, n int, key func(*T) NodeID) {
+	next := make([]int, n+1)
+	for i := range src {
+		next[key(&src[i])+1]++
+	}
+	for k := 1; k <= n; k++ {
+		next[k] += next[k-1]
+	}
+	for i := range src {
+		k := key(&src[i])
+		dst[next[k]] = src[i]
+		next[k]++
+	}
 }

@@ -123,9 +123,15 @@ func BuildGraph(db *Database, weights graph.WeightTable, defaultWeight float64) 
 		m.byTableKey[tableName+"\x00"+t.Key] = id
 	}
 	// Accumulate edge weights: multiple relationship instances between the
-	// same node pair (different roles, repeat links) sum.
-	type pair struct{ from, to graph.NodeID }
-	acc := make(map[pair]float64, 2*len(db.links))
+	// same node pair (different roles, repeat links) sum. Each link is
+	// recorded once, under its node pair lower ID first; a stable sort by
+	// pair gathers a pair's links in link order, the order each direction
+	// is summed in.
+	type pairWeights struct {
+		lo, hi   graph.NodeID
+		up, down float64 // lo→hi and hi→lo
+	}
+	pairs := make([]pairWeights, 0, len(db.links))
 	for _, l := range db.links {
 		from, to := m.tupleToNode[l.from], m.tupleToNode[l.to]
 		if from == to {
@@ -135,13 +141,24 @@ func BuildGraph(db *Database, weights graph.WeightTable, defaultWeight float64) 
 		}
 		fw := weights.Weight(l.rel.fromLabel(), l.rel.toLabel(), defaultWeight)
 		bw := weights.Weight(l.rel.toLabel(), l.rel.fromLabel(), defaultWeight)
-		acc[pair{from, to}] += fw
-		acc[pair{to, from}] += bw
-	}
-	for p, w := range acc {
-		if p.from < p.to { // each node pair once, with both weights
-			b.AddBiEdge(p.from, p.to, w, acc[pair{p.to, p.from}])
+		if from < to {
+			pairs = append(pairs, pairWeights{from, to, fw, bw})
+		} else {
+			pairs = append(pairs, pairWeights{to, from, bw, fw})
 		}
+	}
+	graph.SortByNodePair(pairs, b.NumNodes(),
+		func(p *pairWeights) graph.NodeID { return p.lo },
+		func(p *pairWeights) graph.NodeID { return p.hi })
+	b.GrowEdges(len(pairs))
+	for i := 0; i < len(pairs); {
+		p := pairs[i]
+		up, down := 0.0, 0.0
+		for ; i < len(pairs) && pairs[i].lo == p.lo && pairs[i].hi == p.hi; i++ {
+			up += pairs[i].up
+			down += pairs[i].down
+		}
+		b.AddBiEdge(p.lo, p.hi, up, down)
 	}
 	return b.Build(), m, nil
 }
