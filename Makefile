@@ -9,7 +9,7 @@ GO ?= go
 FUZZTIME ?= 30s
 FUZZMINIMIZE ?= 5x
 
-.PHONY: all build test race vet lint fuzz diff cover bench bench-module bench-pairs bench-smoke check serve loadgen loadgen-tenants
+.PHONY: all build test race vet lint fuzz diff cover bench bench-module bench-pairs bench-smoke check serve
 
 all: check
 
@@ -31,7 +31,7 @@ vet:
 # lint enforces the documentation contract: every exported identifier in
 # the listed packages must carry a doc comment.
 lint:
-	$(GO) run ./cmd/doccheck internal/search internal/rwmp internal/pathindex internal/cache internal/server internal/servebench internal/textindex internal/graph internal/searchbench internal/relational internal/jtt internal/pagerank internal/eval internal/baseline internal/datagen internal/difftest internal/mmapio . internal/experiments
+	$(GO) run ./cmd/doccheck internal/search internal/rwmp internal/pathindex internal/cache internal/server internal/textindex internal/graph internal/searchbench internal/relational internal/jtt internal/pagerank internal/eval internal/baseline internal/datagen internal/difftest internal/mmapio . internal/experiments
 
 # diff runs the differential correctness harness: every committed seed
 # generates a random workload and cross-checks branch-and-bound against
@@ -65,20 +65,6 @@ cover:
 serve:
 	$(GO) run ./cmd/cirank-server -dataset dblp -addr :8080
 
-# loadgen replays the skewed query stream against a live server in the
-# four tracked arms (caches off / warmed / hot reloads mid-load / the
-# stream spread over three named tenants with reloads hitting only t0)
-# and prints one JSON line per arm.
-loadgen:
-	$(GO) run ./cmd/cirank-loadgen
-
-# loadgen-tenants runs just the mixed-tenant isolation arm: three named
-# tenants over one snapshot, hot reloads targeting t0 only. Stale/Failed
-# and StaleOther/FailedOther must all be zero — a nonzero count means a
-# reload of one tenant leaked into another.
-loadgen-tenants:
-	$(GO) run ./cmd/cirank-loadgen -arms tenants
-
 # bench-module vets and tests the nested cirank/bench module — the
 # BENCHMARK.json harness — which the ./... targets above do not reach.
 bench-module:
@@ -98,13 +84,11 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # bench-smoke is the CI gate for the benchmark surface: every BenchmarkSearch
-# cell runs once (catching bit-rot in the grid itself), the build-determinism
-# suites run under the race detector, and cirank-loadgen runs its arms end to
-# end. Nothing here compares wall-clock numbers; that is bench-pairs' job.
+# cell runs once (catching bit-rot in the grid itself) and the
+# build-determinism suites run under the race detector. Nothing here compares
+# wall-clock numbers; that is bench-pairs' job.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkSearch$$' -benchtime 1x .
-	$(GO) test -race -run 'TestBuild|TestScratch|TestEdgeOrder|TestWeightBinarySearch|TestWeightsReverseIndex' ./internal/pathindex ./internal/textindex ./internal/graph .
-	$(GO) run ./cmd/cirank-loadgen -duration 1s -clients 4 -out /dev/null
-	$(GO) run ./cmd/cirank-loadgen -arms tenants -duration 1s -clients 4 -out /dev/null
+	$(GO) test -race -run 'TestBuild|TestScratch|TestEdgeOrder|TestWeightBinarySearch|TestWeightsReverseIndex' ./internal/pathindex ./internal/textindex ./internal/graph ./internal/relational ./internal/datagen .
 
 check: build vet lint race

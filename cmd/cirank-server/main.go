@@ -13,7 +13,7 @@
 //
 // The versioned /v1 API (docs/api.md) is the contract and the only surface.
 // The serving stack — singleflight coalescing, the generation-keyed result
-// cache, cost-based admission — is tunable with -coalesce, -result-cache,
+// cache, cost-based admission — is tunable with -result-cache,
 // -admission-budget and -max-batch.
 //
 // Snapshot workflow — build once offline, serve with instant startup, and
@@ -75,7 +75,6 @@ func main() {
 		saveSnap = flag.String("save-snapshot", "", "build the dataset engine, write a snapshot to this file, and exit")
 
 		resultCache = flag.Int("result-cache", 0, "result-cache entries per generation (0 = default 1024, -1 = off)")
-		coalesce    = flag.Bool("coalesce", true, "coalesce identical in-flight queries (singleflight)")
 		admission   = flag.Int64("admission-budget", 0, "cost-based admission budget in posting-entry units (0 = derived from GOMAXPROCS)")
 		maxBatch    = flag.Int("max-batch", 0, "max queries per POST /v1/search batch (0 = default 16)")
 	)
@@ -103,7 +102,6 @@ func main() {
 		MaxExpansions:   *maxExp,
 		SnapshotPath:    *snapshot,
 		ResultCacheSize: *resultCache,
-		CoalesceEnabled: server.Bool(*coalesce),
 		AdmissionBudget: *admission,
 		MaxBatch:        *maxBatch,
 	}

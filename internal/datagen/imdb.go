@@ -259,26 +259,3 @@ func castFromTroupe(rng *rand.Rand, count int, troupe []int, n int, globalPk *we
 		}
 	}
 }
-
-// linkDistinct invokes link for count distinct indices in [0, n), sampled
-// from the picker.
-func linkDistinct(rng *rand.Rand, count, n int, link func(int), pk *weightedPicker) {
-	if count > n {
-		count = n
-	}
-	chosen := make(map[int]bool, count)
-	for len(chosen) < count {
-		j := pk.pick()
-		if !chosen[j] {
-			chosen[j] = true
-			link(j)
-		}
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

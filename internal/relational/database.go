@@ -59,9 +59,6 @@ func NewDatabase(schema *Schema) (*Database, error) {
 	return db, nil
 }
 
-// Schema returns the database's schema.
-func (db *Database) Schema() *Schema { return db.schema }
-
 // Insert adds a tuple to the named table. The key must be non-empty and
 // unique within the table.
 func (db *Database) Insert(tableName string, t Tuple) error {

@@ -1,10 +1,9 @@
 // Package searchbench prepares the query workload the search benchmarks and
 // the exploration pin share: a generated dataset, the RWMP scoring model over
-// it, and a skewed AOL-style query stream. The root package's BenchmarkSearch,
-// internal/servebench and this package's own TestStatsPinned
-// (testdata/stats_pins.json: the exact per-query Expanded/Generated/Answers
-// counts of the live engine) all load their queries through it, so they
-// measure and pin the same stream.
+// it, and a skewed AOL-style query stream. The root package's BenchmarkSearch
+// and this package's own TestStatsPinned (testdata/stats_pins.json: the exact
+// per-query Expanded/Generated/Answers counts of the live engine) both load
+// their queries through it, so they measure and pin the same stream.
 package searchbench
 
 import (
@@ -91,15 +90,6 @@ func Load(dataset string, scale float64, dataSeed, querySeed int64) (*Workload, 
 // stream length, so benchmark loops can pass a plain iteration counter).
 func (w *Workload) Terms(i int) []string {
 	return w.Queries[w.Stream[i%len(w.Stream)]]
-}
-
-// StreamPlan returns the standard workload sizing — the number of distinct
-// queries to generate and the skewed replay order over them — deterministic
-// in seed. internal/servebench uses it to drive the serving stack with
-// exactly the stream the engine benchmarks measure, without building a second
-// scoring model.
-func StreamPlan(seed int64) (queries int, stream []int) {
-	return workloadQueries, zipfStream(workloadQueries, streamLength, seed)
 }
 
 // zipfStream samples length query indices from [0, n) under a Zipf

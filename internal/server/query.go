@@ -124,10 +124,10 @@ func (s *Server) countFailure(t *tenant, e *apiError) {
 // load against its fair budget share without touching its neighbours'.
 // It returns the outcome, which layer served it (ServedEngine, ServedCache
 // or ServedCoalesced), and the failure mapped for the wire. ctx is the
-// requesting client's context: it bounds how long this caller waits, but —
-// when coalescing is on — not how long the evaluation runs, because other
-// requests may be riding the same flight (the evaluation carries its own
-// deadline from the query's timeout parameter).
+// requesting client's context: it bounds how long this caller waits, but not
+// how long the evaluation runs, because other requests may be riding the same
+// flight (the evaluation carries its own deadline from the query's timeout
+// parameter).
 func (s *Server) runQuery(ctx context.Context, t *tenant, p searchParams) (queryOutcome, string, *apiError) {
 	// Borrow the tenant's current engine for exactly this request. The lease
 	// pins the generation: the key derived from it can only ever hit results
@@ -160,16 +160,10 @@ func (s *Server) runQuery(ctx context.Context, t *tenant, p searchParams) (query
 		s.m.inflight.Add(1)
 		defer s.m.inflight.Add(-1)
 
-		// The evaluation context carries the query's own deadline. With
-		// coalescing on it is detached from the initiating request, so a
-		// leader's disconnect cannot yank the result from under followers;
-		// without coalescing nobody else can be riding, and the request
-		// context restores cancel-on-disconnect.
-		base := context.Background()
-		if !s.coalesce {
-			base = ctx
-		}
-		ectx, cancel := context.WithTimeout(base, p.timeout)
+		// The evaluation context carries the query's own deadline and is
+		// detached from the initiating request, so a leader's disconnect
+		// cannot yank the result from under followers.
+		ectx, cancel := context.WithTimeout(context.Background(), p.timeout)
 		defer cancel()
 		res, err := eng.SearchTermsContext(ectx, p.terms, p.k, p.opts)
 		if err != nil {
@@ -186,20 +180,11 @@ func (s *Server) runQuery(ctx context.Context, t *tenant, p searchParams) (query
 		return out, nil
 	}
 
-	var (
-		out       queryOutcome
-		coalesced bool
-		err       error
-	)
-	if s.coalesce {
-		out, coalesced, err = t.flight.Do(ctx, key, eval)
-		if coalesced {
-			s.m.coalesced.Add(1)
-		} else {
-			s.m.flightLeaders.Add(1)
-		}
+	out, coalesced, err := t.flight.Do(ctx, key, eval)
+	if coalesced {
+		s.m.coalesced.Add(1)
 	} else {
-		out, err = eval()
+		s.m.flightLeaders.Add(1)
 	}
 	if err != nil {
 		apiErr := mapQueryError(err)

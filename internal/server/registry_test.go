@@ -3,14 +3,17 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cirank"
+	"cirank/internal/datagen"
 )
 
 // twoTenantServer serves two named corpora — "books" over the small DBLP
@@ -485,4 +488,85 @@ func TestTenantMetricsLabels(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+}
+
+// TestTenantRankingParity pins the sharing-is-invisible guarantee: for the
+// same queries, every tenant of a multi-tenant server answers rankings
+// byte-identical to a dedicated single-tenant server over the same corpus.
+// The corpus and its queries are the generated DBLP workload, built the way
+// cmd/cirank-server builds it.
+func TestTenantRankingParity(t *testing.T) {
+	ds, err := datagen.Generate("dblp", 0.1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := datagen.Build(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := built.GenerateWorkload(datagen.UserLogConfig(24, 13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(qs) == 0 {
+		t.Fatal("the workload generated no queries")
+	}
+	build := func() *cirank.Engine {
+		b := cirank.NewDBLPBuilder()
+		if err := ds.Replay(b.InsertEntity, b.Relate); err != nil {
+			t.Fatal(err)
+		}
+		cfg := cirank.DefaultConfig()
+		cfg.IndexDepth = 0
+		eng, err := b.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	_, single := newTestServer(t, Config{Engine: build()})
+	_, multi := newTestServer(t, Config{Tenants: []TenantConfig{
+		{Name: "t0", Engine: build()},
+		{Name: "t1", Engine: build()},
+		{Name: "t2", Engine: build()},
+	}})
+
+	// results extracts the ranked answers' raw bytes: the part of the
+	// envelope that must match exactly (stats carry timings, the envelope a
+	// tenant name).
+	results := func(target string) string {
+		resp, err := http.Get(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", target, resp.StatusCode)
+		}
+		var env struct {
+			Results json.RawMessage `json:"results"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		return string(env.Results)
+	}
+	answered := 0
+	for i, q := range qs {
+		path := fmt.Sprintf("/v1/search?q=%s&k=5", url.QueryEscape(strings.Join(q.Terms, " ")))
+		want := results(single.URL + path)
+		if want != "[]" {
+			answered++
+		}
+		for _, tenant := range []string{"t0", "t1", "t2"} {
+			if got := results(multi.URL + path + "&tenant=" + tenant); got != want {
+				t.Fatalf("query %d: tenant %s rankings diverged from the dedicated server\nwant %s\ngot  %s",
+					i, tenant, want, got)
+			}
+		}
+	}
+	if answered == 0 {
+		t.Fatalf("none of the %d queries found an answer; the parity check compared nothing", len(qs))
+	}
+	t.Logf("%d of %d queries answered identically on every tenant", answered, len(qs))
 }

@@ -346,29 +346,71 @@ func trySaveSnapshot(eng *cirank.Engine, path string) error {
 // least the last reload completed before the request started, and every
 // response's content must match the corpus of the generation it claims —
 // a stale cache or flight entry surviving a swap would trip one of the two.
+//
+// The tenants case serves three named corpora and reloads only the first
+// while the queriers spread over all three: the other two must answer every
+// request from generation 1 with their own corpus, and their caches must
+// keep hitting — a reload leaks into no neighbour.
 func TestReloadUnderQueryLoad(t *testing.T) {
+	t.Run("single", func(t *testing.T) { reloadUnderQueryLoad(t, false) })
+	t.Run("tenants", func(t *testing.T) { reloadUnderQueryLoad(t, true) })
+}
+
+func reloadUnderQueryLoad(t *testing.T, multi bool) {
 	const (
 		queriers         = 6
 		queriesPerWorker = 50
 		reloads          = 10
+		probe            = "/v1/search?q=ullman&k=10"
 	)
-	// Generation g serves corpus A (1 probe answer) when g is odd, corpus B
-	// (3 probe answers) when even.
+	probeCount := func(eng *cirank.Engine) int {
+		res, err := eng.Search("ullman", 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res)
+	}
+	// Generation g of the reloaded tenant serves corpus A (1 probe answer)
+	// when g is odd, corpus B (3 probe answers) when even.
 	engA, engB := ullmanVariant(t, 0), ullmanVariant(t, 2)
-	resA, err := engA.Search("ullman", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := engB.Search("ullman", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCount := map[uint64]int{1: len(resA), 0: len(resB)}
-	if wantCount[1] == wantCount[0] {
-		t.Fatalf("corpora not distinguishable: both answer %d results", wantCount[1])
-	}
+	wantCount := map[uint64]int{1: probeCount(engA), 0: probeCount(engB)}
 
-	path, s, url := snapshotServer(t, ullmanVariant(t, 0), Config{MaxInFlight: 64})
+	// tenants[0] is the reloaded one; every other tenant keeps the corpus
+	// whose probe answer count it records.
+	type probed struct {
+		name, query string
+		count       int
+	}
+	path := saveSnapshot(t, engA, t.TempDir())
+	opened, err := cirank.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{MaxInFlight: 64}
+	tenants := []probed{{name: DefaultTenantName, query: probe}}
+	reloadURL := "/v1/admin/reload"
+	if multi {
+		cfg.Tenants = []TenantConfig{{Name: "t0", Engine: opened, SnapshotPath: path}}
+		tenants[0] = probed{name: "t0", query: probe + "&tenant=t0"}
+		for i, extra := range []int{1, 3} {
+			eng := ullmanVariant(t, extra)
+			name := fmt.Sprintf("t%d", i+1)
+			cfg.Tenants = append(cfg.Tenants, TenantConfig{Name: name, Engine: eng})
+			tenants = append(tenants, probed{name, probe + "&tenant=" + name, probeCount(eng)})
+		}
+		reloadURL += "?tenant=t0"
+	} else {
+		cfg.Engine, cfg.SnapshotPath = opened, path
+	}
+	seen := map[int]bool{wantCount[0]: true, wantCount[1]: true}
+	for _, tn := range tenants[1:] {
+		seen[tn.count] = true
+	}
+	if len(seen) != len(tenants)+1 {
+		t.Fatalf("corpora not distinguishable by probe answer count: %v", seen)
+	}
+	s, ts := newTestServer(t, cfg)
+	url := ts.URL
 
 	// lastCompleted is the highest generation whose reload has answered; a
 	// request started after that answer must never see an older generation.
@@ -382,8 +424,9 @@ func TestReloadUnderQueryLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < queriesPerWorker; i++ {
+				tn := tenants[(w+i)%len(tenants)]
 				floor := lastCompleted.Load()
-				resp, err := http.Get(url + "/v1/search?q=ullman&k=10")
+				resp, err := http.Get(url + tn.query)
 				if err != nil {
 					errc <- err
 					return
@@ -391,21 +434,27 @@ func TestReloadUnderQueryLoad(t *testing.T) {
 				body, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					errc <- fmt.Errorf("search during reload: status %d (%s)", resp.StatusCode, body)
+					errc <- fmt.Errorf("tenant %s: search during reload: status %d (%s)", tn.name, resp.StatusCode, body)
 					return
 				}
 				var res V1SearchResponse
 				if err := json.Unmarshal(body, &res); err != nil {
-					errc <- fmt.Errorf("search during reload: decode: %v", err)
+					errc <- fmt.Errorf("tenant %s: search during reload: decode: %v", tn.name, err)
 					return
 				}
-				if res.Generation < floor {
+				switch {
+				case tn.name != tenants[0].name:
+					if res.Generation != 1 || len(res.Results) != tn.count {
+						errc <- fmt.Errorf("tenant %s: generation %d (source %s) answered %d results, want generation 1 with %d — a neighbour's reload leaked in",
+							tn.name, res.Generation, res.Stats.Source, len(res.Results), tn.count)
+						return
+					}
+				case res.Generation < floor:
 					errc <- fmt.Errorf("stale generation: response claims %d, but reload to %d had completed before the request started", res.Generation, floor)
 					return
-				}
-				if want := wantCount[res.Generation%2]; len(res.Results) != want {
+				case len(res.Results) != wantCount[res.Generation%2]:
 					errc <- fmt.Errorf("stale content: generation %d (source %s) answered %d results, its corpus has %d",
-						res.Generation, res.Stats.Source, len(res.Results), want)
+						res.Generation, res.Stats.Source, len(res.Results), wantCount[res.Generation%2])
 					return
 				}
 				switch res.Stats.Source {
@@ -430,7 +479,7 @@ func TestReloadUnderQueryLoad(t *testing.T) {
 				errc <- fmt.Errorf("reload %d: rewrite snapshot: %v", i, err)
 				return
 			}
-			resp, err := http.Post(url+"/v1/admin/reload", "application/json", nil)
+			resp, err := http.Post(url+reloadURL, "application/json", nil)
 			if err != nil {
 				errc <- err
 				return
@@ -459,16 +508,31 @@ func TestReloadUnderQueryLoad(t *testing.T) {
 		t.Error(err)
 	}
 
-	var health V1HealthResponse
-	getJSON(t, url+"/v1/healthz", http.StatusOK, &health)
-	if health.Generation != reloads+1 {
-		t.Errorf("final generation = %d, want %d", health.Generation, reloads+1)
-	}
-	// The storm must have exercised the cache, and the books must balance:
+	// The storm must have exercised every cache, and the books must balance:
 	// every OK answer came from exactly one serving layer.
-	hits, _ := soleTenant(t, s).cache.stats()
-	if hits == 0 {
-		t.Error("no result-cache hits across the storm; the cached path never straddled a reload")
+	var hits int64
+	for i, tn := range tenants {
+		got, ok := s.reg.get(tn.name)
+		if !ok {
+			t.Fatalf("tenant %s missing after the storm", tn.name)
+		}
+		gen, wantGen := got.provider.Generation(), uint64(1)
+		if i == 0 {
+			wantGen = reloads + 1
+		}
+		if gen != wantGen {
+			t.Errorf("tenant %s: final generation = %d, want %d", tn.name, gen, wantGen)
+		}
+		h, misses := got.cache.stats()
+		hits += h
+		if h == 0 {
+			t.Errorf("tenant %s: no result-cache hits across the storm", tn.name)
+		}
+		// Without a reload a querier misses a tenant's cache at most once:
+		// its first answer from that tenant left the entry behind.
+		if i > 0 && misses > queriers {
+			t.Errorf("tenant %s: %d cache misses, want at most %d — its cache stopped hitting during a neighbour's reloads", tn.name, misses, queriers)
+		}
 	}
 	served := hits + s.m.coalesced.Load() + s.m.flightLeaders.Load()
 	if ok := s.m.ok.Load(); ok != queriers*queriesPerWorker || served != ok {

@@ -107,14 +107,8 @@ type Config struct {
 
 	// ResultCacheSize bounds the generation-keyed result cache: at most
 	// this many complete query outcomes are retained, LRU-evicted (default
-	// 1024). Negative disables result caching entirely — the baseline arm
-	// of the serving benchmarks.
+	// 1024). Negative disables result caching entirely.
 	ResultCacheSize int
-	// CoalesceEnabled controls singleflight coalescing of identical
-	// in-flight queries. nil — the zero value — means enabled, the
-	// production default; point it at false (server.Bool(false)) to make
-	// every request evaluate independently, as the benchmark baseline does.
-	CoalesceEnabled *bool
 	// AdmissionBudget is the cost-based admission limit: the total
 	// estimated cost (1 + posting-list lengths of the query's terms, see
 	// Engine.TermSelectivity) of concurrently evaluating queries stays
@@ -131,11 +125,6 @@ type Config struct {
 	// (default 16); larger batches get 400.
 	MaxBatch int
 }
-
-// Bool returns a pointer to v, for the tri-state Config fields that
-// distinguish "unset, take the default" from an explicit false
-// (CoalesceEnabled).
-func Bool(v bool) *bool { return &v }
 
 // withDefaults validates the config and fills the zero fields, normalizing
 // the single-tenant shorthand (Engine/SnapshotPath) into a one-entry
@@ -171,9 +160,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.ResultCacheSize == 0 {
 		c.ResultCacheSize = 1024
-	}
-	if c.CoalesceEnabled == nil {
-		c.CoalesceEnabled = Bool(true)
 	}
 	if c.AdmissionBudget == 0 {
 		c.AdmissionBudget = 4096 * int64(runtime.GOMAXPROCS(0))
@@ -243,7 +229,6 @@ type Server struct {
 	// expensive and concurrent reloads would race to be "the" new
 	// generation.
 	reloadMu sync.Mutex
-	coalesce bool
 	m        metrics
 	mux      *http.ServeMux
 }
@@ -258,9 +243,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		coalesce: *cfg.CoalesceEnabled,
-		mux:      http.NewServeMux(),
+		cfg: cfg,
+		mux: http.NewServeMux(),
 	}
 	reloadConfigured := false
 	for _, tc := range cfg.Tenants {

@@ -143,6 +143,10 @@ func TestV1Coalescing(t *testing.T) {
 		t.Errorf("coalesce counters = %d leaders / %d followers, want 1/1",
 			s.m.flightLeaders.Load(), s.m.coalesced.Load())
 	}
+	// ResultCacheSize -1 leaves no cache to serve from.
+	if soleTenant(t, s).cache != nil {
+		t.Error("ResultCacheSize -1 still built a result cache")
+	}
 	// Both clients saw the same interrupted best-so-far answer set.
 	if !follower.Stats.Interrupted {
 		t.Error("follower missed the leader's interrupted flag")
@@ -446,9 +450,9 @@ func TestServerConfigSentinel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ResultCacheSize != 1024 || cfg.MaxBatch != 16 || cfg.CoalesceEnabled == nil || !*cfg.CoalesceEnabled || cfg.AdmissionBudget <= 0 {
-		t.Errorf("serving defaults = cache %d, batch %d, coalesce %v, budget %d",
-			cfg.ResultCacheSize, cfg.MaxBatch, cfg.CoalesceEnabled, cfg.AdmissionBudget)
+	if cfg.ResultCacheSize != 1024 || cfg.MaxBatch != 16 || cfg.AdmissionBudget <= 0 {
+		t.Errorf("serving defaults = cache %d, batch %d, budget %d",
+			cfg.ResultCacheSize, cfg.MaxBatch, cfg.AdmissionBudget)
 	}
 }
 
