@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -31,7 +32,7 @@ func buildTestBuilder(t testing.TB, authors, papers int) *Builder {
 
 // TestBuildWorkersDeterministic is the end-to-end leg of the
 // build-determinism suite: the whole engine — graph, importance vector and
-// star index — must serialize to byte-identical snapshots for every worker
+// text index — must serialize to byte-identical snapshots for every worker
 // count, certifying that the parallel build pipeline only changes
 // throughput.
 func TestBuildWorkersDeterministic(t *testing.T) {
@@ -57,8 +58,7 @@ func TestBuildWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestBuildStatsPopulated checks the pipeline reports its stages and the
-// path-index footprint.
+// TestBuildStatsPopulated checks the pipeline reports its three stages.
 func TestBuildStatsPopulated(t *testing.T) {
 	eng, err := buildTestBuilder(t, 20, 40).Build(DefaultConfig())
 	if err != nil {
@@ -71,35 +71,25 @@ func TestBuildStatsPopulated(t *testing.T) {
 	if bs.Workers < 1 {
 		t.Errorf("Workers = %d, want >= 1", bs.Workers)
 	}
-	for name, st := range map[string]StageStats{"graph": bs.Graph, "text": bs.TextIndex, "pagerank": bs.PageRank, "pathindex": bs.PathIndex} {
+	for name, st := range map[string]StageStats{"graph": bs.Graph, "text": bs.TextIndex, "pagerank": bs.PageRank} {
 		if st.Items != eng.NumNodes() {
 			t.Errorf("%s stage items = %d, want %d", name, st.Items, eng.NumNodes())
 		}
-	}
-	if bs.PathIndexMem.Kind != "star" {
-		t.Fatalf("PathIndexMem.Kind = %q, want star", bs.PathIndexMem.Kind)
-	}
-	if bs.PathIndexMem.StarNodes <= 0 || bs.PathIndexMem.Entries != bs.PathIndexMem.StarNodes*bs.PathIndexMem.StarNodes {
-		t.Errorf("PathIndexMem star/entry counts inconsistent: %+v", bs.PathIndexMem)
-	}
-	if bs.PathIndexMem.Bytes <= 0 {
-		t.Error("PathIndexMem.Bytes not estimated")
 	}
 	if s := bs.String(); s == "" {
 		t.Error("BuildStats.String empty")
 	}
 }
 
-// TestBuildStatsNoIndex checks the "none" footprint when indexing is off.
+// TestBuildStatsNoIndex: DefaultConfig builds no path index, so the startup
+// line names no pathindex stage.
 func TestBuildStatsNoIndex(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.IndexDepth = 0
-	eng, err := buildTestBuilder(t, 10, 20).Build(cfg)
+	eng, err := buildTestBuilder(t, 10, 20).Build(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind := eng.BuildStats().PathIndexMem.Kind; kind != "none" {
-		t.Errorf("PathIndexMem.Kind = %q, want none", kind)
+	if s := eng.BuildStats().String(); strings.Contains(s, "pathindex") {
+		t.Errorf("BuildStats.String() = %q reports a path-index stage", s)
 	}
 }
 

@@ -30,7 +30,6 @@ type Relationship struct {
 // Builders are single-use and not safe for concurrent use.
 type Builder struct {
 	db       *relational.Database
-	schema   *relational.Schema
 	weights  graph.WeightTable
 	err      error
 	feedback []feedbackEntry
@@ -56,29 +55,27 @@ func NewBuilder(tables []string, relationships []Relationship) (*Builder, error)
 	if err != nil {
 		return nil, err
 	}
-	return &Builder{db: db, schema: schema, weights: graph.WeightTable{}}, nil
+	return &Builder{db: db, weights: graph.WeightTable{}}, nil
 }
 
 // NewIMDBBuilder creates a builder with the paper's IMDB schema (Fig. 1(b))
 // and Table II edge weights.
 func NewIMDBBuilder() *Builder {
-	schema := relational.IMDBSchema()
-	db, err := relational.NewDatabase(schema)
+	db, err := relational.NewDatabase(relational.IMDBSchema())
 	if err != nil {
 		panic(err) // the built-in schema is valid by construction
 	}
-	return &Builder{db: db, schema: schema, weights: graph.DefaultIMDBWeights()}
+	return &Builder{db: db, weights: graph.DefaultIMDBWeights()}
 }
 
 // NewDBLPBuilder creates a builder with the paper's DBLP schema (Fig. 1(a))
 // and Table II edge weights.
 func NewDBLPBuilder() *Builder {
-	schema := relational.DBLPSchema()
-	db, err := relational.NewDatabase(schema)
+	db, err := relational.NewDatabase(relational.DBLPSchema())
 	if err != nil {
 		panic(err)
 	}
-	return &Builder{db: db, schema: schema, weights: graph.DefaultDBLPWeights()}
+	return &Builder{db: db, weights: graph.DefaultDBLPWeights()}
 }
 
 // SetWeight assigns the edge weight for the from→to direction label pair.
@@ -180,19 +177,18 @@ func (b *Builder) AddFeedback(table, key string, weight float64) {
 func (b *Builder) NumTuples() int { return b.db.NumTuples() }
 
 // Build freezes the data and constructs the Engine: data graph, text index,
-// importance values, RWMP model and (optionally) the star index. It is
-// BuildContext under a background context; use BuildContext to bound or
-// cancel a long build.
+// importance values and RWMP model. It is BuildContext under a background
+// context; use BuildContext to bound or cancel a long build.
 func (b *Builder) Build(cfg Config) (*Engine, error) {
 	return b.BuildContext(context.Background(), cfg)
 }
 
 // BuildContext is Build bounded by ctx. The pipeline runs as a small stage
-// DAG: graph construction first, then the text index concurrently with the
-// PageRank → path-index chain, each parallel stage fanning out across the
-// resolved Config.Workers count. A ctx that expires mid-build stops the
-// in-flight stages at their next cancellation point and returns an error
-// wrapping the context's error; nothing of the partial build escapes.
+// DAG: graph construction first, then the text index concurrently with
+// PageRank, the text index fanning out across the resolved Config.Workers
+// count. A ctx that expires mid-build stops the in-flight stages at their
+// next cancellation point and returns an error wrapping the context's error;
+// nothing of the partial build escapes.
 // The produced engine is identical for every worker count (certified by the
 // build-determinism suite) and reports per-stage timings via
 // Engine.BuildStats.
@@ -216,7 +212,6 @@ func (b *Builder) BuildContext(ctx context.Context, cfg Config) (*Engine, error)
 	}
 	var stats BuildStats
 	stats.Graph = StageStats{Duration: time.Since(start), Workers: 1, Items: g.NumNodes()}
-	isStar := relational.StarNodeSet(g, relational.StarTables(b.schema))
 	feedback := make(map[graph.NodeID]float64, len(b.feedback))
 	for _, f := range b.feedback {
 		id, ok := mp.NodeOf(f.table, f.key)
@@ -225,7 +220,7 @@ func (b *Builder) BuildContext(ctx context.Context, cfg Config) (*Engine, error)
 		}
 		feedback[id] += f.weight
 	}
-	eng, err := buildEngine(ctx, g, mp, isStar, cfg, feedback, &stats)
+	eng, err := buildEngine(ctx, g, mp, cfg, feedback, &stats)
 	if err != nil {
 		return nil, err
 	}

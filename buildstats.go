@@ -34,29 +34,6 @@ func (s StageStats) String() string {
 	return fmt.Sprintf("%v (%d workers, %.0f items/s)", s.Duration.Round(time.Microsecond), s.Workers, s.Rate())
 }
 
-// IndexMemStats describes the memory held by the engine's path index, so
-// the naive-vs-star size comparison of §V can be read off a startup log.
-type IndexMemStats struct {
-	// Kind is "star" when the §V-B index was built, or "none" when indexing
-	// is disabled or the schema's star tables do not cover every
-	// relationship.
-	Kind string
-	// StarNodes is the number of indexed star nodes (0 when Kind is "none").
-	StarNodes int
-	// Entries is the number of stored (source, target) statistic pairs.
-	Entries int
-	// Bytes estimates the heap bytes held by the index's tables.
-	Bytes int64
-}
-
-// String renders the index footprint as "star: 120 nodes, 14400 entries, 0.1 MiB".
-func (m IndexMemStats) String() string {
-	if m.Kind == "" || m.Kind == "none" {
-		return "none"
-	}
-	return fmt.Sprintf("%s: %d nodes, %d entries, %.1f MiB", m.Kind, m.StarNodes, m.Entries, float64(m.Bytes)/(1<<20))
-}
-
 // Engine data provenance values reported in BuildStats.Source.
 const (
 	// SourceBuild marks an engine assembled by the offline build pipeline
@@ -73,21 +50,19 @@ const (
 )
 
 // BuildStats reports what the offline build pipeline did: per-stage
-// wall-clock durations, fan-out and throughput, plus the path index's
-// memory footprint. Builder.BuildContext runs the text-index stage
-// concurrently with the PageRank → path-index chain, so TextIndex overlaps
-// PageRank and PathIndex in wall-clock terms. Engines loaded from a
-// snapshot report zero stage timings with Source saying how the data
-// arrived instead.
+// wall-clock durations, fan-out and throughput. Builder.BuildContext runs
+// the text-index stage concurrently with PageRank, so TextIndex overlaps
+// PageRank in wall-clock terms. Engines loaded from a snapshot report zero
+// stage timings with Source saying how the data arrived instead.
 type BuildStats struct {
 	// Source records where the engine's data came from: SourceBuild,
 	// SourceStream or SourceMmap. Loaded engines keep every stage at zero —
-	// the point of a snapshot is that PageRank, the star index and the text
-	// index are read back, not recomputed.
+	// the point of a snapshot is that PageRank and the text index are read
+	// back, not recomputed.
 	Source string
 	// Total is the wall-clock time of the whole build.
 	Total time.Duration
-	// Workers is the resolved worker count shared by the parallel stages
+	// Workers is the resolved worker count of the parallel text-index stage
 	// (Config.Workers, with 0 resolved to the CPU count).
 	Workers int
 	// Graph covers relational graph construction (tuples + links → CSR).
@@ -97,11 +72,6 @@ type BuildStats struct {
 	// PageRank covers the importance power iteration (sequential, so
 	// importance values never depend on the worker count).
 	PageRank StageStats
-	// PathIndex covers the §V star-index construction (zero when indexing
-	// is disabled).
-	PathIndex StageStats
-	// PathIndexMem describes the built path index's memory footprint.
-	PathIndexMem IndexMemStats
 }
 
 // String renders a one-line-per-stage summary suitable for startup logs.
@@ -111,10 +81,5 @@ func (b BuildStats) String() string {
 	fmt.Fprintf(&sb, " | graph %v", b.Graph)
 	fmt.Fprintf(&sb, " | text %v", b.TextIndex)
 	fmt.Fprintf(&sb, " | pagerank %v", b.PageRank)
-	if b.PathIndexMem.Kind == "star" {
-		fmt.Fprintf(&sb, " | pathindex %v [%v]", b.PathIndex, b.PathIndexMem)
-	} else {
-		sb.WriteString(" | pathindex none")
-	}
 	return sb.String()
 }

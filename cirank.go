@@ -38,7 +38,6 @@ import (
 	"cirank/internal/graph"
 	"cirank/internal/jtt"
 	"cirank/internal/pagerank"
-	"cirank/internal/pathindex"
 	"cirank/internal/relational"
 	"cirank/internal/rwmp"
 	"cirank/internal/search"
@@ -49,8 +48,8 @@ import (
 // Alpha and Teleport have no zero sentinel — Build rejects 0 (and any
 // out-of-range value) with ErrBadConfig instead of guessing what was meant.
 // The remaining fields keep documented zero sentinels: Group 0 means the
-// paper's 20, IndexDepth 0 disables indexing, FeedbackMix 0 disables
-// feedback biasing, and Workers 0 means one worker per CPU.
+// paper's 20, FeedbackMix 0 disables feedback biasing, and Workers 0 means
+// one worker per CPU.
 type Config struct {
 	// Alpha is the message-keeping probability of the dampening function,
 	// in (0, 1]. DefaultConfig sets the paper's operating point, 0.15.
@@ -63,19 +62,23 @@ type Config struct {
 	// DefaultConfig sets the paper's 0.15. There is no zero sentinel: an
 	// explicit 0 is rejected at Build.
 	Teleport float64
-	// IndexDepth, when positive, builds the §V-B star index with the given
-	// horizon. The index is saved in snapshots, but searches do not consult
-	// it: the per-query supply fields
-	// (internal/search/field.go) bound supplements at least as tightly.
-	// 0 disables indexing.
+	// IndexDepth is the horizon of the paper's §V-B star index, and the
+	// engine ignores it: Build neither builds nor saves the index, because
+	// no search reads it (the per-query supply fields of
+	// internal/search/field.go bound supplements at least as tightly).
+	// Fig. 11/12, the differential harness and search.Options.Index build
+	// their own index from internal/pathindex. The field stays, with its
+	// check that rejects a negative value, only because the benchmark
+	// module under bench/ reads it to size the index its traced run
+	// builds; it goes together with those readers.
 	IndexDepth int
 	// FeedbackMix routes this fraction of teleport mass through recorded
 	// feedback (Builder.AddFeedback), biasing importance toward nodes
 	// users clicked — the paper's user-preference adaptation (§VI-A,
 	// §VIII). 0 disables feedback biasing even if feedback was recorded.
 	FeedbackMix float64
-	// Workers is the fan-out of the offline build pipeline (text index and
-	// path index sharding, see Builder.BuildContext). 0 means auto — one
+	// Workers is the fan-out of the offline build pipeline (the sharded
+	// text-index build, see Builder.BuildContext). 0 means auto — one
 	// worker per available CPU (GOMAXPROCS); 1 forces the sequential paths;
 	// negative values are rejected with ErrBadConfig. The built indexes are
 	// identical for every worker count (certified by the determinism
@@ -85,8 +88,9 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns the paper's configuration with a star index deep
-// enough for the evaluated diameters (D ≤ 6).
+// DefaultConfig returns the paper's configuration: α = 0.15, g = 20 and
+// c = 0.15. Its IndexDepth of 6, the largest diameter the paper evaluates,
+// has no effect on the engine (see Config.IndexDepth).
 func DefaultConfig() Config {
 	return Config{Alpha: 0.15, Group: 20, Teleport: 0.15, IndexDepth: 6}
 }
@@ -166,7 +170,6 @@ type Engine struct {
 	ix       *textindex.Index
 	model    *rwmp.Model
 	searcher *search.Searcher
-	starIdx  *pathindex.StarIndex
 	imp      []float64
 	lookup   lookupFunc
 	// mapEntries is the complete (table, key) → node mapping, including
@@ -201,9 +204,9 @@ func (e *Engine) Close() error {
 }
 
 // BuildStats reports the offline build pipeline's per-stage wall-clock
-// timings, fan-out and path-index memory footprint. Engines loaded from a
-// snapshot report zero stage timings — their expensive stages were skipped
-// entirely — with Source recording how the data arrived.
+// timings and fan-out. Engines loaded from a snapshot report zero stage
+// timings — their expensive stages were skipped entirely — with Source
+// recording how the data arrived.
 func (e *Engine) BuildStats() BuildStats { return e.buildStats }
 
 // TermSelectivity reports how many graph nodes' text contains term (the
@@ -410,13 +413,12 @@ func buildCancelled(err error) error {
 
 // buildEngine assembles an Engine from prepared parts, running the offline
 // pipeline as a stage DAG under ctx. After graph construction (done by the
-// caller), the text index and the importance chain (PageRank → dampening
-// rates → §V star index) have no data dependency on one another, so they
-// run concurrently; the parallel stages fan out internally across the
-// resolved worker count. PageRank itself stays sequential so importance
-// values — and with them every downstream score — never depend on the
-// machine's CPU count. Per-stage timings accumulate into stats.
-func buildEngine(ctx context.Context, g *graph.Graph, mp *relational.Mapping, isStar []bool, cfg Config, feedback map[graph.NodeID]float64, stats *BuildStats) (*Engine, error) {
+// caller), the text index and PageRank have no data dependency on one
+// another, so they run concurrently; the text index fans out internally
+// across the resolved worker count. PageRank itself stays sequential so
+// importance values — and with them every downstream score — never depend
+// on the machine's CPU count. Per-stage timings accumulate into stats.
+func buildEngine(ctx context.Context, g *graph.Graph, mp *relational.Mapping, cfg Config, feedback map[graph.NodeID]float64, stats *BuildStats) (*Engine, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -426,7 +428,6 @@ func buildEngine(ctx context.Context, g *graph.Graph, mp *relational.Mapping, is
 		workers = runtime.GOMAXPROCS(0)
 	}
 	stats.Workers = workers
-	params := rwmp.Params{Alpha: cfg.Alpha, Group: cfg.Group}
 
 	var (
 		ix    *textindex.Index
@@ -440,56 +441,19 @@ func buildEngine(ctx context.Context, g *graph.Graph, mp *relational.Mapping, is
 		stats.TextIndex = StageStats{Duration: time.Since(t0), Workers: workers, Items: g.NumNodes()}
 	}()
 
-	// Importance chain, on this goroutine while the text index builds.
-	var (
-		imp     []float64
-		starIdx *pathindex.StarIndex
-	)
-	chainErr := func() error {
-		prOpts := pagerank.DefaultOptions()
-		prOpts.Teleport = cfg.Teleport
-		if cfg.FeedbackMix > 0 && len(feedback) > 0 {
-			prOpts.Personalization = feedback
-			prOpts.PersonalizationMix = cfg.FeedbackMix
-		}
-		t0 := time.Now()
-		pr, err := pagerank.Compute(g, prOpts)
-		if err != nil {
-			return err
-		}
-		stats.PageRank = StageStats{Duration: time.Since(t0), Workers: 1, Items: g.NumNodes()}
-		imp = pr.Scores
-		if err := ctx.Err(); err != nil {
-			return buildCancelled(err)
-		}
-		stats.PathIndexMem = IndexMemStats{Kind: "none"}
-		if cfg.IndexDepth > 0 {
-			damp, err := rwmp.DampRates(imp, params)
-			if err != nil {
-				return err
-			}
-			t0 = time.Now()
-			idx, err := pathindex.BuildStarContext(ctx, g, damp, isStar, cfg.IndexDepth, workers)
-			switch {
-			case err == nil:
-				starIdx = idx
-				stats.PathIndex = StageStats{Duration: time.Since(t0), Workers: workers, Items: g.NumNodes()}
-				ms := idx.MemStats()
-				stats.PathIndexMem = IndexMemStats{Kind: "star", StarNodes: idx.NumStarNodes(), Entries: ms.Entries, Bytes: ms.Bytes}
-			case ctx.Err() != nil:
-				return buildCancelled(ctx.Err())
-			default:
-				// Star indexing requires the star tables to cover every
-				// relationship; fall back to unindexed search for schemas
-				// where they don't.
-				starIdx = nil
-			}
-		}
-		return nil
-	}()
+	// PageRank, on this goroutine while the text index builds.
+	prOpts := pagerank.DefaultOptions()
+	prOpts.Teleport = cfg.Teleport
+	if cfg.FeedbackMix > 0 && len(feedback) > 0 {
+		prOpts.Personalization = feedback
+		prOpts.PersonalizationMix = cfg.FeedbackMix
+	}
+	t0 := time.Now()
+	pr, prErr := pagerank.Compute(g, prOpts)
+	stats.PageRank = StageStats{Duration: time.Since(t0), Workers: 1, Items: g.NumNodes()}
 	<-done
-	if chainErr != nil {
-		return nil, chainErr
+	if prErr != nil {
+		return nil, prErr
 	}
 	if ixErr != nil {
 		if err := ctx.Err(); err != nil {
@@ -500,7 +464,7 @@ func buildEngine(ctx context.Context, g *graph.Graph, mp *relational.Mapping, is
 	if err := ctx.Err(); err != nil {
 		return nil, buildCancelled(err)
 	}
-	model, err := rwmp.New(g, ix, imp, params)
+	model, err := rwmp.New(g, ix, pr.Scores, rwmp.Params{Alpha: cfg.Alpha, Group: cfg.Group})
 	if err != nil {
 		return nil, err
 	}
@@ -509,9 +473,8 @@ func buildEngine(ctx context.Context, g *graph.Graph, mp *relational.Mapping, is
 		ix:         ix,
 		model:      model,
 		searcher:   search.New(model),
-		imp:        imp,
+		imp:        pr.Scores,
 		lookup:     func(table, key string) (graph.NodeID, bool) { return mp.NodeOf(table, key) },
-		starIdx:    starIdx,
 		mapEntries: mp.Entries(),
 	}
 	stats.Source = SourceBuild

@@ -94,27 +94,6 @@ func TestEngineSearchValidation(t *testing.T) {
 	}
 }
 
-func TestEngineIndexToggle(t *testing.T) {
-	withIdx, err := fig2Engine(t, DefaultConfig()).SearchTerms([]string{"papakonstantinou", "ullman"}, 2, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.IndexDepth = 0
-	noIdx, err := fig2Engine(t, cfg).SearchTerms([]string{"papakonstantinou", "ullman"}, 2, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(withIdx) != len(noIdx) {
-		t.Fatalf("index changed result count: %d vs %d", len(withIdx), len(noIdx))
-	}
-	for i := range withIdx {
-		if withIdx[i].Score != noIdx[i].Score {
-			t.Errorf("index changed result %d score: %g vs %g", i, withIdx[i].Score, noIdx[i].Score)
-		}
-	}
-}
-
 func TestEngineImportance(t *testing.T) {
 	eng := fig2Engine(t, DefaultConfig())
 	p2, ok := eng.Importance("Paper", "p2")

@@ -92,8 +92,8 @@ func checkArgs(k, diameter int) error {
 	return nil
 }
 
-// buildEngine replays the dataset through the public builder with
-// IndexDepth 0, as cirank-server does: no search reads the star index.
+// buildEngine replays the dataset through the public builder, as
+// cirank-server does.
 func buildEngine(ds *datagen.Dataset, workers int) (*cirank.Engine, error) {
 	b := cirank.NewDBLPBuilder()
 	if ds.Kind == "imdb" {
@@ -103,7 +103,6 @@ func buildEngine(ds *datagen.Dataset, workers int) (*cirank.Engine, error) {
 		return nil, err
 	}
 	cfg := cirank.DefaultConfig()
-	cfg.IndexDepth = 0
 	cfg.Workers = workers
 	return b.Build(cfg)
 }

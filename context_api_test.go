@@ -63,9 +63,7 @@ func denseEngine(t *testing.T, m int) *Engine {
 			b.MustRelate("link", key(v), key(bb))
 		}
 	}
-	cfg := DefaultConfig()
-	cfg.IndexDepth = 0 // no star tables in a self-related schema
-	eng, err := b.Build(cfg)
+	eng, err := b.Build(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

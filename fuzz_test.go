@@ -12,7 +12,7 @@ import (
 
 // FuzzSnapshotLoad throws arbitrary bytes at the snapshot decoder. The
 // decoder reads attacker-controllable counts (node totals, string lengths,
-// star-table sizes, float bit patterns) before it can see the rest of the
+// section lengths, float bit patterns) before it can see the rest of the
 // stream, so every length must be validated before it sizes an allocation
 // and every float before it parameterizes the model. Any input that loads
 // must round-trip: Save then LoadEngine again, byte-comparably, and serve a
@@ -24,18 +24,13 @@ func FuzzSnapshotLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(full.Bytes())
-	cfg := DefaultConfig()
-	cfg.IndexDepth = 0
-	plain := fig2Engine(f, cfg)
-	var noIdx bytes.Buffer
-	if err := plain.Save(&noIdx); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(noIdx.Bytes())
+	// A file saved with the legacy star.* sections, which load skips.
+	starFixture := readStarFixture(f)
+	f.Add(starFixture)
 	// Truncations slice through every section boundary.
-	for _, cut := range []int{0, 3, 4, 8, 20, 28, 40, full.Len() / 2, full.Len() - 1} {
-		if cut <= full.Len() {
-			f.Add(full.Bytes()[:cut])
+	for _, data := range [][]byte{full.Bytes(), starFixture} {
+		for _, cut := range []int{0, 3, 4, 8, 20, 28, 40, len(data) / 2, len(data) - 1} {
+			f.Add(data[:cut])
 		}
 	}
 	// v2 structural corruptions: each seed lands on a distinct validation
@@ -56,11 +51,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		binary.LittleEndian.PutUint64(d[nodesEntry+16:], uint64(metaOff))
 		fixTableCRC(d)
 	}))
-	f.Add(mutated(snap, func(d []byte) { // star sections without the flag
-		binary.LittleEndian.PutUint64(d[metaOff+32:], 0)
-		fixSectionCRC(d, metaEntry)
-		fixTableCRC(d)
-	}))
+	f.Add(starSectionsWithoutFlag(f, starFixture))
 	f.Add(mutated(snap, func(d []byte) { // absurd node count
 		binary.LittleEndian.PutUint64(d[metaOff+16:], 1<<40)
 		fixSectionCRC(d, metaEntry)

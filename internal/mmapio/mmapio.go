@@ -75,45 +75,6 @@ func Int32s(b []byte, alias bool) []int32 {
 	return out
 }
 
-// Uint8s views b as a []uint8. The element type is bytes, so the "view" is
-// the slice itself when aliasing and a copy otherwise.
-func Uint8s(b []byte, alias bool) []uint8 {
-	if alias {
-		return b
-	}
-	out := make([]uint8, len(b))
-	copy(out, b)
-	return out
-}
-
-// Bools views b (one 0/1 byte per element) as a []bool. Go bools are single
-// bytes holding 0 or 1, so an aliased view is valid only for validated 0/1
-// input; ValidateBools must be called first. A copy decodes b != 0.
-func Bools(b []byte, alias bool) []bool {
-	if alias {
-		if len(b) == 0 {
-			return nil
-		}
-		return unsafe.Slice((*bool)(unsafe.Pointer(&b[0])), len(b))
-	}
-	out := make([]bool, len(b))
-	for i, v := range b {
-		out[i] = v != 0
-	}
-	return out
-}
-
-// ValidateBools reports whether every byte of b is 0 or 1 — the precondition
-// for an aliased Bools view (any other bit pattern is not a valid Go bool).
-func ValidateBools(b []byte) bool {
-	for _, v := range b {
-		if v > 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // AppendFloat64s appends vals to dst in the little-endian wire order.
 func AppendFloat64s(dst []byte, vals []float64) []byte {
 	for _, v := range vals {

@@ -47,6 +47,9 @@ func TestInt32sRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	if len(Float64s(nil, true)) != 0 || len(Int32s(nil, true)) != 0 {
+		t.Error("empty numeric views must be empty")
+	}
 }
 
 func TestViewsShareOrCopy(t *testing.T) {
@@ -80,41 +83,6 @@ func TestMisalignedViewFallsBack(t *testing.T) {
 	got := Float64s(odd, true)
 	if got[1] != 7.5 {
 		t.Fatalf("misaligned decode = %g, want 7.5", got[1])
-	}
-}
-
-func TestUint8sAndBools(t *testing.T) {
-	b := []byte{0, 1, 1, 0}
-	if !ValidateBools(b) {
-		t.Fatal("valid 0/1 bytes rejected")
-	}
-	if ValidateBools([]byte{0, 2}) {
-		t.Fatal("byte 2 accepted as a bool")
-	}
-	for _, alias := range []bool{false, true} {
-		bools := Bools(b, alias)
-		want := []bool{false, true, true, false}
-		for i := range want {
-			if bools[i] != want[i] {
-				t.Errorf("alias=%v: bool %d = %v, want %v", alias, i, bools[i], want[i])
-			}
-		}
-		u8 := Uint8s(b, alias)
-		if !bytes.Equal(u8, b) {
-			t.Errorf("alias=%v: uint8 view %v != %v", alias, u8, b)
-		}
-	}
-	// The copying paths must not share memory.
-	cp := Uint8s(b, false)
-	b[0] = 9
-	if cp[0] != 0 {
-		t.Error("Uint8s copy shares the source")
-	}
-	if Bools(nil, true) != nil || len(Bools(nil, false)) != 0 {
-		t.Error("empty inputs must yield empty views")
-	}
-	if len(Float64s(nil, true)) != 0 || len(Int32s(nil, true)) != 0 {
-		t.Error("empty numeric views must be empty")
 	}
 }
 

@@ -516,9 +516,7 @@ func TestTenantRankingParity(t *testing.T) {
 		if err := ds.Replay(b.InsertEntity, b.Relate); err != nil {
 			t.Fatal(err)
 		}
-		cfg := cirank.DefaultConfig()
-		cfg.IndexDepth = 0
-		eng, err := b.Build(cfg)
+		eng, err := b.Build(cirank.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

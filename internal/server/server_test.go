@@ -88,9 +88,7 @@ func denseEngine(t *testing.T, m int) *cirank.Engine {
 			b.MustRelate("link", key(v), key(bb))
 		}
 	}
-	cfg := cirank.DefaultConfig()
-	cfg.IndexDepth = 0
-	eng, err := b.Build(cfg)
+	eng, err := b.Build(cirank.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 
 	"cirank/internal/graph"
 	"cirank/internal/mmapio"
-	"cirank/internal/pathindex"
 	"cirank/internal/relational"
 	"cirank/internal/rwmp"
 	"cirank/internal/search"
@@ -19,9 +18,9 @@ import (
 )
 
 // Engine snapshots persist every build product — the data graph, the
-// converged importance vector, the dampening rates, the star index, the full
-// text index and the complete tuple mapping — so a process restart skips all
-// of the expensive offline stages. Save writes format v2, a sectioned layout
+// converged importance vector, the dampening rates, the full text index and
+// the complete tuple mapping — so a process restart skips all of the
+// expensive offline stages. Save writes format v2, a sectioned layout
 // built for zero-copy loading:
 //
 //	magic "CIEN" | version u32 (=2) | sectionCount u32 | tableCRC32 u32
@@ -30,12 +29,12 @@ import (
 //	    crc32 u32 | reserved u32 (zero)
 //	payloads, each at a 16-byte-aligned offset, in table order
 //
-// Flat-array sections (CSR offsets/edges/out-sums, importance, dampening,
-// star tables) are raw little-endian arrays, so Open can view them directly
-// from a memory-mapped file without decoding; variable-length sections
-// (node records, text index, entity map) are decoded on every load. The
-// section table's CRC and the per-section CRCs are verified before any
-// payload is trusted. Section names, in file order:
+// Flat-array sections (CSR offsets/edges/out-sums, importance, dampening)
+// are raw little-endian arrays, so Open can view them directly from a
+// memory-mapped file without decoding; variable-length sections (node
+// records, text index, entity map) are decoded on every load. The section
+// table's CRC and the per-section CRCs are verified before any payload is
+// trusted. Section names, in file order:
 //
 //	meta        alpha f64 | group f64 | numNodes u64 | numEdges u64 | flags u64
 //	nodes       numNodes × (relation str | key str | text str | words u32)
@@ -46,15 +45,17 @@ import (
 //	damp        numNodes × f64
 //	text        term postings (textindex.Index.Encode; version 1 is refused)
 //	entmap      count u64 | count × (table str | key str | node u32)
-//	star.meta   maxDepth u32 | reserved u32 | numStar u64 | far f64
-//	star.flags  numNodes × u8 (0/1)
-//	star.ord    numNodes × i32
-//	star.dist   numStar² × u8
-//	star.ret    numStar² × f64
 //
-// The five star.* sections are present together exactly when the meta flags
-// word has bit 0 set; strings are u32-length-prefixed UTF-8. The encoding is
-// deterministic: the same engine always serializes to the same bytes.
+// Strings are u32-length-prefixed UTF-8, and the meta flags word is 0. The
+// encoding is deterministic: the same engine always serializes to the same
+// bytes.
+//
+// Files saved while the engine still built the §V-B star index carry five
+// more sections after entmap (star.meta, star.flags, star.ord, star.dist,
+// star.ret) and set bit 0 of the meta flags word. Save never writes them. A
+// load checks their place and CRC like any section's and then skips them
+// unread, since no search reads the index; a star.* section in a file
+// without that flag bit is refused.
 //
 // v2 is the only format: any other version word (including the retired v1
 // stream format) is rejected. Flag bit 1 and the section names "shard" and
@@ -78,15 +79,15 @@ const (
 	// element type (f64 and the 16-byte edge record).
 	snapAlign = 16
 	// maxSections bounds the section count a decoder will size a table for;
-	// the format defines 14 names, so anything near this is corruption.
+	// the format knows 14 names, so anything near this is corruption.
 	maxSections = 64
 	// maxSnapshotString bounds one length-prefixed string, matching the
 	// graph serialization's limit.
 	maxSnapshotString = 1 << 24
 
-	metaSectionSize     = 40
-	starMetaSectionSize = 24
-	// metaFlagStarIndex marks that the five star.* sections are present.
+	metaSectionSize = 40
+	// metaFlagStarIndex marks a file that carries the legacy star.*
+	// sections.
 	metaFlagStarIndex = uint64(1) << 0
 	// metaFlagRetiredShard marked a shard engine's snapshot (see
 	// errRetiredShard).
@@ -95,36 +96,32 @@ const (
 
 // Section names of the v2 format.
 const (
-	secMeta      = "meta"
-	secNodes     = "nodes"
-	secCSROff    = "csr.off"
-	secCSREdge   = "csr.edge"
-	secCSRSum    = "csr.outsum"
-	secImp       = "imp"
-	secDamp      = "damp"
-	secText      = "text"
-	secEntMap    = "entmap"
-	secStarMeta  = "star.meta"
-	secStarFlags = "star.flags"
-	secStarOrd   = "star.ord"
-	secStarDist  = "star.dist"
-	secStarRet   = "star.ret"
+	secMeta    = "meta"
+	secNodes   = "nodes"
+	secCSROff  = "csr.off"
+	secCSREdge = "csr.edge"
+	secCSRSum  = "csr.outsum"
+	secImp     = "imp"
+	secDamp    = "damp"
+	secText    = "text"
+	secEntMap  = "entmap"
 )
 
-// requiredSections must be present in every v2 snapshot; starSections are
-// all-or-none, keyed on the meta flags word.
+// requiredSections must be present in every v2 snapshot and are the only
+// ones Save writes; legacyStarSections may appear in a file flagged with
+// metaFlagStarIndex and are skipped.
 var (
 	requiredSections = []string{
 		secMeta, secNodes, secCSROff, secCSREdge, secCSRSum,
 		secImp, secDamp, secText, secEntMap,
 	}
-	starSections  = []string{secStarMeta, secStarFlags, secStarOrd, secStarDist, secStarRet}
-	knownSections = func() map[string]bool {
+	legacyStarSections = []string{"star.meta", "star.flags", "star.ord", "star.dist", "star.ret"}
+	knownSections      = func() map[string]bool {
 		m := make(map[string]bool)
 		for _, s := range requiredSections {
 			m[s] = true
 		}
-		for _, s := range starSections {
+		for _, s := range legacyStarSections {
 			m[s] = true
 		}
 		return m
@@ -169,11 +166,7 @@ func (e *Engine) encodeSections() []snapSection {
 	meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(params.Group))
 	meta = binary.LittleEndian.AppendUint64(meta, uint64(n))
 	meta = binary.LittleEndian.AppendUint64(meta, uint64(len(edges)))
-	var flags uint64
-	if e.starIdx != nil {
-		flags |= metaFlagStarIndex
-	}
-	meta = binary.LittleEndian.AppendUint64(meta, flags)
+	meta = binary.LittleEndian.AppendUint64(meta, 0) // flags
 
 	var nodes []byte
 	for v := 0; v < n; v++ {
@@ -191,7 +184,7 @@ func (e *Engine) encodeSections() []snapSection {
 		entmap = binary.LittleEndian.AppendUint32(entmap, uint32(me.Node))
 	}
 
-	secs := []snapSection{
+	return []snapSection{
 		{secMeta, meta},
 		{secNodes, nodes},
 		{secCSROff, mmapio.AppendInt32s(nil, offsets)},
@@ -202,28 +195,6 @@ func (e *Engine) encodeSections() []snapSection {
 		{secText, e.ix.Encode()},
 		{secEntMap, entmap},
 	}
-	if e.starIdx != nil {
-		p := e.starIdx.Parts()
-		sm := make([]byte, 0, starMetaSectionSize)
-		sm = binary.LittleEndian.AppendUint32(sm, uint32(p.MaxDepth))
-		sm = binary.LittleEndian.AppendUint32(sm, 0)
-		sm = binary.LittleEndian.AppendUint64(sm, uint64(p.NumStar))
-		sm = binary.LittleEndian.AppendUint64(sm, math.Float64bits(p.Far))
-		starFlags := make([]byte, len(p.IsStar))
-		for i, b := range p.IsStar {
-			if b {
-				starFlags[i] = 1
-			}
-		}
-		secs = append(secs,
-			snapSection{secStarMeta, sm},
-			snapSection{secStarFlags, starFlags},
-			snapSection{secStarOrd, mmapio.AppendInt32s(nil, p.StarIdx)},
-			snapSection{secStarDist, p.Dist},
-			snapSection{secStarRet, mmapio.AppendFloat64s(nil, p.Ret)},
-		)
-	}
-	return secs
 }
 
 // writeSnapshot lays the sections out with 16-byte-aligned offsets, computes
@@ -296,13 +267,12 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 
 // assembleLoaded builds the engine shell around a decoded snapshot's parts.
 func assembleLoaded(g *graph.Graph, ix *textindex.Index, model *rwmp.Model, imp []float64,
-	starIdx *pathindex.StarIndex, entries []relational.MappingEntry, byKey map[string]graph.NodeID) *Engine {
+	entries []relational.MappingEntry, byKey map[string]graph.NodeID) *Engine {
 	e := &Engine{
 		g:          g,
 		ix:         ix,
 		model:      model,
 		searcher:   search.New(model),
-		starIdx:    starIdx,
 		imp:        imp,
 		mapEntries: entries,
 		lookup: func(table, key string) (graph.NodeID, bool) {
@@ -403,6 +373,13 @@ func decodeV2(data []byte, alias bool) (*Engine, error) {
 	if flags&^metaFlagStarIndex != 0 {
 		return nil, badSnap("unknown meta flags %#x", flags)
 	}
+	if flags&metaFlagStarIndex == 0 {
+		for _, name := range legacyStarSections {
+			if _, ok := secs[name]; ok {
+				return nil, badSnap("section %q present without the star-index flag", name)
+			}
+		}
+	}
 	if nNodes > math.MaxInt32 {
 		return nil, badSnap("node count %d exceeds the limit", nNodes)
 	}
@@ -447,78 +424,11 @@ func decodeV2(data []byte, alias bool) (*Engine, error) {
 		return nil, badSnap("%v", err)
 	}
 
-	var starIdx *pathindex.StarIndex
-	if flags&metaFlagStarIndex != 0 {
-		starIdx, err = decodeStarSections(secs, g, dampV, n, alias)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for _, name := range starSections {
-			if _, ok := secs[name]; ok {
-				return nil, badSnap("section %q present without the star-index flag", name)
-			}
-		}
-	}
-
 	entries, byKey, err := decodeEntMap(secs[secEntMap], n)
 	if err != nil {
 		return nil, err
 	}
-	return assembleLoaded(g, ix, model, impV, starIdx, entries, byKey), nil
-}
-
-// decodeStarSections validates and reassembles the five star.* sections.
-func decodeStarSections(secs map[string][]byte, g *graph.Graph, damp []float64, n int, alias bool) (*pathindex.StarIndex, error) {
-	for _, name := range starSections {
-		if _, ok := secs[name]; !ok {
-			return nil, badSnap("star-index flag set but section %q is missing", name)
-		}
-	}
-	sm := secs[secStarMeta]
-	if len(sm) != starMetaSectionSize {
-		return nil, badSnap("section %q is %d bytes, want %d", secStarMeta, len(sm), starMetaSectionSize)
-	}
-	maxDepth := binary.LittleEndian.Uint32(sm[0:])
-	if rsv := binary.LittleEndian.Uint32(sm[4:]); rsv != 0 {
-		return nil, badSnap("section %q has nonzero reserved word %#x", secStarMeta, rsv)
-	}
-	numStar := binary.LittleEndian.Uint64(sm[8:])
-	far := math.Float64frombits(binary.LittleEndian.Uint64(sm[16:]))
-	if numStar > uint64(n) {
-		return nil, badSnap("star count %d exceeds %d nodes", numStar, n)
-	}
-	s2 := numStar * numStar
-	for _, want := range []struct {
-		name string
-		size uint64
-	}{
-		{secStarFlags, uint64(n)},
-		{secStarOrd, 4 * uint64(n)},
-		{secStarDist, s2},
-		{secStarRet, 8 * s2},
-	} {
-		if got := uint64(len(secs[want.name])); got != want.size {
-			return nil, badSnap("section %q is %d bytes, want %d", want.name, got, want.size)
-		}
-	}
-	if !mmapio.ValidateBools(secs[secStarFlags]) {
-		return nil, badSnap("section %q holds bytes other than 0/1", secStarFlags)
-	}
-	parts := pathindex.StarParts{
-		MaxDepth: int(maxDepth),
-		IsStar:   mmapio.Bools(secs[secStarFlags], alias),
-		StarIdx:  mmapio.Int32s(secs[secStarOrd], alias),
-		NumStar:  int(numStar),
-		Dist:     mmapio.Uint8s(secs[secStarDist], alias),
-		Ret:      mmapio.Float64s(secs[secStarRet], alias),
-		Far:      far,
-	}
-	idx, err := pathindex.FromParts(g, damp, parts)
-	if err != nil {
-		return nil, badSnap("%v", err)
-	}
-	return idx, nil
+	return assembleLoaded(g, ix, model, impV, entries, byKey), nil
 }
 
 // decodeEntMap decodes the entity-map section: the complete, strictly

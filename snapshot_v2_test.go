@@ -193,9 +193,8 @@ func requireSameResults(t *testing.T, a, b *Engine, query string, k int) {
 }
 
 // TestOpenMmapSkipsBuild is the headline property of the v2 format: Open
-// must reach a queryable engine without running PageRank, the star-index
-// build or the text-index build, and must answer exactly like the engine
-// that was saved.
+// must reach a queryable engine without running PageRank or the text-index
+// build, and must answer exactly like the engine that was saved.
 func TestOpenMmapSkipsBuild(t *testing.T) {
 	eng := fig2Engine(t, DefaultConfig())
 	path := writeSnapFile(t, saveV2(t, eng))
@@ -207,12 +206,8 @@ func TestOpenMmapSkipsBuild(t *testing.T) {
 	if st.Source != SourceMmap {
 		t.Errorf("BuildStats().Source = %q, want %q", st.Source, SourceMmap)
 	}
-	if st.PageRank.Duration != 0 || st.PathIndex.Duration != 0 ||
-		st.TextIndex.Duration != 0 || st.Graph.Duration != 0 {
+	if st.PageRank.Duration != 0 || st.TextIndex.Duration != 0 || st.Graph.Duration != 0 {
 		t.Errorf("opened engine reports build-stage work: %+v", st)
-	}
-	if loaded.starIdx == nil {
-		t.Error("star index not restored from snapshot")
 	}
 	requireSameResults(t, eng, loaded, "papakonstantinou ullman", 3)
 	requireSameResults(t, eng, loaded, "tsimmis", 2)
@@ -336,6 +331,7 @@ func TestSnapshotV2Corruptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	starFixture := readStarFixture(t)
 
 	cases := map[string][]byte{
 		"missing shard.owned":  dropLastSections(shard, 1),
@@ -375,11 +371,7 @@ func TestSnapshotV2Corruptions(t *testing.T) {
 			fixSectionCRC(d, metaEntry)
 			fixTableCRC(d)
 		}),
-		"star sections without flag": mutated(snap, func(d []byte) {
-			binary.LittleEndian.PutUint64(d[metaOff+32:], 0)
-			fixSectionCRC(d, metaEntry)
-			fixTableCRC(d)
-		}),
+		"star sections without flag": starSectionsWithoutFlag(t, starFixture),
 		"node count mismatch": mutated(snap, func(d []byte) {
 			binary.LittleEndian.PutUint64(d[metaOff+16:], 1<<40)
 			fixSectionCRC(d, metaEntry)
@@ -473,6 +465,80 @@ func TestShardSnapshotRejected(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// starFixturePath is fig2Engine under DefaultConfig as commit 17c1a12 saved
+// it, while the engine still built the §V-B star index: meta flag bit 0 set
+// and the five star.* sections after entmap.
+const starFixturePath = "testdata/star_sections_17c1a12.snap"
+
+func readStarFixture(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile(starFixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// starSectionsWithoutFlag clears the star fixture's meta flags word, so its
+// star.* sections are left without the flag that excuses them.
+func starSectionsWithoutFlag(t testing.TB, fixture []byte) []byte {
+	t.Helper()
+	return mutated(fixture, func(d []byte) {
+		metaEntry, metaOff, _ := findEntry(t, d, secMeta)
+		binary.LittleEndian.PutUint64(d[metaOff+32:], 0)
+		fixSectionCRC(d, metaEntry)
+		fixTableCRC(d)
+	})
+}
+
+// TestStarSectionsFixtureLoads: a file saved while the engine still built the
+// star index keeps loading through Open and LoadEngine. Its star.* sections
+// are skipped, so it answers like a fresh build, score for score, and
+// re-saves to the fresh build's bytes.
+func TestStarSectionsFixtureLoads(t *testing.T) {
+	fixture := readStarFixture(t)
+	if _, metaOff, _ := findEntry(t, fixture, secMeta); binary.LittleEndian.Uint64(fixture[metaOff+32:]) != metaFlagStarIndex {
+		t.Fatal("fixture does not carry the star-index flag")
+	}
+	for _, name := range legacyStarSections {
+		findEntry(t, fixture, name)
+	}
+	fresh := fig2Engine(t, DefaultConfig())
+	streamed, err := LoadEngine(bytes.NewReader(fixture))
+	if err != nil {
+		t.Fatalf("LoadEngine: %v", err)
+	}
+	opened, err := Open(writeSnapFile(t, fixture))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer opened.Close()
+	for name, loaded := range map[string]*Engine{"LoadEngine": streamed, "Open": opened} {
+		t.Run(name, func(t *testing.T) {
+			requireSameResults(t, fresh, loaded, "papakonstantinou ullman", 2)
+			if !bytes.Equal(saveV2(t, loaded), saveV2(t, fresh)) {
+				t.Error("re-saved fixture differs from a fresh build's snapshot")
+			}
+		})
+	}
+}
+
+// TestDefaultSnapshotHasNoStarSections: a DefaultConfig engine saves no
+// star.* section and a meta flags word of 0.
+func TestDefaultSnapshotHasNoStarSections(t *testing.T) {
+	snap := saveV2(t, fig2Engine(t, DefaultConfig()))
+	count := int(binary.LittleEndian.Uint32(snap[8:]))
+	for i := 0; i < count; i++ {
+		e := snapHeaderSize + i*snapEntrySize
+		if name := string(bytes.TrimRight(snap[e:e+snapNameLen], "\x00")); strings.HasPrefix(name, "star.") {
+			t.Errorf("snapshot has section %q", name)
+		}
+	}
+	if _, metaOff, _ := findEntry(t, snap, secMeta); binary.LittleEndian.Uint64(snap[metaOff+32:]) != 0 {
+		t.Errorf("meta flags = %#x, want 0", binary.LittleEndian.Uint64(snap[metaOff+32:]))
 	}
 }
 
