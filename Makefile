@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzServerSearchParams$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzSupplyField$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzChildBound$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/search
+	$(GO) test -run '^$$' -fuzz '^FuzzMergePrice$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphBuild$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) ./internal/graph
 
 # cover writes a full-repo coverage profile and prints the function table.

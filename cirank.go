@@ -247,6 +247,20 @@ type SearchStats struct {
 	// no finite bound exists (the query was interrupted or candidates were
 	// dropped at the expansion cap).
 	FrontierBound float64
+	// Built counts the candidate trees the search built: seeds, grown
+	// children that passed every pre-build check, merges, and terminal
+	// children built because a merge needed them.
+	Built int
+	// Spared counts the grown children priced from their parents' flows
+	// and never built, because their bound could not beat the k-th answer.
+	Spared int
+	// Relaxed counts the edges the per-query supply-field relaxation
+	// scanned.
+	Relaxed int
+	// MergesPriced counts the merges priced before being built, and
+	// MergesSkipped those of them the k-th answer already beat, so they
+	// were never built.
+	MergesPriced, MergesSkipped int
 	// Elapsed is the query's wall-clock time inside the engine.
 	Elapsed time.Duration
 }
@@ -341,6 +355,11 @@ func (e *Engine) SearchTermsContext(ctx context.Context, terms []string, k int, 
 			Truncated:     stats.Truncated,
 			Interrupted:   stats.Interrupted,
 			FrontierBound: stats.FrontierBound,
+			Built:         stats.Built,
+			Spared:        stats.Spared,
+			Relaxed:       stats.Relaxed,
+			MergesPriced:  stats.MergesPriced,
+			MergesSkipped: stats.MergesSkipped,
 			Elapsed:       time.Since(start),
 		},
 	}

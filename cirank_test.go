@@ -1,12 +1,14 @@
 package cirank
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"cirank/internal/datagen"
 	"cirank/internal/textindex"
 )
 
@@ -277,5 +279,63 @@ func TestBuilderCSVLoading(t *testing.T) {
 	b2.SetStopWords("x")
 	if _, err := b2.LoadTable("Author", strings.NewReader("key,name\na,b\n")); err == nil {
 		t.Error("LoadTable after SetStopWords accepted")
+	}
+}
+
+// TestSearchStatsCarrySearcherCounts holds the facade's SearchStats to the
+// search.Stats of the same queries run on the engine's searcher with the
+// options the facade resolves: every count the search keeps reaches the
+// public API unchanged. Some query must leave none of them at zero.
+func TestSearchStatsCarrySearcherCounts(t *testing.T) {
+	ds, err := datagen.GenerateDBLP(datagen.DefaultDBLPConfig(1).Scale(0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := datagen.Build(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := built.GenerateWorkload(datagen.UserLogConfig(12, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewDBLPBuilder()
+	if err := ds.Replay(b.InsertEntity, b.Relate); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := b.Build(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sopts, err := eng.searchOptions(10, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := 0
+	for _, q := range queries {
+		res, err := eng.SearchTermsContext(context.Background(), q.Terms, 10, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want, err := eng.searcher.TopK(q.Terms, sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Stats
+		got.Elapsed = 0
+		if got != (SearchStats{
+			Expanded: want.Expanded, Generated: want.Generated, Answers: want.Answers,
+			Truncated: want.Truncated, Interrupted: want.Interrupted, FrontierBound: want.FrontierBound,
+			Built: want.Built, Spared: want.Spared, Relaxed: want.Relaxed,
+			MergesPriced: want.MergesPriced, MergesSkipped: want.MergesSkipped,
+		}) {
+			t.Fatalf("query %v: facade stats %+v, searcher stats %+v", q.Terms, got, want)
+		}
+		if want.Built > 0 && want.Spared > 0 && want.Relaxed > 0 && want.MergesPriced > 0 && want.MergesSkipped > 0 {
+			busy++
+		}
+	}
+	if busy == 0 {
+		t.Fatalf("every one of %d queries leaves some counter at zero", len(queries))
 	}
 }

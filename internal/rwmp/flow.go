@@ -92,6 +92,10 @@ func (m *Model) flowInto(buf []hop, t *jtt.Tree) Flow {
 // Root returns the slot of the tree's root.
 func (f *Flow) Root() int { return f.root }
 
+// RootDenom returns the root's split denominator: Σ w(root → child) over its
+// tree children.
+func (f *Flow) RootDenom() float64 { return f.hops[f.root].denom }
+
 // Factor returns the multiplicative attenuation a message experiences
 // travelling from slot src to slot dst along the tree path: the split
 // fraction at every hop and the dampening rate at every intermediate node,

@@ -16,6 +16,13 @@ func ForcePull(t testing.TB) {
 	t.Cleanup(func() { forcePull = false })
 }
 
+// KeepDeadChildren turns the expansion step's dead-child skip off until t
+// ends, so the search prices every child.
+func KeepDeadChildren(t testing.TB) {
+	keepDeadChildren = true
+	t.Cleanup(func() { keepDeadChildren = false })
+}
+
 // HopsFrom is the test's own breadth-first search: every node's hop count
 // from the nearest source, -1 when none reaches it.
 var HopsFrom = hopsFrom
@@ -137,19 +144,14 @@ func (cs *candSlab) handedOut() []*candidate {
 
 // GeneratedTrees runs TopK on a fresh scratch and returns the trees the
 // search generated, by origin: the grown children — a stub's built here from
-// its parent, as a merge would — and the merges, which the seen set holds.
-// Seeds are left out.
+// its parent, as a merge would — whose root has one child, and the merges,
+// whose root has two or more. Seeds are left out. Every merge the search
+// entered is listed, whether or not it went through the seen set.
 func (s *Searcher) GeneratedTrees(terms []string, opts Options) (grown, merged []*jtt.Tree, err error) {
 	sc := newQueryScratch()
 	st, err := s.run(context.Background(), sc, terms, opts)
 	if err != nil || st == nil {
 		return nil, nil, err
-	}
-	inSeen := make(map[*jtt.Tree]bool, sc.seen.n)
-	for _, sl := range sc.seen.slots {
-		if sl.tree != nil {
-			inSeen[sl.tree] = true
-		}
 	}
 	g := s.m.Graph()
 	for _, c := range sc.cands.handedOut() {
@@ -160,7 +162,7 @@ func (s *Searcher) GeneratedTrees(terms []string, opts Options) (grown, merged [
 				return nil, nil, err
 			}
 			grown = append(grown, child)
-		case inSeen[c.tree]:
+		case len(c.tree.Children(c.tree.Root())) > 1:
 			merged = append(merged, c.tree)
 		case c.tree.Size() > 1:
 			grown = append(grown, c.tree)

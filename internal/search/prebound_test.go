@@ -457,3 +457,200 @@ func TestUndecidedSupplyListBuildsChild(t *testing.T) {
 	}
 	sameRanking(t, "against the unpriced search", want, got)
 }
+
+// mergeKinds counts what checkMergePrices saw, so a test can demand that its
+// inputs reached every case of the price.
+type mergeKinds struct {
+	checked    int // merges priced and built
+	stub       int // of them, with a priced, unbuilt operand
+	rootSource int // of them, under a root that is a source
+	tight      int // of them, priced within 1% of fill's bound
+}
+
+func (k *mergeKinds) add(o mergeKinds) {
+	k.checked, k.stub, k.rootSource, k.tight = k.checked+o.checked, k.stub+o.stub, k.rootSource+o.rootSource, k.tight+o.tight
+}
+
+// checkMergePrices holds the merge price to fill's bound on every merge the
+// search could price for the query, among up to maxTrees trees: the closure
+// of the matchers under grow and merge within the depth limit, as
+// checkChildBounds walks it. Each tree is an operand twice, when it is a
+// grown child: built, with the summary fill keeps, and unbuilt, with the
+// one the expansion step keeps for a stub. For every two operands sharing a
+// root that the options' rule admits, whose union covers every term and
+// which merge, the price must not lie below the bound fill computes for the
+// built merge, within preBoundSlack.
+func checkMergePrices(t testing.TB, s *Searcher, terms []string, opts Options, maxTrees int) (kinds mergeKinds) {
+	t.Helper()
+	o, ok, err := s.NewBoundOracle(terms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		return kinds
+	}
+	st, g := o.st, s.m.Graph()
+	qc := st.qc
+	seen := make(map[string]bool)
+	var trees []*jtt.Tree
+	var ops []*candidate
+	keep := func(c *candidate) { // as commit registers it
+		if c.ub > 0 && st.mergeable(c) {
+			ops = append(ops, c)
+		}
+	}
+	push := func(tree, parent *jtt.Tree) {
+		key := fmt.Sprintf("%d|%s", tree.Root(), tree.CanonicalKey())
+		if seen[key] || len(trees) >= maxTrees {
+			return
+		}
+		seen[key] = true
+		trees = append(trees, tree)
+		built := &candidate{tree: tree, root: st.rootOf(tree.Root())}
+		st.supplyLists(built.root, tree.Root(), tree.Depth())
+		st.fill(built)
+		keep(built)
+		if parent == nil || qc.levels == 0 {
+			return
+		}
+		// The stub's summary, as stub keeps it from the view childBound
+		// derived; a child with no supply for a missing term is never one.
+		pc := &candidate{tree: parent, root: st.rootOf(parent.Root())}
+		w, _ := g.Weight(parent.Root(), tree.Root())
+		ub, cover := st.childBound(st.viewParent(pc), graph.HalfEdge{To: tree.Root(), Weight: w})
+		if cover != qc.full && ub <= 0 {
+			return
+		}
+		stub := &candidate{parent: parent, cover: cover, ub: ub, root: st.rootOf(tree.Root())}
+		back, _ := g.Weight(tree.Root(), parent.Root())
+		if st.mergeable(stub) {
+			st.keepView(stub, &st.sc.child, back)
+		}
+		keep(stub)
+	}
+	for _, v := range qc.nonFree {
+		push(jtt.NewSingle(v), nil)
+	}
+	for i := 0; i < len(trees); i++ {
+		tree := trees[i]
+		for _, other := range trees[:i] {
+			if merged, err := tree.Merge(other); err == nil && other.Root() == tree.Root() {
+				push(merged, nil)
+			}
+		}
+		if tree.Depth() >= o.GrowthDepthLimit() {
+			continue
+		}
+		for _, e := range g.OutEdges(tree.Root()) {
+			if !tree.Contains(e.To) {
+				child, err := tree.Grow(g, e.To)
+				if err != nil {
+					t.Fatal(err)
+				}
+				push(child, tree)
+			}
+		}
+	}
+	treeOf := func(c *candidate) *jtt.Tree {
+		if c.tree != nil {
+			return c.tree
+		}
+		child, err := c.parent.Grow(g, st.sc.roots[c.root].node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return child
+	}
+	for i, a := range ops {
+		for _, b := range ops[:i] {
+			union := a.cover | b.cover
+			if a.root != b.root || union != qc.full || !opts.ExtendedMerge && (union == a.cover || union == b.cover) {
+				continue
+			}
+			merged, err := treeOf(a).Merge(treeOf(b))
+			if err != nil {
+				continue
+			}
+			price := st.mergePrice(a, b)
+			ub, _, _ := o.Evaluate(merged)
+			if price*(1+preBoundSlack) < ub {
+				t.Fatalf("query %v %+v: merge %s of %s and %s priced %.17g, fill bounds it %.17g",
+					terms, opts, merged.CanonicalKey(), treeOf(a).CanonicalKey(), treeOf(b).CanonicalKey(), price, ub)
+			}
+			kinds.checked++
+			if a.tree == nil || b.tree == nil {
+				kinds.stub++
+			}
+			if qc.masks[merged.Root()] != 0 {
+				kinds.rootSource++
+			}
+			if price <= ub*1.01 {
+				kinds.tight++
+			}
+		}
+	}
+	return kinds
+}
+
+// checkMergePriceCase runs a decoded case's queries through checkMergePrices
+// under both merge rules.
+func checkMergePriceCase(t testing.TB, fc fieldCase) (kinds mergeKinds) {
+	t.Helper()
+	s := fc.searcher(t)
+	for _, terms := range [][]string{{"alpha"}, {"alpha", "beta"}} {
+		if len(fc.matchers[len(terms)-1]) == 0 {
+			continue
+		}
+		for _, extended := range []bool{false, true} {
+			opts := Options{K: 1 + fc.g.NumNodes()%4, Diameter: fc.levels + 1, ExtendedMerge: extended, Workers: 1}
+			kinds.add(checkMergePrices(t, s, terms, opts, 128))
+		}
+	}
+	return kinds
+}
+
+// TestMergePriceBoundsFill is the merge price's soundness argument as a
+// property, on TestChildBoundMatchesFill's inputs and under both merge
+// rules: a merge is never priced below the bound fill gives it built, so
+// commit skips only merges it would have dropped.
+func TestMergePriceBoundsFill(t *testing.T) {
+	var kinds mergeKinds
+	rng := rand.New(rand.NewSource(25))
+	for round := 0; round < 300; round++ {
+		data := make([]byte, 1+3*8+2*rng.Intn(16))
+		rng.Read(data)
+		fc, ok := decodeFieldCase(data)
+		if !ok {
+			t.Fatalf("round %d: %d bytes did not decode", round, len(data))
+		}
+		kinds.add(checkMergePriceCase(t, fc))
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		fx := randomFixture(t, rand.New(rand.NewSource(seed)))
+		for _, terms := range [][]string{{"alpha"}, {"alpha", "beta"}, {"alpha", "beta", "spoke"}} {
+			for _, d := range []int{2, 3, 4, 5} {
+				for _, extended := range []bool{false, true} {
+					kinds.add(checkMergePrices(t, fx.s, terms, Options{K: 3, Diameter: d, ExtendedMerge: extended, Workers: 1}, 128))
+				}
+			}
+		}
+	}
+	kinds.add(checkMergePrices(t, hubFixture(t, 12, 0).s, hubTerms, Options{K: 5, Diameter: 4, Workers: 1}, 512))
+	kinds.add(checkMergePrices(t, fig2Fixture(t).s, []string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4, Workers: 1}, 512))
+	t.Logf("%+v", kinds)
+	if kinds.checked < 1000 || kinds.stub < 100 || kinds.rootSource < 100 || kinds.tight < 100 {
+		t.Fatalf("some case of the price went nearly unexercised: %+v", kinds)
+	}
+}
+
+// FuzzMergePrice runs whatever graph, rates and matchers the bytes decode to
+// (FuzzSupplyField's decoder) as queries under both merge rules: no merge is
+// priced below fill's bound for it built. The seeds are the committed corpus
+// under testdata/fuzz/FuzzMergePrice.
+func FuzzMergePrice(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if fc, ok := decodeFieldCase(data); ok {
+			checkMergePriceCase(t, fc)
+		}
+	})
+}
