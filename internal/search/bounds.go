@@ -66,6 +66,8 @@ type boundView struct {
 	// path factor, and the least any other source delivers to it (+Inf for a
 	// lone source) — Eq. 3's node score when there are two or more.
 	gens, atRoot, fromRoot, inflow []float64
+	// hop is the first-hop factor of a node a completion adds (firstHop).
+	hop float64
 
 	// supplies holds, as supplied left them, the supplies of the missing
 	// terms, or of every term when a lone source covers them all.
@@ -187,7 +189,7 @@ func (st *bbState) upperBound(v *boundView) float64 {
 
 	// pe: bound on the score of any node added outside C. Its messages
 	// from C's sources cross the root (dampened there unless the root is
-	// the source itself), then attenuate by at most 1.
+	// the source itself), then attenuate by at least the first hop's factor.
 	ubNew := math.Inf(1)
 	for i, f := range v.atRoot {
 		if i != v.rootSrc {
@@ -197,6 +199,7 @@ func (st *bbState) upperBound(v *boundView) float64 {
 			ubNew = f
 		}
 	}
+	ubNew *= v.hop
 
 	// Per-source score bounds (the complete-estimate side).
 	flowSum := 0.0
@@ -272,6 +275,24 @@ func (st *bbState) upperBound(v *boundView) float64 {
 		return ubNew
 	}
 	return atMin
+}
+
+// firstHop bounds the factor by which a message from the root, on its way
+// to a node a completion of the candidate adds, attenuates on its first hop.
+// Such a node hangs off the root through an out-neighbour h outside the
+// candidate (the candidate grows through its root only). The message splits
+// at the root, by at most 1, and then, unless it stops at h, dampens at h;
+// and it stops at h only if h scores, that is, matches a term. So the factor
+// is 1 when some matching out-neighbour of the root may lie outside the
+// candidate, and the largest rate among the root's out-neighbours otherwise.
+// matching counts the candidate's tree neighbours of the root that match a
+// term; other candidate nodes the root is adjacent to are not subtracted,
+// which errs towards 1.
+func (st *bbState) firstHop(root graph.NodeID, matching int32) float64 {
+	if st.qc.matchNbrs[root] > matching {
+		return 1
+	}
+	return st.s.nbDamp[root]
 }
 
 // bestSupply bounds the message count any node covering term ti could
