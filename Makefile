@@ -28,10 +28,12 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint enforces the documentation contract: every exported identifier in
-# the listed packages must carry a doc comment.
+# lint enforces the documentation contract (every exported identifier in
+# the listed packages must carry a doc comment) and fails on any function
+# that no binary links and scripts/unlinked.allow does not name.
 lint:
 	$(GO) run ./cmd/doccheck internal/search internal/rwmp internal/pathindex internal/cache internal/server internal/textindex internal/graph internal/searchbench internal/relational internal/jtt internal/pagerank internal/eval internal/baseline internal/datagen internal/difftest internal/mmapio . internal/experiments
+	bash scripts/unlinked.sh
 
 # diff runs the differential correctness harness: every committed seed
 # generates a random workload and cross-checks branch-and-bound against

@@ -7,7 +7,6 @@ package cache
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 )
 
 // LRU is a bounded least-recently-used map. The zero value is not usable;
@@ -20,9 +19,6 @@ type LRU[K comparable, V any] struct {
 	cap   int
 	items map[K]*list.Element
 	order *list.List // front = most recently used
-
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 // entry is one key/value pair stored in the recency list.
@@ -49,10 +45,8 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
-		c.hits.Add(1)
 		return el.Value.(*entry[K, V]).val, true
 	}
-	c.misses.Add(1)
 	var zero V
 	return zero, false
 }
@@ -85,9 +79,4 @@ func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// Stats reports cumulative hit and miss counts since construction.
-func (c *LRU[K, V]) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
 }

@@ -30,9 +30,6 @@ func TestBasicGetAdd(t *testing.T) {
 	if c.Len() != 2 {
 		t.Errorf("Len() = %d, want 2", c.Len())
 	}
-	if hits, misses := c.Stats(); hits != 3 || misses != 2 {
-		t.Errorf("Stats() = %d hits, %d misses; want 3, 2", hits, misses)
-	}
 }
 
 func TestUpdateExisting(t *testing.T) {

@@ -146,8 +146,8 @@ func TestBuildGraphConnected(t *testing.T) {
 		t.Fatal("empty graph")
 	}
 	// The movie table must be the schema's star cover.
-	if b.Connector() != "Movie" {
-		t.Errorf("connector = %q, want Movie", b.Connector())
+	if b.connector != "Movie" {
+		t.Errorf("connector = %q, want Movie", b.connector)
 	}
 	stars := relational.StarNodeSet(b.G, []string{"Movie"})
 	// Every edge must touch a movie node (vertex-cover property the star

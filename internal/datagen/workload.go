@@ -63,9 +63,6 @@ func Build(ds *Dataset) (*Built, error) {
 	}, nil
 }
 
-// Connector returns the star-table name used as connector ("Movie"/"Paper").
-func (b *Built) Connector() string { return b.connector }
-
 // Class labels the structural difficulty of a generated query, following
 // the mix the paper describes in §VI-A.
 type Class int

@@ -87,9 +87,6 @@ func (a *Accumulator) Add(rr, precision float64) {
 	a.n++
 }
 
-// N reports the number of queries recorded.
-func (a *Accumulator) N() int { return a.n }
-
 // MRR returns the mean reciprocal rank (0 when empty).
 func (a *Accumulator) MRR() float64 {
 	if a.n == 0 {

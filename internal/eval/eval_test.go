@@ -60,13 +60,13 @@ func TestPrecisionAtK(t *testing.T) {
 
 func TestAccumulator(t *testing.T) {
 	var a Accumulator
-	if a.MRR() != 0 || a.Precision() != 0 || a.N() != 0 {
+	if a.MRR() != 0 || a.Precision() != 0 || a.n != 0 {
 		t.Error("empty accumulator not zero")
 	}
 	a.Add(1, 0.8)
 	a.Add(0.5, 1.0)
-	if a.N() != 2 {
-		t.Errorf("N = %d", a.N())
+	if a.n != 2 {
+		t.Errorf("n = %d", a.n)
 	}
 	if math.Abs(a.MRR()-0.75) > 1e-12 {
 		t.Errorf("MRR = %g, want 0.75", a.MRR())

@@ -6,7 +6,6 @@ import (
 	"cirank/internal/baseline"
 	"cirank/internal/datagen"
 	"cirank/internal/eval"
-	"cirank/internal/jtt"
 )
 
 // ClassBreakdown decomposes the Fig. 8 comparison by query class on the
@@ -65,22 +64,4 @@ func ClassBreakdown(dblp *Bundle, cfg Config) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"paper's analysis: CI-Rank's advantage concentrates on queries requiring free connector nodes")
 	return t, nil
-}
-
-// poolsContainGold is a debugging helper verifying the invariant that every
-// query's pool contains its gold answer (pools() guarantees it).
-func poolsContainGold(queries []datagen.Query, queryPools [][]*jtt.Tree) bool {
-	for i, q := range queries {
-		found := false
-		for _, t := range queryPools[i] {
-			if t.CanonicalKey() == q.GoldKey {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }

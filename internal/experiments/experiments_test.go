@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cirank/internal/datagen"
+	"cirank/internal/jtt"
 	"cirank/internal/rwmp"
 )
 
@@ -55,7 +56,7 @@ func TestPrepareBundles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.NumStarNodes() == 0 {
+	if idx.MemStats().Entries == 0 {
 		t.Error("no star nodes indexed")
 	}
 }
@@ -206,4 +207,22 @@ func TestPoolsContainGold(t *testing.T) {
 // dblpWorkloadForTest mirrors the standard DBLP workload at test scale.
 func dblpWorkloadForTest(cfg Config) datagen.WorkloadConfig {
 	return datagen.SyntheticConfig(cfg.QueryCount, cfg.Seed+300)
+}
+
+// poolsContainGold verifies the invariant that every query's pool contains
+// its gold answer (pools() guarantees it).
+func poolsContainGold(queries []datagen.Query, queryPools [][]*jtt.Tree) bool {
+	for i, q := range queries {
+		found := false
+		for _, t := range queryPools[i] {
+			if t.CanonicalKey() == q.GoldKey {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }

@@ -103,22 +103,11 @@ func (a *Arena) NewSingle(v graph.NodeID) *Tree {
 	return t
 }
 
-// Grow is Tree.Grow drawing the new tree from the arena. Validation happens
-// before any storage is taken, so failed grows cost nothing.
-func (a *Arena) Grow(t *Tree, g *graph.Graph, newRoot graph.NodeID) (*Tree, error) {
-	pos, err := t.checkGrow(g, newRoot)
-	if err != nil {
-		return nil, err
-	}
-	nt := a.tree(len(t.nodes) + 1)
-	t.growInto(nt, newRoot, pos)
-	return nt, nil
-}
-
-// GrowEdge is Grow for a caller that enumerated newRoot from the out-edges
-// of t's root: the edge exists by construction, so only the overlap check
-// remains, and the binary search that makes it also yields the insertion
-// position. It returns nil, taking no storage, when newRoot is already in t.
+// GrowEdge is Tree.Grow drawing the new tree from the arena, for a caller
+// that enumerated newRoot from the out-edges of t's root: the edge exists by
+// construction, so only the overlap check remains, and the binary search
+// that makes it also yields the insertion position. It returns nil, taking
+// no storage, when newRoot is already in t.
 func (a *Arena) GrowEdge(t *Tree, newRoot graph.NodeID) *Tree {
 	pos, present := t.search(newRoot)
 	if present {

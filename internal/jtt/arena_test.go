@@ -31,8 +31,8 @@ func TestArenaMatchesHeap(t *testing.T) {
 		if ht, err = ht.Grow(g, v); err != nil {
 			t.Fatal(err)
 		}
-		if at, err = a.Grow(at, g, v); err != nil {
-			t.Fatal(err)
+		if at = a.GrowEdge(at, v); at == nil {
+			t.Fatalf("arena grow onto %d failed", v)
 		}
 	}
 	if hk, ak := ht.CanonicalKey(), at.CanonicalKey(); hk != ak {
@@ -47,18 +47,12 @@ func TestArenaMatchesHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aleft, err := a.Grow(a.NewSingle(2), g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	aleft := a.GrowEdge(a.NewSingle(2), 1)
 	right, err := NewSingle(0).Grow(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aright, err := a.Grow(a.NewSingle(0), g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	aright := a.GrowEdge(a.NewSingle(0), 1)
 	hm, err := left.Merge(right)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +66,7 @@ func TestArenaMatchesHeap(t *testing.T) {
 	}
 
 	// Failed operations must not consume arena storage or corrupt state.
-	if _, err := a.Grow(am, g, 0); err == nil {
+	if a.GrowEdge(am, 0) != nil {
 		t.Fatal("grow into contained node succeeded")
 	}
 	if _, err := a.Merge(am, am); err == nil {
@@ -83,22 +77,15 @@ func TestArenaMatchesHeap(t *testing.T) {
 // TestArenaResetReuse verifies that Reset recycles storage: after a reset,
 // new trees are valid and Clone detaches survivors correctly.
 func TestArenaResetReuse(t *testing.T) {
-	g := chainGraph(6)
 	var a Arena
-	first, err := a.Grow(a.NewSingle(1), g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := a.GrowEdge(a.NewSingle(1), 2)
 	keep := first.Clone()
 	wantKey := keep.CanonicalKey()
 
 	a.Reset()
 	// Overwrite the recycled storage with different trees.
 	for i := 0; i < 1000; i++ {
-		tr, err := a.Grow(a.NewSingle(4), g, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := a.GrowEdge(a.NewSingle(4), 5)
 		if tr.Root() != 5 || tr.Size() != 2 {
 			t.Fatalf("post-reset tree corrupt: root %d size %d", tr.Root(), tr.Size())
 		}

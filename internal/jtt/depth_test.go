@@ -55,17 +55,13 @@ func heapMaker() treeMaker {
 	}
 }
 
-// arenaMaker alternates the checked Grow with GrowEdge — legal here because
-// the property test only grows to out-neighbours of the root — and holds
-// GrowEdge to the checked heap grow's verdict and result.
+// arenaMaker grows with GrowEdge — legal here because the property test only
+// grows to out-neighbours of the root — and holds it to the checked heap
+// grow's verdict and result.
 func arenaMaker(t *testing.T, a *Arena) treeMaker {
-	calls := 0
 	return treeMaker{
 		single: a.NewSingle,
 		grow: func(tr *Tree, g *graph.Graph, v graph.NodeID) (*Tree, error) {
-			if calls++; calls%2 == 0 {
-				return a.Grow(tr, g, v)
-			}
 			want, err := tr.Grow(g, v)
 			got := a.GrowEdge(tr, v)
 			if (got == nil) != (err != nil) {

@@ -62,19 +62,6 @@ type Result struct {
 	Converged bool
 }
 
-// Min returns the smallest score, the paper's p_min (the importance of the
-// node assumed to host a single random surfer, fixing the total surfer count
-// t = 1/p_min).
-func (r *Result) Min() float64 {
-	min := math.Inf(1)
-	for _, s := range r.Scores {
-		if s < min {
-			min = s
-		}
-	}
-	return min
-}
-
 // Compute runs power iteration on g.
 func Compute(g *graph.Graph, opts Options) (*Result, error) {
 	if opts.Teleport <= 0 || opts.Teleport >= 1 {

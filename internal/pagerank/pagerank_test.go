@@ -3,6 +3,7 @@ package pagerank
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -184,8 +185,8 @@ func TestMinPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := res.Min(); m <= 0 {
-		t.Errorf("Min() = %g, want > 0 (teleport guarantees positivity)", m)
+	if m := slices.Min(res.Scores); m <= 0 {
+		t.Errorf("min score = %g, want > 0 (teleport guarantees positivity)", m)
 	}
 }
 

@@ -214,7 +214,7 @@ func TestMemStats(t *testing.T) {
 	if want := int64(n*n) * 9; nm.Bytes != want {
 		t.Errorf("naive bytes = %d, want %d", nm.Bytes, want)
 	}
-	s := star.NumStarNodes()
+	s := star.numStar
 	if sm.Entries != s*s {
 		t.Errorf("star entries = %d, want %d", sm.Entries, s*s)
 	}

@@ -246,11 +246,11 @@ func TestStarIndexSmallerThanNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if star.NumStarNodes() != 3 {
-		t.Errorf("NumStarNodes = %d, want 3", star.NumStarNodes())
+	if star.numStar != 3 {
+		t.Errorf("numStar = %d, want 3", star.numStar)
 	}
 	// 3×3 tables vs 33×33: the point of the design.
-	if got := star.NumStarNodes() * star.NumStarNodes(); got >= g.NumNodes()*g.NumNodes() {
+	if got := star.numStar * star.numStar; got >= g.NumNodes()*g.NumNodes() {
 		t.Errorf("star table size %d not smaller than naive %d", got, g.NumNodes()*g.NumNodes())
 	}
 }

@@ -98,12 +98,6 @@ func BuildStarContext(ctx context.Context, g *graph.Graph, damp []float64, isSta
 	return ix, nil
 }
 
-// NumStarNodes reports how many nodes are indexed.
-func (ix *StarIndex) NumStarNodes() int { return ix.numStar }
-
-// MaxDepth reports the index horizon.
-func (ix *StarIndex) MaxDepth() int { return ix.maxDepth }
-
 // MemStats reports the table footprint: |S|² entries of one distance byte
 // and one retention float each, plus the per-node star-ordinal, flag and
 // dampening arrays the non-star lookup cases need.

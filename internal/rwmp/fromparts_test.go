@@ -15,17 +15,17 @@ func TestNewFromPartsMatchesNew(t *testing.T) {
 		[][2]int{{0, 1}, {1, 2}, {2, 3}},
 		DefaultParams())
 
-	imp := f.m.ImportanceVector()
-	damp, err := DampRates(imp, f.m.Params())
+	imp := f.m.imp
+	damp, _, err := dampRates(imp, f.m.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(damp) != len(f.m.DampVector()) {
-		t.Fatalf("DampRates returned %d rates for %d nodes", len(damp), len(f.m.DampVector()))
+		t.Fatalf("dampRates returned %d rates for %d nodes", len(damp), len(f.m.DampVector()))
 	}
 	for i, d := range damp {
 		if d != f.m.DampVector()[i] {
-			t.Fatalf("DampRates[%d] = %g, New computed %g", i, d, f.m.DampVector()[i])
+			t.Fatalf("dampRates[%d] = %g, New computed %g", i, d, f.m.DampVector()[i])
 		}
 	}
 
@@ -33,19 +33,18 @@ func TestNewFromPartsMatchesNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.PMin() != f.m.PMin() || re.MaxDamp() != f.m.MaxDamp() {
-		t.Fatalf("pmin/maxdamp %g/%g, want %g/%g",
-			re.PMin(), re.MaxDamp(), f.m.PMin(), f.m.MaxDamp())
+	if re.t != f.m.t {
+		t.Fatalf("surfers %g, want %g", re.t, f.m.t)
 	}
 	for v := 0; v < f.g.NumNodes(); v++ {
 		id := graph.NodeID(v)
-		if re.Damp(id) != f.m.Damp(id) || re.Importance(id) != f.m.Importance(id) {
+		if re.Damp(id) != f.m.Damp(id) || re.imp[id] != f.m.imp[id] {
 			t.Fatalf("node %d: damp/imp %g/%g, want %g/%g",
-				v, re.Damp(id), re.Importance(id), f.m.Damp(id), f.m.Importance(id))
+				v, re.Damp(id), re.imp[id], f.m.Damp(id), f.m.imp[id])
 		}
 	}
 	// The vectors are retained, not copied.
-	if &re.ImportanceVector()[0] != &imp[0] || &re.DampVector()[0] != &damp[0] {
+	if &re.imp[0] != &imp[0] || &re.DampVector()[0] != &damp[0] {
 		t.Error("NewFromParts copied its input vectors")
 	}
 }
@@ -84,7 +83,7 @@ func TestNewFromPartsValidation(t *testing.T) {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if _, err := DampRates([]float64{0.5, 0}, params); err == nil {
-		t.Error("DampRates accepted a zero importance entry")
+	if _, _, err := dampRates([]float64{0.5, 0}, params); err == nil {
+		t.Error("dampRates accepted a zero importance entry")
 	}
 }

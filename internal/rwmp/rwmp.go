@@ -67,11 +67,8 @@ type Model struct {
 	ix     *textindex.Index
 	params Params
 	imp    []float64 // node importance p_i
-	pmin   float64
 	t      float64   // total surfers, 1/p_min
 	damp   []float64 // precomputed dampening rate per node
-	// maxDamp is the largest entry of damp.
-	maxDamp float64
 }
 
 // New builds a model over g with the given importance vector (one entry per
@@ -126,22 +123,7 @@ func NewFromParts(g *graph.Graph, ix *textindex.Index, importance, damp []float6
 
 // newModel assembles a model from validated parts.
 func newModel(g *graph.Graph, ix *textindex.Index, params Params, importance []float64, pmin float64, damp []float64) *Model {
-	m := &Model{g: g, ix: ix, params: params, imp: importance, pmin: pmin, t: 1 / pmin, damp: damp}
-	for _, d := range damp {
-		m.maxDamp = max(m.maxDamp, d)
-	}
-	return m
-}
-
-// DampRates evaluates Eq. 2 for every node of an importance vector,
-// returning the per-node dampening rates d_u. It is the same computation New
-// performs, exposed so the offline build pipeline can construct the §V path
-// indexes (which consume the damp vector) concurrently with the text index,
-// before the full model exists; both paths share dampRates, so the values
-// are guaranteed identical.
-func DampRates(importance []float64, params Params) ([]float64, error) {
-	damp, _, err := dampRates(importance, params)
-	return damp, err
+	return &Model{g: g, ix: ix, params: params, imp: importance, t: 1 / pmin, damp: damp}
 }
 
 // dampRates validates params and importance and evaluates Eq. 2 per node,
@@ -190,15 +172,6 @@ func (m *Model) Graph() *graph.Graph { return m.g }
 // Index returns the text index the model matches keywords with.
 func (m *Model) Index() *textindex.Index { return m.ix }
 
-// Importance returns p_v.
-func (m *Model) Importance(v graph.NodeID) float64 { return m.imp[v] }
-
-// PMin returns the smallest importance value in the graph.
-func (m *Model) PMin() float64 { return m.pmin }
-
-// Surfers returns the total surfer population t = 1/p_min.
-func (m *Model) Surfers() float64 { return m.t }
-
 // Damp returns the dampening rate d_v of Eq. 2.
 func (m *Model) Damp(v graph.NodeID) float64 { return m.damp[v] }
 
@@ -206,14 +179,6 @@ func (m *Model) Damp(v graph.NodeID) float64 { return m.damp[v] }
 // slice aliases internal storage and must not be modified; snapshotting uses
 // it to persist the rates so a reload can skip re-evaluating Eq. 2.
 func (m *Model) DampVector() []float64 { return m.damp }
-
-// ImportanceVector returns the model's full importance vector. The slice
-// aliases internal storage and must not be modified.
-func (m *Model) ImportanceVector() []float64 { return m.imp }
-
-// MaxDamp returns the largest dampening rate in the graph: any path of h
-// hops retains at most MaxDamp^(h−1) of its messages.
-func (m *Model) MaxDamp() float64 { return m.maxDamp }
 
 // Generation returns r_vv = t · p_v · |v ∩ Q| / |v|, the number of messages
 // node v generates for the query; zero for free nodes or empty nodes.

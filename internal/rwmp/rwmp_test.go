@@ -117,7 +117,7 @@ func TestGeneration(t *testing.T) {
 	)
 	q := []string{"alpha"}
 	// Node 0: imp 0.25, |v∩Q| = 1, |v| = 2 → t·0.25·1/2.
-	tt := fx.m.Surfers()
+	tt := fx.m.t
 	if got, want := fx.m.Generation(0, q), tt*0.25*0.5; math.Abs(got-want) > 1e-9 {
 		t.Errorf("Generation(0) = %g, want %g", got, want)
 	}
@@ -368,25 +368,6 @@ func TestDeliveredBoundedProperty(t *testing.T) {
 	}
 }
 
-func TestMaxDamp(t *testing.T) {
-	fx := build(t,
-		[]string{"a", "b", "c"},
-		[]float64{1, 10, 100},
-		[][2]int{{0, 1}, {1, 2}},
-		DefaultParams(),
-	)
-	max := fx.m.MaxDamp()
-	for v := 0; v < fx.g.NumNodes(); v++ {
-		if d := fx.m.Damp(graph.NodeID(v)); d > max {
-			t.Errorf("Damp(%d) = %g exceeds MaxDamp %g", v, d, max)
-		}
-	}
-	// The most important node attains the maximum.
-	if fx.m.Damp(2) != max {
-		t.Errorf("MaxDamp %g != most important node's damp %g", max, fx.m.Damp(2))
-	}
-}
-
 func TestPathFactorMissingEdge(t *testing.T) {
 	// Attach takes the caller's word for the edge: this tree claims the
 	// non-edge 0–2 beside the real edge 0–1. A path over the claimed edge
@@ -420,10 +401,10 @@ func TestModelAccessors(t *testing.T) {
 	if fx.m.Index() != fx.ix {
 		t.Error("Index accessor mismatch")
 	}
-	if fx.m.PMin() <= 0 || fx.m.Surfers() != 1/fx.m.PMin() {
-		t.Errorf("PMin/Surfers inconsistent: %g, %g", fx.m.PMin(), fx.m.Surfers())
+	if pmin := min(fx.m.imp[0], fx.m.imp[1]); pmin <= 0 || fx.m.t != 1/pmin {
+		t.Errorf("p_min %g and surfers %g inconsistent", pmin, fx.m.t)
 	}
-	if fx.m.Importance(1) <= fx.m.Importance(0) {
+	if fx.m.imp[1] <= fx.m.imp[0] {
 		t.Error("importance ordering lost")
 	}
 	if fx.m.Params().Alpha != 0.15 {

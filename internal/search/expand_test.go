@@ -83,7 +83,7 @@ func TestArenaHandsOutOnlyKeptTrees(t *testing.T) {
 		// Every spoke reaches the hub through two expansions: its leaf grows
 		// to the connector, and that tree to the hub. The depth-2 trees at
 		// the hub merge but are never queued.
-		if st.stats.Answers == 0 || st.stats.Expanded < 80 || st.stats.Partial() {
+		if st.stats.Answers == 0 || st.stats.Expanded < 80 || st.stats.Truncated || st.stats.Interrupted {
 			t.Fatalf("workers=%d: unexpected stats %+v", workers, st.stats)
 		}
 		if got := sc.arena.Trees(); got != st.stats.Built {
@@ -117,7 +117,7 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 		t.Fatalf("fixture too small to exceed the caps: seen %d, cand slabs %d, pq %d, roots %d, field region %d",
 			sc.seen.n, len(sc.cands.slabs), cap(sc.pq), len(sc.roots), len(sc.region.nodes))
 	}
-	if st.stats.Answers == 0 || st.stats.Expanded > 4*400 || st.stats.Partial() {
+	if st.stats.Answers == 0 || st.stats.Expanded > 4*400 || st.stats.Truncated || st.stats.Interrupted {
 		t.Fatalf("the idle pairs were expanded, or the hub query went wrong: %+v", st.stats)
 	}
 	// The hub roots the 40k-candidate merge closure, and every node of the

@@ -123,7 +123,7 @@ func TestParallelDeterminismIndexed(t *testing.T) {
 	fx := prepareDatagen(t, "imdb", 0.12, 3, 17, 8)
 	damp := make([]float64, fx.g.NumNodes())
 	for i := range damp {
-		damp[i] = fx.s.Model().Damp(graph.NodeID(i))
+		damp[i] = fx.s.m.Damp(graph.NodeID(i))
 	}
 	idx, err := pathindex.BuildNaive(fx.g, damp, 4)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestParallelDeterminismIndexed(t *testing.T) {
 // ranked lists.
 func TestConcurrentCachedSearches(t *testing.T) {
 	fx := prepareDatagen(t, "imdb", 0.1, 5, 23, 4)
-	idx, err := pathindex.BuildStar(fx.g, fx.s.Model().DampVector(), fx.isStar, 4)
+	idx, err := pathindex.BuildStar(fx.g, fx.s.m.DampVector(), fx.isStar, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,11 +144,6 @@ type Stats struct {
 	MergesPriced, MergesSkipped int
 }
 
-// Partial reports whether the search stopped before exhausting its frontier
-// — by the MaxExpansions cap or by context cancellation — so the answers are
-// the best found so far rather than provably optimal.
-func (s Stats) Partial() bool { return s.Truncated || s.Interrupted }
-
 // Searcher runs queries against one RWMP model. It is safe for concurrent
 // use: searches share only immutable state plus a scratch pool, and
 // concurrent queries draw distinct scratches from it.
@@ -172,9 +167,6 @@ func New(m *rwmp.Model) *Searcher {
 	}
 	return &Searcher{m: m, nbDamp: nbDamp}
 }
-
-// Model returns the scoring model the searcher uses.
-func (s *Searcher) Model() *rwmp.Model { return s.m }
 
 // maxQueryTerms bounds the per-candidate coverage bitmask.
 const maxQueryTerms = 64

@@ -45,11 +45,10 @@ func queryCost(eng *cirank.Engine, terms []string) int64 {
 // acquire cost, so a thundering herd on one hot query charges the budget
 // once no matter how many requests ride along.
 type admission struct {
-	// budget is the maximal total estimated cost admitted at once. It is
-	// atomic because the weighted-fair policy rewrites every tenant's share
-	// when the tenant set changes (Server.rebalance), racing in-flight
-	// admission decisions by design.
-	budget atomic.Int64
+	// budget is the maximal total estimated cost admitted at once: the
+	// tenant's weighted-fair share, fixed when the tenant is built
+	// (Server.newTenant).
+	budget int64
 	// maxConcurrent additionally caps the number of admitted evaluations
 	// (0 = unlimited); it keeps floods of near-zero-cost queries from
 	// swamping the scheduler when the cost budget alone would admit them.
@@ -80,7 +79,7 @@ func (a *admission) tryAcquire(cost int64) bool {
 		c := a.cost.Load()
 		// An idle server admits any query, however expensive: the budget
 		// sheds concurrent overload, it does not define a query-size limit.
-		if c > 0 && c+cost > a.budget.Load() {
+		if c > 0 && c+cost > a.budget {
 			a.inflight.Add(-1)
 			a.rejected.Add(1)
 			return false

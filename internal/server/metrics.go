@@ -101,13 +101,13 @@ type tenantScrape struct {
 // scrape assembles the view for one /v1/metrics exposition.
 func (s *Server) scrape() scrapeView {
 	v := scrapeView{generation: s.generation()}
-	for _, t := range s.reg.all() {
+	for _, t := range s.reg.sorted {
 		ts := tenantScrape{
 			name:         t.name,
 			generation:   t.provider.Generation(),
 			leases:       t.provider.Leases(),
 			weight:       t.weight,
-			budget:       t.adm.budget.Load(),
+			budget:       t.adm.budget,
 			inflightCost: t.adm.cost.Load(),
 			admitted:     t.adm.admitted.Load(),
 			admRejected:  t.adm.rejected.Load(),

@@ -151,22 +151,6 @@ func (p *Provider) Close() {
 	}
 }
 
-// CloseWait retires the current engine like Close and additionally waits up
-// to timeout for the outstanding leases to drain (and the engine to be
-// closed), reporting whether the drain completed. A provider that was
-// already closed reports true — the earlier close owns that drain.
-func (p *Provider) CloseWait(timeout time.Duration) bool {
-	p.mu.Lock()
-	old := p.cur.Swap(nil)
-	p.mu.Unlock()
-	if old == nil {
-		return true
-	}
-	done := old.done
-	old.release()
-	return drainWaiter(done)(timeout)
-}
-
 // drainWaiter adapts a handle's done channel to a timeout-bounded wait.
 func drainWaiter(done <-chan struct{}) func(time.Duration) bool {
 	return func(timeout time.Duration) bool {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"regexp"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"cirank"
@@ -17,7 +15,7 @@ import (
 // singleflight group and cost-based admission — so one tenant's hot reload
 // or posting-heavy traffic cannot invalidate another's cache, ride its
 // flights, or starve its budget. The global admission budget is divided by
-// a weighted-fair policy (see Server.rebalance); request routing resolves
+// a weighted-fair policy (see Server.newTenant); request routing resolves
 // the tenant exactly once, in Server.resolveTenant, for every handler.
 
 // DefaultTenantName is the name a single-tenant Config's implicit tenant
@@ -80,11 +78,7 @@ func (t *tenant) acquire() (*Lease, *apiError) {
 // back-off, clamped to [1s, 30s] — so a client of a saturated tenant backs
 // off harder than a client that lost a photo-finish race for the last unit.
 func (t *tenant) retryAfterHint() int {
-	budget := t.adm.budget.Load()
-	if budget <= 0 {
-		return 1
-	}
-	over := t.adm.cost.Load() / budget
+	over := t.adm.cost.Load() / t.adm.budget
 	if over < 0 {
 		over = 0
 	}
@@ -94,82 +88,30 @@ func (t *tenant) retryAfterHint() int {
 	return 1 + int(over)
 }
 
-// registry is the name → tenant map behind the Server. Lookups take a read
-// lock only; mutation (AddTenant, RemoveTenant) is rare and writer-locked.
+// registry is the name → tenant map behind the Server. New builds it once
+// from Config.Tenants and nothing writes it afterwards, so lookups take no
+// lock.
 type registry struct {
-	mu      sync.RWMutex
-	tenants map[string]*tenant
+	byName map[string]*tenant
+	// sorted holds the tenants in name order — the iteration order of
+	// healthz blocks, metric series and the server-wide composite
+	// generation. Callers must not modify it.
+	sorted []*tenant
 }
 
 // get returns the named tenant, if registered.
 func (r *registry) get(name string) (*tenant, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	t, ok := r.tenants[name]
+	t, ok := r.byName[name]
 	return t, ok
 }
 
 // sole returns the only tenant when exactly one is registered — the
 // back-compat default for requests without a tenant parameter.
 func (r *registry) sole() (*tenant, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.tenants) != 1 {
+	if len(r.sorted) != 1 {
 		return nil, false
 	}
-	for _, t := range r.tenants {
-		return t, true
-	}
-	return nil, false
-}
-
-// size reports the number of registered tenants.
-func (r *registry) size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.tenants)
-}
-
-// all returns every tenant in sorted name order — the iteration order of
-// healthz blocks, metric series and the server-wide composite generation.
-func (r *registry) all() []*tenant {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.tenants))
-	for name := range r.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]*tenant, len(names))
-	for i, name := range names {
-		out[i] = r.tenants[name]
-	}
-	return out
-}
-
-// insert registers t, failing on a duplicate name.
-func (r *registry) insert(t *tenant) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.tenants == nil {
-		r.tenants = make(map[string]*tenant)
-	}
-	if _, dup := r.tenants[t.name]; dup {
-		return fmt.Errorf("%w: duplicate tenant name %q", ErrBadConfig, t.name)
-	}
-	r.tenants[t.name] = t
-	return nil
-}
-
-// remove unregisters and returns the named tenant.
-func (r *registry) remove(name string) (*tenant, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.tenants[name]
-	if ok {
-		delete(r.tenants, name)
-	}
-	return t, ok
+	return r.sorted[0], true
 }
 
 // tenantNameRe is the wire-safe tenant name shape: it appears verbatim in
@@ -177,8 +119,7 @@ func (r *registry) remove(name string) (*tenant, bool) {
 var tenantNameRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 
 // normalizeTenant validates one tenant config against the server config and
-// fills its inherited defaults. Shared by Config.withDefaults and AddTenant
-// so startup and runtime tenants pass exactly the same gate.
+// fills its inherited defaults, for Config.withDefaults.
 func (c Config) normalizeTenant(tc TenantConfig) (TenantConfig, error) {
 	if !tenantNameRe.MatchString(tc.Name) {
 		return tc, fmt.Errorf("%w: bad tenant name %q: want [A-Za-z0-9][A-Za-z0-9._-]*, at most 64 characters", ErrBadConfig, tc.Name)
@@ -199,10 +140,10 @@ func (c Config) normalizeTenant(tc TenantConfig) (TenantConfig, error) {
 }
 
 // newTenant assembles the registry entry for a normalized tenant config: a
-// provider over its engine, its own cache/flight/admission slice. The
-// admission budget starts at the whole global budget; rebalance immediately
-// narrows it to the tenant's fair share.
-func (s *Server) newTenant(tc TenantConfig) *tenant {
+// provider over its engine, its own cache/flight/admission slice. Its
+// admission budget is its weighted-fair share of the global budget,
+// AdmissionBudget × weight / totalWeight, at least 1.
+func (s *Server) newTenant(tc TenantConfig, totalWeight int64) *tenant {
 	t := &tenant{
 		name:         tc.Name,
 		snapshotPath: tc.SnapshotPath,
@@ -210,34 +151,11 @@ func (s *Server) newTenant(tc TenantConfig) *tenant {
 		weight:       int64(tc.AdmissionWeight),
 	}
 	t.adm.maxConcurrent = int64(s.cfg.MaxInFlight)
-	t.adm.budget.Store(s.cfg.AdmissionBudget)
+	t.adm.budget = max(s.cfg.AdmissionBudget*t.weight/totalWeight, 1)
 	if tc.ResultCacheSize > 0 {
 		t.cache = newResultCache(tc.ResultCacheSize)
 	}
 	return t
-}
-
-// rebalance recomputes every tenant's admission budget as its weighted-fair
-// share of the global budget: AdmissionBudget × weight / Σweights, at least
-// 1. Called whenever the tenant set changes; the shares are atomic, so
-// in-flight admission decisions simply see the new budget on their next
-// load.
-func (s *Server) rebalance() {
-	tenants := s.reg.all()
-	var total int64
-	for _, t := range tenants {
-		total += t.weight
-	}
-	if total <= 0 {
-		return
-	}
-	for _, t := range tenants {
-		share := s.cfg.AdmissionBudget * t.weight / total
-		if share < 1 {
-			share = 1
-		}
-		t.adm.budget.Store(share)
-	}
 }
 
 // resolveTenant maps a request's tenant parameter to its registry entry —
@@ -250,10 +168,6 @@ func (s *Server) resolveTenant(name string) (*tenant, *apiError) {
 		if t, ok := s.reg.sole(); ok {
 			return t, nil
 		}
-		if s.reg.size() == 0 {
-			return nil, &apiError{status: http.StatusServiceUnavailable, code: codeUnavailable,
-				msg: "no tenants are being served"}
-		}
 		return nil, &apiError{status: http.StatusBadRequest, code: codeBadRequest,
 			msg: "tenant parameter required on a multi-tenant server"}
 	}
@@ -264,50 +178,13 @@ func (s *Server) resolveTenant(name string) (*tenant, *apiError) {
 		msg: fmt.Sprintf("unknown tenant %q", name)}
 }
 
-// AddTenant registers a new tenant at runtime and rebalances the fair
-// budget shares. The config passes exactly the validation a startup tenant
-// does; on error the engine stays the caller's to close. Note the reload
-// endpoints are only mounted when some startup tenant configured a
-// snapshot path — a runtime tenant's SnapshotPath is honored whenever the
-// endpoints exist.
-func (s *Server) AddTenant(tc TenantConfig) error {
-	tc, err := s.cfg.normalizeTenant(tc)
-	if err != nil {
-		return err
-	}
-	t := s.newTenant(tc)
-	if err := s.reg.insert(t); err != nil {
-		return err
-	}
-	s.rebalance()
-	return nil
-}
-
-// RemoveTenant unregisters the named tenant, rebalances the fair budget
-// shares, and retires the tenant's engine: requests already holding a lease
-// finish against the engine they borrowed, new requests get 404, and the
-// engine is closed once its leases drain. It reports whether the drain
-// completed within Config.ReloadDrainTimeout — false is not a failure, the
-// tenant is gone either way and stragglers keep computing safely.
-func (s *Server) RemoveTenant(name string) (bool, error) {
-	t, ok := s.reg.remove(name)
-	if !ok {
-		return false, fmt.Errorf("server: unknown tenant %q", name)
-	}
-	s.rebalance()
-	return t.provider.CloseWait(s.cfg.ReloadDrainTimeout), nil
-}
-
 // generation reports the server-wide composite generation without leasing,
 // for error envelopes and batch headers: the sum of the tenants' provider
 // generations minus one per tenant after the first, so a fresh server starts
 // at 1 and every reload of any tenant bumps it by exactly one. With a single
-// tenant it is that tenant's generation unchanged; 0 with no tenants.
+// tenant it is that tenant's generation unchanged.
 func (s *Server) generation() uint64 {
-	tenants := s.reg.all()
-	if len(tenants) == 0 {
-		return 0
-	}
+	tenants := s.reg.sorted
 	var sum uint64
 	for _, t := range tenants {
 		sum += t.provider.Generation()

@@ -217,8 +217,8 @@ func TestTenantReloadIsolation(t *testing.T) {
 }
 
 // TestWeightedFairShares pins the budget split: AdmissionBudget × weight /
-// Σweights with a floor of 1, recomputed whenever the tenant set changes —
-// and saturating one tenant's share sheds only that tenant's queries.
+// Σweights with a floor of 1 — and saturating one tenant's share sheds only
+// that tenant's queries.
 func TestWeightedFairShares(t *testing.T) {
 	s, url := func() (*Server, string) {
 		s, ts := newTestServer(t, Config{AdmissionBudget: 8, MaxInFlight: 64,
@@ -230,7 +230,7 @@ func TestWeightedFairShares(t *testing.T) {
 	}()
 	books, _ := s.reg.get("books")
 	papers, _ := s.reg.get("papers")
-	if b, p := books.adm.budget.Load(), papers.adm.budget.Load(); b != 2 || p != 6 {
+	if b, p := books.adm.budget, papers.adm.budget; b != 2 || p != 6 {
 		t.Fatalf("fair shares = %d/%d, want 2/6", b, p)
 	}
 
@@ -252,86 +252,12 @@ func TestWeightedFairShares(t *testing.T) {
 	}
 	getJSON(t, url+"/v1/search?q=ullman&tenant=papers", http.StatusOK, nil)
 	books.adm.release(100)
-
-	// Removing a tenant hands the freed share to the survivors.
-	if _, err := s.RemoveTenant("papers"); err != nil {
-		t.Fatal(err)
-	}
-	if b := books.adm.budget.Load(); b != 8 {
-		t.Errorf("sole survivor's budget = %d, want 8", b)
-	}
-}
-
-// TestTenantLifecycle adds and removes tenants at runtime: the new tenant
-// serves immediately, removal drains outstanding leases before the engines
-// close, and in-flight requests finish against the engines they borrowed.
-func TestTenantLifecycle(t *testing.T) {
-	s, ts := newTestServer(t, Config{ReloadDrainTimeout: 50 * time.Millisecond,
-		Tenants: []TenantConfig{{Name: "books", Engine: smallEngine(t)}}})
-	url := ts.URL
-
-	// The sole tenant resolves without a parameter...
-	var res V1SearchResponse
-	getJSON(t, url+"/v1/search?q=ullman", http.StatusOK, &res)
-	if res.Tenant != "books" {
-		t.Fatalf("sole tenant resolved to %q", res.Tenant)
-	}
-	// ...until a second one arrives.
-	if err := s.AddTenant(TenantConfig{Name: "papers", Engine: ullmanVariant(t, 3)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddTenant(TenantConfig{Name: "papers", Engine: ullmanVariant(t, 3)}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("duplicate AddTenant: %v", err)
-	}
-	getJSON(t, url+"/v1/search?q=ullman", http.StatusBadRequest, nil)
-	getJSON(t, url+"/v1/search?q=ullman&tenant=papers", http.StatusOK, &res)
-	if res.Tenant != "papers" {
-		t.Fatalf("runtime tenant resolved to %q", res.Tenant)
-	}
-
-	// Removal with an outstanding lease: the drain times out (engines close
-	// later), but the borrowed engine keeps computing safely.
-	papers, _ := s.reg.get("papers")
-	lease := papers.provider.Acquire()
-	if lease == nil {
-		t.Fatal("no lease from the live tenant")
-	}
-	drained, err := s.RemoveTenant("papers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if drained {
-		t.Error("drain reported complete with a lease outstanding")
-	}
-	if _, err := lease.Engine().Search("ullman", 1); err != nil {
-		t.Errorf("borrowed engine unusable after removal: %v", err)
-	}
-	lease.Release()
-	if _, err := s.RemoveTenant("papers"); err == nil {
-		t.Error("second removal of the same tenant succeeded")
-	}
-
-	// The name is gone from every surface, and the survivor is sole again.
-	getJSON(t, url+"/v1/search?q=ullman&tenant=papers", http.StatusNotFound, nil)
-	getJSON(t, url+"/v1/search?q=ullman", http.StatusOK, &res)
-	if res.Tenant != "books" {
-		t.Errorf("survivor not sole: resolved %q", res.Tenant)
-	}
-
-	// A clean removal (no leases) drains immediately.
-	if err := s.AddTenant(TenantConfig{Name: "ephemeral", Engine: smallEngine(t)}); err != nil {
-		t.Fatal(err)
-	}
-	if drained, err := s.RemoveTenant("ephemeral"); err != nil || !drained {
-		t.Errorf("idle removal drained=%v err=%v", drained, err)
-	}
 }
 
 // TestTenantReloadDrainClose follows one tenant's single provider through its
 // whole life: a reload swaps at once and reports drained=false while a lease
 // on the old generation is out, the borrowed engine keeps answering, the
-// release closes it, and removal then drains immediately and closes the
-// provider for good.
+// release closes it, and Server.Close then closes the provider for good.
 func TestTenantReloadDrainClose(t *testing.T) {
 	_, s, url := snapshotServer(t, smallEngine(t), Config{ReloadDrainTimeout: 20 * time.Millisecond})
 	tn, _ := s.reg.get(DefaultTenantName)
@@ -357,32 +283,36 @@ func TestTenantReloadDrainClose(t *testing.T) {
 	if rel.Generation != 3 || !rel.Drained {
 		t.Fatalf("idle reload: %+v, want generation 3 and drained=true", rel)
 	}
-	if drained, err := s.RemoveTenant(DefaultTenantName); err != nil || !drained {
-		t.Fatalf("idle removal drained=%v err=%v", drained, err)
-	}
+	s.Close()
 	if tn.provider.Acquire() != nil {
-		t.Error("Acquire succeeded on a removed tenant's provider")
+		t.Error("Acquire succeeded on a closed server's provider")
 	}
 }
 
-// TestProviderCloseWait pins the drain-aware close: with a lease outstanding
-// it times out false, after the release it reports drained, and afterwards it
-// is an idempotent no-op.
-func TestProviderCloseWait(t *testing.T) {
+// TestProviderClose pins close under an outstanding lease: Acquire returns
+// nil at once, the leased engine keeps answering, and the handle's done
+// closes (and its engine with it) only at the last Release.
+func TestProviderClose(t *testing.T) {
 	p := NewProvider(smallEngine(t))
 	l := p.Acquire()
-	if p.CloseWait(10 * time.Millisecond) {
-		t.Fatal("CloseWait drained under an outstanding lease")
-	}
+	done := p.cur.Load().done
+	p.Close()
 	if p.Acquire() != nil {
 		t.Fatal("Acquire succeeded on a closed provider")
+	}
+	select {
+	case <-done:
+		t.Fatal("engine retired under an outstanding lease")
+	default:
 	}
 	if _, err := l.Engine().Search("ullman", 1); err != nil {
 		t.Fatalf("leased engine unusable during close drain: %v", err)
 	}
 	l.Release()
-	if !p.CloseWait(time.Second) {
-		t.Fatal("CloseWait after the last release did not drain")
+	select {
+	case <-done:
+	default:
+		t.Fatal("the last release did not retire the engine")
 	}
 }
 
@@ -416,12 +346,12 @@ func TestProviderCloseAcquireRace(t *testing.T) {
 			defer wg.Done()
 			<-start
 			p.Swap(smallEngine(t))
-			p.CloseWait(time.Second)
+			p.Close()
 		}()
 		close(start)
 		wg.Wait()
 		if l := p.Acquire(); l != nil {
-			t.Fatal("Acquire succeeded after CloseWait")
+			t.Fatal("Acquire succeeded after Close")
 		}
 	}
 }

@@ -38,9 +38,8 @@
 // reports a block per tenant, /v1/metrics labels the
 // per-tenant series, and the global admission budget is split by a
 // weighted-fair policy so one tenant's heavy queries cannot starve another.
-// Tenants hot-reload independently (/v1/admin/reload?tenant=<name>) and can
-// be added or removed at runtime with lease-drained retirement
-// (Server.AddTenant, Server.RemoveTenant).
+// The tenant set is fixed when New runs; each tenant hot-reloads
+// independently (/v1/admin/reload?tenant=<name>).
 package server
 
 import (
@@ -49,6 +48,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -233,10 +233,10 @@ type Server struct {
 	mux      *http.ServeMux
 }
 
-// New validates the config and assembles a Server. The server's Providers
+// New validates the config and assembles a Server over the tenant set it
+// names, which stays fixed for the server's life. The server's Providers
 // take over the engines' lifecycles: each engine is closed when swapped out
-// by a reload (after its in-flight queries drain), when its tenant is
-// removed, or by Server.Close.
+// by a reload (after its in-flight queries drain) or by Server.Close.
 func New(cfg Config) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -245,17 +245,22 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg: cfg,
 		mux: http.NewServeMux(),
+		reg: registry{byName: make(map[string]*tenant, len(cfg.Tenants))},
+	}
+	var totalWeight int64
+	for _, tc := range cfg.Tenants {
+		totalWeight += int64(tc.AdmissionWeight)
 	}
 	reloadConfigured := false
 	for _, tc := range cfg.Tenants {
-		if err := s.reg.insert(s.newTenant(tc)); err != nil {
-			return nil, err
-		}
+		t := s.newTenant(tc, totalWeight)
+		s.reg.byName[t.name] = t
+		s.reg.sorted = append(s.reg.sorted, t)
 		if tc.SnapshotPath != "" {
 			reloadConfigured = true
 		}
 	}
-	s.rebalance()
+	sort.Slice(s.reg.sorted, func(i, j int) bool { return s.reg.sorted[i].name < s.reg.sorted[j].name })
 	s.mux.HandleFunc("/v1/search", s.handleV1Search)
 	s.mux.HandleFunc("/v1/healthz", s.handleV1Healthz)
 	s.mux.HandleFunc("/v1/metrics", s.handleMetricsExposition)
@@ -269,7 +274,7 @@ func New(cfg Config) (*Server, error) {
 // against the generations they leased, new ones get 503, and each engine is
 // closed once its leases drain.
 func (s *Server) Close() {
-	for _, t := range s.reg.all() {
+	for _, t := range s.reg.sorted {
 		t.provider.Close()
 	}
 }
@@ -303,12 +308,11 @@ type Answer struct {
 }
 
 // healthTargets resolves which tenants a healthz probe reports: the one the
-// tenant parameter names, the sole tenant when absent, or every tenant on a
-// multi-tenant server with no selector.
+// tenant parameter names, or every tenant when it is absent.
 func (s *Server) healthTargets(r *http.Request) ([]*tenant, *apiError) {
 	name := r.URL.Query().Get("tenant")
-	if name == "" && s.reg.size() > 1 {
-		return s.reg.all(), nil
+	if name == "" {
+		return s.reg.sorted, nil
 	}
 	t, apiErr := s.resolveTenant(name)
 	if apiErr != nil {

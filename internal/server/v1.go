@@ -372,11 +372,7 @@ func (s *Server) runBatchEntry(r *http.Request, q V1BatchQuery) V1BatchResult {
 func (s *Server) handleV1Healthz(w http.ResponseWriter, r *http.Request) {
 	tenants, apiErr := s.healthTargets(r)
 	if apiErr != nil {
-		if apiErr.code == codeUnknownTenant {
-			s.writeV1Error(w, apiErr)
-			return
-		}
-		writeJSON(w, apiErr.status, V1HealthResponse{Schema: APISchema, Status: "closed"})
+		s.writeV1Error(w, apiErr)
 		return
 	}
 	resp := V1HealthResponse{
@@ -399,7 +395,7 @@ func (s *Server) handleV1Healthz(w http.ResponseWriter, r *http.Request) {
 			Edges:           eng.NumEdges(),
 			Source:          eng.BuildStats().Source,
 			Weight:          t.weight,
-			AdmissionBudget: t.adm.budget.Load(),
+			AdmissionBudget: t.adm.budget,
 		}
 		// Release before reading the lease gauge so the probe's own borrow
 		// doesn't inflate it — an idle server reports 0.

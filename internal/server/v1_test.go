@@ -552,7 +552,7 @@ func TestResultCacheSwap(t *testing.T) {
 // concurrency cap, cost budget, and the idle-server override.
 func TestAdmissionUnit(t *testing.T) {
 	a := admission{maxConcurrent: 2}
-	a.budget.Store(10)
+	a.budget = 10
 	if !a.tryAcquire(100) {
 		t.Fatal("idle server rejected an over-budget query")
 	}
