@@ -19,9 +19,10 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs the full suite under the race detector; the concurrency tests
+# race runs the full suite under the race detector. A query runs on one
+# goroutine, so the races to find are between queries: the concurrency tests
 # (concurrency_test.go, internal/search/parallel_test.go, internal/server)
-# are written to put load on every shared structure.
+# run many at once over one engine's shared structures and scratch pool.
 race:
 	$(GO) test -race ./...
 

@@ -112,9 +112,9 @@ func TestConfigValidation(t *testing.T) {
 
 // TestSearchContextCancellation: an uncapped query aborts promptly when the
 // per-query context expires, returning the best answers found so far with
-// Stats.Interrupted. The query's only fan-out, the per-term supply-field
-// relaxation, takes its width from GOMAXPROCS, so each subtest runs the query
-// at that many Ps.
+// Stats.Interrupted. The query runs on the calling goroutine; the subtests
+// run it at GOMAXPROCS 1 and 4, so in the first the timer that fires the
+// context competes with it for one P.
 func TestSearchContextCancellation(t *testing.T) {
 	eng := denseEngine(t, 120)
 	for _, workers := range []int{1, 4} {

@@ -20,8 +20,9 @@ const seedGroups = 8
 // TestDifferential is the harness entry point: for every committed seed it
 // generates a random workload and cross-checks all four oracle axes —
 // branch-and-bound vs naive vs exhaustive top-k, path index bounds vs
-// brute-force ground truth (plus codec roundtrips), cached/parallel engine
-// variants vs the sequential baseline, and the answer/bound invariants.
+// brute-force ground truth (plus codec roundtrips), index-assisted and
+// field-free engine variants vs the plain run, and the answer/bound
+// invariants.
 func TestDifferential(t *testing.T) {
 	for group := 0; group < seedGroups; group++ {
 		group := group
@@ -86,7 +87,7 @@ func TestRegressionSeed978(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := w.Queries[2]
-	opts := search.Options{K: q.K, Diameter: q.Diameter, Workers: 1, ExtendedMerge: true}
+	opts := search.Options{K: q.K, Diameter: q.Diameter, ExtendedMerge: true}
 	bb, _, err := w.Searcher.TopK(q.Terms, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func TestExperiment(t *testing.T) {
 		}
 		// Probe: does naive == bb exactly?
 		for _, q := range w.Queries {
-			opts := search.Options{K: q.K, Diameter: q.Diameter, Workers: 1, ExtendedMerge: true}
+			opts := search.Options{K: q.K, Diameter: q.Diameter, ExtendedMerge: true}
 			bb, _, err := w.Searcher.TopK(q.Terms, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -33,7 +33,7 @@ func TestStrictGapPinned(t *testing.T) {
 		}
 		for qi, q := range w.Queries {
 			for _, d := range []int{q.Diameter, 5} {
-				opts := search.Options{K: q.K, Diameter: d, Workers: 1}
+				opts := search.Options{K: q.K, Diameter: d}
 				truth, err := w.Searcher.ExhaustiveTopK(q.Terms, opts, w.Graph.NumNodes())
 				if err != nil {
 					t.Fatal(err)

@@ -278,7 +278,7 @@ func checkAnswerInvariants(w *Workload, q Query, answers []search.Answer, label 
 // axis (d)'s invariants. It returns the search's answers and every valid
 // answer, scored and ranked.
 func optimal(w *Workload, q Query) (bb, all []search.Answer, err error) {
-	base := search.Options{K: q.K, Diameter: q.Diameter, Workers: 1, ExtendedMerge: true}
+	base := search.Options{K: q.K, Diameter: q.Diameter, ExtendedMerge: true}
 	allOpts := base
 	allOpts.K = allAnswersK
 	all, err = w.Searcher.ExhaustiveTopK(q.Terms, allOpts, w.Graph.NumNodes())
@@ -302,25 +302,23 @@ func optimal(w *Workload, q Query) (bb, all []search.Answer, err error) {
 // checkQuery runs one query through every engine variant and cross-checks
 // them against the exhaustive ground truth and against each other.
 func checkQuery(w *Workload, q Query) error {
-	base := search.Options{K: q.K, Diameter: q.Diameter, Workers: 1, ExtendedMerge: true}
+	base := search.Options{K: q.K, Diameter: q.Diameter, ExtendedMerge: true}
 	bb, all, err := optimal(w, q)
 	if err != nil {
 		return err
 	}
 	truth := all[:min(len(all), q.K)]
 
-	// Engine variants that must be *bit-identical* to the sequential run:
-	// the per-term supply fields fanned out across four goroutines, and
-	// either path index (bounds only steer pruning, never scores).
+	// Engine variants that must be *bit-identical* to the plain run: either
+	// path index (bounds only steer pruning, never scores), and the run
+	// without supply fields.
 	variants := []struct {
 		name string
 		opts func() search.Options
 	}{
-		{"parallel(4)", func() search.Options { o := base; o.Workers = 4; return o }},
 		{"naive-index", func() search.Options { o := base; o.Index = w.NaiveIdx; return o }},
 		{"star-index", func() search.Options { o := base; o.Index = w.StarIdx; return o }},
 		{"no-dynamic-bounds", func() search.Options { o := base; o.NoDynamicBounds = true; return o }},
-		{"parallel-star-index", func() search.Options { o := base; o.Workers = 4; o.Index = w.StarIdx; return o }},
 	}
 	for _, v := range variants {
 		got, _, err := w.Searcher.TopK(q.Terms, v.opts())
@@ -328,7 +326,7 @@ func checkQuery(w *Workload, q Query) error {
 			return fmt.Errorf("%s: %v", v.name, err)
 		}
 		if err := answersEqual(got, bb, 0); err != nil {
-			return fmt.Errorf("%s vs sequential bb: %w", v.name, err)
+			return fmt.Errorf("%s vs bb: %w", v.name, err)
 		}
 	}
 
@@ -394,7 +392,7 @@ func checkNaive(w *Workload, q Query, truth []search.Answer) error {
 		ref = ref[:q.K]
 	}
 
-	base := search.Options{K: q.K, Diameter: q.Diameter, Workers: 1}
+	base := search.Options{K: q.K, Diameter: q.Diameter}
 	naive, _, err := w.Searcher.NaiveTopK(q.Terms, base)
 	if err != nil {
 		return fmt.Errorf("naive: %v", err)
@@ -443,7 +441,7 @@ func checkNaive(w *Workload, q Query, truth []search.Answer) error {
 // candidates the final threshold could kill — exactly the failure mode that
 // would break bb-vs-exhaustive equality on a less lucky expansion order.
 func checkAdmissibility(w *Workload, q Query, all []search.Answer) error {
-	base := search.Options{K: q.K, Diameter: q.Diameter, Workers: 1, ExtendedMerge: true}
+	base := search.Options{K: q.K, Diameter: q.Diameter, ExtendedMerge: true}
 	variantOpts := []struct {
 		name string
 		opts search.Options

@@ -84,8 +84,24 @@ func checkBuildMatchesReference(t *testing.T, n int, calls []biEdge) {
 			t.Fatalf("outSum[%d] = %v, reference %v", i, outSum[i], wantSum[i])
 		}
 	}
-	if _, err := FromCSR(nodes, offsets, flat, outSum); err != nil {
+	g, err := FromCSR(nodes, offsets, flat, outSum)
+	if err != nil {
 		t.Fatalf("FromCSR refuses the built layout: %v", err)
+	}
+	checkReverseWeights(t, g)
+}
+
+// checkReverseWeights fails unless every out-edge's ReverseWeight is the
+// weight its destination's own list holds for the edge back.
+func checkReverseWeights(t *testing.T, g *Graph) {
+	t.Helper()
+	for u := NodeID(0); u < NodeID(g.NumNodes()); u++ {
+		for i, e := range g.OutEdges(u) {
+			back, ok := g.Weight(e.To, u)
+			if got := g.ReverseWeight(u, i); !ok || math.Float64bits(got) != math.Float64bits(back) {
+				t.Fatalf("ReverseWeight(%d, %d) = %v; Weight(%d, %d) = (%v, %v)", u, i, got, e.To, u, back, ok)
+			}
+		}
 	}
 }
 
@@ -109,7 +125,8 @@ func TestBuildMatchesMapReference(t *testing.T) {
 
 // FuzzGraphBuild decodes an arbitrary AddBiEdge sequence — the first byte
 // sizes the graph, each further four bytes are one call's endpoints and
-// weights — and checks Build against the map reference and FromCSR.
+// weights — and checks Build against the map reference and FromCSR, and
+// every edge's ReverseWeight against a probe for the edge back.
 func FuzzGraphBuild(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 7, 3, 1, 0, 2, 5})
 	f.Add([]byte{5, 0, 1, 1, 2, 1, 2, 3, 4, 2, 2, 9, 9, 1, 0, 8, 8, 0, 4, 6, 1})

@@ -51,7 +51,8 @@ func TestFromCSRRoundTrip(t *testing.T) {
 // made by Builder and by a CSR() → FromCSR round trip: for every ordered
 // pair, present or absent, Weights(a, b) is (Weight(a, b), Weight(b, a)) and
 // agrees with a scan of both adjacency lists, and rev pairs every edge with
-// the edge running back along it (so rev[rev[k]] == k).
+// the edge running back along it (so rev[rev[k]] == k), which
+// ReverseWeight reads.
 func TestWeightsReverseIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	scan := func(g *Graph, from, to NodeID) (float64, bool) {
@@ -84,6 +85,7 @@ func TestWeightsReverseIndex(t *testing.T) {
 					}
 				}
 			}
+			checkReverseWeights(t, g)
 			for a := NodeID(0); a < NodeID(n); a++ {
 				for b := NodeID(0); b < NodeID(n); b++ {
 					ab, ba, ok := g.Weights(a, b)

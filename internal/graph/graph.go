@@ -134,6 +134,13 @@ func (g *Graph) Weights(a, b NodeID) (ab, ba float64, ok bool) {
 	return ab, ba, true
 }
 
+// ReverseWeight returns the weight of the reverse of id's i-th out-edge: for
+// e = OutEdges(id)[i], the weight of e.To → id. It reads the reverse index,
+// so a loop over a node's out-edges gets both directions without a probe.
+func (g *Graph) ReverseWeight(id NodeID, i int) float64 {
+	return g.flat[g.rev[int(g.offsets[id])+i]].Weight
+}
+
 // HasEdge reports whether the directed edge from → to exists.
 func (g *Graph) HasEdge(from, to NodeID) bool {
 	_, ok := g.Weight(from, to)

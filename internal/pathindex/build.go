@@ -16,7 +16,7 @@ import (
 const sourceChunk = 16
 
 // resolveWorkers maps the shared worker knob to a concrete fan-out:
-// 0 means one worker per available CPU (matching search.Options.Workers),
+// 0 means one worker per available CPU (matching cirank.Config.Workers),
 // and the fan-out never exceeds the number of sources.
 func resolveWorkers(workers, sources int) int {
 	if workers <= 0 {

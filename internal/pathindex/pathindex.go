@@ -31,8 +31,8 @@ import (
 )
 
 // Index answers distance and retention queries with one-sided guarantees.
-// Implementations must be safe for concurrent lookups: the parallel search
-// workers (search.Options.Workers) query the index from many goroutines.
+// Implementations must be safe for concurrent lookups: concurrent queries
+// share one index and read it from many goroutines.
 // Both in-package implementations are immutable after build and trivially
 // satisfy this.
 type Index interface {
@@ -68,9 +68,9 @@ func BuildNaive(g *graph.Graph, damp []float64, maxDepth int) (*NaiveIndex, erro
 }
 
 // BuildNaiveContext is BuildNaive with explicit cancellation and fan-out.
-// Workers follows the search.Options.Workers convention: 0 means one worker
-// per available CPU, 1 forces the sequential build. The produced index is
-// byte-identical for every worker count (each source's row is an independent
+// As for cirank.Config.Workers, 0 workers means one per available CPU and 1
+// forces the sequential build. The produced index is byte-identical for
+// every worker count (each source's row is an independent
 // deterministic traversal; workers only partition the sources). A cancelled
 // ctx aborts the build at the next chunk boundary with an error wrapping
 // ctx.Err().

@@ -39,10 +39,10 @@ func BuildStar(g *graph.Graph, damp []float64, isStar []bool, maxDepth int) (*St
 }
 
 // BuildStarContext is BuildStar with explicit cancellation and fan-out.
-// Workers follows the search.Options.Workers convention: 0 means one worker
-// per available CPU, 1 forces the sequential build. The produced index is
-// byte-identical for every worker count; a cancelled ctx aborts the build
-// with an error wrapping ctx.Err().
+// As for cirank.Config.Workers, 0 workers means one per available CPU and 1
+// forces the sequential build. The produced index is byte-identical for
+// every worker count; a cancelled ctx aborts the build with an error
+// wrapping ctx.Err().
 func BuildStarContext(ctx context.Context, g *graph.Graph, damp []float64, isStar []bool, maxDepth, workers int) (*StarIndex, error) {
 	if maxDepth < 1 || maxDepth > maxUint8Depth {
 		return nil, fmt.Errorf("pathindex: maxDepth %d outside [1, %d]", maxDepth, maxUint8Depth)

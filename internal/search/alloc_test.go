@@ -23,42 +23,27 @@ func warmPool(tb testing.TB, s *Searcher, terms []string, opts Options) {
 	}
 }
 
+// TestTopKAllocsSequential pins the steady state of a query at default
+// options, which runs entirely on its caller's goroutine.
 func TestTopKAllocsSequential(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; ceilings hold only on plain builds")
 	}
 	fx := fig2Fixture(t)
 	terms := []string{"tsimmis", "ullman"}
-	opts := Options{K: 5, Diameter: 4, Workers: 1}
+	opts := Options{K: 5, Diameter: 4}
 	warmPool(t, fx.s, terms, opts)
-	// Steady state measured at 13 allocs/query: the per-query bookkeeping
+	// Steady state measured at 12 allocs/query: the per-query bookkeeping
 	// (bbState, closures, term-distance headers), the canonical keys of the
 	// answers that enter the top-k, and the detached answer clones.
 	const ceiling = 24
 	if got := testing.AllocsPerRun(100, func() { fx.s.TopK(terms, opts) }); got > ceiling {
-		t.Errorf("sequential TopK allocates %.0f/query, ceiling %d", got, ceiling)
-	}
-}
-
-func TestTopKAllocsParallel(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; ceilings hold only on plain builds")
-	}
-	fx := fig2Fixture(t)
-	terms := []string{"tsimmis", "ullman"}
-	opts := Options{K: 5, Diameter: 4, Workers: 4}
-	warmPool(t, fx.s, terms, opts)
-	// Candidates are evaluated inline at any worker count; only the two
-	// query terms' supply fields relax on their own goroutines (measured at
-	// 17 allocs/query with four workers).
-	const ceiling = 26
-	if got := testing.AllocsPerRun(100, func() { fx.s.TopK(terms, opts) }); got > ceiling {
-		t.Errorf("TopK at Workers 4 allocates %.0f/query, ceiling %d", got, ceiling)
+		t.Errorf("TopK allocates %.0f/query, ceiling %d", got, ceiling)
 	}
 }
 
 // TestScratchReuseIsolation poisons the scratch between queries: it
-// interleaves queries with different term sets, worker counts and options on
+// interleaves queries with different term sets and options on
 // ONE searcher (so they share a pool) and checks every result against a
 // fresh searcher that never reuses anything. Any state leaking across
 // queries through the pooled maps, slabs, arena or per-term buffers shows up
@@ -69,11 +54,11 @@ func TestScratchReuseIsolation(t *testing.T) {
 		terms []string
 		opts  Options
 	}{
-		{[]string{"tsimmis", "ullman"}, Options{K: 5, Diameter: 4, Workers: 1}},
-		{[]string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4, Workers: 1}},
-		{[]string{"tsimmis"}, Options{K: 3, Diameter: 2, Workers: 1}},
-		{[]string{"tsimmis", "ullman"}, Options{K: 5, Diameter: 4, Workers: 4}},
-		{[]string{"capability", "papakonstantinou"}, Options{K: 4, Diameter: 4, Workers: 1}},
+		{[]string{"tsimmis", "ullman"}, Options{K: 5, Diameter: 4}},
+		{[]string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4}},
+		{[]string{"tsimmis"}, Options{K: 3, Diameter: 2}},
+		{[]string{"tsimmis", "ullman"}, Options{K: 5, Diameter: 4}},
+		{[]string{"capability", "papakonstantinou"}, Options{K: 4, Diameter: 4}},
 		{[]string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4, NoDynamicBounds: true}},
 		{[]string{"tsimmis", "ullman"}, Options{K: 5, Diameter: 4, ExtendedMerge: true}},
 		{[]string{"ullman", "nosuchword"}, Options{K: 3, Diameter: 4}},

@@ -108,7 +108,7 @@ func newBBState(s *Searcher, sc *queryScratch, opts Options) *bbState {
 		unique: !opts.ExtendedMerge && len(sc.qc.terms) <= 2,
 	}
 	if !opts.NoDynamicBounds {
-		st.stats.Relaxed = sc.qc.supplyFields(s.m.Graph(), s.m.DampVector(), opts.Diameter, opts.workers(), sc)
+		st.stats.Relaxed = sc.qc.supplyFields(s.m.Graph(), s.m.DampVector(), opts.Diameter, sc)
 	}
 	sc.top.k = opts.K
 	return st
@@ -135,14 +135,13 @@ func (st *bbState) interrupted() bool {
 // returned answer, unless Stats.Truncated reports an early stop via
 // MaxExpansions.
 //
-// Candidates are evaluated on the calling goroutine; Options.Workers fans
-// out only the per-term supply fields, which are pure, so the answers and
-// the Stats are identical for every worker count. When Stats.Truncated is
-// set the guarantee weakens to "the best answers found before the cap", but
-// a truncated run is as deterministic as a complete one: the cap counts
-// pops and generated trees, never time. TopK is safe for concurrent use:
-// searches share only immutable state plus the scratch pool, which hands
-// each query its own scratch.
+// The whole search, supply fields included, runs on the calling goroutine
+// (Options.Workers has no effect). When Stats.Truncated is set the guarantee
+// weakens to "the best answers found before the cap", but a truncated run is
+// as deterministic as a complete one: the cap counts pops and generated
+// trees, never time. TopK is safe for concurrent use: searches share only
+// immutable state plus the scratch pool, which hands each query its own
+// scratch.
 //
 // TopK is uncancellable; use TopKContext to bound a query by a deadline.
 func (s *Searcher) TopK(terms []string, opts Options) ([]Answer, Stats, error) {
@@ -231,7 +230,7 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 		for _, c := range batch {
 			var parent *flowView // c's view, taken at the first neighbour that needs it
 			terminal := c.tree.Depth()+1 >= halfDiameter(st.opts.Diameter)
-			for _, e := range g.OutEdges(c.tree.Root()) {
+			for i, e := range g.OutEdges(c.tree.Root()) {
 				nb := e.To
 				// nb came from the root's out-edges, so the data-graph edge
 				// needs no second proof; only the overlap check remains.
@@ -259,7 +258,7 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 					break grow
 				}
 				if qc.levels > 0 && terminal && (cover != qc.full || qc.masks[nb] == 0) {
-					level = append(level, st.stub(c.tree, nb, cover, ub))
+					level = append(level, st.stub(c.tree, i, cover, ub))
 					continue
 				}
 				st.stats.Built++
@@ -391,17 +390,17 @@ func (st *bbState) enter(tree *jtt.Tree) *candidate {
 	return c
 }
 
-// stub makes the candidate of parent's child over nb without building it:
-// childBound priced it at ub, with the cover given, and left its root record
-// and supply lists in place.
-func (st *bbState) stub(parent *jtt.Tree, nb graph.NodeID, cover uint64, ub float64) *candidate {
+// stub makes the candidate of parent's child over its root's i-th out-edge
+// without building it: childBound priced it at ub, with the cover given, and
+// left its root record and supply lists in place.
+func (st *bbState) stub(parent *jtt.Tree, i int, cover uint64, ub float64) *candidate {
 	st.stats.Generated++
 	c := st.sc.cands.get()
 	c.parent, c.cover, c.ub = parent, cover, ub
-	c.root = st.rootOf(nb)
+	g, root := st.s.m.Graph(), parent.Root()
+	c.root = st.rootOf(g.OutEdges(root)[i].To)
 	if st.mergeable(c) {
-		w, _ := st.s.m.Graph().Weight(nb, parent.Root())
-		st.keepView(c, &st.sc.child, w)
+		st.keepView(c, &st.sc.child, g.ReverseWeight(root, i)) // w(child root → parent root)
 	}
 	return c
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -68,25 +69,28 @@ func denseFixture(t testing.TB, m int) *fixture {
 	return build(t, texts, imp, edges)
 }
 
-// TestCancelMidSearch is the ISSUE's cancellation certification: an
-// uncapped (MaxExpansions 0 = unlimited) branch-and-bound query on a dense
-// graph must return promptly once the context fires, at Workers 1 and 4,
-// reporting Stats.Interrupted with a nil error.
+// TestCancelMidSearch is the cancellation certification: an uncapped
+// (MaxExpansions 0 = unlimited) branch-and-bound query on a dense graph must
+// return promptly once the context fires, reporting Stats.Interrupted with a
+// nil error. The query runs on the test's goroutine; the subtests run it at
+// GOMAXPROCS 1 and 4, so the timer that fires the context competes with it
+// for one P in the first.
 func TestCancelMidSearch(t *testing.T) {
 	fx := denseFixture(t, 120)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			// 500ms: long enough for the first complete answers to land
 			// even at the race detector's ~10x slowdown, and far under the
 			// uncancelled runtime. Uncancelled, m = 120 generates about
 			// 15.6M trees; on a 2-core x86-64 VM a 5 s deadline (10x this
-			// one) still interrupted it at 6.0M, with 4 workers. (m = 40
-			// finished in 0.39 s there, m = 60 in 1.25 s.)
+			// one) still interrupted it at 6.0M. (m = 40 finished in
+			// 0.39 s there, m = 60 in 1.25 s.)
 			ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 			defer cancel()
 			start := time.Now()
 			answers, stats, err := fx.s.TopKContext(ctx, []string{"alpha", "beta"},
-				Options{K: 30, Diameter: 4, MaxExpansions: 0, Workers: workers})
+				Options{K: 30, Diameter: 4, MaxExpansions: 0})
 			elapsed := time.Since(start)
 			if err != nil {
 				t.Fatal(err)
@@ -115,11 +119,12 @@ func TestNaiveCancelMidSearch(t *testing.T) {
 	fx := denseFixture(t, 30)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 			defer cancel()
 			start := time.Now()
 			_, stats, err := fx.s.NaiveTopKContext(ctx, []string{"alpha", "beta"},
-				Options{K: 30, Diameter: 4, Workers: workers})
+				Options{K: 30, Diameter: 4})
 			elapsed := time.Since(start)
 			if err != nil {
 				t.Fatal(err)
@@ -164,7 +169,7 @@ func TestDeadContextRejected(t *testing.T) {
 }
 
 // TestContextPlumbingPreservesRankings: with a context that never fires,
-// TopKContext must be byte-identical to TopK at every worker count.
+// TopKContext must be byte-identical to TopK.
 func TestContextPlumbingPreservesRankings(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 8; trial++ {
@@ -174,16 +179,13 @@ func TestContextPlumbingPreservesRankings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
-			got, gotStats, err := fx.s.TopKContext(context.Background(), terms,
-				Options{K: 4, Diameter: 4, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			answersEqual(t, fmt.Sprintf("trial %d workers %d", trial, workers), want, got)
-			if gotStats != wantStats {
-				t.Errorf("trial %d workers %d: stats %+v, want %+v", trial, workers, gotStats, wantStats)
-			}
+		got, gotStats, err := fx.s.TopKContext(context.Background(), terms, Options{K: 4, Diameter: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		answersEqual(t, fmt.Sprintf("trial %d", trial), want, got)
+		if gotStats != wantStats {
+			t.Errorf("trial %d: stats %+v, want %+v", trial, gotStats, wantStats)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func TestArenaHandsOutOnlyKeptTrees(t *testing.T) {
 	for _, static := range []bool{false, true} {
 		sc := newQueryScratch()
 		st, err := fig2.s.run(context.Background(), sc, []string{"tsimmis", "ullman"},
-			Options{K: 2, Diameter: 4, Workers: 1, NoDynamicBounds: static})
+			Options{K: 2, Diameter: 4, NoDynamicBounds: static})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,21 +74,19 @@ func TestArenaHandsOutOnlyKeptTrees(t *testing.T) {
 		}
 	}
 	fx := hubFixture(t, 40, 0)
-	for _, workers := range []int{1, 4} {
-		sc := newQueryScratch()
-		st, err := fx.s.run(context.Background(), sc, hubTerms, Options{K: 5, Diameter: 4, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Every spoke reaches the hub through two expansions: its leaf grows
-		// to the connector, and that tree to the hub. The depth-2 trees at
-		// the hub merge but are never queued.
-		if st.stats.Answers == 0 || st.stats.Expanded < 80 || st.stats.Truncated || st.stats.Interrupted {
-			t.Fatalf("workers=%d: unexpected stats %+v", workers, st.stats)
-		}
-		if got := sc.arena.Trees(); got != st.stats.Built {
-			t.Errorf("workers=%d: arena handed out %d trees, Stats counts %d built", workers, got, st.stats.Built)
-		}
+	sc := newQueryScratch()
+	st, err := fx.s.run(context.Background(), sc, hubTerms, Options{K: 5, Diameter: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every spoke reaches the hub through two expansions: its leaf grows to
+	// the connector, and that tree to the hub. The depth-2 trees at the hub
+	// merge but are never queued.
+	if st.stats.Answers == 0 || st.stats.Expanded < 80 || st.stats.Truncated || st.stats.Interrupted {
+		t.Fatalf("unexpected stats %+v", st.stats)
+	}
+	if got := sc.arena.Trees(); got != st.stats.Built {
+		t.Errorf("hub: arena handed out %d trees, Stats counts %d built", got, st.stats.Built)
 	}
 }
 
@@ -106,7 +104,7 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 	pairs := ptrBufCap/2 + 1
 	fx := hubFixtureOf(t, 400, pairs, "alpha", "beta gamma")
 	terms := []string{"alpha", "beta", "gamma"}
-	opts := Options{K: 5, Diameter: 4, Workers: 1}
+	opts := Options{K: 5, Diameter: 4}
 	sc := newQueryScratch()
 	st, err := fx.s.run(context.Background(), sc, terms, opts)
 	if err != nil {
@@ -275,7 +273,7 @@ func TestReleasedScratchDropsManyTermFields(t *testing.T) {
 	}
 	fx := build(t, texts, imp, edges)
 	sc := newQueryScratch()
-	if _, err := fx.s.run(context.Background(), sc, terms, Options{K: 1, Diameter: 2 * maxSupplyLevels, Workers: 1}); err != nil {
+	if _, err := fx.s.run(context.Background(), sc, terms, Options{K: 1, Diameter: 2 * maxSupplyLevels}); err != nil {
 		t.Fatal(err)
 	}
 	if want := maxQueryTerms * maxQueryTerms * maxSupplyLevels; len(sc.field) != want || len(sc.fields) != maxQueryTerms {

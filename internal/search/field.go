@@ -1,11 +1,6 @@
 package search
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"cirank/internal/graph"
-)
+import "cirank/internal/graph"
 
 // This file computes the per-term supply field behind the dynamic supplement
 // bound of §IV-B — how many messages a node covering a missing keyword could
@@ -52,8 +47,7 @@ const maxSupplyLevels = 8
 const fieldKeepTerms = 4
 
 // fieldScratch is one term's view of the shared table — node w's row is
-// out[w·stride+off:][:levels] — and the buffers its relaxation reuses. The
-// terms fan out across workers, each owning its entry and its rows.
+// out[w·stride+off:][:levels] — and the buffers its relaxation reuses.
 type fieldScratch struct {
 	out                     []float64
 	stride, off, levels     int
@@ -72,8 +66,7 @@ func (fs *fieldScratch) row(w graph.NodeID) []float64 {
 // D−d at a priced child's root (rowSupply) — level h only within D−h hops of
 // the query's matching nodes. Up to level ⌊D/2⌋ that holds every node a round
 // can reach; above it the rounds need only the nodes within radius D−h, the
-// radii up to ⌈D/2⌉−1 that grow records. The term goroutines share it
-// read-only.
+// radii up to ⌈D/2⌉−1 that grow records. Every term's relaxation reads it.
 type region struct {
 	nodes []graph.NodeID // layer by layer, the matching nodes first
 	ends  []int          // ends[r]: how many nodes lie within r hops
@@ -235,11 +228,11 @@ func outDegrees(g *graph.Graph, nodes []graph.NodeID) int {
 }
 
 // supplyFields computes the query's fields into the scratch's table, one
-// term per goroutine on up to workers of them, and returns the edges the
+// term after another on the query's goroutine, and returns the edges the
 // relaxations scanned. Below maxSupplyLevels it first records the region the
 // rounds past D/2 are restricted to. Diameter 0 leaves no budget to supply
 // across and no field.
-func (qc *queryContext) supplyFields(g *graph.Graph, damp []float64, diameter, workers int, sc *queryScratch) (scanned int) {
+func (qc *queryContext) supplyFields(g *graph.Graph, damp []float64, diameter int, sc *queryScratch) (scanned int) {
 	qc.levels = min(diameter, maxSupplyLevels)
 	if qc.levels == 0 {
 		return 0
@@ -258,48 +251,13 @@ func (qc *queryContext) supplyFields(g *graph.Graph, damp []float64, diameter, w
 		reg = &sc.region
 		reg.grow(g, qc.nonFree, radius)
 	}
-	parallelFor(len(qc.terms), workers, func(ti int) {
+	for ti := range qc.terms {
 		fs := &sc.fields[ti]
 		fs.out, fs.stride, fs.off, fs.levels = sc.field, stride, ti*qc.levels, qc.levels
 		fs.relax(g, damp, qc.gen, qc.perTerm[ti], diameter > maxSupplyLevels, reg)
-	})
-	for ti := range qc.terms {
-		scanned += sc.fields[ti].scanned
+		scanned += fs.scanned
 	}
 	return scanned
-}
-
-// parallelFor runs f(0..n-1) across at most workers goroutines and returns
-// when every call finished. With one worker (or a trivially small n) it runs
-// inline, so the sequential path pays no synchronization. Iterations are
-// claimed dynamically (shared cursor), which balances terms whose matchers
-// reach very different parts of the graph.
-func parallelFor(n, workers int, f func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // supplyLevel maps the hop budget a candidate of the given depth leaves a
@@ -317,10 +275,9 @@ func (st *bbState) supplyLevel(depth int) (lv int, ok bool) {
 // one topList per term for (root, field level), ranking the root's
 // out-neighbours by field value. This is the one pass over a root's
 // out-edges the query pays per level, however many candidate trees it roots
-// there. It runs on the query's goroutine — before fill evaluates the
-// candidate, or before the expansion step prices it unbuilt — in batch order,
-// so the lists, like everything else Stats depends on, are the same run to
-// run. It appends to sc.tops: fetch list pointers after it, not before.
+// there. It runs before fill evaluates the candidate, or before the
+// expansion step prices it unbuilt, in batch order, so the lists, like
+// everything else Stats depends on, are the same run to run. It appends to sc.tops: fetch list pointers after it, not before.
 func (st *bbState) supplyLists(root int32, node graph.NodeID, depth int) {
 	lv, ok := st.supplyLevel(depth)
 	if !ok {

@@ -266,7 +266,7 @@ func TestSupplyFieldMatchesPathEnumeration(t *testing.T) {
 			if err != nil || !ok {
 				continue // some term has no matcher in this graph
 			}
-			qc.supplyFields(fx.g, fx.m.DampVector(), diameter, 2, sc)
+			qc.supplyFields(fx.g, fx.m.DampVector(), diameter, sc)
 			fixpoint := diameter > maxSupplyLevels
 			fc := fieldCase{g: fx.g, damp: fx.m.DampVector(), gen: qc.gen, levels: qc.levels, fixpoint: fixpoint}
 			var hops []int
@@ -327,7 +327,7 @@ func TestRelaxPullsWhereTheRegionIsSmaller(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatal("the hub query matched nothing", err)
 		}
-		qc.supplyFields(fx.g, fx.m.DampVector(), 4, 1, sc)
+		qc.supplyFields(fx.g, fx.m.DampVector(), 4, sc)
 		return sc
 	}
 	ruled := relaxed()

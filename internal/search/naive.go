@@ -24,8 +24,7 @@ const (
 // from a keyword-covering set of sources, scoring all of them, and keeping
 // the top k.
 //
-// Enumeration and scoring run on the calling goroutine, and Options.Workers
-// has no effect here. NaiveTopK is safe for concurrent use.
+// Enumeration and scoring run on the calling goroutine. NaiveTopK is safe for concurrent use.
 //
 // NaiveTopK is uncancellable; use NaiveTopKContext to bound a run.
 func (s *Searcher) NaiveTopK(terms []string, opts Options) ([]Answer, Stats, error) {

@@ -24,7 +24,7 @@ func TestGrownTreesAreUnique(t *testing.T) {
 		for _, q := range w.Queries {
 			for _, d := range []int{q.Diameter, 5, 6} {
 				for _, extended := range []bool{false, true} {
-					opts := search.Options{K: q.K, Diameter: d, ExtendedMerge: extended, Workers: 1}
+					opts := search.Options{K: q.K, Diameter: d, ExtendedMerge: extended}
 					grown, merged, err := w.Searcher.GeneratedTrees(q.Terms, opts)
 					if err != nil {
 						t.Fatal(err)
@@ -74,7 +74,7 @@ func TestTwoTermMergesNeverRepeat(t *testing.T) {
 			}
 			for _, d := range []int{q.Diameter, 5, 6} {
 				for _, k := range []int{q.K, 1 << 14} {
-					opts := search.Options{K: k, Diameter: d, Workers: 1}
+					opts := search.Options{K: k, Diameter: d}
 					_, merged, err := w.Searcher.GeneratedTrees(q.Terms, opts)
 					if err != nil {
 						t.Fatal(err)
@@ -132,7 +132,7 @@ func TestDeadChildrenChangeNothing(t *testing.T) {
 		}
 		for _, q := range w.Queries {
 			for _, d := range []int{q.Diameter, 5, 6} {
-				opts := search.Options{K: q.K, Diameter: d, Workers: 1}
+				opts := search.Options{K: q.K, Diameter: d}
 				jobs = append(jobs, job{w: w, terms: q.Terms, opts: opts, skip: search1(w, q.Terms, opts)})
 			}
 		}

@@ -57,7 +57,7 @@ func TestLoneBoundIgnoresOwnSupply(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range w.Queries {
-			o, ok, err := w.Searcher.NewBoundOracle(q.Terms, search.Options{K: q.K, Diameter: q.Diameter, Workers: 1})
+			o, ok, err := w.Searcher.NewBoundOracle(q.Terms, search.Options{K: q.K, Diameter: q.Diameter})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestIndexNeverUndercutsField(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range w.Queries {
-			base := search.Options{K: q.K, Diameter: q.Diameter, Workers: 1}
+			base := search.Options{K: q.K, Diameter: q.Diameter}
 			plain, ok, err := w.Searcher.NewBoundOracle(q.Terms, base)
 			if err != nil {
 				t.Fatal(err)
@@ -213,7 +213,7 @@ func TestPulledFieldMatchesPushed(t *testing.T) {
 		}
 		for _, q := range w.Queries {
 			for _, d := range []int{q.Diameter, 5, 6} {
-				r := run{w: w, q: q, opts: search.Options{K: q.K, Diameter: d, Workers: 1}}
+				r := run{w: w, q: q, opts: search.Options{K: q.K, Diameter: d}}
 				o, ok, err := w.Searcher.NewBoundOracle(q.Terms, r.opts)
 				if err != nil {
 					t.Fatal(err)

@@ -32,7 +32,7 @@ func TestFrontierBoundCertifies(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, limit := range []int{1, 2, 3, 5, 8} {
-				opts := search.Options{K: q.K, Diameter: q.Diameter, Workers: 1, ExtendedMerge: true, MaxExpansions: limit}
+				opts := search.Options{K: q.K, Diameter: q.Diameter, ExtendedMerge: true, MaxExpansions: limit}
 				got, st, dropped, err := w.Searcher.TopKLost(q.Terms, opts)
 				if err != nil {
 					t.Fatal(err)

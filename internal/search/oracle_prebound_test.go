@@ -31,7 +31,7 @@ func TestChildBoundOnGenerators(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range w.Queries {
-			o, ok, err := w.Searcher.NewBoundOracle(q.Terms, search.Options{K: q.K, Diameter: q.Diameter, Workers: 1})
+			o, ok, err := w.Searcher.NewBoundOracle(q.Terms, search.Options{K: q.K, Diameter: q.Diameter})
 			if err != nil {
 				t.Fatal(err)
 			}

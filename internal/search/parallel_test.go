@@ -63,48 +63,38 @@ func answersEqual(t *testing.T, label string, want, got []Answer) {
 	}
 }
 
-// TestParallelDeterminism is the acceptance suite for Options.Workers, which
-// fans out the per-term supply fields: across randomized datagen workloads
-// (two datasets × many generated queries ≥ 20 workloads total),
-// branch-and-bound search with Workers: 8 must return a ranked list
-// byte-identical to the Workers: 1 run — same trees, same exact scores,
-// same order — and identical Stats. The guarantee covers truncated runs
-// too, so every query also runs under a MaxExpansions cap of 50.
+// TestParallelDeterminism holds truncated runs to the determinism that
+// Stats.Truncated promises: across randomized datagen workloads (two
+// datasets × many generated queries ≥ 20 workloads total), a query stopped
+// by a MaxExpansions cap of 50 returns, run twice on one searcher (the
+// second run draws on the scratch pool the first one refilled), a
+// byte-identical ranked list — same trees, same exact scores, same order — and identical Stats.
+// The cap counts pops and generated trees, never time.
 func TestParallelDeterminism(t *testing.T) {
 	fixtures := []*datagenFixture{
 		prepareDatagen(t, "imdb", 0.12, 1, 11, 12),
 		prepareDatagen(t, "dblp", 0.12, 2, 13, 12),
 	}
-	const capped = 50
+	opts := Options{K: 5, Diameter: 4, MaxExpansions: 50}
 	total, truncated := 0, 0
 	for fi, fx := range fixtures {
 		for qi, q := range fx.queries {
 			total++
-			for _, limit := range []int{200000, capped} {
-				base := Options{K: 5, Diameter: 4, MaxExpansions: limit}
-				seqOpts := base
-				seqOpts.Workers = 1
-				seq, seqStats, err := fx.s.TopK(q.Terms, seqOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if seqStats.Truncated {
-					if limit != capped {
-						t.Fatalf("fixture %d query %d truncated; raise MaxExpansions", fi, qi)
-					}
-					truncated++
-				}
-				parOpts := base
-				parOpts.Workers = 8
-				par, parStats, err := fx.s.TopK(q.Terms, parOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("fixture %d query %d (%v) MaxExpansions %d", fi, qi, q.Terms, limit)
-				answersEqual(t, label, seq, par)
-				if seqStats != parStats {
-					t.Errorf("%s: stats diverged: seq %+v, par %+v", label, seqStats, parStats)
-				}
+			first, firstStats, err := fx.s.TopK(q.Terms, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if firstStats.Truncated {
+				truncated++
+			}
+			again, againStats, err := fx.s.TopK(q.Terms, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("fixture %d query %d (%v)", fi, qi, q.Terms)
+			answersEqual(t, label, first, again)
+			if firstStats != againStats {
+				t.Errorf("%s: stats diverged: first %+v, again %+v", label, firstStats, againStats)
 			}
 		}
 	}
@@ -112,13 +102,13 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Fatalf("determinism suite covered %d workloads, want >= 20", total)
 	}
 	if truncated == 0 {
-		t.Fatalf("no query hit the MaxExpansions cap of %d; the truncated arm tested nothing", capped)
+		t.Fatalf("no query hit the MaxExpansions cap of %d; the suite tested nothing", opts.MaxExpansions)
 	}
 }
 
-// TestParallelDeterminismIndexed repeats the determinism check with a path
-// index assisting the bounds: the sequential and the parallel run share one
-// immutable index.
+// TestParallelDeterminismIndexed repeats the run-twice check with a path
+// index assisting the bounds: both runs share one immutable index and the
+// searcher's scratch pool.
 func TestParallelDeterminismIndexed(t *testing.T) {
 	fx := prepareDatagen(t, "imdb", 0.12, 3, 17, 8)
 	damp := make([]float64, fx.g.NumNodes())
@@ -129,23 +119,20 @@ func TestParallelDeterminismIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := Options{K: 5, Diameter: 4, MaxExpansions: 200000, Index: idx}
 	for qi, q := range fx.queries {
-		seq, seqStats, err := fx.s.TopK(q.Terms, Options{
-			K: 5, Diameter: 4, MaxExpansions: 200000, Workers: 1, Index: idx,
-		})
+		first, firstStats, err := fx.s.TopK(q.Terms, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seqStats.Truncated {
+		if firstStats.Truncated {
 			t.Fatalf("query %d truncated; raise MaxExpansions", qi)
 		}
-		par, _, err := fx.s.TopK(q.Terms, Options{
-			K: 5, Diameter: 4, MaxExpansions: 200000, Workers: 8, Index: idx,
-		})
+		again, _, err := fx.s.TopK(q.Terms, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		answersEqual(t, fmt.Sprintf("query %d (%v)", qi, q.Terms), seq, par)
+		answersEqual(t, fmt.Sprintf("query %d (%v)", qi, q.Terms), first, again)
 	}
 }
 
@@ -161,7 +148,7 @@ func TestConcurrentCachedSearches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{K: 5, Diameter: 4, MaxExpansions: 200000, Workers: 2, Index: idx}
+	opts := Options{K: 5, Diameter: 4, MaxExpansions: 200000, Index: idx}
 	type outcome struct {
 		qi  int
 		res []Answer
@@ -194,7 +181,8 @@ func TestConcurrentCachedSearches(t *testing.T) {
 	}
 }
 
-// TestWorkersValidation covers the new Options field.
+// TestWorkersValidation: Options.Workers has no effect, but a negative value
+// is still an error.
 func TestWorkersValidation(t *testing.T) {
 	if err := (Options{K: 1, Diameter: 4, Workers: -1}).Validate(); err == nil {
 		t.Error("negative Workers accepted")
@@ -204,32 +192,8 @@ func TestWorkersValidation(t *testing.T) {
 	}
 }
 
-// TestParallelFor exercises the work-distribution primitive.
-func TestParallelFor(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{0, 4}, {1, 4}, {7, 1}, {7, 3}, {100, 8}, {3, 100},
-	} {
-		var mu sync.Mutex
-		seen := make(map[int]int)
-		parallelFor(tc.n, tc.workers, func(i int) {
-			mu.Lock()
-			seen[i]++
-			mu.Unlock()
-		})
-		if len(seen) != tc.n {
-			t.Errorf("parallelFor(%d, %d) covered %d indices", tc.n, tc.workers, len(seen))
-		}
-		for i, count := range seen {
-			if count != 1 {
-				t.Errorf("parallelFor(%d, %d): index %d ran %d times", tc.n, tc.workers, i, count)
-			}
-		}
-	}
-}
-
-// TestExhaustiveAgreesWithParallel pins the parallel branch-and-bound to the
-// oracle on the shared fig2 fixture: optimality must survive the concurrency
-// layer.
+// TestExhaustiveAgreesWithParallel pins the branch-and-bound search at its
+// default options to the oracle on the shared fig2 fixture.
 func TestExhaustiveAgreesWithParallel(t *testing.T) {
 	fx := fig2Fixture(t)
 	terms := []string{"papakonstantinou", "ullman"}
@@ -237,7 +201,7 @@ func TestExhaustiveAgreesWithParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := fx.s.TopK(terms, Options{K: 2, Diameter: 4, Workers: 8})
+	par, _, err := fx.s.TopK(terms, Options{K: 2, Diameter: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

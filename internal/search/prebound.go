@@ -60,21 +60,16 @@ func (st *bbState) viewParent(c *candidate) *flowView {
 	bs, p := &st.sc.bound, &st.sc.parent
 	t, m := c.tree, st.s.m
 	p.cover = st.sources(t)
-	nodes, par, root := t.NodeView(), t.ParentView(), t.Root()
-	p.denom, p.branch = 0, p.branch[:0]
+	par, root := t.ParentView(), t.Root()
+	p.branch = p.branch[:0]
 	for _, i := range bs.slots {
 		for par[i] != root { // the root's own entry names itself
 			i = t.Slot(par[i])
 		}
 		p.branch = append(p.branch, int32(i))
 	}
-	for i, u := range nodes {
-		if par[i] == root && u != root {
-			w, _ := m.Graph().Weight(root, u)
-			p.denom += w
-		}
-	}
 	bs.flow.SetTree(m, t)
+	p.denom = bs.flow.RootDenom()
 	p.at(t, c.root)
 	p.deliv = sized(p.deliv, len(bs.slots)*len(bs.slots))
 	p.readFlow(&bs.flow, bs.slots, bs.gens, p.deliv, m.Damp(root))

@@ -188,7 +188,7 @@ func checkChildBoundCase(t testing.TB, fc fieldCase) (kinds childKinds) {
 		if len(fc.matchers[len(terms)-1]) == 0 {
 			continue
 		}
-		opts := Options{K: 1 + n%4, Diameter: fc.levels + 1, ExtendedMerge: true, Workers: 1}
+		opts := Options{K: 1 + n%4, Diameter: fc.levels + 1, ExtendedMerge: true}
 		kinds.add(checkChildBounds(t, s, terms, opts, 256))
 		got, _, err := s.TopK(terms, opts)
 		if err != nil {
@@ -238,12 +238,12 @@ func TestChildBoundMatchesFill(t *testing.T) {
 		fx := randomFixture(t, rand.New(rand.NewSource(seed)))
 		for _, terms := range [][]string{{"alpha"}, {"alpha", "beta"}, {"alpha", "beta", "spoke"}} {
 			for _, d := range []int{1, 2, 3, 4, 5} {
-				kinds.add(checkChildBounds(t, fx.s, terms, Options{K: 3, Diameter: d, ExtendedMerge: seed%2 == 0, Workers: 1}, 256))
+				kinds.add(checkChildBounds(t, fx.s, terms, Options{K: 3, Diameter: d, ExtendedMerge: seed%2 == 0}, 256))
 			}
 		}
 	}
-	kinds.add(checkChildBounds(t, hubFixture(t, 12, 0).s, hubTerms, Options{K: 5, Diameter: 4, Workers: 1}, 512))
-	kinds.add(checkChildBounds(t, fig2Fixture(t).s, []string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4, Workers: 1}, 512))
+	kinds.add(checkChildBounds(t, hubFixture(t, 12, 0).s, hubTerms, Options{K: 5, Diameter: 4}, 512))
+	kinds.add(checkChildBounds(t, fig2Fixture(t).s, []string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4}, 512))
 	t.Logf("%+v", kinds)
 	if kinds.lone < 100 || kinds.complete < 100 || kinds.missing < 100 || kinds.matcher < 100 || kinds.free < 100 ||
 		kinds.rootSource < 100 || kinds.doomed < 100 || kinds.rowDoomed < 100 || kinds.rowTight < 100 || kinds.ranked < 100 {
@@ -266,8 +266,9 @@ func (k *stubKinds) add(o stubKinds) {
 // checkStubs runs the query and holds every stub the search made to the
 // child it stands for, built here from its parent and filled: the child sits
 // at the depth limit, covers the stub's cover, is no answer, and fill bounds
-// it within preBoundSlack of the stub's priced bound, both ways. A stub a
-// merge built must be that child.
+// it within preBoundSlack of the stub's priced bound, both ways; a stub kept
+// as a merge operand splits its root over the denominator fill keeps. A stub
+// a merge built must be that child.
 func checkStubs(t testing.TB, s *Searcher, terms []string, opts Options) (kinds stubKinds) {
 	t.Helper()
 	sc := newQueryScratch()
@@ -304,6 +305,10 @@ func checkStubs(t testing.TB, s *Searcher, terms []string, opts Options) (kinds 
 			t.Fatalf("query %v %+v: stub of %s grown to %d at depth %d: priced cover %b bound %.17g, filled cover %b bound %.17g, answer %v",
 				terms, opts, c.parent.CanonicalKey(), nb, child.Depth(), c.cover, c.ub, filled.cover, filled.ub, filled.complete)
 		}
+		if st.mergeable(filled) && c.merge.denom != filled.merge.denom {
+			t.Fatalf("query %v %+v: stub of %s grown to %d keeps root denominator %.17g, fill keeps %.17g",
+				terms, opts, c.parent.CanonicalKey(), nb, c.merge.denom, filled.merge.denom)
+		}
 		if c.cover != st.qc.full {
 			kinds.missing++
 		} else {
@@ -330,7 +335,7 @@ func TestTerminalStubMatchesBuilt(t *testing.T) {
 		s := fc.searcher(t)
 		for _, terms := range [][]string{{"alpha"}, {"alpha", "beta"}} {
 			if len(fc.matchers[len(terms)-1]) != 0 {
-				kinds.add(checkStubs(t, s, terms, Options{K: 1 + fc.g.NumNodes()%4, Diameter: fc.levels + 1, ExtendedMerge: true, Workers: 1}))
+				kinds.add(checkStubs(t, s, terms, Options{K: 1 + fc.g.NumNodes()%4, Diameter: fc.levels + 1, ExtendedMerge: true}))
 			}
 		}
 	}
@@ -338,12 +343,12 @@ func TestTerminalStubMatchesBuilt(t *testing.T) {
 		fx := randomFixture(t, rand.New(rand.NewSource(seed)))
 		for _, terms := range [][]string{{"alpha"}, {"alpha", "beta"}, {"alpha", "beta", "spoke"}} {
 			for _, d := range []int{1, 2, 3, 4, 5} {
-				kinds.add(checkStubs(t, fx.s, terms, Options{K: 3, Diameter: d, ExtendedMerge: seed%2 == 0, Workers: 1}))
+				kinds.add(checkStubs(t, fx.s, terms, Options{K: 3, Diameter: d, ExtendedMerge: seed%2 == 0}))
 			}
 		}
 	}
-	kinds.add(checkStubs(t, hubFixture(t, 12, 0).s, hubTerms, Options{K: 5, Diameter: 4, Workers: 1}))
-	kinds.add(checkStubs(t, fig2Fixture(t).s, []string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4, Workers: 1}))
+	kinds.add(checkStubs(t, hubFixture(t, 12, 0).s, hubTerms, Options{K: 5, Diameter: 4}))
+	kinds.add(checkStubs(t, fig2Fixture(t).s, []string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4}))
 	t.Logf("%+v", kinds)
 	if kinds.missing < 100 || kinds.freeRoot < 100 || kinds.built < 100 || kinds.unbuilt < 100 {
 		t.Fatalf("some kind of stub went nearly unexercised: %+v", kinds)
@@ -371,7 +376,7 @@ func FuzzChildBound(f *testing.F) {
 func TestZeroScoreAnswerSurvivesPricing(t *testing.T) {
 	fx := build(t, []string{"alpha", "beta", "mid"}, []float64{1, 1, 1}, [][2]int{{0, 2}, {1, 2}})
 	terms := []string{"alpha", "beta"}
-	opts := Options{K: 5, Diameter: 4, Workers: 1}
+	opts := Options{K: 5, Diameter: 4}
 
 	// The rule itself: a zero bound condemns only a child that misses a
 	// term, and a full list condemns whatever its k-th answer beats.
@@ -413,7 +418,7 @@ func TestUndecidedSupplyListBuildsChild(t *testing.T) {
 	edges = append(edges, [2]int{h, x5}, [2]int{r, h})
 	fx := build(t, texts, imp, edges)
 	terms := []string{"alpha", "beta"}
-	opts := Options{K: 4096, Diameter: 4, ExtendedMerge: true, Workers: 1}
+	opts := Options{K: 4096, Diameter: 4, ExtendedMerge: true}
 
 	sc := newQueryScratch()
 	if _, ok, err := fx.s.prepareInto(sc, terms); err != nil || !ok {
@@ -602,7 +607,7 @@ func checkMergePriceCase(t testing.TB, fc fieldCase) (kinds mergeKinds) {
 			continue
 		}
 		for _, extended := range []bool{false, true} {
-			opts := Options{K: 1 + fc.g.NumNodes()%4, Diameter: fc.levels + 1, ExtendedMerge: extended, Workers: 1}
+			opts := Options{K: 1 + fc.g.NumNodes()%4, Diameter: fc.levels + 1, ExtendedMerge: extended}
 			kinds.add(checkMergePrices(t, s, terms, opts, 128))
 		}
 	}
@@ -630,13 +635,13 @@ func TestMergePriceBoundsFill(t *testing.T) {
 		for _, terms := range [][]string{{"alpha"}, {"alpha", "beta"}, {"alpha", "beta", "spoke"}} {
 			for _, d := range []int{2, 3, 4, 5} {
 				for _, extended := range []bool{false, true} {
-					kinds.add(checkMergePrices(t, fx.s, terms, Options{K: 3, Diameter: d, ExtendedMerge: extended, Workers: 1}, 128))
+					kinds.add(checkMergePrices(t, fx.s, terms, Options{K: 3, Diameter: d, ExtendedMerge: extended}, 128))
 				}
 			}
 		}
 	}
-	kinds.add(checkMergePrices(t, hubFixture(t, 12, 0).s, hubTerms, Options{K: 5, Diameter: 4, Workers: 1}, 512))
-	kinds.add(checkMergePrices(t, fig2Fixture(t).s, []string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4, Workers: 1}, 512))
+	kinds.add(checkMergePrices(t, hubFixture(t, 12, 0).s, hubTerms, Options{K: 5, Diameter: 4}, 512))
+	kinds.add(checkMergePrices(t, fig2Fixture(t).s, []string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4}, 512))
 	t.Logf("%+v", kinds)
 	if kinds.checked < 1000 || kinds.stub < 100 || kinds.rootSource < 100 || kinds.tight < 100 {
 		t.Fatalf("some case of the price went nearly unexercised: %+v", kinds)

@@ -8,7 +8,6 @@ package search
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -56,10 +55,12 @@ type Options struct {
 	// restores full completeness at exponential cost and exists for the
 	// exhaustive-oracle validation tests and the ablation benchmark.
 	ExtendedMerge bool
-	// Workers is the number of goroutines for the per-term supply-field
-	// relaxation (field.go); 0 = GOMAXPROCS. Everything else in a query runs
-	// on the calling goroutine, and the fields are pure, so answers and
-	// Stats are identical for every worker count.
+	// Workers has no effect: a query runs on the goroutine that calls it,
+	// supply fields included, because fanning the fields out across
+	// goroutines measured slower than relaxing them inline. The field stays,
+	// with its check that rejects a negative value, only because the
+	// benchmark module under bench/ sets it; it goes together with that
+	// reader.
 	Workers int
 }
 
@@ -79,14 +80,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: negative Workers %d", ErrBadOptions, o.Workers)
 	}
 	return nil
-}
-
-// workers resolves Options.Workers: 0 means one worker per available CPU.
-func (o Options) workers() int {
-	if o.Workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }
 
 // Answer is one ranked query answer.

@@ -303,7 +303,7 @@ func TestFrontierBoundGivesUpOnLostTrees(t *testing.T) {
 	var lost, kept int
 	for limit := 1; limit <= 64; limit *= 2 {
 		st, err := fx.s.run(context.Background(), newQueryScratch(), hubTerms,
-			Options{K: 5, Diameter: 4, Workers: 1, MaxExpansions: limit})
+			Options{K: 5, Diameter: 4, MaxExpansions: limit})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func TestExtendedMergeAssemblesThreeSubtreeStar(t *testing.T) {
 		}
 		return false
 	}
-	opts := Options{K: 20, Diameter: 4, Workers: 1}
+	opts := Options{K: 20, Diameter: 4}
 	strict, _, err := fx.s.TopK([]string{"smith"}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -536,11 +536,11 @@ func TestDiameterZeroAndOne(t *testing.T) {
 func TestHugeDiameterIsBounded(t *testing.T) {
 	fx := fig2Fixture(t)
 	terms := []string{"papakonstantinou", "ullman"}
-	want, _, err := fx.s.TopK(terms, Options{K: 10, Diameter: fx.g.NumNodes(), Workers: 1})
+	want, _, err := fx.s.TopK(terms, Options{K: 10, Diameter: fx.g.NumNodes()})
 	if err != nil || len(want) == 0 {
 		t.Fatalf("D = n: %d answers, err %v", len(want), err)
 	}
-	huge := Options{K: 10, Diameter: 1 << 20, Workers: 1}
+	huge := Options{K: 10, Diameter: 1 << 20}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	got, stats, err := New(fx.m).TopK(terms, huge) // a fresh searcher: nothing pooled

@@ -53,7 +53,7 @@ func TestSupplyListMatchesFullScan(t *testing.T) {
 			if _, ok, err := fx.s.prepareInto(sc, terms); err != nil || !ok {
 				t.Fatalf("degree %d: prepare: %v", degree, err)
 			}
-			st := newBBState(fx.s, sc, Options{K: 3, Diameter: diameter, Workers: 1})
+			st := newBBState(fx.s, sc, Options{K: 3, Diameter: diameter})
 			hub := st.rootOf(0)
 			// Trees to try: the hub alone, prefixes of its neighbours in
 			// each term's field order at each level (these swallow the

@@ -49,8 +49,6 @@ const pinK = 10
 // search holds most trees at the limit.
 var pinDiameters = []int{4, 5}
 
-var pinWorkers = []int{1, 4}
-
 func workOf(terms []string, st search.Stats) pinnedWork {
 	return pinnedWork{
 		Query:    strings.Join(terms, " "),
@@ -59,7 +57,7 @@ func workOf(terms []string, st search.Stats) pinnedWork {
 }
 
 // TestStatsPinned replays every query of the tracked workloads and demands
-// the recorded Expanded/Generated/Answers/Truncated, at workers 1 and 4.
+// the recorded Expanded/Generated/Answers/Truncated.
 func TestStatsPinned(t *testing.T) {
 	var pins, old []pinnedWorkload
 	raw, err := os.ReadFile(pinsPath)
@@ -95,21 +93,18 @@ func TestStatsPinned(t *testing.T) {
 		opts := search.Options{K: pinK, Diameter: pin.Diameter}
 
 		s := search.New(w.M)
-		for _, workers := range pinWorkers {
-			opts.Workers = workers
-			var got []pinnedWork
-			for _, terms := range w.Queries {
-				_, st, err := s.TopK(terms, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, workOf(terms, st))
+		var got []pinnedWork
+		for _, terms := range w.Queries {
+			_, st, err := s.TopK(terms, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if *updatePins && workers == pinWorkers[0] {
-				pin.Single = got
-			}
-			comparePins(t, pin, workers, got)
+			got = append(got, workOf(terms, st))
 		}
+		if *updatePins {
+			pin.Single = got
+		}
+		comparePins(t, pin, got)
 	}
 	if *updatePins {
 		for _, o := range old {
@@ -155,16 +150,16 @@ func onlyGeneratedFell(t *testing.T, pin pinnedWorkload, old []pinnedWork) {
 	t.Logf("%s D=%d: generated %d -> %d over %d queries", pin.Dataset, pin.Diameter, was, now, len(rows))
 }
 
-func comparePins(t *testing.T, pin *pinnedWorkload, workers int, got []pinnedWork) {
+func comparePins(t *testing.T, pin *pinnedWorkload, got []pinnedWork) {
 	t.Helper()
 	want := pin.Single
 	if len(want) != len(got) {
-		t.Errorf("%s D=%d workers=%d: %d pinned queries, workload has %d", pin.Dataset, pin.Diameter, workers, len(want), len(got))
+		t.Errorf("%s D=%d: %d pinned queries, workload has %d", pin.Dataset, pin.Diameter, len(want), len(got))
 		return
 	}
 	for i := range want {
 		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("%s D=%d workers=%d query %d:\n got %+v\nwant %+v", pin.Dataset, pin.Diameter, workers, i, got[i], want[i])
+			t.Errorf("%s D=%d query %d:\n got %+v\nwant %+v", pin.Dataset, pin.Diameter, i, got[i], want[i])
 		}
 	}
 }

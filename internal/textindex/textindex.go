@@ -69,8 +69,8 @@ type shard struct {
 }
 
 // BuildContext indexes every node of g using up to workers goroutines over
-// contiguous node ranges (0 means one worker per available CPU, following
-// the search.Options.Workers convention). Sharding only partitions the node
+// contiguous node ranges (0 means one worker per available CPU, as for
+// cirank.Config.Workers). Sharding only partitions the node
 // scan: per-shard postings merge in shard order, so the result — Postings
 // ordering included — is identical to the sequential build for every worker
 // count. A cancelled
