@@ -42,6 +42,24 @@ func TestTopKAllocsSequential(t *testing.T) {
 	}
 }
 
+// TestTopKAllocsParallel pins that a query asking for several workers pays
+// no more than the default one: Options.Workers is accepted but fans nothing
+// out, so the supply fields relax on the caller's goroutine and the steady
+// state matches TestTopKAllocsSequential.
+func TestTopKAllocsParallel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; ceilings hold only on plain builds")
+	}
+	fx := fig2Fixture(t)
+	terms := []string{"tsimmis", "ullman"}
+	opts := Options{K: 5, Diameter: 4, Workers: 4}
+	warmPool(t, fx.s, terms, opts)
+	const ceiling = 24
+	if got := testing.AllocsPerRun(100, func() { fx.s.TopK(terms, opts) }); got > ceiling {
+		t.Errorf("TopK at Workers 4 allocates %.0f/query, ceiling %d", got, ceiling)
+	}
+}
+
 // TestScratchReuseIsolation poisons the scratch between queries: it
 // interleaves queries with different term sets and options on
 // ONE searcher (so they share a pool) and checks every result against a
