@@ -62,12 +62,6 @@ func (q *candidateQueue) Pop() interface{} {
 	return c
 }
 
-// expandBatch is the number of frontier candidates popped per round. The
-// batch structure decides which trees are built and evaluated before the
-// next pop, and Stats — with the recorded stats pins — is counted against
-// it: changing the constant changes Stats, not just timing.
-const expandBatch = 32
-
 // bbState carries the state of one branch-and-bound run, all of it touched
 // only by the goroutine that called TopK. All reusable storage lives in the
 // query scratch the state points into.
@@ -186,87 +180,78 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 	g := s.m.Graph()
 	st := newBBState(s, sc, opts)
 	st.done = ctx.Done()
-	level := sc.level[:0]
+	work := sc.work[:0]
 	for _, v := range qc.nonFree {
 		if st.capped() {
 			break
 		}
 		st.stats.Built++
-		level = append(level, st.enter(sc.arena.NewSingle(v)))
+		work = append(work, st.enter(sc.arena.NewSingle(v)))
 	}
-	st.process(level)
+	work = st.process(work)
 	for st.pq.Len() > 0 && !st.interrupted() {
-		// Pop a batch of frontier candidates. Lemma 1: once the best
-		// remaining upper bound cannot beat the current k-th answer,
-		// nothing better can emerge and the search is done.
-		batch := sc.batch[:0]
-		for len(batch) < expandBatch && st.pq.Len() > 0 {
-			if st.top.full() && (*st.pq)[0].ub < st.top.min() {
-				break
-			}
-			if st.opts.MaxExpansions > 0 && st.stats.Expanded >= st.opts.MaxExpansions {
-				st.stats.Truncated = true
-				break
-			}
-			batch = append(batch, heap.Pop(st.pq).(*candidate))
-			st.stats.Expanded++
-		}
-		sc.batch = batch
-		if len(batch) == 0 {
+		// Lemma 1: once the best remaining upper bound cannot beat the
+		// current k-th answer, nothing better can emerge and the search is
+		// done.
+		if st.top.full() && (*st.pq)[0].ub < st.top.min() {
 			break
 		}
-		// Grow every batch candidate through its root, in deterministic
-		// (batch, edge) order. Only growable candidates are ever queued
-		// (commit), so every one has room for a level. Every check that can
-		// reject a grow runs before the arena hands out storage, cheapest
-		// first, so no tree is built only to be thrown away: overlap, then —
-		// when the query has supply fields — the bound itself, priced from
-		// the parent's flows (prebound.go). A priced child at the depth limit
-		// that cannot be an answer is not built at all: it enters the level
-		// as a stub (candidate), built only if a merge needs it. Evaluating
-		// the built survivors is the expensive part, which process does.
-		level := sc.level[:0]
-	grow:
-		for _, c := range batch {
-			var parent *flowView // c's view, taken at the first neighbour that needs it
-			terminal := c.tree.Depth()+1 >= halfDiameter(st.opts.Diameter)
-			for i, e := range g.OutEdges(c.tree.Root()) {
-				nb := e.To
-				// nb came from the root's out-edges, so the data-graph edge
-				// needs no second proof; only the overlap check remains.
-				if c.tree.Contains(nb) {
-					continue
-				}
-				// A terminal child that covers every term under a free new
-				// root is dead: the free root is a leaf, so it is no answer,
-				// and the strict rule admits no merge that adds no term.
-				if terminal && !st.opts.ExtendedMerge && !keepDeadChildren && c.cover == qc.full && qc.masks[nb] == 0 {
-					continue
-				}
-				var ub float64
-				var cover uint64
-				if qc.levels > 0 {
-					if parent == nil {
-						parent = st.viewParent(c)
-					}
-					if ub, cover = st.childBound(parent, e); st.condemned(ub, cover) {
-						st.stats.Spared++
-						continue
-					}
-				}
-				if st.capped() {
-					break grow
-				}
-				if qc.levels > 0 && terminal && (cover != qc.full || qc.masks[nb] == 0) {
-					level = append(level, st.stub(c.tree, i, cover, ub))
-					continue
-				}
-				st.stats.Built++
-				level = append(level, st.enter(sc.arena.GrowEdge(c.tree, nb)))
-			}
+		if st.opts.MaxExpansions > 0 && st.stats.Expanded >= st.opts.MaxExpansions {
+			st.stats.Truncated = true
+			break
 		}
-		st.process(level)
+		c := heap.Pop(st.pq).(*candidate)
+		st.stats.Expanded++
+		// Grow the candidate through its root, in edge order. Only growable
+		// candidates are ever queued (commit), so it has room for a level.
+		// Every check that can reject a grow runs before the arena hands out
+		// storage, cheapest first, so no tree is built only to be thrown
+		// away: overlap, then — when the query has supply fields — the bound
+		// itself, priced from the parent's flows (prebound.go). A priced
+		// child at the depth limit that cannot be an answer is not built at
+		// all: it enters the worklist as a stub (candidate), built only if a
+		// merge needs it. Evaluating the built survivors is the expensive
+		// part, which process does.
+		work = work[:0]
+		var parent *flowView // c's view, taken at the first neighbour that needs it
+		terminal := c.tree.Depth()+1 >= halfDiameter(st.opts.Diameter)
+		for i, e := range g.OutEdges(c.tree.Root()) {
+			nb := e.To
+			// nb came from the root's out-edges, so the data-graph edge
+			// needs no second proof; only the overlap check remains.
+			if c.tree.Contains(nb) {
+				continue
+			}
+			// A terminal child that covers every term under a free new root
+			// is dead: the free root is a leaf, so it is no answer, and the
+			// strict rule admits no merge that adds no term.
+			if terminal && !st.opts.ExtendedMerge && !keepDeadChildren && c.cover == qc.full && qc.masks[nb] == 0 {
+				continue
+			}
+			var ub float64
+			var cover uint64
+			if qc.levels > 0 {
+				if parent == nil {
+					parent = st.viewParent(c)
+				}
+				if ub, cover = st.childBound(parent, e); st.condemned(ub, cover) {
+					st.stats.Spared++
+					continue
+				}
+			}
+			if st.capped() {
+				break
+			}
+			if qc.levels > 0 && terminal && (cover != qc.full || qc.masks[nb] == 0) {
+				work = append(work, st.stub(c.tree, i, cover, ub))
+				continue
+			}
+			st.stats.Built++
+			work = append(work, st.enter(sc.arena.GrowEdge(c.tree, nb)))
+		}
+		work = st.process(work)
 	}
+	sc.work = work
 	// The frontier bound certifies what the returned list misses: with
 	// trees lost (Generated cap) or the run interrupted, the frontier no
 	// longer covers the unexplored answer space, so nothing finite bounds
@@ -286,30 +271,18 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 // (export_test.go sets it).
 var keepDeadChildren bool
 
-// process drives a level of new candidates through the evaluate/commit
-// pipeline until the merge closure is exhausted: evaluate the level, commit
-// each candidate in order (recording answers, enqueuing survivors, and
-// collecting the trees its merges produce), then dedupe the merged trees
-// against those generated before and recurse on them as the next level.
-// Committing level by level visits the same closure a depth-first recursion
-// would — every candidate still merges against every earlier same-root
-// candidate — in a breadth-first order, and that order is what Stats is
-// counted in. The level is the caller's scratch buffer (queryScratch.level),
-// reused for every level after it.
+// process evaluates and commits the worklist in arrival order until it is
+// exhausted: fill each candidate (a stub is priced, not filled), then commit
+// it, which records its answer, enqueues it and appends the trees its merges
+// produce to the same worklist. Fill reads nothing commit writes, so the
+// order of the commits alone decides what the search explores. Being first
+// in, first out, the worklist commits the same closure a depth-first
+// recursion would — every candidate still merges against every earlier
+// same-root candidate — in breadth-first order, and that order is what Stats
+// is counted in. It returns the worklist, whose storage the caller reuses.
 //
-// fillChunk bounds how many candidates are evaluated between context polls.
-// A merge level around a hub root can hold tens of thousands of candidates
-// whose fills (RWMP scoring, bound computation) dominate the query's cost,
-// so polling only at level boundaries would let a cancelled query run for
-// seconds; chunking caps the post-cancellation latency at one chunk of
-// fills plus one commit. Fill is pure, so the chunking leaves uncancelled
-// results unaffected.
-const fillChunk = 256
-
-// Cancellation points: each merge level, each fillChunk of evaluations
-// within a level, and each commit within a level — a single expansion can
-// cascade through many merge levels, and a single level through many
-// thousands of fills and merge attempts.
+// Cancellation points: each pop (run) and each worklist candidate — a single
+// expansion can cascade through many thousands of fills and merge attempts.
 //
 // Only merged trees go through the seen set; the rest cannot repeat. A grown
 // tree is its parent under a new root, the parent its one root child, so the
@@ -332,39 +305,15 @@ const fillChunk = 256
 // with one root child, and the merge has exactly two root children. It
 // splits into its operands one way only, the operands are distinct trees,
 // and commit attempts each pair once, so no merge repeats another.
-func (st *bbState) process(level []*candidate) {
-	sc := st.sc
-	defer func() { sc.level = level }()
-	for len(level) > 0 && !st.interrupted() {
-		for start := 0; start < len(level); start += fillChunk {
-			if st.interrupted() {
-				return
-			}
-			for _, c := range level[start:min(start+fillChunk, len(level))] {
-				if c.parent == nil { // a stub is priced, not filled
-					st.fill(c)
-				}
-			}
+func (st *bbState) process(work []*candidate) []*candidate {
+	for i := 0; i < len(work) && !st.interrupted(); i++ {
+		c := work[i]
+		if c.parent == nil { // a stub is priced, not filled
+			st.fill(c)
 		}
-		out := sc.merged[:0]
-		for _, c := range level {
-			if st.interrupted() {
-				sc.merged = out
-				return
-			}
-			out = st.commit(c, out)
-		}
-		sc.merged = out
-		level = level[:0]
-		for _, tree := range out {
-			if st.capped() {
-				break
-			}
-			if st.unique || sc.seen.add(tree, tree.Hash()) {
-				level = append(level, st.enter(tree))
-			}
-		}
+		work = st.commit(c, work)
 	}
+	return work
 }
 
 // capped reports whether the Generated cap drops the next new tree. The cap
@@ -490,13 +439,14 @@ func (st *bbState) sources(t *jtt.Tree) (cover uint64) {
 // answer (if complete), enqueues it for expansion unless pruned or already at
 // the depth limit, and attempts tree merges (Algorithm 1 lines 16–20) against
 // every same-root candidate committed before it that the admission rule
-// admits, appending the merged trees to out for the caller to process.
+// admits, appending each merged tree that is new to work, the worklist
+// process is walking.
 // Because every candidate merges against all its predecessors, each unordered
 // pair is attempted exactly once and the merge set is transitively closed — a
 // root with any number of child subtrees is reachable, which Theorem 1's
 // optimality needs. The admission rule reads covers only, so the registry
 // asks it once per cover (bucketWalk.start).
-func (st *bbState) commit(c *candidate, out []*jtt.Tree) []*jtt.Tree {
+func (st *bbState) commit(c *candidate, work []*candidate) []*candidate {
 	// The canonical key — the top-k's identity and tie-break — is built only
 	// for an answer that can enter or tie the list; one scoring below a full
 	// list's k-th changes nothing whatever its key.
@@ -519,7 +469,7 @@ func (st *bbState) commit(c *candidate, out []*jtt.Tree) []*jtt.Tree {
 		ub *= 1 + preBoundSlack
 	}
 	if ub <= 0 || st.top.full() && ub < st.top.min() {
-		return out
+		return work
 	}
 	c.seq = st.seq
 	st.seq++
@@ -536,7 +486,7 @@ func (st *bbState) commit(c *candidate, out []*jtt.Tree) []*jtt.Tree {
 	// seed's node as its root, returns the partner unchanged; and the seeds
 	// commit first, on distinct roots, so a seed's own walk finds nothing.
 	if c.tree != nil && c.tree.Size() == 1 {
-		return out
+		return work
 	}
 	// Snapshot: trees merged from c will themselves merge against everything
 	// committed at their own commit time, including c, so walking the
@@ -554,13 +504,18 @@ func (st *bbState) commit(c *candidate, out []*jtt.Tree) []*jtt.Tree {
 				continue
 			}
 		}
+		if st.capped() {
+			break
+		}
 		merged, err := st.sc.arena.Merge(st.treeOf(c), st.treeOf(other))
 		if err != nil {
 			continue // overlap: the sanity check of §IV-B
 		}
 		st.stats.Built++
-		out = append(out, merged)
+		if st.unique || st.sc.seen.add(merged, merged.Hash()) {
+			work = append(work, st.enter(merged))
+		}
 	}
 	rs.register(c)
-	return out
+	return work
 }

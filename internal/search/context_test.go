@@ -41,10 +41,10 @@ func denseFixture(t testing.TB, m int) *fixture {
 		}
 		return out
 	}
-	// One direct alpha–beta edge: a 2-node complete answer lands in the
-	// first expansion batch, so an interrupted search always has a
-	// best-so-far answer to return no matter how early the context fires.
-	// It does not shrink the frontier — the layered middle still feeds it.
+	// One direct alpha–beta edge: the first pop grows a 2-node complete
+	// answer over it (TestCancelMidSearch checks), so an interrupted search
+	// has a best-so-far answer to return once one pop has run. It does not
+	// shrink the frontier — the layered middle still feeds it.
 	edges := [][2]int{{0, 3}}
 	for _, v := range layer(0) {
 		for a := 0; a < 3; a++ {
@@ -77,6 +77,10 @@ func denseFixture(t testing.TB, m int) *fixture {
 // for one P in the first.
 func TestCancelMidSearch(t *testing.T) {
 	fx := denseFixture(t, 120)
+	// The best-so-far answer the subtests demand exists after one pop.
+	if first, _, err := fx.s.TopK([]string{"alpha", "beta"}, Options{K: 30, Diameter: 4, MaxExpansions: 1}); err != nil || len(first) == 0 {
+		t.Fatalf("one pop found %d answers (err %v), want the direct edge's", len(first), err)
+	}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))

@@ -192,7 +192,7 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 		t.Errorf("retained %d candidate slabs, cap %d", n, candSlabKeep)
 	}
 	for name, c := range map[string]int{
-		"pq": cap(sc.pq), "level": cap(sc.level), "merged": cap(sc.merged),
+		"pq": cap(sc.pq), "work": cap(sc.work),
 	} {
 		if c > ptrBufCap {
 			t.Errorf("retained %s with capacity %d, cap %d", name, c, ptrBufCap)

@@ -276,8 +276,9 @@ func (st *bbState) supplyLevel(depth int) (lv int, ok bool) {
 // out-neighbours by field value. This is the one pass over a root's
 // out-edges the query pays per level, however many candidate trees it roots
 // there. It runs before fill evaluates the candidate, or before the
-// expansion step prices it unbuilt, in batch order, so the lists, like
-// everything else Stats depends on, are the same run to run. It appends to sc.tops: fetch list pointers after it, not before.
+// expansion step prices it unbuilt, in worklist order, so the lists, like
+// everything else Stats depends on, are the same run to run. It appends to
+// sc.tops: fetch list pointers after it, not before.
 func (st *bbState) supplyLists(root int32, node graph.NodeID, depth int) {
 	lv, ok := st.supplyLevel(depth)
 	if !ok {

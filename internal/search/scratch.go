@@ -314,13 +314,9 @@ type queryScratch struct {
 	parent flowView
 	child  boundView
 
-	// batch holds the candidates popped for one expansion round; level the
-	// new candidates process is evaluating and committing (the round's
-	// children, then each merge level); merged the trees the level's commits
-	// merge, the next level once deduped.
-	batch     []*candidate
-	level     []*candidate
-	merged    []*jtt.Tree
+	// work is the worklist process evaluates and commits: the seeds, or one
+	// popped candidate's children, then the merges their commits produce.
+	work      []*candidate
 	field     []float64        // the supply-field table (field.go), all zero between queries
 	fields    []fieldScratch   // its per-term views and relaxation buffers
 	region    region           // the nodes the fields' restricted rounds compute
@@ -400,9 +396,7 @@ func (sc *queryScratch) release() {
 	// Every candidate pointer below dies with the slab rewind; the buffers
 	// are emptied so none outlives it.
 	sc.pq = trimmed(sc.pq, ptrBufCap)
-	sc.batch = sc.batch[:0]
-	sc.level = trimmed(sc.level, ptrBufCap)
-	sc.merged = trimmed(sc.merged, ptrBufCap)
+	sc.work = trimmed(sc.work, ptrBufCap)
 	sc.priced = trimmed(sc.priced, ptrBufCap)
 	// A view holds a few floats per source of one tree, the parent's a
 	// square of them; a many-source tree's are dropped.

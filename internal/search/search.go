@@ -320,8 +320,9 @@ func halfDiameter(d int) int { return (d + 1) / 2 }
 // ascending on ties — so the retained set and its order are exactly "the k
 // least elements under that order among all answers ever offered",
 // independent of the order they were offered in. That insertion-order
-// independence is what makes the parallel search's ranked list byte-identical
-// to the sequential one even when exact score ties occur at the k boundary.
+// independence is what makes the ranked list independent of the order the
+// search pops and commits candidates in, even when exact score ties occur at
+// the k boundary.
 type topK struct {
 	k     int
 	items []Answer

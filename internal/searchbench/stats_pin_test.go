@@ -14,27 +14,29 @@ import (
 
 // updatePins rewrites testdata/stats_pins.json from the running engine.
 // Re-record only for a change that is meant to alter what the search
-// explores. A change that only builds fewer trees moves Generated, down, and
-// nothing else, and the update holds it to that: while the committed file
-// exists, a re-record that changes any row's Expanded, Answers or Truncated,
-// or raises a Generated, fails and writes nothing. (Delete the file first to
-// record a change that means to move those; say why in the PR.)
+// explores. A change that only builds fewer trees moves Generated and Built,
+// down, and nothing else, and the update holds it to that: while the
+// committed file exists, a re-record that changes any row's Expanded, Answers
+// or Truncated, or raises a Generated or a Built, fails and writes nothing.
+// (Delete the file first to record a change that means to move those; say
+// why in the PR.)
 var updatePins = flag.Bool("update-pins", false, "rewrite testdata/stats_pins.json")
 
 const pinsPath = "testdata/stats_pins.json"
 
 // pinnedWork is the deterministic part of search.Stats: what the search popped,
-// generated and found, and whether a cap stopped it.
+// generated, built and found, and whether a cap stopped it.
 type pinnedWork struct {
 	Query     string `json:"query"`
 	Expanded  int    `json:"expanded"`
 	Generated int    `json:"generated"`
+	Built     int    `json:"built"`
 	Answers   int    `json:"answers"`
 	Truncated bool   `json:"truncated"`
 }
 
-// pinnedWorkload holds one workload's rows at one diameter, identical at
-// every worker count.
+// pinnedWorkload holds one workload's rows at one diameter, one per query in
+// the workload's order.
 type pinnedWorkload struct {
 	Dataset  string       `json:"dataset"`
 	Scale    float64      `json:"scale"`
@@ -52,12 +54,12 @@ var pinDiameters = []int{4, 5}
 func workOf(terms []string, st search.Stats) pinnedWork {
 	return pinnedWork{
 		Query:    strings.Join(terms, " "),
-		Expanded: st.Expanded, Generated: st.Generated, Answers: st.Answers, Truncated: st.Truncated,
+		Expanded: st.Expanded, Generated: st.Generated, Built: st.Built, Answers: st.Answers, Truncated: st.Truncated,
 	}
 }
 
 // TestStatsPinned replays every query of the tracked workloads and demands
-// the recorded Expanded/Generated/Answers/Truncated.
+// the recorded Expanded/Generated/Built/Answers/Truncated.
 func TestStatsPinned(t *testing.T) {
 	var pins, old []pinnedWorkload
 	raw, err := os.ReadFile(pinsPath)
@@ -110,7 +112,7 @@ func TestStatsPinned(t *testing.T) {
 		for _, o := range old {
 			for _, p := range pins {
 				if p.Dataset == o.Dataset && p.Scale == o.Scale && p.Diameter == o.Diameter {
-					onlyGeneratedFell(t, p, o.Single)
+					onlyBuildsFell(t, p, o.Single)
 				}
 			}
 		}
@@ -127,27 +129,28 @@ func TestStatsPinned(t *testing.T) {
 	}
 }
 
-// onlyGeneratedFell is the re-record guard: against the committed rows, the
-// new ones may differ in Generated alone, and only downwards. It logs the
-// old → new totals, which is the table EXPERIMENTS.md quotes.
-func onlyGeneratedFell(t *testing.T, pin pinnedWorkload, old []pinnedWork) {
+// onlyBuildsFell is the re-record guard: against the committed rows, the new
+// ones may differ in Generated and Built alone, and only downwards. It logs
+// the old → new totals, which is the table EXPERIMENTS.md quotes.
+func onlyBuildsFell(t *testing.T, pin pinnedWorkload, old []pinnedWork) {
 	t.Helper()
 	rows := pin.Single
 	if len(old) != len(rows) {
 		t.Errorf("%s D=%d: %d committed rows, %d re-recorded", pin.Dataset, pin.Diameter, len(old), len(rows))
 		return
 	}
-	var was, now int
+	var genWas, genNow, builtWas, builtNow int
 	for i, o := range old {
 		r := rows[i]
-		was, now = was+o.Generated, now+r.Generated
+		genWas, genNow = genWas+o.Generated, genNow+r.Generated
+		builtWas, builtNow = builtWas+o.Built, builtNow+r.Built
 		rest := o
-		rest.Generated = r.Generated
-		if rest != r || r.Generated > o.Generated {
-			t.Errorf("%s D=%d query %d: re-record moves more than Generated, or moves it up:\n new %+v\n old %+v", pin.Dataset, pin.Diameter, i, r, o)
+		rest.Generated, rest.Built = r.Generated, r.Built
+		if rest != r || r.Generated > o.Generated || r.Built > o.Built {
+			t.Errorf("%s D=%d query %d: re-record moves more than Generated and Built, or moves one up:\n new %+v\n old %+v", pin.Dataset, pin.Diameter, i, r, o)
 		}
 	}
-	t.Logf("%s D=%d: generated %d -> %d over %d queries", pin.Dataset, pin.Diameter, was, now, len(rows))
+	t.Logf("%s D=%d: generated %d -> %d, built %d -> %d over %d queries", pin.Dataset, pin.Diameter, genWas, genNow, builtWas, builtNow, len(rows))
 }
 
 func comparePins(t *testing.T, pin *pinnedWorkload, got []pinnedWork) {

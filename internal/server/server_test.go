@@ -58,8 +58,8 @@ func denseEngine(t *testing.T, m int) *cirank.Engine {
 	for i := 6; i < 6+3*m; i++ {
 		b.MustInsert("Node", key(i), fmt.Sprintf("free%d", i))
 	}
-	// A direct alpha–beta edge guarantees a best-so-far answer exists from
-	// the first expansion batch, however early the deadline fires.
+	// A direct alpha–beta edge gives a 2-node answer as soon as the search
+	// pops either end of it, among its first pops, long before the deadline.
 	b.MustRelate("link", key(0), key(3))
 	layer := func(l int) []int {
 		out := make([]int, m)

@@ -19,7 +19,8 @@
 # when the change's median is no worse than the parent's by more than the
 # bound, "worse" when it is, and "unresolved" when the parent's own min-max
 # spread is wider than the bound, unless every change run beats every parent
-# run.
+# run. The per-run values stay in .bench_pairs/<workload>-seed<FIRST_SEED>.tsv,
+# whose path the script prints last.
 #
 # The parent is checked out with `git worktree` under .bench_pairs/parent
 # (git-ignored; an existing checkout there is moved to the wanted commit and
@@ -55,7 +56,9 @@ else
 fi
 
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
-out="$root/.bench_pairs/$workload.tsv"
+# One file per workload and first seed, so that a held-out re-check
+# (FIRST_SEED=201) keeps the first run's values beside its own.
+out="$root/.bench_pairs/$workload-seed$first.tsv"
 : >"$out"
 
 # run_side <side> <dir> <pair> <seed>: one run, its metrics appended to $out
