@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -107,31 +108,61 @@ func TestBuildContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestBuildContextCancelMidBuild cancels shortly after the build starts;
-// with a dataset this size the index stages are still running, so the
-// pipeline must abort and surface the context error. Run under -race (CI's
-// bench-smoke job and `make race` do) this also certifies the stage DAG's
-// synchronization on the cancellation path.
+// cancelAfterFirstPoll is a context that reports cancellation from its
+// second poll on — Err or Done, from any goroutine — so the poll
+// BuildContext makes at entry passes and the next one, already inside the
+// build, finds it cancelled.
+type cancelAfterFirstPoll struct {
+	context.Context
+	polls atomic.Int64
+	done  chan struct{}
+}
+
+func newCancelAfterFirstPoll() *cancelAfterFirstPoll {
+	c := &cancelAfterFirstPoll{Context: context.Background(), done: make(chan struct{})}
+	close(c.done)
+	return c
+}
+
+func (c *cancelAfterFirstPoll) cancelled() bool { return c.polls.Add(1) > 1 }
+
+func (c *cancelAfterFirstPoll) Err() error {
+	if c.cancelled() {
+		return context.Canceled
+	}
+	return nil
+}
+
+func (c *cancelAfterFirstPoll) Done() <-chan struct{} {
+	if c.cancelled() {
+		return c.done
+	}
+	return nil
+}
+
+// TestBuildContextCancelMidBuild cancels the build once it is under way: the
+// context passes BuildContext's entry check and reads cancelled at every
+// later poll, the text index's among them. The pipeline must abort and
+// surface the context error. Run under -race (CI's bench-smoke job and `make
+// race` do) this also certifies the stage DAG's synchronization on the
+// cancellation path.
 func TestBuildContextCancelMidBuild(t *testing.T) {
 	b := buildTestBuilder(t, 120, 600)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(500 * time.Microsecond)
-		cancel()
-	}()
+	ctx := newCancelAfterFirstPoll()
 	cfg := DefaultConfig()
 	cfg.Workers = 4
 	eng, err := b.BuildContext(ctx, cfg)
 	if err == nil {
-		// The machine outran the cancel; nothing to assert beyond a usable
-		// engine, which the determinism test already covers.
-		t.Skip("build finished before cancellation fired")
+		t.Fatal("build finished although its context was cancelled after the entry check")
 	}
 	if eng != nil {
 		t.Fatal("cancelled build returned an engine alongside its error")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ctx.polls.Load() < 2 {
+		t.Fatalf("the build polled its context %d times, want the entry check and at least one more", ctx.polls.Load())
 	}
 }
 

@@ -249,10 +249,11 @@ type SearchStats struct {
 	FrontierBound float64
 	// Built counts the candidate trees the search built: seeds, grown
 	// children that passed every pre-build check, merges, and terminal
-	// children built because a merge needed them.
+	// children built because a merge needed them. A grown child that
+	// misses a term is bounded by its price alone, never evaluated.
 	Built int
 	// Spared counts the grown children priced from their parents' flows
-	// and never built, because their bound could not beat the k-th answer.
+	// and never built, because their price could not beat the k-th answer.
 	Spared int
 	// Relaxed counts the edges the per-query supply-field relaxation
 	// scanned.

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -17,20 +16,22 @@ import (
 // Candidates are slab-allocated per query (see scratch.go) and invalid once
 // the query's scratch returns to the pool.
 //
-// A stub is a grown child at the ⌈D/2⌉ depth limit that cannot be an answer:
-// it misses a term, or its root is free (a free root with one child is a
-// free leaf, so the tree is not reduced). It is never queued, only merged.
-// The expansion step prices it (childBound) and does not build it: parent is
-// the tree it grows, its root record's node the new root, and cover and ub
-// are the priced ones. tree stays nil until a merge walk admits the stub
-// against a partner (treeOf); fill never runs on it.
+// A priced candidate is a grown child whose cover and bound the expansion
+// step priced (childBound) and fill never evaluates: one that misses a term,
+// or a stub. A stub is a grown child at the ⌈D/2⌉ depth limit that cannot be
+// an answer: it misses a term, or its root is free (a free root with one
+// child is a free leaf, so the tree is not reduced). It is never queued, only
+// merged, and it is not built: parent is the tree it grows, its root record's
+// node the new root. tree stays nil until a merge walk admits the stub
+// against a partner (treeOf).
 type candidate struct {
 	tree   *jtt.Tree
 	parent *jtt.Tree // set for a stub only
 	root   int32     // index of the tree root's record in queryScratch.roots
 	cover  uint64
 	ub     float64
-	seq    int // commit order, for deterministic queue tie-breaking
+	seq    int  // commit order, for deterministic queue tie-breaking
+	priced bool // cover and ub are the expansion step's (price), not fill's
 	// merge summarizes the bound view ub came from, for pricing the merges
 	// the candidate takes part in (prebound.go); set only for a candidate
 	// that can take part in one.
@@ -41,25 +42,60 @@ type candidate struct {
 	complete bool
 }
 
-// candidateQueue is a max-heap on upper bound.
+// candidateQueue is a binary max-heap on upper bound, ties broken by commit
+// order. The order is total, so the pop sequence does not depend on the
+// heap's shape.
 type candidateQueue []*candidate
 
-func (q candidateQueue) Len() int { return len(q) }
-func (q candidateQueue) Less(i, j int) bool {
-	if q[i].ub != q[j].ub {
-		return q[i].ub > q[j].ub
+// before reports whether a pops before b.
+func before(a, b *candidate) bool {
+	if a.ub != b.ub {
+		return a.ub > b.ub
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q candidateQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *candidateQueue) Push(x interface{}) { *q = append(*q, x.(*candidate)) }
-func (q *candidateQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	c := old[n-1]
-	old[n-1] = nil // release the slab pointer for scratch reuse
-	*q = old[:n-1]
-	return c
+
+// push adds c to the queue.
+func (q *candidateQueue) push(c *candidate) {
+	h := append(*q, c)
+	i := len(h) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !before(c, h[up]) {
+			break
+		}
+		h[i], i = h[up], up
+	}
+	h[i] = c
+	*q = h
+}
+
+// pop removes and returns the first candidate of a non-empty queue.
+func (q *candidateQueue) pop() *candidate {
+	h := *q
+	top, n := h[0], len(h)-1
+	last := h[n]
+	h[n] = nil // release the slab pointer for scratch reuse
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			kid := 2*i + 1
+			if kid >= n {
+				break
+			}
+			if r := kid + 1; r < n && before(h[r], h[kid]) {
+				kid = r
+			}
+			if !before(h[kid], last) {
+				break
+			}
+			h[i], i = h[kid], kid
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // bbState carries the state of one branch-and-bound run, all of it touched
@@ -189,7 +225,7 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 		work = append(work, st.enter(sc.arena.NewSingle(v)))
 	}
 	work = st.process(work)
-	for st.pq.Len() > 0 && !st.interrupted() {
+	for len(*st.pq) > 0 && !st.interrupted() {
 		// Lemma 1: once the best remaining upper bound cannot beat the
 		// current k-th answer, nothing better can emerge and the search is
 		// done.
@@ -200,18 +236,19 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 			st.stats.Truncated = true
 			break
 		}
-		c := heap.Pop(st.pq).(*candidate)
+		c := st.pq.pop()
 		st.stats.Expanded++
 		// Grow the candidate through its root, in edge order. Only growable
 		// candidates are ever queued (commit), so it has room for a level.
 		// Every check that can reject a grow runs before the arena hands out
 		// storage, cheapest first, so no tree is built only to be thrown
 		// away: overlap, then — when the query has supply fields — the bound
-		// itself, priced from the parent's flows (prebound.go). A priced
-		// child at the depth limit that cannot be an answer is not built at
-		// all: it enters the worklist as a stub (candidate), built only if a
-		// merge needs it. Evaluating the built survivors is the expensive
-		// part, which process does.
+		// itself, priced from the parent's flows (prebound.go). A surviving
+		// child that misses a term keeps that price as its bound and is never
+		// filled; at the depth limit it is not even built: it enters the
+		// worklist as a stub (candidate), built only if a merge needs it.
+		// Only a child that covers every term — an answer whose exact score
+		// needs its flows — is filled, which process does.
 		work = work[:0]
 		var parent *flowView // c's view, taken at the first neighbour that needs it
 		terminal := c.tree.Depth()+1 >= halfDiameter(st.opts.Diameter)
@@ -247,7 +284,11 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 				continue
 			}
 			st.stats.Built++
-			work = append(work, st.enter(sc.arena.GrowEdge(c.tree, nb)))
+			child := st.enter(sc.arena.GrowEdge(c.tree, nb))
+			if qc.levels > 0 && cover != qc.full {
+				st.price(child, c.tree.Root(), i, cover, ub)
+			}
+			work = append(work, child)
 		}
 		work = st.process(work)
 	}
@@ -260,7 +301,7 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 	switch {
 	case st.lost || st.stats.Interrupted:
 		st.stats.FrontierBound = math.Inf(1)
-	case st.pq.Len() > 0:
+	case len(*st.pq) > 0:
 		st.stats.FrontierBound = (*st.pq)[0].ub
 	}
 	return st, nil
@@ -271,8 +312,12 @@ func (s *Searcher) run(ctx context.Context, sc *queryScratch, terms []string, op
 // (export_test.go sets it).
 var keepDeadChildren bool
 
+// checkPriced, when set, sees every priced candidate as price leaves it, so
+// that the tests can hold its stored bound to fill's (export_test.go sets it).
+var checkPriced func(st *bbState, c *candidate)
+
 // process evaluates and commits the worklist in arrival order until it is
-// exhausted: fill each candidate (a stub is priced, not filled), then commit
+// exhausted: fill each candidate (a priced one is not filled), then commit
 // it, which records its answer, enqueues it and appends the trees its merges
 // produce to the same worklist. Fill reads nothing commit writes, so the
 // order of the commits alone decides what the search explores. Being first
@@ -308,7 +353,7 @@ var keepDeadChildren bool
 func (st *bbState) process(work []*candidate) []*candidate {
 	for i := 0; i < len(work) && !st.interrupted(); i++ {
 		c := work[i]
-		if c.parent == nil { // a stub is priced, not filled
+		if !c.priced {
 			st.fill(c)
 		}
 		work = st.commit(c, work)
@@ -328,30 +373,39 @@ func (st *bbState) capped() bool {
 	return false
 }
 
-// enter makes the candidate of a newly built tree, with the root record and
-// supply lists its evaluation reads.
+// enter makes the candidate of a newly built tree, with its root record.
 func (st *bbState) enter(tree *jtt.Tree) *candidate {
 	st.stats.Generated++
 	c := st.sc.cands.get()
 	c.tree = tree
 	c.root = st.rootOf(tree.Root())
-	st.supplyLists(c.root, tree.Root(), tree.Depth())
 	return c
 }
 
 // stub makes the candidate of parent's child over its root's i-th out-edge
-// without building it: childBound priced it at ub, with the cover given, and
-// left its root record and supply lists in place.
+// without building it, priced by childBound at ub with the cover given.
 func (st *bbState) stub(parent *jtt.Tree, i int, cover uint64, ub float64) *candidate {
 	st.stats.Generated++
 	c := st.sc.cands.get()
-	c.parent, c.cover, c.ub = parent, cover, ub
-	g, root := st.s.m.Graph(), parent.Root()
-	c.root = st.rootOf(g.OutEdges(root)[i].To)
-	if st.mergeable(c) {
-		st.keepView(c, &st.sc.child, g.ReverseWeight(root, i)) // w(child root → parent root)
-	}
+	c.parent = parent
+	c.root = st.rootOf(st.s.m.Graph().OutEdges(parent.Root())[i].To)
+	st.price(c, parent.Root(), i, cover, ub)
 	return c
+}
+
+// price gives c, the child of a tree rooted at root over its i-th out-edge,
+// the cover and bound childBound just priced it at, and the merge summary of
+// the view that price came from. The stored bound carries the skip rule's
+// slack, so it never lies below the bound fill would give the built child:
+// the queue order, Lemma 1's stop and FrontierBound stay sound on it.
+func (st *bbState) price(c *candidate, root graph.NodeID, i int, cover uint64, ub float64) {
+	c.cover, c.ub, c.priced = cover, ub*(1+preBoundSlack), true
+	if st.mergeable(c) {
+		st.keepView(c, &st.sc.child, st.s.m.Graph().ReverseWeight(root, i)) // w(child root → parent root)
+	}
+	if checkPriced != nil {
+		checkPriced(st, c)
+	}
 }
 
 // treeOf returns c's tree, building a stub's the first time a merge needs it.
@@ -386,12 +440,14 @@ func (st *bbState) rootOf(root graph.NodeID) int32 {
 
 // fill computes the evaluation products of a candidate: keyword cover, the
 // RWMP score when the tree is a valid complete answer, and the §IV-B upper
-// bound. The tree's flow table is filled once, read into the scratch's bound
+// bound. It makes sure the root's supply lists for the tree's depth exist;
+// then the tree's flow table is filled once, read into the scratch's bound
 // view, and both the score and the bound come from the view; a candidate
 // missing a term nothing can supply needs neither. fill writes only the
-// candidate and the bound scratch.
+// candidate, the supply lists and the bound scratch.
 func (st *bbState) fill(c *candidate) {
 	qc, bs := st.qc, &st.sc.bound
+	st.supplyLists(c.root, c.tree.Root(), c.tree.Depth())
 	c.cover = st.sources(c.tree)
 	v := &bs.view
 	v.at(c.tree, c.root)
@@ -462,13 +518,7 @@ func (st *bbState) commit(c *candidate, work []*candidate) []*candidate {
 	// contribute (the k-th score only rises), so don't enqueue it, don't
 	// register it for merges, and don't close merges over it. This is what
 	// keeps the merge closure from exploding quadratically around hub roots.
-	// A stub's bound is priced, not filled, so it gets the skip rule's slack
-	// (condemned): it is kept wherever fill's bound would have kept it.
-	ub := c.ub
-	if c.parent != nil {
-		ub *= 1 + preBoundSlack
-	}
-	if ub <= 0 || st.top.full() && ub < st.top.min() {
+	if c.ub <= 0 || st.top.full() && c.ub < st.top.min() {
 		return work
 	}
 	c.seq = st.seq
@@ -480,7 +530,7 @@ func (st *bbState) commit(c *candidate, work []*candidate) []*candidate {
 	// every undiscovered answer still grows out of a queued candidate
 	// (Lemma 1).
 	if c.parent == nil && c.tree.Depth() < halfDiameter(st.opts.Diameter) {
-		heap.Push(st.pq, c)
+		st.pq.push(c)
 	}
 	// A seed is never merged. Merging it into a partner, which holds the
 	// seed's node as its root, returns the partner unchanged; and the seeds

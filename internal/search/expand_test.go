@@ -120,18 +120,30 @@ func TestReleasedScratchIsCapped(t *testing.T) {
 	}
 	// The hub roots the 40k-candidate merge closure, and every node of the
 	// fixture roots something. A root has one row of supply lists — a list
-	// per term — for each field level its candidates asked about: at least
-	// one, at most as many as the growth depths 0…⌈D/2⌉.
+	// per term — for each field level a filled tree rooted there asked
+	// about: at most as many as the growth depths 0…⌈D/2⌉, and none for a
+	// root only priced candidates stand on.
 	hub := &sc.roots[sc.rootAt[0]-1]
 	hubBucket := 0
 	for _, b := range hub.buckets {
 		hubBucket = max(hubBucket, cap(b.cands))
 	}
 	rows := len(sc.tops) / len(terms)
+	asked := make(map[int32]bool)
+	for _, c := range sc.cands.handedOut() {
+		if c.priced {
+			continue
+		}
+		lv, _ := st.supplyLevel(c.tree.Depth())
+		if sc.listAt[int(c.root)*st.qc.levels+lv] == 0 {
+			t.Fatalf("filled tree %s has no supply lists at level %d", c.tree.CanonicalKey(), lv)
+		}
+		asked[c.root] = true
+	}
 	if hubBucket <= rootListCap || len(sc.roots) != len(sc.rootAt) || len(sc.listAt) != opts.Diameter*len(sc.roots) ||
-		rows < len(sc.roots) || rows > (halfDiameter(opts.Diameter)+1)*len(sc.roots) {
-		t.Fatalf("unexpected root records: hub registry bucket %d, %d roots, %d supply lists (%d level slots) over %d nodes",
-			hubBucket, len(sc.roots), len(sc.tops), len(sc.listAt), len(sc.rootAt))
+		rows < len(asked) || rows > (halfDiameter(opts.Diameter)+1)*len(sc.roots) {
+		t.Fatalf("unexpected root records: hub registry bucket %d, %d roots (%d asked for lists), %d supply lists (%d level slots) over %d nodes",
+			hubBucket, len(sc.roots), len(asked), len(sc.tops), len(sc.listAt), len(sc.rootAt))
 	}
 	// The bound views hold a few floats per source of one tree, the parent's
 	// a square of them. The query's trees have two sources; a tree over 300

@@ -275,10 +275,10 @@ func (st *bbState) supplyLevel(depth int) (lv int, ok bool) {
 // one topList per term for (root, field level), ranking the root's
 // out-neighbours by field value. This is the one pass over a root's
 // out-edges the query pays per level, however many candidate trees it roots
-// there. It runs before fill evaluates the candidate, or before the
-// expansion step prices it unbuilt, in worklist order, so the lists, like
-// everything else Stats depends on, are the same run to run. It appends to
-// sc.tops: fetch list pointers after it, not before.
+// there, and only trees that fill evaluates pay it: seeds, merges and grown
+// children that cover every term. It runs as fill starts, in worklist order,
+// so the lists, like everything else Stats depends on, are the same run to
+// run. It appends to sc.tops: fetch list pointers after it, not before.
 func (st *bbState) supplyLists(root int32, node graph.NodeID, depth int) {
 	lv, ok := st.supplyLevel(depth)
 	if !ok {
@@ -307,7 +307,7 @@ func (st *bbState) supplyLists(root int32, node graph.NodeID, depth int) {
 }
 
 // supplyList returns the supply list of term ti at (root record, field
-// level), which supplyLists built before any fill could ask for it.
+// level), which fill built before asking for it.
 func (st *bbState) supplyList(root int32, lv, ti int) *topList {
 	return &st.sc.tops[int(st.sc.listAt[int(root)*st.qc.levels+lv])-1+ti]
 }

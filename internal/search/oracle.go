@@ -43,10 +43,7 @@ func (s *Searcher) NewBoundOracle(terms []string, opts Options) (*BoundOracle, b
 // true — fill skips scoring incomplete candidates, exactly as the search
 // does.
 func (o *BoundOracle) Evaluate(tree *jtt.Tree) (ub, score float64, complete bool) {
-	// fill reads the supply lists, which the search builds when process
-	// creates the first candidate of a (root, depth).
 	c := &candidate{tree: tree, root: o.st.rootOf(tree.Root())}
-	o.st.supplyLists(c.root, tree.Root(), tree.Depth())
 	o.st.fill(c)
 	return c.ub, c.score, c.complete
 }

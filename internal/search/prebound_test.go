@@ -37,7 +37,7 @@ type childKinds struct {
 	matcher, free           int // the node grown to
 	rootSource              int // parents whose root is a source
 	doomed, checked         int
-	rowDoomed, rowTight     int // children the row price alone condemns: for a missing term, and just past the exact price
+	pricedDoomed, tight     int // children the price condemns for a missing term; and at a k-th score just past fill's bound
 	ranked                  int // queries whose ranking was held to the references
 }
 
@@ -46,19 +46,20 @@ func (k *childKinds) add(o childKinds) {
 	k.matcher, k.free = k.matcher+o.matcher, k.free+o.free
 	k.rootSource += o.rootSource
 	k.doomed, k.checked, k.ranked = k.doomed+o.doomed, k.checked+o.checked, k.ranked+o.ranked
-	k.rowDoomed, k.rowTight = k.rowDoomed+o.rowDoomed, k.rowTight+o.rowTight
+	k.pricedDoomed, k.tight = k.pricedDoomed+o.pricedDoomed, k.tight+o.tight
 }
 
 // checkChildBounds holds the derived bound to fill's on every child of every
 // tree the search could hold for the query, up to maxTrees of them: the
 // closure of the matchers under grow and (extended) merge within the depth
 // limit. For each tree and each out-neighbour of its root outside it, the
-// bound priced from the tree's flows and the root's supply lists must agree
-// with the bound fill computes for the built child within preBoundSlack — the
-// skip rule's slack, so a child is never dropped on a bound fill would have
-// put above the k-th answer. The price from the root's field row must be at
-// least that bound, and condemn the child only where it condemns it too —
-// with room in the answer list, and with a full one at any k-th score.
+// bound priced from the tree's flows and the child root's field row must
+// agree within preBoundSlack with the bound the built child's own flows give
+// under the same row supplies (RowBound). With the slack the search stores,
+// it must be at least the bound fill computes for the built child from the
+// supply lists, and condemn the child only where commit would drop the filled
+// child — with room in the answer list, and with a full one at any k-th
+// score.
 func checkChildBounds(t testing.TB, s *Searcher, terms []string, opts Options, maxTrees int) (kinds childKinds) {
 	t.Helper()
 	o, ok, err := s.NewBoundOracle(terms, opts)
@@ -81,6 +82,11 @@ func checkChildBounds(t testing.TB, s *Searcher, terms []string, opts Options, m
 		kthList.items[0].Score, o.st.top = kth, kthList
 		defer func() { o.st.top = saved }()
 		return o.st.condemned(ub, cover)
+	}
+	// droppedAt is commit's rule for a filled child of that bound and cover
+	// under the same list: a complete answer is recorded before it.
+	droppedAt := func(ub float64, cover uint64, kth float64) bool {
+		return cover != qc.full && ub <= 0 || kth >= 0 && ub < kth
 	}
 	seen := make(map[string]bool)
 	var trees []*jtt.Tree
@@ -109,32 +115,32 @@ func checkChildBounds(t testing.TB, s *Searcher, terms []string, opts Options, m
 			if tree.Contains(e.To) {
 				continue
 			}
-			row, pre, _ := o.ChildBound(tree, e.To)
+			priced, _ := o.ChildBound(tree, e.To)
 			child, err := tree.Grow(g, e.To)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if row := o.RowBound(child); priced*(1+preBoundSlack) < row || priced > row*(1+preBoundSlack) {
+				t.Fatalf("query %v D=%d: tree %s rooted at %d grown to %d: priced %.17g from the parent, %.17g from the built child's row",
+					terms, opts.Diameter, tree.CanonicalKey(), root, e.To, priced, row)
+			}
 			ub, _, _ := o.Evaluate(child)
-			if pre*(1+preBoundSlack) < ub || pre > ub*(1+preBoundSlack) {
-				t.Fatalf("query %v D=%d: tree %s rooted at %d grown to %d: priced %.17g from the parent, fill bounds the built child %.17g",
-					terms, opts.Diameter, tree.CanonicalKey(), root, e.To, pre, ub)
+			if priced*(1+preBoundSlack) < ub {
+				t.Fatalf("query %v D=%d: tree %s rooted at %d grown to %d: priced %.17g, fill bounds the built child %.17g",
+					terms, opts.Diameter, tree.CanonicalKey(), root, e.To, priced, ub)
 			}
 			cover := qc.cover(child)
-			if row < pre {
-				t.Fatalf("query %v D=%d: tree %s rooted at %d grown to %d: priced %.17g from the row, %.17g from the lists",
-					terms, opts.Diameter, tree.CanonicalKey(), root, e.To, row, pre)
-			}
-			for _, kth := range []float64{-1, pre * (1 + 2*preBoundSlack), row * (1 + 2*preBoundSlack), ub} {
-				if condemnedAt(row, cover, kth) && !condemnedAt(pre, cover, kth) {
-					t.Fatalf("query %v D=%d: tree %s rooted at %d grown to %d: the row price %.17g condemns at k-th score %v, the list price %.17g does not",
-						terms, opts.Diameter, tree.CanonicalKey(), root, e.To, row, kth, pre)
+			for _, kth := range []float64{-1, priced * (1 + 2*preBoundSlack), ub * (1 + 2*preBoundSlack), ub} {
+				if condemnedAt(priced, cover, kth) && !droppedAt(ub, cover, kth) {
+					t.Fatalf("query %v D=%d: tree %s rooted at %d grown to %d: the price %.17g condemns at k-th score %v, commit keeps the child filled at %.17g",
+						terms, opts.Diameter, tree.CanonicalKey(), root, e.To, priced, kth, ub)
 				}
 			}
-			if condemnedAt(row, cover, -1) {
-				kinds.rowDoomed++
+			if condemnedAt(priced, cover, -1) {
+				kinds.pricedDoomed++
 			}
-			if condemnedAt(row, cover, pre*(1+2*preBoundSlack)) {
-				kinds.rowTight++
+			if condemnedAt(priced, cover, ub*(1+2*preBoundSlack)) {
+				kinds.tight++
 			}
 			kinds.checked++
 			sources := len(qc.sourcesIn(child))
@@ -246,7 +252,7 @@ func TestChildBoundMatchesFill(t *testing.T) {
 	kinds.add(checkChildBounds(t, fig2Fixture(t).s, []string{"papakonstantinou", "ullman"}, Options{K: 2, Diameter: 4}, 512))
 	t.Logf("%+v", kinds)
 	if kinds.lone < 100 || kinds.complete < 100 || kinds.missing < 100 || kinds.matcher < 100 || kinds.free < 100 ||
-		kinds.rootSource < 100 || kinds.doomed < 100 || kinds.rowDoomed < 100 || kinds.rowTight < 100 || kinds.ranked < 100 {
+		kinds.rootSource < 100 || kinds.doomed < 100 || kinds.pricedDoomed < 100 || kinds.tight < 100 || kinds.ranked < 100 {
 		t.Fatalf("some case of the bound went nearly unexercised: %+v", kinds)
 	}
 }
@@ -265,9 +271,12 @@ func (k *stubKinds) add(o stubKinds) {
 
 // checkStubs runs the query and holds every stub the search made to the
 // child it stands for, built here from its parent and filled: the child sits
-// at the depth limit, covers the stub's cover, is no answer, and fill bounds
-// it within preBoundSlack of the stub's priced bound, both ways; a stub kept
-// as a merge operand splits its root over the denominator fill keeps. A stub
+// at the depth limit, covers the stub's cover and is no answer. The stub's
+// stored bound — its price with the slack — lies within preBoundSlack above
+// the bound the built child's own flows give under row supplies (RowBound),
+// and at or above the bound fill gives it from the supply lists; a stub kept
+// as a merge operand splits its root over the denominator fill keeps, where
+// fill keeps one. A stub
 // a merge built must be that child.
 func checkStubs(t testing.TB, s *Searcher, terms []string, opts Options) (kinds stubKinds) {
 	t.Helper()
@@ -279,7 +288,7 @@ func checkStubs(t testing.TB, s *Searcher, terms []string, opts Options) (kinds 
 	if st == nil {
 		return kinds
 	}
-	g := s.m.Graph()
+	g, o := s.m.Graph(), &BoundOracle{st: st}
 	for _, c := range sc.cands.handedOut() {
 		if c.parent == nil {
 			continue
@@ -297,15 +306,15 @@ func checkStubs(t testing.TB, s *Searcher, terms []string, opts Options) (kinds 
 		} else {
 			kinds.unbuilt++
 		}
+		row := o.RowBound(child)
 		filled := &candidate{tree: child, root: c.root}
-		st.supplyLists(c.root, nb, child.Depth())
 		st.fill(filled)
 		if child.Depth() != halfDiameter(opts.Diameter) || filled.complete || filled.cover != c.cover ||
-			c.ub*(1+preBoundSlack) < filled.ub || c.ub > filled.ub*(1+preBoundSlack) {
-			t.Fatalf("query %v %+v: stub of %s grown to %d at depth %d: priced cover %b bound %.17g, filled cover %b bound %.17g, answer %v",
-				terms, opts, c.parent.CanonicalKey(), nb, child.Depth(), c.cover, c.ub, filled.cover, filled.ub, filled.complete)
+			c.ub < row || c.ub > row*(1+2*preBoundSlack) || c.ub < filled.ub {
+			t.Fatalf("query %v %+v: stub of %s grown to %d at depth %d: priced cover %b bound %.17g, row bound %.17g, filled cover %b bound %.17g, answer %v",
+				terms, opts, c.parent.CanonicalKey(), nb, child.Depth(), c.cover, c.ub, row, filled.cover, filled.ub, filled.complete)
 		}
-		if st.mergeable(filled) && c.merge.denom != filled.merge.denom {
+		if st.mergeable(filled) && filled.ub > 0 && c.merge.denom != filled.merge.denom { // fill keeps no summary of a tree it bounds at 0
 			t.Fatalf("query %v %+v: stub of %s grown to %d keeps root denominator %.17g, fill keeps %.17g",
 				terms, opts, c.parent.CanonicalKey(), nb, c.merge.denom, filled.merge.denom)
 		}
@@ -399,8 +408,10 @@ func TestZeroScoreAnswerSurvivesPricing(t *testing.T) {
 // trap. The hub h lists its four best beta suppliers x1…x4, and the list is
 // truncated: x5, a weak beta node, did not fit. The tree r{x1…x4} holds all
 // four, so for its child over r→h the list alone cannot tell — reading that
-// as "no supply" would price the child at 0 and drop it, though x5 can still
-// supply it.
+// as "no supply" would bound the child at 0 and drop it, though x5 can still
+// supply it. Only fill reads the lists, so the child is held to its fill, as
+// it would be a merge's at h; its price from h's field row must not drop it
+// either.
 func TestUndecidedSupplyListBuildsChild(t *testing.T) {
 	const (
 		r, h, x5 = 0, 1, 10
@@ -431,16 +442,22 @@ func TestUndecidedSupplyListBuildsChild(t *testing.T) {
 	}
 	c := &candidate{tree: tree, root: st.rootOf(r)}
 	w, _ := fx.g.Weight(r, h)
-	edge := graph.HalfEdge{To: h, Weight: w}
-	parent := st.viewParent(c)
-	ub, cover := st.childBound(parent, edge)
-	v := &sc.child
+	if ub, cover := st.childBound(st.viewParent(c), graph.HalfEdge{To: h, Weight: w}); ub <= 0 || st.condemned(ub, cover) {
+		t.Fatalf("the child over r→h is priced %v and dropped; x5 can still supply it", ub)
+	}
+	grown, err := tree.Grow(fx.g, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := &candidate{tree: grown, root: st.rootOf(h)}
+	st.fill(child)
+	v := &sc.bound.view
 	lv, _ := st.supplyLevel(v.depth)
-	if _, decided := st.supplyList(v.root, lv, 1).bestOutside(v); decided {
+	if _, decided := st.supplyList(v.root, lv, 1).bestOutside(v); decided || v.node != h {
 		t.Fatal("fixture broken: h's beta list decides the child by itself")
 	}
-	if ub <= 0 || st.condemned(ub, cover) {
-		t.Fatalf("the child over r→h is priced %v and dropped; x5 can still supply it", ub)
+	if child.ub <= 0 {
+		t.Fatalf("the child over r→h is filled at %v and dropped; x5 can still supply it", child.ub)
 	}
 
 	got, _, err := fx.s.TopK(terms, opts)
@@ -512,7 +529,6 @@ func checkMergePrices(t testing.TB, s *Searcher, terms []string, opts Options, m
 		seen[key] = true
 		trees = append(trees, tree)
 		built := &candidate{tree: tree, root: st.rootOf(tree.Root())}
-		st.supplyLists(built.root, tree.Root(), tree.Depth())
 		st.fill(built)
 		keep(built)
 		if parent == nil || qc.levels == 0 {

@@ -121,11 +121,14 @@ type Stats struct {
 	FrontierBound float64
 	// Built counts the trees the query's arena handed out: seeds, grown
 	// children that passed every pre-build check, successful merges, and
-	// terminal children built because a merge needed them.
+	// terminal children built because a merge needed them. A built grown
+	// child that misses a term keeps its price as its bound and is never
+	// evaluated; the others are.
 	Built int
 	// Spared counts the grown children the bound check kept from being
-	// built, priced from their parents' flows (Options.NoDynamicBounds
-	// leaves nothing to price them from, so it spares none).
+	// built, priced from their parents' flows and their own field rows
+	// (Options.NoDynamicBounds leaves nothing to price them from, so it
+	// spares none).
 	Spared int
 	// Relaxed counts the edges the supply-field relaxation scanned, pushes
 	// and pulls, summed over the query's terms (0 without dynamic bounds).
