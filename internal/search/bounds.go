@@ -46,12 +46,11 @@ const supplyScanCap = 256
 // parent's (flowView.grow). upperBound cannot tell them apart, which is the
 // point: the case analysis below exists once.
 type boundView struct {
-	// The candidate's nodes are tree's, plus grown when the view prices a
-	// child that is not built yet (graph.InvalidNode otherwise). node is its
-	// root, root the root's record — noRecord while the expansion step prices
-	// a child from the root's own field row — and depth its depth.
+	// The candidate is tree, or tree grown to node when the view prices a
+	// child that is not built yet. node is its root, root the root's record —
+	// noRecord for a view supplied from the root's own field row, as every
+	// unbuilt child's is — and depth its depth.
 	tree  *jtt.Tree
-	grown graph.NodeID
 	node  graph.NodeID
 	root  int32
 	depth int
@@ -80,11 +79,12 @@ const noRecord int32 = -1
 
 // at places the view on a built candidate.
 func (v *boundView) at(tree *jtt.Tree, root int32) {
-	v.tree, v.grown, v.node, v.root, v.depth = tree, graph.InvalidNode, tree.Root(), root, tree.Depth()
+	v.tree, v.node, v.root, v.depth = tree, tree.Root(), root, tree.Depth()
 }
 
-// contains reports whether u is a node of the candidate.
-func (v *boundView) contains(u graph.NodeID) bool { return u == v.grown || v.tree.Contains(u) }
+// contains reports whether u is a node of the candidate, a built one: only
+// those read supply lists.
+func (v *boundView) contains(u graph.NodeID) bool { return v.tree.Contains(u) }
 
 // sized returns buf with length n, reallocating only to grow.
 func sized(buf []float64, n int) []float64 {
@@ -311,9 +311,7 @@ func (st *bbState) firstHop(root graph.NodeID, matching int32) float64 {
 // With an index, the feasible nodes are also scanned by descending
 // generation — those the index places beyond the budget discarded, the rest
 // discounted by the indexed retention — and the lower estimate wins, so
-// passing an index never weakens a bound. A child that is not built yet is
-// priced from the fields alone: the index could only lower its supplies, so
-// the pre-build bound stays above the one fill will compute.
+// passing an index never weakens a bound.
 func (st *bbState) bestSupply(ti int, v *boundView) float64 {
 	qc := st.qc
 	nodes := qc.byGen[ti]
@@ -333,7 +331,7 @@ func (st *bbState) bestSupply(ti int, v *boundView) float64 {
 		}
 	}
 	idx := st.opts.Index
-	if idx == nil || best <= 0 || v.grown != graph.InvalidNode {
+	if idx == nil || best <= 0 {
 		return best
 	}
 	budget := st.opts.Diameter - v.depth

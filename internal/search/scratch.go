@@ -134,8 +134,7 @@ func (s *treeSet) reset() {
 // rootState is what the search keeps per candidate root besides its supply
 // lists: the merge registry, the committed candidates rooted here bucketed by
 // cover. Records are created by bbState.rootOf when a root's first candidate
-// appears, or an unbuilt child's bound needs its supply lists, and found
-// again through the dense queryScratch.rootAt table.
+// appears, and found again through the dense queryScratch.rootAt table.
 type rootState struct {
 	node    graph.NodeID
 	buckets []coverBucket // one per cover seen here, in order of first commit
@@ -290,7 +289,7 @@ type queryScratch struct {
 	// roots holds one record per candidate root of this query; rootAt is
 	// the dense node → 1+index table into it (0 = no record yet), cleared
 	// on release by walking roots. tops holds the supply lists, len(terms)
-	// in a row per (root, field level) that some candidate asked about;
+	// in a row per (root, field level) that some filled tree asked about;
 	// listAt, qc.levels entries per root record, finds them: 1 + the index
 	// of the row's first list, 0 = not built yet.
 	roots  []rootState
