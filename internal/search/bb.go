@@ -433,24 +433,20 @@ func (st *bbState) rootOf(root graph.NodeID) int32 {
 	rs := &sc.roots[n]
 	rs.node, rs.buckets = root, rs.buckets[:0]
 	sc.rootAt[root] = int32(n + 1)
-	var unbuilt [maxSupplyLevels]int32
-	sc.listAt = append(sc.listAt, unbuilt[:st.qc.levels]...)
 	return int32(n)
 }
 
 // fill computes the evaluation products of a candidate: keyword cover, the
 // RWMP score when the tree is a valid complete answer, and the §IV-B upper
-// bound. It makes sure the root's supply lists for the tree's depth exist;
-// then the tree's flow table is filled once, read into the scratch's bound
+// bound. The tree's flow table is filled once, read into the scratch's bound
 // view, and both the score and the bound come from the view; a candidate
 // missing a term nothing can supply needs neither. fill writes only the
-// candidate, the supply lists and the bound scratch.
+// candidate and the bound scratch.
 func (st *bbState) fill(c *candidate) {
 	qc, bs := st.qc, &st.sc.bound
-	st.supplyLists(c.root, c.tree.Root(), c.tree.Depth())
 	c.cover = st.sources(c.tree)
 	v := &bs.view
-	v.at(c.tree, c.root)
+	v.at(c.tree)
 	v.cover = c.cover
 	if !st.supplied(v, len(bs.slots)) {
 		return // ub stays 0: commit drops the candidate

@@ -47,12 +47,9 @@ const supplyScanCap = 256
 // point: the case analysis below exists once.
 type boundView struct {
 	// The candidate is tree, or tree grown to node when the view prices a
-	// child that is not built yet. node is its root, root the root's record —
-	// noRecord for a view supplied from the root's own field row, as every
-	// unbuilt child's is — and depth its depth.
+	// child that is not built yet. node is its root and depth its depth.
 	tree  *jtt.Tree
 	node  graph.NodeID
-	root  int32
 	depth int
 
 	cover uint64
@@ -73,17 +70,13 @@ type boundView struct {
 	supplies []float64
 }
 
-// noRecord is boundView.root for a view with no root record to read supply
-// lists from: supplied prices it from the root's own field row.
-const noRecord int32 = -1
-
 // at places the view on a built candidate.
-func (v *boundView) at(tree *jtt.Tree, root int32) {
-	v.tree, v.node, v.root, v.depth = tree, tree.Root(), root, tree.Depth()
+func (v *boundView) at(tree *jtt.Tree) {
+	v.tree, v.node, v.depth = tree, tree.Root(), tree.Depth()
 }
 
-// contains reports whether u is a node of the candidate, a built one: only
-// those read supply lists.
+// contains reports whether u is a node of the view's tree: an unbuilt
+// child's view holds its parent's tree, so its new root is not among them.
 func (v *boundView) contains(u graph.NodeID) bool { return v.tree.Contains(u) }
 
 // sized returns buf with length n, reallocating only to grow.
@@ -148,11 +141,10 @@ func (v *boundView) scoreSum() float64 {
 // supplied fills v.supplies with the best possible delivery, at the root,
 // from a supplement covering each term the candidate with that many sources
 // misses — or each term, when one source covers them all: the lone-source
-// bound asks what a second source could add. A view with a root record reads
-// the root's supply lists (bestSupply); one without reads the root's own
-// field row (rowSupply), which bounds the lists from above. It reports false
-// when some missing term has no feasible supplement: the candidate can never
-// become a valid answer, its bound is 0 and it must be pruned.
+// bound asks what a second source could add. Built and unbuilt candidates
+// alike ask bestSupply. It reports false when some missing term has no
+// feasible supplement: the candidate can never become a valid answer, its
+// bound is 0 and it must be pruned.
 func (st *bbState) supplied(v *boundView, sources int) bool {
 	missing := st.qc.full &^ v.cover
 	wanted := missing
@@ -165,12 +157,7 @@ func (st *bbState) supplied(v *boundView, sources int) bool {
 		if wanted&bit == 0 {
 			continue
 		}
-		var best float64
-		if v.root == noRecord {
-			best = st.rowSupply(ti, v)
-		} else {
-			best = st.bestSupply(ti, v)
-		}
+		best := st.bestSupply(ti, v)
 		if best <= 0 && missing&bit != 0 {
 			return false
 		}
@@ -180,8 +167,7 @@ func (st *bbState) supplied(v *boundView, sources int) bool {
 }
 
 // upperBound computes ub(C) = max(ce, pe) of a candidate that supplied
-// accepted, from its view. It is monotone in the view's supplies, so a view
-// supplied from the field row bounds the one supplied from the lists.
+// accepted, from its view. It is monotone in the view's supplies.
 func (st *bbState) upperBound(v *boundView) float64 {
 	missing := st.qc.full &^ v.cover
 	n := len(v.gens)
@@ -303,10 +289,13 @@ func (st *bbState) firstHop(root graph.NodeID, matching int32) float64 {
 // to n, so the bound is the best supply-field value at that level among
 // those neighbours: n's own generation when n is the supplement, otherwise
 // what the best matcher in range retains after every node up to and
-// including n has dampened it. The root's supply list answers from its top
-// few neighbours; a tree that swallowed all of them falls back to the
-// out-edges. Without dynamic bounds the estimate is the best generation of
-// the term outside the tree.
+// including n has dampened it. A seed takes exactly that, by a pass over its
+// out-edges (scanSupply). Every deeper tree reads its root's own row
+// (rowSupply), which bounds the pass from above. A seed cannot: at depth 0
+// the row's level above the seed's own does not exist while D ≤
+// maxSupplyLevels, and its own top level does not bound its neighbours'.
+// Without dynamic bounds the estimate is the best generation of the term
+// outside the tree.
 //
 // With an index, the feasible nodes are also scanned by descending
 // generation — those the index places beyond the budget discarded, the rest
@@ -317,10 +306,10 @@ func (st *bbState) bestSupply(ti int, v *boundView) float64 {
 	nodes := qc.byGen[ti]
 	best := 0.0
 	if lv, ok := st.supplyLevel(v.depth); ok {
-		if n, decided := st.supplyList(v.root, lv, ti).bestOutside(v); !decided {
+		if v.depth == 0 {
 			best = st.scanSupply(ti, lv, v)
-		} else if n != graph.InvalidNode {
-			best = st.sc.fields[ti].row(n)[lv]
+		} else {
+			best = st.rowSupply(ti, lv, v)
 		}
 	} else if st.opts.NoDynamicBounds {
 		for _, u := range nodes {

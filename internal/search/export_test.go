@@ -70,12 +70,11 @@ func (o *BoundOracle) WithoutFieldSource(src graph.NodeID, f func()) {
 }
 
 // refield recomputes every term's field from its matchers less drop, over
-// the query's region, and forgets the supply lists built from the old values.
+// the query's region. Nothing else is derived from the fields, so the next
+// bound reads the new values.
 func (o *BoundOracle) refield(drop graph.NodeID) {
 	st := o.st
 	sc, qc, m := st.sc, st.qc, st.s.m
-	clear(sc.listAt)
-	sc.tops = sc.tops[:0]
 	var reg *region
 	if len(sc.region.ends) > 0 {
 		reg = &sc.region
@@ -114,30 +113,20 @@ func (o *BoundOracle) ChildBound(tree *jtt.Tree, nb graph.NodeID) (ub float64, o
 	return ub, true
 }
 
-// RowBound is the bound fill gives tree with its view supplied from the
-// root's own field row, as childBound supplies a child's, instead of from the
-// root's supply lists: the price ChildBound derives for a child, computed off
-// the built child's own flow table.
+// RowBound is the bound fill gives tree, a tree past a seed, whose supplies
+// it reads off the root's own field row as childBound reads a child's: the
+// price ChildBound derives for a child, computed off the built child's own
+// flow table.
 func (o *BoundOracle) RowBound(tree *jtt.Tree) float64 {
-	st := o.st
-	bs, v := &st.sc.bound, &st.sc.bound.view
-	v.at(tree, noRecord)
-	v.cover = st.sources(tree)
-	if !st.supplied(v, len(bs.slots)) {
-		return 0
+	if tree.Depth() == 0 {
+		panic("search: RowBound wants a tree past a seed")
 	}
-	bs.flow.SetTree(st.s.m, tree)
-	v.readFlow(&bs.flow, bs.slots, bs.gens, nil, st.s.m.Damp(v.node))
-	nodes, par := tree.NodeView(), tree.ParentView()
-	matching := int32(0)
-	for _, i := range bs.slots {
-		if par[i] == v.node && nodes[i] != v.node {
-			matching++
-		}
-	}
-	v.hop = st.firstHop(v.node, matching)
-	return st.upperBound(v)
+	return o.UpperBound(tree)
 }
+
+// RowSlack is the relative slack a field-row supply carries for the rounding
+// of its division; a path index's min may remove it.
+const RowSlack = rowSlack
 
 // PricedCheck is what CheckPricedBounds saw: the priced candidates filled on
 // the side, by kind — a grown child the search built, or a stub; grown to a
@@ -154,8 +143,8 @@ type PricedCheck struct {
 // priced candidate on the side — a stub's child built here from its parent,
 // outside the arena — and record in the returned check any whose fill bound
 // exceeds the bound the search stored for it. Filling on the side writes
-// only the bound scratch, supply lists and merge summaries nothing reads, so
-// the search itself runs unchanged.
+// only the bound scratch and merge summaries nothing reads, so the search
+// itself runs unchanged.
 func CheckPricedBounds(t testing.TB) *PricedCheck {
 	pc := &PricedCheck{}
 	checkPriced = func(st *bbState, c *candidate) {

@@ -4,13 +4,12 @@ import "cirank/internal/graph"
 
 // This file computes the per-term supply field behind the dynamic supplement
 // bound of §IV-B — how many messages a node covering a missing keyword could
-// still deliver at a candidate's root — and holds everything that reads its
-// table: the per-root supply lists, their full-scan fallback (bounds.go's
-// bestSupply asks them) and the row bound an unbuilt child is priced from
-// first (rowSupply). The field answers that for every node
-// and every hop budget at once, per query, for the query's own matchers — a
-// hub's degree is paid once per query here rather than once per lookup in a
-// prebuilt index.
+// still deliver at a candidate's root — and the two reads of its table
+// bounds.go's bestSupply makes: a seed's pass over its out-edges (scanSupply)
+// and every deeper tree's read of its root's own row (rowSupply). The field
+// answers that for every node and every hop budget at once, per query, for
+// the query's own matchers — a hub's degree is paid once per query here
+// rather than once per lookup in a prebuilt index.
 //
 // For a term t with matchers M_t, the field's entry for node w and level h
 // is the most a matcher within h hops of w can still carry when it leaves w:
@@ -30,9 +29,9 @@ import "cirank/internal/graph"
 // past it. Outside, an entry may stop short of the definition, never exceed
 // it.
 //
-// All terms share one table, node-major, then term, then level — a root's
-// supply lists read every term of a neighbour at one level, and that is one
-// cache line for a typical query.
+// All terms share one table, node-major, then term, then level — a tree's
+// bound reads every missing term's row at its root (rowSupply), and that is
+// one cache line for a typical query.
 
 // maxSupplyLevels caps the levels a field stores per node, whatever the
 // diameter: a table of NumNodes × Diameter floats per term would let a
@@ -62,11 +61,11 @@ func (fs *fieldScratch) row(w graph.NodeID) []float64 {
 
 // region is what the search reads of a field, layer by layer: a candidate of
 // depth d has a matching node within d hops of its root, and its bound reads
-// level D−d−1 at the root's out-neighbours (supplyLists, scanSupply) or level
-// D−d at a priced child's root (rowSupply) — level h only within D−h hops of
-// the query's matching nodes. Up to level ⌊D/2⌋ that holds every node a round
-// can reach; above it the rounds need only the nodes within radius D−h, the
-// radii up to ⌈D/2⌉−1 that grow records. Every term's relaxation reads it.
+// level D−1 at a seed's out-neighbours (scanSupply) or level D−d at a deeper
+// tree's root (rowSupply) — level h only within D−h hops of the query's
+// matching nodes. Up to level ⌊D/2⌋ that holds every node a round can reach;
+// above it the rounds need only the nodes within radius D−h, the radii up to
+// ⌈D/2⌉−1 that grow records. Every term's relaxation reads it.
 type region struct {
 	nodes []graph.NodeID // layer by layer, the matching nodes first
 	ends  []int          // ends[r]: how many nodes lie within r hops
@@ -270,74 +269,28 @@ func (st *bbState) supplyLevel(depth int) (lv int, ok bool) {
 	return min(budget, st.qc.levels) - 1, st.qc.levels > 0 && budget >= 1
 }
 
-// supplyLists makes sure the supply lists that the bound of a candidate of
-// the given depth, rooted at node (whose record is root), will read exist:
-// one topList per term for (root, field level), ranking the root's
-// out-neighbours by field value. This is the one pass over a root's
-// out-edges the query pays per level, however many candidate trees it roots
-// there, and only trees that fill evaluates pay it: seeds, merges and grown
-// children that cover every term. It runs as fill starts, in worklist order,
-// so the lists, like everything else Stats depends on, are the same run to
-// run. It appends to sc.tops: fetch list pointers after it, not before.
-func (st *bbState) supplyLists(root int32, node graph.NodeID, depth int) {
-	lv, ok := st.supplyLevel(depth)
-	if !ok {
-		return
-	}
-	sc, L := st.sc, st.qc.levels
-	at := &sc.listAt[int(root)*L+lv]
-	if *at != 0 {
-		return
-	}
-	off := len(sc.tops)
-	*at = int32(off + 1)
-	for range st.qc.terms {
-		sc.tops = append(sc.tops, topList{})
-	}
-	lists := sc.tops[off:]
-	stride := len(lists) * L
-	for _, e := range st.s.m.Graph().OutEdges(node) {
-		at := int(e.To)*stride + lv // the neighbour's terms at this level sit L apart
-		for ti := range lists {
-			if sc.field[at+ti*L] > 0 {
-				lists[ti].offer(e.To, sc.field[ti*L+lv:], stride)
-			}
-		}
-	}
-}
-
-// supplyList returns the supply list of term ti at (root record, field
-// level), which fill built before asking for it.
-func (st *bbState) supplyList(root int32, lv, ti int) *topList {
-	return &st.sc.tops[int(st.sc.listAt[int(root)*st.qc.levels+lv])-1+ti]
-}
-
 // rowSlack is the relative slack rowSupply adds for the rounding of its
-// division, so that the row never prices below a list.
+// division, so that the row never reads below the scan it bounds.
 const rowSlack = 1e-12
 
-// rowSupply bounds bestSupply's field estimate from the root's own field row,
-// without a pass over its out-edges. relax carries every edge n→w as
-// field(w, h+1) ≥ field(n, h)·damp(w), and the fixpoint level as
-// field(w, L−1) ≥ field(n, L−1)·damp(w); every edge has its reverse, so this
-// holds for every out-neighbour n of the root w. One level up, divided by the
-// root's own rate, the row bounds what any of them supplies at the view's
-// level — inside the tree or not.
-func (st *bbState) rowSupply(ti int, v *boundView) float64 {
-	lv, ok := st.supplyLevel(v.depth)
-	if !ok {
-		return 0
-	}
-	// A child stands at depth 1 or more, so the level above its own exists
-	// unless the diameter runs past maxSupplyLevels; then the last level is
-	// the fixpoint.
+// rowSupply is the field estimate of term ti at level lv for a tree past a
+// seed, read off its root's own row without a pass over the out-edges. relax
+// carries every edge n→w as field(w, h+1) ≥ field(n, h)·damp(w), and the
+// fixpoint level as field(w, L−1) ≥ field(n, L−1)·damp(w); every edge has its
+// reverse, so this holds for every out-neighbour n of the root w. One level
+// up, divided by the root's own rate, the row bounds what any of them
+// supplies at level lv — inside the tree or not, so it bounds scanSupply.
+// The tree stands at depth 1 or more, so the level above lv exists unless
+// the diameter runs past maxSupplyLevels; then the last level is the
+// fixpoint.
+func (st *bbState) rowSupply(ti, lv int, v *boundView) float64 {
 	up := min(lv+1, st.qc.levels-1)
 	return st.sc.fields[ti].row(v.node)[up] / st.s.m.Damp(v.node) * (1 + rowSlack)
 }
 
-// scanSupply is bestSupply's field estimate by a full pass over the root's
-// out-edges: the fallback for a candidate that contains every node of a
-// truncated supply list, and the definition the lists are tested against.
+// scanSupply is the field estimate of term ti at level lv by a pass over the
+// root's out-edges: the best entry among the out-neighbours outside the
+// tree. It is a seed's estimate, and the definition rowSupply bounds.
 func (st *bbState) scanSupply(ti, lv int, v *boundView) float64 {
 	fs := &st.sc.fields[ti]
 	best := 0.0

@@ -2,6 +2,7 @@ package search_test
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -123,12 +124,16 @@ func TestLoneBoundIgnoresOwnSupply(t *testing.T) {
 }
 
 // TestIndexNeverUndercutsField certifies that handing the search a path
-// index on top of the supply fields changes no bound: the indexed scan of a
-// missing term knows neither the hop budget along the path nor the
-// out-of-tree entry, so it never reads lower than the field — last-ulp
-// differences aside, the two multiply in different orders.
+// index on top of the supply fields changes no bound beyond rounding: the
+// indexed scan of a missing term knows neither the hop budget along the path
+// nor the out-of-tree entry, so it never reads lower than the field's exact
+// value. A tree past a seed reads the field off its root's row, which adds
+// rowSlack for the rounding of its division, and the index's min may remove
+// exactly that: the tolerance is twice the slack, one for the row's own and
+// one for the rounding of the two estimates' differing products.
 func TestIndexNeverUndercutsField(t *testing.T) {
 	checked, missing := 0, 0
+	worst := 0.0 // the largest relative undercut seen
 	for seed := int64(0); seed < fieldSeeds; seed++ {
 		w, err := difftest.Generate(seed)
 		if err != nil {
@@ -158,7 +163,10 @@ func TestIndexNeverUndercutsField(t *testing.T) {
 					for _, c := range routeCandidates(ans) {
 						p, _, complete := plain.Evaluate(c)
 						i := indexed.UpperBound(c)
-						if i > p || i < p*(1-1e-12) {
+						if p > 0 && !math.IsInf(p, 1) {
+							worst = max(worst, (p-i)/p)
+						}
+						if i > p || i < p*(1-2*search.RowSlack) {
 							t.Fatalf("seed %d query %v D=%d %s index: candidate %s rooted at %d bounded %.17g with the index, %.17g without",
 								seed, q.Terms, q.Diameter, name, c.CanonicalKey(), c.Root(), i, p)
 						}
@@ -171,6 +179,7 @@ func TestIndexNeverUndercutsField(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d candidates checked, %d with a live supplement bound; the index undercuts the field by at most %.3g relative", checked, missing, worst)
 	if checked < 10000 || missing < 1000 {
 		t.Fatalf("only %d candidates checked, %d of them with a live supplement bound", checked, missing)
 	}

@@ -23,8 +23,7 @@ import (
 //     edge nb→r exists because every edge has its reverse — and then
 //     descends as r's own flows do, dampened at r and scaled by ρ.
 //   - nb joins as a source when it matches a term; its supplies come from
-//     its own field row, an O(terms) read that bounds the supply lists fill
-//     would read for the built child.
+//     its own field row, an O(terms) read, as fill's do for the built child.
 //
 // So the expansion step views the popped candidate once (flowView), derives
 // each child's boundView from it and asks upperBound — the same function
@@ -71,7 +70,7 @@ func (st *bbState) viewParent(c *candidate) *flowView {
 	}
 	bs.flow.SetTree(m, t)
 	p.denom = bs.flow.RootDenom()
-	p.at(t, c.root)
+	p.at(t)
 	p.deliv = sized(p.deliv, len(bs.slots)*len(bs.slots))
 	p.readFlow(&bs.flow, bs.slots, bs.gens, p.deliv, m.Damp(root))
 	return p
@@ -122,15 +121,15 @@ func (p *flowView) grow(v *boundView, w float64, gen, damp float64) {
 
 // childBound prices the child of p's candidate over the root's out-edge e
 // without building it: its cover and the bound upperBound gives its derived
-// view, supplied from nb's own field row at a read per term. The row bounds
-// every out-neighbour's field entry, so it bounds the supply lists fill
-// reads for the built child, and upperBound is monotone in the supplies: up
-// to rounding, the price is never below fill's bound, with or without a path
-// index. The caller has checked that e.To is outside the tree.
+// view, supplied from nb's own field row at a read per term — the supplies
+// fill reads for the built child. A path index's scan skips the parent's
+// nodes only, one fewer than fill's, and upperBound is monotone in the
+// supplies: up to rounding, the price is never below fill's bound, with or
+// without a path index. The caller has checked that e.To is outside the tree.
 func (st *bbState) childBound(p *flowView, e graph.HalfEdge) (ub float64, cover uint64) {
 	qc, nb := st.qc, e.To
 	v := &st.sc.child
-	v.tree, v.node, v.root, v.depth = p.tree, nb, noRecord, p.depth+1
+	v.tree, v.node, v.depth = p.tree, nb, p.depth+1
 	v.cover = p.cover | qc.masks[nb]
 	// The child's root has one tree neighbour, the parent's root.
 	matching := int32(0)

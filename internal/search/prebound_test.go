@@ -56,10 +56,9 @@ func (k *childKinds) add(o childKinds) {
 // bound priced from the tree's flows and the child root's field row must
 // agree within preBoundSlack with the bound the built child's own flows give
 // under the same row supplies (RowBound). With the slack the search stores,
-// it must be at least the bound fill computes for the built child from the
-// supply lists, and condemn the child only where commit would drop the filled
-// child — with room in the answer list, and with a full one at any k-th
-// score.
+// it must be at least the bound fill computes for the built child, and
+// condemn the child only where commit would drop the filled child — with
+// room in the answer list, and with a full one at any k-th score.
 func checkChildBounds(t testing.TB, s *Searcher, terms []string, opts Options, maxTrees int) (kinds childKinds) {
 	t.Helper()
 	o, ok, err := s.NewBoundOracle(terms, opts)
@@ -274,10 +273,9 @@ func (k *stubKinds) add(o stubKinds) {
 // at the depth limit, covers the stub's cover and is no answer. The stub's
 // stored bound — its price with the slack — lies within preBoundSlack above
 // the bound the built child's own flows give under row supplies (RowBound),
-// and at or above the bound fill gives it from the supply lists; a stub kept
-// as a merge operand splits its root over the denominator fill keeps, where
-// fill keeps one. A stub
-// a merge built must be that child.
+// and at or above the bound fill gives it; a stub kept as a merge operand
+// splits its root over the denominator fill keeps, where fill keeps one. A
+// stub a merge built must be that child.
 func checkStubs(t testing.TB, s *Searcher, terms []string, opts Options) (kinds stubKinds) {
 	t.Helper()
 	sc := newQueryScratch()
@@ -404,15 +402,14 @@ func TestZeroScoreAnswerSurvivesPricing(t *testing.T) {
 	}
 }
 
-// TestUndecidedSupplyListBuildsChild is the regression test of the second
-// trap. The hub h lists its four best beta suppliers x1…x4, and the list is
-// truncated: x5, a weak beta node, did not fit. The tree r{x1…x4} holds all
-// four, so for its child over r→h the list alone cannot tell — reading that
-// as "no supply" would bound the child at 0 and drop it, though x5 can still
-// supply it. Only fill reads the lists, so the child is held to its fill, as
-// it would be a merge's at h; its price from h's field row must not drop it
-// either.
-func TestUndecidedSupplyListBuildsChild(t *testing.T) {
+// TestWeakSupplierKeepsChild is the regression test of the second trap. The
+// hub h's four best beta suppliers x1…x4 sit inside the tree r{x1…x4}; x5, a
+// weak beta node, hangs off h outside it. For the tree's child over r→h, a
+// bound that looked only at h's best suppliers would find them all taken,
+// read that as "no supply", bound the child at 0 and drop it, though x5 can
+// still supply it. Neither the child's price from h's field row nor its fill
+// may drop it, and the 7-node answer through x5 must be found.
+func TestWeakSupplierKeepsChild(t *testing.T) {
 	const (
 		r, h, x5 = 0, 1, 10
 	)
@@ -451,11 +448,6 @@ func TestUndecidedSupplyListBuildsChild(t *testing.T) {
 	}
 	child := &candidate{tree: grown, root: st.rootOf(h)}
 	st.fill(child)
-	v := &sc.bound.view
-	lv, _ := st.supplyLevel(v.depth)
-	if _, decided := st.supplyList(v.root, lv, 1).bestOutside(v); decided || v.node != h {
-		t.Fatal("fixture broken: h's beta list decides the child by itself")
-	}
 	if child.ub <= 0 {
 		t.Fatalf("the child over r→h is filled at %v and dropped; x5 can still supply it", child.ub)
 	}

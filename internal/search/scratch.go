@@ -207,54 +207,6 @@ func (w *bucketWalk) next() *candidate {
 	return c
 }
 
-// rootTop is how many out-neighbours a supply list holds.
-const rootTop = 4
-
-// topList names the out-neighbours of a root through which one term's
-// supplement can deliver most — the rootTop largest positive supply-field
-// values at one level — best first. It holds the nodes only; their values
-// stay in the field table. truncated records that further neighbours carry
-// a positive value, so a tree containing every listed node leaves the list
-// undecided.
-type topList struct {
-	nodes     [rootTop]graph.NodeID
-	n         uint8
-	truncated bool
-}
-
-// offer ranks v into the list by vals[v·stride] (a column of the field
-// table), keeping earlier nodes ahead on ties.
-func (l *topList) offer(v graph.NodeID, vals []float64, stride int) {
-	val := vals[int(v)*stride]
-	i := int(l.n)
-	if i == rootTop {
-		l.truncated = true
-		if val <= vals[int(l.nodes[rootTop-1])*stride] {
-			return
-		}
-		i--
-	} else {
-		l.n++
-	}
-	for ; i > 0 && vals[int(l.nodes[i-1])*stride] < val; i-- {
-		l.nodes[i] = l.nodes[i-1]
-	}
-	l.nodes[i] = v
-}
-
-// bestOutside returns the best listed neighbour outside the candidate v
-// views, or graph.InvalidNode when there is none. decided is false when the
-// list cannot tell: every listed node is in the candidate and the list was
-// truncated.
-func (l *topList) bestOutside(v *boundView) (n graph.NodeID, decided bool) {
-	for _, n := range l.nodes[:l.n] {
-		if !v.contains(n) {
-			return n, true
-		}
-	}
-	return graph.InvalidNode, !l.truncated
-}
-
 // These constants bound what a released scratch retains: a pathological
 // query must not pin its peak working set in the pool forever. Tables and
 // buffers past their cap are dropped and slabs keep their first few chunks —
@@ -288,14 +240,9 @@ type queryScratch struct {
 	seen treeSet
 	// roots holds one record per candidate root of this query; rootAt is
 	// the dense node → 1+index table into it (0 = no record yet), cleared
-	// on release by walking roots. tops holds the supply lists, len(terms)
-	// in a row per (root, field level) that some filled tree asked about;
-	// listAt, qc.levels entries per root record, finds them: 1 + the index
-	// of the row's first list, 0 = not built yet.
+	// on release by walking roots.
 	roots  []rootState
 	rootAt []int32
-	tops   []topList
-	listAt []int32
 	pq     candidateQueue
 	top    topK
 
@@ -373,8 +320,6 @@ func (sc *queryScratch) release() {
 	}
 	sc.walk.rest = trimmed(sc.walk.rest, rootListCap)
 	sc.roots = trimmed(sc.roots, rootsCap)
-	sc.tops = trimmed(sc.tops, ptrBufCap)
-	sc.listAt = trimmed(sc.listAt, ptrBufCap)
 	// The field table goes back all zero, or not at all when a many-term
 	// query grew it past what fieldKeepTerms terms can need.
 	for i := range sc.fields {

@@ -28,8 +28,9 @@ type Options struct {
 	Diameter int
 	// Index optionally provides DS/LS bounds (§V). A supplement bound is the
 	// lower of the index's estimate and the search's own, so passing one
-	// never weakens a bound; the supply fields are never looser on their
-	// own, which leaves the index to the NoDynamicBounds arm.
+	// never weakens a bound. The supply fields are looser on their own only
+	// by the 1e-12 relative slack a field-row read adds for rounding, which
+	// leaves the index to the NoDynamicBounds arm.
 	Index pathindex.Index
 	// MaxExpansions caps the number of candidate-tree expansions in the
 	// branch-and-bound loop as a safety valve; 0 means unlimited. It caps

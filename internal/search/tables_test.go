@@ -1,8 +1,10 @@
 package search
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cirank/internal/graph"
@@ -37,37 +39,35 @@ func summaryFixture(t testing.TB, n int) *fixture {
 	return build(t, texts, imp, append(edges, [2]int{0, n}))
 }
 
-// TestSupplyListMatchesFullScan holds the supply lists to scanSupply — the
-// definition — for trees rooted at the hub that contain none, some and all
-// of the neighbours a list names, so both the listed answer and the
-// exhausted-truncated-list fallback are exercised, at every field level the
-// diameter allows; and on a low-degree root, whose untruncated lists must
-// decide every tree themselves.
-func TestSupplyListMatchesFullScan(t *testing.T) {
+// TestBestSupplyIsScanOrRow holds bestSupply to its definition on a hub of
+// degree 4 and 12, at every diameter from 1 to 5: a seed's supply is the
+// pass over its out-edges (scanSupply); a tree past a seed reads its root's
+// own field row (rowSupply), which is never below that pass; and with no
+// budget left the supply is 0. The trees are the hub alone, prefixes of its
+// neighbours in each term's field order at each level, and random neighbour
+// subsets, so the row is held to the scan with the best suppliers inside
+// the tree and outside it.
+func TestBestSupplyIsScanOrRow(t *testing.T) {
 	terms := []string{"alpha", "beta", "gamma"}
-	for _, degree := range []int{rootTop, 3 * rootTop} {
+	for _, degree := range []int{4, 12} {
 		fx := summaryFixture(t, degree)
-		var listed, fellBack int
+		var seeds, rows, looser int
 		for diameter := 1; diameter <= 5; diameter++ {
 			sc := newQueryScratch()
 			if _, ok, err := fx.s.prepareInto(sc, terms); err != nil || !ok {
 				t.Fatalf("degree %d: prepare: %v", degree, err)
 			}
 			st := newBBState(fx.s, sc, Options{K: 3, Diameter: diameter})
-			hub := st.rootOf(0)
-			// Trees to try: the hub alone, prefixes of its neighbours in
-			// each term's field order at each level (these swallow the
-			// lists front to back), and random neighbour subsets.
 			trees := []*jtt.Tree{jtt.NewSingle(0)}
 			for ti := range terms {
 				for lv := 0; lv < st.qc.levels; lv++ {
 					order := make([]graph.NodeID, degree)
-					vals := make([]float64, degree+1)
 					for i := range order {
 						order[i] = graph.NodeID(i + 1)
-						vals[i+1] = sc.fields[ti].row(order[i])[lv]
 					}
-					sortDesc(order, vals)
+					slices.SortStableFunc(order, func(a, b graph.NodeID) int {
+						return cmp.Compare(sc.fields[ti].row(b)[lv], sc.fields[ti].row(a)[lv])
+					})
 					tree := jtt.NewSingle(0)
 					for _, v := range order {
 						tree = tree.MustAttach(v, 0)
@@ -86,63 +86,37 @@ func TestSupplyListMatchesFullScan(t *testing.T) {
 				trees = append(trees, tree)
 			}
 			for _, tree := range trees {
-				st.supplyLists(hub, 0, tree.Depth())
 				lv, ok := st.supplyLevel(tree.Depth())
 				var v boundView
-				v.at(tree, hub)
+				v.at(tree)
 				for ti := range terms {
 					got := st.bestSupply(ti, &v)
-					if !ok {
+					where := fmt.Sprintf("degree %d D=%d tree %s term %q", degree, diameter, tree.CanonicalKey(), terms[ti])
+					switch {
+					case !ok:
 						if got != 0 {
-							t.Fatalf("degree %d D=%d tree %s: supply %v with no budget left", degree, diameter, tree.CanonicalKey(), got)
+							t.Fatalf("%s: supply %v with no budget left", where, got)
 						}
-						continue
-					}
-					if _, decided := st.supplyList(hub, lv, ti).bestOutside(&v); decided {
-						listed++
-					} else {
-						fellBack++
-					}
-					if want := st.scanSupply(ti, lv, &v); got != want {
-						t.Fatalf("degree %d D=%d tree %s term %q level %d: supply %v, full scan %v",
-							degree, diameter, tree.CanonicalKey(), terms[ti], lv, got, want)
+					case tree.Depth() == 0:
+						if want := st.scanSupply(ti, lv, &v); got != want {
+							t.Fatalf("%s level %d: seed supply %v, full scan %v", where, lv, got, want)
+						}
+						seeds++
+					default:
+						scan := st.scanSupply(ti, lv, &v)
+						if want := st.rowSupply(ti, lv, &v); got != want || got < scan {
+							t.Fatalf("%s level %d: supply %v, row %v, full scan %v", where, lv, got, want, scan)
+						}
+						rows++
+						if got > scan*(1+2*rowSlack) {
+							looser++
+						}
 					}
 				}
 			}
 		}
-		if listed == 0 || (fellBack > 0) != (degree > rootTop) {
-			t.Fatalf("degree %d: %d bounds answered from the lists, %d by the fallback", degree, listed, fellBack)
-		}
-	}
-}
-
-// sortDesc orders nodes by vals descending, ties by node ascending — the
-// order topList.offer maintains.
-func sortDesc(nodes []graph.NodeID, vals []float64) {
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && vals[nodes[j-1]] < vals[nodes[j]]; j-- {
-			nodes[j-1], nodes[j] = nodes[j], nodes[j-1]
-		}
-	}
-}
-
-// TestTopListKeepsBestFour checks offer against a sort of everything offered.
-func TestTopListKeepsBestFour(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for round := 0; round < 200; round++ {
-		n := rng.Intn(3 * rootTop)
-		vals := make([]float64, n)
-		all := make([]graph.NodeID, n)
-		var l topList
-		for i := range vals {
-			vals[i] = float64(rng.Intn(6)) // few values, so ties occur
-			all[i] = graph.NodeID(i)
-			l.offer(all[i], vals, 1)
-		}
-		sortDesc(all, vals)
-		want := all[:min(n, rootTop)]
-		if fmt.Sprint(l.nodes[:l.n]) != fmt.Sprint(want) || l.truncated != (n > rootTop) {
-			t.Fatalf("round %d: listed %v truncated %v, want %v of %d offered (vals %v)", round, l.nodes[:l.n], l.truncated, want, n, vals)
+		if seeds == 0 || rows == 0 || looser == 0 {
+			t.Fatalf("degree %d: %d seed supplies, %d row supplies, %d of them above the scan", degree, seeds, rows, looser)
 		}
 	}
 }
